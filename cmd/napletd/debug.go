@@ -143,12 +143,7 @@ func startDebugServer(addr string, node *naplet.Node, reg *obs.Registry, cnode *
 					in.Records, in.MaxEpoch, in.Synced, age, strings.Join(in.Replicas, ","))
 			}
 		}
-		fmt.Fprintf(w, "\nlocation cache")
-		if !cacheOn {
-			fmt.Fprintf(w, ": disabled\n")
-			return
-		}
-		fmt.Fprintf(w, " (%d entries)\n\n", cacheStats.Entries)
+		fmt.Fprintf(w, "\nlocation cache (%d entries)\n\n", cacheStats.Entries)
 		fmt.Fprintf(w, "%10s %10s %13s %10s %9s\n", "HITS", "MISSES", "INVALIDATIONS", "ADVANCES", "HIT-RATE")
 		fmt.Fprintf(w, "%10d %10d %13d %10d %8.1f%%\n",
 			cacheStats.Hits, cacheStats.Misses, cacheStats.Invalidations,

@@ -375,8 +375,8 @@ func TestConnzTransportState(t *testing.T) {
 		strings.Contains(prom, "\ntransport_encrypted 0\n") {
 		t.Errorf("/metrics?format=prom missing nonzero transport_encrypted counter:\n%s", prom)
 	}
-	if !strings.Contains(prom, "\ntransport_cleartext_legacy 0\n") {
-		t.Errorf("/metrics?format=prom missing transport_cleartext_legacy counter:\n%s", prom)
+	if !strings.Contains(prom, "\ntransport_cleartext 0\n") {
+		t.Errorf("/metrics?format=prom missing transport_cleartext counter:\n%s", prom)
 	}
 	// The path-RTT gauge and the relay fallback counter reach the
 	// exposition too: rtt_ms is live (nonzero) on an established session,

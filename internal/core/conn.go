@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,8 +16,8 @@ import (
 )
 
 // This file holds the Socket's identity, state, and lifecycle bookkeeping.
-// The data plane (reader/flusher goroutines, receive buffer, send log,
-// drain) lives in dataplane.go; the control-plane suspend/resume/close
+// The data plane (pump and flush passes, receive buffer, send log, drain)
+// lives in dataplane.go; the control-plane suspend/resume/close
 // exchanges live in ops.go.
 
 // Errors returned by Socket operations.
@@ -82,11 +81,10 @@ type Socket struct {
 	// writeMu serializes frame writes (application data, retransmits, and
 	// the pre-suspend flush).
 	writeMu sync.Mutex
-	// flushMu serializes the actual socket writes of coalesced batches. The
-	// background flusher detaches a batch under writeMu but performs the
-	// write syscall under flushMu only, so writers keep encoding frames
-	// while a flush is in flight. Lock order: writeMu, then flushMu; never
-	// while holding mu.
+	// flushMu serializes the actual stream writes of coalesced batches. A
+	// flush pass detaches a batch under writeMu but performs the write
+	// under flushMu only, so writers keep encoding frames while a flush is
+	// in flight. Lock order: writeMu, then flushMu; never while holding mu.
 	flushMu sync.Mutex
 
 	// mu guards everything below; cond is signalled on any change readers,
@@ -94,29 +92,24 @@ type Socket struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	sock net.Conn
+	// sock is the installed data stream and fw its frame writer; both nil
+	// while the connection is suspended. The stream's readable/writable
+	// callbacks enqueue the socket on the controller's shared worker pool,
+	// so a connection owns no goroutines.
+	sock *transport.Stream
 	fw   *wire.FrameWriter
-	// gen counts data-socket generations, so a stale reader goroutine's
-	// exit is ignored.
+	// gen counts data-socket generations, so a stale pump pass's exit is
+	// ignored.
 	gen int
-	// flushCh signals the generation's background flusher that buffered
-	// frames are waiting; nil when no data socket is installed. Closed
-	// (under mu) when the generation ends, which terminates the flusher.
-	flushCh chan struct{}
 	// retxPending is true while installSocket is writing the send log to a
 	// fresh socket outside mu: send-log payload buffers must not be
 	// recycled to the pool while the retransmitter may still read them.
 	retxPending bool
 
-	// Event-driven data plane (transport-stream path). pumpSrc is the
-	// current generation's stream when the connection runs goroutine-free:
-	// readable/writable callbacks enqueue the socket on the controller's
-	// shared worker pool instead of waking dedicated loops. pumpPaused
-	// marks the pump stopped for receive-buffer backpressure; the reader
-	// restarts it when the application catches up. All three are guarded
-	// by mu; pumpMu (taken without mu) single-flights pump passes.
+	// pumpPaused marks the pump stopped for receive-buffer backpressure;
+	// Read restarts it when the application catches up. Guarded by mu;
+	// pumpMu (taken without mu) single-flights pump passes.
 	pumpMu     sync.Mutex
-	pumpSrc    *transport.Stream
 	pumpPaused bool
 	// pumpDec is the generation's incremental frame decoder (one per
 	// installed stream, swapped under mu, used under pumpMu): it carries
@@ -275,8 +268,7 @@ type Info struct {
 	PeerControlAddr, PeerDataAddr string
 	// Transport is the id of the shared per-host-pair transport currently
 	// carrying the connection's data stream ("" when the data socket is
-	// down or on the legacy raw-TCP path) — the stream→transport mapping
-	// shown by /connz.
+	// down) — the stream→transport mapping shown by /connz.
 	Transport string
 	// Closed reports a finalized connection.
 	Closed bool
@@ -302,8 +294,8 @@ func (s *Socket) Info() Info {
 		PeerDataAddr:       s.peerDataAddr,
 		Closed:             s.closed,
 	}
-	if tp, ok := s.sock.(interface{ TransportID() wire.ConnID }); ok {
-		info.Transport = tp.TransportID().String()
+	if s.sock != nil {
+		info.Transport = s.sock.TransportID().String()
 	}
 	return info
 }
@@ -358,8 +350,6 @@ func (s *Socket) markClosedLocked(err error) {
 	}
 	s.closed = true
 	s.closeErr = err
-	s.stopFlusherLocked()
-	s.pumpSrc = nil
 	if s.sock != nil {
 		s.sock.Close()
 		s.sock = nil
@@ -375,13 +365,6 @@ func (s *Socket) setTraceSpan(sp *obs.Span) {
 	s.mu.Lock()
 	s.traceSpan = sp
 	s.mu.Unlock()
-}
-
-// curTraceSpan returns the socket's in-flight traced-operation span, if any.
-func (s *Socket) curTraceSpan() *obs.Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.traceSpan
 }
 
 // waitState blocks until the machine is in one of the wanted states, the

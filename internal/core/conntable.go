@@ -70,11 +70,16 @@ func (t *connTable) register(s *Socket) {
 	agents[s.id] = s
 }
 
-// drop removes a socket; it is a no-op for sockets already dropped.
+// drop removes a socket; it is a no-op for sockets already dropped, and for
+// a dead handle whose connection has since come back to this host under the
+// same key.
 func (t *connTable) drop(s *Socket) {
 	sh := t.shard(s.localAgent)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.conns[connKey{id: s.id, agent: s.localAgent}] != s {
+		return
+	}
 	delete(sh.conns, connKey{id: s.id, agent: s.localAgent})
 	if agents := sh.byAgent[s.localAgent]; agents != nil {
 		delete(agents, s.id)

@@ -43,17 +43,11 @@ type Config struct {
 	DataAddr    string
 	// Guard enforces agent-oriented access control (required).
 	Guard *security.Guard
-	// Locator resolves agents at connection setup (required).
+	// Locator resolves agents at connection setup (required). Results are
+	// held in the controller's migration-aware location cache: keyed by
+	// agent id, guarded by Record.Epoch, and invalidated by the
+	// SUS/SUS_RES/RES control messages rather than by TTL expiry.
 	Locator Locator
-	// DisableLocationCache turns off the controller's migration-aware
-	// location cache, so every lookup consults Locator directly. The cache
-	// is keyed by agent id, guarded by Record.Epoch, and invalidated by
-	// the SUS/SUS_RES/RES control messages rather than by TTL expiry.
-	DisableLocationCache bool
-	// LocationCacheTTL overrides the cache's safety-net TTL (the expiry
-	// for entries no migration notification ever touches). Zero picks the
-	// naming package default (30s); negative disables expiry.
-	LocationCacheTTL time.Duration
 	// Insecure disables the Diffie-Hellman key exchange and the
 	// authentication/authorization checks at setup — the paper's
 	// "NapletSocket w/o security" configuration. Control messages are
@@ -84,8 +78,8 @@ type Config struct {
 	// Defaults: 5s and 60s.
 	OpTimeout   time.Duration
 	ParkTimeout time.Duration
-	// HandshakeTimeout bounds the per-host-pair transport handshake and the
-	// redirector's read of an arriving handoff header. Default 10s.
+	// HandshakeTimeout bounds the per-host-pair transport handshake.
+	// Default 10s.
 	HandshakeTimeout time.Duration
 	// DialData, when non-nil, replaces net.DialTimeout for the shared
 	// transport's kernel connection — tests count calls through it to prove
@@ -114,7 +108,7 @@ type Config struct {
 	// level recovery path.
 	TransportResumeWindow time.Duration
 	// DisableTransportEncryption keeps the negotiated shared transport's
-	// frames cleartext: the version-2 hello advertises no cipher suites,
+	// frames cleartext: the hello advertises no cipher suites,
 	// while the DH exchange, transcript tags, and resume tokens still run
 	// in secure mode. Benchmarks use it to isolate the AEAD record
 	// layer's cost; Insecure implies it.
@@ -137,11 +131,9 @@ type Config struct {
 	// ControlSendDelay applies emulated one-way latency to outgoing control
 	// packets (forwarded to the reliable-UDP endpoint).
 	ControlSendDelay time.Duration
-	// WrapData, when non-nil, wraps every data socket as it is installed —
-	// the hook for network emulation (internal/netem) or transport
-	// security. The wrapper should preserve CloseWrite when the underlying
-	// connection supports it, or the pre-suspend drain degrades to the
-	// ungraceful (send-log) path.
+	// WrapData, when non-nil, wraps each shared transport's kernel
+	// connection once its handshake is done — the hook for network
+	// emulation (internal/netem). Data streams are multiplexed inside it.
 	WrapData func(net.Conn) net.Conn
 	// Logf, when non-nil, receives diagnostics. It is the compatibility
 	// shim predating Logger: when only Logf is set, it receives every
@@ -215,8 +207,7 @@ type Controller struct {
 	// un-dialable peers can still call in; nil unless RelayVia is set.
 	relayCli *relay.Client
 	// loc caches Locator results keyed by agent id, guarded by epoch and
-	// proactively invalidated off the control-message path; nil when
-	// disabled by config.
+	// proactively invalidated off the control-message path.
 	loc *naming.Cache
 
 	// epochMu guards locEpochs: the directory epoch each resident agent's
@@ -230,9 +221,9 @@ type Controller struct {
 	// path never funnels through one controller-wide lock.
 	tab *connTable
 
-	// dp is the shared data-plane worker pool: connections riding a
-	// transport stream have no pump/flush goroutines of their own, their
-	// readable/writable events are serviced here.
+	// dp is the shared data-plane worker pool: connections have no
+	// pump/flush goroutines of their own, their streams' readable/writable
+	// events are serviced here.
 	dp *dpPool
 
 	// mu guards the listener map and the closed flag — control-plane
@@ -260,15 +251,10 @@ func NewController(cfg Config) (*Controller, error) {
 		rv:        newRendezvous(),
 		tab:       newConnTable(),
 		dp:        newDPPool(),
+		loc:       naming.NewCache(cfg.Locator, naming.CacheConfig{Metrics: cfg.Metrics}),
 		listeners: make(map[string]*ServerSocket),
 		locEpochs: make(map[string]uint64),
 		done:      make(chan struct{}),
-	}
-	if !cfg.DisableLocationCache {
-		ctrl.loc = naming.NewCache(cfg.Locator, naming.CacheConfig{
-			TTL:     cfg.LocationCacheTTL,
-			Metrics: cfg.Metrics,
-		})
 	}
 	rcfg := rudp.Config{SendDelay: cfg.ControlSendDelay, DropFn: cfg.ControlDropFn}
 	if cfg.HeartbeatInterval > 0 {
@@ -331,16 +317,16 @@ func NewController(cfg Config) (*Controller, error) {
 		Metrics:           cfg.Metrics,
 		Tracer:            cfg.Tracer,
 	})
+	red.serve()
 	if cfg.RelayVia != "" {
 		// Call-in legs delivered by the relay carry the same bytes an
-		// accepted redirector socket would, so they go through the same
-		// sniff-and-dispatch — marked relayed so the transport records how
-		// the session reached us.
+		// accepted redirector socket would, so they take the same path —
+		// marked relayed so the transport records how the session reached us.
 		ctrl.relayCli = relay.NewClient(relay.ClientConfig{
 			RelayAddr: cfg.RelayVia,
 			Advertise: red.addr(),
 			Dial:      cfg.DialData,
-			Handle:    func(conn net.Conn) { red.dispatch(conn, true) },
+			Handle:    func(conn net.Conn) { red.handle(conn, true) },
 			Logf:      ctrl.logf,
 		})
 	}
@@ -442,9 +428,8 @@ func (ctrl *Controller) Close() error {
 	return err
 }
 
-// logf is the legacy diagnostics entry point; every historical call site
-// reported a degraded or failed operation, so it maps to Warn on the
-// leveled logger (which itself falls back to Logf, then log.Printf).
+// logf reports a degraded or failed operation: Warn on the leveled logger
+// (which itself falls back to Logf, then log.Printf).
 func (ctrl *Controller) logf(format string, args ...any) {
 	ctrl.olog(obs.LevelWarn, format, args...)
 }
@@ -492,13 +477,9 @@ func (ctrl *Controller) AgentSockets(agentID string) []*Socket {
 
 // ---- migration-aware location cache ----
 
-// lookupAgent resolves an agent's location, through the cache when one is
-// enabled.
+// lookupAgent resolves an agent's location through the cache.
 func (ctrl *Controller) lookupAgent(ctx context.Context, agentID string) (naming.Record, error) {
-	if ctrl.loc != nil {
-		return ctrl.loc.Lookup(ctx, agentID)
-	}
-	return ctrl.cfg.Locator.Lookup(ctx, agentID)
+	return ctrl.loc.Lookup(ctx, agentID)
 }
 
 // invalidateLocation drops the agent's cached location: called when a
@@ -506,20 +487,16 @@ func (ctrl *Controller) lookupAgent(ctx context.Context, agentID string) (naming
 // the agent is about to move and its current entry is living on borrowed
 // time.
 func (ctrl *Controller) invalidateLocation(agentID string) {
-	if ctrl.loc != nil {
-		ctrl.loc.Invalidate(agentID)
-	}
+	ctrl.loc.Invalidate(agentID)
 }
 
 // advanceLocation moves the agent's cached location forward to the
 // addresses a SUS_RES/RES announced, at the mover's stamped epoch — the
 // piggyback path that keeps the cache fresh without re-consulting the
-// registry. A zero epoch (mover predates the stamp, or its host never
-// learned its epoch) degrades to unconditional invalidation.
+// registry. A zero epoch (the mover's host never learned its epoch)
+// degrades to unconditional invalidation.
 func (ctrl *Controller) advanceLocation(agentID string, loc naming.Location, epoch uint64) {
-	if ctrl.loc != nil {
-		ctrl.loc.Advance(agentID, loc, epoch)
-	}
+	ctrl.loc.Advance(agentID, loc, epoch)
 }
 
 // NoteLocationEpoch records the directory epoch this host's entry for a
@@ -547,12 +524,9 @@ func (ctrl *Controller) locationEpoch(agentID string) uint64 {
 	return ctrl.locEpochs[agentID]
 }
 
-// LocationCacheStats reports the location cache's effectiveness; ok is
-// false when the cache is disabled.
+// LocationCacheStats reports the location cache's effectiveness. The
+// second result is always true: the cache cannot be turned off.
 func (ctrl *Controller) LocationCacheStats() (naming.CacheStats, bool) {
-	if ctrl.loc == nil {
-		return naming.CacheStats{}, false
-	}
 	return ctrl.loc.Stats(), true
 }
 
@@ -651,7 +625,7 @@ func (ctrl *Controller) authorizeHandoff(hdr *wire.HandoffHeader) error {
 }
 
 // deliverStream hands an accepted transport stream to the endpoint waiting
-// for it, through the same rendezvous the legacy raw-socket handoff uses.
+// for it.
 func (ctrl *Controller) deliverStream(hdr *wire.HandoffHeader, st *transport.Stream) bool {
 	return ctrl.rv.deliver(connKey{id: hdr.ConnID, agent: hdr.TargetAgent}, st, rendezvousDeliverTimeout)
 }
@@ -744,8 +718,8 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 
 	// Key exchange, client half: acquire the shared transport to the
 	// target's host. A warm transport costs a map lookup; a cold one pays
-	// the kernel dial and the per-host-pair DH handshake that used to be
-	// paid per connection (Table 1 amortisation). In the "w/o security"
+	// the kernel dial and the DH handshake, once per host pair rather than
+	// per connection (Table 1 amortisation). In the "w/o security"
 	// configuration the transport handshake does no DH, so its cost is
 	// socket establishment, not key exchange.
 	start = time.Now()
@@ -871,9 +845,10 @@ func (s *Socket) dialConnect() error {
 
 // openDataStream opens a data stream to the peer's redirector over the
 // shared transport (dialing and handshaking one only if no warm transport
-// exists). The stream's MuxAccept doubles as the old handoff-OK status:
-// the peer's controller authorizes the header before accepting.
-func (s *Socket) openDataStream(purpose wire.HandoffPurpose) (net.Conn, error) {
+// exists). The stream's MuxAccept is the handoff verdict: the peer's
+// controller authorizes the header before accepting, and refuses with a
+// reset.
+func (s *Socket) openDataStream(purpose wire.HandoffPurpose) (*transport.Stream, error) {
 	s.mu.Lock()
 	addr := s.peerDataAddr
 	s.sendNonce++
@@ -934,20 +909,15 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 
 	// Key agreement, server half: look up the named transport's secret and
 	// bind it to the connection id — the DH work already happened once at
-	// transport setup. The client finishes its transport handshake before
-	// sending CONNECT, but this UDP message can outrun the final handshake
-	// byte on the TCP path, so tolerate a short registration lag before
-	// bouncing the client into a retry.
+	// transport setup. CONNECT can outrun the transport's registration
+	// here; the lookup waits that out before the client is bounced into a
+	// retry.
 	var key []byte
 	if ctrl.cfg.Insecure {
 		key = ctrl.sessionKeyFor(m.ConnID, nil)
 	} else {
 		start := time.Now()
-		secret, ok := ctrl.tm.SecretByID(m.TransportID)
-		for !ok && time.Since(start) < ctrl.cfg.opTimeout()/2 {
-			time.Sleep(5 * time.Millisecond)
-			secret, ok = ctrl.tm.SecretByID(m.TransportID)
-		}
+		secret, ok := ctrl.tm.SecretByID(m.TransportID, ctrl.cfg.opTimeout()/2)
 		bd.Add(metrics.PhaseKeyExchange, time.Since(start))
 		if !ok {
 			return rejectReply(m.ConnID, reasonRetry+": unknown transport")
@@ -972,7 +942,7 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 	// goroutine: a connect storm of 10k concurrent opens adds nothing to
 	// the goroutine count.
 	ctrl.rv.armFunc(connKey{id: s.id, agent: s.localAgent}, ctrl.cfg.opTimeout(),
-		func(sock net.Conn) {
+		func(sock *transport.Stream) {
 			if ctrl.closing.Load() {
 				sock.Close()
 				return

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"naplet/internal/fsm"
 	"naplet/internal/naming"
 	"naplet/internal/security"
+	"naplet/internal/transport"
 	"naplet/internal/wire"
 )
 
@@ -548,28 +550,26 @@ func TestCloseIsIdempotent(t *testing.T) {
 
 func TestHandoffWithBadTokenRejected(t *testing.T) {
 	env := newEnv(t, []string{"h1", "h2"})
-	client, _ := env.pair("a", "h1", "b", "h2")
+	client, server := env.pair("a", "h1", "b", "h2")
 	defer client.Close()
+	server.mu.Lock()
+	gen := server.gen
+	server.mu.Unlock()
 
 	// Forge a resume handoff for the existing connection without the
 	// session key.
 	hdr := &wire.HandoffHeader{
-		Purpose:   wire.HandoffResume,
-		ConnID:    client.ID(),
-		FromAgent: "a",
-		Nonce:     999,
+		Purpose:     wire.HandoffResume,
+		ConnID:      client.ID(),
+		TargetAgent: "b",
+		FromAgent:   "a",
+		Nonce:       999,
 	}
-	sock, err := dialHandoff(env.hosts["h2"].ctrl.DataAddr(), hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sock.Close()
-	status, err := wire.ReadHandoffStatus(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != wire.HandoffDenied {
-		t.Fatalf("forged handoff status = %v, want denied", status)
+	expectHandoffRefused(t, env.hosts["h2"].ctrl, hdr)
+	server.mu.Lock()
+	defer server.mu.Unlock()
+	if server.gen != gen || server.m.State() != fsm.Established {
+		t.Fatalf("forged handoff reached the socket: gen %d -> %d, state %s", gen, server.gen, server.m.State())
 	}
 }
 
@@ -577,30 +577,69 @@ func TestHandoffForUnknownConnRejected(t *testing.T) {
 	env := newEnv(t, []string{"h1"})
 	id, _ := wire.NewConnID()
 	hdr := &wire.HandoffHeader{Purpose: wire.HandoffConnect, ConnID: id, TargetAgent: "x", FromAgent: "y"}
-	sock, err := dialHandoff(env.hosts["h1"].ctrl.DataAddr(), hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sock.Close()
-	status, err := wire.ReadHandoffStatus(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != wire.HandoffDenied {
-		t.Fatalf("status = %v, want denied", status)
+	expectHandoffRefused(t, env.hosts["h1"].ctrl, hdr)
+	if n := env.hosts["h1"].ctrl.Stats().Connections; n != 0 {
+		t.Fatalf("%d connections after a refused handoff, want 0", n)
 	}
 }
 
-func dialHandoff(addr string, hdr *wire.HandoffHeader) (io.ReadWriteCloser, error) {
-	sock, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, err
+// expectHandoffRefused opens a stream carrying hdr to ctrl's redirector
+// from a transport manager of the test's own — an outsider that completes
+// the host-pair handshake but holds no session key — and requires the open
+// to be reset and nothing to be left waiting in the rendezvous.
+func expectHandoffRefused(t *testing.T, ctrl *Controller, hdr *wire.HandoffHeader) {
+	t.Helper()
+	mgr := transport.NewManager(transport.Config{HostName: "outsider"})
+	defer mgr.Close()
+	st, err := mgr.OpenStream(ctrl.DataAddr(), hdr, 2*time.Second)
+	if err == nil {
+		st.Close()
+		t.Fatal("forged handoff accepted")
 	}
-	if err := hdr.Write(sock); err != nil {
+	if !strings.Contains(err.Error(), "handoff denied") {
+		t.Fatalf("open failed with %v, want a handoff-denied reset", err)
+	}
+	ctrl.rv.mu.Lock()
+	defer ctrl.rv.mu.Unlock()
+	if len(ctrl.rv.parked) != 0 {
+		t.Fatalf("%d streams parked in the rendezvous after a refused handoff", len(ctrl.rv.parked))
+	}
+}
+
+// A connection that does not open with the transport magic — an old
+// length-prefixed handoff header, or two bytes of garbage and then silence
+// — is closed on those bytes, not held until the handshake timeout, and
+// leaves no goroutine behind.
+func TestRedirectorClosesForeignConnectionAtOnce(t *testing.T) {
+	env := newEnv(t, []string{"h1"}, func(c *Config) { c.HandshakeTimeout = time.Minute })
+	addr := env.hosts["h1"].ctrl.DataAddr()
+	var oldHandoff bytes.Buffer
+	id, _ := wire.NewConnID()
+	(&wire.HandoffHeader{Purpose: wire.HandoffConnect, ConnID: id, TargetAgent: "x", FromAgent: "y"}).Write(&oldHandoff)
+
+	base := settledGoroutines(t, 0)
+	for name, first := range map[string][]byte{"old handoff": oldHandoff.Bytes(), "garbage": {0xde, 0xad}} {
+		sock, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sock.Write(first); err != nil {
+			t.Fatal(err)
+		}
+		// The redirector's close shows up as EOF, or as a reset when it
+		// closed with our bytes still unread; a deadline error means it
+		// is still holding the connection.
+		sock.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = sock.Read(make([]byte, 1))
+		var ne net.Error
+		if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("%s: connection still open after its first bytes (read: %v)", name, err)
+		}
 		sock.Close()
-		return nil, err
 	}
-	return sock, nil
+	if after := settledGoroutines(t, base); after > base {
+		t.Fatalf("goroutines grew from %d to %d after foreign connections", base, after)
+	}
 }
 
 // ---- control-plane authentication ----

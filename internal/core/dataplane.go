@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,18 +16,18 @@ import (
 )
 
 // This file is the connection's data plane: ownership of the data socket
-// (a transport stream, or a raw TCP socket on the legacy path), the reader
-// and background-flusher goroutines, the receive buffer and send log with
-// their pooled payloads, and the suspend-time drain. The control-plane
-// exchanges that decide WHEN these run (suspend/resume/close) live in
-// ops.go; the socket's identity and lifecycle bookkeeping stay in conn.go.
+// (a stream on the shared transport), the event-driven pump and flush
+// passes, the receive buffer and send log with their pooled payloads, and
+// the suspend-time drain. The control-plane exchanges that decide WHEN
+// these run (suspend/resume/close) live in ops.go; the socket's identity
+// and lifecycle bookkeeping stay in conn.go.
 
 // Limits of the per-connection buffers.
 const (
 	// maxRecvBuffer bounds the receive-side message buffer; when full, the
-	// reader goroutine stops pulling from the socket so transport flow
-	// control pushes back on the sender. The bound is ignored while
-	// draining for a suspend — everything in flight must be captured.
+	// pump stops pulling from the stream so transport flow control pushes
+	// back on the sender. The bound is ignored while draining for a
+	// suspend — everything in flight must be captured.
 	maxRecvBuffer = 4 << 20
 	// maxSendLog bounds the retransmission log kept for failure recovery.
 	// A graceful suspend clears the log (the drain handshake proves
@@ -36,10 +35,8 @@ const (
 	maxSendLog = 4 << 20
 	// coalesceFlushBytes is the write-coalescing high-water mark: a write
 	// that leaves at least this much encoded data in the frame writer's
-	// buffer flushes inline instead of waiting for the background flusher,
-	// bounding both buffer occupancy and the data the flusher syscalls per
-	// wakeup. It stays below the frame writer's buffer so bufio never
-	// force-flushes mid-frame on its own schedule.
+	// buffer flushes inline instead of waiting for the next flush pass,
+	// bounding both buffer occupancy and the data one pass writes.
 	coalesceFlushBytes = 32 << 10
 	// pumpBatchFrames bounds the frames one pump pass decodes before
 	// re-checking the receive budget, so a firehose peer cannot pin a pool
@@ -47,11 +44,12 @@ const (
 	pumpBatchFrames = 32
 )
 
-// installSocket adopts a fresh data socket: retransmits anything the peer
-// reports missing, recreates the framed streams, and starts the reader.
-// Callers transition the state machine afterwards. Network emulation
-// wrapping happens at the shared transport (per host pair), not here.
-func (s *Socket) installSocket(sock net.Conn, peerHasUpTo uint64) error {
+// installSocket adopts a fresh data stream: retransmits anything the peer
+// reports missing, recreates the frame writer and decoder, and registers
+// the stream's event hooks. Callers transition the state machine
+// afterwards. Network emulation wrapping happens at the shared transport
+// (per host pair), not here.
+func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 
@@ -90,27 +88,11 @@ func (s *Socket) installSocket(sock net.Conn, peerHasUpTo uint64) error {
 
 	s.mu.Lock()
 	s.retxPending = false
-	s.stopFlusherLocked()
 	s.sock = sock
 	s.gen++
-	gen := s.gen
 	s.fw = wire.NewFrameWriter(sock, s.nextSendSeq)
-	// Transport streams run the goroutine-free event path: the stream's
-	// readable/writable callbacks drive pump and flush passes on the
-	// controller's shared worker pool, so a host with 100k connections
-	// runs O(pool) data-plane goroutines, not O(conns). Raw sockets
-	// (tests, legacy paths) keep the dedicated reader/flusher pair.
-	st, eventMode := sock.(*transport.Stream)
-	if eventMode {
-		s.pumpSrc = st
-		s.pumpDec = &wire.FrameDecoder{}
-		s.pumpPaused = false
-		s.flushCh = nil
-	} else {
-		s.pumpSrc = nil
-		s.pumpDec = nil
-		s.flushCh = make(chan struct{}, 1)
-	}
+	s.pumpDec = &wire.FrameDecoder{}
+	s.pumpPaused = false
 	s.suspending = false
 	s.peerFlushSeen = false
 	s.drained = false
@@ -121,19 +103,15 @@ func (s *Socket) installSocket(sock net.Conn, peerHasUpTo uint64) error {
 	s.peerResumeParked = false
 	s.sockInstalled = true
 	s.cond.Broadcast()
-	fw, flushCh := s.fw, s.flushCh
 	s.mu.Unlock()
 
-	if eventMode {
-		// Registration fires the hook immediately if data or credit is
-		// already pending, so nothing that raced in before this point is
-		// lost.
-		st.SetReadable(s.schedulePump)
-		st.SetWritable(s.scheduleFlush)
-		return nil
-	}
-	go s.readerLoop(sock, gen)
-	go s.flusherLoop(fw, sock, gen, flushCh)
+	// The stream's readable/writable callbacks drive pump and flush passes
+	// on the controller's shared worker pool, so a host with 100k
+	// connections runs O(pool) data-plane goroutines, not O(conns).
+	// Registration fires the hook immediately if data or credit is already
+	// pending, so nothing that raced in before this point is lost.
+	sock.SetReadable(s.schedulePump)
+	sock.SetWritable(s.scheduleFlush)
 	return nil
 }
 
@@ -163,7 +141,7 @@ func (s *Socket) pumpEvent() {
 	defer s.pumpMu.Unlock()
 	for {
 		s.mu.Lock()
-		st, gen, dec := s.pumpSrc, s.gen, s.pumpDec
+		st, gen, dec := s.sock, s.gen, s.pumpDec
 		if st == nil || s.closed {
 			s.mu.Unlock()
 			return
@@ -177,7 +155,7 @@ func (s *Socket) pumpEvent() {
 
 		batch, err := pumpDecode(st, dec)
 		if len(batch) > 0 {
-			if !s.enqueueFrames(gen, batch, false) {
+			if !s.enqueueFrames(gen, batch) {
 				return
 			}
 		}
@@ -236,10 +214,10 @@ func (s *Socket) maybeResumePumpLocked() {
 func (s *Socket) flushEvent() {
 	s.writeMu.Lock()
 	s.mu.Lock()
-	st, fw, sock := s.pumpSrc, s.fw, s.sock
+	fw, sock := s.fw, s.sock
 	closed := s.closed
 	s.mu.Unlock()
-	if closed || st == nil || fw == nil || sock == nil || fw.Buffered() == 0 {
+	if closed || sock == nil || fw.Buffered() == 0 {
 		s.writeMu.Unlock()
 		return
 	}
@@ -252,9 +230,9 @@ func (s *Socket) flushEvent() {
 	batch := fw.Take(s.flushSpare)
 	s.flushSpare = nil
 	// writeMu releases before the write: writers coalesce the next batch
-	// while this one's syscall is in flight, exactly like flusherLoop did.
+	// while this one's syscall is in flight.
 	s.writeMu.Unlock()
-	if st.SendWindow() < len(batch) {
+	if sock.SendWindow() < len(batch) {
 		go s.flushFinish(sock, batch)
 		return
 	}
@@ -264,7 +242,7 @@ func (s *Socket) flushEvent() {
 // flushFinish writes one detached batch and releases flushMu (held by the
 // caller), then re-arms the flush event for anything that accumulated
 // while the write was in flight.
-func (s *Socket) flushFinish(sock net.Conn, batch []byte) {
+func (s *Socket) flushFinish(sock *transport.Stream, batch []byte) {
 	_, err := sock.Write(batch)
 	s.flushSpare = batch
 	s.flushMu.Unlock()
@@ -284,135 +262,13 @@ func (s *Socket) clearRetxPending() {
 	s.mu.Unlock()
 }
 
-// stopFlusherLocked ends the current generation's background flusher.
-// Caller holds mu.
-func (s *Socket) stopFlusherLocked() {
-	if s.flushCh != nil {
-		close(s.flushCh)
-		s.flushCh = nil
-	}
-}
-
-// signalFlushLocked nudges the background flusher: buffered frames are
-// waiting in the frame writer. Caller holds mu (which serializes against
-// stopFlusherLocked's close). On the event path the socket is enqueued on
-// the worker pool; on the legacy path the channel has capacity one, so a
-// pending signal already covers us.
-func (s *Socket) signalFlushLocked() {
-	if s.pumpSrc != nil {
-		s.scheduleFlush()
-		return
-	}
-	if s.flushCh == nil {
-		return
-	}
-	select {
-	case s.flushCh <- struct{}{}:
-	default:
-	}
-}
-
-// flusherLoop drains the frame writer's coalescing buffer for one data
-// socket generation. Writers buffer frames and signal; the flusher detaches
-// the accumulated batch under writeMu but performs the socket write under
-// flushMu only, so while one batch's syscall is in flight the writers are
-// already encoding the next — a TTCP-style stream pays one syscall per
-// batch instead of per frame, and the batches grow on their own whenever
-// the kernel is slower than the writers. The loop ends when the
-// generation's flush channel closes or the socket moves on.
-func (s *Socket) flusherLoop(fw *wire.FrameWriter, sock net.Conn, gen int, ch chan struct{}) {
-	var spare []byte
-	for range ch {
-		s.writeMu.Lock()
-		s.mu.Lock()
-		stale := gen != s.gen || s.fw != fw || s.closed
-		s.mu.Unlock()
-		if stale {
-			s.writeMu.Unlock()
-			return
-		}
-		if fw.Buffered() == 0 {
-			s.writeMu.Unlock()
-			continue
-		}
-		batch := fw.Take(spare)
-		// Pin the write slot before releasing writeMu: batches must reach
-		// the socket in take order.
-		s.flushMu.Lock()
-		s.writeMu.Unlock()
-		_, err := sock.Write(batch)
-		s.flushMu.Unlock()
-		spare = batch
-		if err != nil {
-			s.mu.Lock()
-			s.failLocked(err)
-			s.mu.Unlock()
-			return
-		}
-		s.ctrl.obs.dataFlushes.Inc()
-	}
-}
-
-// frameSource is the byte source readerLoop decodes frames from: a reader
-// whose undelivered backlog is visible, so complete frames already
-// received can join a batch without risking a blocking read mid-batch.
-type frameSource interface {
-	io.Reader
-	wire.PeekReader
-}
-
-// readerLoop pulls frames off one data-socket generation into the receive
-// buffer until the socket ends — gracefully (peer flushed for a suspend) or
-// not (failure). Frames are enqueued a batch at a time: after the blocking
-// read that starts a batch, every complete frame already sitting in the
-// read buffer joins it, so a coalesced burst from the peer costs one lock
-// acquisition and one wakeup instead of one per frame.
-func (s *Socket) readerLoop(sock net.Conn, gen int) {
-	// A transport stream already queues whole received segments in user
-	// space, so frames decode straight off it — one copy, segment to frame
-	// payload. Wrapping it in another buffered reader would re-copy every
-	// byte, which under the race detector's memory-range instrumentation
-	// costs more than the decode itself. Plain sockets (tests, legacy
-	// paths) still get a buffered reader for cheap header reads.
-	var br frameSource
-	if fs, ok := sock.(frameSource); ok {
-		br = fs
-	} else {
-		br = bufio.NewReaderSize(sock, 64<<10)
-	}
-	var batch []wire.Frame
-	for {
-		f, err := wire.ReadFramePooled(br)
-		if err != nil {
-			s.readerExit(gen, err)
-			return
-		}
-		batch = append(batch[:0], f)
-		for wire.FrameBuffered(br) {
-			f, err = wire.ReadFramePooled(br)
-			if err != nil {
-				break
-			}
-			batch = append(batch, f)
-		}
-		if !s.enqueueFrames(gen, batch, true) {
-			return
-		}
-		if err != nil {
-			s.readerExit(gen, err)
-			return
-		}
-	}
-}
-
 // enqueueFrames delivers one batch of frames into the receive buffer under
 // a single lock acquisition. It reports false when the socket generation
-// ended underneath the reader; undelivered pooled payloads are recycled.
-// block selects the flow-control style: the dedicated reader goroutine
-// waits in place when the buffer is over budget; the event-driven pump
-// must never block a pool worker, so it enqueues the (already bounded)
-// batch and stops pulling from the stream instead.
-func (s *Socket) enqueueFrames(gen int, batch []wire.Frame, block bool) bool {
+// ended underneath the pump; undelivered pooled payloads are recycled. It
+// never waits for buffer space: the pump must not block a pool worker, so
+// the (already bounded) batch is enqueued and pumpEvent stops pulling from
+// the stream while the buffer is over budget.
+func (s *Socket) enqueueFrames(gen int, batch []wire.Frame) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	enqueued := false
@@ -429,23 +285,6 @@ func (s *Socket) enqueueFrames(gen int, batch []wire.Frame, block bool) bool {
 			s.peerFlushSeen = true
 			s.peerFlushSeq = f.Seq
 		case f.IsData():
-			// Flow control: hold off when the application is behind —
-			// except while draining for a suspend, when everything in
-			// flight must be captured into the buffer.
-			for block && s.recvBytes > maxRecvBuffer && !s.suspending && !s.closed && gen == s.gen {
-				if enqueued {
-					s.cond.Broadcast()
-					enqueued = false
-				}
-				s.cond.Wait()
-			}
-			if gen != s.gen || s.closed {
-				recycleFrames(batch[i:])
-				if enqueued {
-					s.cond.Broadcast()
-				}
-				return false
-			}
 			// Sequence-number dedup makes redelivery idempotent.
 			if f.Seq > s.lastEnqueued {
 				s.recvBuf = append(s.recvBuf, bufEntry{Seq: f.Seq, Payload: f.Payload, ViaBuffer: s.suspending})
@@ -520,8 +359,6 @@ func (s *Socket) failLocked(cause error) {
 		s.failedAt = time.Now()
 	}
 	s.step(fsm.Fail)
-	s.stopFlusherLocked()
-	s.pumpSrc = nil
 	if s.sock != nil {
 		s.sock.Close()
 		s.sock = nil
@@ -641,7 +478,7 @@ func (s *Socket) Read(p []byte) (int, error) {
 		}
 		if n > 0 {
 			s.maybeResumePumpLocked()
-			s.cond.Broadcast() // reader may be flow-controlled
+			s.releaseIfReadOutLocked()
 			return n, nil
 		}
 		if s.closed {
@@ -651,6 +488,17 @@ func (s *Socket) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		s.cond.Wait()
+	}
+}
+
+// releaseIfReadOutLocked lets go of an endpoint its peer has closed once the
+// application has read the last byte the peer wrote before closing. Until
+// then the endpoint stays resident (and travels with its agent), so an
+// agent that was mid-migration when the close arrived still finds the
+// connection at its new host and reads it to EOF. Caller holds mu.
+func (s *Socket) releaseIfReadOutLocked() {
+	if s.closed && len(s.recvBuf) == 0 && len(s.leftover) == 0 {
+		s.ctrl.tab.drop(s)
 	}
 }
 
@@ -681,7 +529,7 @@ func (s *Socket) ReadMsg() ([]byte, error) {
 			s.recvBuf = s.recvBuf[1:]
 			s.recvBytes -= len(e.Payload)
 			s.maybeResumePumpLocked()
-			s.cond.Broadcast()
+			s.releaseIfReadOutLocked()
 			if obs := s.observer; obs != nil {
 				obs(e.Seq, e.Payload, e.ViaBuffer)
 			}
@@ -761,7 +609,7 @@ func (s *Socket) writeFrame(p []byte) error {
 
 		// Coalescing: encode into the frame writer's buffer without a
 		// syscall. Large accumulations flush inline (bounding buffer
-		// occupancy); otherwise the background flusher batches this frame
+		// occupancy); otherwise the next flush pass batches this frame
 		// with its neighbours into one kernel write.
 		seq, err := fw.WriteDataBuffered(p)
 		if err == nil {
@@ -781,7 +629,7 @@ func (s *Socket) writeFrame(p []byte) error {
 			s.nextSendSeq = seq + 1
 			s.appendSendLogLocked(seq, p)
 			if flushErr == nil && fw.Buffered() > 0 {
-				s.signalFlushLocked()
+				s.scheduleFlush()
 			}
 			s.mu.Unlock()
 			s.writeMu.Unlock()
@@ -865,10 +713,9 @@ func (s *Socket) trimSendLogLocked(peerHasUpTo uint64) {
 // flush marker, half-close, drain the inbound direction to EOF into the
 // buffer, then close. It is idempotent; a second call while suspended is a
 // no-op. On a drain timeout the socket is failed rather than suspended
-// cleanly (the send log covers the gap at resume). The half-close works
-// identically for transport streams (Stream.CloseWrite sends MuxFin) and
-// raw TCP sockets, so the FLUSH-barrier exactly-once semantics survive the
-// mux unchanged.
+// cleanly (the send log covers the gap at resume). The half-close is
+// Stream.CloseWrite (a MuxFin), so the FLUSH-barrier exactly-once
+// semantics hold over the mux.
 func (s *Socket) drainAndClose() {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
@@ -898,12 +745,10 @@ func (s *Socket) drainAndClose() {
 	}
 	s.writeMu.Unlock()
 	if flushErr == nil {
-		if cw, ok := sock.(interface{ CloseWrite() error }); ok {
-			flushErr = cw.CloseWrite()
-		}
+		flushErr = sock.CloseWrite()
 	}
 
-	// Wait for the reader to drain the peer's flush; bound the wait so a
+	// Wait for the pump to drain the peer's flush; bound the wait so a
 	// dead peer cannot wedge a migration. The wait is event-driven: every
 	// state change broadcasts, so the loop sleeps until the drain completes
 	// (or the deadline timer fires once), not on a polling interval.
@@ -915,8 +760,6 @@ func (s *Socket) drainAndClose() {
 		}
 	}
 	graceful := s.drained
-	s.stopFlusherLocked()
-	s.pumpSrc = nil
 	if s.sock != nil {
 		s.sock.Close()
 		s.sock = nil

@@ -9,8 +9,9 @@
 // Each host runs one Controller, which owns the reliable-UDP control channel,
 // the redirector (the data-plane TCP listener), and a transport.Manager
 // maintaining one authenticated TCP connection per peer host. A Socket is one
-// endpoint of a logical connection; under it sits a data stream multiplexed
-// onto the shared per-host-pair transport, torn down before each migration
+// endpoint of a logical connection; its data socket is always a stream
+// multiplexed onto the shared per-host-pair transport (there is no other
+// data plane), torn down before each migration
 // and re-established afterwards (a resume to an already-visited host rides
 // the warm transport — no new kernel dial). A per-connection buffered input
 // stream (the NapletInputStream of Section 3.1) catches data drained at
@@ -22,17 +23,20 @@
 //
 // All logical connections between two hosts share a single kernel TCP
 // connection. Streams are framed with a 13-byte mux header and flow-controlled
-// with per-stream credit windows (1 MiB each direction, replenished at the
-// half-window mark), so a bulk stream cannot starve its siblings: the
-// transport's read loop never blocks on any one stream, and a writer that
-// exhausts its window parks without holding the shared write path. Stream
-// open replaces the old per-connection handoff dial: the handoff header rides
-// the MuxOpen frame, authorization runs on the accepting controller before
-// MuxAccept, and a stream's CloseWrite maps to MuxFin so the pre-suspend
-// FLUSH-then-half-close drain protocol works unchanged over the mux.
+// with per-stream credit windows (negotiated, 1 MiB each direction by
+// default, replenished at the half-window mark), so a bulk stream cannot
+// starve its siblings: the transport's read loop never blocks on any one
+// stream, and a writer that exhausts its window parks without holding the
+// shared write path. Stream open is the socket handoff of Section 3.4: the
+// handoff header rides the MuxOpen frame, authorization runs on the
+// accepting controller before MuxAccept, and a stream's CloseWrite maps to
+// MuxFin, which carries the pre-suspend FLUSH-then-half-close drain. The
+// redirector hands every accepted kernel connection to the transport
+// manager; one that does not open with a version-2 transport hello is
+// closed.
 //
-// The Diffie-Hellman exchange of Section 3.3 moves from per-connection to
-// per-transport: the two hosts agree on a transport secret once (mutually
+// The Diffie-Hellman exchange of Section 3.3 runs per transport, not per
+// connection: the two hosts agree on a transport secret once (mutually
 // authenticated by HMAC tags over the hello transcript), and each
 // connection's session key is derived from that secret bound to the
 // connection id. Key independence is preserved — compromising one

@@ -8,10 +8,9 @@ import (
 // dpPool is the shared data-plane worker pool: a fixed set of goroutines
 // that run the per-connection pump (decode inbound frames off the
 // transport stream) and flush (push coalesced outbound frames) steps on
-// demand. Connections on the shared-transport path have no goroutines of
-// their own — a readable/writable event enqueues the socket here, so the
-// process runs O(workers) data-plane goroutines instead of two per
-// connection. Work items must not block: the pump only decodes frames
+// demand. Connections have no goroutines of their own — a readable/writable
+// event enqueues the socket here, so the process runs O(workers) data-plane
+// goroutines, not O(connections). Work items must not block: the pump only decodes frames
 // the stream has fully buffered, and the flush hands a credit-stalled
 // batch off to a transient goroutine rather than waiting on the worker.
 type dpPool struct {

@@ -41,6 +41,10 @@ type connState struct {
 	SendNonce, LastPeerNonce uint64
 	OwesSusRes               bool
 	Accepted                 bool
+	// PeerClosed marks an endpoint the peer closed while unread data sat in
+	// RecvBuf: it travels so the agent can read that data, then EOF, at its
+	// new host; there is nothing left to resume.
+	PeerClosed bool
 }
 
 // hookBlob is the controller's contribution to a migration bundle.
@@ -99,6 +103,12 @@ func (ctrl *Controller) PreDepart(agentID string) ([]byte, error) {
 			susSp.Annotate("failed: " + err.Error())
 			susSp.End()
 			if err == ErrClosed {
+				// What the peer wrote before closing still moves with the
+				// agent (Section 3.1's guarantee covers a close, too).
+				if st := s.serialize(); st.PeerClosed {
+					blob.Conns = append(blob.Conns, st)
+					o.connsShipped.Inc()
+				}
 				ctrl.dropConn(s)
 				continue
 			}
@@ -187,6 +197,7 @@ func (s *Socket) serialize() connState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.snapshotLocked()
+	st.PeerClosed = s.closed && s.closeErr == nil && len(st.RecvBuf)+len(st.Leftover) > 0
 	// The snapshot deep-copied the leftover tail, so its pooled backing
 	// buffer can be recycled here. RecvBuf and SendLog payloads, by
 	// contrast, are shared with the snapshot — their ownership transfers
@@ -197,6 +208,7 @@ func (s *Socket) serialize() connState {
 	s.sendLog = nil
 	s.sendLogSize = 0
 	s.markClosedLocked(ErrMigrated)
+	s.closeErr = ErrMigrated // also on an endpoint the peer had already closed
 	return st
 }
 
@@ -249,11 +261,16 @@ func (ctrl *Controller) PostArrive(agentID string, blob []byte) error {
 		}
 		// The connection now lives here: journal it so a crash before the
 		// post-arrival resume completes still recovers it.
-		ctrl.checkpointConn(s)
+		if !st.PeerClosed {
+			ctrl.checkpointConn(s)
+		}
 		restSp.End()
 
 		if ss != nil && !st.Accepted && backlog[st.ID] {
 			ss.push(s)
+		}
+		if st.PeerClosed {
+			continue // nothing to resume: the agent reads what is left, then EOF
 		}
 
 		resSp := arrive.Child("resume")

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"net"
 	"strings"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"naplet/internal/metrics"
 	"naplet/internal/naming"
 	"naplet/internal/obs"
+	"naplet/internal/transport"
 	"naplet/internal/wire"
 )
 
@@ -190,7 +190,14 @@ func (s *Socket) suspendLocked() error {
 		}
 		return s.suspendLocked()
 
-	case fsm.Closed, fsm.CloseSent, fsm.CloseAcked:
+	case fsm.CloseAcked:
+		// The peer's close is mid-drain: let its last frames reach the
+		// buffer, so the caller sees everything the peer wrote.
+		s.mu.Unlock()
+		s.waitState(s.ctrl.cfg.drainTimeout(), fsm.Closed)
+		return ErrClosed
+
+	case fsm.Closed, fsm.CloseSent:
 		s.mu.Unlock()
 		return ErrClosed
 
@@ -404,10 +411,13 @@ func (s *Socket) handleSuspend(m *wire.ControlMsg) []byte {
 		}()
 		return s.reply(wire.VerdictAck, func(r *wire.ControlReply) { r.LastSeq = s.delivered() })
 
-	case fsm.Suspended, fsm.SuspendWait, fsm.SusAcked:
+	case fsm.Suspended, fsm.SuspendWait, fsm.SusAcked, fsm.ResumeWait:
 		// Already suspended; granting is idempotent (Section 3.2: "by
 		// default a suspend operation needs to do nothing for a suspended
-		// connection").
+		// connection"). In RESUME_WAIT the peer parked our resume behind
+		// the very migration this SUS belongs to (its SUS was held up past
+		// our RES): rejecting would leave each side waiting on the other
+		// for the whole park window.
 		s.remoteSuspended = true
 		s.mu.Unlock()
 		return s.reply(wire.VerdictAck, func(r *wire.ControlReply) { r.LastSeq = s.delivered() })
@@ -765,11 +775,10 @@ func (s *Socket) handleResume(m *wire.ControlMsg) []byte {
 		// restarted peer re-handshakes the connection, it never resumes
 		// the old transport), so fail the zombie transport now; our stream
 		// fails immediately and the peer's retry finds us SUSPENDED.
-		tp, hasTransport := s.sock.(interface{ TransportID() wire.ConnID })
-		remote := s.remoteAgent
+		sock, remote := s.sock, s.remoteAgent
 		s.mu.Unlock()
-		if hasTransport {
-			s.ctrl.tm.FailIfReconnecting(tp.TransportID(),
+		if sock != nil {
+			s.ctrl.tm.FailIfReconnecting(sock.TransportID(),
 				fmt.Errorf("peer %s re-established connection %s", remote, s.id))
 		}
 		return s.reply(wire.VerdictReject, func(r *wire.ControlReply) { r.Reason = reasonRetry })
@@ -798,7 +807,7 @@ func (s *Socket) grantResume(m *wire.ControlMsg) []byte {
 	redirect := s.ctrl.obs.tr.StartSpan(
 		obs.SpanContext{Trace: obs.TraceID(m.TraceID), Span: obs.SpanID(m.SpanID)}, "redirect")
 	s.ctrl.rv.armFunc(connKey{id: s.id, agent: s.localAgent}, s.ctrl.cfg.opTimeout(),
-		func(sock net.Conn) {
+		func(sock *transport.Stream) {
 			defer redirect.End()
 			if s.ctrl.closing.Load() {
 				sock.Close()
@@ -876,6 +885,9 @@ func (s *Socket) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		// A peer-closed endpoint stays resident while it holds unread data;
+		// closing it abandons that data.
+		s.ctrl.tab.drop(s)
 		return nil
 	}
 	s.ctrl.obs.closes.Inc()
@@ -945,9 +957,16 @@ func (s *Socket) Close() error {
 // handleClose serves a peer's CLS request (passive close).
 func (s *Socket) handleClose(_ *wire.ControlMsg) []byte {
 	s.mu.Lock()
-	// Let a granted suspend finish draining before classifying the close.
+	// Let a granted suspend finish draining before classifying the close,
+	// and a resume completion settle: the closer reaches ESTABLISHED from
+	// its half of the handoff, writes and closes before we step out of
+	// RES_SENT/RES_ACKED, and rejecting would make it close unilaterally,
+	// resetting the stream under what it just wrote.
 	drainDeadline := time.Now().Add(s.ctrl.cfg.drainTimeout())
-	for s.m.State() == fsm.SusAcked && !s.closed {
+	for !s.closed {
+		if st := s.m.State(); st != fsm.SusAcked && st != fsm.ResSent && st != fsm.ResAcked {
+			break
+		}
 		if !waitCond(s.cond, time.Until(drainDeadline)) {
 			break
 		}
@@ -962,13 +981,18 @@ func (s *Socket) handleClose(_ *wire.ControlMsg) []byte {
 		s.mu.Unlock()
 		go func() {
 			s.drainAndClose()
+			// The connection is over for the protocol and the journal, but
+			// what the peer wrote before closing is still the application's
+			// to read: the endpoint leaves the table with its last byte.
+			s.ctrl.rv.disarm(connKey{id: s.id, agent: s.localAgent})
+			s.ctrl.dropConnJournal(s.localAgent, s.id)
 			s.mu.Lock()
 			if s.m.State() == fsm.CloseAcked {
 				s.step(fsm.ExecClosed) // -> CLOSED
 			}
 			s.markClosedLocked(nil)
+			s.releaseIfReadOutLocked()
 			s.mu.Unlock()
-			s.ctrl.dropConn(s)
 		}()
 		return s.reply(wire.VerdictAck, nil)
 	case fsm.Closed, fsm.CloseSent, fsm.CloseAcked:

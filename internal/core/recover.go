@@ -199,11 +199,16 @@ func (ctrl *Controller) CheckpointRecords(agentID string) []journal.Record {
 // ---- crash recovery ----
 
 // restoreConn rebuilds a connection endpoint from its serialized state in
-// SUSPENDED and registers it; shared by the migration arrival path
-// (nonceSlack 0 — the serialized state is exact) and the crash recovery
-// path (restartNonceSlack — the checkpoint may be stale).
+// SUSPENDED (CLOSED, if the peer closed it before it travelled) and
+// registers it; shared by the migration arrival path (nonceSlack 0 — the
+// serialized state is exact) and the crash recovery path
+// (restartNonceSlack — the checkpoint may be stale).
 func (ctrl *Controller) restoreConn(st connState, nonceSlack uint64) (*Socket, error) {
-	s, err := newSocket(ctrl, st.ID, st.LocalAgent, st.RemoteAgent, st.SessionKey, fsm.Suspended)
+	start := fsm.Suspended
+	if st.PeerClosed {
+		start = fsm.Closed
+	}
+	s, err := newSocket(ctrl, st.ID, st.LocalAgent, st.RemoteAgent, st.SessionKey, start)
 	if err != nil {
 		return nil, fmt.Errorf("napletsocket: restoring connection %s: %w", wire.ConnID(st.ID), err)
 	}
@@ -233,6 +238,7 @@ func (ctrl *Controller) restoreConn(st connState, nonceSlack uint64) (*Socket, e
 	s.owesSusRes = st.OwesSusRes
 	s.accepted = st.Accepted
 	s.localSuspended = true
+	s.closed = st.PeerClosed
 	if nonceSlack > 0 {
 		// Crash restore: the connection has been down since (at latest) the
 		// crash; stamp the episode so the resume records a recovery latency.

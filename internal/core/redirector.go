@@ -2,19 +2,19 @@ package core
 
 import (
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"naplet/internal/timerwheel"
+	"naplet/internal/transport"
 	"naplet/internal/wire"
 )
 
-// rendezvous pairs arriving data sockets with the NapletSocket endpoints
-// waiting for them. An endpoint arms a callback; the redirector (or the
-// transport layer) delivers a socket; whichever side arrives first waits
-// for the other. A waiting endpoint costs one map entry and one shared
+// rendezvous pairs arriving data streams with the NapletSocket endpoints
+// waiting for them. An endpoint arms a callback; the transport layer
+// delivers an authorized stream; whichever side arrives first waits for
+// the other. A waiting endpoint costs one map entry and one shared
 // timer-wheel slot — not a parked goroutine with its own timer — so 10k
 // in-flight opens or resumes add no goroutines.
 // connKey identifies a connection endpoint on a host: both endpoints of a
@@ -28,7 +28,7 @@ type connKey struct {
 // rvWaiter is an endpoint armed for its socket: the claim callback plus
 // the wheel entry that expires the wait.
 type rvWaiter struct {
-	onSock func(net.Conn)
+	onSock func(*transport.Stream)
 	timer  *timerwheel.Timer
 }
 
@@ -36,7 +36,7 @@ type rvWaiter struct {
 // delivering goroutine blocks on res (it is a per-delivery goroutine,
 // entitled to wait); true means an endpoint claimed the socket.
 type rvParked struct {
-	sock net.Conn
+	sock *transport.Stream
 	res  chan bool
 }
 
@@ -59,7 +59,7 @@ func newRendezvous() *rendezvous {
 // installs). Otherwise the callback waits for a deliver; if none lands
 // within timeout, onTimeout runs instead and the arm is forgotten. A
 // later disarm cancels a still-pending arm without either callback.
-func (r *rendezvous) armFunc(id connKey, timeout time.Duration, onSock func(net.Conn), onTimeout func()) {
+func (r *rendezvous) armFunc(id connKey, timeout time.Duration, onSock func(*transport.Stream), onTimeout func()) {
 	r.mu.Lock()
 	if p, ok := r.parked[id]; ok {
 		delete(r.parked, id)
@@ -90,9 +90,9 @@ func (r *rendezvous) armFunc(id connKey, timeout time.Duration, onSock func(net.
 // deliver hands a socket to the endpoint armed for id, waiting up to
 // timeout for one to arm. It reports whether the socket was taken. The
 // claim callback runs on this goroutine when an endpoint is already
-// armed — deliverers (redirector handlers, transport serveOpen) are
-// per-socket goroutines that may block.
-func (r *rendezvous) deliver(id connKey, sock net.Conn, timeout time.Duration) bool {
+// armed — the deliverer (transport serveOpen) is a per-stream goroutine
+// that may block.
+func (r *rendezvous) deliver(id connKey, sock *transport.Stream, timeout time.Duration) bool {
 	r.mu.Lock()
 	if w, ok := r.waiters[id]; ok {
 		delete(r.waiters, id)
@@ -145,10 +145,11 @@ func (r *rendezvous) disarm(id connKey) {
 }
 
 // redirector is the host's data-plane listener (Section 3.4 of the paper):
-// every data socket — for a new connection or a resume — arrives here with
-// a handoff header naming its connection, is authenticated, and is handed
-// to the right NapletSocket. One redirector is shared by all connections of
-// the host.
+// every kernel connection arriving here opens a shared transport, and every
+// data socket — for a new connection or a resume — is a stream on one,
+// whose open carries a handoff header naming its connection; the header is
+// authenticated and the stream handed to the right NapletSocket. One
+// redirector is shared by all connections of the host.
 type redirector struct {
 	ctrl *Controller
 	ln   net.Listener
@@ -164,10 +165,15 @@ func newRedirector(ctrl *Controller, addr string) (*redirector, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &redirector{ctrl: ctrl, ln: ln, done: make(chan struct{})}
+	return &redirector{ctrl: ctrl, ln: ln, done: make(chan struct{})}, nil
+}
+
+// serve starts accepting. It is separate from newRedirector because the
+// transport manager every accepted connection is handed to is built from
+// the bound address.
+func (r *redirector) serve() {
 	r.wg.Add(1)
 	go r.acceptLoop()
-	return r, nil
 }
 
 func (r *redirector) addr() string { return r.ln.Addr().String() }
@@ -225,97 +231,23 @@ func (r *redirector) acceptLoop() {
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			r.handle(sock)
+			r.handle(sock, false)
 		}()
 	}
 }
 
-// handle dispatches one arriving data-plane connection. The first two
-// bytes tell a shared-transport hello ("NT" magic) from a legacy raw
-// handoff (whose 4-byte length prefix starts 0x00); transport connections
-// go to the transport manager, legacy ones through the original
-// authenticate-and-deliver path, kept for mixed-version peers and the
-// low-level protocol tests.
-func (r *redirector) handle(sock net.Conn) { r.dispatch(sock, false) }
-
-// dispatch is the sniffing half of handle, shared with the relay client:
-// a matched relay call-in leg carries exactly the bytes an accepted
-// redirector socket would, so it enters here with relayed=true and is
-// handed to the transport manager's relayed-accept path.
-func (r *redirector) dispatch(sock net.Conn, relayed bool) {
-	sock.SetDeadline(time.Now().Add(r.ctrl.cfg.handshakeTimeout()))
-	var sniff [2]byte
-	if _, err := io.ReadFull(sock, sniff[:]); err != nil {
-		r.ctrl.logf("redirector %s: short read on new connection: %v", r.ctrl.cfg.HostName, err)
-		sock.Close()
-		return
+// handle passes one arriving kernel connection (accepted here, or a call-in
+// leg matched by the relay, which carries exactly the same bytes) to the
+// transport manager, which validates the hello — magic first, so anything
+// else is closed on its first bytes — and owns the connection from then on.
+func (r *redirector) handle(sock net.Conn, relayed bool) {
+	var err error
+	if relayed {
+		err = r.ctrl.tm.HandleRelayedConn(sock)
+	} else {
+		err = r.ctrl.tm.HandleConn(sock)
 	}
-	pc := &prependConn{Conn: sock, head: sniff[:]}
-	if wire.SniffTransport(sniff[:]) {
-		sock.SetDeadline(time.Time{}) // HandleConn sets its own handshake deadline
-		var err error
-		if relayed {
-			err = r.ctrl.tm.HandleRelayedConn(pc)
-		} else {
-			err = r.ctrl.tm.HandleConn(pc)
-		}
-		if err != nil {
-			r.ctrl.logf("redirector %s: transport handshake: %v", r.ctrl.cfg.HostName, err)
-		}
-		return
-	}
-	r.handleLegacy(pc)
-}
-
-// handleLegacy authenticates one raw (pre-transport) data socket and
-// delivers it. On any failure the socket is refused and closed; on success
-// ownership passes to the receiving NapletSocket.
-func (r *redirector) handleLegacy(sock net.Conn) {
-	hdr, err := wire.ReadHandoffHeader(sock)
 	if err != nil {
-		r.ctrl.logf("redirector %s: bad handoff: %v", r.ctrl.cfg.HostName, err)
-		sock.Close()
-		return
+		r.ctrl.logf("redirector %s: transport handshake: %v", r.ctrl.cfg.HostName, err)
 	}
-	if err := r.ctrl.authorizeHandoff(hdr); err != nil {
-		r.ctrl.logf("redirector %s: refused %s handoff for %s: %v",
-			r.ctrl.cfg.HostName, hdr.Purpose, hdr.ConnID, err)
-		wire.WriteHandoffStatus(sock, wire.HandoffDenied)
-		sock.Close()
-		return
-	}
-	if err := wire.WriteHandoffStatus(sock, wire.HandoffOK); err != nil {
-		sock.Close()
-		return
-	}
-	sock.SetDeadline(time.Time{})
-	if !r.ctrl.rv.deliver(connKey{id: hdr.ConnID, agent: hdr.TargetAgent}, sock, rendezvousDeliverTimeout) {
-		r.ctrl.logf("redirector %s: no endpoint claimed %s handoff for %s",
-			r.ctrl.cfg.HostName, hdr.Purpose, hdr.ConnID)
-		sock.Close()
-	}
-}
-
-// prependConn replays sniffed bytes ahead of the wrapped connection's
-// stream. CloseWrite passes through so the half-close drain semantics
-// survive the sniffing wrapper on the legacy path.
-type prependConn struct {
-	net.Conn
-	head []byte
-}
-
-func (p *prependConn) Read(b []byte) (int, error) {
-	if len(p.head) > 0 {
-		n := copy(b, p.head)
-		p.head = p.head[n:]
-		return n, nil
-	}
-	return p.Conn.Read(b)
-}
-
-func (p *prependConn) CloseWrite() error {
-	if cw, ok := p.Conn.(interface{ CloseWrite() error }); ok {
-		return cw.CloseWrite()
-	}
-	return nil
 }

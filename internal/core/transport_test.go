@@ -166,3 +166,40 @@ func TestWarmTransportSpeedsOpen(t *testing.T) {
 		t.Fatalf("warm opens (%v total) not faster than cold opens (%v total)", warm, cold)
 	}
 }
+
+// TestConnectWaitsOutTransportRegistration reproduces CONNECT (UDP)
+// outrunning the acceptor's transport registration: h2's WrapData hook —
+// the first thing registration runs — is held until h2's CONNECT handler is
+// in flight, so the handler finds no transport under the id CONNECT names.
+// It must wait for the registration rather than answer with a retry:
+// OpenAs never retries, so the open succeeding is the proof.
+func TestConnectWaitsOutTransportRegistration(t *testing.T) {
+	release := make(chan struct{})
+	env := newEnv(t, []string{"h1", "h2"}, func(c *Config) {
+		if c.HostName == "h2" {
+			c.WrapData = func(conn net.Conn) net.Conn {
+				<-release
+				return conn
+			}
+		}
+	})
+	h2 := env.hosts["h2"].ctrl
+	go func() {
+		defer close(release)
+		deadline := time.Now().Add(10 * time.Second)
+		for h2.ControlStats().HandlerInvoked == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if served := h2.ControlStats().ResponsesServed; served != 0 {
+			t.Errorf("CONNECT answered (%d replies) before the transport registered", served)
+		}
+	}()
+	client, server := env.pair("a", "h1", "b", "h2")
+	defer client.Close()
+	if err := client.WriteMsg([]byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := server.ReadMsg(); err != nil || string(m) != "hello" {
+		t.Fatalf("read %q, %v", m, err)
+	}
+}

@@ -16,14 +16,12 @@ func TestTable1ShapeHolds(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %+v", res.Rows)
 	}
-	tcp, insec, sec := res.Rows[0], res.Rows[1], res.Rows[2]
-	// The paper's ordering: secure open >> insecure open >> raw TCP open.
-	if !(sec.OpenMs > insec.OpenMs && insec.OpenMs > tcp.OpenMs) {
-		t.Fatalf("open ordering violated: tcp=%v insec=%v sec=%v", tcp.OpenMs, insec.OpenMs, sec.OpenMs)
-	}
-	// NapletSocket close involves a control handshake; TCP close is local.
-	if !(sec.CloseMs > tcp.CloseMs && insec.CloseMs > tcp.CloseMs) {
-		t.Fatalf("close ordering violated: tcp=%v insec=%v sec=%v", tcp.CloseMs, insec.CloseMs, sec.CloseMs)
+	// Structure only: how the three rows order against each other is a
+	// wall-clock quantity, gated by the benchmark (open_close_p50_rel).
+	for _, row := range res.Rows {
+		if row.OpenMs <= 0 || row.CloseMs <= 0 {
+			t.Fatalf("non-positive latency: %+v", row)
+		}
 	}
 	out := res.Table()
 	if !strings.Contains(out, "NapletSocket with security") {
@@ -113,16 +111,8 @@ func TestFig9NapletClosesTCPGap(t *testing.T) {
 			t.Fatalf("non-positive throughput: %+v", p)
 		}
 	}
-	// Larger messages narrow the relative gap (paper: gap becomes almost
-	// negligible as message size grows).
-	small := res.Points[0].NapletMbps / res.Points[0].TCPMbps
-	large := res.Points[1].NapletMbps / res.Points[1].TCPMbps
-	if large < small*0.8 && !raceEnabled {
-		// Under the race detector the instrumentation overhead dwarfs the
-		// per-message cost the ratio isolates, so the shape is only
-		// asserted in uninstrumented runs.
-		t.Fatalf("gap did not close with size: small ratio %.2f, large ratio %.2f", small, large)
-	}
+	// Structure only: the NapletSocket-to-TCP ratio at each size is a
+	// wall-clock quantity, gated by the benchmark (goodput_rel).
 	if !strings.Contains(res.Table(), "msg size") {
 		t.Fatal("table rendering broken")
 	}

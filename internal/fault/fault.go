@@ -269,8 +269,8 @@ func (d *Detector) Watch(peer string) {
 		kick:         make(chan struct{}, 1),
 	}
 	d.watches[peer] = w
+	d.wg.Add(1) // under mu: Close sets closed under it before it Waits
 	d.mu.Unlock()
-	d.wg.Add(1)
 	go d.probeLoop(w)
 }
 

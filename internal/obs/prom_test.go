@@ -157,12 +157,12 @@ func TestWritePrometheus(t *testing.T) {
 // TestWritePrometheusTransportSessionCounters pins the exposition names of
 // the transport-plane session counters: dotted registry names map to valid
 // underscore-separated Prometheus families, and zero-valued counters are
-// still exported (a cleartext_legacy flat line at 0 is the signal that every
+// still exported (a cleartext flat line at 0 is the signal that every
 // session negotiated encryption).
 func TestWritePrometheusTransportSessionCounters(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("transport.encrypted").Add(2)
-	r.Counter("transport.cleartext_legacy")
+	r.Counter("transport.cleartext")
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -174,7 +174,7 @@ func TestWritePrometheusTransportSessionCounters(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE transport_encrypted counter\ntransport_encrypted 2\n",
-		"# TYPE transport_cleartext_legacy counter\ntransport_cleartext_legacy 0\n",
+		"# TYPE transport_cleartext counter\ntransport_cleartext 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q\n%s", want, text)

@@ -90,8 +90,8 @@ func TestEncryptedSessionNegotiatesCipher(t *testing.T) {
 	if got := met.Counter("transport.encrypted").Value(); got != 1 {
 		t.Fatalf("transport.encrypted = %d, want 1", got)
 	}
-	if got := met.Counter("transport.cleartext_legacy").Value(); got != 0 {
-		t.Fatalf("transport.cleartext_legacy = %d, want 0", got)
+	if got := met.Counter("transport.cleartext").Value(); got != 0 {
+		t.Fatalf("transport.cleartext = %d, want 0", got)
 	}
 }
 
@@ -124,8 +124,8 @@ func TestDisableEncryptionNegotiatesCleartext(t *testing.T) {
 	if !sniff.contains(payload) {
 		t.Fatal("payload not found on the wire of a cleartext session")
 	}
-	if got := met.Counter("transport.cleartext_legacy").Value(); got == 0 {
-		t.Fatal("transport.cleartext_legacy not counted")
+	if got := met.Counter("transport.cleartext").Value(); got == 0 {
+		t.Fatal("transport.cleartext not counted")
 	}
 }
 
@@ -325,7 +325,7 @@ func TestDowngradeAttackFailsHandshake(t *testing.T) {
 		mutate func(*wire.TransportHello)
 	}{
 		{"strip-ciphers", func(h *wire.TransportHello) { h.Ciphers = nil }},
-		{"cap-version", func(h *wire.TransportHello) { h.Versions = []uint8{wire.TransportVersion1} }},
+		{"cap-version", func(h *wire.TransportHello) { h.Versions = []uint8{1} }},
 		{"raise-limits", func(h *wire.TransportHello) { h.Limits.MaxPayload = wire.MaxMuxPayload }},
 	}
 	for _, tc := range cases {

@@ -70,7 +70,7 @@ func newRecordFlusher(t *Transport) *recordFlusher {
 // chunk.
 func (f *recordFlusher) enqueue(conn net.Conn, sealer *security.Sealer, typ uint8, stream uint64, payload []byte) {
 	need := wire.MuxHeaderSize + len(payload)
-	budget := f.t.containerCap()
+	budget := f.t.containerPlain
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()

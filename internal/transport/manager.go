@@ -24,7 +24,7 @@ type Config struct {
 	// Insecure disables the DH exchange (the paper's "w/o security" mode).
 	Insecure bool
 	// DisableEncryption keeps a secure transport's frames cleartext: the
-	// version-2 hello advertises no cipher suites, so negotiation settles
+	// hello advertises no cipher suites, so negotiation settles
 	// on cleartext framing while the DH exchange, transcript tags, and
 	// resume tokens still run. Benchmarks use it to isolate the record
 	// layer's cost; Insecure implies it.
@@ -39,7 +39,7 @@ type Config struct {
 	// Tests count calls through this hook to prove transport sharing.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 	// WrapData wraps the shared connection after the handshake (network
-	// emulation); it replaces the old per-data-socket wrapping.
+	// emulation).
 	WrapData func(net.Conn) net.Conn
 	// HandshakeTimeout bounds the transport handshake.
 	HandshakeTimeout time.Duration
@@ -94,7 +94,7 @@ type Config struct {
 	advertised wire.Limits
 }
 
-// helloNegotiation fills the version-2 negotiation section of an outbound
+// helloNegotiation fills the negotiation section of an outbound
 // fresh-session hello: the supported versions, the cipher suites this
 // side will encrypt under (none when encryption is off — negotiation then
 // settles on cleartext), and the advertised limits.
@@ -121,10 +121,10 @@ type Manager struct {
 	resumedStreams    *obs.Counter
 	keepaliveTimeouts *obs.Counter
 	// Session-security metrics: how many transport sessions negotiated an
-	// AEAD record layer versus settling on cleartext framing (version-1
-	// peers, insecure mode, or encryption disabled).
-	encrypted       *obs.Counter
-	cleartextLegacy *obs.Counter
+	// AEAD record layer versus settling on cleartext framing (insecure
+	// mode, or encryption disabled on either side).
+	encrypted *obs.Counter
+	cleartext *obs.Counter
 	// relayDials counts connections (fresh or resume redials) established
 	// through the rendezvous relay after a direct dial failed.
 	relayDials *obs.Counter
@@ -139,6 +139,9 @@ type Manager struct {
 	// can fail them promptly instead of waiting out the handshake timeout.
 	pending map[net.Conn]struct{}
 	closed  bool
+	// registered is closed and replaced each time a transport joins all,
+	// waking SecretByID callers waiting for an id to appear.
+	registered chan struct{}
 
 	// dialMu holds one mutex per address, serialising dials so that N
 	// concurrent opens to a new peer produce exactly one connection. It is
@@ -191,11 +194,12 @@ func NewManager(cfg Config) *Manager {
 		resumedStreams:    cfg.Metrics.Counter("transport.resumed_streams"),
 		keepaliveTimeouts: cfg.Metrics.Counter("transport.keepalive_timeouts"),
 		encrypted:         cfg.Metrics.Counter("transport.encrypted"),
-		cleartextLegacy:   cfg.Metrics.Counter("transport.cleartext_legacy"),
+		cleartext:         cfg.Metrics.Counter("transport.cleartext"),
 		relayDials:        cfg.Metrics.Counter("transport.relay_dials"),
 		byAddr:            make(map[string]*Transport),
 		all:               make(map[*Transport]struct{}),
 		pending:           make(map[net.Conn]struct{}),
+		registered:        make(chan struct{}),
 		dialMu:            make(map[string]*sync.Mutex),
 	}
 	// The worst-path RTT gauge: evaluated at snapshot time, so dashboards
@@ -424,8 +428,9 @@ func (m *Manager) TransportTraced(addr string, timeout time.Duration, tc obs.Spa
 	return t, nil
 }
 
-// HandleConn runs the accept side of the transport handshake on a sniffed
-// inbound connection and registers the result. A resume hello instead
+// HandleConn runs the accept side of the transport handshake on an inbound
+// connection and registers the result; a connection that does not open
+// with a valid hello is closed. A resume hello instead
 // resurrects the prior session in place (see resume.go). It returns once
 // the handshake finishes; the transport's read loop runs on its own
 // goroutine.
@@ -509,9 +514,8 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 		conn.Close()
 		return nil
 	}
-	// Version-2 secure sessions sign resume tokens under a dedicated
-	// HKDF-derived key; version-1 sessions keep the legacy single-key
-	// behaviour so mixed deployments resume across versions of this code.
+	// Secure sessions sign resume tokens under a dedicated HKDF-derived
+	// key; insecure sessions have no key schedule and use the session key.
 	resumeAuth := auth
 	if hs.ks != nil {
 		if resumeAuth, err = dhkx.NewAuthenticator(hs.ks.ResumeTagKey()); err != nil {
@@ -535,25 +539,21 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 		readerDone: make(chan struct{}),
 		streams:    make(map[uint64]*Stream),
 		opened:     time.Now(),
-		localAddr:  conn.LocalAddr(),
-		remoteAddr: conn.RemoteAddr(),
 		relayed:    relayed,
 		rec:        newFlightRecorder(),
 	}
+	lim := hs.neg.Limits
+	t.maxPlain = int(lim.MaxPayload)
+	t.streamWindow = int(lim.InitialWindow)
+	t.streamWindowAt = int(lim.InitialWindow / 2)
+	t.ackFrames = int(lim.AckFrames)
+	t.ackBytes = int(lim.AckBytes)
+	// The negotiated probe interval is the min of both advertisements,
+	// so probing never gets slower than the local config asked for; a
+	// locally disabled keepalive stays disabled regardless of the peer.
 	t.kaInterval = m.cfg.KeepaliveInterval
-	if hs.neg.Version >= wire.TransportVersion2 {
-		lim := hs.neg.Limits
-		t.maxPlain = int(lim.MaxPayload)
-		t.streamWindow = int(lim.InitialWindow)
-		t.streamWindowAt = int(lim.InitialWindow / 2)
-		t.ackFrames = int(lim.AckFrames)
-		t.ackBytes = int(lim.AckBytes)
-		// The negotiated probe interval is the min of both advertisements,
-		// so probing never gets slower than the local config asked for; a
-		// locally disabled keepalive stays disabled regardless of the peer.
-		if m.cfg.KeepaliveInterval > 0 && lim.KeepaliveMs > 0 {
-			t.kaInterval = time.Duration(lim.KeepaliveMs) * time.Millisecond
-		}
+	if m.cfg.KeepaliveInterval > 0 && lim.KeepaliveMs > 0 {
+		t.kaInterval = time.Duration(lim.KeepaliveMs) * time.Millisecond
 	}
 	var opener *security.Opener
 	if hs.neg.Cipher == wire.CipherAES256GCM {
@@ -580,7 +580,7 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 		t.flusher = newRecordFlusher(t)
 		m.encrypted.Inc()
 	} else {
-		m.cleartextLegacy.Inc()
+		m.cleartext.Inc()
 	}
 	t.lastRead.Store(time.Now().UnixNano())
 	path := "direct"
@@ -604,6 +604,8 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 		return nil
 	}
 	m.all[t] = struct{}{}
+	close(m.registered)
+	m.registered = make(chan struct{})
 	if addrKey != "" {
 		if _, taken := m.byAddr[addrKey]; !taken {
 			m.byAddr[addrKey] = t
@@ -688,15 +690,37 @@ func (m *Manager) FailIfReconnecting(id wire.ConnID, cause error) bool {
 
 // SecretByID returns the secret of the live transport with the given id,
 // for deriving connection session keys on the accepting side of CONNECT.
-func (m *Manager) SecretByID(id wire.ConnID) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for t := range m.all {
-		if t.id == id {
+// The dialer finishes its handshake before it sends CONNECT, but that UDP
+// message can outrun the last handshake byte on the TCP path, so an id not
+// registered yet is waited for — woken by register, not polled — for up to
+// wait.
+func (m *Manager) SecretByID(id wire.ConnID, wait time.Duration) ([]byte, bool) {
+	var expired <-chan time.Time
+	for {
+		// Snapshot the signal before looking, so a registration that lands
+		// after the look still wakes the wait below.
+		m.mu.Lock()
+		registered := m.registered
+		m.mu.Unlock()
+		if t := m.byID(id); t != nil {
 			return t.secret, true
 		}
+		if wait <= 0 {
+			return nil, false
+		}
+		if expired == nil {
+			timer := time.NewTimer(wait)
+			defer timer.Stop()
+			expired = timer.C
+		}
+		select {
+		case <-registered:
+		case <-expired:
+			return nil, false
+		case <-m.done:
+			return nil, false
+		}
 	}
-	return nil, false
 }
 
 // Counts returns the number of live transports and the total live streams
@@ -723,8 +747,8 @@ type Info struct {
 	Streams  int
 	Opened   time.Time
 	// Cipher names the record-layer cipher the session negotiated
-	// ("cleartext" for version-1 peers, insecure mode, or encryption
-	// disabled); Limits are the effective negotiated limits.
+	// ("cleartext" for insecure mode or encryption disabled); Limits are
+	// the effective negotiated limits.
 	Cipher string
 	Limits wire.Limits
 	// State is "connected", "reconnecting(n)" with n the attempt count of

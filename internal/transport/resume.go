@@ -58,10 +58,9 @@ func newResumeAuth(secret []byte) (*dhkx.Authenticator, error) {
 }
 
 // resumeTag authenticates a resume hello: possession of the prior
-// session, bound to the transport id and the claimed receive count. It
-// signs under the dedicated resume-tag key on version-2 sessions (the
-// session key on version-1 ones), so a leaked resume token can never
-// double as a transcript-tag or record key.
+// session, bound to the transport id and the claimed receive count. On
+// secure sessions it signs under the dedicated resume-tag key, so a leaked
+// resume token can never double as a transcript-tag or record key.
 func (t *Transport) resumeTag(recvSeq uint64) [wire.TagSize]byte {
 	msg := make([]byte, 0, len(resumeTagLabel)+len(t.id)+8)
 	msg = append(msg, resumeTagLabel...)
@@ -387,7 +386,6 @@ func (t *Transport) adopt(conn net.Conn, peerRecvSeq uint64, gen int, transcript
 	t.resumeDeadline = time.Time{}
 	t.readerDone = make(chan struct{})
 	readerDone := t.readerDone
-	t.localAddr, t.remoteAddr = conn.LocalAddr(), conn.RemoteAddr()
 	nstreams := len(t.streams)
 	t.mu.Unlock()
 	t.lastRead.Store(time.Now().UnixNano())
@@ -432,14 +430,10 @@ func (t *Transport) adopt(conn net.Conn, peerRecvSeq uint64, gen int, transcript
 // RTT estimate — the configured KeepaliveTimeout is a floor, stretched on
 // slow paths so a pong that is merely in flight never reads as a dead
 // peer. It exits when its generation is replaced or the manager closes.
-// The probe interval is the negotiated one on version-2 sessions — the
-// min of both sides' advertisements, so it is never slower than the local
-// config asked for.
+// The probe interval is the negotiated one — the min of both sides'
+// advertisements, so it is never slower than the local config asked for.
 func (t *Transport) keepalive(conn net.Conn) {
 	interval := t.kaInterval
-	if interval == 0 {
-		interval = t.mgr.cfg.KeepaliveInterval
-	}
 	if interval <= 0 {
 		return
 	}

@@ -150,7 +150,7 @@ func (t *Transport) adaptiveResumeWindow() time.Duration {
 // more often bounds both the replay log and the replay burst a resume
 // must push through the recovering connection.
 func (t *Transport) adaptiveAckCadence() (frames, bytes int) {
-	frames, bytes = t.ackCadence()
+	frames, bytes = t.ackFrames, t.ackBytes
 	switch srtt := t.SRTT(); {
 	case srtt >= 200*time.Millisecond:
 		frames, bytes = frames/4, bytes/4

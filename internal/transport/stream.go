@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"sync"
 	"time"
@@ -13,23 +12,17 @@ import (
 	"naplet/internal/wire"
 )
 
-// Flow-control constants. Every stream starts with initialWindow bytes of
-// send credit in each direction; the receiver grants more once the reader
-// has consumed at least windowUpdateAt bytes. A stream that stops reading
-// therefore stalls only its own sender — the transport read loop never
-// blocks on a full stream, so one bulk stream cannot head-of-line-starve
-// its siblings. A version-2 handshake negotiates the effective window
-// (wire.Limits.InitialWindow); these constants are the version-1
-// behaviour and the zero-value fallback.
-const (
-	initialWindow  = 1 << 20
-	windowUpdateAt = initialWindow / 2
-)
+// Flow control: every stream starts with the negotiated window
+// (wire.Limits.InitialWindow) of send credit in each direction; the
+// receiver grants more once the reader has consumed half of it. A stream
+// that stops reading therefore stalls only its own sender — the transport
+// read loop never blocks on a full stream, so one bulk stream cannot
+// head-of-line-starve its siblings.
 
-// Stream is one logical byte stream multiplexed over a shared Transport.
-// It implements net.Conn plus the CloseWrite half-close the NapletSocket
-// drain protocol requires, so the layers above use it exactly like the
-// dedicated TCP data socket it replaces.
+// Stream is one logical byte stream multiplexed over a shared Transport:
+// a NapletSocket's data socket. It reads, writes and takes deadlines like a
+// TCP connection, adds the CloseWrite half-close the NapletSocket drain
+// protocol requires, and reports readiness through event hooks.
 type Stream struct {
 	t  *Transport
 	id uint64
@@ -54,8 +47,6 @@ type Stream struct {
 	roff     int
 	finSeen  bool
 	consumed int
-	// peekBuf backs Peek when the peeked bytes span segments.
-	peekBuf [32]byte
 
 	// Send side: sendWindow is the remaining peer-granted credit.
 	sendWindow int
@@ -84,7 +75,7 @@ func newStream(t *Transport, id uint64, local bool) *Stream {
 		id:         id,
 		local:      local,
 		cond:       make(chan struct{}),
-		sendWindow: t.initialStreamWindow(),
+		sendWindow: t.streamWindow,
 	}
 }
 
@@ -239,9 +230,9 @@ func (s *Stream) pushData(owned []byte) {
 }
 
 // Buffered reports how many received bytes Read can return without
-// blocking. Together with Peek it satisfies wire.PeekReader, so the socket
-// layer batch-decodes frames straight off the stream — no intermediate
-// buffered reader, one copy from received segment to frame payload.
+// blocking. With Read it satisfies wire.PeekSource, so the socket layer
+// decodes frames straight off the stream — no intermediate buffered
+// reader, one copy from received segment to frame payload.
 func (s *Stream) Buffered() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -250,32 +241,6 @@ func (s *Stream) Buffered() int {
 		n += len(seg)
 	}
 	return n
-}
-
-// Peek returns the next n queued bytes without consuming them, mirroring
-// (*bufio.Reader).Peek for wire.FrameBuffered. n is capped at the peek
-// scratch size (a frame header fits comfortably); the returned slice is
-// only valid until the next Read.
-func (s *Stream) Peek(n int) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n > len(s.peekBuf) {
-		return nil, fmt.Errorf("transport: peek %d exceeds scratch size %d", n, len(s.peekBuf))
-	}
-	if len(s.segs) > 0 && len(s.segs[0])-s.roff >= n {
-		return s.segs[0][s.roff : s.roff+n : s.roff+n], nil
-	}
-	got := 0
-	for i, seg := range s.segs {
-		if i == 0 {
-			seg = seg[s.roff:]
-		}
-		got += copy(s.peekBuf[got:n], seg)
-		if got == n {
-			return s.peekBuf[:n], nil
-		}
-	}
-	return nil, io.ErrShortBuffer
 }
 
 // finReceived records the peer's half-close.
@@ -302,7 +267,7 @@ func (s *Stream) addSendWindow(n int) {
 	}
 }
 
-// Read implements net.Conn. A clean peer half-close yields io.EOF after
+// Read implements io.Reader. A clean peer half-close yields io.EOF after
 // the buffered bytes drain, which is exactly the orderly-shutdown signal
 // the NapletSocket drain protocol watches for.
 func (s *Stream) Read(p []byte) (int, error) {
@@ -346,7 +311,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 	}
 	s.consumed += n
 	var grant int
-	if s.consumed >= s.t.streamGrantAt() && s.err == nil && !s.finSeen {
+	if s.consumed >= s.t.streamWindowAt && s.err == nil && !s.finSeen {
 		grant = s.consumed
 		s.consumed = 0
 	}
@@ -362,7 +327,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Write implements net.Conn, chunking by both the peer's credit window and
+// Write implements io.Writer, chunking by both the peer's credit window and
 // the mux frame payload bound. The frame write happens outside s.mu so a
 // slow kernel write on the shared connection never holds the stream lock.
 func (s *Stream) Write(p []byte) (int, error) {
@@ -398,7 +363,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 		if n > s.sendWindow {
 			n = s.sendWindow
 		}
-		if max := s.t.maxPayload(); n > max {
+		if max := s.t.maxPlain; n > max {
 			n = max
 		}
 		s.sendWindow -= n
@@ -463,21 +428,7 @@ func (s *Stream) Close() error {
 	return nil
 }
 
-// LocalAddr implements net.Conn using the shared connection's most recent
-// address (cached, so it stays answerable mid-resume).
-func (s *Stream) LocalAddr() net.Addr {
-	local, _ := s.t.addrs()
-	return local
-}
-
-// RemoteAddr implements net.Conn using the shared connection's most recent
-// address (cached, so it stays answerable mid-resume).
-func (s *Stream) RemoteAddr() net.Addr {
-	_, remote := s.t.addrs()
-	return remote
-}
-
-// SetDeadline implements net.Conn.
+// SetDeadline bounds blocked Reads and Writes, like net.Conn's.
 func (s *Stream) SetDeadline(t time.Time) error {
 	s.mu.Lock()
 	s.rdeadline, s.wdeadline = t, t
@@ -486,7 +437,7 @@ func (s *Stream) SetDeadline(t time.Time) error {
 	return nil
 }
 
-// SetReadDeadline implements net.Conn.
+// SetReadDeadline bounds blocked Reads.
 func (s *Stream) SetReadDeadline(t time.Time) error {
 	s.mu.Lock()
 	s.rdeadline = t
@@ -495,7 +446,7 @@ func (s *Stream) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
-// SetWriteDeadline implements net.Conn.
+// SetWriteDeadline bounds blocked Writes.
 func (s *Stream) SetWriteDeadline(t time.Time) error {
 	s.mu.Lock()
 	s.wdeadline = t

@@ -21,15 +21,15 @@
 // ErrTransportLost, into the NapletSocket layer's own recovery path.
 //
 // Security (Section 3.3 of the paper, amortised): the transport handshake
-// runs the unauthenticated ephemeral DH that connection setup used to run
-// per connection, and both sides prove possession of the derived transport
-// secret with HMAC tags over the hello transcript. Per-connection session
-// keys are then derived from the transport secret bound to the connection
-// id, so compromise of one connection's key reveals nothing about its
-// siblings, and the handoff-token and control-message HMAC machinery above
-// is unchanged. The trust root is identical to the old per-connection
-// exchange (unauthenticated DH, hardened by the Guard policy layer); what
-// changes is only how often the modular exponentiation is paid.
+// runs the paper's unauthenticated ephemeral DH once per host pair instead
+// of once per connection, and both sides prove possession of the derived
+// transport secret with HMAC tags over the hello transcript. Per-connection
+// session keys are then derived from the transport secret bound to the
+// connection id, so compromise of one connection's key reveals nothing
+// about its siblings; the handoff tokens and control-message HMACs above
+// run under those keys. The trust root is the paper's (unauthenticated DH,
+// hardened by the Guard policy layer); only how often the modular
+// exponentiation is paid differs.
 package transport
 
 import (
@@ -65,18 +65,6 @@ var (
 	ErrTransportLost = errors.New("transport: session lost")
 )
 
-// Default acknowledgement cadence for reliable mux frames: the receiver
-// confirms its cumulative reliable-frame count after this many frames or
-// bytes, whichever comes first, bounding how much the sender retains for
-// resume replay. Keepalive pings and pongs also piggyback the count, so an
-// idle transport stays trimmed too. A version-2 handshake negotiates the
-// effective cadence (wire.Limits.AckFrames/AckBytes); these constants are
-// the version-1 behaviour and the zero-value fallback.
-const (
-	ackEveryFrames = 64
-	ackEveryBytes  = 256 << 10
-)
-
 // muxLogEntry is one unacked reliable frame retained for resume replay.
 // The payload is a pooled copy owned by the log until the frame is acked.
 type muxLogEntry struct {
@@ -94,18 +82,18 @@ type Transport struct {
 	id     wire.ConnID
 	secret []byte
 	// auth signs and verifies handshake transcript tags under the session
-	// key (the raw transport secret on version-1 sessions).
+	// key.
 	auth *dhkx.Authenticator
-	// resumeAuth signs and verifies resume tokens. On version-2 sessions
-	// it runs under a dedicated HKDF-derived resume-tag key; on version-1
-	// sessions it is auth (the legacy single-key behaviour).
+	// resumeAuth signs and verifies resume tokens: under a dedicated
+	// HKDF-derived resume-tag key on secure sessions, under the session
+	// key (it is auth) on insecure ones, which have no key schedule.
 	resumeAuth *dhkx.Authenticator
-	// neg is the protocol agreement of the version-2 handshake (version,
-	// cipher suite, limits); version-1 sessions carry the defaults.
+	// neg is the protocol agreement of the handshake (version, cipher
+	// suite, limits).
 	neg wire.Negotiated
-	// ks derives per-purpose keys for version-2 secure sessions (nil on
-	// version-1 or insecure sessions); rekey-on-resume expands fresh seal
-	// keys from it bound to the resume handshake transcript.
+	// ks derives per-purpose keys for secure sessions (nil on insecure
+	// ones); rekey-on-resume expands fresh seal keys from it bound to the
+	// resume handshake transcript.
 	ks *security.KeySchedule
 	// flusher drains sealed records to the connection outside wmu (nil on
 	// cleartext sessions): sealing happens under wmu so nonce order is
@@ -116,15 +104,18 @@ type Transport struct {
 	// under wmu in adopt). Nil on cleartext sessions.
 	sealer *security.Sealer
 	// Negotiated limits, fixed at registration: maxPlain caps one frame's
-	// plaintext payload, streamWindow/streamWindowAt drive per-stream
-	// credit, ackFrames/ackBytes the ack cadence, kaInterval the keepalive
-	// probe cadence. Zero values fall back to the version-1 constants so
-	// hand-built Transports in tests keep working.
+	// plaintext payload (sealed frames still fit the wire-level MaxPayload
+	// once the record overhead is added back), streamWindow is the
+	// per-stream credit window and streamWindowAt the consumed-byte
+	// threshold past which a stream's reader grants the peer more credit,
+	// ackFrames/ackBytes the reliable-frame ack cadence, kaInterval the
+	// keepalive probe cadence.
 	maxPlain int
 	// containerPlain caps one MuxSealed container's plaintext (the
-	// negotiated MaxPayload minus the AEAD tag); zero on cleartext
-	// sessions. The flusher packs consecutive frames up to this budget so
-	// one GCM pass and one writev cover a burst of small frames.
+	// negotiated MaxPayload minus the AEAD tag, so the sealed container
+	// fits the negotiated wire-level MaxPayload exactly); zero on
+	// cleartext sessions. The flusher packs consecutive frames up to this
+	// budget so one GCM pass and one writev cover a burst of small frames.
 	containerPlain int
 	streamWindow   int
 	streamWindowAt int
@@ -177,11 +168,6 @@ type Transport struct {
 	closed         bool
 	closeErr       error
 	opened         time.Time
-	// cached endpoint addresses of the most recent connection, so streams
-	// can answer LocalAddr/RemoteAddr while the transport is between
-	// connections.
-	localAddr  net.Addr
-	remoteAddr net.Addr
 
 	// recvSeq counts reliable mux frames fully received; lastRead is the
 	// unix-nano time of the last inbound frame (keepalive freshness).
@@ -222,71 +208,11 @@ func (t *Transport) alive() bool {
 	return !t.closed
 }
 
-// maxPayload is the largest plaintext payload one mux frame may carry
-// under the negotiated limits (sealed frames still fit the wire-level
-// MaxPayload once the record overhead is added back).
-func (t *Transport) maxPayload() int {
-	if t.maxPlain > 0 {
-		return t.maxPlain
-	}
-	return wire.MaxMuxPayload
-}
-
-// containerCap is the largest plaintext one MuxSealed container may hold
-// under the negotiated limits (the sealed container then fits the
-// negotiated wire-level MaxPayload exactly).
-func (t *Transport) containerCap() int {
-	if t.containerPlain > 0 {
-		return t.containerPlain
-	}
-	return wire.MaxMuxPayload - security.RecordOverhead
-}
-
-// initialStreamWindow is the negotiated per-stream credit window.
-func (t *Transport) initialStreamWindow() int {
-	if t.streamWindow > 0 {
-		return t.streamWindow
-	}
-	return initialWindow
-}
-
-// streamGrantAt is the consumed-byte threshold past which a stream's
-// reader grants the peer more credit.
-func (t *Transport) streamGrantAt() int {
-	if t.streamWindowAt > 0 {
-		return t.streamWindowAt
-	}
-	return windowUpdateAt
-}
-
-// ackCadence is the negotiated reliable-frame acknowledgement cadence.
-func (t *Transport) ackCadence() (frames, bytes int) {
-	frames, bytes = t.ackFrames, t.ackBytes
-	if frames <= 0 {
-		frames = ackEveryFrames
-	}
-	if bytes <= 0 {
-		bytes = ackEveryBytes
-	}
-	return frames, bytes
-}
-
 // handshake constants.
 const (
 	serverTagLabel = "naplet-transport-server-v1"
 	clientTagLabel = "naplet-transport-client-v1"
 )
-
-// transportSecret derives the shared transport secret from the raw DH
-// secret (or, in insecure mode, from the transport id alone — keeping the
-// tagging machinery uniform without the key-exchange cost, exactly like
-// insecure connection keys).
-func transportSecret(dhSecret []byte, id wire.ConnID, insecure bool) []byte {
-	if insecure {
-		return dhkx.DeriveSessionKey(id[:], id[:])
-	}
-	return dhkx.DeriveSessionKey(dhSecret, id[:])
-}
 
 // transcriptTag authenticates the handshake transcript under the transport
 // secret, proving the tagger derived the same secret. Because the raw
@@ -304,7 +230,7 @@ func transcriptTag(auth *dhkx.Authenticator, label string, clientHello, serverHe
 
 // handshakeResult is everything a completed fresh-session handshake
 // produced: the identity and secret, the negotiated protocol, the key
-// schedule (version-2 secure sessions only), and the dialer-order
+// schedule (secure sessions only), and the dialer-order
 // transcript hash the initial seal keys are bound to.
 type handshakeResult struct {
 	id         wire.ConnID
@@ -315,13 +241,14 @@ type handshakeResult struct {
 	peer       *wire.TransportHello
 }
 
-// deriveSessionSecret turns the raw DH secret into the session secret and,
-// for version-2 secure sessions, the per-purpose key schedule. Version-1
-// peers and insecure mode keep the legacy single-key derivation so mixed
-// deployments interoperate.
-func deriveSessionSecret(dhSecret []byte, id wire.ConnID, insecure bool, neg wire.Negotiated) ([]byte, *security.KeySchedule) {
-	if insecure || neg.Version < wire.TransportVersion2 {
-		return transportSecret(dhSecret, id, insecure), nil
+// deriveSessionSecret turns the raw DH secret into the session secret and
+// the per-purpose key schedule. Insecure mode has no DH secret to expand:
+// its secret derives from the transport id alone — keeping the tagging
+// machinery uniform without the key-exchange cost, exactly like insecure
+// connection keys — and it gets no schedule.
+func deriveSessionSecret(dhSecret []byte, id wire.ConnID, insecure bool) ([]byte, *security.KeySchedule) {
+	if insecure {
+		return dhkx.DeriveSessionKey(id[:], id[:]), nil
 	}
 	ks := security.NewKeySchedule(dhSecret, id[:])
 	return ks.SessionKey(), ks
@@ -367,7 +294,7 @@ func clientHandshake(conn net.Conn, cfg *Config, trace []byte) (*handshakeResult
 			return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 		}
 	}
-	secret, ks := deriveSessionSecret(dhSecret, id, cfg.Insecure, neg)
+	secret, ks := deriveSessionSecret(dhSecret, id, cfg.Insecure)
 	auth, err := dhkx.NewAuthenticator(secret)
 	if err != nil {
 		return nil, err
@@ -423,7 +350,7 @@ func serverHandshake(conn net.Conn, cfg *Config, peer *wire.TransportHello, recv
 			return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 		}
 	}
-	secret, ks := deriveSessionSecret(dhSecret, id, cfg.Insecure, neg)
+	secret, ks := deriveSessionSecret(dhSecret, id, cfg.Insecure)
 	auth, err := dhkx.NewAuthenticator(secret)
 	if err != nil {
 		return nil, err
@@ -485,7 +412,7 @@ func seqPayload(v uint64) []byte {
 // they use a try-lock so the read loop can never deadlock against a resume
 // replay holding the write lock, and they vanish while disconnected.
 func (t *Transport) writeFrame(typ uint8, stream uint64, payload []byte) error {
-	if len(payload) > t.maxPayload() {
+	if len(payload) > t.maxPlain {
 		return fmt.Errorf("transport: mux payload %d exceeds limit", len(payload))
 	}
 	reliable := wire.ReliableMuxFrame(typ)
@@ -737,7 +664,7 @@ func (t *Transport) readLoop(conn net.Conn, done chan struct{}, opener *security
 		return
 	}
 	var scratch []byte
-	wireMax := t.maxPayload()
+	wireMax := t.maxPlain
 	for {
 		h, err := wire.ReadMuxHeader(br)
 		if err != nil {
@@ -794,8 +721,8 @@ func (t *Transport) readLoop(conn net.Conn, done chan struct{}, opener *security
 // resume contract see exactly the inner frames, never the container.
 func (t *Transport) readSealed(conn net.Conn, br *bufio.Reader, opener *security.Opener, rl *muxReadState) {
 	var aadBuf [wire.MuxHeaderSize]byte
-	wireMax := t.containerCap() + security.RecordOverhead
-	maxInner := t.maxPayload()
+	wireMax := t.containerPlain + security.RecordOverhead
+	maxInner := t.maxPlain
 	for {
 		h, err := wire.ReadMuxHeader(br)
 		if err != nil {
@@ -1021,14 +948,6 @@ func (t *Transport) streamCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.streams)
-}
-
-// addrs returns the cached endpoint addresses of the most recent
-// connection (valid even while the transport is between connections).
-func (t *Transport) addrs() (local, remote net.Addr) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.localAddr, t.remoteAddr
 }
 
 func (t *Transport) logf(format string, args ...any) {

@@ -149,8 +149,8 @@ func TestStreamDataBothDirections(t *testing.T) {
 
 			// Both ends derived the same transport secret.
 			if !bytes.Equal(
-				func() []byte { s, _ := a.mgr.SecretByID(cs.TransportID()); return s }(),
-				func() []byte { s, _ := b.mgr.SecretByID(ss.TransportID()); return s }(),
+				func() []byte { s, _ := a.mgr.SecretByID(cs.TransportID(), 0); return s }(),
+				func() []byte { s, _ := b.mgr.SecretByID(ss.TransportID(), 0); return s }(),
 			) {
 				t.Fatal("transport secrets differ between the two ends")
 			}

@@ -10,6 +10,10 @@ import (
 	"naplet/internal/wire"
 )
 
+// initialWindow is the per-stream credit window two default-configured
+// peers negotiate.
+var initialWindow = int(wire.DefaultLimits().InitialWindow)
+
 // TestZeroWindowStallThenGrant pins the credit-window edge: a writer that
 // exhausts the peer's receive window must stall (not error, not drop), and
 // the first window grant after the reader drains must wake it. The full

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -32,9 +31,9 @@ func BenchmarkWriteDataCoalesced(b *testing.B) {
 	}
 }
 
-// BenchmarkReadFramePooled measures decode cost with pooled payload
-// buffers, recycling each frame the way the socket reader does.
-func BenchmarkReadFramePooled(b *testing.B) {
+// BenchmarkFrameDecoder measures decode cost with pooled payload buffers,
+// recycling each frame the way the socket's pump does.
+func BenchmarkFrameDecoder(b *testing.B) {
 	for _, size := range []int{16, 100, 1000} {
 		b.Run(sizeName(size), func(b *testing.B) {
 			var stream bytes.Buffer
@@ -49,21 +48,19 @@ func BenchmarkReadFramePooled(b *testing.B) {
 				b.Fatal(err)
 			}
 			encoded := stream.Bytes()
-			br := bufio.NewReaderSize(nil, 128<<10)
+			var dec FrameDecoder
 			b.SetBytes(int64(size))
 			b.ResetTimer()
 			frames := 0
 			for frames < b.N {
-				br.Reset(bytes.NewReader(encoded))
-				// Prime the buffer; FrameBuffered only peeks at what a
-				// previous read already pulled in.
-				if _, err := br.Peek(frameHeaderSize); err != nil {
-					b.Fatal(err)
-				}
-				for FrameBuffered(br) {
-					f, err := ReadFramePooled(br)
+				src := trickleSource{buf: encoded, avail: len(encoded)}
+				for {
+					f, ok, err := dec.Next(&src)
 					if err != nil {
 						b.Fatal(err)
+					}
+					if !ok {
+						break
 					}
 					if f.Payload != nil {
 						PutPayload(f.Payload)

@@ -97,60 +97,19 @@ func appendFrame(buf []byte, f Frame) ([]byte, error) {
 	return append(buf, f.Payload...), nil
 }
 
-// ReadFrame decodes the next frame from r with a freshly allocated payload
-// buffer. It returns io.EOF cleanly when the stream ends on a frame
-// boundary, and io.ErrUnexpectedEOF when it ends mid-frame.
-func ReadFrame(r io.Reader) (Frame, error) {
-	return readFrame(r, func(n int) []byte { return make([]byte, n) })
-}
-
-// ReadFramePooled decodes like ReadFrame but draws the payload buffer from
-// the package payload pool. The caller takes ownership of Payload and
-// returns it with PutPayload once no reference to it remains.
-func ReadFramePooled(r io.Reader) (Frame, error) {
-	return readFrame(r, GetPayload)
-}
-
-// PeekReader is the read-ahead view the batched decode check needs: a
-// byte source that can expose already-received bytes without consuming
-// them. *bufio.Reader implements it, and so does the transport layer's
-// Stream (over its queue of received segments), which lets the socket
-// reader decode frames straight off a stream with no intermediate
-// buffered reader — one copy, received segment to frame payload.
-type PeekReader interface {
-	Peek(n int) ([]byte, error)
-	Buffered() int
-}
-
-// FrameBuffered reports whether br already holds one complete frame, so a
-// batching reader can keep decoding without risking a block mid-batch. A
-// frame larger than br's buffer always reports false.
-func FrameBuffered(br PeekReader) bool {
-	if br.Buffered() < frameHeaderSize {
-		return false
-	}
-	hdr, err := br.Peek(frameHeaderSize)
-	if err != nil {
-		return false
-	}
-	n := binary.BigEndian.Uint32(hdr[12:16])
-	return n <= MaxFramePayload && br.Buffered() >= frameHeaderSize+int(n)
-}
-
 // PeekSource is the byte source an incremental decoder drains: reads of
 // at most Buffered() bytes complete without blocking.
 type PeekSource interface {
 	io.Reader
-	PeekReader
+	Buffered() int
 }
 
 // FrameDecoder decodes frames incrementally from a non-blocking source,
-// carrying partial header and payload state across calls. Unlike the
-// FrameBuffered/ReadFramePooled pair — which only advances on frames the
-// source holds in full — the decoder consumes a frame's bytes as they
-// arrive, so an event-driven reader makes progress on frames larger than
-// the source's buffering or flow-control window: draining the partial
-// payload is exactly what frees window for the sender to push the rest.
+// carrying partial header and payload state across calls. The decoder
+// consumes a frame's bytes as they arrive, so an event-driven reader makes
+// progress on frames larger than the source's buffering or flow-control
+// window: draining the partial payload is exactly what frees window for
+// the sender to push the rest.
 // The zero value is ready to use. Not safe for concurrent use.
 type FrameDecoder struct {
 	hdr     [frameHeaderSize]byte
@@ -167,7 +126,8 @@ type FrameDecoder struct {
 // Next returns the next complete frame assembled from src's buffered
 // bytes. ok=false with a nil error means src ran dry mid-frame: call
 // again when more bytes arrive. Payload buffers come from the payload
-// pool, exactly like ReadFramePooled; the caller takes ownership.
+// pool; the caller takes ownership and returns each with PutPayload once
+// no reference to it remains.
 func (d *FrameDecoder) Next(src PeekSource) (Frame, bool, error) {
 	for d.hdrN < frameHeaderSize {
 		avail := src.Buffered()
@@ -244,7 +204,11 @@ func (d *FrameDecoder) reset() {
 	d.fr = Frame{}
 }
 
-func readFrame(r io.Reader, alloc func(int) []byte) (Frame, error) {
+// ReadFrame decodes the next frame from a blocking reader with a freshly
+// allocated payload buffer — the reference decoder FrameDecoder is tested
+// against. It returns io.EOF cleanly when the stream ends on a frame
+// boundary, and io.ErrUnexpectedEOF when it ends mid-frame.
+func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.EOF {
@@ -270,7 +234,7 @@ func readFrame(r io.Reader, alloc func(int) []byte) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: payload length %d exceeds limit", ErrBadFrame, n)
 	}
 	if n > 0 {
-		f.Payload = alloc(int(n))
+		f.Payload = make([]byte, n)
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
@@ -298,9 +262,6 @@ type FrameWriter struct {
 func NewFrameWriter(w io.Writer, next uint64) *FrameWriter {
 	return &FrameWriter{w: w, nextSeq: next}
 }
-
-// NextSeq returns the sequence number the next data frame will carry.
-func (fw *FrameWriter) NextSeq() uint64 { return fw.nextSeq }
 
 // LastSeq returns the sequence number of the most recently written data
 // frame, or 0 if none has been written on this writer (sequence numbers

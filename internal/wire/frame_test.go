@@ -142,6 +142,96 @@ func TestReadFrameErrors(t *testing.T) {
 	})
 }
 
+// trickleSource is a PeekSource that holds back all but avail bytes of its
+// buffer, the way a stream holds only what the network has delivered.
+type trickleSource struct {
+	buf   []byte
+	avail int
+}
+
+func (s *trickleSource) Buffered() int { return s.avail }
+
+func (s *trickleSource) Read(p []byte) (int, error) {
+	if len(p) > s.avail {
+		p = p[:s.avail]
+	}
+	n := copy(p, s.buf)
+	s.buf = s.buf[n:]
+	s.avail -= n
+	return n, nil
+}
+
+// FrameDecoder must yield exactly the frames the reference decoder
+// (ReadFrame) does, however the bytes are chopped up on arrival, and the
+// same verdict on a malformed header.
+func TestFrameDecoderMatchesReadFrame(t *testing.T) {
+	var enc bytes.Buffer
+	fw := NewFrameWriter(&enc, 7)
+	for _, n := range []int{0, 1, 15, 16, 17, 1000, 70000} {
+		if _, err := fw.WriteData(bytes.Repeat([]byte{byte(n)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.WriteFlush(); err != nil {
+		t.Fatal(err)
+	}
+	var want []Frame
+	for r := bytes.NewReader(enc.Bytes()); ; {
+		f, err := ReadFrame(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, f)
+	}
+
+	for _, step := range []int{1, 3, frameHeaderSize, 4096, enc.Len()} {
+		src := &trickleSource{buf: append([]byte(nil), enc.Bytes()...)}
+		var dec FrameDecoder
+		var got []Frame
+		for len(src.buf) > 0 {
+			src.avail += step
+			if src.avail > len(src.buf) {
+				src.avail = len(src.buf)
+			}
+			for {
+				f, ok, err := dec.Next(src)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if !ok {
+					break
+				}
+				got = append(got, f)
+			}
+		}
+		if dec.Partial() {
+			t.Fatalf("step %d: decoder mid-frame at end of input", step)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d frames, want %d", step, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Seq != want[i].Seq || got[i].Flags != want[i].Flags || !bytes.Equal(got[i].Payload, want[i].Payload) {
+				t.Fatalf("step %d frame %d: got seq %d flags %#x len %d, want seq %d flags %#x len %d", step, i,
+					got[i].Seq, got[i].Flags, len(got[i].Payload), want[i].Seq, want[i].Flags, len(want[i].Payload))
+			}
+			PutPayload(got[i].Payload)
+		}
+	}
+
+	bad := append([]byte(nil), enc.Bytes()[:frameHeaderSize]...)
+	bad[0] ^= 0xff
+	_, refErr := ReadFrame(bytes.NewReader(bad))
+	var dec FrameDecoder
+	_, _, err := dec.Next(&trickleSource{buf: bad, avail: len(bad)})
+	if !errors.Is(refErr, ErrBadFrame) || !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("bad magic: reference %v, decoder %v", refErr, err)
+	}
+}
+
 func TestConnIDRoundTrip(t *testing.T) {
 	id, err := NewConnID()
 	if err != nil {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -89,14 +90,17 @@ func FuzzReadTransportHello(f *testing.F) {
 		Limits:   DefaultLimits(),
 	})
 	f.Add(seed.Bytes())
-	// A raw version-1 body under its prefix (back-compat decode path).
-	v1 := encodeV1Hello(&TransportHello{ID: id, Host: "legacy"})
+	// A raw version-1 body under its prefix: a must-reject seed.
+	v1 := encodeV1Hello(&TransportHello{ID: id, Host: "old"})
 	var v1msg bytes.Buffer
 	v1msg.Write([]byte{0x4e, 0x54})
 	var lenb [4]byte
 	binary.BigEndian.PutUint32(lenb[:], uint32(len(v1)))
 	v1msg.Write(lenb[:])
 	v1msg.Write(v1)
+	if _, _, err := ReadTransportHello(bytes.NewReader(v1msg.Bytes())); !errors.Is(err, ErrBadTransport) {
+		f.Fatalf("version-1 hello: want ErrBadTransport, got %v", err)
+	}
 	f.Add(v1msg.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x4e, 0x54, 0, 0, 0, 4, 0x4e, 0x54, 2, 0})
@@ -105,8 +109,12 @@ func FuzzReadTransportHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything accepted has validated limits and a non-empty version
-		// list, and (for version-2 hellos) re-encodes losslessly.
+		// Anything accepted is a version-2 hello (the version byte follows
+		// the six-byte prefix and the body magic) with validated limits and
+		// a non-empty version list, and re-encodes losslessly.
+		if data[8] != TransportVersion2 {
+			t.Fatalf("accepted hello of version %d", data[8])
+		}
 		if len(h.Versions) == 0 {
 			t.Fatal("accepted hello with empty version list")
 		}

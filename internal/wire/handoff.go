@@ -6,8 +6,8 @@ import (
 	"io"
 )
 
-// HandoffPurpose says why a data-plane TCP connection is arriving at a
-// redirector (Section 3.4 of the paper).
+// HandoffPurpose says why a data stream is arriving at a redirector
+// (Section 3.4 of the paper).
 type HandoffPurpose uint8
 
 const (
@@ -33,8 +33,8 @@ func (p HandoffPurpose) String() string {
 	}
 }
 
-// HandoffHeader is the first thing written on a freshly dialed data socket,
-// telling the redirector where to deliver the connection. For a resume the
+// HandoffHeader is the payload of the MuxOpen that opens a data stream,
+// telling the redirector where to deliver it. For a resume the
 // Token authenticates the caller under the connection's session key, so a
 // third party cannot steal a suspended connection.
 type HandoffHeader struct {
@@ -88,7 +88,7 @@ func (h *HandoffHeader) Write(w io.Writer) error {
 }
 
 // maxHandoffSize bounds a handoff header read so a garbage peer cannot make
-// the redirector allocate unbounded memory.
+// the acceptor allocate unbounded memory.
 const maxHandoffSize = 4096
 
 // ReadHandoffHeader reads a length-prefixed handoff header from r.
@@ -139,34 +139,4 @@ func decodeHandoff(b []byte) (*HandoffHeader, error) {
 		return nil, fmt.Errorf("%w: unknown purpose %d", ErrBadControl, h.Purpose)
 	}
 	return h, nil
-}
-
-// HandoffStatus is the redirector's one-byte reply on the data socket.
-type HandoffStatus uint8
-
-const (
-	// HandoffOK means the socket was delivered to its target.
-	HandoffOK HandoffStatus = 1
-	// HandoffDenied means authentication or lookup failed; the socket will
-	// be closed by the redirector.
-	HandoffDenied HandoffStatus = 2
-)
-
-// WriteHandoffStatus writes the status byte.
-func WriteHandoffStatus(w io.Writer, s HandoffStatus) error {
-	_, err := w.Write([]byte{byte(s)})
-	return err
-}
-
-// ReadHandoffStatus reads the status byte.
-func ReadHandoffStatus(r io.Reader) (HandoffStatus, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	s := HandoffStatus(b[0])
-	if s != HandoffOK && s != HandoffDenied {
-		return 0, fmt.Errorf("%w: unknown handoff status %d", ErrBadControl, b[0])
-	}
-	return s, nil
 }

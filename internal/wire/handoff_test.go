@@ -86,22 +86,3 @@ func TestHandoffErrors(t *testing.T) {
 		}
 	})
 }
-
-func TestHandoffStatus(t *testing.T) {
-	for _, s := range []HandoffStatus{HandoffOK, HandoffDenied} {
-		var buf bytes.Buffer
-		if err := WriteHandoffStatus(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadHandoffStatus(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != s {
-			t.Errorf("status round trip: got %d want %d", got, s)
-		}
-	}
-	if _, err := ReadHandoffStatus(bytes.NewReader([]byte{0})); err == nil {
-		t.Error("unknown status accepted")
-	}
-}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,34 +16,28 @@ import (
 // belongs to is carried by the HandoffHeader riding inside MuxOpen, so the
 // controller's handoff authorization (Section 3.4 of the paper) is unchanged.
 
-// transportMagic are the first two bytes a transport dialer writes, letting
-// the redirector tell a transport hello from a legacy handoff header (whose
-// 4-byte length prefix always starts 0x00).
+// transportMagic are the first two bytes a transport dialer writes; the
+// acceptor closes a connection that opens with anything else without
+// reading further.
 const transportMagic = 0x4e54 // "NT"
 
-// Transport protocol versions. Version 1 is the original mux protocol:
-// cleartext frames, compile-time limits. Version 2 adds the negotiation
-// section to the hello — a supported-version list, a cipher-suite
-// preference list, and a Limits block — and, when a cipher is agreed, the
-// sealed-record framing that encrypts every mux payload. Both sides send
-// the highest version they speak plus the full list; the effective version
-// is the highest one both lists contain (see Negotiate). Downgrade
-// protection is inherited from the handshake: the transcript tags cover the
-// raw hello bytes, so a middlebox that rewrites either list breaks the tag
-// on both sides.
-const (
-	TransportVersion1 = 1
-	TransportVersion2 = 2
-	transportVersion  = TransportVersion2
-)
+// TransportVersion2 is the transport protocol version: the hello carries a
+// negotiation section — a supported-version list, a cipher-suite preference
+// list, and a Limits block — and, when a cipher is agreed, every mux
+// payload rides the sealed-record framing. Both sides send the highest
+// version they speak plus the full list; the effective version is the
+// highest one both lists contain (see Negotiate). Downgrade protection is
+// inherited from the handshake: the transcript tags cover the raw hello
+// bytes, so a middlebox that rewrites either list breaks the tag on both
+// sides. A hello with any other version byte is refused at decode.
+const TransportVersion2 = 2
 
 // SupportedVersions is the version list a hello advertises by default.
-func SupportedVersions() []uint8 { return []uint8{TransportVersion1, TransportVersion2} }
+func SupportedVersions() []uint8 { return []uint8{TransportVersion2} }
 
-// Cipher suites negotiable in a version-2 hello, in wire form. Cleartext
-// (0) is never sent in a cipher list; it is the result of negotiation when
-// either side offers no suites (legacy peers, insecure mode, or encryption
-// explicitly disabled).
+// Cipher suites negotiable in a hello, in wire form. Cleartext (0) is never
+// sent in a cipher list; it is the result of negotiation when either side
+// offers no suites (insecure mode, or encryption explicitly disabled).
 const (
 	CipherCleartext uint16 = 0
 	// CipherAES256GCM seals every mux frame payload with AES-256-GCM under
@@ -63,9 +58,8 @@ func CipherName(c uint16) string {
 	}
 }
 
-// Limits is the tunable-protocol block of a version-2 hello: every value
-// the transport used to fix at compile time, advertised per hop so the
-// effective limit is the minimum both ends accept. All bounds are
+// Limits is the tunable-protocol block of a hello: advertised per hop so
+// the effective limit is the minimum both ends accept. All bounds are
 // validated at decode — a zero or overflowing limit from the network is a
 // malformed hello, never a divide-by-zero or an unbounded allocation.
 type Limits struct {
@@ -85,8 +79,8 @@ type Limits struct {
 	KeepaliveMs uint32
 }
 
-// DefaultLimits are the pre-negotiation constants of the version-1
-// protocol, advertised when the caller sets nothing else.
+// DefaultLimits are the limits advertised when the caller sets nothing
+// else.
 func DefaultLimits() Limits {
 	return Limits{
 		MaxPayload:    MaxMuxPayload,
@@ -204,9 +198,8 @@ type TransportHello struct {
 	// not tracing): a dial performed on behalf of a migration carries the
 	// migration's trace so the acceptor's handshake span joins it.
 	Trace []byte
-	// Versions lists every protocol version the sender speaks (version-2
-	// hellos; a decoded version-1 hello reports [1]). Negotiation picks
-	// the highest version present in both lists.
+	// Versions lists every protocol version the sender speaks.
+	// Negotiation picks the highest version present in both lists.
 	Versions []uint8
 	// Ciphers lists the sender's acceptable cipher suites in preference
 	// order. Empty means the sender cannot (insecure mode) or will not
@@ -225,7 +218,7 @@ var ErrBadTransport = errors.New("wire: malformed transport message")
 func (h *TransportHello) encode() []byte {
 	b := make([]byte, 0, 32+len(h.Host)+len(h.Addr)+len(h.Public))
 	b = binary.BigEndian.AppendUint16(b, transportMagic)
-	b = append(b, transportVersion)
+	b = append(b, TransportVersion2)
 	var flags byte
 	if h.Insecure {
 		flags |= transportFlagInsecure
@@ -245,8 +238,8 @@ func (h *TransportHello) encode() []byte {
 	b = appendBytes(b, h.ResumeTag)
 	b = appendBytes(b, h.Trace)
 
-	// Version-2 negotiation section. A zero-value hello still encodes a
-	// valid advertisement: full version list, no ciphers, default limits.
+	// Negotiation section. A zero-value hello still encodes a valid
+	// advertisement: full version list, no ciphers, default limits.
 	versions := h.Versions
 	if len(versions) == 0 {
 		versions = SupportedVersions()
@@ -286,13 +279,19 @@ func WriteTransportHello(w io.Writer, h *TransportHello) ([]byte, error) {
 
 // ReadTransportHello reads a hello written by WriteTransportHello. It
 // returns the decoded hello and the raw bytes read (for tag computation).
+// The magic is checked as soon as its two bytes are in, so a foreign peer
+// is refused on its first bytes instead of holding the read open until the
+// caller's deadline.
 func ReadTransportHello(r io.Reader) (*TransportHello, []byte, error) {
 	var pre [6]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+	if _, err := io.ReadFull(r, pre[:2]); err != nil {
 		return nil, nil, err
 	}
 	if binary.BigEndian.Uint16(pre[:2]) != transportMagic {
 		return nil, nil, fmt.Errorf("%w: bad hello magic %#04x", ErrBadTransport, binary.BigEndian.Uint16(pre[:2]))
+	}
+	if _, err := io.ReadFull(r, pre[2:]); err != nil {
+		return nil, nil, err
 	}
 	n := binary.BigEndian.Uint32(pre[2:6])
 	if n > maxTransportHello {
@@ -320,9 +319,8 @@ func decodeTransportHello(b []byte) (*TransportHello, error) {
 	if len(b) < 2+16 {
 		return nil, fmt.Errorf("%w: truncated hello", ErrBadTransport)
 	}
-	version := b[0]
-	if version != TransportVersion1 && version != TransportVersion2 {
-		return nil, fmt.Errorf("%w: unsupported transport version %d", ErrBadTransport, version)
+	if b[0] != TransportVersion2 {
+		return nil, fmt.Errorf("%w: unsupported transport version %d", ErrBadTransport, b[0])
 	}
 	h := &TransportHello{
 		Insecure:     b[1]&transportFlagInsecure != 0,
@@ -351,16 +349,6 @@ func decodeTransportHello(b []byte) (*TransportHello, error) {
 	}
 	if h.Trace, b, err = takeBytes(b); err != nil {
 		return nil, err
-	}
-	if version == TransportVersion1 {
-		// Legacy hello: no negotiation section. Report the implied
-		// capabilities — version 1 only, cleartext, compile-time limits.
-		if len(b) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing hello bytes", ErrBadTransport, len(b))
-		}
-		h.Versions = []uint8{TransportVersion1}
-		h.Limits = DefaultLimits()
-		return h, nil
 	}
 	if len(b) < 1 {
 		return nil, fmt.Errorf("%w: truncated hello version list", ErrBadTransport)
@@ -427,37 +415,26 @@ type Negotiated struct {
 }
 
 // Negotiate resolves the local and remote hellos into the effective
-// protocol: the highest version both sides speak, the highest-numbered
-// cipher suite both offer (cleartext when either offers none or either
-// side is insecure), and the field-wise minimum of both limit blocks.
+// protocol: the highest supported version both lists contain, the
+// highest-numbered cipher suite both offer (cleartext when either offers
+// none or either side is insecure), and the field-wise minimum of both
+// limit blocks.
 // The function is symmetric — both ends compute the identical result —
 // and the handshake transcript tags cover both raw hellos, so a
 // middlebox that edits either side's advertisement breaks the handshake
 // rather than steering the negotiation.
 func Negotiate(local, remote *TransportHello) (Negotiated, error) {
 	version := uint8(0)
-	for _, lv := range local.Versions {
-		if lv <= version || lv > TransportVersion2 {
-			continue
-		}
-		for _, rv := range remote.Versions {
-			if rv == lv {
-				version = lv
-				break
-			}
+	for _, v := range SupportedVersions() {
+		if v > version && bytes.IndexByte(local.Versions, v) >= 0 && bytes.IndexByte(remote.Versions, v) >= 0 {
+			version = v
 		}
 	}
 	if version == 0 {
 		return Negotiated{}, fmt.Errorf("%w: no common protocol version (local %v, remote %v)",
 			ErrBadTransport, local.Versions, remote.Versions)
 	}
-	n := Negotiated{Version: version, Limits: DefaultLimits()}
-	if version < TransportVersion2 {
-		// A version-1 session has no negotiation semantics: cleartext
-		// frames and the compile-time limits on both sides.
-		return n, nil
-	}
-	n.Limits = local.Limits.Merge(remote.Limits)
+	n := Negotiated{Version: version, Limits: local.Limits.Merge(remote.Limits)}
 	if err := n.Limits.Validate(); err != nil {
 		return Negotiated{}, err
 	}
@@ -476,12 +453,6 @@ func Negotiate(local, remote *TransportHello) (Negotiated, error) {
 		}
 	}
 	return n, nil
-}
-
-// SniffTransport reports whether the two sniffed bytes open a transport
-// hello (as opposed to a legacy length-prefixed handoff header).
-func SniffTransport(b []byte) bool {
-	return len(b) >= 2 && binary.BigEndian.Uint16(b) == transportMagic
 }
 
 // Mux frame types. Stream ids are chosen by the side opening the stream:

@@ -112,17 +112,19 @@ func TestReadTransportHelloRejectsOversize(t *testing.T) {
 	}
 }
 
-func TestSniffTransport(t *testing.T) {
-	if !SniffTransport([]byte{0x4e, 0x54}) {
-		t.Fatal("transport magic not sniffed")
-	}
-	// A legacy handoff header starts with a 4-byte big-endian length whose
-	// first byte is always zero for any sane header size.
-	if SniffTransport([]byte{0x00, 0x30}) {
-		t.Fatal("legacy handoff prefix misidentified as transport")
-	}
-	if SniffTransport([]byte{0x4e}) {
-		t.Fatal("single byte sniffed as transport")
+// A peer that does not open with the transport magic is refused on its
+// first two bytes: the reader must not wait for the rest of a six-byte
+// prefix that may never come.
+func TestReadTransportHelloRejectsForeignMagicAtOnce(t *testing.T) {
+	for _, first := range [][]byte{
+		{0x00, 0x00}, // an old length-prefixed handoff header's first bytes
+		{0xde, 0xad}, // garbage
+	} {
+		// The reader holds exactly two bytes: a decoder that asked for more
+		// before judging the magic would see io.ErrUnexpectedEOF instead.
+		if _, _, err := ReadTransportHello(bytes.NewReader(first)); !errors.Is(err, ErrBadTransport) {
+			t.Fatalf("first bytes %x: want ErrBadTransport, got %v", first, err)
+		}
 	}
 }
 
@@ -220,9 +222,8 @@ func TestTransportHelloNegotiationRoundTrip(t *testing.T) {
 }
 
 func TestTransportHelloDefaultsNegotiationSection(t *testing.T) {
-	// A hello built without negotiation fields (every call site before
-	// version 2) still advertises the full version list and the default
-	// limits on the wire.
+	// A hello built without negotiation fields still advertises the full
+	// version list and the default limits on the wire.
 	id, _ := NewConnID()
 	var buf bytes.Buffer
 	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "d"}); err != nil {
@@ -243,11 +244,11 @@ func TestTransportHelloDefaultsNegotiationSection(t *testing.T) {
 	}
 }
 
-// encodeV1Hello reproduces the version-1 hello body wire format (before the
-// negotiation section existed) so decode back-compat stays pinned.
+// encodeV1Hello reproduces the version-1 hello body wire format (no
+// negotiation section), which decode must refuse.
 func encodeV1Hello(h *TransportHello) []byte {
 	b := binary.BigEndian.AppendUint16(nil, 0x4e54)
-	b = append(b, TransportVersion1)
+	b = append(b, 1)
 	var flags byte
 	if h.Insecure {
 		flags |= 0x01
@@ -263,25 +264,22 @@ func encodeV1Hello(h *TransportHello) []byte {
 	return b
 }
 
-func TestTransportHelloV1Decode(t *testing.T) {
+func TestTransportHelloV1Refused(t *testing.T) {
 	id, _ := NewConnID()
-	h := &TransportHello{ID: id, Host: "legacy", Addr: "127.0.0.1:1", Public: []byte{1, 2, 3}}
-	got, err := decodeTransportHello(encodeV1Hello(h))
-	if err != nil {
+	h := &TransportHello{ID: id, Host: "old", Addr: "127.0.0.1:1", Public: []byte{1, 2, 3}}
+	if _, err := decodeTransportHello(encodeV1Hello(h)); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-1 hello: want ErrBadTransport, got %v", err)
+	}
+	// A version-1 version byte in front of a complete negotiation section
+	// is refused just the same.
+	var buf bytes.Buffer
+	if _, err := WriteTransportHello(&buf, h); err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != id || got.Host != "legacy" {
-		t.Fatalf("v1 decode mismatch: %+v", got)
-	}
-	if !bytes.Equal(got.Versions, []uint8{TransportVersion1}) {
-		t.Fatalf("v1 implied versions = %v", got.Versions)
-	}
-	if len(got.Ciphers) != 0 || got.Limits != DefaultLimits() {
-		t.Fatalf("v1 implied capabilities: ciphers=%v limits=%+v", got.Ciphers, got.Limits)
-	}
-	// Trailing bytes after a v1 body remain an error.
-	if _, err := decodeTransportHello(append(encodeV1Hello(h), 0)); !errors.Is(err, ErrBadTransport) {
-		t.Fatalf("v1 trailing bytes: %v", err)
+	body := buf.Bytes()[6:]
+	body[2] = 1
+	if _, err := decodeTransportHello(body); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version byte 1 on a current body: want ErrBadTransport, got %v", err)
 	}
 }
 
@@ -396,15 +394,14 @@ func TestNegotiate(t *testing.T) {
 		t.Fatalf("insecure negotiation: got cipher %d", n.Cipher)
 	}
 
-	// A version-1 peer pins the session to version-1 semantics: cleartext
-	// and the default limits even if the v2 side advertised smaller ones.
-	v1 := &TransportHello{Versions: []uint8{1}}
-	n, err = Negotiate(v2([]uint16{CipherAES256GCM}, small), v1)
-	if err != nil {
-		t.Fatal(err)
+	// A peer whose list lacks version 2 is refused, from either side, even
+	// though both lists name version 1.
+	v1 := &TransportHello{Versions: []uint8{1}, Limits: big}
+	if _, err := Negotiate(v2([]uint16{CipherAES256GCM}, small), v1); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-1-only peer: want ErrBadTransport, got %v", err)
 	}
-	if n.Version != TransportVersion1 || n.Cipher != CipherCleartext || n.Limits != DefaultLimits() {
-		t.Fatalf("v1 peer negotiation: %+v", n)
+	if _, err := Negotiate(v1, v2([]uint16{CipherAES256GCM}, small)); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-1-only local: want ErrBadTransport, got %v", err)
 	}
 
 	// No common version is a handshake failure.
