@@ -50,12 +50,14 @@ chaos-smoke:
 
 # naming-smoke is the CI gate for the naming control plane: the
 # kill-one-shard chaos test under the race detector (a 3x2 cluster with 2%
-# control loss loses a shard leader mid-migration-wave), then benchgate
+# control loss loses a shard leader mid-migration-wave) and the lone-node
+# control-loss test (a 1x1 layout under the same loss: no duplicate or
+# regressed epoch, every op inside its bound), then benchgate
 # reruns the lookup benchmark in short mode and fails if the cached/direct
 # speedup regresses more than 50% against BENCH_naming.json or the hit
 # rate under the migration storm drops below 90%.
 naming-smoke:
-	$(GO) test ./internal/naming/cluster -run TestKillOneShardLeader -race -count=1 -v
+	$(GO) test ./internal/naming/cluster -run 'TestKillOneShardLeader|TestSingleNodeUnderControlLoss' -race -count=1 -v
 	$(GO) run ./cmd/benchgate -naming-baseline BENCH_naming.json -naming-short
 
 # storm-smoke is the CI connection-scaling gate: the live storm at a

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -394,15 +393,7 @@ func TestConnzTransportState(t *testing.T) {
 // naming cluster node and checks the /namez rendering: the hosted shard
 // table and the controller's location-cache stats, in both text and JSON.
 func TestNamezEndpoint(t *testing.T) {
-	// Reserve a loopback UDP address so the layout can name the cluster
-	// node before it binds.
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	caddr := pc.LocalAddr().String()
-	pc.Close()
-
+	caddr := freeUDPAddr(t)
 	layout, err := cluster.BuildLayout([]string{caddr}, 2, 1)
 	if err != nil {
 		t.Fatal(err)

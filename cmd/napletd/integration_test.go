@@ -1,9 +1,12 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,7 +18,7 @@ import (
 
 	"naplet"
 	"naplet/internal/behaviors"
-	"naplet/internal/naming"
+	"naplet/internal/naming/cluster"
 	"naplet/internal/trace"
 )
 
@@ -28,6 +31,19 @@ func freePort(t *testing.T) string {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
+	return addr
+}
+
+// freeUDPAddr does the same for a location service node, whose address the
+// layout must name before the node binds it.
+func freeUDPAddr(t *testing.T) string {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := pc.LocalAddr().String()
+	pc.Close()
 	return addr
 }
 
@@ -62,56 +78,67 @@ func buildDaemon(t *testing.T) string {
 }
 
 // TestIntegrationTwoProcessDeployment builds the daemon and runs a real
-// two-process deployment: host h1 carries the name server and an echo
+// two-process deployment: host h1 carries the location service (started
+// with -naming-listen alone, so it is the one-node layout) and an echo
 // agent; host h2 launches a roaming agent that migrates h2 → h1 → h2 while
 // keeping its connection to the echo agent — the full cross-process gob +
-// docking + connection-migration path.
+// docking + connection-migration path. Either host may start first.
 func TestIntegrationTwoProcessDeployment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	bin := buildDaemon(t)
+	t.Run("h1-first", func(t *testing.T) { twoProcessDeployment(t, bin, false) })
+	t.Run("h2-first", func(t *testing.T) { twoProcessDeployment(t, bin, true) })
+}
 
-	ns := freePort(t)
+func twoProcessDeployment(t *testing.T, bin string, h2First bool) {
+	ns := freeUDPAddr(t)
 	dock1 := freePort(t)
 	dock2 := freePort(t)
 	debug1 := freePort(t)
 
 	var out1, out2 logBuf
 	h1 := exec.Command(bin,
-		"-name", "h1", "-nameserver-listen", ns, "-dock", dock1,
+		"-name", "h1", "-naming-listen", ns, "-dock", dock1,
 		"-debug-addr", debug1,
 		"-launch", "echoer:echo",
 	)
 	h1.Stdout, h1.Stderr = &out1, &out1
-	if err := h1.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		h1.Process.Kill()
-		h1.Wait()
-	}()
-
-	// Give the name server a moment to come up.
-	deadline := time.Now().Add(10 * time.Second)
-	for !strings.Contains(out1.String(), "location service listening") {
-		if time.Now().After(deadline) {
-			t.Fatalf("h1 never started:\n%s", out1.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
 	h2 := exec.Command(bin,
-		"-name", "h2", "-nameserver", ns, "-dock", dock2,
+		"-name", "h2", "-naming-peers", ns, "-dock", dock2,
 		"-launch", fmt.Sprintf("walker:roamer:target=echoer,docks=%s;%s,msgs=2", dock1, dock2),
 	)
 	h2.Stdout, h2.Stderr = &out2, &out2
-	if err := h2.Start(); err != nil {
+
+	// The second host starts once the first has reached the location
+	// service step: serving it (h1) or looking for it (h2).
+	first, firstOut, firstUp := h1, &out1, "location service listening"
+	second := h2
+	if h2First {
+		first, firstOut, firstUp = h2, &out2, "connecting to location service"
+		second = h1
+	}
+	if err := first.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		h2.Process.Kill()
-		h2.Wait()
+		first.Process.Kill()
+		first.Wait()
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(firstOut.String(), firstUp) {
+		if time.Now().After(deadline) {
+			t.Fatalf("first host never logged %q:\n%s", firstUp, firstOut.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err := second.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		second.Process.Kill()
+		second.Wait()
 	}()
 
 	// The walker starts on h2, migrates to h1 (appearing in h1's log), then
@@ -146,6 +173,37 @@ func TestIntegrationTwoProcessDeployment(t *testing.T) {
 	if snap.Gauges["phase.suspend.handshaking_ms"] <= 0 {
 		t.Errorf("h1 /metrics phase.suspend.handshaking_ms = %v", snap.Gauges["phase.suspend.handshaking_ms"])
 	}
+
+	// -naming-listen alone is a layout of one node: the default replication
+	// of 2 is clamped to it, and /namez shows h1 leading every default
+	// shard, the resident echoer's record in one of them.
+	if want := "3 shards x 1 replicas over 1 nodes"; !strings.Contains(out1.String(), want) {
+		t.Errorf("h1 log missing the effective layout %q:\n%s", want, out1.String())
+	}
+	resp, err := http.Get("http://" + debug1 + "/namez?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var namez struct {
+		Shards []cluster.ShardInfo `json:"shards"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&namez); err != nil {
+		t.Fatalf("decoding /namez: %v", err)
+	}
+	if len(namez.Shards) != 3 {
+		t.Fatalf("/namez lists %d shards, want 3: %+v", len(namez.Shards), namez.Shards)
+	}
+	records := 0
+	for _, sh := range namez.Shards {
+		if sh.Role != "leader" || sh.Leader != ns || len(sh.Replicas) != 1 {
+			t.Errorf("/namez shard %d = %+v, want led by %s alone", sh.Shard, sh, ns)
+		}
+		records += sh.Records
+	}
+	if records == 0 {
+		t.Error("/namez holds no records; echoer is registered")
+	}
 }
 
 // TestIntegrationCrashRecovery is the fault-tolerance acceptance test: a
@@ -162,14 +220,26 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 
 	const total = 200
 
-	// The surviving half of the deployment runs in this process: the name
-	// server and the sink agent, whose trace recorder checks exactly-once.
-	svc := naming.NewService()
-	srv, err := naming.NewServer(svc, "127.0.0.1:0")
+	// The surviving half of the deployment runs in this process: the
+	// location service node and the sink agent, whose trace recorder checks
+	// exactly-once.
+	ns := freeUDPAddr(t)
+	layout, err := cluster.BuildLayout([]string{ns}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	nsNode, err := cluster.NewNode(cluster.NodeConfig{Addr: ns, Layout: layout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nsNode.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	dir, err := cluster.NewClient(ctx, cluster.ClientConfig{Seeds: []string{ns}})
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
 
 	reg := naplet.NewRegistry()
 	behaviors.RegisterAll(reg)
@@ -188,7 +258,7 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 	})
 	node, err := naplet.NewNode(naplet.Config{
 		Name:      "sinkhost",
-		Directory: naming.Local{Svc: svc},
+		Directory: dir,
 		Registry:  reg,
 	})
 	if err != nil {
@@ -205,7 +275,7 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 	debug2 := freePort(t)
 	args := func(dbg string) []string {
 		return []string{
-			"-name", "h1", "-nameserver", srv.Addr(), "-dock", dock,
+			"-name", "h1", "-naming-peers", ns, "-dock", dock,
 			"-journal-dir", jdir, "-heartbeat-interval", "50ms",
 			"-postoffice=false", "-debug-addr", dbg,
 			"-launch", fmt.Sprintf("streamer:streamer:target=sink,count=%d,interval=5,size=32", total),

@@ -3,15 +3,15 @@
 // deployment through a shared location service. One napletd can also host
 // the location service for the others.
 //
-// A two-host demo on one machine:
+// A two-host demo on one machine (either host may start first):
 //
-//	# terminal 1: host h1, runs the name server and an echo agent
-//	napletd -name h1 -nameserver-listen 127.0.0.1:7000 \
+//	# terminal 1: host h1, runs the location service and an echo agent
+//	napletd -name h1 -naming-listen 127.0.0.1:7000 \
 //	        -dock 127.0.0.1:7001 -launch echoer:echo
 //
 //	# terminal 2: host h2, joins and launches a roaming client that
 //	# migrates to h1 and back while talking to the echo agent
-//	napletd -name h2 -nameserver 127.0.0.1:7000 -dock 127.0.0.1:7002 \
+//	napletd -name h2 -naming-peers 127.0.0.1:7000 -dock 127.0.0.1:7002 \
 //	        -launch walker:roamer:target=echoer,docks=127.0.0.1:7001;127.0.0.1:7002
 package main
 
@@ -31,7 +31,6 @@ import (
 
 	"naplet"
 	"naplet/internal/behaviors"
-	"naplet/internal/naming"
 	"naplet/internal/naming/cluster"
 	"naplet/internal/obs"
 	"naplet/internal/relay"
@@ -48,18 +47,13 @@ var (
 	control      = flag.String("control", "127.0.0.1:0", "control channel (UDP) address")
 	data         = flag.String("data", "127.0.0.1:0", "redirector (TCP) address")
 	mail         = flag.String("mail", "127.0.0.1:0", "post office (UDP) address")
-	nsListen     = flag.String("nameserver-listen", "", "also host the location service on this address")
-	nsAddr       = flag.String("nameserver", "", "address of the deployment's location service")
-	namingSeeds  = flag.String("naming-seeds", "", "comma-separated addresses of the sharded naming cluster; the node resolves agents through it instead of a single name server")
-	namingListen = flag.String("naming-cluster-listen", "", "also host a naming cluster node on this address (must appear in -naming-cluster-peers)")
-	namingPeers  = flag.String("naming-cluster-peers", "", "comma-separated addresses of every naming cluster node, identical on all hosts (defaults to -naming-cluster-listen alone)")
-	namingShards = flag.Int("naming-shards", 3, "shard count of the naming cluster (identical on all hosts)")
-	namingRepl   = flag.Int("naming-replication", 2, "replicas per naming shard (identical on all hosts)")
+	namingListen = flag.String("naming-listen", "", "also host a location service node on this address (must appear in -naming-peers)")
+	namingPeers  = flag.String("naming-peers", "", "comma-separated location service node addresses: every node, identical on all hosts that set -naming-listen (defaults to -naming-listen alone); any reachable subset on hosts that do not")
+	namingShards = flag.Int("naming-shards", 3, "shard count of the location service (identical on all hosts that set -naming-listen)")
+	namingRepl   = flag.Int("naming-replication", 2, "replicas per naming shard, at most the node count (identical on all hosts that set -naming-listen)")
 	postoffice   = flag.Bool("postoffice", true, "run a post office on this host")
 	insecure     = flag.Bool("insecure", false, "disable security (the paper's w/o-security mode)")
 	tpEncrypt    = flag.Bool("transport-encrypt", true, "seal shared-transport frames with the negotiated AEAD cipher (secure mode only; false keeps authenticated-handshake cleartext framing)")
-	tpMaxPayload = flag.Uint("transport-max-payload", 0, "advertised max mux frame payload in bytes, 1KiB..64KiB (0 = wire default 64KiB; the session uses the min of both hosts)")
-	tpWindow     = flag.Uint("transport-window", 0, "advertised per-stream credit window in bytes, 4KiB..1GiB (0 = wire default 1MiB; the session uses the min of both hosts)")
 	relayAddr    = flag.String("relay-addr", "", "also host a rendezvous relay (TCP) on this address, splicing transport sessions between hosts that cannot dial each other (off when empty)")
 	relayVia     = flag.String("relay-via", "", "relay server to keep a registration leg open with; the shared transport also falls back to dialing peers through it when direct dials fail")
 	clusterKey   = flag.String("cluster-secret", "", "shared secret authenticating the docking channel between hosts")
@@ -68,10 +62,14 @@ var (
 	journalDir   = flag.String("journal-dir", "", "checkpoint agent and connection state into a journal under this directory; restarting with the same directory recovers them (off when empty)")
 	jrnSync      = flag.String("journal-sync", "interval", "journal fsync policy: always, interval, or never")
 	heartbeat    = flag.Duration("heartbeat-interval", 0, "probe peer controllers at this interval and fail connections to confirmed-dead peers (off when zero)")
-	nameTTL      = flag.Duration("name-ttl", 0, "expire location service entries not refreshed within this duration (only with -nameserver-listen; off when zero)")
+	nameTTL      = flag.Duration("name-ttl", 0, "expire location service entries not refreshed within this duration (only with -naming-listen; off when zero)")
 	version      = flag.Bool("version", false, "print build information and exit")
 	launches     launchList
 )
+
+func init() {
+	flag.Var(&launches, "launch", "agent to launch, as <id>:<kind>[:<k>=<v>[,<k>=<v>...]]; kinds: echo, pinger, roamer, streamer, sink, maillog (repeatable)")
+}
 
 // buildInfo returns the VCS commit this binary was built from (or "unknown")
 // and the Go toolchain version.
@@ -100,7 +98,6 @@ func buildInfo() (commit, goVersion string) {
 }
 
 func main() {
-	flag.Var(&launches, "launch", "agent to launch, as <id>:<kind>[:<k>=<v>[,<k>=<v>...]]; kinds: echo, pinger, roamer, streamer, sink, maillog (repeatable)")
 	flag.Parse()
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 	log.SetPrefix("napletd: ")
@@ -139,8 +136,6 @@ func main() {
 		cfg.ClusterSecret = []byte(*clusterKey)
 	}
 	cfg.Core.DisableTransportEncryption = !*tpEncrypt
-	cfg.Core.TransportLimits.MaxPayload = uint32(*tpMaxPayload)
-	cfg.Core.TransportLimits.InitialWindow = uint32(*tpWindow)
 	cfg.Core.RelayVia = *relayVia
 
 	if *relayAddr != "" {
@@ -155,90 +150,55 @@ func main() {
 	tracer := obs.NewTracer(*name)
 	cfg.Tracer = tracer
 
-	split := func(s string) []string {
-		var out []string
-		for _, p := range strings.Split(s, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				out = append(out, p)
-			}
+	// Location service: every host is a client of the naming nodes listed
+	// in -naming-peers, and a host with -naming-listen is one of them. A
+	// lone name server is the one-node layout.
+	var peers []string
+	for _, p := range strings.Split(*namingPeers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peers = append(peers, p)
 		}
-		return out
 	}
-
-	// Location service: a sharded replicated cluster, a single name server
-	// hosted locally, or a client of a remote one.
-	var clusterNode *cluster.Node
-	switch {
-	case *namingListen != "" || *namingSeeds != "":
-		logger := obs.NewLogger(log.Printf, level)
-		if *namingListen != "" {
-			peers := split(*namingPeers)
-			if len(peers) == 0 {
-				peers = []string{*namingListen}
-			}
-			layout, err := cluster.BuildLayout(peers, *namingShards, *namingRepl)
-			if err != nil {
-				log.Fatalf("naming cluster layout: %v", err)
-			}
-			clusterNode, err = cluster.NewNode(cluster.NodeConfig{
-				Addr:    *namingListen,
-				Layout:  layout,
-				TTL:     *nameTTL,
-				Metrics: metrics,
-				Tracer:  tracer,
-				Logger:  logger,
-			})
-			if err != nil {
-				log.Fatalf("starting naming cluster node: %v", err)
-			}
-			defer clusterNode.Close()
-			log.Printf("naming cluster node listening on %s (%d shards x %d replicas)",
-				clusterNode.Addr(), layout.Shards, *namingRepl)
+	if len(peers) == 0 && *namingListen != "" {
+		peers = []string{*namingListen}
+	}
+	if len(peers) == 0 {
+		log.Fatal("one of -naming-listen or -naming-peers is required")
+	}
+	var namingNode *cluster.Node
+	if *namingListen != "" {
+		replication := min(*namingRepl, len(peers))
+		layout, err := cluster.BuildLayout(peers, *namingShards, replication)
+		if err != nil {
+			log.Fatalf("location service layout: %v", err)
 		}
-		seeds := split(*namingSeeds)
-		if len(seeds) == 0 {
-			seeds = []string{*namingListen}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		cli, err := cluster.NewClient(ctx, cluster.ClientConfig{
-			Seeds:   seeds,
+		namingNode, err = cluster.NewNode(cluster.NodeConfig{
+			Addr:    *namingListen,
+			Layout:  layout,
+			TTL:     *nameTTL,
 			Metrics: metrics,
-			Logger:  logger,
+			Tracer:  tracer,
+			Logger:  cfg.Logger,
 		})
-		cancel()
 		if err != nil {
-			log.Fatalf("connecting to naming cluster %v: %v", seeds, err)
+			log.Fatalf("starting location service node: %v", err)
 		}
-		defer cli.Close()
-		cfg.Directory = cli
-	case *nsListen != "":
-		svc := naming.NewService()
-		svc.SetMetrics(metrics)
-		if *nameTTL > 0 {
-			svc.SetTTL(*nameTTL)
-		}
-		srv, err := naming.NewServer(svc, *nsListen)
-		if err != nil {
-			log.Fatalf("starting name server: %v", err)
-		}
-		defer srv.Close()
-		log.Printf("location service listening on %s", srv.Addr())
-		cli, err := naming.NewClient(srv.Addr())
-		if err != nil {
-			log.Fatalf("connecting to own name server: %v", err)
-		}
-		defer cli.Close()
-		cfg.Directory = cli
-	case *nsAddr != "":
-		cli, err := naming.NewClient(*nsAddr)
-		if err != nil {
-			log.Fatalf("connecting to name server %s: %v", *nsAddr, err)
-		}
-		defer cli.Close()
-		cfg.Directory = cli
-	default:
-		log.Fatal("one of -nameserver, -nameserver-listen, -naming-seeds, or -naming-cluster-listen is required")
+		defer namingNode.Close()
+		log.Printf("location service listening on %s (%d shards x %d replicas over %d nodes)",
+			namingNode.Addr(), layout.Shards, replication, len(peers))
 	}
+	log.Printf("connecting to location service %v", peers)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	dir, err := cluster.NewClient(ctx, cluster.ClientConfig{
+		Seeds:   peers,
+		Metrics: metrics,
+	})
+	cancel()
+	if err != nil {
+		log.Fatalf("connecting to location service %v: %v", peers, err)
+	}
+	defer dir.Close()
+	cfg.Directory = dir
 
 	reg := naplet.NewRegistry()
 	behaviors.RegisterAll(reg)
@@ -252,7 +212,7 @@ func main() {
 	log.Printf("host %s up: dock=%s", node.Name(), node.DockAddr())
 
 	if *debugAddr != "" {
-		srv, addr, err := startDebugServer(*debugAddr, node, metrics, clusterNode)
+		srv, addr, err := startDebugServer(*debugAddr, node, metrics, namingNode)
 		if err != nil {
 			log.Fatalf("starting debug server: %v", err)
 		}

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"naplet/internal/behaviors"
@@ -75,5 +79,51 @@ func TestParseLaunchDefaults(t *testing.T) {
 	// Unparseable numbers fall back to defaults rather than failing.
 	if p := b.(*behaviors.Pinger); p.Count != 5 {
 		t.Fatalf("count = %d, want default 5", p.Count)
+	}
+}
+
+// A napletd invocation in the docs is either a command line — napletd as
+// the command word, after an optional prompt or comment marker — or an
+// inline code span that starts with it. Log excerpts ("napletd: host up")
+// and other commands that merely name the binary match neither.
+var (
+	napletdCommandLine = regexp.MustCompile(`(?m)^\s*(?://\s*)?(?:\$\s+)?(?:\S*/)?napletd\s+(.*)$`)
+	napletdCodeSpan    = regexp.MustCompile("`(?:[^`\\s]*/)?napletd\\s+([^`]*)`")
+	flagToken          = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
+	// A trailing backslash continues the command on the next line.
+	continuation = regexp.MustCompile(`\\\n\s*(?://)?`)
+)
+
+// TestDocumentedFlagsExist fails when a napletd invocation shown in the
+// docs uses a flag the binary does not register, so renaming or removing a
+// flag cannot leave the demos behind.
+func TestDocumentedFlagsExist(t *testing.T) {
+	for _, path := range []string{
+		"../../README.md",
+		"../../DESIGN.md",
+		"../../.claude/skills/verify/SKILL.md",
+		"main.go",
+	} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		if path == "main.go" {
+			text, _, _ = strings.Cut(text, "\npackage main")
+		}
+		text = continuation.ReplaceAllString(text, " ")
+		invocations := append(napletdCommandLine.FindAllStringSubmatch(text, -1),
+			napletdCodeSpan.FindAllStringSubmatch(text, -1)...)
+		if len(invocations) == 0 {
+			t.Errorf("%s: no napletd invocation found; the scan has lost track of the docs", path)
+		}
+		for _, inv := range invocations {
+			for _, m := range flagToken.FindAllStringSubmatch(inv[1], -1) {
+				if flag.Lookup(m[1]) == nil {
+					t.Errorf("%s: `napletd %s` uses -%s, which napletd does not register", path, inv[1], m[1])
+				}
+			}
+		}
 	}
 }

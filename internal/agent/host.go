@@ -23,7 +23,8 @@ import (
 )
 
 // Directory is the slice of the location service the agent runtime needs.
-// Both naming.Local (in-process) and naming.Client (remote) satisfy it.
+// Both naming.Local (in-process) and cluster.Client (over the network)
+// satisfy it.
 type Directory interface {
 	Register(ctx context.Context, agentID string, loc naming.Location) error
 	Update(ctx context.Context, agentID string, loc naming.Location, epoch uint64) error

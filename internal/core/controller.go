@@ -27,12 +27,6 @@ import (
 	"naplet/internal/wire"
 )
 
-// Locator is the read side of the agent location service the controller
-// needs: agent id to current location.
-type Locator interface {
-	Lookup(ctx context.Context, agentID string) (naming.Record, error)
-}
-
 // Config configures a Controller.
 type Config struct {
 	// HostName names the host this controller serves.
@@ -47,7 +41,7 @@ type Config struct {
 	// held in the controller's migration-aware location cache: keyed by
 	// agent id, guarded by Record.Epoch, and invalidated by the
 	// SUS/SUS_RES/RES control messages rather than by TTL expiry.
-	Locator Locator
+	Locator naming.Resolver
 	// Insecure disables the Diffie-Hellman key exchange and the
 	// authentication/authorization checks at setup — the paper's
 	// "NapletSocket w/o security" configuration. Control messages are
@@ -113,11 +107,6 @@ type Config struct {
 	// in secure mode. Benchmarks use it to isolate the AEAD record
 	// layer's cost; Insecure implies it.
 	DisableTransportEncryption bool
-	// TransportLimits overrides the advertised transport protocol limits
-	// field by field (max frame payload, per-stream window, ack cadence);
-	// zero fields keep the wire defaults. The effective limits of each
-	// host pair are the field-wise minimum of both advertisements.
-	TransportLimits wire.Limits
 	// OpenBreakdown, when non-nil, accumulates the Figure 8 phase timings
 	// of every Open issued through this controller.
 	OpenBreakdown *metrics.Breakdown
@@ -135,12 +124,8 @@ type Config struct {
 	// connection once its handshake is done — the hook for network
 	// emulation (internal/netem). Data streams are multiplexed inside it.
 	WrapData func(net.Conn) net.Conn
-	// Logf, when non-nil, receives diagnostics. It is the compatibility
-	// shim predating Logger: when only Logf is set, it receives every
-	// level through the leveled logger.
-	Logf func(format string, args ...any)
-	// Logger, when non-nil, receives leveled diagnostics and takes
-	// precedence over Logf.
+	// Logger, when non-nil, receives leveled diagnostics; nil logs through
+	// the standard library logger at Info.
 	Logger *obs.Logger
 	// Metrics, when non-nil, receives the controller's lifecycle counters,
 	// latency histograms, FSM transition counts, and load gauges
@@ -313,7 +298,6 @@ func NewController(cfg Config) (*Controller, error) {
 		KeepaliveTimeout:  cfg.TransportKeepaliveTimeout,
 		ResumeWindow:      cfg.TransportResumeWindow,
 		DisableEncryption: cfg.DisableTransportEncryption,
-		Limits:            cfg.TransportLimits,
 		Metrics:           cfg.Metrics,
 		Tracer:            cfg.Tracer,
 	})
@@ -429,7 +413,7 @@ func (ctrl *Controller) Close() error {
 }
 
 // logf reports a degraded or failed operation: Warn on the leveled logger
-// (which itself falls back to Logf, then log.Printf).
+// (which itself falls back to log.Printf).
 func (ctrl *Controller) logf(format string, args ...any) {
 	ctrl.olog(obs.LevelWarn, format, args...)
 }

@@ -13,6 +13,7 @@ import (
 
 	"naplet/internal/fsm"
 	"naplet/internal/naming"
+	"naplet/internal/obs"
 	"naplet/internal/security"
 	"naplet/internal/transport"
 	"naplet/internal/wire"
@@ -66,7 +67,7 @@ func newEnv(t *testing.T, hostNames []string, opts ...envOption) *testEnv {
 			HostName:     name,
 			Guard:        guard,
 			Locator:      env.svc,
-			Logf:         t.Logf,
+			Logger:       obs.NewLogger(t.Logf, obs.LevelDebug),
 			OpTimeout:    2 * time.Second,
 			ParkTimeout:  20 * time.Second,
 			DrainTimeout: 2 * time.Second,
@@ -308,7 +309,7 @@ func TestOpenDeniedWithoutPolicy(t *testing.T) {
 	// A guard with no agent allow rules: default deny.
 	env := &testEnv{t: t, svc: naming.NewService(), hosts: make(map[string]*testHost)}
 	guard, _ := security.NewGuard(security.NewStore())
-	ctrl, err := NewController(Config{HostName: "h1", Guard: guard, Locator: env.svc, Logf: t.Logf})
+	ctrl, err := NewController(Config{HostName: "h1", Guard: guard, Locator: env.svc, Logger: obs.NewLogger(t.Logf, obs.LevelDebug)})
 	if err != nil {
 		t.Fatal(err)
 	}

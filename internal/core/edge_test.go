@@ -13,6 +13,7 @@ import (
 
 	"naplet/internal/fsm"
 	"naplet/internal/metrics"
+	"naplet/internal/obs"
 )
 
 // ---- byte-stream semantics ----
@@ -298,7 +299,7 @@ func TestOpenBreakdownAccumulates(t *testing.T) {
 	h := d.hosts["h1"]
 	cfg := Config{
 		HostName: "h1b", Guard: h.guard, Locator: d.svc,
-		OpenBreakdown: bd, Logf: t.Logf,
+		OpenBreakdown: bd, Logger: obs.NewLogger(t.Logf, obs.LevelDebug),
 	}
 	ctrl, err := NewController(cfg)
 	if err != nil {

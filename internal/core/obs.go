@@ -49,18 +49,14 @@ type ctrlObs struct {
 }
 
 // newCtrlObs resolves the observability configuration. The logger falls
-// back to the Logf compatibility shim, then to the standard library
-// logger at Info, so diagnostics never vanish silently. Breakdowns are
-// created on demand when a metrics registry is present, so the phase
-// gauges below always have a source on an instrumented controller.
+// back to the standard library logger at Info, so diagnostics never
+// vanish silently. Breakdowns are created on demand when a metrics
+// registry is present, so the phase gauges below always have a source on
+// an instrumented controller.
 func newCtrlObs(cfg Config) *ctrlObs {
 	lg := cfg.Logger
 	if lg == nil {
-		if cfg.Logf != nil {
-			lg = obs.NewLogger(cfg.Logf, obs.LevelDebug)
-		} else {
-			lg = obs.NewLogger(log.Printf, obs.LevelInfo)
-		}
+		lg = obs.NewLogger(log.Printf, obs.LevelInfo)
 	}
 	if cfg.HostName != "" {
 		lg = lg.With("host", cfg.HostName)

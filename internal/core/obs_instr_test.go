@@ -135,7 +135,6 @@ func TestLeveledLoggerCarriesConnContext(t *testing.T) {
 		mu.Unlock()
 	}
 	withLogger := func(c *Config) {
-		c.Logf = nil
 		c.Logger = obs.NewLogger(sink, obs.LevelInfo)
 	}
 	env := newEnv(t, []string{"h1", "h2"}, withLogger)

@@ -29,7 +29,7 @@ func newFaultHost(t *testing.T, name string, svc *naming.Service, mutate func(*C
 		HostName:     name,
 		Guard:        guard,
 		Locator:      svc,
-		Logf:         t.Logf,
+		Logger:       obs.NewLogger(t.Logf, obs.LevelDebug),
 		OpTimeout:    2 * time.Second,
 		ParkTimeout:  20 * time.Second,
 		DrainTimeout: 2 * time.Second,

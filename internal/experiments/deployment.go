@@ -20,6 +20,7 @@ import (
 	"naplet/internal/core"
 	"naplet/internal/metrics"
 	"naplet/internal/naming"
+	"naplet/internal/obs"
 	"naplet/internal/security"
 )
 
@@ -136,7 +137,7 @@ func newDeployment(names []string, opts ...deployOption) (*deployment, error) {
 			OpTimeout:                  5 * time.Second,
 			ParkTimeout:                30 * time.Second,
 			DrainTimeout:               5 * time.Second,
-			Logf:                       func(string, ...any) {},
+			Logger:                     obs.NewLogger(func(string, ...any) {}, obs.LevelError),
 		}
 		if cfg.netemDelay > 0 {
 			ccfg.WrapData = wrapDelay(cfg.netemDelay)

@@ -21,20 +21,17 @@ type ClientConfig struct {
 	Seeds []string
 	// Metrics, when non-nil, receives naming.client.* counters.
 	Metrics *obs.Registry
-	// Logger, when non-nil, receives routing logs.
-	Logger *obs.Logger
 	// DropFn injects control-channel faults (see rudp.Config.DropFn).
 	DropFn func([]byte) bool
 }
 
 // Client routes namespace operations to the cluster. It implements both
-// naming.Resolver and the agent runtime's Directory interface, so a
-// napletd can point its whole stack at the cluster with one flag.
+// naming.Resolver and the agent runtime's Directory interface, and is the
+// one way a host reaches a location service in another process.
 type Client struct {
 	ep     *rudp.Endpoint
 	ring   *Ring
 	layout Layout
-	log    *obs.Logger
 
 	retries, redirects *obs.Counter
 
@@ -45,7 +42,8 @@ type Client struct {
 
 // NewClient bootstraps a client from the seeds: the first reachable seed
 // supplies the layout (every node carries it), and the ring is derived
-// from the layout's shard count.
+// from the layout's shard count. The seeds are swept until one answers or
+// ctx is done, so a host may start before the nodes it names.
 func NewClient(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	if len(cfg.Seeds) == 0 {
 		return nil, errors.New("cluster: no seeds")
@@ -56,48 +54,48 @@ func NewClient(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	}
 	c := &Client{
 		ep:        ep,
-		log:       cfg.Logger,
 		retries:   cfg.Metrics.Counter("naming.client.retries"),
 		redirects: cfg.Metrics.Counter("naming.client.redirects"),
 		leaders:   make(map[int]string),
 	}
-	var lastErr error
-	for _, seed := range cfg.Seeds {
-		callCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		resp, err := c.call(callCtx, seed, request{Kind: kindMap})
-		cancel()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.Layout == nil || resp.Layout.Validate() != nil {
-			lastErr = fmt.Errorf("cluster: seed %s returned no usable layout", seed)
-			continue
-		}
-		c.layout = *resp.Layout
-		c.ring = NewRing(c.layout.Shards)
-		for _, st := range resp.Vec {
-			if st.Shard >= 0 && st.Shard < len(c.layout.Replicas) && st.Leader >= 0 && st.Leader < len(c.layout.Replicas[st.Shard]) {
-				c.leaders[st.Shard] = c.layout.Replicas[st.Shard][st.Leader]
+	for {
+		for _, seed := range cfg.Seeds {
+			if err = c.bootstrap(ctx, seed); err == nil {
+				return c, nil
 			}
 		}
-		return c, nil
+		select {
+		case <-ctx.Done():
+			ep.Close()
+			return nil, fmt.Errorf("cluster: bootstrap failed: %w", err)
+		case <-time.After(sweepPause):
+		}
 	}
-	ep.Close()
-	if lastErr == nil {
-		lastErr = errors.New("cluster: no seed reachable")
+}
+
+// bootstrap fetches the layout and the leadership hints from one seed.
+func (c *Client) bootstrap(ctx context.Context, seed string) error {
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	resp, err := c.call(ctx, seed, request{Kind: kindMap})
+	if err != nil {
+		return err
 	}
-	return nil, fmt.Errorf("cluster: bootstrap failed: %w", lastErr)
+	if resp.Layout == nil || resp.Layout.Validate() != nil {
+		return fmt.Errorf("cluster: seed %s returned no usable layout", seed)
+	}
+	c.layout = *resp.Layout
+	c.ring = NewRing(c.layout.Shards)
+	for _, st := range resp.Vec {
+		if st.Shard >= 0 && st.Shard < len(c.layout.Replicas) && st.Leader >= 0 && st.Leader < len(c.layout.Replicas[st.Shard]) {
+			c.leaders[st.Shard] = c.layout.Replicas[st.Shard][st.Leader]
+		}
+	}
+	return nil
 }
 
 // Close releases the client's socket.
 func (c *Client) Close() error { return c.ep.Close() }
-
-// Layout returns the cluster topology the client bootstrapped with.
-func (c *Client) Layout() Layout { return c.layout }
-
-// ShardOf exposes the ring mapping, for debug surfaces.
-func (c *Client) ShardOf(agentID string) int { return c.ring.ShardOf(agentID) }
 
 func (c *Client) call(ctx context.Context, addr string, req request) (response, error) {
 	var buf bytes.Buffer
@@ -149,6 +147,10 @@ func (c *Client) noteLeader(shard int, resp response) {
 	c.mu.Unlock()
 }
 
+// sweepPause separates two passes over a replica set (or, at bootstrap,
+// over the seeds) that both went unanswered.
+const sweepPause = 50 * time.Millisecond
+
 // do routes one operation: try candidates in order, follow NotLeader
 // redirects, and sweep the replica set repeatedly (with a short pause)
 // until ctx expires — failover windows heal in lease-duration time, so
@@ -194,10 +196,10 @@ func (c *Client) do(ctx context.Context, req request) (response, error) {
 		// the failover window before sweeping again, on one reused timer
 		// rather than a fresh time.After allocation per sweep.
 		if retry == nil {
-			retry = time.NewTimer(50 * time.Millisecond)
+			retry = time.NewTimer(sweepPause)
 			defer retry.Stop()
 		} else {
-			retry.Reset(50 * time.Millisecond)
+			retry.Reset(sweepPause)
 		}
 		select {
 		case <-ctx.Done():

@@ -91,8 +91,24 @@ func loc(host string, epoch uint64) naming.Location {
 	}
 }
 
+// TestClusterBasicOps runs the namespace operations against a sharded,
+// replicated cluster and against the smallest layout — one node, one
+// shard, one replica, which is what a lone name server is.
 func TestClusterBasicOps(t *testing.T) {
-	tc := startCluster(t, 3, 3, 2, nil)
+	for _, shape := range []struct {
+		name                       string
+		nodes, shards, replication int
+	}{
+		{"3x3x2", 3, 3, 2},
+		{"1x1x1", 1, 1, 1},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			testBasicOps(t, startCluster(t, shape.nodes, shape.shards, shape.replication, nil))
+		})
+	}
+}
+
+func testBasicOps(t *testing.T, tc *testCluster) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -135,13 +151,16 @@ func TestClusterBasicOps(t *testing.T) {
 	if _, err := tc.client.Lookup(ctx, "agent-1"); !errors.Is(err, naming.ErrNotFound) {
 		t.Fatalf("lookup after deregister: got %v, want ErrNotFound", err)
 	}
+	if err := tc.client.Register(ctx, "agent-1", loc("h3", 1)); err != nil {
+		t.Fatalf("register after deregister: %v", err)
+	}
 	if _, err := tc.client.Lookup(ctx, "ghost"); !errors.Is(err, naming.ErrNotFound) {
 		t.Fatalf("lookup of unknown agent: got %v, want ErrNotFound", err)
 	}
 
 	// The per-shard counter family saw the traffic.
 	var lookups uint64
-	for s := 0; s < 3; s++ {
+	for s := 0; s < tc.layout.Shards; s++ {
 		lookups += tc.reg.Counter(fmt.Sprintf("naming.shard.%d.lookups", s)).Value()
 	}
 	if lookups == 0 {

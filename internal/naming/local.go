@@ -5,7 +5,7 @@ import "context"
 // Local adapts an in-process Service to the context-taking directory
 // interface used by the agent runtime, so a single-process deployment (all
 // hosts in one binary, as in tests and simulations) and a multi-process
-// deployment (hosts using Client against a naming Server) are
+// deployment (hosts using cluster.Client against the naming nodes) are
 // interchangeable.
 type Local struct {
 	Svc *Service

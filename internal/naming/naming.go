@@ -83,8 +83,6 @@ type Service struct {
 	mu      sync.RWMutex
 	records map[string]*Record
 	traces  map[string][]Move
-	// watchers wake blocked WaitFor calls when an agent (re)appears.
-	watchers map[string][]chan struct{}
 	// ttl, when positive, expires entries not refreshed within it: a
 	// crashed host's stale location stops poisoning resume attempts.
 	ttl time.Duration
@@ -99,10 +97,9 @@ type Service struct {
 // NewService returns an empty registry.
 func NewService() *Service {
 	return &Service{
-		records:  make(map[string]*Record),
-		traces:   make(map[string][]Move),
-		watchers: make(map[string][]chan struct{}),
-		now:      time.Now,
+		records: make(map[string]*Record),
+		traces:  make(map[string][]Move),
+		now:     time.Now,
 	}
 }
 
@@ -155,7 +152,6 @@ func (s *Service) Register(agentID string, loc Location) error {
 	now := s.now()
 	s.records[agentID] = &Record{AgentID: agentID, Loc: loc, Epoch: epoch, UpdatedAt: now}
 	s.appendTraceLocked(agentID, Move{When: now, Loc: loc, Epoch: epoch})
-	s.notifyLocked(agentID)
 	return nil
 }
 
@@ -176,7 +172,6 @@ func (s *Service) Update(agentID string, loc Location, epoch uint64) error {
 	rec.Epoch = epoch
 	rec.UpdatedAt = s.now()
 	s.appendTraceLocked(agentID, Move{When: rec.UpdatedAt, Loc: loc, Epoch: epoch})
-	s.notifyLocked(agentID)
 	return nil
 }
 
@@ -222,7 +217,6 @@ func (s *Service) Apply(rec Record) bool {
 	cp := rec
 	s.records[rec.AgentID] = &cp
 	s.appendTraceLocked(rec.AgentID, Move{When: rec.UpdatedAt, Loc: rec.Loc, Epoch: rec.Epoch})
-	s.notifyLocked(rec.AgentID)
 	return true
 }
 
@@ -266,28 +260,6 @@ func (s *Service) Stats() (records int, maxEpoch uint64) {
 	return records, maxEpoch
 }
 
-// WaitFor blocks until agentID is registered (or ctx is done) and returns
-// its record. It exists so a client can dial an agent that is still being
-// launched or is mid-migration.
-func (s *Service) WaitFor(ctx context.Context, agentID string) (Record, error) {
-	for {
-		s.mu.Lock()
-		if rec, ok := s.records[agentID]; ok && !s.expiredLocked(rec) {
-			r := *rec
-			s.mu.Unlock()
-			return r, nil
-		}
-		ch := make(chan struct{})
-		s.watchers[agentID] = append(s.watchers[agentID], ch)
-		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return Record{}, ctx.Err()
-		}
-	}
-}
-
 // Trace returns a copy of the agent's movement history, oldest first.
 func (s *Service) Trace(agentID string) []Move {
 	s.mu.RLock()
@@ -316,11 +288,4 @@ func (s *Service) appendTraceLocked(agentID string, m Move) {
 		t = t[len(t)-maxTrace:]
 	}
 	s.traces[agentID] = t
-}
-
-func (s *Service) notifyLocked(agentID string) {
-	for _, ch := range s.watchers[agentID] {
-		close(ch)
-	}
-	delete(s.watchers, agentID)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func loc(host string) Location {
@@ -149,42 +148,6 @@ func TestAgentsSorted(t *testing.T) {
 	}
 }
 
-func TestWaitForBlocksUntilRegister(t *testing.T) {
-	s := NewService()
-	done := make(chan Record, 1)
-	go func() {
-		rec, err := s.WaitFor(context.Background(), "late")
-		if err != nil {
-			t.Error(err)
-		}
-		done <- rec
-	}()
-	time.Sleep(10 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("WaitFor returned before registration")
-	default:
-	}
-	s.Register("late", loc("h9"))
-	select {
-	case rec := <-done:
-		if rec.Loc.Host != "h9" {
-			t.Fatalf("record = %+v", rec)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("WaitFor did not wake up")
-	}
-}
-
-func TestWaitForContextCancel(t *testing.T) {
-	s := NewService()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := s.WaitFor(ctx, "never"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestConcurrentRegistryAccess(t *testing.T) {
 	s := NewService()
 	var wg sync.WaitGroup
@@ -212,102 +175,5 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 	wg.Wait()
 	if len(s.Agents()) != 32 {
 		t.Fatalf("agents = %d, want 32", len(s.Agents()))
-	}
-}
-
-func TestRemoteClientServer(t *testing.T) {
-	svc := NewService()
-	srv, err := NewServer(svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := NewClient(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	ctx := context.Background()
-
-	if err := cli.Register(ctx, "a", loc("h1")); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := cli.Lookup(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Loc.Host != "h1" || rec.Epoch != 1 {
-		t.Fatalf("record = %+v", rec)
-	}
-	if err := cli.Update(ctx, "a", loc("h2"), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Update(ctx, "a", loc("h2"), 2); !errors.Is(err, ErrStale) {
-		t.Fatalf("stale over RPC: err = %v", err)
-	}
-	tr, err := cli.Trace(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr) != 2 || tr[1].Loc.Host != "h2" {
-		t.Fatalf("trace = %+v", tr)
-	}
-	if _, err := cli.Lookup(ctx, "ghost"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("remote not-found: err = %v", err)
-	}
-	if err := cli.Deregister(ctx, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Lookup(ctx, "a"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("agent resolvable after remote deregister")
-	}
-	if err := cli.Register(ctx, "a", loc("h3")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRemoteWaitFor(t *testing.T) {
-	svc := NewService()
-	srv, err := NewServer(svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := NewClient(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	ctx := context.Background()
-
-	// Registration lands while the wait is pending.
-	done := make(chan Record, 1)
-	errs := make(chan error, 1)
-	go func() {
-		rec, err := cli.WaitFor(ctx, "late", 10*time.Second)
-		if err != nil {
-			errs <- err
-			return
-		}
-		done <- rec
-	}()
-	time.Sleep(30 * time.Millisecond)
-	if err := svc.Register("late", loc("h7")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case rec := <-done:
-		if rec.Loc.Host != "h7" {
-			t.Fatalf("record = %+v", rec)
-		}
-	case err := <-errs:
-		t.Fatal(err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("remote WaitFor never returned")
-	}
-
-	// A wait on a never-registered agent expires with ErrNotFound.
-	if _, err := cli.WaitFor(ctx, "never", 400*time.Millisecond); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }

@@ -3,7 +3,6 @@ package naming
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -81,56 +80,5 @@ func TestZeroTTLNeverExpires(t *testing.T) {
 	now = now.Add(1000 * time.Hour)
 	if _, err := s.Lookup(context.Background(), "a"); err != nil {
 		t.Fatalf("entry expired with TTL disabled: %v", err)
-	}
-}
-
-// flakyResolver fails the first n lookups.
-type flakyResolver struct {
-	svc   *Service
-	fails atomic.Int64
-}
-
-func (f *flakyResolver) Lookup(ctx context.Context, id string) (Record, error) {
-	if f.fails.Add(-1) >= 0 {
-		return Record{}, errors.New("naming: transient")
-	}
-	return f.svc.Lookup(ctx, id)
-}
-
-func TestLookupRetryRidesOutAbsence(t *testing.T) {
-	s := NewService()
-	if err := s.Register("a", Location{Host: "h1"}); err != nil {
-		t.Fatal(err)
-	}
-	fr := &flakyResolver{svc: s}
-	fr.fails.Store(3)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	rec, err := LookupRetry(ctx, fr, "a", RetryConfig{Initial: time.Millisecond, Max: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("LookupRetry: %v", err)
-	}
-	if rec.Loc.Host != "h1" {
-		t.Fatalf("record = %+v", rec)
-	}
-	if fr.fails.Load() >= 0 {
-		t.Fatal("resolver was not retried through its failures")
-	}
-}
-
-func TestLookupRetryHonorsContext(t *testing.T) {
-	s := NewService() // agent never registered
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := LookupRetry(ctx, s, "ghost", RetryConfig{Initial: 5 * time.Millisecond})
-	if err == nil {
-		t.Fatal("lookup of unregistered agent succeeded")
-	}
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want last lookup error (ErrNotFound)", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("retry ran far past context deadline: %v", elapsed)
 	}
 }

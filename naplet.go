@@ -92,8 +92,8 @@ type Config struct {
 	// empty values select ephemeral loopback ports.
 	DockAddr, ControlAddr, DataAddr, MailAddr string
 	// Directory is the shared location service handle (required): a
-	// naming.Local for in-process deployments or a *naming.Client for a
-	// remote naming server.
+	// naming.Local for in-process deployments or a *cluster.Client for a
+	// location service reached over the network.
 	Directory agent.Directory
 	// Registry holds the behaviours this node can run (required; share one
 	// registry across nodes of one process).
@@ -219,11 +219,14 @@ func NewNode(cfg Config) (*Node, error) {
 	if ccfg.Tracer == nil {
 		ccfg.Tracer = tracer
 	}
-	if ccfg.Logf == nil {
-		ccfg.Logf = cfg.Logf
-	}
-	if ccfg.Logf == nil && ccfg.Logger == nil {
-		ccfg.Logf = func(string, ...any) {}
+	if ccfg.Logger == nil {
+		// Logf alone receives every level; with neither set the controller
+		// stays silent instead of falling back to the standard logger.
+		sink, min := cfg.Logf, obs.LevelDebug
+		if sink == nil {
+			sink, min = func(string, ...any) {}, obs.LevelError
+		}
+		ccfg.Logger = obs.NewLogger(sink, min)
 	}
 	ctrl, err := core.NewController(ccfg)
 	if err != nil {
