@@ -6,7 +6,7 @@ GO ?= go
 NETEM_SEED ?= 42
 NETEM_LOSS ?= 0.3
 
-.PHONY: build test vet fmt lint race check integration fuzz-smoke bench bench-smoke chaos-smoke naming-smoke storm-smoke wan-smoke
+.PHONY: build test vet fmt lint race check integration fuzz-smoke bench chaos-smoke naming-smoke storm-smoke wan-smoke
 
 build:
 	$(GO) build ./...
@@ -52,37 +52,37 @@ chaos-smoke:
 # kill-one-shard chaos test under the race detector (a 3x2 cluster with 2%
 # control loss loses a shard leader mid-migration-wave) and the lone-node
 # control-loss test (a 1x1 layout under the same loss: no duplicate or
-# regressed epoch, every op inside its bound), then benchgate
-# reruns the lookup benchmark in short mode and fails if the cached/direct
-# speedup regresses more than 50% against BENCH_naming.json or the hit
-# rate under the migration storm drops below 90%.
+# regressed epoch, every op inside its bound), then the lookup experiment
+# at a reduced population (1000 agents, 1 s windows), which fails if the
+# storm or the epoch piggyback did not run or the hit rate under the
+# migration storm drops below 90%. It compares against no recorded run:
+# lookup speed is the benchmark's business (BENCHMARK.json).
 naming-smoke:
 	$(GO) test ./internal/naming/cluster -run 'TestKillOneShardLeader|TestSingleNodeUnderControlLoss' -race -count=1 -v
-	$(GO) run ./cmd/benchgate -naming-baseline BENCH_naming.json -naming-short
+	$(GO) run ./cmd/repro -quick naming
 
-# storm-smoke is the CI connection-scaling gate: the live storm at a
-# reduced population (10k conns, 1k-conn migration wave), checked against
-# the committed 100k baseline — heap per connection and wave p99 within
-# tolerance, goroutine growth under the O(1) ceiling. The goroutine-leak
-# regression test runs first, under the race detector.
+# storm-smoke is the CI connection-scaling gate: the goroutine-leak
+# regression test under the race detector, then the live storm at a reduced
+# population (10k conns, 1k-conn migration wave), which fails if a swept
+# connection never resumes, the post-wave round trip breaks, or goroutine
+# growth across the population exceeds the O(1) ceiling.
 storm-smoke:
 	$(GO) test ./internal/core -run TestGoroutineCountFlatAcrossConns -race -count=1
-	$(GO) run ./cmd/benchgate -c10k-baseline BENCH_c10k.json -c10k-short
+	$(GO) run ./cmd/repro -quick c10k
 
 # wan-smoke is the CI WAN-robustness gate: the relay rendezvous tests and
 # the NAT'd migration scenario under the race detector (two hosts that
 # cannot dial each other sustain a migrated connection through an
 # untrusted relay), the RTT-adaptive keepalive/backoff regression tests,
-# then benchgate reruns the netem scenario matrix in short mode (metro +
-# intercontinental, 2 breaks) against BENCH_wan.json — any lost resume,
-# false ErrTransportLost, false detector confirm, or false keepalive
-# timeout on a merely-slow path fails the gate.
+# then the netem scenario matrix in short mode (metro + intercontinental,
+# 2 breaks) — any lost resume, false ErrTransportLost, false detector
+# confirm, or false keepalive timeout on a merely-slow path fails the gate.
 wan-smoke:
 	$(GO) test ./internal/relay -race -count=1
 	$(GO) test ./internal/transport -run 'TestRelayFallbackThroughNAT|TestRedialBackoffConfigHonored|TestKeepaliveAdaptsToWANRTT' -race -count=1 -v
 	$(GO) test ./internal/core -run TestMigrationSustainedThroughRelayNAT -race -count=1 -v
 	$(GO) test ./internal/fault -run 'TestRTTHintPreventsFalsePositive|TestSlowPathConfirmedDeadWithoutHint' -race -count=1
-	$(GO) run ./cmd/benchgate -wan -wan-baseline BENCH_wan.json -wan-short
+	$(GO) run ./cmd/repro -quick wanmatrix
 
 # integration runs only the subprocess tests (two-process deployment and
 # crash recovery), uncached.
@@ -98,22 +98,10 @@ fuzz-smoke:
 	$(GO) test ./internal/security -run '^$$' -fuzz '^FuzzOpenRecord$$' -fuzztime 10s
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 
-# bench runs the Figure 9 throughput benchmark (TCP vs NapletSocket per
-# message size).
+# bench runs the repository's one benchmark (BENCHMARK.json): four
+# workloads, each in its own process; see bench/README.md.
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkFig9_Throughput -benchmem .
-
-# bench-smoke is the CI throughput gate: a single-iteration pass over the
-# benchmark (catches panics and pathological slowdowns), then benchgate
-# reruns the Fig 9 workload — cleartext and with the AEAD record layer on —
-# and fails if any NapletSocket/TCP throughput ratio regresses more than
-# 50% against the committed BENCH_fig9.json, or the encrypted ratios fall
-# below the calibrated fraction of the cleartext baseline at 1KB+.
-bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkFig9_Throughput -benchtime 1x .
-	$(GO) run ./cmd/benchgate -baseline BENCH_fig9.json -tolerance 0.5
-	$(GO) run ./cmd/benchgate -baseline BENCH_fig9.json -tolerance 0.5 -encrypted
-	$(GO) run ./cmd/benchgate -wan -wan-baseline BENCH_wan.json
+	$(GO) run ./bench
 
 # check is the gate CI runs: vet, build, and the full suite under the race
 # detector.

@@ -4,20 +4,11 @@
 // costs by priority class and episode mix — plus the analytic overhead
 // model of Figure 13.
 //
-// With -storm it instead runs a live connection storm (not a model): a
-// three-host deployment opens -storm-conns NapletSocket connections, a
-// migration wave sweeps -storm-wave of them to a third host, and the run
-// reports heap per connection, goroutine growth, and per-connection
-// suspend-to-resumed percentiles. -storm-out writes the result as a
-// BENCH_c10k.json baseline for the CI storm gate.
-//
 // Examples:
 //
 //	napletsim -mean-a 500 -ratio 3          # one simulation point
 //	napletsim -sweep                        # the full Figure 12 sweep
 //	napletsim -overhead -lambda 50 -r 5     # one Figure 13 point
-//	napletsim -storm                        # 100k conns, 10k-conn wave
-//	napletsim -storm -storm-conns 10000 -storm-out BENCH_c10k.json
 package main
 
 import (
@@ -38,42 +29,12 @@ var (
 	overhead   = flag.Bool("overhead", false, "evaluate the Figure 13 overhead model")
 	lambda     = flag.Float64("lambda", 10, "message exchange rate for -overhead")
 	rRel       = flag.Float64("r", 1, "relative message exchange rate r = λ/µ for -overhead")
-
-	storm      = flag.Bool("storm", false, "run the live connection storm (C10K scaling scenario)")
-	stormConns = flag.Int("storm-conns", 100_000, "logical connections for -storm")
-	stormWave  = flag.Int("storm-wave", 0, "connections swept by the migration wave (default conns/10)")
-	stormOut   = flag.String("storm-out", "", "write the storm result as a BENCH_c10k.json baseline")
 )
-
-func runStorm() {
-	res, err := experiments.RunC10K(experiments.C10KConfig{
-		Conns: *stormConns,
-		Wave:  *stormWave,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "napletsim: storm: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(res.Summary())
-	growth := res.SteadyGoroutines - res.BaselineGoroutines
-	fmt.Printf("goroutine growth across %d conns: %d (ceiling %d)\n",
-		res.Config.Conns, growth, experiments.MaxC10KGoroutineGrowth)
-	if *stormOut != "" {
-		if err := experiments.WriteBenchC10K(*stormOut, experiments.BenchC10KFrom(res)); err != nil {
-			fmt.Fprintf(os.Stderr, "napletsim: writing %s: %v\n", *stormOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("baseline written to %s\n", *stormOut)
-	}
-}
 
 func main() {
 	flag.Parse()
 	p := model.PaperParams()
 	switch {
-	case *storm:
-		runStorm()
-
 	case *sweep:
 		res := experiments.RunFig12(nil, nil, *migrations, *seed)
 		fmt.Println("Figure 12(a): high-priority agent connection migration cost")

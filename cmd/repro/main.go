@@ -7,7 +7,14 @@
 //	repro [flags] <experiment>...
 //
 // Experiments: table1, suspres, fig7, fig8, fig9, fig10a, fig10b, fig12a,
-// fig12b, fig13, motivation, wan, wanmatrix, ablations, naming, all.
+// fig12b, fig13, motivation, wan, wanmatrix, ablations, naming, c10k, all.
+//
+// wanmatrix, naming and c10k also check the invariants their results must
+// satisfy on any machine (every break resumed with no false loss verdict,
+// the location cache holding its hit rate through the storm, goroutine
+// growth independent of the connection count); repro exits 1 when one is
+// violated. Performance regressions are judged by the benchmark
+// (BENCHMARK.json, `go run ./bench`), not here.
 package main
 
 import (
@@ -23,51 +30,75 @@ import (
 )
 
 var (
-	iters      = flag.Int("iters", 100, "iterations for latency experiments (table1, suspres, fig8)")
-	quick      = flag.Bool("quick", false, "smaller volumes and sweeps for a fast pass")
-	seed       = flag.Int64("seed", 1, "seed for the Section 5 simulations")
-	charts     = flag.Bool("chart", true, "render ASCII charts for the figures")
-	csvDir     = flag.String("csv", "", "directory to write per-figure CSV files into")
-	benchJSON  = flag.String("bench-json", "", "path to BENCH_fig9.json: fig9 refreshes its After series there (Before is preserved)")
-	namingJSON = flag.String("naming-json", "", "path to BENCH_naming.json: naming refreshes the committed baseline there (Note is preserved)")
-	wanJSON    = flag.String("wan-json", "", "path to BENCH_wan.json: wanmatrix refreshes the committed baseline there (Note is preserved)")
+	iters  = flag.Int("iters", 100, "iterations for latency experiments (table1, suspres, fig8)")
+	quick  = flag.Bool("quick", false, "smaller volumes, sweeps and populations for a fast pass")
+	seed   = flag.Int64("seed", 1, "seed for the Section 5 simulations")
+	charts = flag.Bool("chart", true, "render ASCII charts for the figures")
+	csvDir = flag.String("csv", "", "directory to write per-figure CSV files into (created if missing)")
 )
 
-// writeCSV writes one figure's CSV when -csv is set.
-func writeCSV(name, content string) {
+// The three experiments whose results carry invariants, as variables so the
+// test can hand run a result that violates them.
+var (
+	runWANMatrix = experiments.RunWANMatrix
+	runNaming    = experiments.RunNamingBench
+	runC10K      = experiments.RunC10K
+)
+
+// figure prints one figure's table and chart, and writes its CSV when -csv
+// is set.
+func figure(name, table, chart, csv string) error {
+	fmt.Print(table)
+	if *charts {
+		fmt.Print(chart)
+	}
 	if *csvDir == "" {
-		return
+		return nil
 	}
 	path := filepath.Join(*csvDir, name+".csv")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "repro: writing %s: %v\n", path, err)
-		return
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		return err
 	}
 	fmt.Printf("(csv: %s)\n", path)
+	return nil
 }
 
 func main() {
 	flag.Usage = usage
 	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
+	if flag.NArg() == 0 {
 		usage()
 		os.Exit(2)
+	}
+	if err := runAll(flag.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "repro %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// runAll runs the named experiments in order and stops at the first one
+// that fails, whether it could not run, could not write its CSV, or
+// produced a result that violates its invariants.
+func runAll(args []string) error {
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			return fmt.Errorf("-csv: %w", err)
+		}
 	}
 	var list []string
 	for _, a := range args {
 		if a == "all" {
-			list = []string{"table1", "suspres", "fig7", "fig8", "fig9", "fig10a", "fig10b", "fig12a", "fig12b", "fig13", "motivation", "wan", "wanmatrix", "ablations", "naming"}
+			list = []string{"table1", "suspres", "fig7", "fig8", "fig9", "fig10a", "fig10b", "fig12a", "fig12b", "fig13", "motivation", "wan", "wanmatrix", "ablations", "naming", "c10k"}
 			break
 		}
 		list = append(list, strings.ToLower(a))
 	}
 	for _, name := range list {
 		if err := run(name); err != nil {
-			fmt.Fprintf(os.Stderr, "repro %s: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
+	return nil
 }
 
 func usage() {
@@ -89,7 +120,10 @@ experiments:
   wanmatrix resume/detector robustness under the named WAN profiles (lan..lossy-cell)
   ablations design-choice ablations (handoff, control transport, failure-resume)
   naming   sharded location-service lookups under a migration storm (cached vs direct)
+  c10k     connection storm: 100k connections, a 10k-connection migration wave
   all      everything above
+
+wanmatrix, naming and c10k exit 1 when their result violates an invariant.
 
 flags:
 `)
@@ -151,31 +185,15 @@ func run(name string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.Table())
-		if *charts {
-			fmt.Print(res.Chart())
+		if err := figure("fig9", res.Table(), res.Chart(), res.CSV()); err != nil {
+			return err
 		}
-		writeCSV("fig9", res.CSV())
 		fmt.Println("\nwith AES-256-GCM record layer:")
 		enc, err := experiments.RunFig9Encrypted(experiments.DefaultFig9Sizes(), total)
 		if err != nil {
 			return err
 		}
-		fmt.Print(enc.Table())
-		writeCSV("fig9_encrypted", enc.CSV())
-		if *benchJSON != "" {
-			b, err := experiments.LoadBenchFig9(*benchJSON)
-			if err != nil {
-				b = &experiments.BenchFig9{}
-			}
-			b.TotalBytes = total
-			b.After = experiments.BenchPoints(res)
-			b.Encrypted = experiments.BenchPoints(enc)
-			if err := experiments.WriteBenchFig9(*benchJSON, b); err != nil {
-				return fmt.Errorf("writing %s: %w", *benchJSON, err)
-			}
-			fmt.Printf("(bench baseline: %s)\n", *benchJSON)
-		}
+		return figure("fig9_encrypted", enc.Table(), "", enc.CSV())
 
 	case "fig10a":
 		header("Figure 10(a): effective throughput vs migration frequency (single migration)")
@@ -187,11 +205,7 @@ func run(name string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.Table())
-		if *charts {
-			fmt.Print(res.Chart())
-		}
-		writeCSV("fig10a", res.CSV())
+		return figure("fig10a", res.Table(), res.Chart(), res.CSV())
 
 	case "fig10b":
 		header("Figure 10(b): effective throughput vs migration hops")
@@ -203,11 +217,7 @@ func run(name string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.Table())
-		if *charts {
-			fmt.Print(res.Chart())
-		}
-		writeCSV("fig10b", res.CSV())
+		return figure("fig10b", res.Table(), res.Chart(), res.CSV())
 
 	case "fig12a", "fig12b":
 		migrations := 20000
@@ -217,28 +227,15 @@ func run(name string) error {
 		res := experiments.RunFig12(nil, nil, migrations, *seed)
 		if name == "fig12a" {
 			header("Figure 12(a): connection migration cost, high-priority agent")
-			fmt.Print(res.TableHigh())
-			if *charts {
-				fmt.Print(res.ChartHigh())
-			}
-			writeCSV("fig12a", res.CSVHigh())
-		} else {
-			header("Figure 12(b): connection migration cost, low-priority agent")
-			fmt.Print(res.TableLow())
-			if *charts {
-				fmt.Print(res.ChartLow())
-			}
-			writeCSV("fig12b", res.CSVLow())
+			return figure("fig12a", res.TableHigh(), res.ChartHigh(), res.CSVHigh())
 		}
+		header("Figure 12(b): connection migration cost, low-priority agent")
+		return figure("fig12b", res.TableLow(), res.ChartLow(), res.CSVLow())
 
 	case "fig13":
 		header("Figure 13: connection migration overhead vs message exchange rate")
 		res := experiments.RunFig13(nil, nil)
-		fmt.Print(res.Table())
-		if *charts {
-			fmt.Print(res.Chart())
-		}
-		writeCSV("fig13", res.CSV())
+		return figure("fig13", res.Table(), res.Chart(), res.CSV())
 
 	case "wan":
 		header("Emulated-network latencies (paper's absolute regime)")
@@ -255,25 +252,15 @@ func run(name string) error {
 		header("WAN scenario matrix: resume under break/migrate chaos per netem profile")
 		cfg := experiments.WANMatrixConfig{}
 		if *quick {
-			cfg.Profiles = []netem.Profile{netem.ProfileMetro, netem.ProfileContinental}
+			cfg.Profiles = []netem.Profile{netem.ProfileMetro, netem.ProfileIntercontinental}
 			cfg.Breaks = 2
 		}
-		res, err := experiments.RunWANMatrix(cfg)
+		res, err := runWANMatrix(cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Print(res.Table())
-		if *wanJSON != "" {
-			b := experiments.BenchWANFrom(res)
-			old, err := experiments.LoadBenchWAN(*wanJSON)
-			if err == nil {
-				b.Note = old.Note
-			}
-			if err := experiments.WriteBenchWAN(*wanJSON, b); err != nil {
-				return fmt.Errorf("writing %s: %w", *wanJSON, err)
-			}
-			fmt.Printf("(bench baseline: %s)\n", *wanJSON)
-		}
+		return res.Check()
 
 	case "motivation":
 		header("Motivation (Section 1): synchronous transient vs asynchronous persistent")
@@ -310,22 +297,26 @@ func run(name string) error {
 			cfg.Agents = 1000
 			cfg.Duration = time.Second
 		}
-		res, err := experiments.RunNamingBench(cfg)
+		res, err := runNaming(cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Print(res.Table())
-		if *namingJSON != "" {
-			b := experiments.BenchNamingFrom(res)
-			old, err := experiments.LoadBenchNaming(*namingJSON)
-			if err == nil {
-				b.Note = old.Note
-			}
-			if err := experiments.WriteBenchNaming(*namingJSON, b); err != nil {
-				return fmt.Errorf("writing %s: %w", *namingJSON, err)
-			}
-			fmt.Printf("(bench baseline: %s)\n", *namingJSON)
+		return res.Check()
+
+	case "c10k":
+		header("Connection storm: per-connection footprint and a migration wave")
+		cfg := experiments.C10KConfig{}
+		if *quick {
+			cfg.Conns = 10_000
+			cfg.Wave = 1_000
 		}
+		res, err := runC10K(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Println(res.Summary())
+		return res.Check()
 
 	default:
 		return fmt.Errorf("unknown experiment %q", name)

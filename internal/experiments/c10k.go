@@ -92,6 +92,23 @@ func (r *C10KResult) Summary() string {
 		float64(r.WaveP99)/float64(time.Millisecond))
 }
 
+// MaxC10KGoroutineGrowth is the absolute ceiling on goroutine growth
+// between zero connections and the full population. It is a constant, not
+// a ratio against a recorded run: any O(conns) goroutine regression blows
+// through it at a few hundred connections already.
+const MaxC10KGoroutineGrowth = 64
+
+// Check reports a violated scaling invariant. RunC10K itself fails when a
+// swept connection never re-enters ESTABLISHED or the post-wave round trip
+// breaks, so a result in hand needs only the goroutine ceiling checked.
+func (r *C10KResult) Check() error {
+	if growth := r.SteadyGoroutines - r.BaselineGoroutines; growth > MaxC10KGoroutineGrowth {
+		return fmt.Errorf("c10k: goroutine growth %d across %d conns exceeds the O(1) ceiling %d — a per-connection goroutine is back",
+			growth, r.Config.Conns, MaxC10KGoroutineGrowth)
+	}
+	return nil
+}
+
 // stormAgent is one server agent and the client-side endpoints of the
 // connections it carries (the server-side endpoints migrate with it, so
 // only the client side is observed across the wave).

@@ -73,24 +73,3 @@ func TestFig13ChartAndCSV(t *testing.T) {
 		t.Fatalf("csv = %q", csv)
 	}
 }
-
-func TestBenchPairHelpers(t *testing.T) {
-	p, err := NewBenchPair(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.OpenClose(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SuspendResume(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.MigrateClient(); err != nil {
-		t.Fatal(err)
-	}
-	// And again from the other spare host.
-	if err := p.MigrateClient(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -46,9 +46,7 @@ func DefaultFig9Sizes() []int { return []int{1, 10, 100, 1000, 10000, 100000} }
 // fig9Passes is how many times each throughput point is measured; the
 // fastest pass is reported. A single short transfer is dominated by
 // whatever the scheduler and the garbage collector happened to do in its
-// few tens of milliseconds — peak-of-N is the conventional TTCP report and
-// is what makes the committed baseline (and the CI gate built on it)
-// reproducible on a busy machine.
+// few tens of milliseconds — peak-of-N is the conventional TTCP report.
 const fig9Passes = 3
 
 // bestOf runs measure n times and keeps the fastest result.
@@ -71,8 +69,7 @@ func bestOf(n int, measure func() (float64, error)) (float64, error) {
 // a proportionally smaller volume so the tiny-message points stay fast.
 //
 // The NapletSocket side runs with the secure handshake but cleartext data
-// records — the transport the committed BENCH_fig9.json Before/After series
-// were measured over. RunFig9Encrypted measures the AEAD record layer.
+// records. RunFig9Encrypted measures the AEAD record layer.
 func RunFig9(sizes []int, totalBytes int64) (*Fig9Result, error) {
 	return runFig9(sizes, totalBytes, withoutEncryption())
 }

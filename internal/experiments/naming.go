@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -28,8 +29,8 @@ import (
 // the RES piggyback would carry. Lookup workers then hammer the directory
 // through the cache and directly, for Duration each.
 
-// NamingBenchConfig sizes the benchmark; zero values select the committed
-// baseline's configuration (10k agents, 3x2 cluster, 100 migrations/sec).
+// NamingBenchConfig sizes the benchmark; zero values select the full-size
+// configuration (10k agents, 3x2 cluster, 100 migrations/sec).
 type NamingBenchConfig struct {
 	Agents      int           // directory population; default 10000
 	Nodes       int           // cluster processes; default 3
@@ -88,13 +89,34 @@ type NamingBenchResult struct {
 	StormAchieved float64
 }
 
-// Speedup is the cached/direct lookup throughput ratio — the
-// machine-independent number the regression gate compares.
+// Speedup is the cached/direct lookup throughput ratio.
 func (r *NamingBenchResult) Speedup() float64 {
 	if r.DirectPerSec <= 0 {
 		return 0
 	}
 	return r.CachedPerSec / r.DirectPerSec
+}
+
+// MinNamingHitRate is the absolute floor on the storm-era cache hit rate:
+// the piggybacked Advance notifications must keep at least this fraction
+// of lookups off the registry. A cache the storm defeats is a design
+// regression no hardware can excuse.
+const MinNamingHitRate = 0.9
+
+// Check reports a violated invariant: the storm and the epoch piggyback
+// must actually have run, and the cache must have held its hit rate
+// through them.
+func (r *NamingBenchResult) Check() error {
+	switch {
+	case r.StormAchieved <= 0:
+		return errors.New("naming: the storm made no migrations")
+	case r.Advances == 0:
+		return errors.New("naming: the storm produced no cache advances; the piggyback path is dead")
+	case r.HitRate < MinNamingHitRate:
+		return fmt.Errorf("naming: hit rate %.3f under the migration storm is below the %.2f floor",
+			r.HitRate, MinNamingHitRate)
+	}
+	return nil
 }
 
 // Table renders the benchmark summary.

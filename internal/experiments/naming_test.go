@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -8,7 +9,7 @@ import (
 // TestNamingBenchSmoke runs the naming benchmark at a small population
 // and short windows — enough to exercise the cluster bring-up, the
 // registration pool, the storm, and both lookup phases, and to check the
-// properties the full-size gate depends on.
+// invariants `repro naming` exits on.
 func TestNamingBenchSmoke(t *testing.T) {
 	res, err := RunNamingBench(NamingBenchConfig{
 		Agents:    200,
@@ -23,24 +24,29 @@ func TestNamingBenchSmoke(t *testing.T) {
 	if res.CachedPerSec <= 0 || res.DirectPerSec <= 0 {
 		t.Fatalf("empty measurement: %+v", res)
 	}
-	if res.CachedPerSec <= res.DirectPerSec {
-		t.Errorf("cache slower than direct cluster lookups: %.0f/s vs %.0f/s",
-			res.CachedPerSec, res.DirectPerSec)
+	if err := res.Check(); err != nil {
+		t.Error(err)
 	}
-	if res.HitRate < MinNamingHitRate {
-		t.Errorf("storm-era hit rate %.3f below the %.2f floor", res.HitRate, MinNamingHitRate)
-	}
-	if res.Advances == 0 {
-		t.Error("storm produced no cache advances; the piggyback path is dead")
-	}
-	if res.StormAchieved <= 0 {
-		t.Error("storm made no migrations")
-	}
+}
 
-	// The round trip through the committed-baseline form must gate a run
-	// against itself cleanly.
-	b := BenchNamingFrom(res)
-	if report, err := CompareNaming(b, res, 0.5); err != nil {
-		t.Errorf("self-comparison failed: %v\n%s", err, report)
+// TestNamingCheck pins what Check rejects, on synthetic results.
+func TestNamingCheck(t *testing.T) {
+	ok := NamingBenchResult{HitRate: 0.95, Advances: 10, StormAchieved: 50}
+	if err := ok.Check(); err != nil {
+		t.Fatalf("Check(ok) = %v", err)
+	}
+	cases := []struct {
+		name string
+		res  NamingBenchResult
+		want string
+	}{
+		{"no storm", NamingBenchResult{HitRate: 1, Advances: 10}, "no migrations"},
+		{"no piggyback", NamingBenchResult{HitRate: 1, StormAchieved: 50}, "no cache advances"},
+		{"cache defeated", NamingBenchResult{HitRate: 0.89, Advances: 10, StormAchieved: 50}, "hit rate"},
+	}
+	for _, tc := range cases {
+		if err := tc.res.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check() = %v, want mention of %q", tc.name, err, tc.want)
+		}
 	}
 }

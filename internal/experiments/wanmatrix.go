@@ -21,8 +21,8 @@ import (
 // and keepalive probing tightened well below the emulated RTT. What the
 // matrix proves is the negative space: across every profile the resume
 // machinery recovers each break, and neither the keepalive timer nor the
-// failure detector ever fires on a path that is merely slow. The
-// committed BENCH_wan.json baseline is gated by `benchgate -wan`.
+// failure detector ever fires on a path that is merely slow.
+// WANMatrixResult.Check states those invariants.
 
 // WANMatrixConfig sizes one matrix run.
 type WANMatrixConfig struct {
@@ -91,6 +91,30 @@ type WANCell struct {
 // WANMatrixResult is the full matrix.
 type WANMatrixResult struct {
 	Cells []WANCell
+}
+
+// Check reports every violated robustness invariant: each profile must
+// have seen all its breaks and resumed every one, and — since every break
+// stayed inside the resume window on a path that was slow, never dead —
+// recorded no ErrTransportLost, detector confirm or keepalive timeout.
+func (r *WANMatrixResult) Check() error {
+	var errs []error
+	for _, c := range r.Cells {
+		if c.Broken < c.Breaks || c.ResumeRate != 1 {
+			errs = append(errs, fmt.Errorf("%s: %d breaks, %d broken, resume rate %.3f: not every break resumed",
+				c.Profile, c.Breaks, c.Broken, c.ResumeRate))
+		}
+		if c.TransportLost != 0 {
+			errs = append(errs, fmt.Errorf("%s: %d false ErrTransportLost", c.Profile, c.TransportLost))
+		}
+		if c.DetectorConfirms != 0 {
+			errs = append(errs, fmt.Errorf("%s: %d false detector confirms", c.Profile, c.DetectorConfirms))
+		}
+		if c.KeepaliveTimeouts != 0 {
+			errs = append(errs, fmt.Errorf("%s: %d false keepalive timeouts", c.Profile, c.KeepaliveTimeouts))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Table renders the matrix.

@@ -65,11 +65,6 @@ type Config struct {
 	// disables resumption (a broken connection fails streams immediately,
 	// the pre-resumption behaviour).
 	ResumeWindow time.Duration
-	// ResumeLogBudget bounds the unacked reliable-frame bytes retained for
-	// resume replay while a transport is down; exceeding it during an
-	// outage fails the transport rather than buffering without bound.
-	// 0 means the 64 MiB default.
-	ResumeLogBudget int
 	// RedialBackoffBase / RedialBackoffCap bound the jittered exponential
 	// backoff between resume redial attempts; 0 means the 25ms / 2s
 	// defaults. These are floors: on a path whose measured RTT exceeds
@@ -173,9 +168,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.ResumeWindow == 0 {
 		cfg.ResumeWindow = 30 * time.Second
-	}
-	if cfg.ResumeLogBudget <= 0 {
-		cfg.ResumeLogBudget = 64 << 20
 	}
 	if cfg.RedialBackoffBase <= 0 {
 		cfg.RedialBackoffBase = 25 * time.Millisecond

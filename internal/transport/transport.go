@@ -65,6 +65,11 @@ var (
 	ErrTransportLost = errors.New("transport: session lost")
 )
 
+// resumeLogBudget bounds the unacked reliable-frame bytes retained for
+// resume replay while a transport is down; exceeding it during an outage
+// fails the transport rather than buffering without bound.
+const resumeLogBudget = 64 << 20
+
 // muxLogEntry is one unacked reliable frame retained for resume replay.
 // The payload is a pooled copy owned by the log until the frame is acked.
 type muxLogEntry struct {
@@ -465,7 +470,7 @@ func (t *Transport) writeFrameLocked(typ uint8, stream uint64, payload []byte, r
 		if !reliable {
 			return nil, nil
 		}
-		if t.sendLogBytes > t.mgr.cfg.ResumeLogBudget {
+		if t.sendLogBytes > resumeLogBudget {
 			cause := fmt.Errorf("%w: resume log budget exceeded (%d bytes unacked)", ErrTransportLost, t.sendLogBytes)
 			return cause, cause
 		}
