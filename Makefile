@@ -1,11 +1,5 @@
 GO ?= go
 
-# Knobs for the netem fault-model sweep run as part of `test`: the seed and
-# loss probability feed TestLossRateMatchesKnob, so the loss model can be
-# swept (`make test NETEM_SEED=7 NETEM_LOSS=0.15`) without editing code.
-NETEM_SEED ?= 42
-NETEM_LOSS ?= 0.3
-
 .PHONY: build test vet fmt lint race check integration fuzz-smoke bench chaos-smoke naming-smoke storm-smoke wan-smoke
 
 build:
@@ -34,7 +28,7 @@ lint: fmt
 	fi
 
 test:
-	NETEM_SEED=$(NETEM_SEED) NETEM_LOSS=$(NETEM_LOSS) $(GO) test ./...
+	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...

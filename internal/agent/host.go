@@ -73,12 +73,6 @@ type Config struct {
 	// migration to model the cost of shipping agent code and state over a
 	// real network (the paper's T_a-migrate, 220ms on their testbed).
 	MigrationDelay time.Duration
-	// DockDialTimeout bounds the TCP dial to a destination dock when
-	// shipping an agent. Default 10s.
-	DockDialTimeout time.Duration
-	// BundleTimeout bounds the transfer of one migration bundle in either
-	// direction (send and receive). Default 30s.
-	BundleTimeout time.Duration
 	// Journal, when non-nil, receives agent checkpoints (behaviour state
 	// plus epoch, batched atomically with connection state from any
 	// ConnCheckpointer hooks) and feeds Recover after a restart.
@@ -104,22 +98,16 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// maxBundleSize bounds an inbound migration bundle.
-const maxBundleSize = 64 << 20
-
-func (c Config) dockDialTimeout() time.Duration {
-	if c.DockDialTimeout > 0 {
-		return c.DockDialTimeout
-	}
-	return 10 * time.Second
-}
-
-func (c Config) bundleTimeout() time.Duration {
-	if c.BundleTimeout > 0 {
-		return c.BundleTimeout
-	}
-	return 30 * time.Second
-}
+const (
+	// maxBundleSize bounds an inbound migration bundle.
+	maxBundleSize = 64 << 20
+	// dockDialTimeout bounds the TCP dial to a destination dock when
+	// shipping an agent.
+	dockDialTimeout = 10 * time.Second
+	// bundleTimeout bounds the transfer of one migration bundle in either
+	// direction (send and receive).
+	bundleTimeout = 30 * time.Second
+)
 
 // bundle is what travels between docks.
 type bundle struct {
@@ -155,11 +143,6 @@ type Host struct {
 	cfg    Config
 	log    *obs.Logger
 	dockLn net.Listener
-
-	// Timeouts resolved once at construction: the dock accept loop reads
-	// them concurrently with everything else, and re-reading cfg there
-	// would race with tests that tweak cfg fields after NewHost.
-	dockDialTO, bundleTO time.Duration
 
 	// Runtime metrics; nil-safe, so call sites stay unconditional.
 	launches, doneCount, failedCount       *obs.Counter
@@ -197,14 +180,12 @@ func NewHost(cfg Config) (*Host, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &Host{
-		cfg:        cfg,
-		log:        resolveLogger(cfg).With("host", cfg.Name),
-		agents:     make(map[string]*running),
-		ext:        make(map[string]any),
-		rootCtx:    ctx,
-		cancel:     cancel,
-		dockDialTO: cfg.dockDialTimeout(),
-		bundleTO:   cfg.bundleTimeout(),
+		cfg:     cfg,
+		log:     resolveLogger(cfg).With("host", cfg.Name),
+		agents:  make(map[string]*running),
+		ext:     make(map[string]any),
+		rootCtx: ctx,
+		cancel:  cancel,
 	}
 	h.dockLn = ln
 	met := cfg.Metrics
@@ -473,7 +454,7 @@ func (h *Host) migrate(r *running, b Behavior, epoch uint64, destDock string) {
 	bd := bundle{AgentID: r.id, Epoch: epoch + 1, Behavior: b, Blobs: blobs}
 	xfer := root.Child("transfer")
 	xfer.Annotate("dest=" + destDock)
-	if err := sendBundle(destDock, &bd, h.cfg.ClusterSecret, h.dockDialTO, h.bundleTO); err != nil {
+	if err := sendBundle(destDock, &bd, h.cfg.ClusterSecret); err != nil {
 		xfer.Annotate("failed: " + err.Error())
 		xfer.End()
 		h.mu.Lock()
@@ -506,13 +487,13 @@ func dockTag(secret, body []byte) [sha256.Size]byte {
 
 // sendBundle dials a dock and delivers one agent bundle, appending the
 // cluster authentication tag when a secret is configured.
-func sendBundle(dockAddr string, bd *bundle, secret []byte, dialTO, xferTO time.Duration) error {
-	conn, err := net.DialTimeout("tcp", dockAddr, dialTO)
+func sendBundle(dockAddr string, bd *bundle, secret []byte) error {
+	conn, err := net.DialTimeout("tcp", dockAddr, dockDialTimeout)
 	if err != nil {
 		return fmt.Errorf("agent: dialing dock %s: %w", dockAddr, err)
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(xferTO))
+	conn.SetDeadline(time.Now().Add(bundleTimeout))
 
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(bd); err != nil {
@@ -607,7 +588,7 @@ func (h *Host) acceptDocks() {
 // handleDock receives one arriving agent.
 func (h *Host) handleDock(conn net.Conn) {
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(h.bundleTO))
+	conn.SetDeadline(time.Now().Add(bundleTimeout))
 	reply := func(msg string) {
 		var lenb [4]byte
 		binary.BigEndian.PutUint32(lenb[:], uint32(len(msg)))

@@ -74,7 +74,6 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 		c.ControlDropFn = faults.DropFn()
 		c.TransportKeepaliveInterval = 100 * time.Millisecond
 		c.TransportKeepaliveTimeout = 600 * time.Millisecond
-		c.TransportResumeWindow = 30 * time.Second
 		c.OpTimeout = 10 * time.Second
 		r := obs.NewRegistry()
 		regs[c.HostName] = r

@@ -55,7 +55,7 @@ type Observer func(seq uint64, payload []byte, fromBuffer bool)
 
 // Socket is one endpoint of a NapletSocket connection: the agent-oriented,
 // location-independent socket of the paper. It is created by
-// Controller.Open (client side) or ServerSocket.Accept (server side), and
+// Controller.OpenAs (client side) or ServerSocket.Accept (server side), and
 // remains usable across any number of migrations of either agent.
 //
 // Read and Write are safe for one reader and one writer concurrently (plus

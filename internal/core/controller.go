@@ -72,8 +72,8 @@ type Config struct {
 	// Defaults: 5s and 60s.
 	OpTimeout   time.Duration
 	ParkTimeout time.Duration
-	// HandshakeTimeout bounds the per-host-pair transport handshake.
-	// Default 10s.
+	// HandshakeTimeout bounds the per-host-pair transport handshake; zero
+	// picks the transport default.
 	HandshakeTimeout time.Duration
 	// DialData, when non-nil, replaces net.DialTimeout for the shared
 	// transport's kernel connection — tests count calls through it to prove
@@ -95,12 +95,6 @@ type Config struct {
 	// keepalive probing.
 	TransportKeepaliveInterval time.Duration
 	TransportKeepaliveTimeout  time.Duration
-	// TransportResumeWindow bounds how long a broken shared transport
-	// holds its streams stalled while resuming the session in place. Zero
-	// picks the transport default (30s); negative disables resumption so
-	// a broken transport fails streams immediately into the connection-
-	// level recovery path.
-	TransportResumeWindow time.Duration
 	// DisableTransportEncryption keeps the negotiated shared transport's
 	// frames cleartext: the hello advertises no cipher suites,
 	// while the DH exchange, transcript tags, and resume tokens still run
@@ -149,13 +143,6 @@ func (c Config) parkTimeout() time.Duration {
 		return c.ParkTimeout
 	}
 	return 60 * time.Second
-}
-
-func (c Config) handshakeTimeout() time.Duration {
-	if c.HandshakeTimeout > 0 {
-		return c.HandshakeTimeout
-	}
-	return 10 * time.Second
 }
 
 func (c Config) drainTimeout() time.Duration {
@@ -290,13 +277,12 @@ func NewController(cfg Config) (*Controller, error) {
 		Dial:              cfg.DialData,
 		RelayAddr:         cfg.RelayVia,
 		WrapData:          cfg.WrapData,
-		HandshakeTimeout:  cfg.handshakeTimeout(),
+		HandshakeTimeout:  cfg.HandshakeTimeout,
 		Authorize:         ctrl.authorizeHandoff,
 		Deliver:           ctrl.deliverStream,
 		Logf:              ctrl.logf,
 		KeepaliveInterval: cfg.TransportKeepaliveInterval,
 		KeepaliveTimeout:  cfg.TransportKeepaliveTimeout,
-		ResumeWindow:      cfg.TransportResumeWindow,
 		DisableEncryption: cfg.DisableTransportEncryption,
 		Metrics:           cfg.Metrics,
 		Tracer:            cfg.Tracer,
@@ -375,9 +361,6 @@ func (ctrl *Controller) ConnInfos() []Info {
 	return infos
 }
 
-// Metrics returns the controller's registry (nil when not configured).
-func (ctrl *Controller) Metrics() *obs.Registry { return ctrl.obs.met }
-
 // Tracer returns the controller's tracer (nil when not configured); the
 // /tracez debug endpoint reads recent traces through it.
 func (ctrl *Controller) Tracer() *obs.Tracer { return ctrl.obs.tr }
@@ -410,6 +393,20 @@ func (ctrl *Controller) Close() error {
 		err = eerr
 	}
 	return err
+}
+
+// pause sleeps d between two attempts of a retry loop. It returns false,
+// at once, when the controller closes: the loop must give up with ErrClosed
+// instead of sleeping out its backoff against a dead controller.
+func (ctrl *Controller) pause(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctrl.done:
+		return false
+	}
 }
 
 // logf reports a degraded or failed operation: Warn on the leveled logger
@@ -634,17 +631,12 @@ func (ctrl *Controller) transportCounts() (int, int) {
 
 // ---- connection establishment (Sections 2.2 and 3.4) ----
 
-// Open establishes a NapletSocket connection from a resident agent to the
+// OpenAs establishes a NapletSocket connection from a resident agent to the
 // named remote agent, through the controller's proxy service: the agent is
 // authenticated and checked against policy, the target located, a session
 // key agreed, and the data socket delivered by the target's redirector
-// (socket handoff, saving the port-query round trip of Section 3.4).
-func (ctrl *Controller) Open(actx *agent.Context, target string) (*Socket, error) {
-	return ctrl.OpenAs(actx.AgentID(), actx.Credential(), target)
-}
-
-// OpenAs is Open with explicit agent identity, for callers outside a
-// behaviour context (tests, tools).
+// (socket handoff, saving the port-query round trip of Section 3.4). One
+// attempt; Dial retries while the target is launching or migrating.
 func (ctrl *Controller) OpenAs(agentID string, cred [security.CredentialSize]byte, target string) (*Socket, error) {
 	start := time.Now()
 	s, err := ctrl.openAs(agentID, cred, target)
@@ -1115,9 +1107,6 @@ func (ss *ServerSocket) Close() error {
 	return nil
 }
 
-// AgentID returns the owning agent.
-func (ss *ServerSocket) AgentID() string { return ss.agentID }
-
 // openRetry wraps OpenAs with retries for targets that are still launching
 // or mid-migration.
 func (ctrl *Controller) openRetry(agentID string, cred [security.CredentialSize]byte, target string, deadline time.Time) (*Socket, error) {
@@ -1133,7 +1122,9 @@ func (ctrl *Controller) openRetry(agentID string, cred [security.CredentialSize]
 		if !retriable || time.Now().After(deadline) {
 			return nil, err
 		}
-		time.Sleep(backoff)
+		if !ctrl.pause(backoff) {
+			return nil, ErrClosed
+		}
 		if backoff < 200*time.Millisecond {
 			backoff *= 2
 		}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"testing"
 	"time"
+
+	"naplet/internal/obs"
 )
 
 // settledGoroutines samples runtime.NumGoroutine until it reaches target
@@ -77,4 +80,54 @@ func TestGoroutineCountFlatAcrossConns(t *testing.T) {
 			base, after, conns, slack, buf[:n])
 	}
 	t.Logf("goroutines: baseline %d, after %d conns: %d", base, conns, after)
+}
+
+// TestCloseInterruptsRetryingDial: the retry loops of Dial, suspend, resume
+// and SUS_RES sleep between attempts, and a sleep Close cannot interrupt
+// keeps its goroutine (and the caller blocked in it) alive for the rest of
+// the park window. Close must end a Dial that is retrying against an agent
+// nobody registered.
+func TestCloseInterruptsRetryingDial(t *testing.T) {
+	base := settledGoroutines(t, 0)
+	met := obs.NewRegistry()
+	env := newEnv(t, []string{"h1"}, func(c *Config) { c.Metrics = met })
+	h := env.hosts["h1"]
+	env.place("caller", "h1")
+
+	dialed := make(chan error, 1)
+	go func() {
+		_, err := h.ctrl.DialAs("caller", h.cred("caller"), "nobody")
+		dialed <- err
+	}()
+	// Five failed attempts in, the backoff between them is 160 ms and up:
+	// Close all but certainly lands while the dial is asleep.
+	retrying := time.After(10 * time.Second)
+	for met.Snapshot().Counters["conn.open_errors"] < 5 {
+		select {
+		case err := <-dialed:
+			t.Fatalf("dial to an unregistered agent gave up early: %v", err)
+		case <-retrying:
+			t.Fatal("dial never started retrying")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	h.ctrl.Close()
+	closedAt := time.Now()
+	select {
+	case err := <-dialed:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("dial returned %v, want ErrClosed", err)
+		}
+		if late := time.Since(closedAt); late > 50*time.Millisecond {
+			t.Fatalf("dial returned %v after Close", late)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("dial still retrying 5 s after Close")
+	}
+	const slack = 2
+	if after := settledGoroutines(t, base+slack); after > base+slack {
+		buf := make([]byte, 1<<20)
+		n := runtime.Stack(buf, true)
+		t.Fatalf("goroutines grew from %d to %d\n%s", base, after, buf[:n])
+	}
 }

@@ -332,7 +332,9 @@ retry:
 		}
 		if strings.Contains(reply.Reason, reasonRetry) && time.Now().Before(deadline) {
 			cancel()
-			time.Sleep(backoff)
+			if !s.ctrl.pause(backoff) {
+				return ErrClosed
+			}
 			if backoff < 100*time.Millisecond {
 				backoff *= 2
 			}
@@ -449,20 +451,19 @@ func (s *Socket) sendSusRes() error {
 			m.LocEpoch = s.ctrl.locationEpoch(s.localAgent)
 		})
 		cancel()
-		if err != nil {
-			lastErr = err
-			time.Sleep(time.Duration(attempt+1) * 20 * time.Millisecond)
-			continue
+		if err == nil && reply.Verdict == wire.VerdictAck {
+			s.mu.Lock()
+			s.owesSusRes = false
+			s.mu.Unlock()
+			return nil
 		}
-		if reply.Verdict != wire.VerdictAck {
-			lastErr = fmt.Errorf("napletsocket: SUS_RES on %s got %s: %s", s.id, reply.Verdict, reply.Reason)
-			time.Sleep(time.Duration(attempt+1) * 20 * time.Millisecond)
-			continue
+		if err == nil {
+			err = fmt.Errorf("napletsocket: SUS_RES on %s got %s: %s", s.id, reply.Verdict, reply.Reason)
 		}
-		s.mu.Lock()
-		s.owesSusRes = false
-		s.mu.Unlock()
-		return nil
+		lastErr = err
+		if !s.ctrl.pause(time.Duration(attempt+1) * 20 * time.Millisecond) {
+			return ErrClosed
+		}
 	}
 	return lastErr
 }
@@ -592,7 +593,9 @@ func (s *Socket) resumeLocked() error {
 		mgmtStart := time.Now()
 		s.relookupPeer()
 		s.ctrl.obs.resumeBD.Add(metrics.PhaseManagement, time.Since(mgmtStart))
-		time.Sleep(backoff)
+		if !s.ctrl.pause(backoff) {
+			return ErrClosed
+		}
 		if backoff < 200*time.Millisecond {
 			backoff *= 2
 		}

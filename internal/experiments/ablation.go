@@ -8,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"naplet/internal/core"
 	"naplet/internal/metrics"
 	"naplet/internal/rudp"
 )
@@ -62,7 +63,7 @@ func RunAblationHandoff(iters int) (*AblationHandoffResult, error) {
 	}
 	// Without the key exchange: the Diffie-Hellman cost (~ms) would drown
 	// the round trip this ablation is about (~10 µs).
-	d, err := newDeployment([]string{"h1", "h2"}, withInsecure())
+	d, err := newDeployment([]string{"h1", "h2"}, func(_ string, cfg *core.Config) { cfg.Insecure = true })
 	if err != nil {
 		return nil, err
 	}
@@ -270,11 +271,9 @@ func RunAblationFailure(trials int) (*AblationFailureResult, error) {
 }
 
 func failureRecoveryOnce(failureResume bool) (float64, error) {
-	opts := []deployOption{}
-	if !failureResume {
-		opts = append(opts, withNoFailureResume())
-	}
-	d, err := newDeployment([]string{"h1", "h2"}, opts...)
+	d, err := newDeployment([]string{"h1", "h2"}, func(_ string, cfg *core.Config) {
+		cfg.DisableFailureResume = !failureResume
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -310,11 +309,9 @@ func failureRecoveryOnce(failureResume bool) (float64, error) {
 // failureRecoveryProbe reports whether traffic recovered within the window
 // when the extension is configured off.
 func failureRecoveryProbe(failureResume bool, window time.Duration) (bool, error) {
-	opts := []deployOption{}
-	if !failureResume {
-		opts = append(opts, withNoFailureResume())
-	}
-	d, err := newDeployment([]string{"h1", "h2"}, opts...)
+	d, err := newDeployment([]string{"h1", "h2"}, func(_ string, cfg *core.Config) {
+		cfg.DisableFailureResume = !failureResume
+	})
 	if err != nil {
 		return false, err
 	}

@@ -34,9 +34,6 @@ type C10KConfig struct {
 	// ConnsPerAgent groups connections onto server agents; the wave
 	// migrates whole agents, as the docking system does (default 100).
 	ConnsPerAgent int
-	// Workers bounds open/migrate parallelism (default 2*GOMAXPROCS,
-	// minimum 4).
-	Workers int
 }
 
 func (c *C10KConfig) defaults() {
@@ -51,12 +48,6 @@ func (c *C10KConfig) defaults() {
 	}
 	if c.ConnsPerAgent <= 0 {
 		c.ConnsPerAgent = 100
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2 * runtime.GOMAXPROCS(0)
-		if c.Workers < 4 {
-			c.Workers = 4
-		}
 	}
 }
 
@@ -124,7 +115,10 @@ type stormAgent struct {
 // the wave left live, usable sockets behind.
 func RunC10K(cfg C10KConfig) (*C10KResult, error) {
 	cfg.defaults()
-	d, err := newDeployment([]string{"h1", "h2", "h3"}, withInsecure(), withNoFailureResume())
+	d, err := newDeployment([]string{"h1", "h2", "h3"}, func(_ string, cfg *core.Config) {
+		cfg.Insecure = true
+		cfg.DisableFailureResume = true
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +140,8 @@ func RunC10K(cfg C10KConfig) (*C10KResult, error) {
 		errMu   sync.Mutex
 		openErr error
 	)
-	sem := make(chan struct{}, cfg.Workers)
+	// Open/migrate parallelism follows the machine, with a floor of four.
+	sem := make(chan struct{}, max(4, 2*runtime.GOMAXPROCS(0)))
 	remaining := cfg.Conns
 	for i := 0; i < agents; i++ {
 		n := cfg.ConnsPerAgent

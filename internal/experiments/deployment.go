@@ -55,66 +55,14 @@ type deployment struct {
 	migrationDelay time.Duration
 }
 
-type deployOption func(*deployConfig)
-
-type deployConfig struct {
-	insecure        bool
-	noEncryption    bool
-	noFailureResume bool
-	breakdown       *metrics.Breakdown
-	breakdowns      map[string]*metrics.Breakdown
-	migrationDelay  time.Duration
-	// netemDelay applies one-way latency emulation to the data sockets and
-	// the control channel of every host.
-	netemDelay time.Duration
-	// coreHook, when non-nil, adjusts each host's controller config after
-	// the deployment defaults — the escape hatch experiments use for
-	// per-host fault plans, metrics registries, and detector tuning.
-	coreHook func(hostName string, cfg *core.Config)
-}
-
-func withInsecure() deployOption { return func(c *deployConfig) { c.insecure = true } }
-
-// withoutEncryption keeps the secure handshake but negotiates cleartext
-// data records, matching the transport the committed cleartext baselines
-// were measured over.
-func withoutEncryption() deployOption { return func(c *deployConfig) { c.noEncryption = true } }
-
-// withNoFailureResume disables the fault-tolerance extension.
-func withNoFailureResume() deployOption {
-	return func(c *deployConfig) { c.noFailureResume = true }
-}
-
-func withBreakdown(b *metrics.Breakdown) deployOption {
-	return func(c *deployConfig) { c.breakdown = b }
-}
-
-// withBreakdowns installs a separate phase breakdown per host, so client-
-// and server-side contributions to an open can be told apart.
-func withBreakdowns(m map[string]*metrics.Breakdown) deployOption {
-	return func(c *deployConfig) { c.breakdowns = m }
-}
-
-func withMigrationDelay(d time.Duration) deployOption {
-	return func(c *deployConfig) { c.migrationDelay = d }
-}
-
-// withCoreHook lets an experiment mutate each host's controller config
-// after the deployment defaults are applied and before the controller
-// starts.
-func withCoreHook(hook func(hostName string, cfg *core.Config)) deployOption {
-	return func(c *deployConfig) { c.coreHook = hook }
-}
-
-func newDeployment(names []string, opts ...deployOption) (*deployment, error) {
-	var cfg deployConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+// newDeployment starts one controller per name. tune, when non-nil, adjusts
+// each host's controller config after the deployment defaults and before
+// the controller starts: security mode, fault plans, breakdowns, metrics
+// registries, detector tuning.
+func newDeployment(names []string, tune func(hostName string, cfg *core.Config)) (*deployment, error) {
 	d := &deployment{
-		svc:            naming.NewService(),
-		hosts:          make(map[string]*host),
-		migrationDelay: cfg.migrationDelay,
+		svc:   naming.NewService(),
+		hosts: make(map[string]*host),
 	}
 	for _, name := range names {
 		guard, err := security.NewGuard(security.NewStore(security.AllowAgentAll()...))
@@ -122,29 +70,17 @@ func newDeployment(names []string, opts ...deployOption) (*deployment, error) {
 			d.close()
 			return nil, err
 		}
-		bd := cfg.breakdown
-		if cfg.breakdowns != nil {
-			bd = cfg.breakdowns[name]
-		}
 		ccfg := core.Config{
-			HostName:                   name,
-			Guard:                      guard,
-			Locator:                    d.svc,
-			Insecure:                   cfg.insecure,
-			DisableTransportEncryption: cfg.noEncryption,
-			DisableFailureResume:       cfg.noFailureResume,
-			OpenBreakdown:              bd,
-			OpTimeout:                  5 * time.Second,
-			ParkTimeout:                30 * time.Second,
-			DrainTimeout:               5 * time.Second,
-			Logger:                     obs.NewLogger(func(string, ...any) {}, obs.LevelError),
+			HostName:     name,
+			Guard:        guard,
+			Locator:      d.svc,
+			OpTimeout:    5 * time.Second,
+			ParkTimeout:  30 * time.Second,
+			DrainTimeout: 5 * time.Second,
+			Logger:       obs.NewLogger(func(string, ...any) {}, obs.LevelError),
 		}
-		if cfg.netemDelay > 0 {
-			ccfg.WrapData = wrapDelay(cfg.netemDelay)
-			ccfg.ControlSendDelay = cfg.netemDelay
-		}
-		if cfg.coreHook != nil {
-			cfg.coreHook(name, &ccfg)
+		if tune != nil {
+			tune(name, &ccfg)
 		}
 		ctrl, err := core.NewController(ccfg)
 		if err != nil {
@@ -238,7 +174,6 @@ func table(header []string, rows [][]string) string {
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // sortedPhases returns breakdown phases in presentation order with any

@@ -179,11 +179,12 @@ func drain(attach func() (*core.Socket, error), counter *atomic.Int64) {
 // the given per-host service time; when concurrent is set, the receiver
 // agent migrates simultaneously along its own ring.
 func runEffective(hops int, service, migDelay time.Duration, msgSize int, concurrent bool) (float64, error) {
-	d, err := newDeployment([]string{"h1", "h2", "h3", "h4", "h5", "h6"}, withMigrationDelay(migDelay))
+	d, err := newDeployment([]string{"h1", "h2", "h3", "h4", "h5", "h6"}, nil)
 	if err != nil {
 		return 0, err
 	}
 	defer d.close()
+	d.migrationDelay = migDelay
 
 	sender, _, err := d.pair("tx", "h2", "rx", "h1")
 	if err != nil {

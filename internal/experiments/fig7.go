@@ -54,7 +54,7 @@ func RunFig7(total int, interval time.Duration, migrateAt []int) (*Fig7Result, e
 		migrateAt = []int{10, 20, 30}
 	}
 	readDelay := interval * 2
-	d, err := newDeployment([]string{"h1", "h2", "h3", "h4"})
+	d, err := newDeployment([]string{"h1", "h2", "h3", "h4"}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func RunMotivation(iters int) (*MotivationResult, error) {
 	res := &MotivationResult{Iters: iters}
 
 	// Synchronous: one NapletSocket round trip against an echoing peer.
-	d, err := newDeployment([]string{"h1", "h2"})
+	d, err := newDeployment([]string{"h1", "h2"}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -30,30 +30,27 @@ import (
 // through the cache and directly, for Duration each.
 
 // NamingBenchConfig sizes the benchmark; zero values select the full-size
-// configuration (10k agents, 3x2 cluster, 100 migrations/sec).
+// configuration (10k agents, 100 migrations/sec).
 type NamingBenchConfig struct {
-	Agents      int           // directory population; default 10000
-	Nodes       int           // cluster processes; default 3
-	Shards      int           // consistent-hash shards; default 3
-	Replication int           // replicas per shard; default 2
-	StormRate   float64       // migrations/sec during measurement; default 100
-	Duration    time.Duration // per-mode measurement window; default 3s
-	Workers     int           // concurrent lookup workers; default 8
-	Seed        int64         // agent-pick randomness; default 1
+	Agents    int           // directory population; default 10000
+	StormRate float64       // migrations/sec during measurement; default 100
+	Duration  time.Duration // per-mode measurement window; default 3s
+	Workers   int           // concurrent lookup workers; default 8
 }
+
+// The cluster under the benchmark: three node processes serving three
+// consistent-hash shards, two replicas each; namingSeed fixes the agent
+// picks.
+const (
+	namingNodes       = 3
+	namingShards      = 3
+	namingReplication = 2
+	namingSeed        = 1
+)
 
 func (c NamingBenchConfig) withDefaults() NamingBenchConfig {
 	if c.Agents <= 0 {
 		c.Agents = 10000
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 3
-	}
-	if c.Shards <= 0 {
-		c.Shards = 3
-	}
-	if c.Replication <= 0 {
-		c.Replication = 2
 	}
 	if c.StormRate <= 0 {
 		c.StormRate = 100
@@ -63,9 +60,6 @@ func (c NamingBenchConfig) withDefaults() NamingBenchConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -123,7 +117,7 @@ func (r *NamingBenchResult) Check() error {
 func (r *NamingBenchResult) Table() string {
 	rows := [][]string{
 		{"agents", fmt.Sprintf("%d", r.Config.Agents)},
-		{"cluster", fmt.Sprintf("%d nodes, %d shards x%d", r.Config.Nodes, r.Config.Shards, r.Config.Replication)},
+		{"cluster", fmt.Sprintf("%d nodes, %d shards x%d", namingNodes, namingShards, namingReplication)},
 		{"storm (migr/s)", f1(r.StormAchieved)},
 		{"cached lookups/s", f1(r.CachedPerSec)},
 		{"direct lookups/s", f1(r.DirectPerSec)},
@@ -168,16 +162,16 @@ func namingLoc(agent string, epoch uint64) naming.Location {
 // measures both lookup modes.
 func RunNamingBench(cfg NamingBenchConfig) (*NamingBenchResult, error) {
 	cfg = cfg.withDefaults()
-	addrs, err := reserveUDPAddrs(cfg.Nodes)
+	addrs, err := reserveUDPAddrs(namingNodes)
 	if err != nil {
 		return nil, err
 	}
-	layout, err := cluster.BuildLayout(addrs, cfg.Shards, cfg.Replication)
+	layout, err := cluster.BuildLayout(addrs, namingShards, namingReplication)
 	if err != nil {
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	nodes := make([]*cluster.Node, 0, cfg.Nodes)
+	nodes := make([]*cluster.Node, 0, namingNodes)
 	defer func() {
 		for _, n := range nodes {
 			n.Kill()
@@ -265,7 +259,7 @@ func RunNamingBench(cfg NamingBenchConfig) (*NamingBenchResult, error) {
 			if len(own) == 0 {
 				return
 			}
-			rnd := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
+			rnd := rand.New(rand.NewSource(namingSeed + int64(w)*7919))
 			// Absolute-schedule pacing rather than a ticker: when the
 			// lookup workers monopolize the CPU and delay a wakeup, the
 			// storm catches up with a burst instead of silently dropping
@@ -322,7 +316,7 @@ func RunNamingBench(cfg NamingBenchConfig) (*NamingBenchResult, error) {
 					}
 					count.Add(1)
 				}
-			}(cfg.Seed + int64(w) + 1)
+			}(namingSeed + int64(w) + 1)
 		}
 		pwg.Wait()
 		if err, _ := firstErr.Load().(error); err != nil {

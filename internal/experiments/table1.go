@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"naplet/internal/core"
 	"naplet/internal/metrics"
 )
 
@@ -101,11 +102,7 @@ func rawTCPLatency(iters int) (openMs, closeMs float64, err error) {
 // (controller proxy, control handshake, key exchange when secure, socket
 // handoff).
 func napletLatency(iters int, secure bool) (openMs, closeMs float64, err error) {
-	opts := []deployOption{}
-	if !secure {
-		opts = append(opts, withInsecure())
-	}
-	d, err := newDeployment([]string{"h1", "h2"}, opts...)
+	d, err := newDeployment([]string{"h1", "h2"}, func(_ string, cfg *core.Config) { cfg.Insecure = !secure })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -176,7 +173,7 @@ func RunSuspendResume(iters int) (*SuspendResumeResult, error) {
 	if iters <= 0 {
 		iters = 100
 	}
-	d, err := newDeployment([]string{"h1", "h2"})
+	d, err := newDeployment([]string{"h1", "h2"}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -295,13 +292,11 @@ func RunFig8(iters int) (*Fig8Result, error) {
 		// matching the paper's accounting, where "key establishment" covers
 		// both ends.
 		bdClient, bdServer := metrics.NewBreakdown(), metrics.NewBreakdown()
-		opts := []deployOption{withBreakdowns(map[string]*metrics.Breakdown{
-			"h1": bdClient, "h2": bdServer,
-		})}
-		if !sec {
-			opts = append(opts, withInsecure())
-		}
-		d, err := newDeployment([]string{"h1", "h2"}, opts...)
+		breakdowns := map[string]*metrics.Breakdown{"h1": bdClient, "h2": bdServer}
+		d, err := newDeployment([]string{"h1", "h2"}, func(hostName string, cfg *core.Config) {
+			cfg.OpenBreakdown = breakdowns[hostName]
+			cfg.Insecure = !sec
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"naplet/internal/core"
 	"naplet/internal/metrics"
 	"naplet/internal/netem"
 )
@@ -49,7 +50,11 @@ func RunWAN(oneWay time.Duration, iters int) (*WANResult, error) {
 	if iters <= 0 {
 		iters = 20
 	}
-	d, err := newDeployment([]string{"h1", "h2"}, withNetem(oneWay))
+	// One-way latency emulation on every host's data and control plane.
+	d, err := newDeployment([]string{"h1", "h2"}, func(_ string, cfg *core.Config) {
+		cfg.WrapData = func(conn net.Conn) net.Conn { return netem.Delay(conn, oneWay) }
+		cfg.ControlSendDelay = oneWay
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -94,17 +99,4 @@ func RunWAN(oneWay time.Duration, iters int) (*WANResult, error) {
 		ResumeMs:     resS.Mean(),
 		Iters:        iters,
 	}, nil
-}
-
-// withNetem applies one-way latency emulation to every host's data and
-// control plane.
-func withNetem(oneWay time.Duration) deployOption {
-	return func(c *deployConfig) {
-		c.netemDelay = oneWay
-	}
-}
-
-// wrapDelay builds the data-plane wrapper for a deployment.
-func wrapDelay(oneWay time.Duration) func(net.Conn) net.Conn {
-	return func(conn net.Conn) net.Conn { return netem.Delay(conn, oneWay) }
 }

@@ -35,9 +35,10 @@ type WANMatrixConfig struct {
 	// 256 KiB — enough to exceed the credit window, small enough that the
 	// lossy-cell bandwidth cap keeps the leg under a second).
 	ThroughputBytes int64
-	// Seed varies the deterministic jitter/loss schedules (default 1).
-	Seed int64
 }
+
+// wanMatrixSeed fixes the deterministic jitter/loss schedules.
+const wanMatrixSeed = 1
 
 func (c *WANMatrixConfig) setDefaults() {
 	if len(c.Profiles) == 0 {
@@ -48,9 +49,6 @@ func (c *WANMatrixConfig) setDefaults() {
 	}
 	if c.ThroughputBytes <= 0 {
 		c.ThroughputBytes = 256 << 10
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 }
 
@@ -142,7 +140,7 @@ func RunWANMatrix(cfg WANMatrixConfig) (*WANMatrixResult, error) {
 	cfg.setDefaults()
 	res := &WANMatrixResult{}
 	for i, p := range cfg.Profiles {
-		cell, err := runWANProfile(p, cfg.Breaks, cfg.ThroughputBytes, cfg.Seed+int64(i)*7)
+		cell, err := runWANProfile(p, cfg.Breaks, cfg.ThroughputBytes, wanMatrixSeed+int64(i)*7)
 		if err != nil {
 			return nil, fmt.Errorf("profile %s: %w", p.Name, err)
 		}
@@ -204,7 +202,7 @@ func runWANProfile(p netem.Profile, breaks int, volume int64, seed int64) (*WANC
 	taps := make(map[string]*wanTap, len(names))
 	mets := make(map[string]*obs.Registry, len(names))
 	hostIdx := int64(0)
-	d, err := newDeployment(names, withCoreHook(func(hostName string, cfg *core.Config) {
+	d, err := newDeployment(names, func(hostName string, cfg *core.Config) {
 		hostIdx++
 		f := netem.NewFaults(seed + hostIdx)
 		p.Apply(f)
@@ -227,7 +225,7 @@ func runWANProfile(p netem.Profile, breaks int, volume int64, seed int64) (*WANC
 		// Control exchanges pay several emulated round trips plus loss
 		// retransmits; the defaults assume a LAN.
 		cfg.OpTimeout = 20 * time.Second
-	}))
+	})
 	if err != nil {
 		return nil, err
 	}

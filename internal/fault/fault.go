@@ -114,20 +114,12 @@ type Config struct {
 	// MaxBackoff caps the probe backoff while a peer is unresponsive.
 	// Default 8x Interval.
 	MaxBackoff time.Duration
-	// Jitter is the fraction (0..1) by which each probe gap is randomly
-	// perturbed, decorrelating probe storms. Default 0.2.
-	Jitter float64
-	// Window is how many inter-evidence gaps feed the phi estimate.
-	// Default 64.
-	Window int
-	// ProbeTimeout bounds one probe attempt. Default Interval (min 10ms).
-	ProbeTimeout time.Duration
 	// RTTHint, when non-nil, supplies the current worst-path round-trip
 	// estimate (e.g. transport.Manager.MaxRTT). Each probe's timeout is
 	// floored at 4x the hint, so a heartbeat that merely takes a WAN round
 	// trip is never scored as a failure: without this, any path whose RTT
-	// exceeds ProbeTimeout fails every probe and confirms a perfectly
-	// healthy peer as down.
+	// exceeds Interval fails every probe and confirms a perfectly healthy
+	// peer as down.
 	RTTHint func() time.Duration
 	// Probe checks a peer's liveness. Required.
 	Probe Probe
@@ -144,6 +136,16 @@ type Config struct {
 	rand func() float64
 }
 
+const (
+	// probeJitter is the fraction by which each probe gap is randomly
+	// perturbed, decorrelating probe storms.
+	probeJitter = 0.2
+	// gapWindow is how many inter-evidence gaps feed the phi estimate.
+	gapWindow = 64
+	// minProbeTimeout floors one probe attempt's deadline.
+	minProbeTimeout = 10 * time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
@@ -156,18 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 8 * c.Interval
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.2
-	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.Interval
-		if c.ProbeTimeout < 10*time.Millisecond {
-			c.ProbeTimeout = 10 * time.Millisecond
-		}
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -331,7 +321,7 @@ func (d *Detector) evidenceLocked(w *watch) *Event {
 	if gap > 0 {
 		w.gaps = append(w.gaps, gap)
 		w.gapSum += gap
-		if len(w.gaps) > d.cfg.Window {
+		if len(w.gaps) > gapWindow {
 			w.gapSum -= w.gaps[0]
 			w.gaps = w.gaps[1:]
 		}
@@ -391,11 +381,11 @@ func (d *Detector) State(peer string) State {
 	return w.state
 }
 
-// probeTimeout returns the per-probe deadline: the configured ProbeTimeout,
-// floored at 4x the current RTT hint so slow-but-healthy WAN paths get their
-// probe responses awaited rather than scored as failures.
+// probeTimeout returns the per-probe deadline: one probe interval, floored
+// at minProbeTimeout and at 4x the current RTT hint so slow-but-healthy WAN
+// paths get their probe responses awaited rather than scored as failures.
 func (d *Detector) probeTimeout() time.Duration {
-	timeout := d.cfg.ProbeTimeout
+	timeout := max(d.cfg.Interval, minProbeTimeout)
 	if d.cfg.RTTHint != nil {
 		if rtt := d.cfg.RTTHint(); rtt > 0 && 4*rtt > timeout {
 			timeout = 4 * rtt
@@ -490,9 +480,9 @@ func (d *Detector) probeLoop(w *watch) {
 	}
 }
 
-// jittered perturbs d0 by ±Jitter/2, never below a quarter interval.
+// jittered perturbs d0 by ±probeJitter/2, never below a quarter interval.
 func (d *Detector) jittered(d0 time.Duration) time.Duration {
-	f := 1 + d.cfg.Jitter*(d.cfg.rand()-0.5)
+	f := 1 + probeJitter*(d.cfg.rand()-0.5)
 	out := time.Duration(float64(d0) * f)
 	if min := d.cfg.Interval / 4; out < min {
 		out = min

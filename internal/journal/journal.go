@@ -124,16 +124,33 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Options struct {
 	// Sync selects the fsync policy. Default SyncInterval.
 	Sync SyncPolicy
-	// SyncEvery is the flush period under SyncInterval. Default 100ms.
-	SyncEvery time.Duration
 	// Metrics receives journal.* instruments when non-nil.
 	Metrics *obs.Registry
 	// Logger receives replay/compaction events when non-nil.
 	Logger *obs.Logger
 }
 
-// fileName is the journal file inside the journal directory.
-const fileName = "naplet.journal"
+const (
+	// fileName is the journal file inside the journal directory.
+	fileName = "naplet.journal"
+	// syncEvery is the flush period under SyncInterval.
+	syncEvery = 100 * time.Millisecond
+	// maxBatch bounds one batch body; replay treats anything longer as a
+	// corrupt tail.
+	maxBatch = 64 << 20
+	// The file is rewritten down to the live records once it outgrows both
+	// compactFloor and compactRatio times what those records take, so the
+	// rewrite costs O(1) per appended byte and a long-lived journal stays
+	// within a constant factor of its live state.
+	compactFloor = 1 << 20
+	compactRatio = 4
+	// compactChunk is how many payload bytes one batch of the rewritten file
+	// carries (the rename makes the rewrite atomic, not the batch), keeping
+	// every batch far below maxBatch however large the live state.
+	compactChunk = 1 << 20
+	// recordOverhead approximates what gob adds to a record's key and data.
+	recordOverhead = 32
+)
 
 // ErrClosed reports use of a closed journal.
 var ErrClosed = errors.New("journal: closed")
@@ -144,12 +161,15 @@ type Journal struct {
 	dir  string
 	opts Options
 
-	mu     sync.Mutex
-	f      *os.File
-	size   int64 // current file size
-	live   map[Kind]map[string][]byte
-	dirty  bool // appended since last fsync
-	closed bool
+	mu   sync.Mutex
+	f    *os.File
+	size int64 // current file size
+	live map[Kind]map[string][]byte
+	// liveBytes is what the live records would take on disk, give or take
+	// gob's framing: the yardstick size is compacted against.
+	liveBytes int64
+	dirty     bool // appended since last fsync
+	closed    bool
 
 	// replayed is how many records the opening replay recovered.
 	replayed int
@@ -174,9 +194,6 @@ type Journal struct {
 // Open opens (creating if needed) the journal in dir, replays any
 // existing records into the in-memory replica, and truncates a torn tail.
 func Open(dir string, opts Options) (*Journal, error) {
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 100 * time.Millisecond
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: creating %s: %w", dir, err)
 	}
@@ -229,6 +246,9 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if j.replayed > 0 {
 		opts.Logger.Infof("journal: replayed %d records (%d bytes)", j.replayed, j.size)
 	}
+	if err := j.compactIfBloatedLocked(); err != nil {
+		opts.Logger.Warnf("%v", err)
+	}
 
 	if opts.Sync == SyncInterval {
 		j.wg.Add(1)
@@ -253,7 +273,7 @@ func (j *Journal) replay() error {
 		}
 		length := binary.BigEndian.Uint32(hdr[0:4])
 		sum := binary.BigEndian.Uint32(hdr[4:8])
-		if length == 0 || length > 64<<20 {
+		if length == 0 || length > maxBatch {
 			break // implausible length: corrupt tail
 		}
 		body := make([]byte, length)
@@ -293,6 +313,9 @@ func (j *Journal) replay() error {
 // applyLocked folds one record into the replica.
 func (j *Journal) applyLocked(r Record) {
 	m := j.live[r.Kind]
+	if old, ok := m[r.Key]; ok {
+		j.liveBytes -= recordSize(r.Key, old)
+	}
 	if r.Tombstone {
 		delete(m, r.Key)
 		return
@@ -302,6 +325,11 @@ func (j *Journal) applyLocked(r Record) {
 		j.live[r.Kind] = m
 	}
 	m[r.Key] = r.Data
+	j.liveBytes += recordSize(r.Key, r.Data)
+}
+
+func recordSize(key string, data []byte) int64 {
+	return int64(len(key) + len(data) + recordOverhead)
 }
 
 // Put appends a single live record.
@@ -324,14 +352,10 @@ func (j *Journal) Append(recs ...Record) error {
 	for i := range recs {
 		recs[i].When = start
 	}
-	body, err := encodeBatch(recs)
+	frame, err := encodeBatch(recs)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, 8+len(body))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-	copy(frame[8:], body)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -355,16 +379,26 @@ func (j *Journal) Append(recs ...Record) error {
 	}
 	j.ins.appends.Inc()
 	j.ins.records.Add(uint64(len(recs)))
+	// The batch is on disk; a rewrite that fails costs space, not data.
+	if err := j.compactIfBloatedLocked(); err != nil {
+		j.opts.Logger.Warnf("%v", err)
+	}
 	j.ins.appendMS.ObserveDuration(time.Since(start))
 	return nil
 }
 
+// encodeBatch returns recs as one framed batch: length, CRC, gob body.
 func encodeBatch(recs []Record) ([]byte, error) {
 	var buf bytes.Buffer
+	buf.Write(make([]byte, 8))
 	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
 		return nil, fmt.Errorf("journal: encoding batch: %w", err)
 	}
-	return buf.Bytes(), nil
+	frame := buf.Bytes()
+	body := frame[8:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
+	return frame, nil
 }
 
 // Get returns the live record data for (kind, key).
@@ -424,7 +458,8 @@ func (j *Journal) syncLocked() error {
 
 // Compact rewrites the journal to contain exactly the live replica,
 // reclaiming space from superseded records and tombstones. The rewrite
-// goes through a temp file and an atomic rename.
+// goes through a temp file and an atomic rename. Append does this by itself
+// whenever the file outgrows its live records.
 func (j *Journal) Compact() error {
 	if j == nil {
 		return nil
@@ -434,44 +469,31 @@ func (j *Journal) Compact() error {
 	if j.closed {
 		return ErrClosed
 	}
-	var recs []Record
-	now := time.Now()
-	for kind, m := range j.live {
-		for key, data := range m {
-			recs = append(recs, Record{Kind: kind, Key: key, Data: data, When: now})
-		}
+	return j.compactLocked()
+}
+
+func (j *Journal) compactIfBloatedLocked() error {
+	if j.size <= max(compactFloor, compactRatio*j.liveBytes) {
+		return nil
 	}
+	return j.compactLocked()
+}
+
+func (j *Journal) compactLocked() error {
 	path := filepath.Join(j.dir, fileName)
 	tmp := path + ".compact"
 	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: compacting: %w", err)
 	}
-	var size int64
-	if len(recs) > 0 {
-		body, err := encodeBatch(recs)
-		if err != nil {
-			nf.Close()
-			os.Remove(tmp)
-			return err
-		}
-		frame := make([]byte, 8+len(body))
-		binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
-		binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-		copy(frame[8:], body)
-		if _, err := nf.Write(frame); err != nil {
-			nf.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("journal: compacting: %w", err)
-		}
-		size = int64(len(frame))
+	size, n, err := j.writeLiveLocked(nf)
+	if err == nil {
+		err = nf.Sync()
 	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("journal: compacting: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		nf.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("journal: compacting: %w", err)
@@ -482,14 +504,51 @@ func (j *Journal) Compact() error {
 	j.dirty = false
 	old.Close()
 	j.ins.compactions.Inc()
-	j.opts.Logger.Infof("journal: compacted to %d records (%d bytes)", len(recs), size)
+	j.opts.Logger.Infof("journal: compacted to %d records (%d bytes)", n, size)
 	return nil
+}
+
+// writeLiveLocked writes every live record to w in batches of about
+// compactChunk payload bytes, returning the bytes and records written.
+func (j *Journal) writeLiveLocked(w io.Writer) (size int64, n int, err error) {
+	var (
+		recs    []Record
+		pending int64
+		now     = time.Now()
+	)
+	flush := func() error {
+		if len(recs) == 0 {
+			return nil
+		}
+		frame, err := encodeBatch(recs)
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(frame); err != nil {
+			return err
+		}
+		size += int64(len(frame))
+		n += len(recs)
+		recs, pending = recs[:0], 0
+		return nil
+	}
+	for kind, m := range j.live {
+		for key, data := range m {
+			recs = append(recs, Record{Kind: kind, Key: key, Data: data, When: now})
+			if pending += recordSize(key, data); pending >= compactChunk {
+				if err := flush(); err != nil {
+					return size, n, err
+				}
+			}
+		}
+	}
+	return size, n, flush()
 }
 
 // flusher services SyncInterval.
 func (j *Journal) flusher() {
 	defer j.wg.Done()
-	tick := time.NewTicker(j.opts.SyncEvery)
+	tick := time.NewTicker(syncEvery)
 	defer tick.Stop()
 	for {
 		select {

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -174,6 +175,101 @@ func TestCompact(t *testing.T) {
 	}
 	if snap.Counters["journal.appends"] == 0 || snap.Counters["journal.fsyncs"] == 0 {
 		t.Fatalf("journal metrics missing: %v", snap.Counters)
+	}
+}
+
+// A long-lived journal overwrites the same few keys for ever (one
+// checkpoint per lifecycle edge of a connection); nothing but Append runs in
+// production, so Append has to keep the file near its live records.
+func TestAppendKeepsFileBounded(t *testing.T) {
+	dir := t.TempDir()
+	met := obs.NewRegistry()
+	j := open(t, dir, Options{Sync: SyncNever, Metrics: met})
+	path := filepath.Join(dir, fileName)
+	val := make([]byte, 1024)
+	const bound = compactFloor + 2*1024 // the floor plus the batch that crossed it
+	for i := 0; i < 10000; i++ {
+		val[0], val[1] = byte(i), byte(i>>8)
+		if err := j.Put(KindConn, "c", val); err != nil {
+			t.Fatal(err)
+		}
+		if i%500 == 499 {
+			if st, _ := os.Stat(path); st.Size() > bound {
+				t.Fatalf("after %d overwrites of one 1 KiB record the file is %d bytes (bound %d)", i+1, st.Size(), bound)
+			}
+		}
+	}
+	if n := met.Snapshot().Counters["journal.compactions"]; n == 0 {
+		t.Fatal("journal.compactions = 0 after 10 MB of overwrites")
+	}
+	j.Close()
+
+	j2 := open(t, dir, Options{})
+	if got, _ := j2.Get(KindConn, "c"); !bytes.Equal(got, val) {
+		t.Fatalf("latest value lost: % x", got[:2])
+	}
+	j2.Close()
+
+	// A file that was already bloated when the process started (written by
+	// a build that never compacted) is rewritten by Open.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2048; i++ {
+		frame, err := encodeBatch([]Record{{Kind: KindConn, Key: "c", Data: val}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(frame)
+	}
+	f.Close()
+	j3 := open(t, dir, Options{})
+	defer j3.Close()
+	if st, _ := os.Stat(path); st.Size() > bound {
+		t.Fatalf("Open left a %d-byte file for one live 1 KiB record", st.Size())
+	}
+	if got, _ := j3.Get(KindConn, "c"); !bytes.Equal(got, val) {
+		t.Fatal("value lost by the compaction in Open")
+	}
+}
+
+// The rewritten file must replay however large the live state: one batch
+// holding everything would pass maxBatch and read back as a corrupt tail.
+func TestCompactSplitsLiveStateIntoBatches(t *testing.T) {
+	dir := t.TempDir()
+	j := open(t, dir, Options{Sync: SyncNever})
+	const keys = 40
+	for i := 0; i < keys; i++ {
+		if err := j.Put(KindConn, fmt.Sprintf("c%d", i), bytes.Repeat([]byte{byte(i)}, 100<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	raw, err := os.ReadFile(filepath.Join(dir, fileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := 0
+	for len(raw) >= 8 {
+		length := binary.BigEndian.Uint32(raw[:4])
+		if length > 2*compactChunk {
+			t.Fatalf("batch %d is %d bytes; want about %d", batches, length, compactChunk)
+		}
+		raw = raw[8+length:]
+		batches++
+	}
+	if batches < 3 {
+		t.Fatalf("%d batches for 4 MB of live records", batches)
+	}
+	j2 := open(t, dir, Options{})
+	defer j2.Close()
+	if got := len(j2.Entries(KindConn)); got != keys {
+		t.Fatalf("%d of %d records survived compaction", got, keys)
 	}
 }
 

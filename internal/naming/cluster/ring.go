@@ -56,9 +56,6 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Shards returns the shard count.
-func (r *Ring) Shards() int { return r.shards }
-
 // ShardOf maps an agent id to its owning shard: the id hashes to a point
 // on the ring and the next shard point clockwise owns it.
 func (r *Ring) ShardOf(agentID string) int {

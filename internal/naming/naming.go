@@ -37,9 +37,6 @@ type Location struct {
 	MailAddr string
 }
 
-// IsZero reports whether the location is unset.
-func (l Location) IsZero() bool { return l == Location{} }
-
 // Record is a registry entry for one agent.
 type Record struct {
 	AgentID string

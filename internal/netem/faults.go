@@ -105,13 +105,6 @@ func (f *Faults) SetDelay(dir Direction, oneWay, jitter time.Duration) {
 	f.mu.Unlock()
 }
 
-// SetDelayAll sets both directions to the same one-way delay and jitter
-// (a symmetric path with RTT 2×oneWay).
-func (f *Faults) SetDelayAll(oneWay, jitter time.Duration) {
-	f.SetDelay(Up, oneWay, jitter)
-	f.SetDelay(Down, oneWay, jitter)
-}
-
 // SampleDelay draws the next delay for one write in dir from that
 // direction's seeded jitter stream. With the same seed and the same call
 // sequence the schedule replays identically. A direction with no delay

@@ -39,8 +39,8 @@ func TestDropFnSeededDeterminism(t *testing.T) {
 }
 
 // TestLossRateMatchesKnob sweeps the loss model at an environment-chosen
-// operating point: NETEM_SEED and NETEM_LOSS (wired through `make test`)
-// pick the plan, and the observed drop rate over a large sample must sit
+// operating point: NETEM_SEED and NETEM_LOSS (default 42 and 0.3) pick
+// the plan, and the observed drop rate over a large sample must sit
 // within a few points of the configured probability.
 func TestLossRateMatchesKnob(t *testing.T) {
 	seed := int64(42)

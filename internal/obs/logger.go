@@ -84,14 +84,6 @@ func (l *Logger) With(key string, value any) *Logger {
 	}
 }
 
-// Level returns the minimum emitted level.
-func (l *Logger) Level() Level {
-	if l == nil {
-		return LevelError + 1
-	}
-	return l.min
-}
-
 // Enabled reports whether lines at lv would be emitted — the guard for
 // instrumentation that is expensive to format.
 func (l *Logger) Enabled(lv Level) bool {

@@ -17,7 +17,6 @@ package obs
 import (
 	"encoding/json"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -442,31 +441,4 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Gauges[name] = fn()
 	}
 	return snap
-}
-
-// Names returns the sorted names of all registered metrics.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	var names []string
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for n := range s.counts {
-			names = append(names, n)
-		}
-		for n := range s.gauges {
-			names = append(names, n)
-		}
-		for n := range s.funcs {
-			names = append(names, n)
-		}
-		for n := range s.hists {
-			names = append(names, n)
-		}
-		s.mu.Unlock()
-	}
-	sort.Strings(names)
-	return names
 }

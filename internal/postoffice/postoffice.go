@@ -37,8 +37,6 @@ type Message struct {
 
 // Errors returned by the office.
 var (
-	// ErrNoMailbox reports a receive on an agent with no mailbox here.
-	ErrNoMailbox = errors.New("postoffice: no mailbox on this host")
 	// ErrUndeliverable reports that delivery retries were exhausted.
 	ErrUndeliverable = errors.New("postoffice: undeliverable")
 )

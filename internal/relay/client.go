@@ -36,12 +36,17 @@ type ClientConfig struct {
 	Handle func(net.Conn)
 	// Logf logs relay-client events; nil discards.
 	Logf func(format string, args ...any)
-	// DialTimeout bounds each leg's dial + rendezvous; 0 means 10s.
-	DialTimeout time.Duration
-	// RedialBase/RedialCap bound the re-registration backoff after the
-	// registration leg dies; 0 means 250ms / 5s.
-	RedialBase, RedialCap time.Duration
+	// RedialBase is the first re-registration backoff after the
+	// registration leg dies; it doubles up to redialCap. 0 means 250ms.
+	RedialBase time.Duration
 }
+
+const (
+	// legTimeout bounds each leg's dial + rendezvous.
+	legTimeout = 10 * time.Second
+	// redialCap caps the re-registration backoff.
+	redialCap = 5 * time.Second
+)
 
 // NewClient starts a client that keeps (re-)registering with the relay
 // until Close.
@@ -54,14 +59,8 @@ func NewClient(cfg ClientConfig) *Client {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
 	if cfg.RedialBase <= 0 {
 		cfg.RedialBase = 250 * time.Millisecond
-	}
-	if cfg.RedialCap <= 0 {
-		cfg.RedialCap = 5 * time.Second
 	}
 	c := &Client{cfg: cfg, done: make(chan struct{})}
 	c.wg.Add(1)
@@ -114,8 +113,8 @@ func (c *Client) run() {
 			timer.Stop()
 			return
 		}
-		if backoff *= 2; backoff > c.cfg.RedialCap {
-			backoff = c.cfg.RedialCap
+		if backoff *= 2; backoff > redialCap {
+			backoff = redialCap
 		}
 	}
 }
@@ -124,7 +123,7 @@ func (c *Client) run() {
 // leg dies or the client closes. A nil error means the leg was accepted
 // and served for a while; an error means the attempt failed outright.
 func (c *Client) register() error {
-	conn, err := c.cfg.Dial(c.cfg.RelayAddr, c.cfg.DialTimeout)
+	conn, err := c.cfg.Dial(c.cfg.RelayAddr, legTimeout)
 	if err != nil {
 		return err
 	}
@@ -138,7 +137,7 @@ func (c *Client) register() error {
 		case <-stop:
 		}
 	}()
-	conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
+	conn.SetDeadline(time.Now().Add(legTimeout))
 	if err := writeLine(conn, "NR REG "+c.cfg.Advertise); err != nil {
 		conn.Close()
 		return err
@@ -178,12 +177,12 @@ func (c *Client) setRegistered(v bool) {
 // the matched connection handed over as if it had been accepted locally.
 func (c *Client) callIn(token string) {
 	defer c.wg.Done()
-	conn, err := c.cfg.Dial(c.cfg.RelayAddr, c.cfg.DialTimeout)
+	conn, err := c.cfg.Dial(c.cfg.RelayAddr, legTimeout)
 	if err != nil {
 		c.cfg.Logf("relay client: call-in dial failed: %v", err)
 		return
 	}
-	conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
+	conn.SetDeadline(time.Now().Add(legTimeout))
 	if err := writeLine(conn, "NR ACPT "+token); err != nil {
 		conn.Close()
 		return

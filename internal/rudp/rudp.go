@@ -81,11 +81,8 @@ type Handler func(from *net.UDPAddr, req []byte) (resp []byte)
 type Config struct {
 	// RetransmitInterval is the initial gap between retransmissions of an
 	// unacknowledged request; it doubles after every retry, capped at
-	// BackoffCap. Default 20ms.
+	// backoffCapFactor times itself. Default 20ms.
 	RetransmitInterval time.Duration
-	// BackoffCap caps the retransmission interval as it doubles.
-	// Default 8x RetransmitInterval.
-	BackoffCap time.Duration
 	// Jitter is the fraction (0..1) by which each retransmission gap is
 	// randomly perturbed, so retries from many connections decorrelate
 	// instead of arriving in synchronized bursts. Default 0.1; negative
@@ -95,9 +92,6 @@ type Config struct {
 	// attempted before the request fails with an UnreachableError
 	// (matching ErrPeerUnreachable and ErrTimeout). Default 10.
 	MaxRetries int
-	// ResponseCacheTTL is how long a computed response is retained to answer
-	// duplicate requests. Default 30s.
-	ResponseCacheTTL time.Duration
 	// DropFn, when non-nil, is consulted for every outgoing packet; a true
 	// return discards the packet instead of sending it. It exists for
 	// fault-injection tests and is never set in production.
@@ -115,12 +109,18 @@ type Config struct {
 	rng func() float64
 }
 
+const (
+	// backoffCapFactor caps the doubling retransmission interval at this
+	// multiple of RetransmitInterval.
+	backoffCapFactor = 8
+	// responseCacheTTL is how long a computed response is retained to
+	// answer duplicate requests.
+	responseCacheTTL = 30 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.RetransmitInterval <= 0 {
 		c.RetransmitInterval = 20 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 8 * c.RetransmitInterval
 	}
 	if c.Jitter == 0 {
 		c.Jitter = 0.1
@@ -130,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 10
-	}
-	if c.ResponseCacheTTL <= 0 {
-		c.ResponseCacheTTL = 30 * time.Second
 	}
 	if c.rng == nil {
 		c.rng = rand.Float64
@@ -286,6 +283,7 @@ func (e *Endpoint) Request(ctx context.Context, raddr string, payload []byte) ([
 	e.stats.requestsSent.Add(1)
 
 	interval := e.cfg.RetransmitInterval
+	backoffCap := backoffCapFactor * interval
 	timer := e.clk.NewTimer(e.jittered(interval))
 	defer timer.Stop()
 	for attempt := 0; ; {
@@ -305,12 +303,7 @@ func (e *Endpoint) Request(ctx context.Context, raddr string, payload []byte) ([
 				return nil, err
 			}
 			e.stats.retransmits.Add(1)
-			if interval < e.cfg.BackoffCap {
-				interval *= 2
-				if interval > e.cfg.BackoffCap {
-					interval = e.cfg.BackoffCap
-				}
-			}
+			interval = min(2*interval, backoffCap)
 			timer.Reset(e.jittered(interval))
 		}
 	}
@@ -462,7 +455,7 @@ func (e *Endpoint) handleResponse(id uint64, payload []byte) {
 // janitor evicts expired response-cache entries.
 func (e *Endpoint) janitor() {
 	defer e.wg.Done()
-	tick := time.NewTicker(e.cfg.ResponseCacheTTL / 2)
+	tick := time.NewTicker(responseCacheTTL / 2)
 	defer tick.Stop()
 	for {
 		select {
@@ -473,7 +466,7 @@ func (e *Endpoint) janitor() {
 			for k, ent := range e.cache {
 				select {
 				case <-ent.done:
-					if now.Sub(ent.when) > e.cfg.ResponseCacheTTL {
+					if now.Sub(ent.when) > responseCacheTTL {
 						delete(e.cache, k)
 					}
 				default:

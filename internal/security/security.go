@@ -149,13 +149,6 @@ func NewStore(rules ...Rule) *Store {
 	return s
 }
 
-// AddRule appends a rule to the store.
-func (s *Store) AddRule(r Rule) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rules = append(s.rules, r)
-}
-
 // Grants implements Policy. Evaluation order: the hard invariant (agents
 // never get raw sockets), then explicit deny rules, then explicit allow
 // rules, then kind defaults (system/admin allowed, agents denied).

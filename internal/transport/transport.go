@@ -204,9 +204,6 @@ func (t *Transport) ID() wire.ConnID { return t.id }
 // connection session keys are derived from it bound to the connection id.
 func (t *Transport) Secret() []byte { return t.secret }
 
-// PeerHost returns the host name the peer advertised.
-func (t *Transport) PeerHost() string { return t.peerHost }
-
 func (t *Transport) alive() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()

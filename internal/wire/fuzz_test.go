@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -12,28 +13,109 @@ import (
 // an equivalent value. Run longer with `go test -fuzz=FuzzDecodeControlMsg
 // ./internal/wire`; in normal test runs the seed corpus executes.
 
+// frameErrClass folds a frame decoder's terminal error into what the two
+// decoders must agree on: a clean end, a truncated frame, or a bad header.
+func frameErrClass(err error) string {
+	switch {
+	case err == io.EOF:
+		return "eof"
+	case err == io.ErrUnexpectedEOF:
+		return "truncated"
+	case errors.Is(err, ErrBadFrame):
+		return "bad frame"
+	}
+	return err.Error()
+}
+
+// FuzzReadFrame is differential: ReadFrame, the reference decoder, reads
+// data in one piece; FrameDecoder, the one on the wire, gets the same bytes
+// through a source that releases them in the chunk sizes the fuzzer picks.
+// Both must yield the same frames and the same kind of ending, and every
+// payload buffer the decoder drew from the pool must find its way back.
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
 	WriteFrame(&good, Frame{Seq: 7, Flags: FlagData, Payload: []byte("seed")})
-	f.Add(good.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0x4e, 0x53, 1, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := ReadFrame(bytes.NewReader(data))
-		if err != nil {
-			return
+	f.Add(good.Bytes(), []byte{})
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0x4e, 0x53, 1, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0xff, 0xff, 0xff, 0xff}, []byte{0})
+	var several bytes.Buffer
+	fw := NewFrameWriter(&several, 1)
+	for _, n := range []int{0, 1, 17, 3000} {
+		fw.WriteData(bytes.Repeat([]byte{byte(n)}, n))
+	}
+	fw.WriteFlush()
+	f.Add(several.Bytes(), []byte{0, 2, 15, 16, 255})                  // chopped mid-header and mid-payload
+	f.Add(several.Bytes()[:several.Len()-5], []byte{40})               // ends inside a payload
+	f.Add(append(several.Bytes(), good.Bytes()[:7]...), []byte{99, 1}) // ends inside a header
+	f.Fuzz(func(t *testing.T, data, chunks []byte) {
+		var want []Frame
+		var wantErr error
+		for r := bytes.NewReader(data); wantErr == nil; {
+			var fr Frame
+			if fr, wantErr = ReadFrame(r); wantErr == nil {
+				want = append(want, fr)
+			}
 		}
-		// Re-encode and re-decode: must round-trip.
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, fr); err != nil {
-			t.Fatalf("accepted frame failed to encode: %v", err)
+
+		hits0, misses0 := PoolStats()
+		returns0 := PoolReturns()
+		src := &trickleSource{buf: data}
+		var dec FrameDecoder
+		var got []Frame
+		var gotErr error
+		for gotErr == nil {
+			fr, ok, err := dec.Next(src)
+			switch {
+			case err != nil:
+				gotErr = err
+			case ok:
+				got = append(got, fr)
+			case len(src.buf) > 0:
+				// The source ran dry: release the next chunk, 1..256 bytes,
+				// or everything once the fuzzer's list is used up.
+				src.avail = len(src.buf)
+				if len(chunks) > 0 {
+					src.avail = min(src.avail, int(chunks[0])+1)
+					chunks = chunks[1:]
+				}
+			case dec.Partial():
+				gotErr = io.ErrUnexpectedEOF
+			default:
+				gotErr = io.EOF
+			}
 		}
-		fr2, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		dec.Release()
+
+		if frameErrClass(gotErr) != frameErrClass(wantErr) {
+			t.Fatalf("FrameDecoder ended with %v, ReadFrame with %v", gotErr, wantErr)
 		}
-		if fr2.Seq != fr.Seq || fr2.Flags != fr.Flags || !bytes.Equal(fr2.Payload, fr.Payload) {
-			t.Fatal("frame round-trip mismatch")
+		if len(got) != len(want) {
+			t.Fatalf("FrameDecoder yielded %d frames, ReadFrame %d", len(got), len(want))
+		}
+		for i, fr := range want {
+			if got[i].Seq != fr.Seq || got[i].Flags != fr.Flags || !bytes.Equal(got[i].Payload, fr.Payload) {
+				t.Fatalf("frame %d: FrameDecoder seq %d flags %#x len %d, ReadFrame seq %d flags %#x len %d", i,
+					got[i].Seq, got[i].Flags, len(got[i].Payload), fr.Seq, fr.Flags, len(fr.Payload))
+			}
+			if got[i].Payload != nil {
+				PutPayload(got[i].Payload)
+			}
+			// Re-encode and re-decode: must round-trip.
+			var buf bytes.Buffer
+			if err := WriteFrame(&buf, fr); err != nil {
+				t.Fatalf("accepted frame failed to encode: %v", err)
+			}
+			fr2, err := ReadFrame(&buf)
+			if err != nil {
+				t.Fatalf("re-decode failed: %v", err)
+			}
+			if fr2.Seq != fr.Seq || fr2.Flags != fr.Flags || !bytes.Equal(fr2.Payload, fr.Payload) {
+				t.Fatal("frame round-trip mismatch")
+			}
+		}
+		hits, misses := PoolStats()
+		if drawn, returned := (hits-hits0)+(misses-misses0), PoolReturns()-returns0; drawn != returned {
+			t.Fatalf("FrameDecoder drew %d payload buffers from the pool and %d came back", drawn, returned)
 		}
 	})
 }

@@ -84,7 +84,11 @@ const (
 	extOffice     = "napletsocket.postoffice"
 )
 
-// Config tunes a Node beyond the defaults.
+// Config tunes a Node beyond the defaults. Values that concern the whole
+// node — Insecure, HeartbeatInterval, Logger, Metrics, Tracer, the journal —
+// are set here and nowhere else: NewNode writes them into every layer's
+// config, the controller's included, so the same fields of Core are
+// overwritten.
 type Config struct {
 	// Name is the host name (required).
 	Name string
@@ -106,12 +110,6 @@ type Config struct {
 	// MigrationDelay models agent code+state transfer cost (the paper's
 	// T_a-migrate); zero means real transfer time only.
 	MigrationDelay time.Duration
-	// DockDialTimeout bounds the TCP dial to a destination dock when
-	// shipping an agent. Zero selects the default (10s).
-	DockDialTimeout time.Duration
-	// BundleTimeout bounds the transfer of one migration bundle in either
-	// direction. Zero selects the default (30s).
-	BundleTimeout time.Duration
 	// ClusterSecret authenticates the docking channel between the
 	// deployment's hosts (see agent.Config.ClusterSecret).
 	ClusterSecret []byte
@@ -128,7 +126,7 @@ type Config struct {
 	// policy only matters for whole-machine failures.
 	JournalSync string
 	// HeartbeatInterval, when positive, enables the phi-accrual peer
-	// failure detector on the controller (see core.Config).
+	// failure detector on the controller, probing at this interval.
 	HeartbeatInterval time.Duration
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
@@ -146,7 +144,8 @@ type Config struct {
 	// cross-host context propagation) for the /tracez debug view. Nil
 	// auto-creates one per node; tracing is cheap and always on.
 	Tracer *obs.Tracer
-	// Core tunes the NapletSocket controller timeouts (optional).
+	// Core carries controller-only tuning: operation timeouts, transport
+	// encryption, the relay (optional).
 	Core core.Config
 }
 
@@ -158,7 +157,6 @@ type Node struct {
 	ctrl    *core.Controller
 	office  *postoffice.Office
 	guard   *security.Guard
-	metrics *obs.Registry
 	journal *journal.Journal
 }
 
@@ -204,21 +202,11 @@ func NewNode(cfg Config) (*Node, error) {
 	ccfg.Guard = guard
 	ccfg.Locator = cfg.Directory
 	ccfg.Insecure = cfg.Insecure
-	if ccfg.Journal == nil {
-		ccfg.Journal = jnl
-	}
-	if ccfg.HeartbeatInterval == 0 {
-		ccfg.HeartbeatInterval = cfg.HeartbeatInterval
-	}
-	if ccfg.Logger == nil {
-		ccfg.Logger = cfg.Logger
-	}
-	if ccfg.Metrics == nil {
-		ccfg.Metrics = cfg.Metrics
-	}
-	if ccfg.Tracer == nil {
-		ccfg.Tracer = tracer
-	}
+	ccfg.Journal = jnl
+	ccfg.HeartbeatInterval = cfg.HeartbeatInterval
+	ccfg.Logger = cfg.Logger
+	ccfg.Metrics = cfg.Metrics
+	ccfg.Tracer = tracer
 	if ccfg.Logger == nil {
 		// Logf alone receives every level; with neither set the controller
 		// stays silent instead of falling back to the standard logger.
@@ -251,23 +239,21 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 
 	hcfg := agent.Config{
-		Name:            cfg.Name,
-		DockAddr:        cfg.DockAddr,
-		ControlAddr:     ctrl.ControlAddr(),
-		DataAddr:        ctrl.DataAddr(),
-		MailAddr:        mailAddr,
-		Directory:       cfg.Directory,
-		Registry:        cfg.Registry,
-		Guard:           guard,
-		MigrationDelay:  cfg.MigrationDelay,
-		DockDialTimeout: cfg.DockDialTimeout,
-		BundleTimeout:   cfg.BundleTimeout,
-		ClusterSecret:   cfg.ClusterSecret,
-		Logf:            cfg.Logf,
-		Logger:          cfg.Logger,
-		Metrics:         cfg.Metrics,
-		Tracer:          ccfg.Tracer,
-		Journal:         jnl,
+		Name:           cfg.Name,
+		DockAddr:       cfg.DockAddr,
+		ControlAddr:    ctrl.ControlAddr(),
+		DataAddr:       ctrl.DataAddr(),
+		MailAddr:       mailAddr,
+		Directory:      cfg.Directory,
+		Registry:       cfg.Registry,
+		Guard:          guard,
+		MigrationDelay: cfg.MigrationDelay,
+		ClusterSecret:  cfg.ClusterSecret,
+		Logf:           cfg.Logf,
+		Logger:         cfg.Logger,
+		Metrics:        cfg.Metrics,
+		Tracer:         tracer,
+		Journal:        jnl,
 	}
 	host, err := agent.NewHost(hcfg)
 	if err != nil {
@@ -286,7 +272,7 @@ func NewNode(cfg Config) (*Node, error) {
 		host.AddHook(office)
 		host.SetExtension(extOffice, office)
 	}
-	return &Node{host: host, ctrl: ctrl, office: office, guard: guard, metrics: cfg.Metrics, journal: jnl}, nil
+	return &Node{host: host, ctrl: ctrl, office: office, guard: guard, journal: jnl}, nil
 }
 
 // Name returns the node's host name.
@@ -295,14 +281,8 @@ func (n *Node) Name() string { return n.host.Name() }
 // DockAddr returns the address other nodes' agents migrate to.
 func (n *Node) DockAddr() string { return n.host.DockAddr() }
 
-// Host exposes the underlying agent server.
-func (n *Node) Host() *agent.Host { return n.host }
-
 // Controller exposes the underlying NapletSocket controller.
 func (n *Node) Controller() *core.Controller { return n.ctrl }
-
-// Metrics returns the node's registry (nil when not configured).
-func (n *Node) Metrics() *obs.Registry { return n.metrics }
 
 // Tracer returns the node's migration/connection tracer.
 func (n *Node) Tracer() *obs.Tracer { return n.ctrl.Tracer() }
@@ -369,12 +349,6 @@ func WithMigrationDelay(d time.Duration) NetworkOption {
 	return func(c *Config) { c.MigrationDelay = d }
 }
 
-// WithClusterSecret authenticates the docking channel across the network's
-// nodes.
-func WithClusterSecret(secret []byte) NetworkOption {
-	return func(c *Config) { c.ClusterSecret = secret }
-}
-
 // WithLogf routes node diagnostics.
 func WithLogf(logf func(string, ...any)) NetworkOption {
 	return func(c *Config) { c.Logf = logf }
@@ -382,12 +356,6 @@ func WithLogf(logf func(string, ...any)) NetworkOption {
 
 // WithCore tunes controller timeouts on every node.
 func WithCore(cc core.Config) NetworkOption { return func(c *Config) { c.Core = cc } }
-
-// WithHeartbeat enables the phi-accrual peer failure detector on every
-// node, probing at the given interval.
-func WithHeartbeat(interval time.Duration) NetworkOption {
-	return func(c *Config) { c.HeartbeatInterval = interval }
-}
 
 // NewNetwork creates an empty in-process network.
 func NewNetwork(opts ...NetworkOption) *Network {
@@ -414,18 +382,23 @@ func (nw *Network) AddHost(name string) (*Node, error) {
 		nw.mu.Unlock()
 		return nil, errors.New("naplet: host " + name + " already exists")
 	}
+	// A nil entry reserves the name while NewNode runs unlocked, so a
+	// concurrent AddHost of the same name is the duplicate, not a second
+	// node that overwrites this one and leaves it unclosed.
+	nw.nodes[name] = nil
 	nw.mu.Unlock()
 	cfg := nw.defaults
 	cfg.Name = name
 	cfg.Directory = naming.Local{Svc: nw.Service}
 	cfg.Registry = nw.Registry
 	node, err := NewNode(cfg)
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
 	if err != nil {
+		delete(nw.nodes, name)
 		return nil, err
 	}
-	nw.mu.Lock()
 	nw.nodes[name] = node
-	nw.mu.Unlock()
 	return node, nil
 }
 
@@ -466,7 +439,9 @@ func (nw *Network) Close() error {
 	nw.mu.Lock()
 	nodes := make([]*Node, 0, len(nw.nodes))
 	for _, n := range nw.nodes {
-		nodes = append(nodes, n)
+		if n != nil { // nil: an AddHost still in NewNode
+			nodes = append(nodes, n)
+		}
 	}
 	nw.mu.Unlock()
 	var first error
@@ -519,15 +494,6 @@ func Attach(ctx *Context, id ConnID) (*Socket, error) {
 		return nil, err
 	}
 	return ctrl.AgentSocket(ctx.AgentID(), id)
-}
-
-// Sockets lists the calling agent's resident connections.
-func Sockets(ctx *Context) ([]*Socket, error) {
-	ctrl, err := controllerOf(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ctrl.AgentSockets(ctx.AgentID()), nil
 }
 
 // MailboxOf opens (or returns) the calling agent's PostOffice mailbox.

@@ -421,3 +421,29 @@ func TestDuplicateHostNameRejected(t *testing.T) {
 		t.Fatal("DockOf for unknown host returned an address")
 	}
 }
+
+// Two AddHost calls racing for one name: exactly one may win, or the
+// loser's node (four listeners) is overwritten in the table and never closed.
+func TestConcurrentAddHostAdmitsOne(t *testing.T) {
+	nw := newNet(t, nil)
+	for round := 0; round < 4; round++ {
+		name := fmt.Sprintf("h%d", round)
+		start := make(chan struct{})
+		errs := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				<-start
+				_, err := nw.AddHost(name)
+				errs <- err
+			}()
+		}
+		close(start)
+		first, second := <-errs, <-errs
+		if (first == nil) == (second == nil) {
+			t.Fatalf("round %d: AddHost(%q) twice at once: errors %v and %v, want exactly one", round, name, first, second)
+		}
+		if nw.Node(name) == nil {
+			t.Fatalf("round %d: winner not in the table", round)
+		}
+	}
+}
