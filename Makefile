@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt lint race check integration fuzz-smoke bench chaos-smoke naming-smoke storm-smoke wan-smoke
+.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small chaos-smoke naming-smoke storm-smoke wan-smoke
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,16 @@ fuzz-smoke:
 # workloads, each in its own process; see bench/README.md.
 bench:
 	$(GO) run ./bench
+
+# profile-small profiles the small-message steady state — the driver is the
+# tier-1 budget test TestSmallMessageSteadyState, 100 B messages through a
+# connected pair on cleartext records — and prints the top of the CPU
+# profile. Binary and profile stay under .bench_build/ (ignored).
+profile-small:
+	mkdir -p .bench_build/profile-small
+	$(GO) test ./internal/core -run '^TestSmallMessageSteadyState$$' -count=30 \
+		-o .bench_build/profile-small/core.test -cpuprofile .bench_build/profile-small/cpu.out
+	$(GO) tool pprof -top -nodecount=20 .bench_build/profile-small/core.test .bench_build/profile-small/cpu.out
 
 # check is the gate CI runs: vet, build, and the full suite under the race
 # detector.

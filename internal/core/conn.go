@@ -33,12 +33,32 @@ var (
 	ErrMigrated = errors.New("napletsocket: connection migrated with its agent; re-attach via AgentSocket")
 )
 
-// bufEntry is one frame held in the receive buffer or send log.
+// segment is a run of whole encoded frames — header, payload, header,
+// payload… — in one pooled buffer: the only form in which a connection holds
+// data, on either side. It is what a wire.FrameWriter produces and what the
+// peer's stream delivers, so a message is encoded once, copied once per side
+// (into the sender's segment, out of the receiver's), and a buffer is drawn
+// from the pool per few hundred small messages, not per message. Whoever
+// drops the last reference to buf returns it with wire.PutPayload; cap(buf)
+// is what the segment is charged against maxSendLog / maxRecvBuffer.
+type segment struct {
+	buf []byte
+	// Send log: buf holds exactly the data frames first..last.
+	first, last uint64
+	// Receive buffer: off is where the first frame not yet fully read
+	// starts, and via marks a segment that crossed a suspend or a
+	// migration in the buffer (the light dots of Figure 7).
+	off int
+	via bool
+}
+
+// bufEntry is one frame of connState's gob form, the checkpoint and
+// migration format; segments convert to and from it in hook.go.
 type bufEntry struct {
 	Seq     uint64
 	Payload []byte
 	// ViaBuffer marks receive-buffer entries that crossed a migration in
-	// the buffer (the light dots of Figure 7).
+	// the buffer.
 	ViaBuffer bool
 }
 
@@ -46,11 +66,11 @@ type bufEntry struct {
 // application, for the Figure 7 instrumentation. fromBuffer is true when
 // the message was served from the migrated NapletInputStream buffer.
 //
-// The payload slice may come from the data plane's buffer pool and be
-// recycled as soon as the callback returns: observers must copy anything
-// they keep. A message partially read by stream Read whose tail then
-// crosses a migration or crash restore produces one extra callback for the
-// remainder (same seq, fromBuffer=true) when the tail is finally served.
+// The payload slice lies inside a pooled segment that is recycled once read
+// out: observers must copy anything they keep. A message partially read by
+// stream Read whose tail then crosses a migration or crash restore produces
+// one extra callback for the remainder (same seq, fromBuffer=true) when the
+// tail is finally served.
 type Observer func(seq uint64, payload []byte, fromBuffer bool)
 
 // Socket is one endpoint of a NapletSocket connection: the agent-oriented,
@@ -78,13 +98,13 @@ type Socket struct {
 	// drainMu makes drainAndClose single-entry: a second caller blocks
 	// until the first teardown finishes, then sees the socket gone.
 	drainMu sync.Mutex
-	// writeMu serializes frame writes (application data, retransmits, and
-	// the pre-suspend flush).
+	// writeMu orders what goes onto the data stream: application frames,
+	// retransmits, and the pre-suspend flush marker.
 	writeMu sync.Mutex
-	// flushMu serializes the actual stream writes of coalesced batches. A
-	// flush pass detaches a batch under writeMu but performs the write
-	// under flushMu only, so writers keep encoding frames while a flush is
-	// in flight. Lock order: writeMu, then flushMu; never while holding mu.
+	// flushMu is held across every stream write of send-log bytes. A flush
+	// pass cuts a batch under writeMu but writes it under flushMu only, so
+	// writers keep encoding frames while a flush is in flight. Lock order:
+	// writeMu, then flushMu, then mu.
 	flushMu sync.Mutex
 
 	// mu guards everything below; cond is signalled on any change readers,
@@ -92,18 +112,16 @@ type Socket struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	// sock is the installed data stream and fw its frame writer; both nil
-	// while the connection is suspended. The stream's readable/writable
-	// callbacks enqueue the socket on the controller's shared worker pool,
-	// so a connection owns no goroutines.
+	// sock is the installed data stream, nil while the connection is
+	// suspended. Its readable/writable callbacks enqueue the socket on the
+	// controller's shared worker pool, so a connection owns no goroutines.
 	sock *transport.Stream
-	fw   *wire.FrameWriter
 	// gen counts data-socket generations, so a stale pump pass's exit is
 	// ignored.
 	gen int
 	// retxPending is true while installSocket is writing the send log to a
-	// fresh socket outside mu: send-log payload buffers must not be
-	// recycled to the pool while the retransmitter may still read them.
+	// fresh socket outside mu: send segments must not be recycled to the
+	// pool while the retransmitter may still read them.
 	retxPending bool
 
 	// pumpPaused marks the pump stopped for receive-buffer backpressure;
@@ -111,16 +129,16 @@ type Socket struct {
 	// pumpMu (taken without mu) single-flights pump passes.
 	pumpMu     sync.Mutex
 	pumpPaused bool
-	// pumpDec is the generation's incremental frame decoder (one per
-	// installed stream, swapped under mu, used under pumpMu): it carries
-	// partial-frame state across pump passes, so frames larger than the
-	// stream's flow-control window decode as their bytes arrive.
-	pumpDec *wire.FrameDecoder
+	// pumpDec assembles the generation's frames that straddle two stream
+	// segments (one per installed stream, swapped under mu, used under
+	// pumpMu); pumpSegs and pumpRuns are the pump's scratch lists, reused
+	// from pass to pass under pumpMu.
+	pumpDec  *wire.FrameDecoder
+	pumpSegs [][]byte
+	pumpRuns []segment
 	// dpQueued dedups pool entries; pumpReq/flushReq are the level-triggered
-	// event flags a pool pass consumes. flushSpare is the flush batch's
-	// recycled backing buffer, guarded by flushMu.
+	// event flags a pool pass consumes.
 	dpQueued, pumpReq, flushReq atomic.Bool
-	flushSpare                  []byte
 
 	// traceSpan is the span of the in-flight traced operation on this
 	// socket (a migration's suspend or resume); while set, every outgoing
@@ -128,32 +146,39 @@ type Socket struct {
 	// the same trace, and FSM edges are annotated onto it.
 	traceSpan *obs.Span
 
-	// Receive side (the NapletInputStream of Section 3.1).
-	recvBuf   []bufEntry
-	recvBytes int
-	// leftover is the undelivered tail of the last partially-read message
-	// (stream Read only); leftoverBack is its full backing buffer, returned
-	// to the payload pool once the tail is drained. leftoverSeq and
-	// leftoverBuf carry the message's identity and buffer provenance across
-	// checkpoints, and leftoverRestored marks a tail that crossed a
-	// migration or crash restore — its delivery is re-announced to the
-	// observer as a from-buffer event (Fig 7 accounting).
-	leftover         []byte
-	leftoverBack     []byte
-	leftoverSeq      uint64
-	leftoverBuf      bool
-	leftoverRestored bool
-	lastEnqueued     uint64
+	// Receive side (the NapletInputStream of Section 3.1): the segments the
+	// pump queued, oldest first, and the bytes they hold (capacities, so
+	// maxRecvBuffer bounds memory). The head segment's off is the read
+	// cursor; readDone counts the bytes of the frame there that Read has
+	// already delivered, and readTail marks that frame as the unread tail
+	// of a message whose head was delivered before a checkpoint.
+	recvQ        []segment
+	recvHeld     int
+	readDone     int
+	readTail     bool
+	lastEnqueued uint64
 	// Drain bookkeeping during suspend.
 	suspending    bool
 	peerFlushSeen bool
 	peerFlushSeq  uint64
 	drained       bool
 
-	// Send side.
+	// Send side: the retransmission log, oldest segment first, charged by
+	// capacity against maxSendLog. It is also the write buffer: Write
+	// encodes each frame onto the tail segment, and a flush writes the
+	// tail's bytes from cutOff on to the stream. Frames below nextSendSeq
+	// are accepted and in the log; those below cutSeq have been cut for a
+	// stream write, the rest are pending behind cutOff; those up to
+	// flushedSeq are through that write, so nothing but a retransmit reads
+	// them any more. flushing marks a flush pass in flight, which re-arms
+	// itself: writers need not schedule another.
+	sendLog     []segment
+	sendHeld    int
 	nextSendSeq uint64
-	sendLog     []bufEntry
-	sendLogSize int
+	cutSeq      uint64
+	cutOff      int
+	flushedSeq  uint64
+	flushing    bool
 
 	// Peer addressing; updated by RESUME/SUS_RES messages when the peer
 	// moves.
@@ -222,6 +247,7 @@ func newSocket(ctrl *Controller, id wire.ConnID, local, remote string, key []byt
 		auth:         auth,
 		m:            fsm.NewMachine(start),
 		nextSendSeq:  1,
+		cutSeq:       1,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.observeFSM()
@@ -279,20 +305,33 @@ func (s *Socket) Info() Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info := Info{
-		ID:                 s.id,
-		LocalAgent:         s.localAgent,
-		RemoteAgent:        s.remoteAgent,
-		State:              s.m.State().String(),
-		HighPriority:       s.highPriority,
-		NextSendSeq:        s.nextSendSeq,
-		LastEnqueued:       s.lastEnqueued,
-		RecvBufferedBytes:  s.recvBytes + len(s.leftover),
-		RecvBufferedMsgs:   len(s.recvBuf),
-		LeftoverFromBuffer: len(s.leftover) > 0 && s.leftoverBuf,
-		SendLogBytes:       s.sendLogSize,
-		PeerControlAddr:    s.peerControlAddr,
-		PeerDataAddr:       s.peerDataAddr,
-		Closed:             s.closed,
+		ID:              s.id,
+		LocalAgent:      s.localAgent,
+		RemoteAgent:     s.remoteAgent,
+		State:           s.m.State().String(),
+		HighPriority:    s.highPriority,
+		NextSendSeq:     s.nextSendSeq,
+		LastEnqueued:    s.lastEnqueued,
+		PeerControlAddr: s.peerControlAddr,
+		PeerDataAddr:    s.peerDataAddr,
+		Closed:          s.closed,
+	}
+	// The buffered quantities are payload bytes and whole messages, as
+	// ever; Info walks the segments for them so that the data path keeps
+	// no per-message counts.
+	for i := range s.recvQ {
+		eachDataFrame(s.recvQ[i].buf[s.recvQ[i].off:], func(f wire.Frame) {
+			info.RecvBufferedBytes += len(f.Payload)
+			info.RecvBufferedMsgs++
+		})
+	}
+	if s.readDone > 0 || s.readTail {
+		info.RecvBufferedBytes -= s.readDone
+		info.RecvBufferedMsgs--
+		info.LeftoverFromBuffer = s.recvQ[0].via
+	}
+	for i := range s.sendLog {
+		eachDataFrame(s.sendLog[i].buf, func(f wire.Frame) { info.SendLogBytes += len(f.Payload) })
 	}
 	if s.sock != nil {
 		info.Transport = s.sock.TransportID().String()
@@ -350,11 +389,7 @@ func (s *Socket) markClosedLocked(err error) {
 	}
 	s.closed = true
 	s.closeErr = err
-	if s.sock != nil {
-		s.sock.Close()
-		s.sock = nil
-		s.fw = nil
-	}
+	s.dropSockLocked()
 	s.cond.Broadcast()
 }
 

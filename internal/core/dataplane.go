@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,80 +17,115 @@ import (
 
 // This file is the connection's data plane: ownership of the data socket
 // (a stream on the shared transport), the event-driven pump and flush
-// passes, the receive buffer and send log with their pooled payloads, and
-// the suspend-time drain. The control-plane exchanges that decide WHEN
-// these run (suspend/resume/close) live in ops.go; the socket's identity
-// and lifecycle bookkeeping stay in conn.go.
+// passes, the receive buffer and send log — both queues of segments, runs of
+// encoded frames in pooled buffers — and the suspend-time drain. The
+// control-plane exchanges that decide WHEN these run (suspend/resume/close)
+// live in ops.go; the socket's identity and lifecycle bookkeeping stay in
+// conn.go.
 
 // Limits of the per-connection buffers.
 const (
-	// maxRecvBuffer bounds the receive-side message buffer; when full, the
-	// pump stops pulling from the stream so transport flow control pushes
-	// back on the sender. The bound is ignored while draining for a
-	// suspend — everything in flight must be captured.
+	// maxRecvBuffer bounds the bytes the receive buffer holds (segment
+	// capacities, headers and slack included); at the bound the pump stops
+	// taking segments from the stream, so transport flow control pushes
+	// back on the sender. The bound is lifted while draining for a suspend
+	// — everything in flight must be captured.
 	maxRecvBuffer = 4 << 20
-	// maxSendLog bounds the retransmission log kept for failure recovery.
-	// A graceful suspend clears the log (the drain handshake proves
-	// delivery); the cap only matters between suspends.
+	// maxSendLog bounds the bytes the retransmission log holds, counted the
+	// same way; past it the oldest segments are evicted. A graceful suspend
+	// clears the log (the drain handshake proves delivery); the cap only
+	// matters between suspends.
 	maxSendLog = 4 << 20
 	// coalesceFlushBytes is the write-coalescing high-water mark: a write
-	// that leaves at least this much encoded data in the frame writer's
-	// buffer flushes inline instead of waiting for the next flush pass,
-	// bounding both buffer occupancy and the data one pass writes.
+	// that leaves at least this much pending flushes inline instead of
+	// waiting for the next flush pass, bounding the data one pass writes.
 	coalesceFlushBytes = 32 << 10
-	// pumpBatchFrames bounds the frames one pump pass decodes before
-	// re-checking the receive budget, so a firehose peer cannot pin a pool
-	// worker or blow far past maxRecvBuffer between checks.
-	pumpBatchFrames = 32
+	// sendSegBytes is the size send segments grow to: the largest pool
+	// class, one 64 KiB message with its header or some 560 of 100 B.
+	sendSegBytes = 64<<10 + wire.FrameHeaderSize
 )
 
+// eachDataFrame calls fn for every data frame of b, a run of whole frames.
+func eachDataFrame(b []byte, fn func(wire.Frame)) {
+	for len(b) > 0 {
+		f, size, _ := wire.PeekFrame(b)
+		if f.IsData() {
+			fn(f)
+		}
+		b = b[size:]
+	}
+}
+
 // installSocket adopts a fresh data stream: retransmits anything the peer
-// reports missing, recreates the frame writer and decoder, and registers
-// the stream's event hooks. Callers transition the state machine
-// afterwards. Network emulation wrapping happens at the shared transport
-// (per host pair), not here.
+// reports missing, and registers the stream's event hooks. Callers
+// transition the state machine afterwards. Network emulation wrapping
+// happens at the shared transport (per host pair), not here.
 func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	// Taking flushMu waits out a flush of the previous generation that is
+	// still returning from its (failed) write: from here on nothing else
+	// reads the log.
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
 
 	s.mu.Lock()
-	// Trim acknowledged frames, then collect what the peer is missing.
+	// Trim acknowledged segments, then collect what the peer is missing:
+	// the rest of the head segment from the first frame it lacks, and every
+	// later segment verbatim.
 	s.trimSendLogLocked(peerHasUpTo)
-	var missing []bufEntry
-	if len(s.sendLog) > 0 && s.sendLog[0].Seq > peerHasUpTo+1 {
+	if len(s.sendLog) > 0 && s.sendLog[0].first > peerHasUpTo+1 {
 		s.mu.Unlock()
 		sock.Close()
 		return fmt.Errorf("%w: peer has up to %d, log starts at %d",
-			ErrUnrecoverable, peerHasUpTo, s.sendLog[0].Seq)
+			ErrUnrecoverable, peerHasUpTo, s.sendLog[0].first)
 	}
-	missing = append(missing, s.sendLog...)
-	// The shallow copy above shares payload buffers with the log; pin them
-	// against pool recycling (a concurrent control-plane trim) until the
-	// retransmit writes below are done.
+	missing := make([][]byte, len(s.sendLog))
+	for i := range s.sendLog {
+		missing[i] = s.sendLog[i].buf
+	}
+	if len(missing) > 0 {
+		b := missing[0]
+		for len(b) > 0 {
+			f, size, _ := wire.PeekFrame(b)
+			if f.Seq > peerHasUpTo {
+				break
+			}
+			b = b[size:]
+		}
+		missing[0] = b
+	}
+	// The list shares the log's buffers; pin them against pool recycling (a
+	// concurrent control-plane trim) until the writes below are done.
 	s.retxPending = len(missing) > 0
 	s.mu.Unlock()
 
 	// Retransmits are a forced write barrier: everything goes to the wire
 	// before the new generation starts coalescing application writes.
-	bw := bufio.NewWriter(sock)
-	for _, e := range missing {
-		if err := wire.WriteFrame(bw, wire.Frame{Seq: e.Seq, Flags: wire.FlagData, Payload: e.Payload}); err != nil {
-			sock.Close()
-			s.clearRetxPending()
-			return fmt.Errorf("napletsocket: retransmitting frame %d: %w", e.Seq, err)
+	for _, b := range missing {
+		if len(b) == 0 {
+			continue
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		sock.Close()
-		s.clearRetxPending()
-		return fmt.Errorf("napletsocket: flushing retransmits: %w", err)
+		if _, err := sock.Write(b); err != nil {
+			sock.Close()
+			s.mu.Lock()
+			s.retxPending = false
+			s.mu.Unlock()
+			return fmt.Errorf("napletsocket: retransmitting frames: %w", err)
+		}
 	}
 
 	s.mu.Lock()
 	s.retxPending = false
 	s.sock = sock
 	s.gen++
-	s.fw = wire.NewFrameWriter(sock, s.nextSendSeq)
+	// Everything logged has now been written; nothing is pending.
+	s.flushedSeq = s.nextSendSeq - 1
+	s.cutSeq = s.nextSendSeq
+	s.cutOff = 0
+	if k := len(s.sendLog) - 1; k >= 0 {
+		s.cutOff = len(s.sendLog[k].buf)
+	}
 	s.pumpDec = &wire.FrameDecoder{}
 	s.pumpPaused = false
 	s.suspending = false
@@ -115,6 +150,19 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 	return nil
 }
 
+// dropSockLocked lets go of the data socket: the end of a generation by
+// failure, close or drain. Frames still pending stay in the send log as
+// accepted-but-unsent; the next generation's retransmit carries them.
+// Caller holds mu.
+func (s *Socket) dropSockLocked() {
+	if s.sock == nil {
+		return
+	}
+	s.sock.Close()
+	s.sock = nil
+	s.cutLocked()
+}
+
 // schedulePump requests a pump pass for this socket on the shared worker
 // pool. Level-triggered and deduped; safe from any goroutine, including
 // the transport read loop and callers holding s.mu.
@@ -129,13 +177,13 @@ func (s *Socket) scheduleFlush() {
 	s.ctrl.dp.enqueue(s)
 }
 
-// pumpEvent is one event-driven pump pass: decode every frame the stream
-// has fully buffered into the receive buffer, without ever blocking on
-// the network. It stops when the stream runs dry, when the receive
-// buffer is over budget (backpressure: not reading means the stream
-// grants the peer no more flow-control credit), or when the stream
-// reports a terminal condition. pumpMu single-flights passes so a
-// re-enqueue during a pass cannot interleave decodes.
+// pumpEvent is one event-driven pump pass: take the segments the stream has
+// queued and move them into the receive buffer, without ever blocking on
+// the network. It stops when the stream runs dry, when the receive buffer
+// is at its bound (backpressure: not taking means the stream grants the
+// peer no more flow-control credit), or when the stream reports a terminal
+// condition. pumpMu single-flights passes so a re-enqueue during a pass
+// cannot interleave them.
 func (s *Socket) pumpEvent() {
 	s.pumpMu.Lock()
 	defer s.pumpMu.Unlock()
@@ -146,27 +194,23 @@ func (s *Socket) pumpEvent() {
 			s.mu.Unlock()
 			return
 		}
-		if s.recvBytes > maxRecvBuffer && !s.suspending {
+		room := maxRecvBuffer - s.recvHeld
+		if s.suspending {
+			room = math.MaxInt
+		}
+		if room <= 0 {
 			s.pumpPaused = true
 			s.mu.Unlock()
 			return
 		}
+		last := s.lastEnqueued
 		s.mu.Unlock()
 
-		batch, err := pumpDecode(st, dec)
-		if len(batch) > 0 {
-			if !s.enqueueFrames(gen, batch) {
-				return
-			}
-		}
-		if err != nil {
-			s.readerExit(gen, err)
-			return
-		}
-		if len(batch) == 0 {
-			// Stream ran dry mid-pass with no decode error: either it is
-			// simply idle again (a later readable event re-arms us), or it
-			// ended — EOF, reset, or a FIN that cut a frame short.
+		s.pumpSegs = st.TakeSegments(s.pumpSegs[:0], room)
+		if len(s.pumpSegs) == 0 {
+			// Stream ran dry: either it is simply idle again (a later
+			// readable event re-arms us), or it ended — EOF, reset, or a FIN
+			// that cut a frame short.
 			if termErr, terminal := st.TermStatus(); terminal {
 				if termErr == io.EOF && dec.Partial() {
 					termErr = io.ErrUnexpectedEOF
@@ -176,141 +220,230 @@ func (s *Socket) pumpEvent() {
 			}
 			return
 		}
+		ok, err := s.ingest(gen, dec, last, s.pumpSegs)
+		clear(s.pumpSegs)
+		if err != nil {
+			s.readerExit(gen, err)
+		}
+		if !ok || err != nil {
+			return
+		}
 	}
 }
 
-// pumpDecode pulls one bounded batch of frames off the stream's user-space
-// buffer. It never blocks: the decoder only consumes bytes the stream
-// already holds, parking partial-frame state between passes.
-func pumpDecode(st *transport.Stream, dec *wire.FrameDecoder) ([]wire.Frame, error) {
-	var batch []wire.Frame
-	for len(batch) < pumpBatchFrames {
-		f, ok, err := dec.Next(st)
+// frameWalk carries what the pump learns walking one hand-over of segments:
+// the highest data sequence number accepted and the peer's flush marker.
+type frameWalk struct {
+	last      uint64
+	flushSeen bool
+	flushSeq  uint64
+}
+
+// admit walks the whole frames of buf from off, in place. Sequence-number
+// dedup makes redelivery idempotent: a data frame at or below the
+// high-water mark is a duplicate from a retransmit, stepped over if it
+// leads the run and voided if it sits inside it. It returns the span
+// [start, stop) from the first to the last admitted data frame (start < 0
+// when there is none) and end, where the walk stopped: len(buf), or the
+// start of a frame buf holds only part of.
+func (w *frameWalk) admit(buf []byte, off int) (start, stop, end int, err error) {
+	start = -1
+	for off < len(buf) {
+		f, size, err := wire.PeekFrame(buf[off:])
 		if err != nil {
-			return batch, err
+			return start, stop, off, err
 		}
-		if !ok {
+		if size == 0 {
 			break
 		}
-		batch = append(batch, f)
+		switch {
+		case f.IsFlush():
+			w.flushSeen, w.flushSeq = true, f.Seq
+		case !f.IsData():
+		case f.Seq > w.last:
+			w.last = f.Seq
+			if start < 0 {
+				start = off
+			}
+			stop = off + size
+		case start >= 0:
+			wire.VoidFrame(buf[off:])
+		}
+		off += size
 	}
-	return batch, nil
+	return start, stop, off, nil
+}
+
+// ingest moves one hand-over of stream segments into the receive buffer.
+// Each segment is walked where it lies and queued as it is; only a frame
+// that straddles two segments is assembled, in a pooled buffer of its own,
+// itself a one-frame segment. Everything is queued under one lock
+// acquisition, and nothing waits for buffer space: the pump must not block
+// a pool worker, so pumpEvent stops taking from the stream while the buffer
+// is at its bound. It reports false when the socket generation ended
+// underneath the pump (what was taken is recycled), and the error of a
+// malformed frame after queueing what preceded it.
+func (s *Socket) ingest(gen int, dec *wire.FrameDecoder, last uint64, segs [][]byte) (bool, error) {
+	w := frameWalk{last: last}
+	runs := s.pumpRuns[:0]
+	var err error
+	for _, seg := range segs {
+		kept := false
+		off := 0
+		if err == nil && dec.Partial() {
+			var frame []byte
+			frame, off, err = dec.Fill(seg)
+			if frame != nil {
+				if start, stop, _, _ := w.admit(frame, 0); start >= 0 {
+					runs = append(runs, segment{buf: frame[:stop], off: start})
+				} else {
+					wire.PutPayload(frame)
+				}
+			}
+		}
+		if err == nil && off < len(seg) {
+			var start, stop, end int
+			if start, stop, end, err = w.admit(seg, off); start >= 0 {
+				runs = append(runs, segment{buf: seg[:stop], off: start})
+				kept = true
+			}
+			if err == nil && end < len(seg) {
+				_, _, err = dec.Fill(seg[end:])
+			}
+		}
+		if !kept {
+			wire.PutPayload(seg)
+		}
+	}
+	s.pumpRuns = runs[:0]
+	defer clear(runs)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if gen != s.gen || s.closed {
+		for _, r := range runs {
+			wire.PutPayload(r.buf)
+		}
+		return false, nil
+	}
+	for _, r := range runs {
+		r.via = s.suspending
+		s.recvQ = append(s.recvQ, r)
+		s.recvHeld += cap(r.buf)
+	}
+	s.lastEnqueued = w.last
+	if w.flushSeen {
+		s.peerFlushSeen, s.peerFlushSeq = true, w.flushSeq
+	}
+	if len(runs) > 0 {
+		s.cond.Broadcast()
+	}
+	return true, err
 }
 
 // maybeResumePumpLocked restarts the event-driven pump after receive-side
-// backpressure clears: the application drained below the budget, or a
-// suspend drain lifted the bound. Caller holds mu.
+// backpressure clears: the application drained below the bound, or a
+// suspend drain lifted it. Caller holds mu.
 func (s *Socket) maybeResumePumpLocked() {
-	if s.pumpPaused && (s.recvBytes <= maxRecvBuffer || s.suspending) {
+	if s.pumpPaused && (s.recvHeld < maxRecvBuffer || s.suspending) {
 		s.pumpPaused = false
 		s.schedulePump()
 	}
 }
 
-// flushEvent is one event-driven flush pass: detach the frame writer's
-// coalesced batch and push it to the stream. A batch the stream lacks
-// send credit for is handed to a transient goroutine that rides out the
-// stall holding flushMu, so pool workers never block on a slow peer.
+// cutLocked takes the pending frames out of the write buffer — for a stream
+// write, or for good when the data socket is gone — and returns their bytes
+// (nil when nothing is pending). This is where the data counters move: per
+// cut, not per frame. Caller holds mu, and to write the batch also writeMu,
+// and flushMu by the time it does.
+func (s *Socket) cutLocked() []byte {
+	frames := s.nextSendSeq - s.cutSeq
+	if frames == 0 {
+		return nil
+	}
+	tail := s.sendLog[len(s.sendLog)-1].buf
+	batch := tail[s.cutOff:]
+	s.cutOff = len(tail)
+	s.cutSeq = s.nextSendSeq
+	o := s.ctrl.obs
+	o.dataFrames.Add(frames)
+	o.dataBytes.Add(uint64(len(batch)) - frames*wire.FrameHeaderSize)
+	return batch
+}
+
+// writeCut writes cut batches to the stream in order, releases flushMu
+// (which the caller holds), and then records that the frames up to last are
+// through: their segments may be recycled, and whatever became pending
+// meanwhile gets a flush pass. That check has to follow the unlock — a pass
+// that found flushMu taken stood down counting on it. A failed write
+// degrades the connection; the frames are in the send log, so recovery
+// retransmits them. The caller also holds writeMu unless a flush pass cut
+// the batch.
+func (s *Socket) writeCut(sock *transport.Stream, last uint64, b1, b2 []byte) error {
+	var err error
+	var writes uint64
+	for _, b := range [2][]byte{b1, b2} {
+		if len(b) > 0 && err == nil {
+			_, err = sock.Write(b)
+			writes++
+		}
+	}
+	s.flushMu.Unlock()
+	s.mu.Lock()
+	s.flushedSeq = max(s.flushedSeq, last)
+	s.flushing = false
+	switch {
+	case s.sock != sock:
+		// The generation ended under the write; whatever replaced it is not
+		// this write's to fail or to flush.
+	case err != nil:
+		s.failLocked(err)
+	case s.cutSeq != s.nextSendSeq:
+		s.scheduleFlush()
+	}
+	s.mu.Unlock()
+	if err == nil {
+		s.ctrl.obs.dataFlushes.Add(writes)
+	}
+	return err
+}
+
+// flushEvent is one event-driven flush pass: cut the pending frames and
+// push them to the stream. A batch the stream lacks send credit for is
+// handed to a transient goroutine that rides out the stall holding
+// flushMu, so pool workers never block on a slow peer.
 func (s *Socket) flushEvent() {
 	s.writeMu.Lock()
-	s.mu.Lock()
-	fw, sock := s.fw, s.sock
-	closed := s.closed
-	s.mu.Unlock()
-	if closed || sock == nil || fw.Buffered() == 0 {
-		s.writeMu.Unlock()
-		return
-	}
 	if !s.flushMu.TryLock() {
 		// A flush (possibly credit-stalled) is already in flight; it
 		// re-schedules on completion, so this pass just stands down.
 		s.writeMu.Unlock()
 		return
 	}
-	batch := fw.Take(s.flushSpare)
-	s.flushSpare = nil
-	// writeMu releases before the write: writers coalesce the next batch
+	s.mu.Lock()
+	sock := s.sock
+	var batch []byte
+	if sock != nil && !s.closed {
+		batch = s.cutLocked()
+	}
+	last := s.cutSeq - 1
+	s.flushing = batch != nil
+	s.mu.Unlock()
+	if batch == nil {
+		// flushMu goes first: a pass that finds it taken stands down, and
+		// with writeMu still held no frame can have become pending for it.
+		s.flushMu.Unlock()
+		s.writeMu.Unlock()
+		return
+	}
+	// writeMu releases before the write: writers encode the next batch
 	// while this one's syscall is in flight.
 	s.writeMu.Unlock()
 	if sock.SendWindow() < len(batch) {
-		go s.flushFinish(sock, batch)
+		go s.writeCut(sock, last, batch, nil)
 		return
 	}
-	s.flushFinish(sock, batch)
-}
-
-// flushFinish writes one detached batch and releases flushMu (held by the
-// caller), then re-arms the flush event for anything that accumulated
-// while the write was in flight.
-func (s *Socket) flushFinish(sock *transport.Stream, batch []byte) {
-	_, err := sock.Write(batch)
-	s.flushSpare = batch
-	s.flushMu.Unlock()
-	if err != nil {
-		s.mu.Lock()
-		s.failLocked(err)
-		s.mu.Unlock()
-		return
-	}
-	s.ctrl.obs.dataFlushes.Inc()
-	s.scheduleFlush()
-}
-
-func (s *Socket) clearRetxPending() {
-	s.mu.Lock()
-	s.retxPending = false
-	s.mu.Unlock()
-}
-
-// enqueueFrames delivers one batch of frames into the receive buffer under
-// a single lock acquisition. It reports false when the socket generation
-// ended underneath the pump; undelivered pooled payloads are recycled. It
-// never waits for buffer space: the pump must not block a pool worker, so
-// the (already bounded) batch is enqueued and pumpEvent stops pulling from
-// the stream while the buffer is over budget.
-func (s *Socket) enqueueFrames(gen int, batch []wire.Frame) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	enqueued := false
-	for i, f := range batch {
-		if gen != s.gen || s.closed {
-			recycleFrames(batch[i:])
-			if enqueued {
-				s.cond.Broadcast()
-			}
-			return false
-		}
-		switch {
-		case f.IsFlush():
-			s.peerFlushSeen = true
-			s.peerFlushSeq = f.Seq
-		case f.IsData():
-			// Sequence-number dedup makes redelivery idempotent.
-			if f.Seq > s.lastEnqueued {
-				s.recvBuf = append(s.recvBuf, bufEntry{Seq: f.Seq, Payload: f.Payload, ViaBuffer: s.suspending})
-				s.recvBytes += len(f.Payload)
-				s.lastEnqueued = f.Seq
-				enqueued = true
-			} else if f.Payload != nil {
-				// Duplicate from a retransmit: the frame is dropped here, so
-				// its pooled buffer can go straight back.
-				wire.PutPayload(f.Payload)
-			}
-		}
-	}
-	if enqueued {
-		s.cond.Broadcast()
-	}
-	return true
-}
-
-// recycleFrames returns a batch's undelivered pooled payloads.
-func recycleFrames(fs []wire.Frame) {
-	for _, f := range fs {
-		if f.Payload != nil {
-			wire.PutPayload(f.Payload)
-		}
-	}
+	s.writeCut(sock, last, batch, nil)
 }
 
 // readerExit classifies the end of a socket generation: a completed
@@ -359,11 +492,7 @@ func (s *Socket) failLocked(cause error) {
 		s.failedAt = time.Now()
 	}
 	s.step(fsm.Fail)
-	if s.sock != nil {
-		s.sock.Close()
-		s.sock = nil
-		s.fw = nil
-	}
+	s.dropSockLocked()
 	s.sockInstalled = false
 	s.cond.Broadcast()
 	s.ctrl.obs.failures.Inc()
@@ -438,43 +567,24 @@ func (s *Socket) Read(p []byte) (int, error) {
 	defer s.mu.Unlock()
 	for {
 		n := 0
-		if len(s.leftover) > 0 {
-			if s.leftoverRestored {
-				// The tail crossed a migration or crash restore inside the
-				// buffer: announce the remainder to the observer as a
-				// from-buffer delivery, so the Fig 7 socket-vs-buffer
-				// accounting covers leftover bytes too.
-				s.leftoverRestored = false
-				if obs := s.observer; obs != nil {
-					obs(s.leftoverSeq, s.leftover, true)
+		for n < len(p) && len(s.recvQ) > 0 {
+			seg := &s.recvQ[0]
+			f, size, _ := wire.PeekFrame(seg.buf[seg.off:])
+			if f.IsData() {
+				// The observer hears of a message when its first byte is
+				// served — for the restored tail of a half-read message that
+				// is the remainder, announced as a from-buffer delivery, so
+				// the Fig 7 socket-vs-buffer accounting covers it too.
+				if obs := s.observer; obs != nil && s.readDone == 0 {
+					obs(f.Seq, f.Payload, seg.via)
+				}
+				c := copy(p[n:], f.Payload[s.readDone:])
+				n += c
+				if s.readDone += c; s.readDone < len(f.Payload) {
+					break
 				}
 			}
-			c := copy(p, s.leftover)
-			s.leftover = s.leftover[c:]
-			n = c
-			if len(s.leftover) == 0 {
-				s.releaseLeftoverLocked()
-			}
-		}
-		for n < len(p) && len(s.recvBuf) > 0 {
-			e := s.recvBuf[0]
-			s.recvBuf[0] = bufEntry{} // drop the slot's payload reference
-			s.recvBuf = s.recvBuf[1:]
-			s.recvBytes -= len(e.Payload)
-			if obs := s.observer; obs != nil {
-				obs(e.Seq, e.Payload, e.ViaBuffer)
-			}
-			c := copy(p[n:], e.Payload)
-			n += c
-			if c < len(e.Payload) {
-				s.leftover = e.Payload[c:]
-				s.leftoverBack = e.Payload
-				s.leftoverSeq = e.Seq
-				s.leftoverBuf = e.ViaBuffer
-			} else {
-				// Fully copied out: the pooled buffer has no owner left.
-				wire.PutPayload(e.Payload)
-			}
+			s.nextFrameLocked(size)
 		}
 		if n > 0 {
 			s.maybeResumePumpLocked()
@@ -491,49 +601,55 @@ func (s *Socket) Read(p []byte) (int, error) {
 	}
 }
 
+// nextFrameLocked moves the read cursor past the frame of size encoded
+// bytes at the head of the receive buffer; a segment read out goes back to
+// the pool. A queued segment ends with a data frame, so the buffer is empty
+// exactly when the queue is. Caller holds mu.
+func (s *Socket) nextFrameLocked(size int) {
+	s.readDone, s.readTail = 0, false
+	seg := &s.recvQ[0]
+	if seg.off += size; seg.off < len(seg.buf) {
+		return
+	}
+	s.recvHeld -= cap(seg.buf)
+	wire.PutPayload(seg.buf)
+	*seg = segment{}
+	s.recvQ = s.recvQ[1:]
+}
+
 // releaseIfReadOutLocked lets go of an endpoint its peer has closed once the
 // application has read the last byte the peer wrote before closing. Until
 // then the endpoint stays resident (and travels with its agent), so an
 // agent that was mid-migration when the close arrived still finds the
 // connection at its new host and reads it to EOF. Caller holds mu.
 func (s *Socket) releaseIfReadOutLocked() {
-	if s.closed && len(s.recvBuf) == 0 && len(s.leftover) == 0 {
+	if s.closed && len(s.recvQ) == 0 {
 		s.ctrl.tab.drop(s)
-	}
-}
-
-// releaseLeftoverLocked returns a fully drained leftover tail's backing
-// buffer to the payload pool and clears its provenance. Caller holds mu.
-func (s *Socket) releaseLeftoverLocked() {
-	s.leftover = nil
-	s.leftoverBuf = false
-	s.leftoverRestored = false
-	s.leftoverSeq = 0
-	if s.leftoverBack != nil {
-		wire.PutPayload(s.leftoverBack)
-		s.leftoverBack = nil
 	}
 }
 
 // ReadMsg reads one whole message (one writer-side WriteMsg / Write call's
 // frame), preserving message boundaries. It must not be mixed with Read on
-// the same socket. Ownership of the returned slice transfers to the caller;
-// it is never recycled by the socket.
+// the same socket. The returned slice is a copy the caller owns.
 func (s *Socket) ReadMsg() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if len(s.recvBuf) > 0 {
-			e := s.recvBuf[0]
-			s.recvBuf[0] = bufEntry{} // drop the slot's payload reference
-			s.recvBuf = s.recvBuf[1:]
-			s.recvBytes -= len(e.Payload)
+		for len(s.recvQ) > 0 {
+			seg := &s.recvQ[0]
+			f, size, _ := wire.PeekFrame(seg.buf[seg.off:])
+			if !f.IsData() {
+				s.nextFrameLocked(size)
+				continue
+			}
+			if obs := s.observer; obs != nil {
+				obs(f.Seq, f.Payload, seg.via)
+			}
+			msg := append([]byte(nil), f.Payload...)
+			s.nextFrameLocked(size)
 			s.maybeResumePumpLocked()
 			s.releaseIfReadOutLocked()
-			if obs := s.observer; obs != nil {
-				obs(e.Seq, e.Payload, e.ViaBuffer)
-			}
-			return e.Payload, nil
+			return msg, nil
 		}
 		if s.closed {
 			if s.closeErr != nil {
@@ -547,7 +663,8 @@ func (s *Socket) ReadMsg() ([]byte, error) {
 
 // Write sends application bytes, splitting them into sequence-numbered
 // frames. It blocks transparently while the connection is suspended and
-// returns only after every frame is handed to the transport.
+// returns only after every frame is in the send log, from where a flush or
+// a later retransmit carries it to the peer.
 func (s *Socket) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
@@ -573,139 +690,119 @@ func (s *Socket) WriteMsg(p []byte) error {
 	return s.writeFrame(p)
 }
 
-// writeFrame sends one frame, waiting out suspensions and retrying across
-// failures; the frame's sequence number is fixed on first attempt so a
-// retry after a failure cannot duplicate delivery.
+// writeFrame sends one frame of at most wire.MaxFramePayload bytes, waiting
+// out suspensions. The frame is encoded once, onto the tail segment of the
+// send log, under one acquisition each of writeMu and mu; once there the
+// write has succeeded, whatever becomes of the data socket — recovery
+// retransmits from the log, and the peer dedups by sequence number.
 func (s *Socket) writeFrame(p []byte) error {
-	for {
-		// Wait until the connection is writable.
-		s.mu.Lock()
-		for !(s.m.State() == fsm.Established && s.sock != nil && !s.suspending) {
-			if s.closed {
-				err := s.closedErrLocked()
-				s.mu.Unlock()
-				return err
-			}
-			s.cond.Wait()
-		}
-		s.mu.Unlock()
-
-		s.writeMu.Lock()
-		s.mu.Lock()
-		writable := s.m.State() == fsm.Established && s.sock != nil && !s.suspending
+	s.writeMu.Lock()
+	s.mu.Lock()
+	for s.m.State() != fsm.Established || s.sock == nil || s.suspending {
+		// Not writable: wait for a state change without holding writeMu,
+		// which the suspend drain needs for its flush marker.
+		s.writeMu.Unlock()
 		if s.closed {
 			err := s.closedErrLocked()
 			s.mu.Unlock()
-			s.writeMu.Unlock()
 			return err
 		}
-		if !writable {
-			s.mu.Unlock()
-			s.writeMu.Unlock()
-			continue
-		}
-		fw := s.fw
+		s.cond.Wait()
 		s.mu.Unlock()
-
-		// Coalescing: encode into the frame writer's buffer without a
-		// syscall. Large accumulations flush inline (bounding buffer
-		// occupancy); otherwise the next flush pass batches this frame
-		// with its neighbours into one kernel write.
-		seq, err := fw.WriteDataBuffered(p)
-		if err == nil {
-			o := s.ctrl.obs
-			o.dataFrames.Inc()
-			o.dataBytes.Add(uint64(len(p)))
-			var flushErr error
-			if fw.Buffered() >= coalesceFlushBytes {
-				s.flushMu.Lock()
-				flushErr = fw.Flush()
-				s.flushMu.Unlock()
-				if flushErr == nil {
-					o.dataFlushes.Inc()
-				}
-			}
-			s.mu.Lock()
-			s.nextSendSeq = seq + 1
-			s.appendSendLogLocked(seq, p)
-			if flushErr == nil && fw.Buffered() > 0 {
-				s.scheduleFlush()
-			}
-			s.mu.Unlock()
-			s.writeMu.Unlock()
-			if flushErr != nil {
-				// The frame is journaled in the send log; recovery
-				// retransmits it, so the write itself has succeeded.
-				s.mu.Lock()
-				s.failLocked(flushErr)
-				s.mu.Unlock()
-			}
-			return nil
-		}
-		s.writeMu.Unlock()
-		// The socket died under us before the frame was logged: degrade and
-		// retry after recovery. The peer dedups by sequence number, so
-		// rewriting is safe.
+		s.writeMu.Lock()
 		s.mu.Lock()
-		s.failLocked(err)
-		s.mu.Unlock()
 	}
+	sock := s.sock
+
+	// Coalescing: the frame joins the pending bytes without a syscall. A
+	// large accumulation flushes inline (bounding what one pass writes), as
+	// does what is pending in a tail segment the frame no longer fits;
+	// otherwise the next flush pass batches the frame with its neighbours
+	// into one stream write.
+	var b1, b2 []byte
+	need := wire.FrameHeaderSize + len(p)
+	k := len(s.sendLog) - 1
+	if k < 0 || cap(s.sendLog[k].buf)-len(s.sendLog[k].buf) < need {
+		b1 = s.cutLocked()
+		s.growSendLogLocked(need)
+		k = len(s.sendLog) - 1
+	}
+	tail := &s.sendLog[k]
+	// Write and WriteMsg bound len(p), the only thing AppendFrame rejects.
+	tail.buf, _ = wire.AppendFrame(tail.buf, wire.Frame{Seq: s.nextSendSeq, Flags: wire.FlagData, Payload: p})
+	tail.last = s.nextSendSeq
+	s.nextSendSeq++
+	if len(tail.buf)-s.cutOff >= coalesceFlushBytes {
+		b2 = s.cutLocked()
+	}
+	last := s.cutSeq - 1
+	inline := b1 != nil || b2 != nil
+	if !inline && !s.flushing && !s.flushReq.Load() {
+		s.scheduleFlush()
+	}
+	s.mu.Unlock()
+	if inline {
+		s.flushMu.Lock()
+		s.writeCut(sock, last, b1, b2)
+	}
+	s.writeMu.Unlock()
+	return nil
 }
 
-// appendSendLogLocked copies p into a pooled buffer and journals it for
-// retransmission. Caller holds mu AND writeMu (writeFrame's path), so no
-// retransmit can be walking the log concurrently and evicted buffers can
-// go straight back to the pool.
-func (s *Socket) appendSendLogLocked(seq uint64, p []byte) {
-	cp := wire.GetPayload(len(p))
-	copy(cp, p)
-	s.sendLog = append(s.sendLog, bufEntry{Seq: seq, Payload: cp})
-	s.sendLogSize += len(cp)
-	if s.sendLogSize <= maxSendLog {
+// growSendLogLocked starts a new tail segment with room for a frame of need
+// encoded bytes, and evicts the oldest segments past maxSendLog. A
+// connection's first segment is the smallest pool class the frame fits and
+// each later one eight times the last, up to sendSegBytes: among 100k idle
+// connections each pins a kilobyte, while a streaming one spends a pool
+// draw per few hundred messages. A frame larger than that gets a segment
+// sized for it. Caller holds mu.
+func (s *Socket) growSendLogLocked(need int) {
+	size := 0
+	if k := len(s.sendLog) - 1; k >= 0 {
+		size = min(8*cap(s.sendLog[k].buf), sendSegBytes)
+	}
+	buf := wire.GetPayload(max(size, need))[:0]
+	s.sendLog = append(s.sendLog, segment{buf: buf, first: s.nextSendSeq})
+	s.sendHeld += cap(buf)
+	s.cutOff = 0
+	n := 0
+	for held := s.sendHeld; held > maxSendLog && n < len(s.sendLog)-1; n++ {
+		held -= cap(s.sendLog[n].buf)
+	}
+	s.dropSendSegsLocked(n)
+}
+
+// trimSendLogLocked drops the segments the peer confirmed receiving in
+// full; a segment it has only part of stays whole, and the retransmit skips
+// the frames it has. Caller holds mu.
+func (s *Socket) trimSendLogLocked(peerHasUpTo uint64) {
+	n := 0
+	for n < len(s.sendLog) && s.sendLog[n].last <= peerHasUpTo && s.sendLog[n].last < s.cutSeq {
+		n++
+	}
+	s.dropSendSegsLocked(n)
+}
+
+// dropSendSegsLocked removes the n oldest segments of the send log. Their
+// buffers return to the pool unless a stream write or a retransmit may
+// still be reading them, in which case they are only unreferenced and the
+// garbage collector reclaims them. Caller holds mu.
+func (s *Socket) dropSendSegsLocked(n int) {
+	if n == 0 {
 		return
 	}
-	// Evict in bulk with hysteresis: dropping to 3/4 of the cap means the
-	// in-place compaction below runs once per maxSendLog/4 logged bytes
-	// rather than on every write, and reusing the backing array avoids the
-	// allocate-and-zero churn that per-write eviction causes on a log tens
-	// of thousands of entries long.
-	evict := 0
-	for s.sendLogSize > maxSendLog*3/4 && evict < len(s.sendLog)-1 {
-		s.sendLogSize -= len(s.sendLog[evict].Payload)
-		wire.PutPayload(s.sendLog[evict].Payload)
-		evict++
-	}
-	if evict > 0 {
-		s.compactSendLogLocked(evict)
-	}
-}
-
-// compactSendLogLocked removes the first n entries by copying the live
-// tail down and zeroing the vacated slots, so evicted payloads are not
-// pinned by the backing array for the life of the connection.
-func (s *Socket) compactSendLogLocked(n int) {
-	kept := copy(s.sendLog, s.sendLog[n:])
-	for j := kept; j < len(s.sendLog); j++ {
-		s.sendLog[j] = bufEntry{}
-	}
-	s.sendLog = s.sendLog[:kept]
-}
-
-// trimSendLogLocked drops frames the peer confirmed receiving. Trimmed
-// buffers return to the pool unless a retransmit snapshot may still be
-// reading them (retxPending), in which case they are only unreferenced and
-// the garbage collector reclaims them.
-func (s *Socket) trimSendLogLocked(peerHasUpTo uint64) {
-	i := 0
-	for i < len(s.sendLog) && s.sendLog[i].Seq <= peerHasUpTo {
-		s.sendLogSize -= len(s.sendLog[i].Payload)
-		if !s.retxPending {
-			wire.PutPayload(s.sendLog[i].Payload)
+	for i := range s.sendLog[:n] {
+		seg := &s.sendLog[i]
+		s.sendHeld -= cap(seg.buf)
+		if seg.last <= s.flushedSeq && !s.retxPending {
+			wire.PutPayload(seg.buf)
 		}
-		i++
 	}
-	if i > 0 {
-		s.compactSendLogLocked(i)
+	kept := copy(s.sendLog, s.sendLog[n:])
+	clear(s.sendLog[kept:])
+	s.sendLog = s.sendLog[:kept]
+	if kept == 0 {
+		s.cutOff = 0
 	}
 }
 
@@ -732,16 +829,24 @@ func (s *Socket) drainAndClose() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	// Write the flush marker after any in-flight application frame.
+	// Write the flush marker after any in-flight application frame: what is
+	// still pending first, then the marker carrying the last sequence
+	// number written (not logged — a later generation must not replay it).
 	s.writeMu.Lock()
+	s.flushMu.Lock()
 	s.mu.Lock()
-	fw := s.fw
+	var batch []byte
+	if s.sock == sock {
+		batch = s.cutLocked()
+	}
+	last := s.cutSeq - 1
 	s.mu.Unlock()
-	var flushErr error
-	if fw != nil {
-		s.flushMu.Lock()
-		flushErr = fw.WriteFlush()
-		s.flushMu.Unlock()
+	flushErr := s.writeCut(sock, last, batch, nil)
+	if flushErr == nil {
+		// writeMu still orders the marker behind every frame.
+		var hdr [wire.FrameHeaderSize]byte
+		marker, _ := wire.AppendFrame(hdr[:0], wire.Frame{Seq: last, Flags: wire.FlagFlush})
+		_, flushErr = sock.Write(marker)
 	}
 	s.writeMu.Unlock()
 	if flushErr == nil {
@@ -760,37 +865,20 @@ func (s *Socket) drainAndClose() {
 		}
 	}
 	graceful := s.drained
-	if s.sock != nil {
-		s.sock.Close()
-		s.sock = nil
-		s.fw = nil
-	}
+	s.dropSockLocked()
 	s.sockInstalled = false
 	s.suspending = false
 	s.drained = false
 	s.peerFlushSeen = false
 	if graceful {
 		// Drain handshake proves the peer received everything we sent.
-		s.releaseSendLogLocked()
+		s.dropSendSegsLocked(len(s.sendLog))
 		s.ctrl.obs.drainsGraceful.Inc()
 	} else {
 		s.ctrl.obs.drainsUngraceful.Inc()
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
-}
-
-// releaseSendLogLocked clears the send log, recycling its buffers unless a
-// retransmit snapshot may still hold references. Caller holds mu.
-func (s *Socket) releaseSendLogLocked() {
-	if !s.retxPending {
-		for i := range s.sendLog {
-			wire.PutPayload(s.sendLog[i].Payload)
-			s.sendLog[i] = bufEntry{}
-		}
-	}
-	s.sendLog = nil
-	s.sendLogSize = 0
 }
 
 // condTimerFires counts deadline-timer wakeups of waitCond, for the

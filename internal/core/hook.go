@@ -9,6 +9,7 @@ import (
 
 	"naplet/internal/metrics"
 	"naplet/internal/obs"
+	"naplet/internal/wire"
 )
 
 // This file makes the Controller an agent migration hook (agent.Hook,
@@ -159,7 +160,9 @@ func (ctrl *Controller) PreDepart(agentID string) ([]byte, error) {
 
 // snapshotLocked captures the connection's full state without disturbing
 // the live object — the form journaled at lifecycle edges and shipped in
-// migration bundles. Caller holds mu.
+// migration bundles. Segments become the per-frame entries of the gob form;
+// the payloads alias the segments, so the caller encodes (or takes the
+// segments over) before releasing mu. Caller holds mu.
 func (s *Socket) snapshotLocked() connState {
 	st := connState{
 		ID:              s.id,
@@ -168,9 +171,6 @@ func (s *Socket) snapshotLocked() connState {
 		SessionKey:      append([]byte(nil), s.sessionKey...),
 		NextSendSeq:     s.nextSendSeq,
 		LastEnqueued:    s.lastEnqueued,
-		Leftover:        append([]byte(nil), s.leftover...),
-		LeftoverSeq:     s.leftoverSeq,
-		LeftoverBuf:     s.leftoverBuf,
 		PeerControlAddr: s.peerControlAddr,
 		PeerDataAddr:    s.peerDataAddr,
 		SendNonce:       s.sendNonce,
@@ -181,32 +181,65 @@ func (s *Socket) snapshotLocked() connState {
 	// Everything still in the buffer crosses the migration (or restart) in
 	// the buffer: mark it so post-resume deliveries are attributed
 	// correctly (Fig 7).
-	st.RecvBuf = make([]bufEntry, len(s.recvBuf))
-	for i, e := range s.recvBuf {
-		st.RecvBuf[i] = bufEntry{Seq: e.Seq, Payload: e.Payload, ViaBuffer: true}
+	for i := range s.recvQ {
+		eachDataFrame(s.recvQ[i].buf[s.recvQ[i].off:], func(f wire.Frame) {
+			st.RecvBuf = append(st.RecvBuf, bufEntry{Seq: f.Seq, Payload: f.Payload, ViaBuffer: true})
+		})
 	}
-	st.SendLog = append([]bufEntry(nil), s.sendLog...)
+	if s.readDone > 0 || s.readTail {
+		// The frame under the read cursor is half delivered: its rest
+		// travels as the leftover tail, with the identity and provenance of
+		// the message it belongs to.
+		head := st.RecvBuf[0]
+		st.RecvBuf = st.RecvBuf[1:]
+		st.Leftover, st.LeftoverSeq, st.LeftoverBuf = head.Payload[s.readDone:], head.Seq, s.recvQ[0].via
+	}
+	for i := range s.sendLog {
+		eachDataFrame(s.sendLog[i].buf, func(f wire.Frame) {
+			st.SendLog = append(st.SendLog, bufEntry{Seq: f.Seq, Payload: f.Payload})
+		})
+	}
 	return st
 }
 
+// packFrames appends entries, re-encoded, to the segment queue q: the way
+// back from the gob form. Segments are sized to what is left to pack, up to
+// sendSegBytes (a larger frame gets one sized for it); via marks them all.
+func packFrames(q []segment, entries []bufEntry, via bool) []segment {
+	left := 0
+	for _, e := range entries {
+		left += wire.FrameHeaderSize + len(e.Payload)
+	}
+	for _, e := range entries {
+		need := wire.FrameHeaderSize + len(e.Payload)
+		k := len(q) - 1
+		if k < 0 || cap(q[k].buf)-len(q[k].buf) < need {
+			buf := wire.GetPayload(max(need, min(left, sendSegBytes)))[:0]
+			q = append(q, segment{buf: buf, first: e.Seq, via: via})
+			k++
+		}
+		// Payloads come out of frames, so they are within the frame limit.
+		q[k].buf, _ = wire.AppendFrame(q[k].buf, wire.Frame{Seq: e.Seq, Flags: wire.FlagData, Payload: e.Payload})
+		q[k].last = e.Seq
+		left -= need
+	}
+	return q
+}
+
 // serialize captures the suspended connection's full state and detaches
-// the local object: its buffers are handed over to the serialized form and
-// the object is marked with ErrMigrated, so a stray reader can neither
-// hang on the dead handle nor double-deliver buffered data.
+// the local object: its segments are handed over to the serialized form
+// (never recycled: the entries alias them) and the object is marked with
+// ErrMigrated, so a stray reader can neither hang on the dead handle nor
+// double-deliver buffered data.
 func (s *Socket) serialize() connState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.snapshotLocked()
 	st.PeerClosed = s.closed && s.closeErr == nil && len(st.RecvBuf)+len(st.Leftover) > 0
-	// The snapshot deep-copied the leftover tail, so its pooled backing
-	// buffer can be recycled here. RecvBuf and SendLog payloads, by
-	// contrast, are shared with the snapshot — their ownership transfers
-	// to the serialized form and they are never recycled.
-	s.releaseLeftoverLocked()
-	s.recvBuf = nil
-	s.recvBytes = 0
-	s.sendLog = nil
-	s.sendLogSize = 0
+	s.recvQ, s.recvHeld = nil, 0
+	s.readDone, s.readTail = 0, false
+	s.sendLog, s.sendHeld = nil, 0
+	s.cutSeq, s.cutOff = s.nextSendSeq, 0
 	s.markClosedLocked(ErrMigrated)
 	s.closeErr = ErrMigrated // also on an endpoint the peer had already closed
 	return st

@@ -215,22 +215,26 @@ func (ctrl *Controller) restoreConn(st connState, nonceSlack uint64) (*Socket, e
 	s.mu.Lock()
 	s.nextSendSeq = st.NextSendSeq
 	s.lastEnqueued = st.LastEnqueued
-	s.recvBuf = st.RecvBuf
-	for _, e := range st.RecvBuf {
-		s.recvBytes += len(e.Payload)
+	// The buffered data goes back into segments. The leftover tail of a
+	// half-read message leads the receive buffer as a frame of its own,
+	// under the sequence number it was first delivered under; whatever its
+	// original provenance it has now crossed a migration (or restart) in
+	// the buffer, like everything behind it (Fig 7's accounting).
+	recv := st.RecvBuf
+	if s.readTail = len(st.Leftover) > 0; s.readTail {
+		recv = append([]bufEntry{{Seq: st.LeftoverSeq, Payload: st.Leftover}}, recv...)
 	}
-	s.leftover = st.Leftover
-	s.leftoverBack = st.Leftover
-	s.leftoverSeq = st.LeftoverSeq
-	// Whatever the tail's original provenance, it has now crossed a
-	// migration (or restart) in the buffer; the bytes still to be read
-	// count against the buffered path in Fig 7's accounting.
-	s.leftoverBuf = len(st.Leftover) > 0
-	s.leftoverRestored = len(st.Leftover) > 0
-	s.sendLog = st.SendLog
-	for _, e := range st.SendLog {
-		s.sendLogSize += len(e.Payload)
+	s.recvQ = packFrames(nil, recv, true)
+	for _, seg := range s.recvQ {
+		s.recvHeld += cap(seg.buf)
 	}
+	s.sendLog = packFrames(nil, st.SendLog, false)
+	for _, seg := range s.sendLog {
+		s.sendHeld += cap(seg.buf)
+	}
+	// Nothing is pending and no write is in flight: the log is all cut and
+	// all flushed.
+	s.cutSeq, s.flushedSeq = s.nextSendSeq, s.nextSendSeq-1
 	s.peerControlAddr = st.PeerControlAddr
 	s.peerDataAddr = st.PeerDataAddr
 	s.sendNonce = st.SendNonce + nonceSlack

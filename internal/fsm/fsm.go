@@ -11,6 +11,7 @@ package fsm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -339,8 +340,10 @@ type Observer func(Transition)
 // Machine is a concurrency-safe instance of the state machine with history,
 // one per connection endpoint.
 type Machine struct {
+	// state is written under mu (Step) and read without it: State sits on
+	// the data path, once per message written.
+	state    atomic.Uint32
 	mu       sync.Mutex
-	state    State
 	history  []Transition
 	observer Observer
 	// maxHistory bounds the retained history.
@@ -350,15 +353,13 @@ type Machine struct {
 // NewMachine returns a machine starting in the given state (Closed for
 // fresh connections).
 func NewMachine(start State) *Machine {
-	return &Machine{state: start, maxHistory: 128}
+	m := &Machine{maxHistory: 128}
+	m.state.Store(uint32(start))
+	return m
 }
 
 // State returns the current state.
-func (m *Machine) State() State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state
-}
+func (m *Machine) State() State { return State(m.state.Load()) }
 
 // SetObserver installs the machine's transition observer (nil to
 // remove). It only affects subsequent steps.
@@ -373,18 +374,18 @@ func (m *Machine) SetObserver(o Observer) {
 // transition after the state is updated.
 func (m *Machine) Step(e Event) (State, error) {
 	m.mu.Lock()
-	to, err := Next(m.state, e)
+	from := m.State()
+	to, err := Next(from, e)
 	if err != nil {
-		from := m.state
 		m.mu.Unlock()
 		return from, err
 	}
-	tr := Transition{From: m.state, Event: e, To: to, At: time.Now()}
+	tr := Transition{From: from, Event: e, To: to, At: time.Now()}
 	m.history = append(m.history, tr)
 	if len(m.history) > m.maxHistory {
 		m.history = m.history[len(m.history)-m.maxHistory:]
 	}
-	m.state = to
+	m.state.Store(uint32(to))
 	obs := m.observer
 	m.mu.Unlock()
 	if obs != nil {

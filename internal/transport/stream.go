@@ -29,8 +29,12 @@ type Stream struct {
 	// local is true on the side that opened the stream.
 	local bool
 
-	mu   sync.Mutex
-	cond chan struct{} // closed-and-replaced broadcast, PR 3 style
+	mu sync.Mutex
+	// cond is the broadcast channel of blocked Reads, Writes and opens:
+	// made by the first waiter, closed and dropped by the next broadcast.
+	// It is nil while nobody waits — on the event-driven path, always —
+	// so an event costs no channel.
+	cond chan struct{}
 
 	// accepted/openErr gate the opener until MuxAccept or MuxReset arrives.
 	accepted bool
@@ -38,13 +42,15 @@ type Stream struct {
 
 	// Receive side: a queue of pooled payload segments owned by the
 	// stream (segs[0][roff:] is the next readable byte). Segments arrive
-	// whole from the read loop and are recycled to the wire payload pool
-	// as the reader drains them — inbound bytes are never copied between
-	// the socket read and the consumer's buffer. finSeen marks a received
-	// FIN (EOF after the queue drains); consumed counts bytes handed to
-	// Read since the last window grant.
+	// whole from the read loop and leave whole through TakeSegments, or
+	// are recycled to the wire payload pool as Read drains them — inbound
+	// bytes are never copied between the socket read and the consumer.
+	// finSeen marks a received FIN (EOF after the queue drains); consumed
+	// counts bytes handed to Read or TakeSegments since the last window
+	// grant, buffered the bytes queued and not yet handed over.
 	segs     [][]byte
 	roff     int
+	buffered int
 	finSeen  bool
 	consumed int
 
@@ -74,7 +80,6 @@ func newStream(t *Transport, id uint64, local bool) *Stream {
 		t:          t,
 		id:         id,
 		local:      local,
-		cond:       make(chan struct{}),
 		sendWindow: t.streamWindow,
 	}
 }
@@ -85,8 +90,10 @@ func (s *Stream) TransportID() wire.ConnID { return s.t.ID() }
 
 // broadcastLocked wakes every waiter; callers hold s.mu.
 func (s *Stream) broadcastLocked() {
-	close(s.cond)
-	s.cond = make(chan struct{})
+	if s.cond != nil {
+		close(s.cond)
+		s.cond = nil
+	}
 }
 
 // waitLocked releases s.mu until the next broadcast or the deadline; it
@@ -98,6 +105,9 @@ func (s *Stream) broadcastLocked() {
 // broadcasts (every caller loops re-checking its condition, so a
 // coarse-tick or spurious wake is harmless).
 func (s *Stream) waitLocked(deadline time.Time) error {
+	if s.cond == nil {
+		s.cond = make(chan struct{})
+	}
 	ch := s.cond
 	s.mu.Unlock()
 	if deadline.IsZero() {
@@ -221,6 +231,7 @@ func (s *Stream) pushData(owned []byte) {
 		return
 	}
 	s.segs = append(s.segs, owned)
+	s.buffered += len(owned)
 	s.broadcastLocked()
 	fn := s.readable
 	s.mu.Unlock()
@@ -230,17 +241,11 @@ func (s *Stream) pushData(owned []byte) {
 }
 
 // Buffered reports how many received bytes Read can return without
-// blocking. With Read it satisfies wire.PeekSource, so the socket layer
-// decodes frames straight off the stream — no intermediate buffered
-// reader, one copy from received segment to frame payload.
+// blocking. With Read it satisfies wire.PeekSource.
 func (s *Stream) Buffered() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := -s.roff
-	for _, seg := range s.segs {
-		n += len(seg)
-	}
-	return n
+	return s.buffered
 }
 
 // finReceived records the peer's half-close.
@@ -309,22 +314,37 @@ func (s *Stream) Read(p []byte) (int, error) {
 			s.roff = 0
 		}
 	}
+	grant := s.consumeLocked(n)
+	s.mu.Unlock()
+	s.grantWindow(grant)
+	return n, nil
+}
+
+// consumeLocked accounts n bytes handed to the consumer and returns the
+// window credit to grant the peer for them (zero until half the window has
+// been consumed). Callers hold s.mu and pass the result to grantWindow
+// after releasing it.
+func (s *Stream) consumeLocked(n int) (grant int) {
+	s.buffered -= n
 	s.consumed += n
-	var grant int
 	if s.consumed >= s.t.streamWindowAt && s.err == nil && !s.finSeen {
 		grant = s.consumed
 		s.consumed = 0
 	}
-	s.mu.Unlock()
-	if grant > 0 {
-		var w [4]byte
-		w[0], w[1], w[2], w[3] = byte(grant>>24), byte(grant>>16), byte(grant>>8), byte(grant)
-		// writeFrame handles connection failure internally (the grant waits
-		// in the resume log); an error here means the transport is gone and
-		// this stream's err is already set.
-		s.t.writeFrame(wire.MuxWindow, s.id, w[:])
+	return grant
+}
+
+// grantWindow sends the peer the credit consumeLocked returned, if any.
+func (s *Stream) grantWindow(grant int) {
+	if grant <= 0 {
+		return
 	}
-	return n, nil
+	var w [4]byte
+	w[0], w[1], w[2], w[3] = byte(grant>>24), byte(grant>>16), byte(grant>>8), byte(grant)
+	// writeFrame handles connection failure internally (the grant waits
+	// in the resume log); an error here means the transport is gone and
+	// this stream's err is already set.
+	s.t.writeFrame(wire.MuxWindow, s.id, w[:])
 }
 
 // Write implements io.Writer, chunking by both the peer's credit window and
@@ -412,6 +432,7 @@ func (s *Stream) Close() error {
 	}
 	s.segs = nil
 	s.roff = 0
+	s.buffered = 0
 	s.broadcastLocked()
 	rfn, wfn := s.readable, s.writable
 	s.mu.Unlock()
@@ -459,9 +480,41 @@ func (s *Stream) SetWriteDeadline(t time.Time) error {
 //
 // The methods below let a caller drive the stream as a state machine
 // instead of parking a goroutine per stream in Read/Write: register a
-// readable hook, decode frames only while Buffered says a whole one is
-// queued, and probe TermStatus for the EOF/reset/close verdict that a
-// blocking Read would have returned.
+// readable hook, take the queued segments when it fires, and probe
+// TermStatus for the EOF/reset/close verdict that a blocking Read would
+// have returned.
+
+// TakeSegments hands the caller the queued received segments, oldest first,
+// appended to dst: whole pooled buffers exactly as the read loop queued
+// them, until their capacities — the memory changing hands — add up to max
+// bytes (at least one when any is queued and max is positive). Ownership
+// moves with them — each goes back through wire.PutPayload when its last
+// byte has been used — and so does their window credit: taking is
+// consuming, so a caller that stops taking is what pushes back on the
+// sender. One lock round trip moves any number of segments, and no byte is
+// copied.
+func (s *Stream) TakeSegments(dst [][]byte, max int) [][]byte {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return dst
+	}
+	n, i := 0, 0
+	for held := 0; i < len(s.segs) && held < max; i++ {
+		seg := s.segs[i][s.roff:]
+		s.roff = 0
+		dst = append(dst, seg)
+		n += len(seg)
+		held += cap(seg)
+	}
+	kept := copy(s.segs, s.segs[i:])
+	clear(s.segs[kept:])
+	s.segs = s.segs[:kept]
+	grant := s.consumeLocked(n)
+	s.mu.Unlock()
+	s.grantWindow(grant)
+	return dst
+}
 
 // SetReadable installs fn as the readable hook; it fires (on the
 // transport read loop — it must not block) whenever read progress
@@ -500,11 +553,11 @@ func (s *Stream) SendWindow() int {
 
 // TermStatus reports whether the stream is terminal for reading and the
 // error a blocking Read would return once the queue drains: local close,
-// the stream/transport error, or io.EOF after a clean FIN. Callers probe
-// it only after consuming every complete frame they could, so bytes
-// still buffered when the FIN is down are a truncated trailing record
-// that can never complete — terminal with ErrUnexpectedEOF rather than a
-// wait that no future event would end.
+// the stream/transport error, or io.EOF after a clean FIN. A FIN with
+// segments still queued is not terminal yet — their arrival fired the
+// readable hook, and the pass that takes them probes again. Whether the
+// bytes taken ended inside a record is the taker's to know, not the
+// stream's.
 func (s *Stream) TermStatus() (error, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -515,8 +568,6 @@ func (s *Stream) TermStatus() (error, bool) {
 		return s.err, true
 	case s.finSeen && len(s.segs) == 0:
 		return io.EOF, true
-	case s.finSeen:
-		return io.ErrUnexpectedEOF, true
 	}
 	return nil, false
 }

@@ -195,3 +195,70 @@ func TestFinWithUndeliveredSegmentsRecyclesPool(t *testing.T) {
 	}
 	t.Fatal("writes kept succeeding long after the peer closed with queued data")
 }
+
+// TestTakeSegmentsMovesBytesAndCredit: the hand-over gives the caller the
+// queued segments whole and in order, keeps Buffered in step, fires the
+// readable hook for what arrives later, and counts as consumption — a writer
+// stalled on a zero window is released by taking, with no Read anywhere.
+func TestTakeSegmentsMovesBytesAndCredit(t *testing.T) {
+	a := newTestPeer(t, "a", true)
+	b := newTestPeer(t, "b", true)
+	cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := recvStream(t, b)
+	readable := make(chan struct{}, 1)
+	ss.SetReadable(func() {
+		select {
+		case readable <- struct{}{}:
+		default:
+		}
+	})
+
+	payload := make([]byte, initialWindow+256<<10)
+	for i := range payload {
+		payload[i] = byte(i*7 + i>>9)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := cs.Write(payload)
+		wrote <- err
+	}()
+
+	var got []byte
+	deadline := time.After(10 * time.Second)
+	for len(got) < len(payload) {
+		select {
+		case <-readable:
+		case <-deadline:
+			t.Fatalf("took %d of %d bytes; %d buffered", len(got), len(payload), ss.Buffered())
+		}
+		for {
+			before := ss.Buffered()
+			segs := ss.TakeSegments(nil, 64<<10)
+			if len(segs) == 0 {
+				break
+			}
+			n := 0
+			for _, seg := range segs {
+				got = append(got, seg...)
+				n += len(seg)
+				wire.PutPayload(seg)
+			}
+			// The read loop may have queued more meanwhile, never less.
+			if after := ss.Buffered(); after < before-n {
+				t.Fatalf("Buffered went from %d to %d across a hand-over of %d bytes", before, after, n)
+			}
+		}
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("write released by taking: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("segments handed over out of order or altered")
+	}
+	if n := ss.Buffered(); n != 0 {
+		t.Fatalf("%d bytes buffered after everything was taken", n)
+	}
+}

@@ -57,6 +57,10 @@ func (f Frame) IsData() bool { return f.Flags&FlagData != 0 }
 //	payload [length]byte
 const frameHeaderSize = 2 + 1 + 1 + 8 + 4
 
+// FrameHeaderSize is the encoded size of a frame header: a frame of n
+// payload bytes occupies FrameHeaderSize+n bytes of a stream or segment.
+const FrameHeaderSize = frameHeaderSize
+
 // ErrBadFrame reports a malformed or foreign frame header.
 var ErrBadFrame = errors.New("wire: malformed frame")
 
@@ -65,12 +69,7 @@ func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFramePayload {
 		return fmt.Errorf("wire: frame payload %d exceeds limit %d", len(f.Payload), MaxFramePayload)
 	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint16(hdr[0:2], frameMagic)
-	hdr[2] = frameVersion
-	hdr[3] = f.Flags
-	binary.BigEndian.PutUint64(hdr[4:12], f.Seq)
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(f.Payload)))
+	hdr := frameHeader(f)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -82,20 +81,77 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return nil
 }
 
-// appendFrame encodes f onto buf in canonical form.
-func appendFrame(buf []byte, f Frame) ([]byte, error) {
+// AppendFrame encodes f onto buf in canonical form: header, then payload.
+// A run of such frames in one buffer is the data plane's segment — what a
+// FrameWriter accumulates, what the peer's stream delivers, and what the
+// send log and the receive buffer hold.
+func AppendFrame(buf []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > MaxFramePayload {
 		return buf, fmt.Errorf("wire: frame payload %d exceeds limit %d", len(f.Payload), MaxFramePayload)
 	}
-	var hdr [frameHeaderSize]byte
+	hdr := frameHeader(f)
+	buf = append(buf, hdr[:]...)
+	return append(buf, f.Payload...), nil
+}
+
+func frameHeader(f Frame) (hdr [frameHeaderSize]byte) {
 	binary.BigEndian.PutUint16(hdr[0:2], frameMagic)
 	hdr[2] = frameVersion
 	hdr[3] = f.Flags
 	binary.BigEndian.PutUint64(hdr[4:12], f.Seq)
 	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(f.Payload)))
-	buf = append(buf, hdr[:]...)
-	return append(buf, f.Payload...), nil
+	return hdr
 }
+
+// parseFrameHeader decodes and validates the header at the head of b, which
+// holds at least frameHeaderSize bytes: the one header parser behind
+// ReadFrame, FrameDecoder and PeekFrame. It returns the frame without its
+// payload and the payload length the header announces.
+func parseFrameHeader(b []byte) (Frame, int, error) {
+	n := binary.BigEndian.Uint32(b[12:16])
+	if binary.BigEndian.Uint16(b[0:2]) != frameMagic || b[2] != frameVersion || n > MaxFramePayload {
+		return Frame{}, 0, badFrameHeader(b)
+	}
+	return Frame{Flags: b[3], Seq: binary.BigEndian.Uint64(b[4:12])}, int(n), nil
+}
+
+// badFrameHeader names what parseFrameHeader rejected; kept out of line so
+// the parser itself inlines into the per-frame loops.
+func badFrameHeader(b []byte) error {
+	if m := binary.BigEndian.Uint16(b[0:2]); m != frameMagic {
+		return fmt.Errorf("%w: bad magic %#04x", ErrBadFrame, m)
+	}
+	if b[2] != frameVersion {
+		return fmt.Errorf("%w: unsupported version %d", ErrBadFrame, b[2])
+	}
+	return fmt.Errorf("%w: payload length %d exceeds limit", ErrBadFrame, binary.BigEndian.Uint32(b[12:16]))
+}
+
+// PeekFrame parses the frame at the head of b where it lies: f.Payload
+// aliases b, and size is the frame's encoded length, so the next frame
+// starts at b[size:]. A zero size with a nil error means b ends inside the
+// frame. Walking a segment is a loop over PeekFrame.
+func PeekFrame(b []byte) (f Frame, size int, err error) {
+	if len(b) < frameHeaderSize {
+		return Frame{}, 0, nil
+	}
+	f, n, err := parseFrameHeader(b)
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	size = frameHeaderSize + n
+	if len(b) < size {
+		return Frame{}, 0, nil
+	}
+	f.Payload = b[frameHeaderSize:size:size]
+	return f, size, nil
+}
+
+// VoidFrame rewrites the header at the head of b so that the frame is
+// neither data nor a flush marker: a reader walking the segment steps over
+// it. This is how a duplicate is dropped from a segment without moving
+// bytes.
+func VoidFrame(b []byte) { b[3] = 0 }
 
 // PeekSource is the byte source an incremental decoder drains: reads of
 // at most Buffered() bytes complete without blocking.
@@ -144,20 +200,14 @@ func (d *FrameDecoder) Next(src PeekSource) (Frame, bool, error) {
 		}
 	}
 	if !d.haveHdr {
-		if binary.BigEndian.Uint16(d.hdr[0:2]) != frameMagic {
-			return Frame{}, false, fmt.Errorf("%w: bad magic %#04x", ErrBadFrame, binary.BigEndian.Uint16(d.hdr[0:2]))
-		}
-		if d.hdr[2] != frameVersion {
-			return Frame{}, false, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, d.hdr[2])
-		}
-		n := binary.BigEndian.Uint32(d.hdr[12:16])
-		if n > MaxFramePayload {
-			return Frame{}, false, fmt.Errorf("%w: payload length %d exceeds limit", ErrBadFrame, n)
+		fr, n, err := parseFrameHeader(d.hdr[:])
+		if err != nil {
+			return Frame{}, false, err
 		}
 		d.haveHdr = true
-		d.fr = Frame{Flags: d.hdr[3], Seq: binary.BigEndian.Uint64(d.hdr[4:12])}
+		d.fr = fr
 		if n > 0 {
-			d.payload = GetPayload(int(n))
+			d.payload = GetPayload(n)
 			d.payN = 0
 		}
 	}
@@ -179,6 +229,38 @@ func (d *FrameDecoder) Next(src PeekSource) (Frame, bool, error) {
 	f.Payload = d.payload
 	d.reset()
 	return f, true, nil
+}
+
+// Fill is the decoder for a source that hands over contiguous segments the
+// consumer walks in place with PeekFrame: only a frame that straddles two
+// segments needs assembling, and Fill does that. It copies bytes of b into
+// the frame in progress and reports how many it took; once the frame is
+// whole it returns it encoded — header and payload in one pooled buffer the
+// caller owns, itself a one-frame segment — and takes nothing past its end.
+// A decoder is driven through Next or through Fill, never both.
+func (d *FrameDecoder) Fill(b []byte) (frame []byte, n int, err error) {
+	if d.payload == nil {
+		n = copy(d.hdr[d.hdrN:], b)
+		d.hdrN += n
+		if d.hdrN < frameHeaderSize {
+			return nil, n, nil
+		}
+		_, size, err := parseFrameHeader(d.hdr[:])
+		if err != nil {
+			return nil, n, err
+		}
+		d.payload = GetPayload(frameHeaderSize + size)
+		d.payN = copy(d.payload, d.hdr[:])
+	}
+	m := copy(d.payload[d.payN:], b[n:])
+	d.payN += m
+	n += m
+	if d.payN < len(d.payload) {
+		return nil, n, nil
+	}
+	frame = d.payload
+	d.reset()
+	return frame, n, nil
 }
 
 // Partial reports whether the decoder sits mid-frame — a source that ends
@@ -222,16 +304,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	if binary.BigEndian.Uint16(hdr[0:2]) != frameMagic {
-		return Frame{}, fmt.Errorf("%w: bad magic %#04x", ErrBadFrame, binary.BigEndian.Uint16(hdr[0:2]))
-	}
-	if hdr[2] != frameVersion {
-		return Frame{}, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, hdr[2])
-	}
-	f := Frame{Flags: hdr[3], Seq: binary.BigEndian.Uint64(hdr[4:12])}
-	n := binary.BigEndian.Uint32(hdr[12:16])
-	if n > MaxFramePayload {
-		return Frame{}, fmt.Errorf("%w: payload length %d exceeds limit", ErrBadFrame, n)
+	f, n, err := parseFrameHeader(hdr[:])
+	if err != nil {
+		return Frame{}, err
 	}
 	if n > 0 {
 		f.Payload = make([]byte, n)
@@ -285,7 +360,7 @@ func (fw *FrameWriter) WriteData(payload []byte) (uint64, error) {
 // flush, retransmission — call Flush (or WriteFlush) explicitly.
 func (fw *FrameWriter) WriteDataBuffered(payload []byte) (uint64, error) {
 	seq := fw.nextSeq
-	buf, err := appendFrame(fw.buf, Frame{Seq: seq, Flags: FlagData, Payload: payload})
+	buf, err := AppendFrame(fw.buf, Frame{Seq: seq, Flags: FlagData, Payload: payload})
 	if err != nil {
 		return 0, err
 	}
@@ -323,7 +398,7 @@ func (fw *FrameWriter) Buffered() int { return len(fw.buf) }
 // WriteFlush writes the pre-suspend flush marker carrying the last data
 // sequence number written on this stream, then flushes.
 func (fw *FrameWriter) WriteFlush() error {
-	buf, err := appendFrame(fw.buf, Frame{Seq: fw.LastSeq(), Flags: FlagFlush})
+	buf, err := AppendFrame(fw.buf, Frame{Seq: fw.LastSeq(), Flags: FlagFlush})
 	if err != nil {
 		return err
 	}

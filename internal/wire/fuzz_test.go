@@ -28,10 +28,13 @@ func frameErrClass(err error) string {
 }
 
 // FuzzReadFrame is differential: ReadFrame, the reference decoder, reads
-// data in one piece; FrameDecoder, the one on the wire, gets the same bytes
-// through a source that releases them in the chunk sizes the fuzzer picks.
-// Both must yield the same frames and the same kind of ending, and every
-// payload buffer the decoder drew from the pool must find its way back.
+// data in one piece; FrameDecoder.Next gets the same bytes through a source
+// that releases them in the chunk sizes the fuzzer picks; and the in-place
+// walk — PeekFrame over each segment, Fill for the frame that straddles two,
+// the way the data plane consumes a stream — gets them cut into pooled
+// segments of those same sizes. All three must yield the same frames and the
+// same kind of ending, and every buffer drawn from the pool must find its way
+// back.
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
 	WriteFrame(&good, Frame{Seq: 7, Flags: FlagData, Payload: []byte("seed")})
@@ -59,6 +62,7 @@ func FuzzReadFrame(f *testing.F) {
 
 		hits0, misses0 := PoolStats()
 		returns0 := PoolReturns()
+		walked, walkErr := walkSegments(data, chunks)
 		src := &trickleSource{buf: data}
 		var dec FrameDecoder
 		var got []Frame
@@ -89,10 +93,17 @@ func FuzzReadFrame(f *testing.F) {
 		if frameErrClass(gotErr) != frameErrClass(wantErr) {
 			t.Fatalf("FrameDecoder ended with %v, ReadFrame with %v", gotErr, wantErr)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("FrameDecoder yielded %d frames, ReadFrame %d", len(got), len(want))
+		if frameErrClass(walkErr) != frameErrClass(wantErr) {
+			t.Fatalf("the in-place walk ended with %v, ReadFrame with %v", walkErr, wantErr)
+		}
+		if len(got) != len(want) || len(walked) != len(want) {
+			t.Fatalf("FrameDecoder yielded %d frames, the in-place walk %d, ReadFrame %d", len(got), len(walked), len(want))
 		}
 		for i, fr := range want {
+			if walked[i].Seq != fr.Seq || walked[i].Flags != fr.Flags || !bytes.Equal(walked[i].Payload, fr.Payload) {
+				t.Fatalf("frame %d: the in-place walk seq %d flags %#x len %d, ReadFrame seq %d flags %#x len %d", i,
+					walked[i].Seq, walked[i].Flags, len(walked[i].Payload), fr.Seq, fr.Flags, len(fr.Payload))
+			}
 			if got[i].Seq != fr.Seq || got[i].Flags != fr.Flags || !bytes.Equal(got[i].Payload, fr.Payload) {
 				t.Fatalf("frame %d: FrameDecoder seq %d flags %#x len %d, ReadFrame seq %d flags %#x len %d", i,
 					got[i].Seq, got[i].Flags, len(got[i].Payload), fr.Seq, fr.Flags, len(fr.Payload))
@@ -115,9 +126,62 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		hits, misses := PoolStats()
 		if drawn, returned := (hits-hits0)+(misses-misses0), PoolReturns()-returns0; drawn != returned {
-			t.Fatalf("FrameDecoder drew %d payload buffers from the pool and %d came back", drawn, returned)
+			t.Fatalf("the decoders drew %d buffers from the pool and %d came back", drawn, returned)
 		}
 	})
+}
+
+// walkSegments consumes data the way the data plane consumes a stream: cut
+// into pooled segments (1..256 bytes each as chunks dictates, then the rest
+// in one), each walked in place with PeekFrame, the frame that straddles two
+// of them assembled with Fill. The frames it returns are copies; every
+// segment and assembly buffer is back in the pool when it returns.
+func walkSegments(data, chunks []byte) (frames []Frame, err error) {
+	var dec FrameDecoder
+	defer dec.Release()
+	keep := func(run []byte) {
+		for len(run) > 0 {
+			f, size, _ := PeekFrame(run)
+			f.Payload = append([]byte(nil), f.Payload...)
+			frames = append(frames, f)
+			run = run[size:]
+		}
+	}
+	for len(data) > 0 {
+		n := len(data)
+		if len(chunks) > 0 {
+			n = min(n, int(chunks[0])+1)
+			chunks = chunks[1:]
+		}
+		seg := GetPayload(n)
+		copy(seg, data)
+		data = data[n:]
+		off := 0
+		if dec.Partial() {
+			var frame []byte
+			if frame, off, err = dec.Fill(seg); frame != nil {
+				keep(frame)
+				PutPayload(frame)
+			}
+		}
+		for err == nil && off < len(seg) {
+			var size int
+			if _, size, err = PeekFrame(seg[off:]); err == nil && size == 0 {
+				_, _, err = dec.Fill(seg[off:])
+				break
+			}
+			keep(seg[off : off+size])
+			off += size
+		}
+		PutPayload(seg)
+		if err != nil {
+			return frames, err
+		}
+	}
+	if dec.Partial() {
+		return frames, io.ErrUnexpectedEOF
+	}
+	return frames, io.EOF
 }
 
 func FuzzDecodeControlMsg(f *testing.F) {

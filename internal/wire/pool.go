@@ -5,25 +5,37 @@ import (
 	"sync/atomic"
 )
 
-// Frame payload buffers cycle at data-plane rate: one per received frame and
-// one per send-log copy. Allocating each from the heap makes the garbage
-// collector a per-message cost, so the data plane draws them from a small
-// set of size-classed pools instead.
+// Pooled buffers cycle at segment rate: one per run of encoded frames on
+// either side of the data plane (send segment, received mux payload, the
+// assembly of a frame that straddles two of them) and one per sealed record.
+// Allocating each from the heap makes the garbage collector a data-plane
+// cost, so they are drawn from a small set of size-classed pools instead.
 //
 // Ownership protocol: GetPayload hands the caller an exclusively owned
-// buffer; ownership then travels with the slice (receive buffer, send log,
-// application via ReadMsg). Whoever drains the last reference — and is sure
-// no snapshot, retransmit, or application alias is still reading it — calls
-// PutPayload. A buffer that escapes to a component outside the protocol
-// (e.g. a slice returned to the application by ReadMsg) is simply never
-// returned; the pool refills itself through GetPayload misses.
+// buffer; ownership then travels with the slice (stream queue, receive
+// buffer, send log). Whoever drains the last reference — and is sure no
+// snapshot, retransmit, or in-flight write is still reading it — calls
+// PutPayload. A buffer that escapes the protocol is simply never returned;
+// the pool refills itself through GetPayload misses.
 
-// payloadClasses are the pooled capacity classes. A request is served from
-// the smallest class that fits; anything above MaxFramePayload cannot occur
-// (frames are bounded).
-var payloadClasses = [...]int{1 << 10, 8 << 10, 64 << 10, MaxFramePayload}
+// payloadClasses are the pooled capacity classes: the third holds a 64 KiB
+// message with its frame header — the biggest mux payload, and the data
+// plane's segment size — and the last the largest frame there is. A request
+// is served from the smallest class that fits, except that the last class
+// serves only requests above half its size: what falls in between is rare
+// enough to be allocated at its exact size, so that a large buffer never
+// holds more than twice what was asked of it and a bound counted in buffer
+// capacities stays a bound on data.
+var payloadClasses = [...]int{1 << 10, 8 << 10, 64<<10 + FrameHeaderSize, MaxFramePayload + FrameHeaderSize}
 
-var payloadPools [len(payloadClasses)]sync.Pool
+// payloadPools hold *[]byte boxes, one per class; boxPool holds the empty
+// boxes between a Get and the next Put, so recycling a buffer allocates
+// nothing (a slice header stored in a sync.Pool directly escapes to the heap
+// on every Put).
+var (
+	payloadPools [len(payloadClasses)]sync.Pool
+	boxPool      sync.Pool
+)
 
 // Pool effectiveness counters, exported to the observability layer through
 // PoolStats (registered as /metrics gauges by the core controller).
@@ -44,11 +56,15 @@ func PoolStats() (hits, misses uint64) {
 // pooled segment a component took ownership of eventually came back.
 func PoolReturns() uint64 { return poolReturns.Load() }
 
-// classFor returns the index of the smallest class with capacity >= n, or
-// -1 when n exceeds the largest class.
+// classFor returns the index of the class that serves a request for n
+// bytes, or -1 when it is allocated at its exact size.
 func classFor(n int) int {
+	const last = len(payloadClasses) - 1
 	for i, c := range payloadClasses {
 		if n <= c {
+			if i == last && n <= c/2 {
+				return -1
+			}
 			return i
 		}
 	}
@@ -66,8 +82,12 @@ func GetPayload(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := payloadPools[ci].Get(); v != nil {
+		box := v.(*[]byte)
+		b := *box
+		*box = nil
+		boxPool.Put(box)
 		poolHits.Add(1)
-		return (*(v.(*[]byte)))[:n]
+		return b[:n]
 	}
 	poolMisses.Add(1)
 	return make([]byte, payloadClasses[ci])[:n]
@@ -76,15 +96,24 @@ func GetPayload(n int) []byte {
 // PutPayload returns a buffer to the pool. It accepts any slice — including
 // buffers that did not originate here (e.g. gob-decoded checkpoint state):
 // the buffer is filed under the largest class its capacity satisfies, and
-// dropped when it is smaller than every class. Callers must not retain any
-// alias to b after the call.
+// left to the garbage collector when it is smaller than every class or at
+// least twice that class (an exact-size allocation would otherwise sit in
+// the pool holding many times what the class promises). Callers must not
+// retain any alias to b after the call.
 func PutPayload(b []byte) {
 	c := cap(b)
 	for i := len(payloadClasses) - 1; i >= 0; i-- {
 		if c >= payloadClasses[i] {
-			b = b[:payloadClasses[i]]
-			payloadPools[i].Put(&b)
 			poolReturns.Add(1)
+			if c >= 2*payloadClasses[i] {
+				return
+			}
+			box, _ := boxPool.Get().(*[]byte)
+			if box == nil {
+				box = new([]byte)
+			}
+			*box = b[:payloadClasses[i]]
+			payloadPools[i].Put(box)
 			return
 		}
 	}
