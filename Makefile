@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small chaos-smoke naming-smoke storm-smoke wan-smoke
+.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small profile-control chaos-smoke naming-smoke storm-smoke wan-smoke
 
 build:
 	$(GO) build ./...
@@ -91,6 +91,7 @@ fuzz-smoke:
 	done
 	$(GO) test ./internal/security -run '^$$' -fuzz '^FuzzOpenRecord$$' -fuzztime 10s
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzConnStateDecode$$' -fuzztime 10s
 
 # bench runs the repository's one benchmark (BENCHMARK.json): four
 # workloads, each in its own process; see bench/README.md.
@@ -106,6 +107,15 @@ profile-small:
 	$(GO) test ./internal/core -run '^TestSmallMessageSteadyState$$' -count=30 \
 		-o .bench_build/profile-small/core.test -cpuprofile .bench_build/profile-small/cpu.out
 	$(GO) tool pprof -top -nodecount=20 .bench_build/profile-small/core.test .bench_build/profile-small/cpu.out
+
+# profile-control does the same for the control cycle: the driver is the
+# tier-1 budget test TestMigrationSteadyState, an agent with two connections
+# and sixteen unread 1 KiB messages going round three hosts.
+profile-control:
+	mkdir -p .bench_build/profile-control
+	$(GO) test ./internal/core -run '^TestMigrationSteadyState$$' -count=30 \
+		-o .bench_build/profile-control/core.test -cpuprofile .bench_build/profile-control/cpu.out
+	$(GO) tool pprof -top -nodecount=20 .bench_build/profile-control/core.test .bench_build/profile-control/cpu.out
 
 # check is the gate CI runs: vet, build, and the full suite under the race
 # detector.

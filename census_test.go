@@ -32,6 +32,7 @@ type knobStruct struct {
 }
 
 type parsedFile struct {
+	path    string
 	dir     string // slash-separated, relative to the repo root; "." for the root
 	test    bool
 	imports map[string]string // local package name -> dir
@@ -207,6 +208,29 @@ func (f *parsedFile) importsDir(dir string) bool {
 	return false
 }
 
+// TestCoreKeepsGobOffTheMigrationPath: a connection's serialized form is the
+// flat one of internal/core/state.go, for the migration blob and the journal
+// record alike. The reflection codec it replaced compiled its engines anew
+// for every blob — a third of a migration — so it must not drift back: no
+// non-test file of internal/core imports encoding/gob.
+func TestCoreKeepsGobOffTheMigrationPath(t *testing.T) {
+	seen := 0
+	for _, f := range parseTree(t) {
+		if f.dir != "internal/core" || f.test {
+			continue
+		}
+		seen++
+		for _, imp := range f.ast.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s imports encoding/gob", f.path)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no file of internal/core was parsed")
+	}
+}
+
 // parseTree parses every Go file of the module: product, tests, examples
 // and bench/ alike (the benchmark is a mover too).
 func parseTree(t *testing.T) []*parsedFile {
@@ -232,6 +256,7 @@ func parseTree(t *testing.T) []*parsedFile {
 			return err
 		}
 		f := &parsedFile{
+			path:    p,
 			dir:     filepath.ToSlash(filepath.Dir(p)),
 			test:    strings.HasSuffix(p, "_test.go"),
 			imports: map[string]string{},

@@ -52,16 +52,6 @@ type segment struct {
 	via bool
 }
 
-// bufEntry is one frame of connState's gob form, the checkpoint and
-// migration format; segments convert to and from it in hook.go.
-type bufEntry struct {
-	Seq     uint64
-	Payload []byte
-	// ViaBuffer marks receive-buffer entries that crossed a migration in
-	// the buffer.
-	ViaBuffer bool
-}
-
 // Observer receives a callback for every message delivered to the
 // application, for the Figure 7 instrumentation. fromBuffer is true when
 // the message was served from the migrated NapletInputStream buffer.

@@ -97,9 +97,15 @@ func (e *testEnv) place(agentID, host string) {
 // hostS, returning both endpoints.
 func (e *testEnv) pair(clientAgent, hostC, serverAgent, hostS string) (*Socket, *Socket) {
 	e.t.Helper()
-	hc, hs := e.hosts[hostC], e.hosts[hostS]
 	e.place(clientAgent, hostC)
 	e.place(serverAgent, hostS)
+	return e.connect(clientAgent, hostC, serverAgent, hostS)
+}
+
+// connect establishes a connection between two agents already placed.
+func (e *testEnv) connect(clientAgent, hostC, serverAgent, hostS string) (*Socket, *Socket) {
+	e.t.Helper()
+	hc, hs := e.hosts[hostC], e.hosts[hostS]
 	ss, err := hs.ctrl.ListenAs(serverAgent, hs.cred(serverAgent))
 	if err != nil {
 		e.t.Fatal(err)

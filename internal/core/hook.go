@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"time"
@@ -17,51 +16,6 @@ import (
 // are suspended — per the multi-connection rules of Section 3.2 — and
 // serialized, including every buffered undelivered byte; after it lands,
 // the connections are reconstructed and resumed from the new host.
-
-// connState is the serialized form of one connection endpoint. The
-// buffered data inside RecvBuf is the migrating NapletInputStream of
-// Section 3.1 — the paper's guarantee that data in transmission moves with
-// the agent.
-type connState struct {
-	ID                        [16]byte
-	LocalAgent, RemoteAgent   string
-	SessionKey                []byte
-	NextSendSeq, LastEnqueued uint64
-	RecvBuf                   []bufEntry
-	Leftover                  []byte
-	// LeftoverSeq and LeftoverBuf carry the provenance of the partially
-	// read message whose tail sits in Leftover: the sequence number it was
-	// delivered under and whether it had already crossed a migration in
-	// the buffer. Restores preserve them so Fig 7's socket-vs-buffer
-	// accounting stays correct for the tail's remaining bytes.
-	LeftoverSeq              uint64
-	LeftoverBuf              bool
-	SendLog                  []bufEntry
-	PeerControlAddr          string
-	PeerDataAddr             string
-	SendNonce, LastPeerNonce uint64
-	OwesSusRes               bool
-	Accepted                 bool
-	// PeerClosed marks an endpoint the peer closed while unread data sat in
-	// RecvBuf: it travels so the agent can read that data, then EOF, at its
-	// new host; there is nothing left to resume.
-	PeerClosed bool
-}
-
-// hookBlob is the controller's contribution to a migration bundle.
-type hookBlob struct {
-	Conns       []connState
-	HasListener bool
-	// Backlog lists queued-but-unaccepted connection ids, to repopulate
-	// the restored server socket's accept queue.
-	Backlog [][16]byte
-	// Trace is the marshaled span context of the origin's depart span, so
-	// the destination's arrival spans join the same migration trace.
-	Trace []byte
-	// DepartedAt is the origin's clock when the blob was sealed; the
-	// arrival side uses it to attribute the in-flight gap.
-	DepartedAt time.Time
-}
 
 // HookName keys the controller's blob in migration bundles.
 func (ctrl *Controller) HookName() string { return "napletsocket" }
@@ -95,7 +49,10 @@ func (ctrl *Controller) PreDepart(agentID string) ([]byte, error) {
 	}
 	defer depart.End()
 
-	blob := hookBlob{}
+	// The blob is written as the connections suspend: each record is
+	// appended under its socket's lock, straight from the segments.
+	blob := beginBlob(depart.Context().Marshal())
+	shipped := 0
 	for _, s := range conns {
 		susSp := depart.Child("suspend")
 		susSp.Annotate("conn=" + s.id.String())
@@ -106,8 +63,9 @@ func (ctrl *Controller) PreDepart(agentID string) ([]byte, error) {
 			if err == ErrClosed {
 				// What the peer wrote before closing still moves with the
 				// agent (Section 3.1's guarantee covers a close, too).
-				if st := s.serialize(); st.PeerClosed {
-					blob.Conns = append(blob.Conns, st)
+				if rec, peerClosed := s.serialize(blob); peerClosed {
+					blob = rec
+					shipped++
 					o.connsShipped.Inc()
 				}
 				ctrl.dropConn(s)
@@ -120,19 +78,20 @@ func (ctrl *Controller) PreDepart(agentID string) ([]byte, error) {
 		susSp.End()
 		ckSp := depart.Child("checkpoint")
 		szStart := time.Now()
-		st := s.serialize()
+		blob, _ = s.serialize(blob)
 		o.suspendBD.Add(metrics.PhaseSerialize, time.Since(szStart))
 		ckSp.End()
-		blob.Conns = append(blob.Conns, st)
+		shipped++
 		o.connsShipped.Inc()
 		ctrl.dropConn(s)
 	}
 
-	if ss != nil && !ss.isClosed() {
-		blob.HasListener = true
+	listening := ss != nil && !ss.isClosed()
+	var backlog [][16]byte
+	if listening {
 		ss.mu.Lock()
 		for _, pending := range ss.queue {
-			blob.Backlog = append(blob.Backlog, pending.id)
+			backlog = append(backlog, pending.id)
 		}
 		ss.mu.Unlock()
 		// The listener itself stays behind only as a tombstone; remove it
@@ -145,30 +104,22 @@ func (ctrl *Controller) PreDepart(agentID string) ([]byte, error) {
 		ctrl.mu.Unlock()
 	}
 
-	blob.Trace = depart.Context().Marshal()
-	blob.DepartedAt = time.Now()
-	szStart := time.Now()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&blob); err != nil {
-		return nil, fmt.Errorf("napletsocket: serializing connections of %s: %w", agentID, err)
-	}
-	o.suspendBD.Add(metrics.PhaseSerialize, time.Since(szStart))
+	blob = sealBlob(blob, shipped, listening, backlog, time.Now())
 	ctrl.olog(obs.LevelInfo, "agent %s departing with %d connections (%d bytes serialized)",
-		agentID, len(blob.Conns), buf.Len())
-	return buf.Bytes(), nil
+		agentID, shipped, len(blob))
+	return blob, nil
 }
 
 // snapshotLocked captures the connection's full state without disturbing
 // the live object — the form journaled at lifecycle edges and shipped in
-// migration bundles. Segments become the per-frame entries of the gob form;
-// the payloads alias the segments, so the caller encodes (or takes the
-// segments over) before releasing mu. Caller holds mu.
+// migration bundles. The state aliases the segments and the session key, so
+// the caller encodes it before releasing mu. Caller holds mu.
 func (s *Socket) snapshotLocked() connState {
 	st := connState{
 		ID:              s.id,
 		LocalAgent:      s.localAgent,
 		RemoteAgent:     s.remoteAgent,
-		SessionKey:      append([]byte(nil), s.sessionKey...),
+		SessionKey:      s.sessionKey,
 		NextSendSeq:     s.nextSendSeq,
 		LastEnqueued:    s.lastEnqueued,
 		PeerControlAddr: s.peerControlAddr,
@@ -178,71 +129,50 @@ func (s *Socket) snapshotLocked() connState {
 		OwesSusRes:      s.owesSusRes,
 		Accepted:        s.accepted,
 	}
-	// Everything still in the buffer crosses the migration (or restart) in
-	// the buffer: mark it so post-resume deliveries are attributed
-	// correctly (Fig 7).
-	for i := range s.recvQ {
-		eachDataFrame(s.recvQ[i].buf[s.recvQ[i].off:], func(f wire.Frame) {
-			st.RecvBuf = append(st.RecvBuf, bufEntry{Seq: f.Seq, Payload: f.Payload, ViaBuffer: true})
-		})
+	if len(s.recvQ) > 0 {
+		st.RecvBuf = make([][]byte, len(s.recvQ))
+		for i := range s.recvQ {
+			st.RecvBuf[i] = s.recvQ[i].buf[s.recvQ[i].off:]
+		}
+		if s.readDone > 0 || s.readTail {
+			// The frame under the read cursor is half delivered: its rest
+			// travels as the leftover tail, with the identity and provenance
+			// of the message it belongs to.
+			f, size, _ := wire.PeekFrame(st.RecvBuf[0])
+			st.RecvBuf[0] = st.RecvBuf[0][size:]
+			st.Leftover, st.LeftoverSeq, st.LeftoverBuf = f.Payload[s.readDone:], f.Seq, s.recvQ[0].via
+		}
 	}
-	if s.readDone > 0 || s.readTail {
-		// The frame under the read cursor is half delivered: its rest
-		// travels as the leftover tail, with the identity and provenance of
-		// the message it belongs to.
-		head := st.RecvBuf[0]
-		st.RecvBuf = st.RecvBuf[1:]
-		st.Leftover, st.LeftoverSeq, st.LeftoverBuf = head.Payload[s.readDone:], head.Seq, s.recvQ[0].via
-	}
-	for i := range s.sendLog {
-		eachDataFrame(s.sendLog[i].buf, func(f wire.Frame) {
-			st.SendLog = append(st.SendLog, bufEntry{Seq: f.Seq, Payload: f.Payload})
-		})
+	if len(s.sendLog) > 0 {
+		st.SendLog = make([][]byte, len(s.sendLog))
+		for i := range s.sendLog {
+			st.SendLog[i] = s.sendLog[i].buf
+		}
 	}
 	return st
 }
 
-// packFrames appends entries, re-encoded, to the segment queue q: the way
-// back from the gob form. Segments are sized to what is left to pack, up to
-// sendSegBytes (a larger frame gets one sized for it); via marks them all.
-func packFrames(q []segment, entries []bufEntry, via bool) []segment {
-	left := 0
-	for _, e := range entries {
-		left += wire.FrameHeaderSize + len(e.Payload)
-	}
-	for _, e := range entries {
-		need := wire.FrameHeaderSize + len(e.Payload)
-		k := len(q) - 1
-		if k < 0 || cap(q[k].buf)-len(q[k].buf) < need {
-			buf := wire.GetPayload(max(need, min(left, sendSegBytes)))[:0]
-			q = append(q, segment{buf: buf, first: e.Seq, via: via})
-			k++
-		}
-		// Payloads come out of frames, so they are within the frame limit.
-		q[k].buf, _ = wire.AppendFrame(q[k].buf, wire.Frame{Seq: e.Seq, Flags: wire.FlagData, Payload: e.Payload})
-		q[k].last = e.Seq
-		left -= need
-	}
-	return q
-}
-
-// serialize captures the suspended connection's full state and detaches
-// the local object: its segments are handed over to the serialized form
-// (never recycled: the entries alias them) and the object is marked with
-// ErrMigrated, so a stray reader can neither hang on the dead handle nor
-// double-deliver buffered data.
-func (s *Socket) serialize() connState {
+// serialize appends the suspended connection's record to dst and detaches
+// the local object: its segments go back to the pool and the object is
+// marked with ErrMigrated, so a stray reader can neither hang on the dead
+// handle nor double-deliver buffered data. It also reports whether the
+// record is that of an endpoint the peer closed with data still unread.
+func (s *Socket) serialize(dst []byte) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.snapshotLocked()
-	st.PeerClosed = s.closed && s.closeErr == nil && len(st.RecvBuf)+len(st.Leftover) > 0
+	st.PeerClosed = s.closed && s.closeErr == nil && len(s.recvQ) > 0
+	dst = st.appendTo(dst)
+	for i := range s.recvQ {
+		wire.PutPayload(s.recvQ[i].buf)
+	}
 	s.recvQ, s.recvHeld = nil, 0
 	s.readDone, s.readTail = 0, false
-	s.sendLog, s.sendHeld = nil, 0
+	s.dropSendSegsLocked(len(s.sendLog))
 	s.cutSeq, s.cutOff = s.nextSendSeq, 0
 	s.markClosedLocked(ErrMigrated)
 	s.closeErr = ErrMigrated // also on an endpoint the peer had already closed
-	return st
+	return dst, st.PeerClosed
 }
 
 // PostArrive reconstructs the arriving agent's connections and kicks off
@@ -253,8 +183,11 @@ func (ctrl *Controller) PostArrive(agentID string, blob []byte) error {
 	if len(blob) == 0 {
 		return nil
 	}
-	var hb hookBlob
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&hb); err != nil {
+	// All or nothing: the whole blob is decoded and validated, and every
+	// endpoint built, before the first one is registered or the listener
+	// re-created.
+	hb, err := decodeHookBlob(blob)
+	if err != nil {
 		return fmt.Errorf("napletsocket: restoring connections of %s: %w", agentID, err)
 	}
 	ctrl.obs.arrivals.Inc()
@@ -271,9 +204,17 @@ func (ctrl *Controller) PostArrive(agentID string, blob []byte) error {
 	}
 	defer arrive.End()
 
+	socks := make([]*Socket, len(hb.Conns))
+	for i := range hb.Conns {
+		restSp := arrive.Child("restore")
+		socks[i], err = ctrl.buildConn(&hb.Conns[i], 0)
+		restSp.End()
+		if err != nil {
+			return err
+		}
+	}
 	var ss *ServerSocket
 	if hb.HasListener {
-		var err error
 		ss, err = ctrl.ListenAs(agentID, ctrl.cfg.Guard.IssueCredential(agentID))
 		if err != nil {
 			return fmt.Errorf("napletsocket: restoring listener of %s: %w", agentID, err)
@@ -284,20 +225,14 @@ func (ctrl *Controller) PostArrive(agentID string, blob []byte) error {
 		backlog[id] = true
 	}
 
-	for _, st := range hb.Conns {
-		restSp := arrive.Child("restore")
-		s, err := ctrl.restoreConn(st, 0)
-		if err != nil {
-			restSp.Annotate("failed: " + err.Error())
-			restSp.End()
-			return err
-		}
+	for i, s := range socks {
+		st := &hb.Conns[i]
+		ctrl.registerConn(s)
 		// The connection now lives here: journal it so a crash before the
 		// post-arrival resume completes still recovers it.
 		if !st.PeerClosed {
 			ctrl.checkpointConn(s)
 		}
-		restSp.End()
 
 		if ss != nil && !st.Accepted && backlog[st.ID] {
 			ss.push(s)

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -124,24 +122,19 @@ func (s *Socket) noteRecovered() {
 
 // ---- journal checkpoints ----
 
-// journalRecord captures the connection as one journal record. The gob
-// encode happens under mu: the snapshot shares payload slices with the live
-// receive buffer and send log, whose pooled buffers may be recycled the
-// moment the lock is released.
-func (s *Socket) journalRecord() (journal.Record, error) {
-	var buf bytes.Buffer
+// journalRecord captures the connection as one journal record. The record
+// is appended under mu: the snapshot aliases the live receive buffer and send
+// log, whose pooled buffers may be recycled the moment the lock is released.
+func (s *Socket) journalRecord() journal.Record {
 	s.mu.Lock()
 	st := s.snapshotLocked()
-	err := gob.NewEncoder(&buf).Encode(&st)
+	data := st.appendTo(nil)
 	s.mu.Unlock()
-	if err != nil {
-		return journal.Record{}, fmt.Errorf("napletsocket: encoding conn %s for journal: %w", wire.ConnID(st.ID), err)
-	}
 	return journal.Record{
 		Kind: journal.KindConn,
-		Key:  connJournalKey(st.LocalAgent, wire.ConnID(st.ID)),
-		Data: buf.Bytes(),
-	}, nil
+		Key:  connJournalKey(s.localAgent, s.id),
+		Data: data,
+	}
 }
 
 // checkpointConn journals the connection's current state. Called at every
@@ -153,12 +146,7 @@ func (ctrl *Controller) checkpointConn(s *Socket) {
 	if j == nil {
 		return
 	}
-	rec, err := s.journalRecord()
-	if err != nil {
-		ctrl.logf("journal: %v", err)
-		return
-	}
-	if err := j.Append(rec); err != nil && !errors.Is(err, journal.ErrClosed) {
+	if err := j.Append(s.journalRecord()); err != nil && !errors.Is(err, journal.ErrClosed) {
 		ctrl.logf("journal: checkpointing conn %s: %v", s.id, err)
 	}
 }
@@ -186,24 +174,19 @@ func (ctrl *Controller) CheckpointRecords(agentID string) []journal.Record {
 		if closed {
 			continue
 		}
-		rec, err := s.journalRecord()
-		if err != nil {
-			ctrl.logf("journal: %v", err)
-			continue
-		}
-		recs = append(recs, rec)
+		recs = append(recs, s.journalRecord())
 	}
 	return recs
 }
 
 // ---- crash recovery ----
 
-// restoreConn rebuilds a connection endpoint from its serialized state in
-// SUSPENDED (CLOSED, if the peer closed it before it travelled) and
-// registers it; shared by the migration arrival path (nonceSlack 0 — the
+// buildConn rebuilds a connection endpoint from its decoded state in
+// SUSPENDED (CLOSED, if the peer closed it before it travelled), without
+// registering it; shared by the migration arrival path (nonceSlack 0 — the
 // serialized state is exact) and the crash recovery path
 // (restartNonceSlack — the checkpoint may be stale).
-func (ctrl *Controller) restoreConn(st connState, nonceSlack uint64) (*Socket, error) {
+func (ctrl *Controller) buildConn(st *connState, nonceSlack uint64) (*Socket, error) {
 	start := fsm.Suspended
 	if st.PeerClosed {
 		start = fsm.Closed
@@ -212,7 +195,6 @@ func (ctrl *Controller) restoreConn(st connState, nonceSlack uint64) (*Socket, e
 	if err != nil {
 		return nil, fmt.Errorf("napletsocket: restoring connection %s: %w", wire.ConnID(st.ID), err)
 	}
-	s.mu.Lock()
 	s.nextSendSeq = st.NextSendSeq
 	s.lastEnqueued = st.LastEnqueued
 	// The buffered data goes back into segments. The leftover tail of a
@@ -222,13 +204,14 @@ func (ctrl *Controller) restoreConn(st connState, nonceSlack uint64) (*Socket, e
 	// the buffer, like everything behind it (Fig 7's accounting).
 	recv := st.RecvBuf
 	if s.readTail = len(st.Leftover) > 0; s.readTail {
-		recv = append([]bufEntry{{Seq: st.LeftoverSeq, Payload: st.Leftover}}, recv...)
+		tail, _ := wire.AppendFrame(nil, wire.Frame{Seq: st.LeftoverSeq, Flags: wire.FlagData, Payload: st.Leftover})
+		recv = append([][]byte{tail}, recv...)
 	}
-	s.recvQ = packFrames(nil, recv, true)
+	s.recvQ = packRuns(recv, true)
 	for _, seg := range s.recvQ {
 		s.recvHeld += cap(seg.buf)
 	}
-	s.sendLog = packFrames(nil, st.SendLog, false)
+	s.sendLog = packRuns(st.SendLog, false)
 	for _, seg := range s.sendLog {
 		s.sendHeld += cap(seg.buf)
 	}
@@ -248,8 +231,6 @@ func (ctrl *Controller) restoreConn(st connState, nonceSlack uint64) (*Socket, e
 		// crash; stamp the episode so the resume records a recovery latency.
 		s.failedAt = time.Now()
 	}
-	s.mu.Unlock()
-	ctrl.registerConn(s)
 	return s, nil
 }
 
@@ -272,16 +253,21 @@ func (ctrl *Controller) RecoverConns() (int, error) {
 
 	restored := 0
 	for key, data := range j.Entries(journal.KindConn) {
-		var st connState
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		st, err := decodeConnState(data)
+		if errors.Is(err, errPreV1State) {
+			ctrl.logf("recover: connection record in pre-v1 format, skipped: %q", key)
+			continue
+		}
+		if err != nil {
 			ctrl.logf("recover: undecodable conn record %q: %v", key, err)
 			continue
 		}
-		s, err := ctrl.restoreConn(st, restartNonceSlack)
+		s, err := ctrl.buildConn(&st, restartNonceSlack)
 		if err != nil {
 			ctrl.logf("recover: %v", err)
 			continue
 		}
+		ctrl.registerConn(s)
 		// Re-checkpoint immediately with the bumped nonce, so a second crash
 		// before the resume completes bumps again from here, not from the
 		// pre-crash value.

@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -344,59 +342,6 @@ func TestRetransmitStartsInsideSegment(t *testing.T) {
 		if seq != uint64(i+1) {
 			t.Fatalf("delivery %d carried seq %d: %v", i, seq, seqs)
 		}
-	}
-}
-
-// TestConnStateRoundTrip: the checkpoint form is unchanged by the segment
-// representation. A state with a half-read message, buffered messages and a
-// non-empty send log restores into segments and serializes back to itself.
-func TestConnStateRoundTrip(t *testing.T) {
-	env := newEnv(t, []string{"h1"})
-	ctrl := env.hosts["h1"].ctrl
-	id, err := wire.NewConnID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	st := connState{
-		ID: id, LocalAgent: "a", RemoteAgent: "b", SessionKey: seededBytes(rng, 32),
-		NextSendSeq: 8, LastEnqueued: 43,
-		Leftover: seededBytes(rng, 61), LeftoverSeq: 40, LeftoverBuf: true,
-		RecvBuf: []bufEntry{
-			{Seq: 41, Payload: seededBytes(rng, 100), ViaBuffer: true},
-			{Seq: 42, Payload: seededBytes(rng, 70<<10), ViaBuffer: true},
-			{Seq: 43, Payload: seededBytes(rng, 1), ViaBuffer: true},
-		},
-		SendLog: []bufEntry{
-			{Seq: 5, Payload: seededBytes(rng, 1<<10)},
-			{Seq: 6, Payload: seededBytes(rng, 64<<10)},
-			{Seq: 7, Payload: seededBytes(rng, 9)},
-		},
-		PeerControlAddr: "127.0.0.1:1", PeerDataAddr: "127.0.0.1:2",
-		SendNonce: 3, LastPeerNonce: 4, Accepted: true,
-	}
-	viaGob := func(in connState) (out connState) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-			t.Fatal(err)
-		}
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	s, err := ctrl.restoreConn(viaGob(st), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := s.Info(); info.RecvBufferedMsgs != 3 || info.RecvBufferedBytes != 61+100+70<<10+1 ||
-		!info.LeftoverFromBuffer || info.SendLogBytes != 1<<10+64<<10+9 {
-		t.Errorf("restored endpoint reports %+v", info)
-	}
-	got := s.serialize()
-	ctrl.dropConn(s)
-	if want := viaGob(st); !reflect.DeepEqual(viaGob(got), want) {
-		t.Fatalf("restore then serialize changed the state:\n got %+v\nwant %+v", viaGob(got), want)
 	}
 }
 

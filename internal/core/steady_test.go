@@ -1,10 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
+	"naplet/internal/obs"
 	"naplet/internal/wire"
 )
 
@@ -91,4 +95,142 @@ func raceDetector() bool {
 		}
 	}
 	return false
+}
+
+// TestMigrationSteadyState is the control cycle's budget, stated in counts
+// rather than wall clock: an agent holding two connections, each with eight
+// unread 1 KiB messages, goes round three hosts two hundred times. After
+// every move each message is read once, in order. The blob is the buffered
+// frames plus a fixed overhead per connection — nothing is re-encoded, so
+// nothing grows; the two hooks of a migration cost a bounded number of heap
+// allocations (the reflection codec this form replaced compiled its engines
+// anew for every blob, and cost over twice the ceiling); and every pooled
+// buffer drawn between setting the hosts up and closing them is back in the
+// pool. The same test is the profiling driver behind `make profile-control`.
+func TestMigrationSteadyState(t *testing.T) {
+	const (
+		conns  = 2
+		unread = 8
+		size   = 1 << 10
+		warmup = 10
+		moves  = 200
+	)
+	hits0, misses0 := wire.PoolStats()
+	returns0 := wire.PoolReturns()
+	env := newEnv(t, []string{"h1", "h2", "h3", "h4"}, quickOps(), func(c *Config) {
+		c.Logger = obs.NewLogger(t.Logf, obs.LevelWarn) // the allocations counted are the protocol's
+	})
+	env.place("mover", "h1")
+	var anchors [conns]*Socket
+	var ids [conns]wire.ConnID
+	perConn := 0
+	for i := range anchors {
+		name := fmt.Sprintf("anchor%d", i)
+		env.place(name, "h4")
+		c, s := env.connect("mover", "h1", name, "h4")
+		anchors[i], ids[i] = s, c.ID()
+		info := c.Info()
+		perConn = 256 + len(c.sessionKey) + len("mover") + len(name) + len(info.PeerControlAddr) + len(info.PeerDataAddr)
+	}
+
+	hosts := []string{"h1", "h2", "h3"}
+	msg := make([]byte, size)
+	var sent, got [conns]uint64
+	var hookAllocs uint64
+	mallocs := func() uint64 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.Mallocs
+	}
+	move := func(k int) {
+		t.Helper()
+		for i, a := range anchors {
+			for j := 0; j < unread; j++ {
+				sent[i]++
+				binary.BigEndian.PutUint64(msg, sent[i])
+				if err := a.WriteMsg(msg); err != nil {
+					t.Fatalf("move %d: write: %v", k, err)
+				}
+			}
+		}
+		from, to := env.hosts[hosts[k%3]].ctrl, env.hosts[hosts[(k+1)%3]]
+		a0 := mallocs()
+		blob, err := from.PreDepart("mover")
+		hookAllocs += mallocs() - a0
+		if err != nil {
+			t.Fatalf("move %d: PreDepart: %v", k, err)
+		}
+		if limit := conns * (unread*(size+wire.FrameHeaderSize) + perConn); len(blob) < conns*unread*size || len(blob) > limit {
+			t.Fatalf("move %d: blob of %d bytes for %d buffered, limit %d", k, len(blob), conns*unread*size, limit)
+		}
+		if err := env.svc.Update("mover", to.loc(), uint64(k+2)); err != nil {
+			t.Fatalf("move %d: location update: %v", k, err)
+		}
+		a0 = mallocs()
+		err = to.ctrl.PostArrive("mover", blob)
+		hookAllocs += mallocs() - a0
+		if err != nil {
+			t.Fatalf("move %d: PostArrive: %v", k, err)
+		}
+		for i, id := range ids {
+			s, err := to.ctrl.AgentSocket("mover", id)
+			if err != nil {
+				t.Fatalf("move %d: %v", k, err)
+			}
+			for j := 0; j < unread; j++ {
+				m, err := s.ReadMsg()
+				if err != nil {
+					t.Fatalf("move %d: read: %v", k, err)
+				}
+				if got[i]++; len(m) != size || binary.BigEndian.Uint64(m) != got[i] {
+					t.Fatalf("move %d, connection %d: message %d of %d bytes where %d was due", k, i, binary.BigEndian.Uint64(m), len(m), got[i])
+				}
+			}
+			waitEstablished(t, s)
+			if info := s.Info(); info.RecvBufferedMsgs != 0 {
+				t.Fatalf("move %d, connection %d: %d messages beyond those sent", k, i, info.RecvBufferedMsgs)
+			}
+		}
+	}
+
+	for k := 0; k < warmup; k++ {
+		move(k)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for k := warmup; k < warmup+moves; k++ {
+		move(k)
+	}
+	runtime.ReadMemStats(&m1)
+	for _, a := range anchors {
+		a.Close()
+	}
+	for _, h := range env.hosts {
+		h.ctrl.Close()
+	}
+	// Teardown is asynchronous (read loops and flushes let go of their
+	// buffers as they exit): the balance is due soon after Close, not at it.
+	var drawn, returned uint64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		hits1, misses1 := wire.PoolStats()
+		drawn, returned = (hits1-hits0)+(misses1-misses0), wire.PoolReturns()-returns0
+		if drawn == returned || time.Now().After(deadline) {
+			break
+		}
+	}
+
+	allocs := float64(hookAllocs) / (warmup + moves)
+	t.Logf("%d migrations of %d x %d x %d B: %.0f allocs inside PreDepart and PostArrive, %.0f allocs and %.0f B in the whole cycle; %d pooled buffers drawn, %d returned",
+		moves, conns, unread, size, allocs, float64(m1.Mallocs-m0.Mallocs)/moves, float64(m1.TotalAlloc-m0.TotalAlloc)/moves, drawn, returned)
+	if raceDetector() {
+		return // see TestSmallMessageSteadyState
+	}
+	// Measured 233 (722 with the blob in gob): the suspends' and the
+	// arrival's control messages, spans and sockets, not the serialization.
+	if allocs > 330 {
+		t.Errorf("%.0f heap allocations inside the hooks per migration, want <= 330", allocs)
+	}
+	if drawn != returned {
+		t.Errorf("%d pooled buffers drawn, %d returned", drawn, returned)
+	}
 }

@@ -18,7 +18,9 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"hash"
 	"math/big"
+	"sync"
 )
 
 // modp2048Hex is the prime of RFC 3526 group 14.
@@ -115,9 +117,20 @@ func DeriveSessionKey(secret, connID []byte) []byte {
 }
 
 // Authenticator signs and verifies control messages under a session key.
-// The zero value is unusable; construct with NewAuthenticator.
+// The zero value is unusable; construct with NewAuthenticator. It is safe for
+// concurrent use and must not be copied.
 type Authenticator struct {
 	key []byte
+	// macs holds keyed, reset HMACs between calls: keying one hashes two
+	// blocks and allocates both digests, per control message otherwise.
+	macs sync.Pool
+}
+
+// keyedMAC is what the pool holds: the hash, and room for its sum so that
+// taking it does not allocate either.
+type keyedMAC struct {
+	h   hash.Hash
+	sum [TagSize]byte
 }
 
 // NewAuthenticator wraps a derived session key.
@@ -135,10 +148,15 @@ const TagSize = sha256.Size
 
 // Sign returns the HMAC-SHA256 tag of msg under the session key.
 func (a *Authenticator) Sign(msg []byte) [TagSize]byte {
-	m := hmac.New(sha256.New, a.key)
-	m.Write(msg)
-	var tag [TagSize]byte
-	copy(tag[:], m.Sum(nil))
+	m, _ := a.macs.Get().(*keyedMAC)
+	if m == nil {
+		m = &keyedMAC{h: hmac.New(sha256.New, a.key)}
+	}
+	m.h.Write(msg)
+	m.h.Sum(m.sum[:0])
+	tag := m.sum
+	m.h.Reset()
+	a.macs.Put(m)
 	return tag
 }
 

@@ -2,8 +2,12 @@ package dhkx
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/big"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +108,39 @@ func TestAuthenticatorSignVerify(t *testing.T) {
 	if auth.Verify(msg, tag) {
 		t.Fatal("tampered tag accepted")
 	}
+}
+
+// TestAuthenticatorConcurrentSign: the keyed hashes an Authenticator reuses
+// never leak state from one message into another, whichever goroutine signs —
+// every tag equals that of an HMAC built fresh for the message.
+func TestAuthenticatorConcurrentSign(t *testing.T) {
+	key := DeriveSessionKey([]byte("secret"), []byte("conn"))
+	auth, err := NewAuthenticator(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				msg := []byte(fmt.Sprintf("RESUME conn-%d nonce=%d", g, i))
+				fresh := hmac.New(sha256.New, key)
+				fresh.Write(msg)
+				tag := auth.Sign(msg)
+				if !bytes.Equal(tag[:], fresh.Sum(nil)) {
+					t.Errorf("goroutine %d message %d: tag differs from a fresh HMAC", g, i)
+					return
+				}
+				if !auth.Verify(msg, tag) {
+					t.Errorf("goroutine %d message %d: own tag rejected", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestAuthenticatorKeyIsolation(t *testing.T) {
