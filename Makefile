@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small profile-control chaos-smoke naming-smoke storm-smoke wan-smoke
+.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small profile-control chaos-smoke naming-smoke storm-smoke wan-smoke census
 
 build:
 	$(GO) build ./...
@@ -69,14 +69,23 @@ storm-smoke:
 # cannot dial each other sustain a migrated connection through an
 # untrusted relay), the RTT-adaptive keepalive/backoff regression tests,
 # then the netem scenario matrix in short mode (metro + intercontinental,
-# 2 breaks) — any lost resume, false ErrTransportLost, false detector
-# confirm, or false keepalive timeout on a merely-slow path fails the gate.
+# 2 breaks) — any lost resume, false ErrTransportLost, or false keepalive
+# timeout on a merely-slow path fails the gate.
 wan-smoke:
 	$(GO) test ./internal/relay -race -count=1
 	$(GO) test ./internal/transport -run 'TestRelayFallbackThroughNAT|TestRedialBackoffConfigHonored|TestKeepaliveAdaptsToWANRTT' -race -count=1 -v
 	$(GO) test ./internal/core -run TestMigrationSustainedThroughRelayNAT -race -count=1 -v
-	$(GO) test ./internal/fault -run 'TestRTTHintPreventsFalsePositive|TestSlowPathConfirmedDeadWithoutHint' -race -count=1
 	$(GO) run ./cmd/repro -quick wanmatrix
+
+# census prints the four numbers a simplicity PR quotes, so CHANGES.md can
+# be checked against the CI log: non-test lines, packages directly under
+# internal/, the configuration census (fields of *Config/*Options structs,
+# TestEveryKnobHasAMover), and napletd's flag count.
+census:
+	@echo "non-test lines: $$(find internal cmd examples naplet.go -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "internal/ packages: $$(ls -d internal/*/ | wc -l)"
+	@$(GO) test . -run '^TestEveryKnobHasAMover$$' -count=1 -v | grep -o 'census: .*'
+	@echo "napletd flags: $$(grep -cE 'flag\.(String|Int|Bool|Duration|Var)\(' cmd/napletd/main.go)"
 
 # integration runs only the subprocess tests (two-process deployment and
 # crash recovery), uncached.

@@ -18,8 +18,8 @@ import (
 
 	"naplet"
 	"naplet/internal/behaviors"
+	"naplet/internal/experiments"
 	"naplet/internal/naming/cluster"
-	"naplet/internal/trace"
 )
 
 // freePort reserves an ephemeral port and releases it for the daemon.
@@ -243,16 +243,16 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 
 	reg := naplet.NewRegistry()
 	behaviors.RegisterAll(reg)
-	rec := trace.NewRecorder()
+	rec := experiments.NewDeliveryRecorder()
 	sink := &behaviors.Sink{Expect: total}
 	sink.SetObserver(func(seq uint64, payload []byte, fromBuffer bool) {
 		counter := uint64(0)
 		if len(payload) >= 8 {
 			counter = binary.BigEndian.Uint64(payload)
 		}
-		src := trace.FromSocket
+		src := experiments.FromSocket
 		if fromBuffer {
-			src = trace.FromBuffer
+			src = experiments.FromBuffer
 		}
 		rec.Record(seq, counter, src)
 	})
@@ -367,8 +367,5 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 	}
 	if h := snap.Histograms["fault.recovery_ms"]; h.Count == 0 {
 		t.Errorf("/metrics fault.recovery_ms has no samples; histograms = %v", snap.Histograms)
-	}
-	if snap.Counters["fault.probes"] == 0 {
-		t.Errorf("/metrics fault.probes = 0 (heartbeat detector never ran)")
 	}
 }

@@ -61,7 +61,7 @@ var (
 	logLevel     = flag.String("log-level", "info", "runtime log level: debug, info, warn, error")
 	journalDir   = flag.String("journal-dir", "", "checkpoint agent and connection state into a journal under this directory; restarting with the same directory recovers them (off when empty)")
 	jrnSync      = flag.String("journal-sync", "interval", "journal fsync policy: always, interval, or never")
-	heartbeat    = flag.Duration("heartbeat-interval", 0, "probe peer controllers at this interval and fail connections to confirmed-dead peers (off when zero)")
+	heartbeat    = flag.Duration("heartbeat-interval", 0, "how often peer hosts are probed over the shared transport; a peer silent for three intervals is taken for dead and its connections go through failure recovery (zero = the 15s default)")
 	nameTTL      = flag.Duration("name-ttl", 0, "expire location service entries not refreshed within this duration (only with -naming-listen; off when zero)")
 	version      = flag.Bool("version", false, "print build information and exit")
 	launches     launchList
@@ -118,25 +118,25 @@ func main() {
 	metrics.Gauge(fmt.Sprintf("build.info{commit=%q,go=%q}", commit, goVersion)).Set(1)
 
 	cfg := naplet.Config{
-		Name:              *name,
-		DockAddr:          *dock,
-		ControlAddr:       *control,
-		DataAddr:          *data,
-		MailAddr:          *mail,
-		Insecure:          *insecure,
-		WithPostOffice:    *postoffice,
-		JournalDir:        *journalDir,
-		JournalSync:       *jrnSync,
-		HeartbeatInterval: *heartbeat,
-		Logf:              log.Printf,
-		Logger:            obs.NewLogger(log.Printf, level),
-		Metrics:           metrics,
+		Name:           *name,
+		DockAddr:       *dock,
+		ControlAddr:    *control,
+		DataAddr:       *data,
+		MailAddr:       *mail,
+		Insecure:       *insecure,
+		WithPostOffice: *postoffice,
+		JournalDir:     *journalDir,
+		JournalSync:    *jrnSync,
+		Logf:           log.Printf,
+		Logger:         obs.NewLogger(log.Printf, level),
+		Metrics:        metrics,
 	}
 	if *clusterKey != "" {
 		cfg.ClusterSecret = []byte(*clusterKey)
 	}
 	cfg.Core.DisableTransportEncryption = !*tpEncrypt
 	cfg.Core.RelayVia = *relayVia
+	cfg.Core.TransportKeepaliveInterval = *heartbeat
 
 	if *relayAddr != "" {
 		rs, err := relay.New(*relayAddr, log.Printf)

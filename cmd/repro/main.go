@@ -117,7 +117,7 @@ experiments:
   fig13    Figure 13: connection-migration overhead vs message exchange rate
   motivation  Section 1: round trip over NapletSocket vs the PostOffice mailbox
   wan      Table 1/§4.2 latencies under emulated network delay (1/5/10 ms one-way)
-  wanmatrix resume/detector robustness under the named WAN profiles (lan..lossy-cell)
+  wanmatrix resume/keepalive robustness under the named WAN profiles (lan..lossy-cell)
   ablations design-choice ablations (handoff, control transport, failure-resume)
   naming   sharded location-service lookups under a migration storm (cached vs direct)
   c10k     connection storm: 100k connections, a 10k-connection migration wave

@@ -201,9 +201,9 @@ type Socket struct {
 	closed   bool
 	closeErr error
 	failing  bool
-	// failedAt opens a failure episode (data-socket failure, confirmed peer
-	// failure, or a crash restore); cleared when the connection resumes,
-	// recording the recovery latency.
+	// failedAt opens a failure episode (data-socket failure or a crash
+	// restore); cleared when the connection resumes, recording the recovery
+	// latency.
 	failedAt time.Time
 
 	observer Observer

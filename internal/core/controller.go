@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"naplet/internal/agent"
 	"naplet/internal/dhkx"
-	"naplet/internal/fault"
 	"naplet/internal/fsm"
 	"naplet/internal/journal"
 	"naplet/internal/metrics"
@@ -54,15 +52,6 @@ type Config struct {
 	// Journal, when non-nil, receives connection-state checkpoints at each
 	// lifecycle edge and feeds RecoverConns after a restart.
 	Journal *journal.Journal
-	// HeartbeatInterval, when positive, enables the phi-accrual failure
-	// detector: peers with established connections here are probed over the
-	// control channel, and a confirmed-down peer fails its connections into
-	// the recovery path. Zero disables detection (the default).
-	HeartbeatInterval time.Duration
-	// SuspicionThreshold and ConfirmFailures tune the detector; zero picks
-	// the fault package defaults.
-	SuspicionThreshold float64
-	ConfirmFailures    int
 	// ControlDropFn, when non-nil, can drop outgoing control packets
 	// (returns true to drop) — fault injection for partition tests,
 	// forwarded to the reliable-UDP endpoint.
@@ -89,10 +78,10 @@ type Config struct {
 	// DrainTimeout bounds the pre-suspend drain. Default 5s.
 	DrainTimeout time.Duration
 	// TransportKeepaliveInterval / TransportKeepaliveTimeout tune the
-	// shared transport's half-open detection (mux ping after interval of
-	// inbound silence, declared dead after timeout). Zero picks the
-	// transport defaults (15s / 3x interval); a negative interval disables
-	// keepalive probing.
+	// shared transport's half-open detection — the one dead-peer detector
+	// (mux ping after interval of inbound silence, declared dead after
+	// timeout). Zero picks the transport defaults (15s / 3x interval); a
+	// negative interval disables keepalive probing.
 	TransportKeepaliveInterval time.Duration
 	TransportKeepaliveTimeout  time.Duration
 	// DisableTransportEncryption keeps the negotiated shared transport's
@@ -173,8 +162,6 @@ type Controller struct {
 	rv  *rendezvous
 	// tm owns the shared per-host-pair transports every data stream rides.
 	tm *transport.Manager
-	// det is the peer failure detector; nil unless HeartbeatInterval is set.
-	det *fault.Detector
 	// relayCli keeps this host registered with the RelayVia relay so
 	// un-dialable peers can still call in; nil unless RelayVia is set.
 	relayCli *relay.Client
@@ -228,43 +215,15 @@ func NewController(cfg Config) (*Controller, error) {
 		locEpochs: make(map[string]uint64),
 		done:      make(chan struct{}),
 	}
-	rcfg := rudp.Config{SendDelay: cfg.ControlSendDelay, DropFn: cfg.ControlDropFn}
-	if cfg.HeartbeatInterval > 0 {
-		// Create the detector before the endpoint so the ActivityFn closure
-		// never races the field write; probing only starts with Watch calls
-		// from the reconciler below.
-		ctrl.det = fault.NewDetector(fault.Config{
-			Interval:        cfg.HeartbeatInterval,
-			Threshold:       cfg.SuspicionThreshold,
-			ConfirmFailures: cfg.ConfirmFailures,
-			Probe:           ctrl.probePeer,
-			OnEvent:         ctrl.onFaultEvent,
-			Metrics:         cfg.Metrics,
-			Logger:          ctrl.obs.log,
-			// The transport manager does not exist yet (it needs the
-			// redirector address), so the hint resolves it lazily; probing
-			// only starts after NewController returns, when tm is set.
-			RTTHint: func() time.Duration {
-				if tm := ctrl.tm; tm != nil {
-					return tm.MaxRTT()
-				}
-				return 0
-			},
-		})
-		// Every valid control packet from a peer is piggybacked liveness
-		// evidence, suppressing probes on busy connections.
-		rcfg.ActivityFn = func(from *net.UDPAddr) { ctrl.det.Observe(from.String()) }
-	}
-	ep, err := rudp.Listen(cfg.ControlAddr, ctrl.handleControl, rcfg)
+	ep, err := rudp.Listen(cfg.ControlAddr, ctrl.handleControl,
+		rudp.Config{SendDelay: cfg.ControlSendDelay, DropFn: cfg.ControlDropFn})
 	if err != nil {
-		ctrl.det.Close()
 		ctrl.dp.close()
 		return nil, err
 	}
 	ctrl.ep = ep
 	red, err := newRedirector(ctrl, cfg.DataAddr)
 	if err != nil {
-		ctrl.det.Close()
 		ep.Close()
 		ctrl.dp.close()
 		return nil, err
@@ -301,9 +260,6 @@ func NewController(cfg Config) (*Controller, error) {
 		})
 	}
 	ctrl.registerGauges()
-	if ctrl.det != nil {
-		go ctrl.watchReconciler(cfg.HeartbeatInterval)
-	}
 	return ctrl, nil
 }
 
@@ -380,7 +336,6 @@ func (ctrl *Controller) Close() error {
 	if ctrl.relayCli != nil {
 		ctrl.relayCli.Close()
 	}
-	ctrl.det.Close()
 	ctrl.tm.Close()
 	for _, s := range conns {
 		s.mu.Lock()
@@ -527,21 +482,18 @@ func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
 	m, err := wire.DecodeControlMsg(req)
 	if err != nil {
 		ctrl.logf("control %s: %v", ctrl.cfg.HostName, err)
-		return rejectReply(wire.ZeroConnID, "malformed control message")
+		return rejectReply(wire.ZeroConnID, wire.RejectOther, "malformed control message")
 	}
-	switch m.Type {
-	case wire.MsgConnect:
+	if m.Type == wire.MsgConnect {
 		return ctrl.handleConnect(m)
-	case wire.MsgHeartbeat:
-		return (&wire.ControlReply{Verdict: wire.VerdictAck, ConnID: m.ConnID}).Encode()
 	}
 	s, ok := ctrl.connByKey(m.ConnID, m.To)
 	if !ok {
-		return rejectReply(m.ConnID, reasonUnknownConn)
+		return rejectReply(m.ConnID, wire.RejectUnknownConn, "unknown connection")
 	}
 	if err := s.checkAuth(m); err != nil {
 		ctrl.logf("control %s: %v", ctrl.cfg.HostName, err)
-		return rejectReply(m.ConnID, "authentication failed")
+		return rejectReply(m.ConnID, wire.RejectOther, "authentication failed")
 	}
 	// A message stamped with a trace context gets its handling recorded as
 	// a span of the sender's trace — this is how the stationary peer's side
@@ -579,13 +531,13 @@ func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
 	case wire.MsgClose:
 		return s.handleClose(m)
 	default:
-		return rejectReply(m.ConnID, fmt.Sprintf("unsupported message %s", m.Type))
+		return rejectReply(m.ConnID, wire.RejectOther, fmt.Sprintf("unsupported message %s", m.Type))
 	}
 }
 
 // rejectReply builds an unsigned rejection (no session context).
-func rejectReply(id wire.ConnID, reason string) []byte {
-	return (&wire.ControlReply{Verdict: wire.VerdictReject, ConnID: id, Reason: reason}).Encode()
+func rejectReply(id wire.ConnID, code wire.RejectCode, reason string) []byte {
+	return (&wire.ControlReply{Verdict: wire.VerdictReject, Code: code, ConnID: id, Reason: reason}).Encode()
 }
 
 // authorizeHandoff validates an arriving data socket's handoff header
@@ -606,9 +558,9 @@ func (ctrl *Controller) authorizeHandoff(hdr *wire.HandoffHeader) error {
 }
 
 // deliverStream hands an accepted transport stream to the endpoint waiting
-// for it.
+// for it; a stream nothing waits for is refused.
 func (ctrl *Controller) deliverStream(hdr *wire.HandoffHeader, st *transport.Stream) bool {
-	return ctrl.rv.deliver(connKey{id: hdr.ConnID, agent: hdr.TargetAgent}, st, rendezvousDeliverTimeout)
+	return ctrl.rv.deliver(connKey{id: hdr.ConnID, agent: hdr.TargetAgent}, st)
 }
 
 // TransportInfos snapshots the live shared transports — the data source of
@@ -744,7 +696,11 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 		// landed); either way the cached record must not pin the retry loop
 		// to this host until the TTL saves it.
 		ctrl.invalidateLocation(target)
-		return nil, fmt.Errorf("napletsocket: connection to %q refused: %s", target, reply.Reason)
+		err := fmt.Errorf("napletsocket: connection to %q refused: %s", target, reply.Reason)
+		if reply.Code == wire.RejectRetry {
+			err = fmt.Errorf("%w (%w)", err, errTargetNotReady)
+		}
+		return nil, err
 	}
 
 	// Key exchange, client half: derive the session key from the transport
@@ -857,16 +813,16 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 	closed := ctrl.closed
 	ctrl.mu.Unlock()
 	if closed {
-		return rejectReply(m.ConnID, "host closing")
+		return rejectReply(m.ConnID, wire.RejectOther, "host closing")
 	}
 	if ss == nil || ss.isClosed() {
-		return rejectReply(m.ConnID, fmt.Sprintf("%s: agent %q is not listening here", reasonRetry, target))
+		return rejectReply(m.ConnID, wire.RejectRetry, fmt.Sprintf("agent %q is not listening here", target))
 	}
 	if m.ConnID.IsZero() || m.From == "" {
-		return rejectReply(m.ConnID, "malformed CONNECT")
+		return rejectReply(m.ConnID, wire.RejectOther, "malformed CONNECT")
 	}
 	if _, dup := ctrl.connByKey(m.ConnID, target); dup {
-		return rejectReply(m.ConnID, "duplicate connection id")
+		return rejectReply(m.ConnID, wire.RejectOther, "duplicate connection id")
 	}
 
 	// Server-side security check: the listening agent's policy must accept
@@ -879,7 +835,7 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 		})
 		bd.Add(metrics.PhaseSecurityCheck, time.Since(start))
 		if err != nil {
-			return rejectReply(m.ConnID, "refused by policy")
+			return rejectReply(m.ConnID, wire.RejectOther, "refused by policy")
 		}
 	}
 
@@ -896,14 +852,14 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 		secret, ok := ctrl.tm.SecretByID(m.TransportID, ctrl.cfg.opTimeout()/2)
 		bd.Add(metrics.PhaseKeyExchange, time.Since(start))
 		if !ok {
-			return rejectReply(m.ConnID, reasonRetry+": unknown transport")
+			return rejectReply(m.ConnID, wire.RejectRetry, "unknown transport")
 		}
 		key = ctrl.sessionKeyFor(m.ConnID, secret)
 	}
 
 	s, err := newSocket(ctrl, m.ConnID, target, m.From, key, fsm.Listen)
 	if err != nil {
-		return rejectReply(m.ConnID, "internal error")
+		return rejectReply(m.ConnID, wire.RejectOther, "internal error")
 	}
 	s.mu.Lock()
 	s.step(fsm.RecvConnect) // -> CONNECT_ACKED
@@ -955,7 +911,7 @@ func (s *Socket) handleIDExchange(_ *wire.ControlMsg) []byte {
 	ss := s.ctrl.listeners[s.localAgent]
 	s.ctrl.mu.Unlock()
 	if ss == nil {
-		return s.reply(wire.VerdictReject, func(r *wire.ControlReply) { r.Reason = reasonUnknownConn })
+		return s.reject(wire.RejectUnknownConn, "listener closed")
 	}
 	s.completeEstablishment(ss)
 	return s.reply(wire.VerdictAck, nil)
@@ -1107,6 +1063,11 @@ func (ss *ServerSocket) Close() error {
 	return nil
 }
 
+// errTargetNotReady marks an open the target's host refused with
+// wire.RejectRetry: the agent is not listening there yet (launching, or
+// mid-migration), and openRetry tries again.
+var errTargetNotReady = errors.New("target not ready")
+
 // openRetry wraps OpenAs with retries for targets that are still launching
 // or mid-migration.
 func (ctrl *Controller) openRetry(agentID string, cred [security.CredentialSize]byte, target string, deadline time.Time) (*Socket, error) {
@@ -1117,7 +1078,7 @@ func (ctrl *Controller) openRetry(agentID string, cred [security.CredentialSize]
 			return s, nil
 		}
 		retriable := errors.Is(err, naming.ErrNotFound) ||
-			strings.Contains(err.Error(), reasonRetry) ||
+			errors.Is(err, errTargetNotReady) ||
 			errors.Is(err, rudp.ErrTimeout)
 		if !retriable || time.Now().After(deadline) {
 			return nil, err

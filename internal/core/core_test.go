@@ -608,8 +608,8 @@ func expectHandoffRefused(t *testing.T, ctrl *Controller, hdr *wire.HandoffHeade
 	}
 	ctrl.rv.mu.Lock()
 	defer ctrl.rv.mu.Unlock()
-	if len(ctrl.rv.parked) != 0 {
-		t.Fatalf("%d streams parked in the rendezvous after a refused handoff", len(ctrl.rv.parked))
+	if len(ctrl.rv.waiters) != 0 {
+		t.Fatalf("%d endpoints waiting in the rendezvous after a refused handoff", len(ctrl.rv.waiters))
 	}
 }
 

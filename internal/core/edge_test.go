@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,9 @@ import (
 
 	"naplet/internal/fsm"
 	"naplet/internal/metrics"
+	"naplet/internal/naming"
 	"naplet/internal/obs"
+	"naplet/internal/security"
 )
 
 // ---- byte-stream semantics ----
@@ -238,36 +241,50 @@ func TestDialRetriesUntilListenerAppears(t *testing.T) {
 	}
 }
 
-// ---- ping / heartbeat ----
-
-func TestPing(t *testing.T) {
-	env := newEnv(t, []string{"h1", "h2"})
-	client, _ := env.pair("a", "h1", "b", "h2")
-	defer client.Close()
-	ctx := context.Background()
-	rtt, err := client.Ping(ctx)
+// A refusal is retried because of its reject code, never because of what
+// its text says: dialing a listener whose policy refuses the dialer fails
+// on the first CONNECT even when the listener's name — which the error
+// quotes — reads like the transient refusal.
+func TestPolicyRefusalIsNotRetried(t *testing.T) {
+	const target = "x retry later"
+	svc := naming.NewService()
+	rules := append(security.AllowAgentAll(), security.Rule{
+		SubjectKind: security.KindAgent, SubjectName: target,
+		Action: security.ActionListen, Resource: "dialer", Effect: security.Deny,
+	})
+	guard, err := security.NewGuard(security.NewStore(rules...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rtt <= 0 || rtt > time.Second {
-		t.Fatalf("rtt = %v", rtt)
-	}
-	// Ping works while suspended too (the liveness probe).
-	if err := client.Suspend(); err != nil {
+	reg := obs.NewRegistry()
+	hs := newFaultHost(t, "hs", svc, func(c *Config) { c.Guard = guard })
+	hc := newFaultHost(t, "hc", svc, func(c *Config) { c.Metrics = reg })
+	if err := svc.Register(target, hs.loc()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Ping(ctx); err != nil {
-		t.Fatalf("ping while suspended: %v", err)
+	if err := svc.Register("dialer", hc.loc()); err != nil {
+		t.Fatal(err)
 	}
-	client.Resume()
-}
+	if _, err := hs.ctrl.ListenAs(target, guard.IssueCredential(target)); err != nil {
+		t.Fatal(err)
+	}
 
-func TestPingClosedConnection(t *testing.T) {
-	env := newEnv(t, []string{"h1", "h2"})
-	client, _ := env.pair("a", "h1", "b", "h2")
-	client.Close()
-	if _, err := client.Ping(context.Background()); err == nil {
-		t.Fatal("ping on closed connection succeeded")
+	// The park window is 20 s: a dial that retries sits in it.
+	done := make(chan error, 1)
+	go func() {
+		_, err := hc.ctrl.DialAs("dialer", hc.cred("dialer"), target)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "refused by policy") {
+			t.Fatalf("DialAs = %v, want the policy refusal", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("DialAs is retrying a permanent refusal")
+	}
+	if n := reg.Snapshot().Counters["conn.open_errors"]; n != 1 {
+		t.Fatalf("%d failed opens, want 1: a policy refusal is final", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"naplet/internal/fsm"
@@ -20,13 +19,6 @@ import (
 // the peer, including both concurrent-migration protocols (overlapped with
 // ACK_WAIT + SUS_RES, non-overlapped with RESUME_WAIT) and the
 // local/remote-suspend priority rules for multiple connections.
-
-// reject reason fragments the retry logic keys on.
-const (
-	reasonUnknownConn = "unknown connection"
-	reasonRetry       = "retry later"
-	reasonResumeRace  = "resume race lost"
-)
 
 // request sends one authenticated control message to the peer controller
 // and returns its verified reply.
@@ -77,6 +69,12 @@ func (s *Socket) reply(v wire.Verdict, mutate func(r *wire.ControlReply)) []byte
 	}
 	r.Tag = s.auth.Sign(r.SigningBytes())
 	return r.Encode()
+}
+
+// reject builds a signed rejection: code is what the peer acts on, reason
+// what it logs.
+func (s *Socket) reject(code wire.RejectCode, reason string) []byte {
+	return s.reply(wire.VerdictReject, func(r *wire.ControlReply) { r.Code, r.Reason = code, reason })
 }
 
 // checkAuth verifies a peer control message's tag and replay nonce.
@@ -314,7 +312,7 @@ retry:
 		return nil
 
 	case wire.VerdictReject:
-		if strings.Contains(reply.Reason, reasonUnknownConn) {
+		if reply.Code == wire.RejectUnknownConn {
 			// The peer's host does not know the connection — typically the
 			// peer agent is itself mid-migration and its endpoint is
 			// travelling in a bundle. Suspend ungracefully; our eventual
@@ -330,7 +328,7 @@ retry:
 			s.mu.Unlock()
 			return nil
 		}
-		if strings.Contains(reply.Reason, reasonRetry) && time.Now().Before(deadline) {
+		if reply.Code == wire.RejectRetry && time.Now().Before(deadline) {
 			cancel()
 			if !s.ctrl.pause(backoff) {
 				return ErrClosed
@@ -426,13 +424,11 @@ func (s *Socket) handleSuspend(m *wire.ControlMsg) []byte {
 
 	case fsm.Closed, fsm.CloseSent, fsm.CloseAcked:
 		s.mu.Unlock()
-		return s.reply(wire.VerdictReject, func(r *wire.ControlReply) { r.Reason = reasonUnknownConn })
+		return s.reject(wire.RejectUnknownConn, "connection closed")
 
 	default:
 		s.mu.Unlock()
-		return s.reply(wire.VerdictReject, func(r *wire.ControlReply) {
-			r.Reason = fmt.Sprintf("%s: cannot suspend in state %s", reasonRetry, st)
-		})
+		return s.reject(wire.RejectRetry, fmt.Sprintf("cannot suspend in state %s", st))
 	}
 }
 
@@ -486,9 +482,7 @@ func (s *Socket) handleSusRes(m *wire.ControlMsg) []byte {
 		s.cond.Broadcast()
 		return s.reply(wire.VerdictAck, nil)
 	default:
-		return s.reply(wire.VerdictReject, func(r *wire.ControlReply) {
-			r.Reason = fmt.Sprintf("SUS_RES in state %s", st)
-		})
+		return s.reject(wire.RejectOther, fmt.Sprintf("SUS_RES in state %s", st))
 	}
 }
 
@@ -652,15 +646,15 @@ func (s *Socket) resumeAttempt() (done bool, err error) {
 		return true, nil
 
 	case wire.VerdictReject:
-		switch {
-		case strings.Contains(reply.Reason, reasonResumeRace):
+		switch reply.Code {
+		case wire.RejectResumeRace:
 			// The higher-priority peer is resuming toward us; its RES will
 			// land here and complete the connection.
 			if _, werr := s.waitState(s.ctrl.cfg.opTimeout(), fsm.Established); werr == nil {
 				return true, nil
 			}
 			return false, nil
-		case strings.Contains(reply.Reason, reasonUnknownConn), strings.Contains(reply.Reason, reasonRetry):
+		case wire.RejectUnknownConn, wire.RejectRetry:
 			// The peer agent moved on (or has not landed); re-resolve and
 			// chase it through the location service.
 			return false, nil
@@ -762,7 +756,7 @@ func (s *Socket) handleResume(m *wire.ControlMsg) []byte {
 		// rejects and lets its own RES win.
 		if s.highPriority {
 			s.mu.Unlock()
-			return s.reply(wire.VerdictReject, func(r *wire.ControlReply) { r.Reason = reasonResumeRace })
+			return s.reject(wire.RejectResumeRace, "resume race lost")
 		}
 		s.step(fsm.RecvResume) // -> RES_ACKED
 		s.mu.Unlock()
@@ -784,17 +778,15 @@ func (s *Socket) handleResume(m *wire.ControlMsg) []byte {
 			s.ctrl.tm.FailIfReconnecting(sock.TransportID(),
 				fmt.Errorf("peer %s re-established connection %s", remote, s.id))
 		}
-		return s.reply(wire.VerdictReject, func(r *wire.ControlReply) { r.Reason = reasonRetry })
+		return s.reject(wire.RejectRetry, "connection still established here")
 
 	case fsm.Closed, fsm.CloseSent, fsm.CloseAcked:
 		s.mu.Unlock()
-		return s.reply(wire.VerdictReject, func(r *wire.ControlReply) { r.Reason = reasonUnknownConn })
+		return s.reject(wire.RejectUnknownConn, "connection closed")
 
 	default:
 		s.mu.Unlock()
-		return s.reply(wire.VerdictReject, func(r *wire.ControlReply) {
-			r.Reason = fmt.Sprintf("%s: state %s", reasonRetry, st)
-		})
+		return s.reject(wire.RejectRetry, fmt.Sprintf("cannot resume in state %s", st))
 	}
 }
 
@@ -848,33 +840,6 @@ func (s *Socket) grantResume(m *wire.ControlMsg) []byte {
 			s.mu.Unlock()
 		})
 	return s.reply(wire.VerdictAck, func(r *wire.ControlReply) { r.LastSeq = s.delivered() })
-}
-
-// ---- heartbeat ----
-
-// Ping measures one control-channel round trip to the peer agent's
-// controller (a HEARTBEAT exchange). It works in any state that has a peer
-// address — including SUSPENDED — and is the liveness probe of the
-// fault-tolerance extension.
-func (s *Socket) Ping(ctx context.Context) (time.Duration, error) {
-	s.mu.Lock()
-	if s.closed {
-		err := s.closedErrLocked()
-		s.mu.Unlock()
-		return 0, err
-	}
-	addr := s.peerControlAddr
-	s.mu.Unlock()
-	m := &wire.ControlMsg{Type: wire.MsgHeartbeat, ConnID: s.id, From: s.localAgent, To: s.remoteAgent}
-	start := time.Now()
-	raw, err := s.ctrl.ep.Request(ctx, addr, m.Encode())
-	if err != nil {
-		return 0, err
-	}
-	if _, err := wire.DecodeControlReply(raw); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
 }
 
 // ---- close ----
@@ -1003,8 +968,6 @@ func (s *Socket) handleClose(_ *wire.ControlMsg) []byte {
 		return s.reply(wire.VerdictAck, nil) // idempotent
 	default:
 		s.mu.Unlock()
-		return s.reply(wire.VerdictReject, func(r *wire.ControlReply) {
-			r.Reason = fmt.Sprintf("%s: close in state %s", reasonRetry, st)
-		})
+		return s.reject(wire.RejectRetry, fmt.Sprintf("close in state %s", st))
 	}
 }

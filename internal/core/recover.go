@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
-	"naplet/internal/fault"
 	"naplet/internal/fsm"
 	"naplet/internal/journal"
 	"naplet/internal/obs"
@@ -14,12 +12,12 @@ import (
 )
 
 // This file is the fault-tolerance wiring of the controller: the
-// phi-accrual failure detector riding the control channel (heartbeat
-// probes plus piggybacked traffic evidence), the write-ahead journal
-// checkpoints taken at every connection lifecycle edge, and the crash
-// recovery path that rebuilds controller state from the journal after a
-// napletd restart and drives the stranded connections back through the
-// normal resume handshake.
+// write-ahead journal checkpoints taken at every connection lifecycle edge,
+// and the crash recovery path that rebuilds controller state from the
+// journal after a napletd restart and drives the stranded connections back
+// through the normal resume handshake. Dead peers are detected below this
+// layer: the shared transport's keepalive breaks a silent connection, and a
+// session that cannot be resumed reaches failLocked as ErrTransportLost.
 
 // restartNonceSlack is added to a restored connection's send nonce. The
 // journal checkpoint may predate control messages sent just before the
@@ -32,75 +30,6 @@ const restartNonceSlack = 1 << 20
 // can be journaled by the same controller.
 func connJournalKey(localAgent string, id wire.ConnID) string {
 	return localAgent + "|" + id.String()
-}
-
-// ---- failure detector ----
-
-// probePeer is the detector's liveness probe: one HEARTBEAT exchange with
-// the peer controller. Any valid reply (even a rejection) proves the host
-// is alive; only transport failure counts against it.
-func (ctrl *Controller) probePeer(ctx context.Context, peer string) error {
-	m := &wire.ControlMsg{Type: wire.MsgHeartbeat}
-	_, err := ctrl.ep.Request(ctx, peer, m.Encode())
-	return err
-}
-
-// watchReconciler keeps the detector's watch set equal to the set of peer
-// controllers with established connections here. It runs on its own
-// goroutine and takes ctrl.mu and each socket's mu separately, never
-// nested, to stay out of the control plane's lock ordering.
-func (ctrl *Controller) watchReconciler(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctrl.done:
-			return
-		case <-t.C:
-		}
-		ctrl.reconcileWatches()
-	}
-}
-
-func (ctrl *Controller) reconcileWatches() {
-	conns := ctrl.tab.all()
-	want := make(map[string]bool)
-	for _, s := range conns {
-		s.mu.Lock()
-		if !s.closed && s.m.State() == fsm.Established && s.peerControlAddr != "" {
-			want[s.peerControlAddr] = true
-		}
-		s.mu.Unlock()
-	}
-	for _, peer := range ctrl.det.Watched() {
-		if want[peer] {
-			delete(want, peer)
-		} else {
-			ctrl.det.Unwatch(peer)
-		}
-	}
-	for peer := range want {
-		ctrl.det.Watch(peer)
-	}
-}
-
-// onFaultEvent consumes detector transitions. A confirmed-down peer fails
-// every established connection toward it: the connections degrade to
-// SUSPENDED and the failure-resume path polls the location service with
-// backoff until the peer (or its agents, re-homed elsewhere) answers a
-// normal resume handshake.
-func (ctrl *Controller) onFaultEvent(ev fault.Event) {
-	if ev.Kind != fault.EventConfirm {
-		return
-	}
-	for _, s := range ctrl.tab.all() {
-		s.mu.Lock()
-		if !s.closed && s.peerControlAddr == ev.Peer && s.m.State() == fsm.Established {
-			s.failLocked(fmt.Errorf("napletsocket: peer controller %s confirmed down (phi %.1f after %d failed probes)",
-				ev.Peer, ev.Phi, ev.Failures))
-		}
-		s.mu.Unlock()
-	}
 }
 
 // noteRecovered closes a failure episode: if the connection carries a

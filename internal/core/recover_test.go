@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +16,6 @@ import (
 	"naplet/internal/naming"
 	"naplet/internal/obs"
 	"naplet/internal/security"
-	"naplet/internal/trace"
 )
 
 // newFaultHost builds one controller outside the shared newEnv harness, so
@@ -80,20 +82,45 @@ func faultPair(t *testing.T, svc *naming.Service, hc, hs *testHost, clientAgent,
 	return client, res.s
 }
 
-// recordInto installs a delivery observer feeding the recorder with the
-// 8-byte big-endian counters the tests stream.
-func recordInto(rec *trace.Recorder, s *Socket) {
-	s.SetObserver(func(seq uint64, payload []byte, fromBuffer bool) {
-		counter := uint64(0)
-		if len(payload) >= 8 {
-			counter = binary.BigEndian.Uint64(payload)
+// counterLog records, in delivery order, the 8-byte big-endian counters a
+// connection delivers.
+type counterLog struct {
+	mu  sync.Mutex
+	got []uint64
+}
+
+// recordInto installs a delivery observer feeding the log.
+func recordInto(rec *counterLog, s *Socket) {
+	s.SetObserver(func(_ uint64, payload []byte, _ bool) {
+		if len(payload) < 8 {
+			return
 		}
-		src := trace.FromSocket
-		if fromBuffer {
-			src = trace.FromBuffer
-		}
-		rec.Record(seq, counter, src)
+		rec.mu.Lock()
+		rec.got = append(rec.got, binary.BigEndian.Uint64(payload))
+		rec.mu.Unlock()
 	})
+}
+
+// Events returns a copy of the delivered counters.
+func (l *counterLog) Events() []uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]uint64(nil), l.got...)
+}
+
+// Render prints the delivered counters for a failure message.
+func (l *counterLog) Render() string { return fmt.Sprint(l.Events()) }
+
+// VerifyExactlyOnceInOrder checks that every counter from the first to the
+// last delivered arrived exactly once, in increasing order.
+func (l *counterLog) VerifyExactlyOnceInOrder() error {
+	got := l.Events()
+	for i := 1; i < len(got); i++ {
+		if got[i] != got[i-1]+1 {
+			return fmt.Errorf("counter %d followed %d (out of order, gap, or duplicate)", got[i], got[i-1])
+		}
+	}
+	return nil
 }
 
 func writeCounter(t *testing.T, s *Socket, i int) {
@@ -121,17 +148,6 @@ func readCounters(s *Socket, total int) <-chan error {
 	return done
 }
 
-func waitCounter(t *testing.T, reg *obs.Registry, name string, min uint64, d time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for reg.Snapshot().Counters[name] < min {
-		if time.Now().After(deadline) {
-			t.Fatalf("counter %s never reached %d; snapshot = %v", name, min, reg.Snapshot().Counters)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestCrashRecoveryExactlyOnce is the in-process half of the kill-and-
 // recover story: a journaling controller streaming checkpointed messages is
 // torn down abruptly, a fresh controller reopens the same journal,
@@ -150,7 +166,7 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	client, server := faultPair(t, svc, ha, hb, "alice", "bob")
 
 	const total = 40
-	rec := trace.NewRecorder()
+	rec := &counterLog{}
 	recordInto(rec, server)
 	done := readCounters(server, total)
 
@@ -225,111 +241,266 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestPartitionFalseSuspicionRecovers checks that a short control-channel
-// partition makes the detector suspect — but never confirm — the peer, and
-// that returning evidence clears the suspicion without the connection ever
-// leaving ESTABLISHED.
-func TestPartitionFalseSuspicionRecovers(t *testing.T) {
+// patterned returns the 64-byte message carrying counter i: the counter,
+// then filler derived from it, so a reader can check every byte.
+func patterned(i uint64) []byte {
+	msg := make([]byte, 64)
+	binary.BigEndian.PutUint64(msg, i)
+	for k := 8; k < len(msg); k++ {
+		msg[k] = byte(i) ^ byte(k)
+	}
+	return msg
+}
+
+// endOfStream is the message that ends a patterned stream: a marker byte
+// and how many patterned messages went before it.
+func endOfStream(n uint64) []byte {
+	return binary.BigEndian.AppendUint64([]byte{0xff}, n)
+}
+
+// readPatterned reads a patterned stream from s up to its end marker and
+// requires messages 0, 1, 2, … each exactly once, in order, byte for byte,
+// and as many as the marker says were written.
+func readPatterned(s *Socket) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		for i := uint64(0); ; i++ {
+			m, err := s.ReadMsg()
+			switch {
+			case err != nil:
+				done <- fmt.Errorf("read %d: %w", i, err)
+			case len(m) == 9 && m[0] == 0xff:
+				if n := binary.BigEndian.Uint64(m[1:]); n != i {
+					done <- fmt.Errorf("read %d messages, the peer wrote %d", i, n)
+				} else {
+					done <- nil
+				}
+			case string(m) != string(patterned(i)):
+				done <- fmt.Errorf("message %d arrived as %x", i, m)
+			default:
+				continue
+			}
+			return
+		}
+	}()
+	return done
+}
+
+// TestControlPartitionLeavesEstablishedAlone: the control channel carries
+// the migration protocol and nothing else, so losing it must not touch an
+// established connection whose data path is healthy. Every control packet
+// of both hosts is dropped for a second while both sides stream; the
+// connection never leaves ESTABLISHED, every message arrives exactly once
+// in order, and a suspend/resume issued after the heal succeeds.
+func TestControlPartitionLeavesEstablishedAlone(t *testing.T) {
 	svc := naming.NewService()
 	var partition atomic.Bool
-	reg := obs.NewRegistry()
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
 	ha := newFaultHost(t, "pa", svc, func(c *Config) {
-		c.HeartbeatInterval = 20 * time.Millisecond
-		c.SuspicionThreshold = 1.5
-		c.ConfirmFailures = 1000 // out of reach: a short partition must not confirm
-		c.Metrics = reg
+		c.Metrics = regA
 		c.ControlDropFn = func([]byte) bool { return partition.Load() }
 	})
-	hb := newFaultHost(t, "pb", svc, nil)
+	hb := newFaultHost(t, "pb", svc, func(c *Config) {
+		c.Metrics = regB
+		c.ControlDropFn = func([]byte) bool { return partition.Load() }
+	})
 	client, server := faultPair(t, svc, ha, hb, "alice", "bob")
 
-	// The reconciler must begin watching the peer controller.
-	deadline := time.Now().Add(10 * time.Second)
-	for reg.Snapshot().Gauges["fault.watched"] < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("detector never watched the peer; gauges = %v", reg.Snapshot().Gauges)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Each side streams to the other for as long as the partition lasts,
+	// then a tail after the suspend/resume that follows the heal. The
+	// channel yields the reader's verdict, or the writer's error.
+	const tail = 20
+	resumed := make(chan struct{})
+	stream := func(from, to *Socket) <-chan error {
+		done := make(chan error, 2)
+		go func() {
+			n := uint64(0)
+			send := func(m []byte) bool {
+				if err := from.WriteMsg(m); err != nil {
+					done <- fmt.Errorf("write %d: %w", n, err)
+					return false
+				}
+				return true
+			}
+			for partition.Load() {
+				if !send(patterned(n)) {
+					return
+				}
+				n++
+				time.Sleep(time.Millisecond)
+			}
+			<-resumed
+			for i := 0; i < tail; i++ {
+				if !send(patterned(n)) {
+					return
+				}
+				n++
+			}
+			send(endOfStream(n))
+		}()
+		go func() { done <- <-readPatterned(to) }()
+		return done
 	}
-	waitCounter(t, reg, "fault.probes", 1, 10*time.Second)
 
 	partition.Store(true)
-	waitCounter(t, reg, "fault.suspects", 1, 15*time.Second)
+	aToB, bToA := stream(client, server), stream(server, client)
+	time.Sleep(time.Second)
+	if cs, ss := client.State(), server.State(); cs != fsm.Established || ss != fsm.Established {
+		t.Fatalf("states after 1 s without a control channel: client %s, server %s; want ESTABLISHED", cs, ss)
+	}
 	partition.Store(false)
-	waitCounter(t, reg, "fault.recoveries", 1, 15*time.Second)
 
-	if got := reg.Snapshot().Counters["fault.confirms"]; got != 0 {
-		t.Errorf("short partition confirmed the peer down %d times; want 0", got)
+	if err := client.Suspend(); err != nil {
+		t.Fatalf("suspend after the heal: %v", err)
 	}
-	if st := client.State(); st != fsm.Established {
-		t.Errorf("client state = %s after false suspicion, want ESTABLISHED", st)
+	if err := client.Resume(); err != nil {
+		t.Fatalf("resume after the heal: %v", err)
 	}
+	waitEstablished(t, client, server)
+	close(resumed)
 
-	// The connection carried no scars: data still flows both ways.
-	if err := client.WriteMsg([]byte("after")); err != nil {
-		t.Fatal(err)
+	for name, done := range map[string]<-chan error{"alice->bob": aToB, "bob->alice": bToA} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: stream never completed", name)
+		}
 	}
-	if m, err := server.ReadMsg(); err != nil || string(m) != "after" {
-		t.Fatalf("server read %q, %v", m, err)
-	}
-	if err := server.WriteMsg([]byte("back")); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := client.ReadMsg(); err != nil || string(m) != "back" {
-		t.Fatalf("client read %q, %v", m, err)
+	for host, reg := range map[string]*obs.Registry{"pa": regA, "pb": regB} {
+		if n := reg.Snapshot().Counters["conn.failures"]; n != 0 {
+			t.Errorf("%s: conn.failures = %d; the partition reached the data path", host, n)
+		}
 	}
 }
 
-// TestPartitionConfirmedFailureHeals drives the detector all the way to
-// Confirm: the connection degrades to SUSPENDED, and once the partition
-// heals the failure-resume loop re-establishes it and the stream continues.
-func TestPartitionConfirmedFailureHeals(t *testing.T) {
+// silentConn is a kernel connection whose peer can go silent: while the
+// shared flag is up nothing arrives (reads block) and nothing leaves (writes
+// are swallowed), and no error or reset says so.
+type silentConn struct {
+	net.Conn
+	silent *atomic.Bool
+	healed <-chan struct{}
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *silentConn) Read(p []byte) (int, error) {
+	if c.silent.Load() {
+		select {
+		case <-c.healed:
+		case <-c.closed:
+			return 0, net.ErrClosed
+		}
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *silentConn) Write(p []byte) (int, error) {
+	if c.silent.Load() {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *silentConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestSilentPeerRecoversByKeepalive is the dead-peer chain end to end, on
+// its first rung: the peer's host goes silent mid-stream — no FIN, no RST,
+// dials time out — and only the transport keepalive can notice. It must
+// declare the connection half-open, and once the path heals the session
+// resumes and the stream continues byte for byte; the application sees no
+// error and the connection never degrades.
+func TestSilentPeerRecoversByKeepalive(t *testing.T) {
 	svc := naming.NewService()
-	var partition atomic.Bool
-	reg := obs.NewRegistry()
-	ha := newFaultHost(t, "ca", svc, func(c *Config) {
-		c.HeartbeatInterval = 20 * time.Millisecond
-		c.SuspicionThreshold = 1.5
-		c.ConfirmFailures = 3
-		c.Metrics = reg
-		c.ControlDropFn = func([]byte) bool { return partition.Load() }
+	var silent atomic.Bool
+	healed := make(chan struct{})
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	ha := newFaultHost(t, "sa", svc, func(c *Config) {
+		c.Metrics = regA
+		c.TransportKeepaliveInterval = 50 * time.Millisecond
+		c.DialData = func(addr string, timeout time.Duration) (net.Conn, error) {
+			if silent.Load() {
+				return nil, errors.New("dial: peer silent")
+			}
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+		c.WrapData = func(conn net.Conn) net.Conn {
+			return &silentConn{Conn: conn, silent: &silent, healed: healed, closed: make(chan struct{})}
+		}
 	})
-	hb := newFaultHost(t, "cb", svc, nil)
+	hb := newFaultHost(t, "sb", svc, func(c *Config) {
+		c.Metrics = regB
+		c.TransportKeepaliveInterval = 50 * time.Millisecond
+	})
 	client, server := faultPair(t, svc, ha, hb, "alice", "bob")
 
-	deadline := time.Now().Add(10 * time.Second)
-	for reg.Snapshot().Gauges["fault.watched"] < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("detector never watched the peer; gauges = %v", reg.Snapshot().Gauges)
+	// events polls the dialer's flight recorder until it holds an event of
+	// the wanted kind later than after, and returns that event's time.
+	events := func(kind string, after time.Time) time.Time {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			infos := ha.ctrl.TransportInfos()
+			for _, in := range infos {
+				for _, ev := range in.Events {
+					if ev.Kind == kind && ev.At.After(after) {
+						return ev.At
+					}
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("flight recorder never showed %q; transports: %+v", kind, infos)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	waitCounter(t, reg, "fault.probes", 1, 10*time.Second)
-
-	partition.Store(true)
-	waitCounter(t, reg, "fault.confirms", 1, 15*time.Second)
-
-	// Confirm must have failed the established connection over to SUSPENDED.
-	if _, err := client.waitState(10*time.Second, fsm.Suspended); err != nil {
-		t.Fatalf("client never degraded to SUSPENDED after confirm: %v (state %s)", err, client.State())
 	}
 
-	partition.Store(false)
-	waitEstablished(t, client)
-
-	if err := client.WriteMsg([]byte("healed")); err != nil {
+	const phase = 50
+	done := readPatterned(server)
+	write := func(from, to uint64) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := client.WriteMsg(patterned(i)); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+		}
+	}
+	write(0, phase)
+	silent.Store(true)
+	write(phase, 2*phase) // into the void: only the transport's send log has these
+	timedOut := events("keepalive-timeout", time.Time{})
+	silent.Store(false)
+	close(healed)
+	events("resumed", timedOut)
+	write(2*phase, 3*phase)
+	if err := client.WriteMsg(endOfStream(3 * phase)); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := server.ReadMsg(); err != nil || string(m) != "healed" {
-		t.Fatalf("server read %q, %v", m, err)
-	}
 
-	snap := reg.Snapshot()
-	if snap.Counters["fault.conn_recoveries"] == 0 {
-		t.Errorf("fault.conn_recoveries = 0 after heal; counters = %v", snap.Counters)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("receiver never finished after the heal")
 	}
-	if h := snap.Histograms["fault.recovery_ms"]; h.Count == 0 {
-		t.Errorf("fault.recovery_ms has no samples after heal; histograms = %v", snap.Histograms)
+	if st := client.State(); st != fsm.Established {
+		t.Errorf("client state %s, want ESTABLISHED", st)
+	}
+	for host, reg := range map[string]*obs.Registry{"sa": regA, "sb": regB} {
+		if n := reg.Snapshot().Counters["conn.failures"]; n != 0 {
+			t.Errorf("%s: conn.failures = %d; the outage reached the application's connection", host, n)
+		}
+	}
+	if n := regA.Snapshot().Counters["transport.keepalive_timeouts"]; n == 0 {
+		t.Error("transport.keepalive_timeouts = 0 on the dialer")
 	}
 }
 
@@ -345,7 +516,7 @@ func TestSuspendResumeUnderControlLoss(t *testing.T) {
 	client, server := env.pair("left", "h1", "right", "h2")
 
 	const total = 30
-	rec := trace.NewRecorder()
+	rec := &counterLog{}
 	recordInto(rec, server)
 	done := readCounters(server, total)
 

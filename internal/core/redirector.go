@@ -11,12 +11,6 @@ import (
 	"naplet/internal/wire"
 )
 
-// rendezvous pairs arriving data streams with the NapletSocket endpoints
-// waiting for them. An endpoint arms a callback; the transport layer
-// delivers an authorized stream; whichever side arrives first waits for
-// the other. A waiting endpoint costs one map entry and one shared
-// timer-wheel slot — not a parked goroutine with its own timer — so 10k
-// in-flight opens or resumes add no goroutines.
 // connKey identifies a connection endpoint on a host: both endpoints of a
 // connection can live on the same host, so the connection id alone is not
 // unique.
@@ -32,42 +26,27 @@ type rvWaiter struct {
 	timer  *timerwheel.Timer
 }
 
-// rvParked is a socket that arrived before its endpoint armed. The
-// delivering goroutine blocks on res (it is a per-delivery goroutine,
-// entitled to wait); true means an endpoint claimed the socket.
-type rvParked struct {
-	sock *transport.Stream
-	res  chan bool
-}
-
+// rendezvous pairs arriving data streams with the NapletSocket endpoints
+// waiting for them. An endpoint arms a callback before it sends the ACK
+// that licenses the peer to open the stream, so a stream always finds its
+// waiter unless the arm has expired or was disarmed — and then it is
+// refused. A waiting endpoint costs one map entry and one shared
+// timer-wheel slot — not a parked goroutine with its own timer — so 10k
+// in-flight opens or resumes add no goroutines.
 type rendezvous struct {
 	mu      sync.Mutex
 	waiters map[connKey]*rvWaiter
-	parked  map[connKey]*rvParked
 }
 
 func newRendezvous() *rendezvous {
-	return &rendezvous{
-		waiters: make(map[connKey]*rvWaiter),
-		parked:  make(map[connKey]*rvParked),
-	}
+	return &rendezvous{waiters: make(map[connKey]*rvWaiter)}
 }
 
-// armFunc registers onSock to receive id's data socket. If the socket is
-// already parked, onSock runs immediately (on a fresh goroutine — arming
-// happens on control-message handlers that must not block on socket
-// installs). Otherwise the callback waits for a deliver; if none lands
-// within timeout, onTimeout runs instead and the arm is forgotten. A
+// armFunc registers onSock to receive id's data socket. If no deliver
+// lands within timeout, onTimeout runs instead and the arm is forgotten. A
 // later disarm cancels a still-pending arm without either callback.
 func (r *rendezvous) armFunc(id connKey, timeout time.Duration, onSock func(*transport.Stream), onTimeout func()) {
 	r.mu.Lock()
-	if p, ok := r.parked[id]; ok {
-		delete(r.parked, id)
-		r.mu.Unlock()
-		p.res <- true
-		go onSock(p.sock)
-		return
-	}
 	w := &rvWaiter{onSock: onSock}
 	w.timer = timerwheel.AfterFunc(timeout, func() {
 		r.mu.Lock()
@@ -87,60 +66,30 @@ func (r *rendezvous) armFunc(id connKey, timeout time.Duration, onSock func(*tra
 	r.mu.Unlock()
 }
 
-// deliver hands a socket to the endpoint armed for id, waiting up to
-// timeout for one to arm. It reports whether the socket was taken. The
-// claim callback runs on this goroutine when an endpoint is already
-// armed — the deliverer (transport serveOpen) is a per-stream goroutine
-// that may block.
-func (r *rendezvous) deliver(id connKey, sock *transport.Stream, timeout time.Duration) bool {
+// deliver hands a socket to the endpoint armed for id and reports whether
+// one was. The claim callback runs on this goroutine — the deliverer
+// (transport serveOpen) is a per-stream goroutine that may block.
+func (r *rendezvous) deliver(id connKey, sock *transport.Stream) bool {
 	r.mu.Lock()
-	if w, ok := r.waiters[id]; ok {
-		delete(r.waiters, id)
-		r.mu.Unlock()
-		w.timer.Stop()
-		w.onSock(sock)
-		return true
-	}
-	p := &rvParked{sock: sock, res: make(chan bool, 1)}
-	r.parked[id] = p
+	w, ok := r.waiters[id]
+	delete(r.waiters, id)
 	r.mu.Unlock()
-
-	expired := make(chan struct{})
-	t := timerwheel.AfterFunc(timeout, func() { close(expired) })
-	select {
-	case taken := <-p.res:
-		t.Stop()
-		return taken
-	case <-expired:
-		r.mu.Lock()
-		if r.parked[id] == p {
-			// Still unclaimed — and, removed under the lock, it can no
-			// longer be claimed.
-			delete(r.parked, id)
-			r.mu.Unlock()
-			return false
-		}
-		r.mu.Unlock()
-		// A claim or disarm won the race; its verdict is imminent.
-		return <-p.res
+	if !ok {
+		return false
 	}
+	w.timer.Stop()
+	w.onSock(sock)
+	return true
 }
 
-// disarm cancels a pending arm for id (endpoint no longer waiting). A
-// socket already parked for it is closed and its deliverer released.
+// disarm cancels a pending arm for id (endpoint no longer waiting).
 func (r *rendezvous) disarm(id connKey) {
 	r.mu.Lock()
-	w, hadWaiter := r.waiters[id]
+	w, ok := r.waiters[id]
 	delete(r.waiters, id)
-	p, hadParked := r.parked[id]
-	delete(r.parked, id)
 	r.mu.Unlock()
-	if hadWaiter {
+	if ok {
 		w.timer.Stop()
-	}
-	if hadParked {
-		p.sock.Close()
-		p.res <- false
 	}
 }
 
@@ -192,10 +141,6 @@ const (
 	acceptBackoffMin = 5 * time.Millisecond
 	acceptBackoffMax = 1 * time.Second
 )
-
-// rendezvousDeliverTimeout bounds how long a delivered socket waits for its
-// endpoint to arm.
-const rendezvousDeliverTimeout = 5 * time.Second
 
 func (r *redirector) acceptLoop() {
 	defer r.wg.Done()

@@ -58,7 +58,7 @@ type deployment struct {
 // newDeployment starts one controller per name. tune, when non-nil, adjusts
 // each host's controller config after the deployment defaults and before
 // the controller starts: security mode, fault plans, breakdowns, metrics
-// registries, detector tuning.
+// registries, keepalive tuning.
 func newDeployment(names []string, tune func(hostName string, cfg *core.Config)) (*deployment, error) {
 	d := &deployment{
 		svc:   naming.NewService(),

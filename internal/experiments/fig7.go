@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"naplet/internal/core"
-	"naplet/internal/trace"
 )
 
 // Fig7Result reproduces Figure 7: the message trace demonstrating reliable
@@ -17,7 +16,7 @@ import (
 // the NapletSocket buffer and are delivered from it after landing, in
 // order, exactly once.
 type Fig7Result struct {
-	Recorder *trace.Recorder
+	Recorder *DeliveryRecorder
 	// Total and Buffered count delivered messages and how many of them
 	// crossed a migration in the buffer (the light dots).
 	Total, Buffered int
@@ -67,15 +66,15 @@ func RunFig7(total int, interval time.Duration, migrateAt []int) (*Fig7Result, e
 	}
 	connID := sender.ID()
 
-	rec := trace.NewRecorder()
+	rec := NewDeliveryRecorder()
 	observer := func(seq uint64, payload []byte, fromBuffer bool) {
 		counter := uint64(0)
 		if len(payload) >= 8 {
 			counter = binary.BigEndian.Uint64(payload)
 		}
-		src := trace.FromSocket
+		src := FromSocket
 		if fromBuffer {
-			src = trace.FromBuffer
+			src = FromBuffer
 		}
 		rec.Record(seq, counter, src)
 	}

@@ -1,8 +1,4 @@
-// Package trace records per-message delivery events for the reliability
-// demonstration of Figure 7 of the paper: which messages a mobile agent
-// read straight off the socket stream versus which were held in (and later
-// served from) the NapletSocket message buffer across a migration.
-package trace
+package experiments
 
 import (
 	"fmt"
@@ -12,13 +8,18 @@ import (
 	"time"
 )
 
-// Source says where a delivered message came from.
-type Source uint8
+// The Figure 7 delivery recorder: per-message delivery events for the
+// paper's reliability demonstration — which messages a mobile agent read
+// straight off the socket stream versus which were held in (and later
+// served from) the NapletSocket message buffer across a migration.
+
+// DeliverySource says where a delivered message came from.
+type DeliverySource uint8
 
 const (
 	// FromSocket means the message was read directly from the live socket
 	// stream (the dark dots of Figure 7).
-	FromSocket Source = iota + 1
+	FromSocket DeliverySource = iota + 1
 	// FromBuffer means the message was drained into the NapletSocket buffer
 	// at suspend time, migrated with the agent, and served from the buffer
 	// after resume (the light dots of Figure 7).
@@ -26,19 +27,19 @@ const (
 )
 
 // String names the source.
-func (s Source) String() string {
+func (s DeliverySource) String() string {
 	switch s {
 	case FromSocket:
 		return "socket"
 	case FromBuffer:
 		return "buffer"
 	default:
-		return fmt.Sprintf("Source(%d)", uint8(s))
+		return fmt.Sprintf("DeliverySource(%d)", uint8(s))
 	}
 }
 
-// Event is one recorded delivery.
-type Event struct {
+// Delivery is one recorded delivery.
+type Delivery struct {
 	// Seq is the data-stream sequence number of the delivered message.
 	Seq uint64
 	// Counter is the application-level message counter, when the recording
@@ -47,36 +48,36 @@ type Event struct {
 	// When is the delivery time.
 	When time.Time
 	// Source is where the bytes came from.
-	Source Source
+	Source DeliverySource
 }
 
-// Recorder accumulates delivery events. It is safe for concurrent use. A
-// nil *Recorder is valid and records nothing, so instrumentation can stay
-// unconditionally in place.
-type Recorder struct {
+// DeliveryRecorder accumulates delivery events. It is safe for concurrent
+// use. A nil *DeliveryRecorder is valid and records nothing, so
+// instrumentation can stay unconditionally in place.
+type DeliveryRecorder struct {
 	mu     sync.Mutex
-	events []Event
+	events []Delivery
 	start  time.Time
 }
 
-// NewRecorder returns an empty recorder whose relative timestamps are
+// NewDeliveryRecorder returns an empty recorder whose relative timestamps are
 // measured from now.
-func NewRecorder() *Recorder {
-	return &Recorder{start: time.Now()}
+func NewDeliveryRecorder() *DeliveryRecorder {
+	return &DeliveryRecorder{start: time.Now()}
 }
 
 // Record appends one delivery event.
-func (r *Recorder) Record(seq, counter uint64, src Source) {
+func (r *DeliveryRecorder) Record(seq, counter uint64, src DeliverySource) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.events = append(r.events, Event{Seq: seq, Counter: counter, When: time.Now(), Source: src})
+	r.events = append(r.events, Delivery{Seq: seq, Counter: counter, When: time.Now(), Source: src})
 	r.mu.Unlock()
 }
 
 // Start returns the recorder's epoch.
-func (r *Recorder) Start() time.Time {
+func (r *DeliveryRecorder) Start() time.Time {
 	if r == nil {
 		return time.Time{}
 	}
@@ -84,20 +85,20 @@ func (r *Recorder) Start() time.Time {
 }
 
 // Events returns a copy of the recorded events in recording order.
-func (r *Recorder) Events() []Event {
+func (r *DeliveryRecorder) Events() []Delivery {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
+	out := make([]Delivery, len(r.events))
 	copy(out, r.events)
 	return out
 }
 
 // Buffered returns the events served from the buffer.
-func (r *Recorder) Buffered() []Event {
-	var out []Event
+func (r *DeliveryRecorder) Buffered() []Delivery {
+	var out []Delivery
 	for _, e := range r.Events() {
 		if e.Source == FromBuffer {
 			out = append(out, e)
@@ -110,7 +111,7 @@ func (r *Recorder) Buffered() []Event {
 // the recorded application counters: every counter from first to last was
 // delivered exactly once, in increasing order. It returns nil when the
 // property holds.
-func (r *Recorder) VerifyExactlyOnceInOrder() error {
+func (r *DeliveryRecorder) VerifyExactlyOnceInOrder() error {
 	events := r.Events()
 	if len(events) == 0 {
 		return nil
@@ -121,7 +122,7 @@ func (r *Recorder) VerifyExactlyOnceInOrder() error {
 		// repeats prev (or something earlier) and can never equal prev+1,
 		// so it is reported here as an order violation.
 		if e.Counter != prev+1 {
-			return fmt.Errorf("trace: counter %d followed %d (out of order, gap, or duplicate)", e.Counter, prev)
+			return fmt.Errorf("delivery recorder: counter %d followed %d (out of order, gap, or duplicate)", e.Counter, prev)
 		}
 		prev = e.Counter
 	}
@@ -130,7 +131,7 @@ func (r *Recorder) VerifyExactlyOnceInOrder() error {
 
 // Render produces the Figure 7 style table: one row per delivery with
 // relative time in milliseconds, counter, and source.
-func (r *Recorder) Render() string {
+func (r *DeliveryRecorder) Render() string {
 	events := r.Events()
 	sort.SliceStable(events, func(i, j int) bool { return events[i].When.Before(events[j].When) })
 	var sb strings.Builder

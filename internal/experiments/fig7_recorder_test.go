@@ -1,4 +1,4 @@
-package trace
+package experiments
 
 import (
 	"strings"
@@ -6,7 +6,7 @@ import (
 )
 
 func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder()
+	r := NewDeliveryRecorder()
 	r.Record(1, 1, FromSocket)
 	r.Record(2, 2, FromBuffer)
 	r.Record(3, 3, FromSocket)
@@ -23,7 +23,7 @@ func TestRecorderBasics(t *testing.T) {
 }
 
 func TestNilRecorderSafe(t *testing.T) {
-	var r *Recorder
+	var r *DeliveryRecorder
 	r.Record(1, 1, FromSocket)
 	if r.Events() != nil || r.Buffered() != nil {
 		t.Fatal("nil recorder returned events")
@@ -34,7 +34,7 @@ func TestNilRecorderSafe(t *testing.T) {
 }
 
 func TestVerifyExactlyOnceInOrder(t *testing.T) {
-	ok := NewRecorder()
+	ok := NewDeliveryRecorder()
 	for i := uint64(5); i <= 10; i++ {
 		ok.Record(i, i, FromSocket)
 	}
@@ -42,21 +42,21 @@ func TestVerifyExactlyOnceInOrder(t *testing.T) {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
 
-	gap := NewRecorder()
+	gap := NewDeliveryRecorder()
 	gap.Record(1, 1, FromSocket)
 	gap.Record(3, 3, FromSocket)
 	if err := gap.VerifyExactlyOnceInOrder(); err == nil {
 		t.Fatal("gap accepted")
 	}
 
-	dup := NewRecorder()
+	dup := NewDeliveryRecorder()
 	dup.Record(1, 1, FromSocket)
 	dup.Record(1, 1, FromBuffer)
 	if err := dup.VerifyExactlyOnceInOrder(); err == nil {
 		t.Fatal("duplicate accepted")
 	}
 
-	reorder := NewRecorder()
+	reorder := NewDeliveryRecorder()
 	reorder.Record(2, 2, FromSocket)
 	reorder.Record(1, 1, FromSocket)
 	if err := reorder.VerifyExactlyOnceInOrder(); err == nil {
@@ -65,7 +65,7 @@ func TestVerifyExactlyOnceInOrder(t *testing.T) {
 }
 
 func TestVerifySingleEvent(t *testing.T) {
-	r := NewRecorder()
+	r := NewDeliveryRecorder()
 	r.Record(42, 42, FromBuffer)
 	if err := r.VerifyExactlyOnceInOrder(); err != nil {
 		t.Fatalf("single-event trace rejected: %v", err)
@@ -75,7 +75,7 @@ func TestVerifySingleEvent(t *testing.T) {
 func TestVerifyNonZeroStart(t *testing.T) {
 	// Counters need not start at 0 or 1 — a trace recorded mid-stream (for
 	// example after an agent reattaches) is judged from its first counter.
-	r := NewRecorder()
+	r := NewDeliveryRecorder()
 	for i := uint64(1000); i < 1005; i++ {
 		r.Record(i, i, FromSocket)
 	}
@@ -87,7 +87,7 @@ func TestVerifyNonZeroStart(t *testing.T) {
 func TestVerifyGapAfterDuplicate(t *testing.T) {
 	// 1, 1, 3: the duplicate is hit first and must be reported even though
 	// a gap follows it.
-	r := NewRecorder()
+	r := NewDeliveryRecorder()
 	r.Record(1, 1, FromSocket)
 	r.Record(1, 1, FromBuffer)
 	r.Record(3, 3, FromSocket)
@@ -101,13 +101,13 @@ func TestVerifyGapAfterDuplicate(t *testing.T) {
 }
 
 func TestEmptyTraceValid(t *testing.T) {
-	if err := NewRecorder().VerifyExactlyOnceInOrder(); err != nil {
+	if err := NewDeliveryRecorder().VerifyExactlyOnceInOrder(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRender(t *testing.T) {
-	r := NewRecorder()
+	r := NewDeliveryRecorder()
 	r.Record(1, 7, FromSocket)
 	r.Record(2, 8, FromBuffer)
 	out := r.Render()
@@ -127,7 +127,7 @@ func TestSourceString(t *testing.T) {
 	if FromSocket.String() != "socket" || FromBuffer.String() != "buffer" {
 		t.Fatal("source names wrong")
 	}
-	if !strings.HasPrefix(Source(9).String(), "Source(") {
+	if !strings.HasPrefix(DeliverySource(9).String(), "DeliverySource(") {
 		t.Fatal("unknown source name wrong")
 	}
 }

@@ -53,7 +53,6 @@ func TestWANMatrixCheck(t *testing.T) {
 		{"dropped resume", WANCell{Profile: "metro", Breaks: 4, Broken: 4, ResumeRate: 0.75}, "not every break resumed"},
 		{"unseen break", WANCell{Profile: "metro", Breaks: 4, Broken: 3, ResumeRate: 1}, "not every break resumed"},
 		{"false lost", WANCell{Profile: "metro", ResumeRate: 1, TransportLost: 1}, "ErrTransportLost"},
-		{"false confirm", WANCell{Profile: "metro", ResumeRate: 1, DetectorConfirms: 2}, "detector confirms"},
 		{"false keepalive", WANCell{Profile: "metro", ResumeRate: 1, KeepaliveTimeouts: 1}, "keepalive timeouts"},
 	}
 	for _, tc := range cases {

@@ -3,7 +3,6 @@ package rudp
 import (
 	"context"
 	"errors"
-	"net"
 	"testing"
 	"time"
 )
@@ -117,50 +116,5 @@ func TestJitterBounds(t *testing.T) {
 	e.cfg.Jitter = 0
 	if e.jittered(d) != d {
 		t.Fatal("zero jitter must be exact")
-	}
-}
-
-// TestActivityFn checks the piggyback hook fires for valid packets on
-// both request and response paths.
-func TestActivityFn(t *testing.T) {
-	seen := make(chan string, 16)
-	srv, err := Listen("127.0.0.1:0", func(from *net.UDPAddr, req []byte) []byte {
-		return append([]byte("ok:"), req...)
-	}, Config{ActivityFn: func(from *net.UDPAddr) { seen <- from.String() }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Listen("127.0.0.1:0", nil, Config{ActivityFn: func(from *net.UDPAddr) { seen <- from.String() }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := cli.Request(ctx, srv.Addr().String(), []byte("hi")); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{cli.Addr().String(): false, srv.Addr().String(): false}
-	timeout := time.After(2 * time.Second)
-	for {
-		allSeen := true
-		for _, ok := range want {
-			if !ok {
-				allSeen = false
-			}
-		}
-		if allSeen {
-			return
-		}
-		select {
-		case addr := <-seen:
-			if _, ok := want[addr]; ok {
-				want[addr] = true
-			}
-		case <-timeout:
-			t.Fatalf("activity not reported for all peers: %v", want)
-		}
 	}
 }

@@ -45,8 +45,8 @@ var (
 	// ErrClosed reports use of a closed endpoint.
 	ErrClosed = errors.New("rudp: endpoint closed")
 	// ErrPeerUnreachable reports that a request exhausted its retry budget
-	// without any response from the peer — the typed signal the failure
-	// detector and recovery paths act on. Errors carrying it also match
+	// without any response from the peer — the typed signal the recovery
+	// paths act on. Errors carrying it also match
 	// ErrTimeout, so existing timeout handling keeps working.
 	ErrPeerUnreachable = errors.New("rudp: peer unreachable")
 )
@@ -99,11 +99,6 @@ type Config struct {
 	// SendDelay, when positive, delays every outgoing packet — network
 	// emulation for the latency experiments.
 	SendDelay time.Duration
-	// ActivityFn, when non-nil, is invoked with the source address of
-	// every structurally valid incoming packet. The failure detector
-	// piggybacks on it: any control traffic from a peer is evidence of
-	// life, suppressing explicit heartbeat probes.
-	ActivityFn func(from *net.UDPAddr)
 
 	// rng is a test seam for the jitter source; nil means math/rand.
 	rng func() float64
@@ -385,9 +380,6 @@ func (e *Endpoint) readLoop() {
 		id := binary.BigEndian.Uint64(buf[4:12])
 		payload := make([]byte, n-headerSize)
 		copy(payload, buf[headerSize:n])
-		if e.cfg.ActivityFn != nil {
-			e.cfg.ActivityFn(from)
-		}
 		switch kind {
 		case kindRequest:
 			e.handleRequest(from, id, payload)

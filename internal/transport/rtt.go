@@ -12,10 +12,9 @@ import (
 // ping/pong exchange doubles as an RTT probe, smoothed with the RFC 6298
 // estimator (srtt, rttvar), and seeded from the handshake duration so an
 // estimate exists before the first pong. Everything latency-sensitive —
-// keepalive timeout, redial backoff, resume window, ack cadence, and the
-// failure detector's probe timeout (via Manager.MaxRTT) — then scales
-// from the estimate, with the configured values acting as floors: a LAN
-// deployment behaves exactly as before, a WAN deployment stretches.
+// keepalive timeout, redial backoff, resume window, ack cadence — then
+// scales from the estimate, with the configured values acting as floors:
+// a LAN deployment behaves exactly as before, a WAN deployment stretches.
 
 // rttSampleCap bounds one sample: a pong measured across a dropped ping
 // or a resume gap would otherwise poison the estimate with minutes.
@@ -167,8 +166,7 @@ func (t *Transport) adaptiveAckCadence() (frames, bytes int) {
 }
 
 // MaxRTT returns the largest smoothed RTT estimate across live
-// transports — the conservative path-latency hint the failure detector's
-// probe timeout scales from (a probe may cross any of these paths).
+// transports — the worst-path figure behind the transport.rtt_ms gauge.
 func (m *Manager) MaxRTT() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -33,9 +33,6 @@ const (
 	MsgResume
 	// MsgClose asks the peer to close the connection (CLS).
 	MsgClose
-	// MsgHeartbeat probes peer liveness on the control channel; part of the
-	// fault-tolerance extension, not the original paper protocol.
-	MsgHeartbeat
 )
 
 // String returns the paper's name for the message type.
@@ -53,8 +50,6 @@ func (t MsgType) String() string {
 		return "RES"
 	case MsgClose:
 		return "CLS"
-	case MsgHeartbeat:
-		return "HEARTBEAT"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -96,6 +91,26 @@ func (v Verdict) String() string {
 		return fmt.Sprintf("Verdict(%d)", uint8(v))
 	}
 }
+
+// RejectCode says what a VerdictReject means for the requester's next step.
+// It is the part of a rejection the protocol acts on; Reason is for logs.
+type RejectCode uint8
+
+const (
+	// RejectOther is a refusal that retrying will not change (policy,
+	// malformed request, failed authentication). It is the zero value and
+	// the only code legal beside a verdict other than VerdictReject.
+	RejectOther RejectCode = iota
+	// RejectUnknownConn means the replier's host does not hold the
+	// connection: the peer agent moved on, has not landed, or closed it.
+	RejectUnknownConn
+	// RejectRetry means the replier cannot serve the request in its current
+	// state but expects to shortly.
+	RejectRetry
+	// RejectResumeRace means both sides resumed at once and the replier's
+	// own RES takes precedence; it will complete the connection.
+	RejectResumeRace
+)
 
 // TagSize is the length of the HMAC-SHA256 authentication tag on control
 // messages.
@@ -152,7 +167,10 @@ type ControlMsg struct {
 // ControlReply is the response half of a control exchange.
 type ControlReply struct {
 	Verdict Verdict
-	ConnID  ConnID
+	// Code classifies a VerdictReject; requesters branch on it, never on
+	// Reason.
+	Code   RejectCode
+	ConnID ConnID
 	// Reason is a human-readable explanation for VerdictReject.
 	Reason string
 	// LastSeq carries the replier's delivered data high-water mark on
@@ -305,7 +323,7 @@ func DecodeControlMsg(b []byte) (*ControlMsg, error) {
 		return nil, fmt.Errorf("%w: bad tag length %d", ErrBadControl, len(b))
 	}
 	copy(m.Tag[:], b)
-	if m.Type == MsgInvalid || m.Type > MsgHeartbeat {
+	if m.Type == MsgInvalid || m.Type > MsgClose {
 		return nil, fmt.Errorf("%w: unknown type %d", ErrBadControl, m.Type)
 	}
 	return m, nil
@@ -324,7 +342,7 @@ func (r *ControlReply) SigningBytes() []byte {
 func (r *ControlReply) Encode() []byte {
 	b := make([]byte, 0, 64+len(r.Reason)+len(r.Payload))
 	b = binary.BigEndian.AppendUint16(b, controlMagic)
-	b = append(b, byte(r.Verdict))
+	b = append(b, byte(r.Verdict), byte(r.Code))
 	b = append(b, r.ConnID[:]...)
 	b = appendString(b, r.Reason)
 	b = binary.BigEndian.AppendUint64(b, r.LastSeq)
@@ -339,12 +357,12 @@ func DecodeControlReply(b []byte) (*ControlReply, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadControl)
 	}
 	b = b[2:]
-	if len(b) < 1+16 {
+	if len(b) < 2+16 {
 		return nil, errShort
 	}
-	r := &ControlReply{Verdict: Verdict(b[0])}
-	copy(r.ConnID[:], b[1:17])
-	b = b[17:]
+	r := &ControlReply{Verdict: Verdict(b[0]), Code: RejectCode(b[1])}
+	copy(r.ConnID[:], b[2:18])
+	b = b[18:]
 	var err error
 	if r.Reason, b, err = takeString(b); err != nil {
 		return nil, err
@@ -363,6 +381,9 @@ func DecodeControlReply(b []byte) (*ControlReply, error) {
 	copy(r.Tag[:], b)
 	if r.Verdict == VerdictInvalid || r.Verdict > VerdictReject {
 		return nil, fmt.Errorf("%w: unknown verdict %d", ErrBadControl, r.Verdict)
+	}
+	if r.Code > RejectResumeRace || (r.Code != RejectOther && r.Verdict != VerdictReject) {
+		return nil, fmt.Errorf("%w: reject code %d on verdict %s", ErrBadControl, r.Code, r.Verdict)
 	}
 	return r, nil
 }

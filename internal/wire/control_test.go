@@ -49,7 +49,7 @@ func TestControlMsgRoundTrip(t *testing.T) {
 
 func TestControlMsgRoundTripProperty(t *testing.T) {
 	f := func(typ uint8, id [16]byte, from, to, addr, caddr string, nonce, lastSeq, locEpoch uint64, payload []byte, tag [32]byte) bool {
-		mt := MsgType(typ%uint8(MsgHeartbeat)) + 1
+		mt := MsgType(typ%uint8(MsgClose)) + 1
 		in := &ControlMsg{
 			Type: mt, ConnID: ConnID(id), From: from, To: to,
 			Nonce: nonce, DataAddr: addr, ControlAddr: caddr, LastSeq: lastSeq, LocEpoch: locEpoch, Payload: payload, Tag: tag,
@@ -76,7 +76,8 @@ func TestControlReplyRoundTrip(t *testing.T) {
 	var id ConnID
 	id[0] = 9
 	want := &ControlReply{
-		Verdict: VerdictAckWait,
+		Verdict: VerdictReject,
+		Code:    RejectRetry,
 		ConnID:  id,
 		Reason:  "busy",
 		LastSeq: 77,
@@ -161,12 +162,22 @@ func TestDecodeControlErrors(t *testing.T) {
 			t.Error("unknown verdict accepted")
 		}
 	})
+	t.Run("bad reject code", func(t *testing.T) {
+		r := &ControlReply{Verdict: VerdictReject, Code: RejectResumeRace + 1}
+		if _, err := DecodeControlReply(r.Encode()); err == nil {
+			t.Error("unknown reject code accepted")
+		}
+		r = &ControlReply{Verdict: VerdictAck, Code: RejectRetry}
+		if _, err := DecodeControlReply(r.Encode()); err == nil {
+			t.Error("reject code accepted on an ACK")
+		}
+	})
 }
 
 func TestMsgTypeStrings(t *testing.T) {
 	names := map[MsgType]string{
 		MsgConnect: "CONNECT", MsgIDExchange: "ID", MsgSuspend: "SUS",
-		MsgSusRes: "SUS_RES", MsgResume: "RES", MsgClose: "CLS", MsgHeartbeat: "HEARTBEAT",
+		MsgSusRes: "SUS_RES", MsgResume: "RES", MsgClose: "CLS",
 	}
 	for typ, want := range names {
 		if got := typ.String(); got != want {

@@ -207,6 +207,11 @@ func FuzzDecodeControlMsg(f *testing.F) {
 func FuzzDecodeControlReply(f *testing.F) {
 	r := &ControlReply{Verdict: VerdictAck, Reason: "x", LastSeq: 9}
 	f.Add(r.Encode())
+	f.Add((&ControlReply{Verdict: VerdictReject, Code: RejectResumeRace, Reason: "race"}).Encode())
+	// An unknown code, and a code beside a verdict that is not a rejection:
+	// both must fail to decode.
+	f.Add((&ControlReply{Verdict: VerdictReject, Code: RejectResumeRace + 1}).Encode())
+	f.Add((&ControlReply{Verdict: VerdictAck, Code: RejectRetry}).Encode())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := DecodeControlReply(data)
@@ -217,7 +222,10 @@ func FuzzDecodeControlReply(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if re.Verdict != rep.Verdict || re.Reason != rep.Reason || re.LastSeq != rep.LastSeq {
+		if rep.Code > RejectResumeRace || (rep.Code != RejectOther && rep.Verdict != VerdictReject) {
+			t.Fatalf("decoded reject code %d on verdict %s", rep.Code, rep.Verdict)
+		}
+		if re.Verdict != rep.Verdict || re.Code != rep.Code || re.Reason != rep.Reason || re.LastSeq != rep.LastSeq {
 			t.Fatal("reply round-trip mismatch")
 		}
 	})

@@ -85,7 +85,7 @@ const (
 )
 
 // Config tunes a Node beyond the defaults. Values that concern the whole
-// node — Insecure, HeartbeatInterval, Logger, Metrics, Tracer, the journal —
+// node — Insecure, Logger, Metrics, Tracer, the journal —
 // are set here and nowhere else: NewNode writes them into every layer's
 // config, the controller's included, so the same fields of Core are
 // overwritten.
@@ -125,9 +125,6 @@ type Config struct {
 	// nothing under any policy (appends are atomic single writes); the
 	// policy only matters for whole-machine failures.
 	JournalSync string
-	// HeartbeatInterval, when positive, enables the phi-accrual peer
-	// failure detector on the controller, probing at this interval.
-	HeartbeatInterval time.Duration
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 	// Logger receives leveled diagnostics from every layer of the node and
@@ -145,7 +142,7 @@ type Config struct {
 	// auto-creates one per node; tracing is cheap and always on.
 	Tracer *obs.Tracer
 	// Core carries controller-only tuning: operation timeouts, transport
-	// encryption, the relay (optional).
+	// encryption and keepalive, the relay (optional).
 	Core core.Config
 }
 
@@ -203,7 +200,6 @@ func NewNode(cfg Config) (*Node, error) {
 	ccfg.Locator = cfg.Directory
 	ccfg.Insecure = cfg.Insecure
 	ccfg.Journal = jnl
-	ccfg.HeartbeatInterval = cfg.HeartbeatInterval
 	ccfg.Logger = cfg.Logger
 	ccfg.Metrics = cfg.Metrics
 	ccfg.Tracer = tracer
