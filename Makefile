@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small profile-control chaos-smoke naming-smoke storm-smoke wan-smoke census
+.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small profile-control chaos-smoke naming-smoke storm-smoke wan-smoke crash-soak census
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,16 @@ wan-smoke:
 	$(GO) test ./internal/transport -run 'TestRelayFallbackThroughNAT|TestRedialBackoffConfigHonored|TestKeepaliveAdaptsToWANRTT' -race -count=1 -v
 	$(GO) test ./internal/core -run TestMigrationSustainedThroughRelayNAT -race -count=1 -v
 	$(GO) run ./cmd/repro -quick wanmatrix
+
+# crash-soak is the CI gate for exactly-once across a crash: the
+# checkpoint-order tests under the race detector (a connection's journal
+# records land in snapshot order, none after it left the journal), then the
+# test the ordering bug used to fail about once in a hundred runs — both
+# endpoints migrate concurrently, the host one landed on is rebuilt from its
+# journal — repeated until a flake that came back could not hide.
+crash-soak:
+	$(GO) test ./internal/core -run '^TestCheckpoint' -race -count=20
+	$(GO) test ./internal/core -run 'TestDoubleFailureConcurrentMigrationWithCrash$$' -count=300
 
 # census prints the four numbers a simplicity PR quotes, so CHANGES.md can
 # be checked against the CI log: non-test lines, packages directly under

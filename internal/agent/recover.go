@@ -23,9 +23,11 @@ import (
 // and its connections' send cursors into one atomic journal append is
 // what preserves exactly-once delivery across a crash: with separate
 // writes, a crash between them either replays a sent message or skips an
-// unsent one, whichever order is chosen.
+// unsent one, whichever order is chosen. CheckpointRecords calls commit
+// once with the agent's connection records and keeps them current — no
+// other writer of those journal keys gets in between — until it returns.
 type ConnCheckpointer interface {
-	CheckpointRecords(agentID string) []journal.Record
+	CheckpointRecords(agentID string, commit func(conns []journal.Record) error) error
 }
 
 // agentState is the journaled form of one resident agent.
@@ -47,16 +49,24 @@ func (h *Host) checkpointAgent(agentID string, b Behavior, epoch uint64) error {
 	if err := gob.NewEncoder(&buf).Encode(&agentState{Epoch: epoch, Behavior: b}); err != nil {
 		return fmt.Errorf("agent: encoding checkpoint of %q: %w", agentID, err)
 	}
-	recs := []journal.Record{{Kind: journal.KindAgent, Key: agentID, Data: buf.Bytes()}}
 	h.mu.Lock()
 	hooks := append([]Hook(nil), h.hooks...)
 	h.mu.Unlock()
+	// Each checkpointing hook wraps the append, so the one batch is written
+	// while every hook holds its connections still.
+	commit := func(recs []journal.Record) error { return j.Append(recs...) }
 	for _, hook := range hooks {
 		if cp, ok := hook.(ConnCheckpointer); ok {
-			recs = append(recs, cp.CheckpointRecords(agentID)...)
+			inner := commit
+			commit = func(recs []journal.Record) error {
+				return cp.CheckpointRecords(agentID, func(conns []journal.Record) error {
+					return inner(append(recs, conns...))
+				})
+			}
 		}
 	}
-	if err := j.Append(recs...); err != nil && !errors.Is(err, journal.ErrClosed) {
+	err := commit([]journal.Record{{Kind: journal.KindAgent, Key: agentID, Data: buf.Bytes()}})
+	if err != nil && !errors.Is(err, journal.ErrClosed) {
 		return fmt.Errorf("agent: journaling checkpoint of %q: %w", agentID, err)
 	}
 	h.checkpoints.Inc()

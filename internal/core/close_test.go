@@ -115,7 +115,7 @@ func TestSuspendGrantedInResumeWait(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reply, err := wire.DecodeControlReply(client.handleSuspend(&wire.ControlMsg{}))
+	reply, err := wire.DecodeControlReply(client.serve(&wire.ControlMsg{Type: wire.MsgSuspend}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCloseWaitsOutResumeCompletion(t *testing.T) {
 	client.mu.Unlock()
 	replied := make(chan *wire.ControlReply, 1)
 	go func() {
-		r, _ := wire.DecodeControlReply(client.handleClose(&wire.ControlMsg{}))
+		r, _ := wire.DecodeControlReply(client.serve(&wire.ControlMsg{Type: wire.MsgClose}))
 		replied <- r
 	}()
 	select {

@@ -17,8 +17,8 @@ import (
 
 // This file holds the Socket's identity, state, and lifecycle bookkeeping.
 // The data plane (pump and flush passes, receive buffer, send log, drain)
-// lives in dataplane.go; the control-plane suspend/resume/close
-// exchanges live in ops.go.
+// lives in dataplane.go; the control-plane suspend/resume/close exchanges
+// live in ops.go, and what a peer's message gets in each state in proto.go.
 
 // Errors returned by Socket operations.
 var (
@@ -181,9 +181,7 @@ type Socket struct {
 
 	// Concurrent-migration bookkeeping (Sections 3.1–3.2).
 	remoteSuspended bool
-	localSuspended  bool
 	owesSusRes      bool
-	parkedSuspend   bool
 	// susResReceived latches a SUS_RES that arrives before the local
 	// suspend has parked, so the release cannot be lost to the race.
 	susResReceived bool
@@ -207,6 +205,13 @@ type Socket struct {
 	failedAt time.Time
 
 	observer Observer
+
+	// ckptMu makes a journal checkpoint — snapshot under mu, then append —
+	// one critical section, and orders it against the connection leaving the
+	// journal, which sets unjournaled (see checkpointConn). Taken before mu;
+	// not guarded by it.
+	ckptMu      sync.Mutex
+	unjournaled bool
 }
 
 // agentPriority computes the deadlock-breaking migration priority of

@@ -141,7 +141,7 @@ func (c Config) drainTimeout() time.Duration {
 	return 5 * time.Second
 }
 
-func (c Config) failureResumeDelay(highPriority bool) time.Duration {
+func failureResumeDelay(highPriority bool) time.Duration {
 	if highPriority {
 		return 50 * time.Millisecond
 	}
@@ -387,7 +387,7 @@ func (ctrl *Controller) registerConn(s *Socket) {
 func (ctrl *Controller) dropConn(s *Socket) {
 	ctrl.tab.drop(s)
 	ctrl.rv.disarm(connKey{id: s.id, agent: s.localAgent})
-	ctrl.dropConnJournal(s.localAgent, s.id)
+	ctrl.dropConnJournal(s)
 }
 
 // connByKey fetches a resident connection endpoint by id and local agent.
@@ -522,14 +522,8 @@ func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
 	switch m.Type {
 	case wire.MsgIDExchange:
 		return s.handleIDExchange(m)
-	case wire.MsgSuspend:
-		return s.handleSuspend(m)
-	case wire.MsgSusRes:
-		return s.handleSusRes(m)
-	case wire.MsgResume:
-		return s.handleResume(m)
-	case wire.MsgClose:
-		return s.handleClose(m)
+	case wire.MsgSuspend, wire.MsgSusRes, wire.MsgResume, wire.MsgClose:
+		return s.serve(m)
 	default:
 		return rejectReply(m.ConnID, wire.RejectOther, fmt.Sprintf("unsupported message %s", m.Type))
 	}
@@ -735,10 +729,11 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 		return nil, err
 	}
 
-	// Open socket: a stream on the shared transport, handed off by the
+	// Open socket: a stream on the shared transport, carrying the
+	// authenticated handoff header as its open payload and handed off by the
 	// target's controller.
 	start = time.Now()
-	err = s.dialConnect()
+	err = s.dialAndInstall(wire.HandoffConnect, 0)
 	bd.Add(metrics.PhaseOpenSocket, time.Since(start))
 	if err != nil {
 		return fail(err)
@@ -762,17 +757,6 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 	s.mu.Unlock()
 	ctrl.checkpointConn(s)
 	return s, nil
-}
-
-// dialConnect performs the connect-time socket handoff: a stream opened on
-// the shared transport to the target's host, carrying the authenticated
-// handoff header as its open payload.
-func (s *Socket) dialConnect() error {
-	stream, err := s.openDataStream(wire.HandoffConnect)
-	if err != nil {
-		return err
-	}
-	return s.installSocket(stream, 0)
 }
 
 // openDataStream opens a data stream to the peer's redirector over the

@@ -132,7 +132,6 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 	s.peerFlushSeen = false
 	s.drained = false
 	s.failing = false
-	s.localSuspended = false
 	s.remoteSuspended = false
 	s.susResReceived = false
 	s.peerResumeParked = false
@@ -509,7 +508,7 @@ func (s *Socket) failLocked(cause error) {
 	if s.ctrl.cfg.DisableFailureResume {
 		return
 	}
-	s.scheduleFailureResume(s.ctrl.cfg.failureResumeDelay(s.highPriority))
+	s.scheduleFailureResume(failureResumeDelay(s.highPriority))
 }
 
 // scheduleFailureResume arms a failure-recovery attempt on the shared

@@ -7,7 +7,6 @@ import (
 
 	"naplet/internal/fsm"
 	"naplet/internal/metrics"
-	"naplet/internal/naming"
 	"naplet/internal/obs"
 	"naplet/internal/transport"
 	"naplet/internal/wire"
@@ -15,10 +14,9 @@ import (
 
 // This file implements the connection migration operations of Sections
 // 2.2–3.2 of the paper: the locally issued suspend / resume / close
-// transactions and the handlers for the corresponding control messages from
-// the peer, including both concurrent-migration protocols (overlapped with
-// ACK_WAIT + SUS_RES, non-overlapped with RESUME_WAIT) and the
-// local/remote-suspend priority rules for multiple connections.
+// transactions, the local/remote-suspend priority rules for multiple
+// connections, and serve, which carries out what the reply table (proto.go)
+// decides for the corresponding control messages from the peer.
 
 // request sends one authenticated control message to the peer controller
 // and returns its verified reply.
@@ -137,7 +135,6 @@ func (s *Socket) suspendLocked() error {
 			// released us with SUS_RES): the suspend is satisfied and the
 			// peer is pinned until we land.
 			s.susResReceived = false
-			s.localSuspended = true
 			s.mu.Unlock()
 			return nil
 		}
@@ -146,22 +143,16 @@ func (s *Socket) suspendLocked() error {
 			// Finish without further action; the peer's migration pinned
 			// the connection and its RESUME will find us gone — it retries
 			// through the location service.
-			s.localSuspended = true
 			s.mu.Unlock()
 			return nil
 		}
 		// Low priority: park until the peer's RESUME (answered with
 		// RESUME_WAIT) or SUS_RES releases us.
 		s.step(fsm.AppSuspendBlocked) // -> SUSPEND_WAIT
-		s.parkedSuspend = true
 		s.mu.Unlock()
-		_, err := s.waitState(s.ctrl.cfg.parkTimeout(), fsm.Suspended)
-		if err != nil {
+		if _, err := s.waitState(s.ctrl.cfg.parkTimeout(), fsm.Suspended); err != nil {
 			return fmt.Errorf("napletsocket: parked suspend on %s: %w", s.id, err)
 		}
-		s.mu.Lock()
-		s.localSuspended = true
-		s.mu.Unlock()
 		return nil
 
 	case fsm.SusAcked:
@@ -224,26 +215,12 @@ retry:
 		// Peer unreachable: suspend ungracefully; the send log covers any
 		// in-flight loss at resume time.
 		s.ctrl.logf("conn %s: SUS undeliverable (%v); suspending ungracefully", s.id, err)
-		s.drainTimed()
-		s.mu.Lock()
-		if s.m.State() == fsm.SusSent {
-			s.step(fsm.Timeout) // -> SUSPENDED
-		}
-		s.localSuspended = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		s.drainToSuspended(fsm.Timeout)
 		return nil
 	}
 	switch reply.Verdict {
 	case wire.VerdictAck:
-		s.drainTimed()
-		s.mu.Lock()
-		if s.m.State() == fsm.SusSent {
-			s.step(fsm.RecvSuspendAck) // -> SUSPENDED
-		}
-		s.localSuspended = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		s.drainToSuspended(fsm.RecvSuspendAck)
 		return nil
 
 	case wire.VerdictAckWait:
@@ -276,23 +253,18 @@ retry:
 				if s.m.State() == fsm.SuspendWait {
 					s.step(fsm.RecvSusRes) // -> SUSPENDED
 				}
-				s.parkedSuspend = false
 				break
 			}
 			switch s.m.State() {
 			case fsm.SusSent:
 				s.step(fsm.RecvAckWait) // -> SUSPEND_WAIT
-				s.parkedSuspend = true
 				parked = true
 			case fsm.Suspended:
-				if parked {
-					// Released by the peer's SUS_RES or RESUME.
-					s.parkedSuspend = false
-				} else {
-					// The peer's SUS was granted concurrently; park from
-					// there.
+				// Parked already: released by the peer's SUS_RES or RESUME.
+				// Otherwise the peer's SUS was granted concurrently; park from
+				// there.
+				if !parked {
 					s.step(fsm.RecvAckWait) // -> SUSPEND_WAIT
-					s.parkedSuspend = true
 					parked = true
 				}
 			case fsm.SuspendWait:
@@ -306,8 +278,6 @@ retry:
 				return fmt.Errorf("napletsocket: waiting for SUS_RES on %s: timed out in %s", s.id, s.m.State())
 			}
 		}
-		s.localSuspended = true
-		s.cond.Broadcast()
 		s.mu.Unlock()
 		return nil
 
@@ -318,14 +288,7 @@ retry:
 			// travelling in a bundle. Suspend ungracefully; our eventual
 			// resume chases the peer through the location service, and the
 			// send log covers anything lost in flight.
-			s.drainTimed()
-			s.mu.Lock()
-			if s.m.State() == fsm.SusSent {
-				s.step(fsm.Timeout) // -> SUSPENDED
-			}
-			s.localSuspended = true
-			s.cond.Broadcast()
-			s.mu.Unlock()
+			s.drainToSuspended(fsm.Timeout)
 			return nil
 		}
 		if reply.Code == wire.RejectRetry && time.Now().Before(deadline) {
@@ -353,83 +316,98 @@ func (s *Socket) delivered() uint64 {
 	return s.lastEnqueued
 }
 
-// handleSuspend serves a peer's SUS request (Fig 3, recv:SUS paths).
-func (s *Socket) handleSuspend(m *wire.ControlMsg) []byte {
+// serve answers a peer's SUS, SUS_RES, RES or CLS. Which verdict, FSM step,
+// latches and follow-up the message gets in the state it meets is onPeer's
+// decision (proto.go); this is the one place that decision is carried out.
+func (s *Socket) serve(m *wire.ControlMsg) []byte {
 	s.mu.Lock()
-	s.trimSendLogLocked(m.LastSeq)
-	// A resume completion may still be in flight on our side (the peer
-	// reaches ESTABLISHED from its half of the handoff before we step out
-	// of RES_SENT/RES_ACKED); let it settle instead of rejecting.
+	switch m.Type {
+	case wire.MsgSuspend:
+		s.trimSendLogLocked(m.LastSeq)
+	case wire.MsgSusRes, wire.MsgResume:
+		s.setPeerAddrsLocked(m.ControlAddr, m.DataAddr)
+	}
+	// The one wait on the responder path: settles says which transient
+	// states the message waits out instead of being answered in, and why.
 	settleDeadline := time.Now().Add(s.ctrl.cfg.drainTimeout())
-	for !s.closed {
-		if st := s.m.State(); st != fsm.ResSent && st != fsm.ResAcked {
-			break
-		}
-		if !waitCond(s.cond, time.Until(settleDeadline)) {
-			break
+	for !s.closed && settles(m.Type, s.m.State()) && waitCond(s.cond, time.Until(settleDeadline)) {
+	}
+	st := s.m.State()
+	r := onPeer(m.Type, st, s.highPriority, s.ctrl.isMigrating(s.localAgent))
+	if r.step != noStep {
+		s.step(r.step)
+	}
+	// In latch bit order.
+	for i, flag := range [...]*bool{&s.remoteSuspended, &s.owesSusRes, &s.susResReceived, &s.peerResumeParked, &s.suspending} {
+		if r.set&(1<<i) != 0 {
+			*flag = true
 		}
 	}
-	switch st := s.m.State(); st {
-	case fsm.Established:
-		s.step(fsm.RecvSuspend) // -> SUS_ACKED
-		s.remoteSuspended = true
-		s.mu.Unlock()
-		go func() {
-			s.drainAndClose()
-			s.mu.Lock()
-			if s.m.State() == fsm.SusAcked {
-				s.step(fsm.ExecSuspended) // -> SUSPENDED
-			}
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			s.ctrl.checkpointConn(s)
-		}()
-		return s.reply(wire.VerdictAck, func(r *wire.ControlReply) { r.LastSeq = s.delivered() })
+	sock := s.sock
+	s.cond.Broadcast()
+	s.mu.Unlock()
 
-	case fsm.SusSent:
-		// Overlapped concurrent migration: both sides sent SUS.
-		if s.highPriority {
-			// Park the peer; we migrate first and owe it a SUS_RES from
-			// our new host (Fig 4(a), side B).
-			s.owesSusRes = true
-			s.mu.Unlock()
-			return s.reply(wire.VerdictAckWait, nil)
+	switch r.then {
+	case thenSuspended:
+		go s.finishGranted(fsm.SusAcked, fsm.ExecSuspended)
+	case thenClosed:
+		go s.finishGranted(fsm.CloseAcked, fsm.ExecClosed)
+	case thenGrantResume:
+		s.grantResume(m)
+	case thenFailZombie:
+		if sock != nil {
+			s.ctrl.tm.FailIfReconnecting(sock.TransportID(),
+				fmt.Errorf("peer %s re-established connection %s", s.remoteAgent, s.id))
 		}
-		// Low priority always grants (Fig 4(a), side A).
-		s.step(fsm.RecvSuspend) // -> SUS_ACKED
-		s.remoteSuspended = true
-		s.mu.Unlock()
-		go func() {
-			s.drainAndClose()
-			s.mu.Lock()
-			if s.m.State() == fsm.SusAcked {
-				s.step(fsm.ExecSuspended)
-			}
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			s.ctrl.checkpointConn(s)
-		}()
-		return s.reply(wire.VerdictAck, func(r *wire.ControlReply) { r.LastSeq = s.delivered() })
-
-	case fsm.Suspended, fsm.SuspendWait, fsm.SusAcked, fsm.ResumeWait:
-		// Already suspended; granting is idempotent (Section 3.2: "by
-		// default a suspend operation needs to do nothing for a suspended
-		// connection"). In RESUME_WAIT the peer parked our resume behind
-		// the very migration this SUS belongs to (its SUS was held up past
-		// our RES): rejecting would leave each side waiting on the other
-		// for the whole park window.
-		s.remoteSuspended = true
-		s.mu.Unlock()
-		return s.reply(wire.VerdictAck, func(r *wire.ControlReply) { r.LastSeq = s.delivered() })
-
-	case fsm.Closed, fsm.CloseSent, fsm.CloseAcked:
-		s.mu.Unlock()
-		return s.reject(wire.RejectUnknownConn, "connection closed")
-
-	default:
-		s.mu.Unlock()
-		return s.reject(wire.RejectRetry, fmt.Sprintf("cannot suspend in state %s", st))
 	}
+	if r.verdict == wire.VerdictReject {
+		return s.reject(r.code, fmt.Sprintf("%s in state %s", m.Type, st))
+	}
+	return s.reply(r.verdict, func(rep *wire.ControlReply) {
+		// A granted SUS or RES reports how far our buffer has got, so the
+		// peer trims its send log and retransmits from there.
+		if r.verdict == wire.VerdictAck && (m.Type == wire.MsgSuspend || m.Type == wire.MsgResume) {
+			rep.LastSeq = s.delivered()
+		}
+	})
+}
+
+// finishGranted completes a suspend or close this side granted, off the
+// control path: drain, so in-flight data reaches the buffer before the
+// connection settles, then step from by ev (exec:suspended or exec:closed).
+func (s *Socket) finishGranted(from fsm.State, ev fsm.Event) {
+	s.drainAndClose()
+	closing := ev == fsm.ExecClosed
+	if closing {
+		// The connection is over for the protocol and the journal, but what
+		// the peer wrote before closing is still the application's to read:
+		// the endpoint leaves the table with its last byte.
+		s.ctrl.rv.disarm(connKey{id: s.id, agent: s.localAgent})
+		s.ctrl.dropConnJournal(s)
+	}
+	s.mu.Lock()
+	if s.m.State() == from {
+		s.step(ev)
+	}
+	if closing {
+		s.markClosedLocked(nil)
+		s.releaseIfReadOutLocked()
+	}
+	s.mu.Unlock()
+	if !closing {
+		s.ctrl.checkpointConn(s)
+	}
+}
+
+// drainToSuspended completes a local suspend the peer acked, or could not be
+// asked: drain, then SUS_SENT -> SUSPENDED by ev.
+func (s *Socket) drainToSuspended(ev fsm.Event) {
+	s.drainTimed()
+	s.mu.Lock()
+	if s.m.State() == fsm.SusSent {
+		s.step(ev)
+	}
+	s.mu.Unlock()
 }
 
 // ---- SUS_RES ----
@@ -464,34 +442,14 @@ func (s *Socket) sendSusRes() error {
 	return lastErr
 }
 
-// handleSusRes serves the peer's SUS_RES: our parked suspend may complete.
-// Because the SUS_RES can arrive at any point of our own suspend (even
-// before we parked), every suspend-phase state latches it.
-func (s *Socket) handleSusRes(m *wire.ControlMsg) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.updatePeerAddrsLocked(m)
-	switch st := s.m.State(); st {
-	case fsm.SuspendWait:
-		s.step(fsm.RecvSusRes) // -> SUSPENDED
-		s.parkedSuspend = false
-		s.cond.Broadcast()
-		return s.reply(wire.VerdictAck, nil)
-	case fsm.Suspended, fsm.SusSent, fsm.SusAcked:
-		s.susResReceived = true
-		s.cond.Broadcast()
-		return s.reply(wire.VerdictAck, nil)
-	default:
-		return s.reject(wire.RejectOther, fmt.Sprintf("SUS_RES in state %s", st))
+// setPeerAddrsLocked records where the peer now is, as a SUS_RES or RES
+// announced it or the location service reports it. Caller holds mu.
+func (s *Socket) setPeerAddrsLocked(controlAddr, dataAddr string) {
+	if controlAddr != "" {
+		s.peerControlAddr = controlAddr
 	}
-}
-
-func (s *Socket) updatePeerAddrsLocked(m *wire.ControlMsg) {
-	if m.ControlAddr != "" {
-		s.peerControlAddr = m.ControlAddr
-	}
-	if m.DataAddr != "" {
-		s.peerDataAddr = m.DataAddr
+	if dataAddr != "" {
+		s.peerDataAddr = dataAddr
 	}
 }
 
@@ -617,7 +575,7 @@ func (s *Socket) resumeAttempt() (done bool, err error) {
 	switch reply.Verdict {
 	case wire.VerdictAck:
 		dialStart := time.Now()
-		err := s.dialAndInstall(reply.LastSeq)
+		err := s.dialAndInstall(wire.HandoffResume, reply.LastSeq)
 		s.ctrl.obs.resumeBD.Add(metrics.PhaseOpenSocket, time.Since(dialStart))
 		if err != nil {
 			s.ctrl.logf("conn %s: resume handoff failed: %v", s.id, err)
@@ -680,121 +638,27 @@ func (s *Socket) relookupPeer() {
 		return
 	}
 	s.mu.Lock()
-	s.applyLocationLocked(rec.Loc)
+	s.setPeerAddrsLocked(rec.Loc.ControlAddr, rec.Loc.DataAddr)
 	s.mu.Unlock()
 }
 
-func (s *Socket) applyLocationLocked(loc naming.Location) {
-	if loc.ControlAddr != "" {
-		s.peerControlAddr = loc.ControlAddr
-	}
-	if loc.DataAddr != "" {
-		s.peerDataAddr = loc.DataAddr
-	}
-}
-
-// dialAndInstall opens a replacement data stream on the shared transport
-// to the peer's (possibly new) host — reusing a warm transport when one
-// exists, which is the common case for migration storms — performs the
-// authenticated resume handoff, and installs the new data stream.
-func (s *Socket) dialAndInstall(peerHasUpTo uint64) error {
-	stream, err := s.openDataStream(wire.HandoffResume)
+// dialAndInstall opens a data stream to the peer's (possibly new) host on
+// the shared transport — reusing a warm transport when one exists, the common
+// case for migration storms — for the authenticated connect or resume
+// handoff purpose names, and installs it.
+func (s *Socket) dialAndInstall(purpose wire.HandoffPurpose, peerHasUpTo uint64) error {
+	stream, err := s.openDataStream(purpose)
 	if err != nil {
 		return err
 	}
 	return s.installSocket(stream, peerHasUpTo)
 }
 
-// handleResume serves a peer's RES request.
-func (s *Socket) handleResume(m *wire.ControlMsg) []byte {
-	s.mu.Lock()
-	s.updatePeerAddrsLocked(m)
-	// If a granted suspend is still draining, let it finish rather than
-	// bouncing the peer into a retry.
-	drainDeadline := time.Now().Add(s.ctrl.cfg.drainTimeout())
-	for s.m.State() == fsm.SusAcked && !s.closed {
-		if !waitCond(s.cond, time.Until(drainDeadline)) {
-			break
-		}
-	}
-	switch st := s.m.State(); st {
-	case fsm.Suspended:
-		if s.ctrl.isMigrating(s.localAgent) {
-			// We are about to migrate ourselves: park the peer's resume
-			// (Fig 5, "side A sends back RESUME_WAIT ... because it is to
-			// migrate"). The latch also satisfies our own pending suspend
-			// of this connection.
-			s.peerResumeParked = true
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return s.reply(wire.VerdictResumeWait, nil)
-		}
-		s.step(fsm.RecvResume) // -> RES_ACKED
-		s.mu.Unlock()
-		return s.grantResume(m)
-
-	case fsm.SuspendWait:
-		// Our suspend is parked; the peer's RESUME both completes it and
-		// is itself parked (Fig 4(b), side B).
-		s.step(fsm.RecvResume) // -> SUSPENDED
-		s.parkedSuspend = false
-		s.peerResumeParked = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return s.reply(wire.VerdictResumeWait, nil)
-
-	case fsm.ResumeWait:
-		// Our earlier resume was parked; the peer has migrated and now
-		// resumes toward us.
-		s.step(fsm.RecvResume) // -> RES_ACKED
-		s.mu.Unlock()
-		return s.grantResume(m)
-
-	case fsm.ResSent:
-		// Both sides resumed at once (e.g. after both migrated, or dueling
-		// failure recoveries). The lower-priority side grants; the higher
-		// rejects and lets its own RES win.
-		if s.highPriority {
-			s.mu.Unlock()
-			return s.reject(wire.RejectResumeRace, "resume race lost")
-		}
-		s.step(fsm.RecvResume) // -> RES_ACKED
-		s.mu.Unlock()
-		return s.grantResume(m)
-
-	case fsm.Established:
-		// A stale or failure-racing RES; ask the peer to retry — if our
-		// socket is really dead our reader will degrade us to SUSPENDED
-		// shortly and the retry will be granted. One degradation cannot
-		// happen on its own: a stream riding a shared transport that is
-		// mid-resume stalls instead of failing. The peer's RES is proof
-		// that its end of that session is gone for good (a crashed-and-
-		// restarted peer re-handshakes the connection, it never resumes
-		// the old transport), so fail the zombie transport now; our stream
-		// fails immediately and the peer's retry finds us SUSPENDED.
-		sock, remote := s.sock, s.remoteAgent
-		s.mu.Unlock()
-		if sock != nil {
-			s.ctrl.tm.FailIfReconnecting(sock.TransportID(),
-				fmt.Errorf("peer %s re-established connection %s", remote, s.id))
-		}
-		return s.reject(wire.RejectRetry, "connection still established here")
-
-	case fsm.Closed, fsm.CloseSent, fsm.CloseAcked:
-		s.mu.Unlock()
-		return s.reject(wire.RejectUnknownConn, "connection closed")
-
-	default:
-		s.mu.Unlock()
-		return s.reject(wire.RejectRetry, fmt.Sprintf("cannot resume in state %s", st))
-	}
-}
-
-// grantResume arms the redirector rendezvous, acks the RES, and completes
-// establishment when the mover's handoff lands. The wait is a rendezvous
+// grantResume arms the redirector rendezvous and completes establishment
+// when the mover's handoff lands. The wait is a rendezvous
 // callback with a timer-wheel deadline, not a parked goroutine: a
 // migration wave resuming 10k connections arms 10k map entries.
-func (s *Socket) grantResume(m *wire.ControlMsg) []byte {
+func (s *Socket) grantResume(m *wire.ControlMsg) {
 	peerHasUpTo := m.LastSeq
 	// The redirect span covers the stationary peer's half of the resume:
 	// redirector armed, the mover's handoff socket landing, and the swap to
@@ -839,7 +703,6 @@ func (s *Socket) grantResume(m *wire.ControlMsg) []byte {
 			}
 			s.mu.Unlock()
 		})
-	return s.reply(wire.VerdictAck, func(r *wire.ControlReply) { r.LastSeq = s.delivered() })
 }
 
 // ---- close ----
@@ -859,11 +722,7 @@ func (s *Socket) Close() error {
 		return nil
 	}
 	s.ctrl.obs.closes.Inc()
-	st := s.m.State()
-	switch st {
-	case fsm.Established, fsm.Suspended:
-		s.step(fsm.AppClose) // -> CLOSE_SENT
-		s.mu.Unlock()
+	switch s.m.State() {
 	case fsm.Listen:
 		s.step(fsm.AppClose) // -> CLOSED
 		s.markClosedLocked(nil)
@@ -873,30 +732,19 @@ func (s *Socket) Close() error {
 		// Mid-operation: let the in-flight suspend/resume settle so the
 		// peer gets a proper CLS instead of a silently dead endpoint.
 		s.mu.Unlock()
-		if _, err := s.waitState(s.ctrl.cfg.opTimeout(), fsm.Established, fsm.Suspended); err != nil {
-			s.mu.Lock()
-			s.markClosedLocked(nil)
-			s.mu.Unlock()
-			s.ctrl.dropConn(s)
-			return nil
-		}
+		s.waitState(s.ctrl.cfg.opTimeout(), fsm.Established, fsm.Suspended)
 		s.mu.Lock()
-		if st := s.m.State(); st == fsm.Established || st == fsm.Suspended {
-			s.step(fsm.AppClose) // -> CLOSE_SENT
-			s.mu.Unlock()
-		} else {
-			s.markClosedLocked(nil)
-			s.mu.Unlock()
-			s.ctrl.dropConn(s)
-			return nil
-		}
-	default:
-		// Closing or closed already: tear down locally.
+	}
+	if st := s.m.State(); st != fsm.Established && st != fsm.Suspended {
+		// Closing or closed already, or the operation in flight never
+		// settled: tear down locally.
 		s.markClosedLocked(nil)
 		s.mu.Unlock()
 		s.ctrl.dropConn(s)
 		return nil
 	}
+	s.step(fsm.AppClose) // -> CLOSE_SENT
+	s.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
 	defer cancel()
@@ -920,54 +768,4 @@ func (s *Socket) Close() error {
 	s.ctrl.dropConn(s)
 	s.olog(obs.LevelInfo, "closed")
 	return nil
-}
-
-// handleClose serves a peer's CLS request (passive close).
-func (s *Socket) handleClose(_ *wire.ControlMsg) []byte {
-	s.mu.Lock()
-	// Let a granted suspend finish draining before classifying the close,
-	// and a resume completion settle: the closer reaches ESTABLISHED from
-	// its half of the handoff, writes and closes before we step out of
-	// RES_SENT/RES_ACKED, and rejecting would make it close unilaterally,
-	// resetting the stream under what it just wrote.
-	drainDeadline := time.Now().Add(s.ctrl.cfg.drainTimeout())
-	for !s.closed {
-		if st := s.m.State(); st != fsm.SusAcked && st != fsm.ResSent && st != fsm.ResAcked {
-			break
-		}
-		if !waitCond(s.cond, time.Until(drainDeadline)) {
-			break
-		}
-	}
-	switch st := s.m.State(); st {
-	case fsm.Established, fsm.Suspended:
-		s.step(fsm.RecvClose) // -> CLOSE_ACKED
-		// Stop failure detection from misreading the closer's EOF, then
-		// drain asynchronously so in-flight data reaches the buffer before
-		// the connection finalizes.
-		s.suspending = true
-		s.mu.Unlock()
-		go func() {
-			s.drainAndClose()
-			// The connection is over for the protocol and the journal, but
-			// what the peer wrote before closing is still the application's
-			// to read: the endpoint leaves the table with its last byte.
-			s.ctrl.rv.disarm(connKey{id: s.id, agent: s.localAgent})
-			s.ctrl.dropConnJournal(s.localAgent, s.id)
-			s.mu.Lock()
-			if s.m.State() == fsm.CloseAcked {
-				s.step(fsm.ExecClosed) // -> CLOSED
-			}
-			s.markClosedLocked(nil)
-			s.releaseIfReadOutLocked()
-			s.mu.Unlock()
-		}()
-		return s.reply(wire.VerdictAck, nil)
-	case fsm.Closed, fsm.CloseSent, fsm.CloseAcked:
-		s.mu.Unlock()
-		return s.reply(wire.VerdictAck, nil) // idempotent
-	default:
-		s.mu.Unlock()
-		return s.reject(wire.RejectRetry, fmt.Sprintf("close in state %s", st))
-	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"naplet/internal/fsm"
@@ -70,9 +72,22 @@ func (s *Socket) journalRecord() journal.Record {
 // lifecycle edge (established, suspended, resumed, restored); a crash at
 // any point replays the latest checkpoint, and the sequence-numbered frame
 // protocol absorbs whatever the checkpoint is behind on.
+//
+// Snapshot and append are one critical section per connection (ckptMu): the
+// journal is latest-wins, so two writers of one key — a resume's trailing
+// checkpoint and the receiver's after ReadMsg — that appended in the reverse
+// of snapshot order would leave the older receive run to be replayed, and a
+// consumed message delivered twice. A connection that has left the journal
+// (dropConnJournal) stays out: a checkpoint finishing late must not resurrect
+// one that closed or migrated away.
 func (ctrl *Controller) checkpointConn(s *Socket) {
 	j := ctrl.cfg.Journal
 	if j == nil {
+		return
+	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	if s.unjournaled {
 		return
 	}
 	if err := j.Append(s.journalRecord()); err != nil && !errors.Is(err, journal.ErrClosed) {
@@ -80,32 +95,42 @@ func (ctrl *Controller) checkpointConn(s *Socket) {
 	}
 }
 
-// dropConnJournal removes a connection's journal entry; the point a
-// connection leaves this host for good (closed, or migrated away).
-func (ctrl *Controller) dropConnJournal(localAgent string, id wire.ConnID) {
-	if j := ctrl.cfg.Journal; j != nil {
-		j.Delete(journal.KindConn, connJournalKey(localAgent, id))
+// dropConnJournal removes a connection's journal entry, for good; the point
+// a connection leaves this host (closed, or migrated away).
+func (ctrl *Controller) dropConnJournal(s *Socket) {
+	j := ctrl.cfg.Journal
+	if j == nil {
+		return
 	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	s.unjournaled = true
+	j.Delete(journal.KindConn, connJournalKey(s.localAgent, s.id))
 }
 
-// CheckpointRecords returns journal records capturing every live
+// CheckpointRecords hands commit journal records capturing every live
 // connection of the agent, for the agent host to batch atomically with its
 // own behaviour checkpoint: journaling application progress and the
 // connections' send cursors in one batch is what preserves exactly-once
 // delivery across a crash (neither ordering of separate writes survives a
-// crash between them).
-func (ctrl *Controller) CheckpointRecords(agentID string) []journal.Record {
+// crash between them). The connections' checkpoint locks are held, in id
+// order, until commit returns, so the batch is ordered against every other
+// writer of the same keys like any single checkpoint.
+func (ctrl *Controller) CheckpointRecords(agentID string, commit func([]journal.Record) error) error {
+	conns := ctrl.AgentSockets(agentID)
+	slices.SortFunc(conns, func(a, b *Socket) int { return bytes.Compare(a.id[:], b.id[:]) })
 	var recs []journal.Record
-	for _, s := range ctrl.AgentSockets(agentID) {
+	for _, s := range conns {
+		s.ckptMu.Lock()
+		defer s.ckptMu.Unlock()
 		s.mu.Lock()
 		closed := s.closed
 		s.mu.Unlock()
-		if closed {
-			continue
+		if !closed && !s.unjournaled {
+			recs = append(recs, s.journalRecord())
 		}
-		recs = append(recs, s.journalRecord())
 	}
-	return recs
+	return commit(recs)
 }
 
 // ---- crash recovery ----
@@ -153,7 +178,6 @@ func (ctrl *Controller) buildConn(st *connState, nonceSlack uint64) (*Socket, er
 	s.lastPeerNonce = st.LastPeerNonce
 	s.owesSusRes = st.OwesSusRes
 	s.accepted = st.Accepted
-	s.localSuspended = true
 	s.closed = st.PeerClosed
 	if nonceSlack > 0 {
 		// Crash restore: the connection has been down since (at latest) the

@@ -102,19 +102,25 @@ func (d *deployment) place(agentID, hostName string) error {
 	return d.svc.Register(agentID, d.hosts[hostName].loc())
 }
 
-// pair establishes one connection between two (simulated) agents.
-func (d *deployment) pair(clientAgent, hostC, serverAgent, hostS string) (client, server *core.Socket, err error) {
-	hc, hs := d.hosts[hostC], d.hosts[hostS]
+// listen places two (simulated) agents and has the server agent listen.
+func (d *deployment) listen(clientAgent, hostC, serverAgent, hostS string) (*core.ServerSocket, error) {
 	if err := d.place(clientAgent, hostC); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := d.place(serverAgent, hostS); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ss, err := hs.ctrl.ListenAs(serverAgent, hs.cred(serverAgent))
+	hs := d.hosts[hostS]
+	return hs.ctrl.ListenAs(serverAgent, hs.cred(serverAgent))
+}
+
+// pair establishes one connection between two (simulated) agents.
+func (d *deployment) pair(clientAgent, hostC, serverAgent, hostS string) (client, server *core.Socket, err error) {
+	ss, err := d.listen(clientAgent, hostC, serverAgent, hostS)
 	if err != nil {
 		return nil, nil, err
 	}
+	hc := d.hosts[hostC]
 	type res struct {
 		s   *core.Socket
 		err error

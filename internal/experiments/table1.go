@@ -107,29 +107,27 @@ func napletLatency(iters int, secure bool) (openMs, closeMs float64, err error) 
 		return 0, 0, err
 	}
 	defer d.close()
-	if err := d.place("opener", "h1"); err != nil {
+	if _, err := d.listen("opener", "h1", "acceptor", "h2"); err != nil {
 		return 0, 0, err
 	}
-	if err := d.place("acceptor", "h2"); err != nil {
-		return 0, 0, err
-	}
-	hs := d.hosts["h2"]
-	ss, err := hs.ctrl.ListenAs("acceptor", hs.cred("acceptor"))
-	if err != nil {
-		return 0, 0, err
-	}
-	_ = ss
+	return d.openCloseLoop(iters, true)
+}
+
+// openCloseLoop times iters open/close cycles from opener on h1 to acceptor,
+// who must be listening (d.listen, d.pair). With cold, every open pays full
+// connection establishment, as Table 1 and Figure 8 measure it and as the
+// paper's close+reopen did: the warm shared transport is dropped first, so
+// the open pays the kernel dial and (when secure) the key exchange rather
+// than riding a transport warmed by the previous iteration. The warm-path
+// win is measured separately (core's warm-vs-cold transport test).
+func (d *deployment) openCloseLoop(iters int, cold bool) (openMs, closeMs float64, err error) {
 	hc := d.hosts["h1"]
 	cred := hc.cred("opener")
-
 	openS, closeS := metrics.NewSeries(), metrics.NewSeries()
 	for i := 0; i < iters; i++ {
-		// Table 1 measures full connection establishment: drop the warm
-		// shared transport so every open pays the kernel dial and (when
-		// secure) the key exchange, rather than riding a transport warmed
-		// by a previous iteration. The warm-path win is measured
-		// separately (core's warm-vs-cold transport test).
-		hc.ctrl.CloseTransports()
+		if cold {
+			hc.ctrl.CloseTransports()
+		}
 		start := time.Now()
 		conn, err := hc.ctrl.OpenAs("opener", cred, "acceptor")
 		if err != nil {
@@ -143,6 +141,26 @@ func napletLatency(iters int, secure bool) (openMs, closeMs float64, err error) 
 		closeS.AddDuration(time.Since(start))
 	}
 	return openS.Mean(), closeS.Mean(), nil
+}
+
+// suspendResumeLoop times iters suspend/resume cycles on an established
+// connection (no agent movement, isolating the operation cost, as in
+// Section 4.2).
+func suspendResumeLoop(client *core.Socket, iters int) (suspendMs, resumeMs float64, err error) {
+	susS, resS := metrics.NewSeries(), metrics.NewSeries()
+	for i := 0; i < iters; i++ {
+		start := time.Now()
+		if err := client.Suspend(); err != nil {
+			return 0, 0, fmt.Errorf("suspend %d: %w", i, err)
+		}
+		susS.AddDuration(time.Since(start))
+		start = time.Now()
+		if err := client.Resume(); err != nil {
+			return 0, 0, fmt.Errorf("resume %d: %w", i, err)
+		}
+		resS.AddDuration(time.Since(start))
+	}
+	return susS.Mean(), resS.Mean(), nil
 }
 
 // SuspendResumeResult measures the suspend/resume costs of Section 4.2 and
@@ -182,54 +200,22 @@ func RunSuspendResume(iters int) (*SuspendResumeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	susS, resS := metrics.NewSeries(), metrics.NewSeries()
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		if err := client.Suspend(); err != nil {
-			return nil, fmt.Errorf("suspend %d: %w", i, err)
-		}
-		susS.AddDuration(time.Since(start))
-		start = time.Now()
-		if err := client.Resume(); err != nil {
-			return nil, fmt.Errorf("resume %d: %w", i, err)
-		}
-		resS.AddDuration(time.Since(start))
+	res := &SuspendResumeResult{Iters: iters}
+	if res.SuspendMs, res.ResumeMs, err = suspendResumeLoop(client, iters); err != nil {
+		return nil, err
 	}
 	client.Close()
 
-	// Close + reopen alternative.
-	hc := d.hosts["h1"]
-	cred := hc.cred("opener")
-	reopenS := metrics.NewSeries()
-	for i := 0; i < iters; i++ {
-		conn, err := hc.ctrl.OpenAs("opener", cred, "acceptor")
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if err := conn.Close(); err != nil {
-			return nil, err
-		}
-		// The paper's close tears down the connection's data socket, so its
-		// reopen pays full establishment (kernel dial + key exchange). With
-		// the shared per-host-pair transport a reopen would ride the warm
-		// connection and hide exactly the cost this baseline exists to
-		// measure; drop the transport so close+reopen keeps the paper's
-		// semantics.
-		hc.ctrl.CloseTransports()
-		conn2, err := hc.ctrl.OpenAs("opener", cred, "acceptor")
-		if err != nil {
-			return nil, err
-		}
-		reopenS.AddDuration(time.Since(start))
-		conn2.Close()
+	// The close + reopen alternative. The paper's close tears down the
+	// connection's data socket, so its reopen pays full establishment; a
+	// reopen riding the warm per-host-pair transport would hide exactly the
+	// cost this baseline exists to measure.
+	open, cls, err := d.openCloseLoop(iters, true)
+	if err != nil {
+		return nil, err
 	}
-	return &SuspendResumeResult{
-		SuspendMs:   susS.Mean(),
-		ResumeMs:    resS.Mean(),
-		CloseOpenMs: reopenS.Mean(),
-		Iters:       iters,
-	}, nil
+	res.CloseOpenMs = cls + open
+	return res, nil
 }
 
 // Fig8Result reproduces Figure 8: where the time of opening each
@@ -300,33 +286,9 @@ func RunFig8(iters int) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		err = func() error {
-			if err := d.place("opener", "h1"); err != nil {
-				return err
-			}
-			if err := d.place("acceptor", "h2"); err != nil {
-				return err
-			}
-			hs := d.hosts["h2"]
-			if _, err := hs.ctrl.ListenAs("acceptor", hs.cred("acceptor")); err != nil {
-				return err
-			}
-			hc := d.hosts["h1"]
-			cred := hc.cred("opener")
-			for i := 0; i < iters; i++ {
-				// Figure 8 decomposes full connection establishment, so
-				// every open must pay the dial and key exchange rather
-				// than riding a transport warmed by a previous iteration
-				// (same reasoning as Table 1 above).
-				hc.ctrl.CloseTransports()
-				conn, err := hc.ctrl.OpenAs("opener", cred, "acceptor")
-				if err != nil {
-					return err
-				}
-				conn.Close()
-			}
-			return nil
-		}()
+		if _, err = d.listen("opener", "h1", "acceptor", "h2"); err == nil {
+			_, _, err = d.openCloseLoop(iters, true)
+		}
 		d.close()
 		if err != nil {
 			return nil, err

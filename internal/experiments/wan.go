@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"naplet/internal/core"
-	"naplet/internal/metrics"
 	"naplet/internal/netem"
 )
 
@@ -64,39 +63,14 @@ func RunWAN(oneWay time.Duration, iters int) (*WANResult, error) {
 		return nil, err
 	}
 
-	// Open latency on fresh connections.
-	hc := d.hosts["h1"]
-	cred := hc.cred("opener")
-	openS := metrics.NewSeries()
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		conn, err := hc.ctrl.OpenAs("opener", cred, "acceptor")
-		if err != nil {
-			return nil, fmt.Errorf("wan open %d: %w", i, err)
-		}
-		openS.AddDuration(time.Since(start))
-		conn.Close()
+	// Open latency on fresh connections, then suspend/resume on the
+	// established one.
+	res := &WANResult{OneWay: oneWay, Iters: iters}
+	if res.OpenSecureMs, _, err = d.openCloseLoop(iters, false); err != nil {
+		return nil, fmt.Errorf("wan %w", err)
 	}
-
-	// Suspend/resume on the established connection.
-	susS, resS := metrics.NewSeries(), metrics.NewSeries()
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		if err := client.Suspend(); err != nil {
-			return nil, fmt.Errorf("wan suspend %d: %w", i, err)
-		}
-		susS.AddDuration(time.Since(start))
-		start = time.Now()
-		if err := client.Resume(); err != nil {
-			return nil, fmt.Errorf("wan resume %d: %w", i, err)
-		}
-		resS.AddDuration(time.Since(start))
+	if res.SuspendMs, res.ResumeMs, err = suspendResumeLoop(client, iters); err != nil {
+		return nil, fmt.Errorf("wan %w", err)
 	}
-	return &WANResult{
-		OneWay:       oneWay,
-		OpenSecureMs: openS.Mean(),
-		SuspendMs:    susS.Mean(),
-		ResumeMs:     resS.Mean(),
-		Iters:        iters,
-	}, nil
+	return res, nil
 }
