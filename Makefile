@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small profile-control chaos-smoke naming-smoke storm-smoke wan-smoke crash-soak census
+.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small profile-control chaos-smoke naming-smoke storm-smoke wan-smoke crash-soak handoff-soak census
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,16 @@ wan-smoke:
 crash-soak:
 	$(GO) test ./internal/core -run '^TestCheckpoint' -race -count=20
 	$(GO) test ./internal/core -run 'TestDoubleFailureConcurrentMigrationWithCrash$$' -count=300
+
+# handoff-soak is the CI gate for the unanswered stream open: the round-trip
+# census (what each operation costs in sequential one-way trips and control
+# requests — a wait put back fails a named number), a refused handoff landing
+# at every point of the opener's way to ESTABLISHED, a stream that dies before
+# either end is established, and the refusal tests of both layers, repeated
+# under the race detector.
+handoff-soak:
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff' -race -count=20
+	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing' -race -count=20
 
 # census prints the four numbers a simplicity PR quotes, so CHANGES.md can
 # be checked against the CI log: non-test lines, packages directly under

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,8 +172,9 @@ type Socket struct {
 	flushing    bool
 
 	// Peer addressing; updated by RESUME/SUS_RES messages when the peer
-	// moves.
+	// moves. peerControl is peerControlAddr parsed, where requests are sent.
 	peerControlAddr string
+	peerControl     netip.AddrPort
 	peerDataAddr    string
 
 	// Authentication counters.
@@ -192,9 +194,8 @@ type Socket struct {
 	peerResumeParked bool
 
 	// Establishment bookkeeping (server side).
-	idReceived    bool
-	sockInstalled bool
-	accepted      bool
+	idReceived bool
+	accepted   bool
 
 	closed   bool
 	closeErr error

@@ -491,7 +491,7 @@ func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
 	if !ok {
 		return rejectReply(m.ConnID, wire.RejectUnknownConn, "unknown connection")
 	}
-	if err := s.checkAuth(m); err != nil {
+	if err := s.checkAuth(m, req); err != nil {
 		ctrl.logf("control %s: %v", ctrl.cfg.HostName, err)
 		return rejectReply(m.ConnID, wire.RejectOther, "authentication failed")
 	}
@@ -716,55 +716,47 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 	}
 	s.mu.Lock()
 	s.step(fsm.AppOpen) // -> CONNECT_SENT
-	s.peerControlAddr = rec.Loc.ControlAddr
-	s.peerDataAddr = rec.Loc.DataAddr
+	s.setPeerAddrsLocked(rec.Loc.ControlAddr, rec.Loc.DataAddr)
 	s.mu.Unlock()
 	ctrl.registerConn(s)
 
-	fail := func(err error) (*Socket, error) {
-		ctrl.dropConn(s)
-		s.mu.Lock()
-		s.markClosedLocked(err)
-		s.mu.Unlock()
-		return nil, err
-	}
-
 	// Open socket: a stream on the shared transport, carrying the
 	// authenticated handoff header as its open payload and handed off by the
-	// target's controller.
+	// target's controller. The open is not waited for.
 	start = time.Now()
 	err = s.dialAndInstall(wire.HandoffConnect, 0)
 	bd.Add(metrics.PhaseOpenSocket, time.Since(start))
 	if err != nil {
-		return fail(err)
+		return nil, s.abandon(err)
 	}
 
-	// Final handshake: report our socket id (the ID message of Fig 3).
+	// Final handshake: report our socket id (the ID message of Fig 3). It
+	// overlaps the handoff, and its reply is the handoff's verdict.
 	start = time.Now()
 	idReply, err := s.request(ctx, wire.MsgIDExchange, nil)
 	bd.Add(metrics.PhaseHandshaking, time.Since(start))
 	if err != nil {
-		return fail(fmt.Errorf("napletsocket: ID exchange with %q: %w", target, err))
+		return nil, s.abandon(fmt.Errorf("napletsocket: ID exchange with %q: %w", target, err))
 	}
 	if idReply.Verdict != wire.VerdictAck {
-		return fail(fmt.Errorf("napletsocket: ID exchange with %q refused: %s", target, idReply.Reason))
+		return nil, s.abandon(fmt.Errorf("napletsocket: ID exchange with %q refused: %s", target, idReply.Reason))
 	}
 	s.mu.Lock()
-	if s.m.State() == fsm.ConnectSent {
-		s.step(fsm.RecvConnectAck) // -> ESTABLISHED
-	}
-	s.cond.Broadcast()
+	s.establishLocked(fsm.ConnectSent, fsm.RecvConnectAck)
 	s.mu.Unlock()
 	ctrl.checkpointConn(s)
 	return s, nil
 }
 
-// openDataStream opens a data stream to the peer's redirector over the
-// shared transport (dialing and handshaking one only if no warm transport
-// exists). The stream's MuxAccept is the handoff verdict: the peer's
-// controller authorizes the header before accepting, and refuses with a
-// reset.
-func (s *Socket) openDataStream(purpose wire.HandoffPurpose) (*transport.Stream, error) {
+// dialAndInstall opens a data stream to the peer's (possibly new) redirector
+// over the shared transport — dialing and handshaking one only if no warm
+// transport exists — for the authenticated connect or resume handoff purpose
+// names, and installs it; what the peer is missing is retransmitted behind
+// the stream's own open. Nothing waits for the peer: it armed its rendezvous
+// for this connection before the ACK to our RES or CONNECT. Its controller
+// still authorizes the header, and a refusal is a reset of the stream — a
+// stream death, which readerExit and establishLocked handle.
+func (s *Socket) dialAndInstall(purpose wire.HandoffPurpose, peerHasUpTo uint64) error {
 	s.mu.Lock()
 	addr := s.peerDataAddr
 	s.sendNonce++
@@ -778,7 +770,11 @@ func (s *Socket) openDataStream(purpose wire.HandoffPurpose) (*transport.Stream,
 	tc := s.traceSpan.Context()
 	s.mu.Unlock()
 	hdr.Token = s.auth.Sign(hdr.SigningBytes())
-	return s.ctrl.tm.OpenStreamTraced(addr, hdr, s.ctrl.cfg.opTimeout(), tc)
+	stream, err := s.ctrl.tm.OpenStreamTraced(addr, hdr, s.ctrl.cfg.opTimeout(), tc)
+	if err != nil {
+		return err
+	}
+	return s.installSocket(stream, peerHasUpTo)
 }
 
 // handleConnect serves a CONNECT request on the server side: policy check,
@@ -847,8 +843,7 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 	}
 	s.mu.Lock()
 	s.step(fsm.RecvConnect) // -> CONNECT_ACKED
-	s.peerControlAddr = m.ControlAddr
-	s.peerDataAddr = m.DataAddr
+	s.setPeerAddrsLocked(m.ControlAddr, m.DataAddr)
 	s.mu.Unlock()
 	ctrl.registerConn(s)
 
@@ -856,7 +851,8 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 	// completeEstablishment once the ID message has arrived too. The wait
 	// is a rendezvous callback plus one timer-wheel entry, not a parked
 	// goroutine: a connect storm of 10k concurrent opens adds nothing to
-	// the goroutine count.
+	// the goroutine count. Giving up closes the endpoint, which releases an
+	// ID message waiting on it with a REJECT.
 	ctrl.rv.armFunc(connKey{id: s.id, agent: s.localAgent}, ctrl.cfg.opTimeout(),
 		func(sock *transport.Stream) {
 			if ctrl.closing.Load() {
@@ -865,31 +861,43 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 			}
 			if err := s.installSocket(sock, 0); err != nil {
 				ctrl.logf("conn %s: installing accepted socket: %v", s.id, err)
-				ctrl.dropConn(s)
+				s.abandon(err)
 				return
 			}
 			s.completeEstablishment(ss)
 		},
 		func() {
-			if ctrl.closing.Load() {
-				return
+			if !ctrl.closing.Load() {
+				s.abandon(errNoHandoff)
 			}
-			ctrl.dropConn(s)
-			s.mu.Lock()
-			s.markClosedLocked(errors.New("napletsocket: connect handoff never arrived"))
-			s.mu.Unlock()
 		})
 
-	r := &wire.ControlReply{Verdict: wire.VerdictAck, ConnID: m.ConnID}
-	r.Tag = s.auth.Sign(r.SigningBytes())
-	return r.Encode()
+	return s.reply(wire.VerdictAck, nil)
+}
+
+var errNoHandoff = errors.New("napletsocket: connect handoff never arrived")
+
+// abandon gives the endpoint up for good: out of the tables, the rendezvous
+// and the journal, and closed with err, which it returns.
+func (s *Socket) abandon(err error) error {
+	s.ctrl.dropConn(s)
+	s.mu.Lock()
+	s.markClosedLocked(err)
+	s.mu.Unlock()
+	return err
 }
 
 // handleIDExchange completes establishment on the server side (the client's
-// socket-id confirmation of Fig 3).
+// socket-id confirmation of Fig 3). The client sends the ID behind its
+// unanswered stream open, so the reply is also the handoff's verdict: the ID
+// waits out the stream's arrival and is acked only by an endpoint that got
+// it; one that did not is abandoned, as the client's is on the REJECT.
 func (s *Socket) handleIDExchange(_ *wire.ControlMsg) []byte {
+	deadline := time.Now().Add(s.ctrl.cfg.opTimeout())
 	s.mu.Lock()
 	s.idReceived = true
+	for !s.closed && s.sock == nil && s.m.State() == fsm.ConnectAcked && waitCond(s.cond, time.Until(deadline)) {
+	}
 	s.mu.Unlock()
 	s.ctrl.mu.Lock()
 	ss := s.ctrl.listeners[s.localAgent]
@@ -898,6 +906,13 @@ func (s *Socket) handleIDExchange(_ *wire.ControlMsg) []byte {
 		return s.reject(wire.RejectUnknownConn, "listener closed")
 	}
 	s.completeEstablishment(ss)
+	s.mu.Lock()
+	refused := s.closed || s.m.State() == fsm.ConnectAcked
+	s.mu.Unlock()
+	if refused {
+		s.abandon(errNoHandoff)
+		return s.reject(wire.RejectOther, "no data socket")
+	}
 	return s.reply(wire.VerdictAck, nil)
 }
 
@@ -905,10 +920,9 @@ func (s *Socket) handleIDExchange(_ *wire.ControlMsg) []byte {
 // are in: the connection becomes ESTABLISHED and is queued for Accept.
 func (s *Socket) completeEstablishment(ss *ServerSocket) {
 	s.mu.Lock()
-	ready := s.idReceived && s.sockInstalled && s.m.State() == fsm.ConnectAcked
+	ready := s.idReceived && s.sock != nil && s.m.State() == fsm.ConnectAcked
 	if ready {
-		s.step(fsm.RecvID) // -> ESTABLISHED
-		s.cond.Broadcast()
+		s.establishLocked(fsm.ConnectAcked, fsm.RecvID)
 	}
 	s.mu.Unlock()
 	if ready {

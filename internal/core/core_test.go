@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -563,6 +564,14 @@ func TestHandoffWithBadTokenRejected(t *testing.T) {
 	gen := server.gen
 	server.mu.Unlock()
 
+	// The connection is armed for a legitimate handoff, as after a granted
+	// RES; the forgery must not consume the arm.
+	rv := env.hosts["h2"].ctrl.rv
+	key := connKey{id: server.id, agent: "b"}
+	rv.armFunc(key, time.Minute,
+		func(*transport.Stream) { t.Error("forged handoff reached the armed endpoint") }, nil)
+	defer rv.disarm(key)
+
 	// Forge a resume handoff for the existing connection without the
 	// session key.
 	hdr := &wire.HandoffHeader{
@@ -572,7 +581,7 @@ func TestHandoffWithBadTokenRejected(t *testing.T) {
 		FromAgent:   "a",
 		Nonce:       999,
 	}
-	expectHandoffRefused(t, env.hosts["h2"].ctrl, hdr)
+	expectHandoffRefused(t, env.hosts["h2"].ctrl, hdr, 1)
 	server.mu.Lock()
 	defer server.mu.Unlock()
 	if server.gen != gen || server.m.State() != fsm.Established {
@@ -584,7 +593,7 @@ func TestHandoffForUnknownConnRejected(t *testing.T) {
 	env := newEnv(t, []string{"h1"})
 	id, _ := wire.NewConnID()
 	hdr := &wire.HandoffHeader{Purpose: wire.HandoffConnect, ConnID: id, TargetAgent: "x", FromAgent: "y"}
-	expectHandoffRefused(t, env.hosts["h1"].ctrl, hdr)
+	expectHandoffRefused(t, env.hosts["h1"].ctrl, hdr, 0)
 	if n := env.hosts["h1"].ctrl.Stats().Connections; n != 0 {
 		t.Fatalf("%d connections after a refused handoff, want 0", n)
 	}
@@ -592,24 +601,40 @@ func TestHandoffForUnknownConnRejected(t *testing.T) {
 
 // expectHandoffRefused opens a stream carrying hdr to ctrl's redirector
 // from a transport manager of the test's own — an outsider that completes
-// the host-pair handshake but holds no session key — and requires the open
-// to be reset and nothing to be left waiting in the rendezvous.
-func expectHandoffRefused(t *testing.T, ctrl *Controller, hdr *wire.HandoffHeader) {
+// the host-pair handshake but holds no session key. The open itself
+// succeeds (it waits for no verdict); the refusal is the reset the stream
+// then reads, with its reason. The transport survives it — a second forgery
+// rides the same one — and the rendezvous is left as it was, with armed
+// endpoints waiting.
+func expectHandoffRefused(t *testing.T, ctrl *Controller, hdr *wire.HandoffHeader, armed int) {
 	t.Helper()
-	mgr := transport.NewManager(transport.Config{HostName: "outsider"})
+	var dials atomic.Int64
+	mgr := transport.NewManager(transport.Config{
+		HostName: "outsider",
+		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			dials.Add(1)
+			return net.DialTimeout("tcp", addr, timeout)
+		},
+	})
 	defer mgr.Close()
-	st, err := mgr.OpenStream(ctrl.DataAddr(), hdr, 2*time.Second)
-	if err == nil {
-		st.Close()
-		t.Fatal("forged handoff accepted")
+	for i := 0; i < 2; i++ {
+		st, err := mgr.OpenStream(ctrl.DataAddr(), hdr, 2*time.Second)
+		if err != nil {
+			t.Fatalf("open: %v (a refusal must arrive as a reset, not as an open error)", err)
+		}
+		st.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = st.Read(make([]byte, 1))
+		if err == nil || !strings.Contains(err.Error(), "handoff denied") {
+			t.Fatalf("forged handoff's stream read %v, want a handoff-denied reset", err)
+		}
 	}
-	if !strings.Contains(err.Error(), "handoff denied") {
-		t.Fatalf("open failed with %v, want a handoff-denied reset", err)
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d dials: the refusal burned the transport", n)
 	}
 	ctrl.rv.mu.Lock()
 	defer ctrl.rv.mu.Unlock()
-	if len(ctrl.rv.waiters) != 0 {
-		t.Fatalf("%d endpoints waiting in the rendezvous after a refused handoff", len(ctrl.rv.waiters))
+	if len(ctrl.rv.waiters) != armed {
+		t.Fatalf("%d endpoints waiting in the rendezvous after a refused handoff, want %d", len(ctrl.rv.waiters), armed)
 	}
 }
 
@@ -665,13 +690,13 @@ func TestReplayedControlMessageRejected(t *testing.T) {
 		To:     "b",
 		Nonce:  0, // never valid: nonces start at 1
 	}
-	m.Tag = client.auth.Sign(m.SigningBytes())
+	raw := wire.SignEncoded(m.Encode(), client.auth)
 	if err := func() error {
 		serverConn, ok := env.hosts["h2"].ctrl.connByKey(client.ID(), "b")
 		if !ok {
 			return errors.New("server conn missing")
 		}
-		return serverConn.checkAuth(m)
+		return serverConn.checkAuth(m, raw)
 	}(); err == nil {
 		t.Fatal("replayed nonce accepted")
 	}
@@ -690,7 +715,7 @@ func TestTamperedControlMessageRejected(t *testing.T) {
 	if !ok {
 		t.Fatal("server conn missing")
 	}
-	if err := serverConn.checkAuth(m); err == nil {
+	if err := serverConn.checkAuth(m, m.Encode()); err == nil {
 		t.Fatal("tampered message accepted")
 	}
 }

@@ -135,7 +135,6 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 	s.remoteSuspended = false
 	s.susResReceived = false
 	s.peerResumeParked = false
-	s.sockInstalled = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
@@ -475,6 +474,25 @@ func (s *Socket) readerExit(gen int, err error) {
 	s.failLocked(err)
 }
 
+// establishLocked steps from from by ev into ESTABLISHED over a freshly
+// installed stream, and then probes that stream. Its opener did not wait for
+// the peer's verdict, so a refusal (or any reset) can land in CONNECT_SENT,
+// RES_SENT, CONNECT_ACKED or RES_ACKED, where readerExit's failLocked has
+// nothing to degrade — and a dead stream raises no second event. Probing under
+// the same hold of mu as the step keeps every connection from resting in
+// ESTABLISHED over a terminal stream. Caller holds mu.
+func (s *Socket) establishLocked(from fsm.State, ev fsm.Event) {
+	if s.m.State() == from {
+		s.step(ev)
+	}
+	if s.sock == nil || s.m.State() != fsm.Established {
+		return
+	}
+	if err, terminal := s.sock.TermStatus(); terminal {
+		s.failLocked(err)
+	}
+}
+
 // failLocked moves an established connection to SUSPENDED after a data
 // socket failure and schedules recovery. Caller holds mu.
 func (s *Socket) failLocked(cause error) {
@@ -482,7 +500,8 @@ func (s *Socket) failLocked(cause error) {
 		return
 	}
 	if s.m.State() != fsm.Established {
-		// Failures in other states are handled by the ops that own them.
+		// An open or resume is still on its way to ESTABLISHED over this
+		// stream; the step that gets it there takes the failure up.
 		s.cond.Broadcast()
 		return
 	}
@@ -492,7 +511,6 @@ func (s *Socket) failLocked(cause error) {
 	}
 	s.step(fsm.Fail)
 	s.dropSockLocked()
-	s.sockInstalled = false
 	s.cond.Broadcast()
 	s.ctrl.obs.failures.Inc()
 	if errors.Is(cause, transport.ErrTransportLost) {
@@ -865,7 +883,6 @@ func (s *Socket) drainAndClose() {
 	}
 	graceful := s.drained
 	s.dropSockLocked()
-	s.sockInstalled = false
 	s.suspending = false
 	s.drained = false
 	s.peerFlushSeen = false

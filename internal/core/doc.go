@@ -28,9 +28,11 @@
 // starve its siblings: the transport's read loop never blocks on any one
 // stream, and a writer that exhausts its window parks without holding the
 // shared write path. Stream open is the socket handoff of Section 3.4: the
-// handoff header rides the MuxOpen frame, authorization runs on the
-// accepting controller before MuxAccept, and a stream's CloseWrite maps to
-// MuxFin, which carries the pre-suspend FLUSH-then-half-close drain. The
+// handoff header rides the MuxOpen frame and the opener writes behind it
+// unanswered (the verdict is the ACK to its RES, or the reply to its ID);
+// the receiving controller authorizes the header or resets the stream. A
+// stream's CloseWrite maps to MuxFin, which carries the pre-suspend
+// FLUSH-then-half-close drain. The
 // redirector hands every accepted kernel connection to the transport
 // manager; one that does not open with a version-2 transport hello is
 // closed.

@@ -8,6 +8,7 @@ import (
 	"naplet/internal/fsm"
 	"naplet/internal/metrics"
 	"naplet/internal/obs"
+	"naplet/internal/rudp"
 	"naplet/internal/transport"
 	"naplet/internal/wire"
 )
@@ -19,7 +20,8 @@ import (
 // decides for the corresponding control messages from the peer.
 
 // request sends one authenticated control message to the peer controller
-// and returns its verified reply.
+// and returns its verified reply: encoded once and signed in place, the reply
+// verified over the bytes it came in.
 func (s *Socket) request(ctx context.Context, typ wire.MsgType, build func(m *wire.ControlMsg)) (*wire.ControlReply, error) {
 	s.mu.Lock()
 	s.sendNonce++
@@ -32,13 +34,12 @@ func (s *Socket) request(ctx context.Context, typ wire.MsgType, build func(m *wi
 		TraceID: s.traceSpan.Context().Trace,
 		SpanID:  s.traceSpan.Context().Span,
 	}
-	addr := s.peerControlAddr
+	addr := s.peerControl
 	s.mu.Unlock()
 	if build != nil {
 		build(m)
 	}
-	m.Tag = s.auth.Sign(m.SigningBytes())
-	raw, err := s.ctrl.ep.Request(ctx, addr, m.Encode())
+	raw, err := s.ctrl.ep.RequestTo(ctx, addr, wire.SignEncoded(m.Encode(), s.auth))
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +47,7 @@ func (s *Socket) request(ctx context.Context, typ wire.MsgType, build func(m *wi
 	if err != nil {
 		return nil, err
 	}
-	if !s.auth.Verify(reply.SigningBytes(), reply.Tag) {
+	if !wire.VerifyEncoded(raw, s.auth) {
 		// A controller that does not know the connection (the peer agent
 		// moved on, or its endpoint is travelling in a bundle) cannot sign:
 		// let unsigned rejections through as advisory — the worst a forger
@@ -65,8 +66,7 @@ func (s *Socket) reply(v wire.Verdict, mutate func(r *wire.ControlReply)) []byte
 	if mutate != nil {
 		mutate(r)
 	}
-	r.Tag = s.auth.Sign(r.SigningBytes())
-	return r.Encode()
+	return wire.SignEncoded(r.Encode(), s.auth)
 }
 
 // reject builds a signed rejection: code is what the peer acts on, reason
@@ -75,9 +75,10 @@ func (s *Socket) reject(code wire.RejectCode, reason string) []byte {
 	return s.reply(wire.VerdictReject, func(r *wire.ControlReply) { r.Code, r.Reason = code, reason })
 }
 
-// checkAuth verifies a peer control message's tag and replay nonce.
-func (s *Socket) checkAuth(m *wire.ControlMsg) error {
-	if !s.auth.Verify(m.SigningBytes(), m.Tag) {
+// checkAuth verifies the tag of a peer control message over raw, the bytes m
+// was decoded from, and m's replay nonce.
+func (s *Socket) checkAuth(m *wire.ControlMsg, raw []byte) error {
+	if !wire.VerifyEncoded(raw, s.auth) {
 		return fmt.Errorf("napletsocket: bad tag on %s for %s", m.Type, s.id)
 	}
 	s.mu.Lock()
@@ -442,11 +443,14 @@ func (s *Socket) sendSusRes() error {
 	return lastErr
 }
 
-// setPeerAddrsLocked records where the peer now is, as a SUS_RES or RES
-// announced it or the location service reports it. Caller holds mu.
+// setPeerAddrsLocked records where the peer now is, as a CONNECT, SUS_RES or
+// RES announced it or the location service reports it. The control address
+// is parsed here, not per request; one that does not parse fails them until
+// the peer is found again. Caller holds mu.
 func (s *Socket) setPeerAddrsLocked(controlAddr, dataAddr string) {
-	if controlAddr != "" {
+	if controlAddr != "" && controlAddr != s.peerControlAddr {
 		s.peerControlAddr = controlAddr
+		s.peerControl, _ = rudp.ResolveAddr(controlAddr)
 	}
 	if dataAddr != "" {
 		s.peerDataAddr = dataAddr
@@ -582,10 +586,7 @@ func (s *Socket) resumeAttempt() (done bool, err error) {
 			return false, nil
 		}
 		s.mu.Lock()
-		if s.m.State() == fsm.ResSent {
-			s.step(fsm.RecvResumeAck) // -> ESTABLISHED
-		}
-		s.cond.Broadcast()
+		s.establishLocked(fsm.ResSent, fsm.RecvResumeAck)
 		s.mu.Unlock()
 		return true, nil
 
@@ -642,18 +643,6 @@ func (s *Socket) relookupPeer() {
 	s.mu.Unlock()
 }
 
-// dialAndInstall opens a data stream to the peer's (possibly new) host on
-// the shared transport — reusing a warm transport when one exists, the common
-// case for migration storms — for the authenticated connect or resume
-// handoff purpose names, and installs it.
-func (s *Socket) dialAndInstall(purpose wire.HandoffPurpose, peerHasUpTo uint64) error {
-	stream, err := s.openDataStream(purpose)
-	if err != nil {
-		return err
-	}
-	return s.installSocket(stream, peerHasUpTo)
-}
-
 // grantResume arms the redirector rendezvous and completes establishment
 // when the mover's handoff lands. The wait is a rendezvous
 // callback with a timer-wheel deadline, not a parked goroutine: a
@@ -665,6 +654,13 @@ func (s *Socket) grantResume(m *wire.ControlMsg) {
 	// ESTABLISHED. It joins the mover's migration trace via the RES stamp.
 	redirect := s.ctrl.obs.tr.StartSpan(
 		obs.SpanContext{Trace: obs.TraceID(m.TraceID), Span: obs.SpanID(m.SpanID)}, "redirect")
+	backToSuspended := func() {
+		s.mu.Lock()
+		if s.m.State() == fsm.ResAcked {
+			s.step(fsm.Timeout)
+		}
+		s.mu.Unlock()
+	}
 	s.ctrl.rv.armFunc(connKey{id: s.id, agent: s.localAgent}, s.ctrl.cfg.opTimeout(),
 		func(sock *transport.Stream) {
 			defer redirect.End()
@@ -675,33 +671,21 @@ func (s *Socket) grantResume(m *wire.ControlMsg) {
 			if err := s.installSocket(sock, peerHasUpTo); err != nil {
 				redirect.Annotate("install failed: " + err.Error())
 				s.ctrl.logf("conn %s: installing resumed socket: %v", s.id, err)
-				s.mu.Lock()
-				if s.m.State() == fsm.ResAcked {
-					s.step(fsm.Timeout) // back to SUSPENDED
-				}
-				s.mu.Unlock()
+				backToSuspended()
 				return
 			}
 			s.mu.Lock()
-			if s.m.State() == fsm.ResAcked {
-				s.step(fsm.ExecResumed) // -> ESTABLISHED
-			}
-			s.cond.Broadcast()
+			s.establishLocked(fsm.ResAcked, fsm.ExecResumed)
 			s.mu.Unlock()
 			s.noteRecovered()
 			s.ctrl.checkpointConn(s)
 		},
 		func() {
 			defer redirect.End()
-			if s.ctrl.closing.Load() {
-				return
+			if !s.ctrl.closing.Load() {
+				redirect.Annotate("handoff timeout")
+				backToSuspended()
 			}
-			redirect.Annotate("handoff timeout")
-			s.mu.Lock()
-			if s.m.State() == fsm.ResAcked {
-				s.step(fsm.Timeout) // back to SUSPENDED
-			}
-			s.mu.Unlock()
 		})
 }
 

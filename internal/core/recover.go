@@ -172,8 +172,7 @@ func (ctrl *Controller) buildConn(st *connState, nonceSlack uint64) (*Socket, er
 	// Nothing is pending and no write is in flight: the log is all cut and
 	// all flushed.
 	s.cutSeq, s.flushedSeq = s.nextSendSeq, s.nextSendSeq-1
-	s.peerControlAddr = st.PeerControlAddr
-	s.peerDataAddr = st.PeerDataAddr
+	s.setPeerAddrsLocked(st.PeerControlAddr, st.PeerDataAddr) // not shared yet: no lock to hold
 	s.sendNonce = st.SendNonce + nonceSlack
 	s.lastPeerNonce = st.LastPeerNonce
 	s.owesSusRes = st.OwesSusRes

@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"hash"
 	"math/big"
-	"sync"
+	"sync/atomic"
 )
 
 // modp2048Hex is the prime of RFC 3526 group 14.
@@ -121,13 +121,15 @@ func DeriveSessionKey(secret, connID []byte) []byte {
 // concurrent use and must not be copied.
 type Authenticator struct {
 	key []byte
-	// macs holds keyed, reset HMACs between calls: keying one hashes two
-	// blocks and allocates both digests, per control message otherwise.
-	macs sync.Pool
+	// warm holds a keyed, reset HMAC between calls. Keying one hashes two
+	// blocks and allocates both digests: NewAuthenticator pays that, off any
+	// operation's critical path, and a Sign that finds the slot taken (two
+	// messages of one connection in flight at once) keys its own.
+	warm atomic.Pointer[keyedMAC]
 }
 
-// keyedMAC is what the pool holds: the hash, and room for its sum so that
-// taking it does not allocate either.
+// keyedMAC is the hash, and room for its sum so that taking it does not
+// allocate either.
 type keyedMAC struct {
 	h   hash.Hash
 	sum [TagSize]byte
@@ -140,7 +142,9 @@ func NewAuthenticator(sessionKey []byte) (*Authenticator, error) {
 	}
 	k := make([]byte, KeySize)
 	copy(k, sessionKey)
-	return &Authenticator{key: k}, nil
+	a := &Authenticator{key: k}
+	a.Sign(nil) // keys the HMAC and saves the state later Signs restart from
+	return a, nil
 }
 
 // TagSize is the length of a signature tag.
@@ -148,7 +152,7 @@ const TagSize = sha256.Size
 
 // Sign returns the HMAC-SHA256 tag of msg under the session key.
 func (a *Authenticator) Sign(msg []byte) [TagSize]byte {
-	m, _ := a.macs.Get().(*keyedMAC)
+	m := a.warm.Swap(nil)
 	if m == nil {
 		m = &keyedMAC{h: hmac.New(sha256.New, a.key)}
 	}
@@ -156,7 +160,7 @@ func (a *Authenticator) Sign(msg []byte) [TagSize]byte {
 	m.h.Sum(m.sum[:0])
 	tag := m.sum
 	m.h.Reset()
-	a.macs.Put(m)
+	a.warm.Store(m)
 	return tag
 }
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,9 +109,13 @@ const (
 	// backoffCapFactor caps the doubling retransmission interval at this
 	// multiple of RetransmitInterval.
 	backoffCapFactor = 8
-	// responseCacheTTL is how long a computed response is retained to
-	// answer duplicate requests.
-	responseCacheTTL = 30 * time.Second
+	// responseCacheMax bounds the response cache by count. A duplicate trails
+	// its original by the retransmission schedule (a second or two at the
+	// defaults), so at thousands of requests a second this still holds every
+	// response a retransmission can ask for. A duplicate of an evicted
+	// request runs the handler again, which handlers must tolerate anyway:
+	// the cache does not survive a restart either.
+	responseCacheMax = 1 << 14
 )
 
 func (c Config) withDefaults() Config {
@@ -152,9 +157,11 @@ type Endpoint struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan []byte
-	cache   map[cacheKey]*cacheEntry
-	nextID  uint64
-	closed  bool
+	// cacheOrder lists the cache's keys oldest first, for eviction at the bound.
+	cache      map[cacheKey]*cacheEntry
+	cacheOrder []cacheKey
+	nextID     uint64
+	closed     bool
 
 	stats struct {
 		requestsSent      atomic.Uint64
@@ -170,7 +177,7 @@ type Endpoint struct {
 }
 
 type cacheKey struct {
-	addr string
+	addr netip.AddrPort
 	id   uint64
 }
 
@@ -178,7 +185,6 @@ type cacheEntry struct {
 	// done is closed once resp is valid.
 	done chan struct{}
 	resp []byte
-	when time.Time
 }
 
 // Listen opens an endpoint on the given UDP address ("" or ":0" for an
@@ -206,14 +212,25 @@ func Listen(addr string, h Handler, cfg Config) (*Endpoint, error) {
 		nextID:  rand.Uint64() | 1,
 		done:    make(chan struct{}),
 	}
-	e.wg.Add(2)
+	e.wg.Add(1)
 	go e.readLoop()
-	go e.janitor()
 	return e, nil
 }
 
 // Addr returns the endpoint's bound UDP address.
 func (e *Endpoint) Addr() *net.UDPAddr { return e.conn.LocalAddr().(*net.UDPAddr) }
+
+// ResolveAddr parses a peer's address for RequestTo, so that a caller with
+// many requests for one peer pays the parse once.
+func ResolveAddr(raddr string) (netip.AddrPort, error) {
+	ua, err := net.ResolveUDPAddr("udp", raddr)
+	if err != nil {
+		return netip.AddrPort{}, fmt.Errorf("rudp: resolving %q: %w", raddr, err)
+	}
+	ap := ua.AddrPort()
+	// An IPv4 address in its 16-byte form would be refused by an IPv4 socket.
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
+}
 
 // Stats returns a snapshot of the endpoint counters.
 func (e *Endpoint) Stats() Stats {
@@ -246,12 +263,17 @@ func (e *Endpoint) Close() error {
 // retransmitting as needed. It fails with ErrTimeout after the configured
 // retries, or earlier if ctx is done.
 func (e *Endpoint) Request(ctx context.Context, raddr string, payload []byte) ([]byte, error) {
+	dst, err := ResolveAddr(raddr)
+	if err != nil {
+		return nil, err
+	}
+	return e.RequestTo(ctx, dst, payload)
+}
+
+// RequestTo is Request to an address already resolved (ResolveAddr).
+func (e *Endpoint) RequestTo(ctx context.Context, dst netip.AddrPort, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("rudp: payload %d exceeds limit %d", len(payload), MaxPayload)
-	}
-	dst, err := net.ResolveUDPAddr("udp", raddr)
-	if err != nil {
-		return nil, fmt.Errorf("rudp: resolving %q: %w", raddr, err)
 	}
 
 	e.mu.Lock()
@@ -292,7 +314,7 @@ func (e *Endpoint) Request(ctx context.Context, raddr string, payload []byte) ([
 		case <-timer.C():
 			attempt++
 			if attempt > e.cfg.MaxRetries {
-				return nil, &UnreachableError{Peer: raddr, Retries: e.cfg.MaxRetries, Elapsed: e.clk.Now().Sub(start)}
+				return nil, &UnreachableError{Peer: dst.String(), Retries: e.cfg.MaxRetries, Elapsed: e.clk.Now().Sub(start)}
 			}
 			if err := e.send(dst, pkt); err != nil {
 				return nil, err
@@ -312,7 +334,7 @@ func (e *Endpoint) jittered(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (1 + e.cfg.Jitter*(e.cfg.rng()-0.5)))
 }
 
-func (e *Endpoint) send(dst *net.UDPAddr, pkt []byte) error {
+func (e *Endpoint) send(dst netip.AddrPort, pkt []byte) error {
 	if e.cfg.DropFn != nil && e.cfg.DropFn(pkt) {
 		e.stats.packetsDropped.Add(1)
 		return nil
@@ -322,11 +344,11 @@ func (e *Endpoint) send(dst *net.UDPAddr, pkt []byte) error {
 		cp := make([]byte, len(pkt))
 		copy(cp, pkt)
 		time.AfterFunc(e.cfg.SendDelay, func() {
-			e.conn.WriteToUDP(cp, dst)
+			e.conn.WriteToUDPAddrPort(cp, dst)
 		})
 		return nil
 	}
-	_, err := e.conn.WriteToUDP(pkt, dst)
+	_, err := e.conn.WriteToUDPAddrPort(pkt, dst)
 	if err != nil {
 		e.mu.Lock()
 		closed := e.closed
@@ -352,7 +374,7 @@ func (e *Endpoint) readLoop() {
 	defer e.wg.Done()
 	buf := make([]byte, MaxPayload+headerSize)
 	for {
-		n, from, err := e.conn.ReadFromUDP(buf)
+		n, from, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-e.done:
@@ -391,8 +413,8 @@ func (e *Endpoint) readLoop() {
 
 // handleRequest serves a request, invoking the handler exactly once per
 // (peer, id) and replaying the cached response for duplicates.
-func (e *Endpoint) handleRequest(from *net.UDPAddr, id uint64, payload []byte) {
-	key := cacheKey{addr: from.String(), id: id}
+func (e *Endpoint) handleRequest(from netip.AddrPort, id uint64, payload []byte) {
+	key := cacheKey{addr: from, id: id}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -413,8 +435,12 @@ func (e *Endpoint) handleRequest(from *net.UDPAddr, id uint64, payload []byte) {
 		}()
 		return
 	}
-	ent := &cacheEntry{done: make(chan struct{}), when: time.Now()}
+	ent := &cacheEntry{done: make(chan struct{})}
+	if len(e.cache) >= responseCacheMax {
+		e.evictLocked()
+	}
 	e.cache[key] = ent
+	e.cacheOrder = append(e.cacheOrder, key)
 	e.mu.Unlock()
 
 	e.wg.Add(1)
@@ -423,13 +449,31 @@ func (e *Endpoint) handleRequest(from *net.UDPAddr, id uint64, payload []byte) {
 		var resp []byte
 		if e.handler != nil {
 			e.stats.handlerInvoked.Add(1)
-			resp = e.handler(from, payload)
+			resp = e.handler(net.UDPAddrFromAddrPort(from), payload)
 		}
 		ent.resp = resp
 		close(ent.done)
 		e.send(from, encodePacket(kindResponse, id, resp))
 		e.stats.responsesServed.Add(1)
 	}()
+}
+
+// evictLocked makes room in a full cache: the oldest eighth of the entries
+// go (so that the order list is shifted once per two thousand requests),
+// except any whose handler is still running: its duplicates wait on it.
+// Caller holds mu.
+func (e *Endpoint) evictLocked() {
+	n := len(e.cacheOrder) / 8
+	kept := e.cacheOrder[:0]
+	for _, k := range e.cacheOrder[:n] {
+		select {
+		case <-e.cache[k].done:
+			delete(e.cache, k)
+		default:
+			kept = append(kept, k)
+		}
+	}
+	e.cacheOrder = append(kept, e.cacheOrder[n:]...)
 }
 
 func (e *Endpoint) handleResponse(id uint64, payload []byte) {
@@ -441,31 +485,5 @@ func (e *Endpoint) handleResponse(id uint64, payload []byte) {
 	e.mu.Unlock()
 	if ok {
 		ch <- payload
-	}
-}
-
-// janitor evicts expired response-cache entries.
-func (e *Endpoint) janitor() {
-	defer e.wg.Done()
-	tick := time.NewTicker(responseCacheTTL / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.done:
-			return
-		case now := <-tick.C:
-			e.mu.Lock()
-			for k, ent := range e.cache {
-				select {
-				case <-ent.done:
-					if now.Sub(ent.when) > responseCacheTTL {
-						delete(e.cache, k)
-					}
-				default:
-					// Handler still running; keep the entry.
-				}
-			}
-			e.mu.Unlock()
-		}
 	}
 }

@@ -43,9 +43,9 @@ type Config struct {
 	WrapData func(net.Conn) net.Conn
 	// HandshakeTimeout bounds the transport handshake.
 	HandshakeTimeout time.Duration
-	// Authorize vets an inbound stream-open before it is accepted.
+	// Authorize vets an inbound stream-open; an error resets the stream.
 	Authorize func(*wire.HandoffHeader) error
-	// Deliver hands an accepted inbound stream to the layer above; a false
+	// Deliver hands an authorized inbound stream to the layer above; a false
 	// return means no endpoint claimed it and the stream is reset.
 	Deliver func(*wire.HandoffHeader, *Stream) bool
 	// Logf logs transport-level events; nil discards.
@@ -631,8 +631,9 @@ func (m *Manager) remove(t *Transport, cause error) {
 }
 
 // OpenStream opens a logical stream to the peer at addr, establishing the
-// shared transport first if needed. If a warm transport dies between
-// lookup and open, the open is retried once on a fresh transport.
+// shared transport first if needed (timeout bounds that; the open itself
+// waits for nothing). If a warm transport dies between lookup and open, the
+// open is retried once on a fresh transport.
 func (m *Manager) OpenStream(addr string, hdr *wire.HandoffHeader, timeout time.Duration) (*Stream, error) {
 	return m.OpenStreamTraced(addr, hdr, timeout, obs.SpanContext{})
 }
@@ -646,13 +647,13 @@ func (m *Manager) OpenStreamTraced(addr string, hdr *wire.HandoffHeader, timeout
 		if err != nil {
 			return nil, err
 		}
-		s, err := t.OpenStream(hdr, timeout)
+		s, err := t.OpenStream(hdr)
 		if err == nil {
 			return s, nil
 		}
 		lastErr = err
 		if t.alive() {
-			// The transport is fine; the peer refused or timed out.
+			// The transport is fine; the header is what cannot be sent.
 			return nil, err
 		}
 	}

@@ -23,8 +23,8 @@ import (
 // keepalive declares it half-open), the transport enters a bounded
 // "reconnecting" state instead of failing:
 //
-//   - Both sides count reliable mux frames (open/accept/reset/data/fin/
-//     window) as they are received, and retain sent reliable frames in a
+//   - Both sides count reliable mux frames (open/reset/data/fin/window)
+//     as they are received, and retain sent reliable frames in a
 //     log until the peer's cumulative count — piggybacked on keepalive
 //     ping/pong and periodic acks — confirms delivery.
 //   - The original dialer redials the peer with jittered capped backoff

@@ -274,7 +274,7 @@ func TestKeepaliveDetectsHalfOpenTransport(t *testing.T) {
 }
 
 func TestErrTransportLostWrapsCause(t *testing.T) {
-	s := newStream(&Transport{}, 1, true)
+	s := newStream(&Transport{}, 1)
 	s.transportFailed(io.ErrUnexpectedEOF)
 	_, err := s.Read(make([]byte, 1))
 	if !errors.Is(err, ErrTransportLost) {
@@ -284,7 +284,7 @@ func TestErrTransportLostWrapsCause(t *testing.T) {
 		t.Fatalf("cause not preserved: %v", err)
 	}
 	// An already-typed cause is not double-wrapped.
-	s2 := newStream(&Transport{}, 3, true)
+	s2 := newStream(&Transport{}, 3)
 	s2.transportFailed(ErrTransportLost)
 	if _, err := s2.Read(make([]byte, 1)); err != ErrTransportLost {
 		t.Fatalf("typed cause rewrapped: %v", err)

@@ -26,19 +26,13 @@ import (
 type Stream struct {
 	t  *Transport
 	id uint64
-	// local is true on the side that opened the stream.
-	local bool
 
 	mu sync.Mutex
-	// cond is the broadcast channel of blocked Reads, Writes and opens:
+	// cond is the broadcast channel of blocked Reads and Writes:
 	// made by the first waiter, closed and dropped by the next broadcast.
 	// It is nil while nobody waits — on the event-driven path, always —
 	// so an event costs no channel.
 	cond chan struct{}
-
-	// accepted/openErr gate the opener until MuxAccept or MuxReset arrives.
-	accepted bool
-	openErr  error
 
 	// Receive side: a queue of pooled payload segments owned by the
 	// stream (segs[0][roff:] is the next readable byte). Segments arrive
@@ -75,13 +69,8 @@ type Stream struct {
 	writable func()
 }
 
-func newStream(t *Transport, id uint64, local bool) *Stream {
-	return &Stream{
-		t:          t,
-		id:         id,
-		local:      local,
-		sendWindow: t.streamWindow,
-	}
+func newStream(t *Transport, id uint64) *Stream {
+	return &Stream{t: t, id: id, sendWindow: t.streamWindow}
 }
 
 // TransportID returns the id of the shared transport carrying the stream;
@@ -134,62 +123,13 @@ func (s *Stream) waitLocked(deadline time.Time) error {
 	return nil
 }
 
-// waitOpened blocks the opener until the peer accepts, refuses, or the
-// timeout elapses.
-func (s *Stream) waitOpened(timeout time.Duration) error {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.openErr != nil {
-			return s.openErr
-		}
-		if s.err != nil {
-			return s.err
-		}
-		if s.accepted {
-			return nil
-		}
-		if err := s.waitLocked(deadline); err != nil {
-			return fmt.Errorf("transport: stream open: %w", err)
-		}
-	}
-}
-
-// opened records the peer's MuxAccept.
-func (s *Stream) opened() {
-	s.mu.Lock()
-	s.accepted = true
-	s.broadcastLocked()
-	s.mu.Unlock()
-}
-
-// remoteReset records a peer MuxReset: pending opens fail, reads fail once
-// the buffer drains, writes fail immediately.
+// remoteReset records a peer MuxReset — the refusal of an open, or the death
+// of the peer's end later.
 func (s *Stream) remoteReset(reason string) {
-	err := fmt.Errorf("transport: stream reset by peer")
 	if reason != "" {
-		err = fmt.Errorf("transport: stream reset by peer: %s", reason)
+		reason = ": " + reason
 	}
-	s.mu.Lock()
-	if s.openErr == nil && !s.accepted {
-		s.openErr = err
-	}
-	if s.err == nil {
-		s.err = err
-	}
-	s.broadcastLocked()
-	rfn, wfn := s.readable, s.writable
-	s.mu.Unlock()
-	if rfn != nil {
-		rfn()
-	}
-	if wfn != nil {
-		wfn()
-	}
+	s.fail(fmt.Errorf("transport: stream reset by peer%s", reason))
 }
 
 // transportFailed fails the stream because the shared transport died for
@@ -197,16 +137,18 @@ func (s *Stream) remoteReset(reason string) {
 // ErrTransportLost so the layer above can tell transport loss — retryable
 // through its own connection-level recovery — from a stream-level reset.
 func (s *Stream) transportFailed(cause error) {
+	if !errors.Is(cause, ErrTransportLost) {
+		cause = fmt.Errorf("%w: %w", ErrTransportLost, cause)
+	}
+	s.fail(cause)
+}
+
+// fail records the stream's terminal error, unless it has one: reads fail
+// once the buffer drains, writes fail immediately.
+func (s *Stream) fail(err error) {
 	s.mu.Lock()
 	if s.err == nil {
-		if errors.Is(cause, ErrTransportLost) {
-			s.err = cause
-		} else {
-			s.err = fmt.Errorf("%w: %w", ErrTransportLost, cause)
-		}
-	}
-	if s.openErr == nil && !s.accepted {
-		s.openErr = s.err
+		s.err = err
 	}
 	s.broadcastLocked()
 	rfn, wfn := s.readable, s.writable
@@ -419,10 +361,16 @@ func (s *Stream) CloseWrite() error {
 // directions just detaches; otherwise the peer gets a MuxReset so its end
 // fails promptly rather than hanging.
 func (s *Stream) Close() error {
+	s.reset("")
+	return nil
+}
+
+// reset is Close with the reason the peer's end fails with.
+func (s *Stream) reset(reason string) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil
+		return
 	}
 	s.closed = true
 	clean := s.writeClosed && s.finSeen && len(s.segs) == 0
@@ -444,9 +392,8 @@ func (s *Stream) Close() error {
 	}
 	s.t.removeStream(s.id)
 	if !clean && !failed && s.t.alive() {
-		s.t.writeFrame(wire.MuxReset, s.id, nil)
+		s.t.writeFrame(wire.MuxReset, s.id, []byte(reason))
 	}
-	return nil
 }
 
 // SetDeadline bounds blocked Reads and Writes, like net.Conn's.

@@ -406,8 +406,8 @@ func seqPayload(v uint64) []byte {
 	return b[:]
 }
 
-// writeFrame sends one mux frame. Reliable frames (open/accept/reset/data/
-// fin/window) are first copied into the unacked send log — if the shared
+// writeFrame sends one mux frame. Reliable frames (open/reset/data/fin/
+// window) are first copied into the unacked send log — if the shared
 // connection is down they simply wait there and are replayed when the
 // session resumes, so callers see success for anything the resume contract
 // covers. Unreliable frames (ping/pong/ack) are droppable by definition:
@@ -531,58 +531,46 @@ func (t *Transport) handleAck(acked uint64) {
 	t.wmu.Unlock()
 }
 
-// OpenStream opens a logical stream carrying hdr as its open payload and
-// waits for the peer's accept (or refusal) up to timeout.
-func (t *Transport) OpenStream(hdr *wire.HandoffHeader, timeout time.Duration) (*Stream, error) {
+// OpenStream opens a logical stream carrying hdr as its open payload, at no
+// round trip: the stream is usable once the MuxOpen is written (or logged for
+// the resume replay), and bytes written behind it land in the stream the
+// peer's read loop registers on that MuxOpen. A refusal arrives as a MuxReset
+// and fails the stream like any later reset.
+func (t *Transport) OpenStream(hdr *wire.HandoffHeader) (*Stream, error) {
 	var buf bytes.Buffer
 	if err := hdr.Write(&buf); err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
-	if t.closed {
-		err := t.closeErr
-		t.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return nil, err
-	}
 	sid := t.nextID
 	t.nextID += 2
-	s := newStream(t, sid, true)
+	s := newStream(t, sid)
 	t.streams[sid] = s
 	t.mu.Unlock()
 
+	// A transport that has failed says so here.
 	if err := t.writeFrame(wire.MuxOpen, sid, buf.Bytes()); err != nil {
-		return nil, err
-	}
-	if err := s.waitOpened(timeout); err != nil {
 		t.removeStream(sid)
-		// Best-effort: tell the peer we gave up waiting.
-		t.writeFrame(wire.MuxReset, sid, []byte("open timed out"))
 		return nil, err
 	}
 	return s, nil
 }
 
-// serveOpen authorizes and delivers one inbound stream; it runs outside the
-// read loop so a slow rendezvous cannot stall the whole transport.
+// serveOpen authorizes and delivers one inbound stream, or resets it with
+// the reason; it runs outside the read loop so a slow rendezvous cannot stall
+// the whole transport.
 func (t *Transport) serveOpen(s *Stream, hdr *wire.HandoffHeader) {
 	cfg := &t.mgr.cfg
 	if cfg.Authorize != nil {
 		if err := cfg.Authorize(hdr); err != nil {
 			t.logf("transport %s: refused %s stream for %s: %v", t.peerHost, hdr.Purpose, hdr.ConnID, err)
-			t.removeStream(s.id)
-			t.writeFrame(wire.MuxReset, s.id, []byte("handoff denied"))
+			s.reset("handoff denied")
 			return
 		}
 	}
-	if err := t.writeFrame(wire.MuxAccept, s.id, nil); err != nil {
-		return
-	}
 	if cfg.Deliver == nil || !cfg.Deliver(hdr, s) {
 		t.logf("transport %s: no endpoint claimed %s stream for %s", t.peerHost, hdr.Purpose, hdr.ConnID)
-		s.Close()
+		s.reset("unclaimed")
 	}
 }
 
@@ -835,9 +823,9 @@ func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte, owned bool, rl
 			t.fail(fmt.Errorf("transport: stream %d reopened", h.Stream))
 			return false
 		}
-		// Register before accepting so data racing behind the accept
-		// lands in the buffer rather than the void.
-		ns := newStream(t, h.Stream, false)
+		// Register before the next frame is read: the opener writes behind
+		// its MuxOpen without waiting, and that data belongs in the buffer.
+		ns := newStream(t, h.Stream)
 		t.mu.Lock()
 		closed := t.closed
 		if !closed {
@@ -848,10 +836,6 @@ func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte, owned bool, rl
 			return false
 		}
 		go t.serveOpen(ns, hdr)
-	case wire.MuxAccept:
-		if s != nil {
-			s.opened()
-		}
 	case wire.MuxReset:
 		if s != nil {
 			t.removeStream(h.Stream)

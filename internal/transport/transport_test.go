@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,18 +310,42 @@ func TestBulkTransferIntegrityAcrossWindows(t *testing.T) {
 	}
 }
 
+// expectReset requires a stream the peer refused to fail its reader with
+// the peer's reset and the reason it gave.
+func expectReset(t *testing.T, s *Stream, reason string) {
+	t.Helper()
+	s.SetReadDeadline(time.Now().Add(3 * time.Second))
+	_, err := s.Read(make([]byte, 1))
+	if err == nil || !strings.Contains(err.Error(), "reset by peer: "+reason) {
+		t.Fatalf("read on a refused stream: %v, want a reset saying %q", err, reason)
+	}
+}
+
+// An open is not waited for, so a refusal is not an open error: the open
+// succeeds, and the stream then fails with the peer's reset and its reason.
 func TestAuthorizeRefusalResetsOpen(t *testing.T) {
 	a := newTestPeer(t, "a", true)
 	b := newTestPeer(t, "b", true)
 	b.setAuthErr(errors.New("nope"))
-	if _, err := a.mgr.OpenStream(b.addr(), testHeader(t), 3*time.Second); err == nil {
-		t.Fatal("open succeeded despite authorize refusal")
+	s, err := a.mgr.OpenStream(b.addr(), testHeader(t), 3*time.Second)
+	if err != nil {
+		t.Fatalf("open: %v (a refusal must arrive as a reset, not as an open error)", err)
+	}
+	expectReset(t, s, "handoff denied")
+	if _, err := s.Write([]byte("x")); err == nil {
+		t.Fatal("write succeeded on a refused stream")
+	}
+	select {
+	case <-b.inbound:
+		t.Fatal("refused stream was delivered")
+	default:
 	}
 	// The refusal must not have killed the transport.
 	b.setAuthErr(nil)
 	if _, err := a.mgr.OpenStream(b.addr(), testHeader(t), 3*time.Second); err != nil {
 		t.Fatalf("open after refusal: %v", err)
 	}
+	recvStream(t, b)
 	if got := a.dials.Load(); got != 1 {
 		t.Fatalf("refusal burned the transport: %d dials", got)
 	}
@@ -332,12 +357,89 @@ func TestUnclaimedStreamReset(t *testing.T) {
 	b.setNoDeliver(true)
 	s, err := a.mgr.OpenStream(b.addr(), testHeader(t), 3*time.Second)
 	if err != nil {
-		// Acceptable: the reset may arrive before the accept is processed.
-		return
+		t.Fatal(err)
 	}
-	s.SetReadDeadline(time.Now().Add(3 * time.Second))
-	if _, err := s.Read(make([]byte, 1)); err == nil {
-		t.Fatal("read succeeded on unclaimed stream")
+	expectReset(t, s, "unclaimed")
+	if n := b.mgr.byID(s.TransportID()).streamCount(); n != 0 {
+		t.Fatalf("%d streams left on the refusing side", n)
+	}
+}
+
+// gatedConn is a shared connection whose reads are held until release: the
+// transport read loop behind it stalls while bytes pile up in the kernel.
+type gatedConn struct {
+	net.Conn
+	gate chan struct{}
+}
+
+func (c *gatedConn) Read(p []byte) (int, error) {
+	<-c.gate
+	return c.Conn.Read(p)
+}
+
+// An open costs no round trip: OpenStream returns, and the stream takes
+// writes, while the peer has not read a byte of it; and what was written
+// before the peer's Deliver ran — before its Authorize even returned — is
+// what the delivered stream reads, in order.
+func TestOpenStreamWaitsForNothing(t *testing.T) {
+	a := newTestPeer(t, "a", true)
+	gate := make(chan struct{})
+	authorizing := make(chan struct{})
+	letAuthorize := make(chan struct{})
+	b := newTestPeerCfg(t, "b", true, func(cfg *Config) {
+		// The handshake ran on the bare connection; the read loop behind
+		// the wrapped one reads nothing until the gate opens.
+		cfg.WrapData = func(c net.Conn) net.Conn { return &gatedConn{Conn: c, gate: gate} }
+		cfg.Authorize = func(*wire.HandoffHeader) error {
+			close(authorizing)
+			<-letAuthorize
+			return nil
+		}
+	})
+	if _, err := a.mgr.Transport(b.addr(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	opened := make(chan *Stream, 1)
+	go func() {
+		cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+		if err != nil {
+			t.Error(err)
+		}
+		opened <- cs
+	}()
+	var cs *Stream
+	select {
+	case cs = <-opened:
+	case <-time.After(3 * time.Second):
+		t.Fatal("OpenStream waited for a peer whose read loop is stalled")
+	}
+	if cs == nil {
+		t.FailNow()
+	}
+	for _, msg := range []string{"one,", "two,"} {
+		if _, err := cs.Write([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate)
+
+	// The peer's read loop registers the stream on the MuxOpen and queues
+	// the data behind it while serveOpen is still inside Authorize.
+	<-authorizing
+	if _, err := cs.Write([]byte("three")); err != nil {
+		t.Fatal(err)
+	}
+	cs.CloseWrite()
+	select {
+	case <-b.inbound:
+		t.Fatal("stream delivered before its authorization returned")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(letAuthorize)
+	got, err := io.ReadAll(recvStream(t, b))
+	if err != nil || string(got) != "one,two,three" {
+		t.Fatalf("delivered stream read %q, %v; want what was written before Deliver ran, in order", got, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -186,6 +187,13 @@ type ControlReply struct {
 
 const controlMagic = 0x4e43 // "NC"
 
+// Encoded sizes with every variable field empty (each term a field, in wire
+// order), so that Encode sizes its buffer exactly.
+const (
+	controlMsgFixed   = 2 + 1 + 16 + 4*2 + 8 + 8 + 16 + 16 + 8 + 8 + 4 + TagSize
+	controlReplyFixed = 2 + 1 + 1 + 16 + 2 + 8 + 4 + TagSize
+)
+
 var (
 	// ErrBadControl reports a malformed control message or reply.
 	ErrBadControl = errors.New("wire: malformed control message")
@@ -234,19 +242,47 @@ func takeBytes(b []byte) ([]byte, []byte, error) {
 	return out, b[n:], nil
 }
 
+// MAC is the signing half of a session authenticator (*dhkx.Authenticator).
+type MAC interface {
+	Sign(msg []byte) [TagSize]byte
+}
+
+// SignEncoded signs b — Encode's output for a message or reply whose Tag is
+// zero — in place: the tag is the trailing TagSize bytes and covers the
+// encoding with those bytes zero, so one encoding serves to sign and to send.
+func SignEncoded(b []byte, mac MAC) []byte {
+	tag := mac.Sign(b)
+	copy(b[len(b)-TagSize:], tag[:])
+	return b
+}
+
+// VerifyEncoded checks the trailing tag of b, a message or reply as
+// received, over the received bytes (zeroed at the tag for the computation,
+// then restored). The decoders accept only the canonical encoding, so this
+// is the verdict re-encoding the decoded message would give.
+func VerifyEncoded(b []byte, mac MAC) bool {
+	if len(b) < TagSize {
+		return false
+	}
+	tail := b[len(b)-TagSize:]
+	tag := [TagSize]byte(tail)
+	clear(tail)
+	want := mac.Sign(b)
+	copy(tail, tag[:])
+	return subtle.ConstantTimeCompare(want[:], tag[:]) == 1
+}
+
 // SigningBytes returns the canonical encoding of m with a zeroed tag; it is
 // the input to the session HMAC.
 func (m *ControlMsg) SigningBytes() []byte {
-	saved := m.Tag
-	m.Tag = [TagSize]byte{}
 	b := m.Encode()
-	m.Tag = saved
+	clear(b[len(b)-TagSize:])
 	return b
 }
 
 // Encode returns the canonical wire encoding of m.
 func (m *ControlMsg) Encode() []byte {
-	b := make([]byte, 0, 64+len(m.From)+len(m.To)+len(m.DataAddr)+len(m.Payload))
+	b := make([]byte, 0, controlMsgFixed+len(m.From)+len(m.To)+len(m.DataAddr)+len(m.ControlAddr)+len(m.Payload))
 	b = binary.BigEndian.AppendUint16(b, controlMagic)
 	b = append(b, byte(m.Type))
 	b = append(b, m.ConnID[:]...)
@@ -329,18 +365,9 @@ func DecodeControlMsg(b []byte) (*ControlMsg, error) {
 	return m, nil
 }
 
-// SigningBytes returns the canonical encoding of r with a zeroed tag.
-func (r *ControlReply) SigningBytes() []byte {
-	saved := r.Tag
-	r.Tag = [TagSize]byte{}
-	b := r.Encode()
-	r.Tag = saved
-	return b
-}
-
 // Encode returns the canonical wire encoding of r.
 func (r *ControlReply) Encode() []byte {
-	b := make([]byte, 0, 64+len(r.Reason)+len(r.Payload))
+	b := make([]byte, 0, controlReplyFixed+len(r.Reason)+len(r.Payload))
 	b = binary.BigEndian.AppendUint16(b, controlMagic)
 	b = append(b, byte(r.Verdict), byte(r.Code))
 	b = append(b, r.ConnID[:]...)

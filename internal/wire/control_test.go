@@ -194,3 +194,40 @@ func TestMsgTypeStrings(t *testing.T) {
 		}
 	}
 }
+
+// Encode sizes its buffer exactly: a control message is one allocation, not
+// one and a regrow.
+func TestControlEncodeSizesExactly(t *testing.T) {
+	if b := sampleMsg().Encode(); cap(b) != len(b) {
+		t.Errorf("ControlMsg.Encode: %d bytes in a buffer of %d", len(b), cap(b))
+	}
+	r := &ControlReply{Verdict: VerdictReject, Code: RejectRetry, Reason: "RES in state SUS_ACKED", LastSeq: 9, Payload: []byte{1, 2}}
+	if b := r.Encode(); cap(b) != len(b) {
+		t.Errorf("ControlReply.Encode: %d bytes in a buffer of %d", len(b), cap(b))
+	}
+}
+
+// A message is encoded once and signed in place, and verified as received:
+// both agree with signing and verifying the SigningBytes encoding.
+func TestSignEncodedMatchesSigningBytes(t *testing.T) {
+	m := sampleMsg()
+	m.Tag = [TagSize]byte{}
+	b := SignEncoded(m.Encode(), fuzzMAC{})
+	got, err := DecodeControlMsg(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (fuzzMAC{}).Sign(m.SigningBytes()); got.Tag != want {
+		t.Fatalf("tag signed in place %x, tag over SigningBytes %x", got.Tag, want)
+	}
+	if !VerifyEncoded(b, fuzzMAC{}) {
+		t.Fatal("a message signed in place does not verify as received")
+	}
+	b[20] ^= 1
+	if VerifyEncoded(b, fuzzMAC{}) {
+		t.Fatal("a tampered message verifies")
+	}
+	if VerifyEncoded(b[:TagSize-1], fuzzMAC{}) {
+		t.Fatal("a message shorter than a tag verifies")
+	}
+}

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -184,9 +186,41 @@ func walkSegments(data, chunks []byte) (frames []Frame, err error) {
 	return frames, io.EOF
 }
 
+// fuzzMAC is a session authenticator for the control-codec fuzz targets and
+// tests (dhkx.Authenticator does the same under a derived key).
+type fuzzMAC struct{}
+
+func (fuzzMAC) Sign(msg []byte) (tag [TagSize]byte) {
+	h := hmac.New(sha256.New, []byte("fuzz session key"))
+	h.Write(msg)
+	h.Sum(tag[:0])
+	return tag
+}
+
+// checkEncodedTag is what lets a control message be verified as received,
+// without re-encoding what was decoded from it: data decoded, so it is the
+// canonical encoding of what it decoded to, and the tag check over the wire
+// bytes gives the verdict the check over the re-encoded signing bytes gives —
+// leaving the bytes as they came.
+func checkEncodedTag(t *testing.T, data, reencoded, signing []byte, tag [TagSize]byte) {
+	t.Helper()
+	if !bytes.Equal(reencoded, data) {
+		t.Fatalf("decoded from a non-canonical encoding:\n got %x\nfrom %x", reencoded, data)
+	}
+	want := fuzzMAC{}.Sign(signing) == tag
+	if got := VerifyEncoded(data, fuzzMAC{}); got != want {
+		t.Fatalf("verify over the wire bytes = %v, over the re-encoded message = %v", got, want)
+	}
+	if !bytes.Equal(data, reencoded) {
+		t.Fatal("VerifyEncoded changed the bytes it was given")
+	}
+}
+
 func FuzzDecodeControlMsg(f *testing.F) {
 	m := &ControlMsg{Type: MsgResume, From: "a", To: "b", Nonce: 3, DataAddr: "x:1", ControlAddr: "y:2"}
 	f.Add(m.Encode())
+	f.Add(SignEncoded(m.Encode(), fuzzMAC{}))
+	f.Add(SignEncoded(sampleMsg().Encode(), fuzzMAC{})) // signed over a tag that was not zero
 	f.Add([]byte{})
 	f.Add([]byte{0x4e, 0x43})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -201,12 +235,14 @@ func FuzzDecodeControlMsg(f *testing.F) {
 		if re.Type != msg.Type || re.Nonce != msg.Nonce || re.From != msg.From || re.To != msg.To {
 			t.Fatal("control message round-trip mismatch")
 		}
+		checkEncodedTag(t, data, msg.Encode(), msg.SigningBytes(), msg.Tag)
 	})
 }
 
 func FuzzDecodeControlReply(f *testing.F) {
 	r := &ControlReply{Verdict: VerdictAck, Reason: "x", LastSeq: 9}
 	f.Add(r.Encode())
+	f.Add(SignEncoded(r.Encode(), fuzzMAC{}))
 	f.Add((&ControlReply{Verdict: VerdictReject, Code: RejectResumeRace, Reason: "race"}).Encode())
 	// An unknown code, and a code beside a verdict that is not a rejection:
 	// both must fail to decode.
@@ -228,6 +264,9 @@ func FuzzDecodeControlReply(f *testing.F) {
 		if re.Verdict != rep.Verdict || re.Code != rep.Code || re.Reason != rep.Reason || re.LastSeq != rep.LastSeq {
 			t.Fatal("reply round-trip mismatch")
 		}
+		unsigned := *rep
+		unsigned.Tag = [TagSize]byte{}
+		checkEncodedTag(t, data, rep.Encode(), unsigned.Encode(), rep.Tag)
 	})
 }
 

@@ -460,9 +460,10 @@ func Negotiate(local, remote *TransportHello) (Negotiated, error) {
 // sides never collide without coordination.
 const (
 	// MuxOpen opens a stream; the payload is the length-prefixed
-	// HandoffHeader naming and authenticating the logical connection.
+	// HandoffHeader naming and authenticating the logical connection. The
+	// opener waits for no answer: it may write behind its own MuxOpen.
 	MuxOpen uint8 = 1 + iota
-	// MuxAccept confirms a MuxOpen; the opener may use the stream.
+	// MuxAccept is reserved (it confirmed a MuxOpen): never sent, not reused.
 	MuxAccept
 	// MuxReset kills a stream in either direction; the payload is an
 	// optional reason string. A reset answering MuxOpen is a refusal.

@@ -92,7 +92,7 @@ func TestTransportHelloResumeRoundTrip(t *testing.T) {
 }
 
 func TestReliableMuxFrame(t *testing.T) {
-	for _, typ := range []uint8{MuxOpen, MuxAccept, MuxReset, MuxData, MuxFin, MuxWindow} {
+	for _, typ := range []uint8{MuxOpen, MuxReset, MuxData, MuxFin, MuxWindow} {
 		if !ReliableMuxFrame(typ) {
 			t.Fatalf("type %d should be reliable", typ)
 		}
@@ -129,7 +129,7 @@ func TestReadTransportHelloRejectsForeignMagicAtOnce(t *testing.T) {
 }
 
 func TestMuxHeaderRoundTrip(t *testing.T) {
-	for _, typ := range []uint8{MuxOpen, MuxAccept, MuxReset, MuxData, MuxFin, MuxWindow, MuxPing, MuxPong, MuxAck} {
+	for _, typ := range []uint8{MuxOpen, MuxReset, MuxData, MuxFin, MuxWindow, MuxPing, MuxPong, MuxAck} {
 		b := AppendMuxHeader(nil, typ, 0x0102030405060708, 77)
 		if len(b) != MuxHeaderSize {
 			t.Fatalf("header length %d, want %d", len(b), MuxHeaderSize)
