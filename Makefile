@@ -37,7 +37,8 @@ race:
 # 2 migrations, RST storms, a 2s partition) in short mode under the race
 # detector, uncached so it really runs every time — once over the default
 # cleartext transports and once with the AEAD record layer on
-# (CHAOS_SECURE=1), so fault injection shakes the encrypted resume path too.
+# (CHAOS_SECURE=1), so every transport the recoveries dial runs the full
+# handshake and sealed records too.
 chaos-smoke:
 	$(GO) test ./internal/core -run TestChaosSoakExactlyOnce -race -short -count=1 -v
 	CHAOS_SECURE=1 $(GO) test ./internal/core -run TestChaosSoakExactlyOnce -race -short -count=1 -v
@@ -66,14 +67,15 @@ storm-smoke:
 
 # wan-smoke is the CI WAN-robustness gate: the relay rendezvous tests and
 # the NAT'd migration scenario under the race detector (two hosts that
-# cannot dial each other sustain a migrated connection through an
-# untrusted relay), the RTT-adaptive keepalive/backoff regression tests,
-# then the netem scenario matrix in short mode (metro + intercontinental,
-# 2 breaks) — any lost resume, false ErrTransportLost, or false keepalive
-# timeout on a merely-slow path fails the gate.
+# cannot dial each other sustain a connection through an untrusted relay,
+# across a kill of the relayed transport and a migration), the
+# RTT-adaptive keepalive regression test, then the netem scenario matrix in
+# short mode (metro + intercontinental, 2 breaks) — any unrecovered
+# connection failure, or a false keepalive timeout on a merely-slow path,
+# fails the gate.
 wan-smoke:
 	$(GO) test ./internal/relay -race -count=1
-	$(GO) test ./internal/transport -run 'TestRelayFallbackThroughNAT|TestRedialBackoffConfigHonored|TestKeepaliveAdaptsToWANRTT' -race -count=1 -v
+	$(GO) test ./internal/transport -run 'TestRelayFallbackThroughNAT|TestKeepaliveAdaptsToWANRTT' -race -count=1 -v
 	$(GO) test ./internal/core -run TestMigrationSustainedThroughRelayNAT -race -count=1 -v
 	$(GO) run ./cmd/repro -quick wanmatrix
 
@@ -87,14 +89,18 @@ crash-soak:
 	$(GO) test ./internal/core -run '^TestCheckpoint' -race -count=20
 	$(GO) test ./internal/core -run 'TestDoubleFailureConcurrentMigrationWithCrash$$' -count=300
 
-# handoff-soak is the CI gate for the unanswered stream open: the round-trip
-# census (what each operation costs in sequential one-way trips and control
-# requests — a wait put back fails a named number), a refused handoff landing
-# at every point of the opener's way to ESTABLISHED, a stream that dies before
-# either end is established, and the refusal tests of both layers, repeated
-# under the race detector.
+# handoff-soak is the CI gate for the unanswered stream open and for the one
+# recovery path: the round-trip census (what each operation costs in
+# sequential one-way trips and control requests — a wait put back fails a
+# named number), the break census (what one TCP break costs eight
+# connections: a failure, a recovery and a RES each, one or two fresh
+# transports), a break while a 64 KiB writer is credit-stalled behind a full
+# reader (the send-log bound), a handoff lost with its transport, a refused
+# handoff landing at every point of the opener's way to ESTABLISHED, a stream
+# that dies before either end is established, and the refusal tests of both
+# layers, repeated under the race detector.
 handoff-soak:
-	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff' -race -count=20
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff' -race -count=20
 	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing' -race -count=20
 
 # census prints the four numbers a simplicity PR quotes, so CHANGES.md can

@@ -21,8 +21,8 @@ import (
 //	/metrics  — the registry snapshot as JSON, or Prometheus text
 //	            exposition format with ?format=prom
 //	/connz    — the per-connection state table (text, or JSON with
-//	            ?format=json), including each shared transport's resume
-//	            window, last-keepalive time, and flight-recorder events
+//	            ?format=json), including each shared transport's state,
+//	            last-keepalive time, and flight-recorder events
 //	/namez    — the naming control plane: hosted cluster shard replicas
 //	            (role, term, leader, record counts, staleness) and the
 //	            controller's location-cache hit rate (text, ?format=json)
@@ -77,8 +77,8 @@ func startDebugServer(addr string, node *naplet.Node, reg *obs.Registry, cnode *
 		}
 		now := time.Now()
 		fmt.Fprintf(w, "\n%d shared transports\n\n", len(transports))
-		fmt.Fprintf(w, "%-32s %-12s %-22s %-8s %-6s %-10s %-24s %7s %8s %-10s %-18s %-15s %-10s\n",
-			"ID", "PEER", "ADDR", "ROLE", "RELAY", "CIPHER", "LIMITS", "STREAMS", "RTT", "AGE", "STATE", "RESUME-DEADLINE", "LAST-KA")
+		fmt.Fprintf(w, "%-32s %-12s %-22s %-8s %-6s %-10s %-24s %7s %8s %-10s %-18s %-10s\n",
+			"ID", "PEER", "ADDR", "ROLE", "RELAY", "CIPHER", "LIMITS", "STREAMS", "RTT", "AGE", "STATE", "LAST-KA")
 		for _, tr := range transports {
 			role := "accept"
 			if tr.Dialer {
@@ -92,18 +92,15 @@ func startDebugServer(addr string, node *naplet.Node, reg *obs.Registry, cnode *
 			if tr.RTT > 0 {
 				rtt = tr.RTT.Round(100 * time.Microsecond).String()
 			}
-			deadline, lastKA := "-", "-"
-			if !tr.ResumeDeadline.IsZero() {
-				deadline = tr.ResumeDeadline.Sub(now).Round(time.Millisecond).String()
-			}
+			lastKA := "-"
 			if !tr.LastKeepalive.IsZero() {
 				lastKA = now.Sub(tr.LastKeepalive).Round(time.Millisecond).String() + " ago"
 			}
-			limits := fmt.Sprintf("p%d/w%d/a%d/ka%dms",
-				tr.Limits.MaxPayload, tr.Limits.InitialWindow, tr.Limits.AckFrames, tr.Limits.KeepaliveMs)
-			fmt.Fprintf(w, "%-32s %-12s %-22s %-8s %-6s %-10s %-24s %7d %8s %-10s %-18s %-15s %-10s\n",
+			limits := fmt.Sprintf("p%d/w%d/ka%dms",
+				tr.Limits.MaxPayload, tr.Limits.InitialWindow, tr.Limits.KeepaliveMs)
+			fmt.Fprintf(w, "%-32s %-12s %-22s %-8s %-6s %-10s %-24s %7d %8s %-10s %-18s %-10s\n",
 				tr.ID, tr.PeerHost, tr.PeerAddr, role, via, tr.Cipher, limits, tr.Streams, rtt,
-				time.Since(tr.Opened).Round(time.Second), tr.State, deadline, lastKA)
+				time.Since(tr.Opened).Round(time.Second), tr.State, lastKA)
 			for _, ev := range tr.Events {
 				fmt.Fprintf(w, "    %s %-18s %s\n", ev.At.Format("15:04:05.000"), ev.Kind, ev.Detail)
 			}

@@ -117,7 +117,7 @@ experiments:
   fig13    Figure 13: connection-migration overhead vs message exchange rate
   motivation  Section 1: round trip over NapletSocket vs the PostOffice mailbox
   wan      Table 1/§4.2 latencies under emulated network delay (1/5/10 ms one-way)
-  wanmatrix resume/keepalive robustness under the named WAN profiles (lan..lossy-cell)
+  wanmatrix break recovery/keepalive robustness under the named WAN profiles (lan..lossy-cell)
   ablations design-choice ablations (handoff, control transport, failure-resume)
   naming   sharded location-service lookups under a migration storm (cached vs direct)
   c10k     connection storm: 100k connections, a 10k-connection migration wave
@@ -249,7 +249,7 @@ func run(name string) error {
 		}
 
 	case "wanmatrix":
-		header("WAN scenario matrix: resume under break/migrate chaos per netem profile")
+		header("WAN scenario matrix: connection recovery under break/migrate chaos per netem profile")
 		cfg := experiments.WANMatrixConfig{}
 		if *quick {
 			cfg.Profiles = []netem.Profile{netem.ProfileMetro, netem.ProfileIntercontinental}

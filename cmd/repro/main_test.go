@@ -62,7 +62,7 @@ func TestInvariantViolationFailsTheRun(t *testing.T) {
 	t.Cleanup(func() { runWANMatrix, runNaming, runC10K = oldWAN, oldNaming, oldC10K })
 
 	wan := &experiments.WANMatrixResult{Cells: []experiments.WANCell{
-		{Profile: "metro", Breaks: 2, Broken: 2, Resumed: 2, ResumeRate: 1},
+		{Profile: "metro", Breaks: 2, Failures: 4, Recoveries: 4},
 	}}
 	naming := &experiments.NamingBenchResult{HitRate: 1, Advances: 7, StormAchieved: 50}
 	c10k := &experiments.C10KResult{BaselineGoroutines: 30, SteadyGoroutines: 35}
@@ -74,9 +74,9 @@ func TestInvariantViolationFailsTheRun(t *testing.T) {
 		t.Fatalf("healthy results rejected: %v", err)
 	}
 
-	wan.Cells[0].TransportLost = 1
-	if err := run("wanmatrix"); err == nil || !strings.Contains(err.Error(), "ErrTransportLost") {
-		t.Errorf("wanmatrix with a false loss: run = %v", err)
+	wan.Cells[0].Recoveries = 3
+	if err := run("wanmatrix"); err == nil || !strings.Contains(err.Error(), "not every break recovered") {
+		t.Errorf("wanmatrix with an unrecovered failure: run = %v", err)
 	}
 	naming.HitRate = 0.5
 	if err := run("naming"); err == nil || !strings.Contains(err.Error(), "hit rate") {

@@ -86,8 +86,7 @@ type Config struct {
 	TransportKeepaliveTimeout  time.Duration
 	// DisableTransportEncryption keeps the negotiated shared transport's
 	// frames cleartext: the hello advertises no cipher suites,
-	// while the DH exchange, transcript tags, and resume tokens still run
-	// in secure mode. Benchmarks use it to isolate the AEAD record
+	// while the DH exchange and transcript tags still run in secure mode. Benchmarks use it to isolate the AEAD record
 	// layer's cost; Insecure implies it.
 	DisableTransportEncryption bool
 	// OpenBreakdown, when non-nil, accumulates the Figure 8 phase timings

@@ -199,6 +199,14 @@ func (s *Socket) pumpEvent() {
 		if room <= 0 {
 			s.pumpPaused = true
 			s.mu.Unlock()
+			// A stream that dies while the buffer is full still ends its
+			// generation now, not when the reader next drains: a peer's
+			// recovery must not wait on our application. What the dead
+			// stream held comes back by retransmission from lastEnqueued.
+			if termErr, terminal := st.TermStatus(); terminal {
+				dec.Release()
+				s.readerExit(gen, termErr)
+			}
 			return
 		}
 		last := s.lastEnqueued
@@ -514,10 +522,11 @@ func (s *Socket) failLocked(cause error) {
 	s.cond.Broadcast()
 	s.ctrl.obs.failures.Inc()
 	if errors.Is(cause, transport.ErrTransportLost) {
-		// The shared transport died past its resume window (or resumption
-		// is disabled): this is a host-pair event, not a stream-level
-		// reset, and every sibling connection on the pair degrades with
-		// us. The typed error keeps the two failure modes countable apart.
+		// The shared transport died (its connection broke or went silent):
+		// this is a host-pair event, not a stream-level reset, and every
+		// sibling connection on the pair degrades with us and resumes on
+		// its own. The typed error keeps the two failure modes countable
+		// apart.
 		s.ctrl.obs.transportLost.Inc()
 		s.ctrl.logf("conn %s: shared transport lost (%v); degraded to SUSPENDED", s.id, cause)
 	} else {

@@ -35,7 +35,9 @@
 // FLUSH-then-half-close drain. The
 // redirector hands every accepted kernel connection to the transport
 // manager; one that does not open with a version-2 transport hello is
-// closed.
+// closed. The transport is fail-stop: a broken or silent connection fails
+// every stream on it with transport.ErrTransportLost, and nothing below
+// this package replays or resumes anything.
 //
 // The Diffie-Hellman exchange of Section 3.3 runs per transport, not per
 // connection: the two hosts agree on a transport secret once (mutually
@@ -57,8 +59,14 @@
 //
 // Beyond the paper, the implementation recovers from resume messages racing
 // an agent's next hop (the mover re-resolves the peer through the location
-// service and retries) and from data-socket failures while established (the
-// connection degrades to SUSPENDED and is re-resumed, with lost in-flight
-// frames retransmitted from a bounded send log) — the fault-tolerance
-// extension the paper lists as future work.
+// service and retries) and from data-socket failures while established —
+// a stream reset, or the loss of the whole shared transport — the
+// fault-tolerance extension the paper lists as future work. The connection
+// degrades to SUSPENDED and resumes by the paper's own RES exchange over a
+// fresh stream (and, when the transport died, a fresh transport); the peer's
+// last received sequence number selects what to retransmit from the send
+// log. That log is the only replay log in the stack: it is bounded by
+// maxSendLog, which exceeds what credit lets the peer leave unconsumed, so a
+// break never loses a frame the peer has not pulled into its receive
+// buffer.
 package core

@@ -344,7 +344,6 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 			*flag = true
 		}
 	}
-	sock := s.sock
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
@@ -355,11 +354,8 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 		go s.finishGranted(fsm.CloseAcked, fsm.ExecClosed)
 	case thenGrantResume:
 		s.grantResume(m)
-	case thenFailZombie:
-		if sock != nil {
-			s.ctrl.tm.FailIfReconnecting(sock.TransportID(),
-				fmt.Errorf("peer %s re-established connection %s", s.remoteAgent, s.id))
-		}
+	case thenStandDown:
+		s.ctrl.rv.disarm(connKey{id: s.id, agent: s.localAgent})
 	}
 	if r.verdict == wire.VerdictReject {
 		return s.reject(r.code, fmt.Sprintf("%s in state %s", m.Type, st))

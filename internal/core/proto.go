@@ -36,8 +36,8 @@ const (
 	thenClosed
 	// thenGrantResume arms the rendezvous the mover's handoff will land on.
 	thenGrantResume
-	// thenFailZombie fails a shared transport that is stalled mid-resume.
-	thenFailZombie
+	// thenStandDown disarms the rendezvous of a handoff that will never land.
+	thenStandDown
 )
 
 // noStep marks a rule that leaves the machine where it is. It borrows the
@@ -122,16 +122,13 @@ func onPeer(msg wire.MsgType, st fsm.State, highPriority, migrating bool) rule {
 			return refuse(wire.RejectResumeRace)
 		case st == fsm.ResSent:
 			return grant
-		case st == fsm.Established:
-			// A stale or failure-racing RES; the peer retries, and if our
-			// socket is really dead our reader degrades us to SUSPENDED and
-			// the retry is granted. One degradation cannot happen on its own:
-			// a stream riding a shared transport that is mid-resume stalls
-			// instead of failing. The peer's RES is proof that its end of that
-			// session is gone for good (a crashed-and-restarted peer
-			// re-handshakes the connection, it never resumes the old
-			// transport), so the zombie transport is failed now.
-			return rule{verdict: wire.VerdictReject, code: wire.RejectRetry, then: thenFailZombie}
+		case st == fsm.ResAcked:
+			// We granted the peer's resume and wait for its handoff. A new RES
+			// proves that handoff will never land — it died with its
+			// transport, or the peer gave up on it — so stand down now, as the
+			// arm's timeout would later: back to SUSPENDED, where the retry is
+			// granted.
+			return rule{step: fsm.Timeout, verdict: wire.VerdictReject, code: wire.RejectRetry, then: thenStandDown}
 		case closing:
 			return refuse(wire.RejectUnknownConn)
 		}

@@ -18,8 +18,12 @@ import (
 // and the crash recovery path that rebuilds controller state from the
 // journal after a napletd restart and drives the stranded connections back
 // through the normal resume handshake. Dead peers are detected below this
-// layer: the shared transport's keepalive breaks a silent connection, and a
-// session that cannot be resumed reaches failLocked as ErrTransportLost.
+// layer: the shared transport's keepalive fails a silent connection, a
+// broken one fails at once, and either way every stream on it reaches
+// failLocked as ErrTransportLost. From there one chain recovers every
+// failure, crash or not: SUSPENDED, scheduleFailureResume, RES carrying
+// LastSeq, a fresh stream over a fresh transport, retransmit from the send
+// log.
 
 // restartNonceSlack is added to a restored connection's send nonce. The
 // journal checkpoint may predate control messages sent just before the

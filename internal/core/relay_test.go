@@ -14,8 +14,10 @@ import (
 // TestMigrationSustainedThroughRelayNAT is the WAN acceptance scenario: every
 // host sits behind a default-deny NAT that admits only the relay, so no host
 // can dial another's redirector directly. The logical connection must still
-// establish, survive a migration, and deliver every byte exactly once —
-// entirely over relayed transport legs.
+// establish, survive its relayed transport being killed mid-stream (the
+// connection's own recovery redials through the relay), survive a
+// migration, and deliver every byte exactly once — entirely over relayed
+// transport legs.
 func TestMigrationSustainedThroughRelayNAT(t *testing.T) {
 	rs, err := relay.New("127.0.0.1:0", t.Logf)
 	if err != nil {
@@ -24,7 +26,8 @@ func TestMigrationSustainedThroughRelayNAT(t *testing.T) {
 	defer rs.Close()
 
 	mets := map[string]*obs.Registry{}
-	env := newEnv(t, []string{"h1", "h2", "h3"}, func(cfg *Config) {
+	tap := &connTap{}
+	env := newEnv(t, []string{"h1", "h2", "h3"}, onHost("h1", func(cfg *Config) { cfg.WrapData = tap.wrap }), func(cfg *Config) {
 		nat := netem.NewNAT()
 		nat.Allow(rs.Addr())
 		met := obs.NewRegistry()
@@ -60,6 +63,26 @@ func TestMigrationSustainedThroughRelayNAT(t *testing.T) {
 	if _, err := client.Write([]byte("pre")); err != nil {
 		t.Fatal(err)
 	}
+	// Kill the relayed transport under the live connection: both ends
+	// degrade, and the resume redials through the relay (the NAT still
+	// admits nothing else).
+	tap.killLatest()
+	if _, err := client.Write([]byte("-mid")); err != nil {
+		t.Fatal(err)
+	}
+	relayDials := func() uint64 {
+		return mets["h1"].Counter("transport.relay_dials").Value() + mets["h2"].Counter("transport.relay_dials").Value()
+	}
+	for _, h := range []string{"h1", "h2"} {
+		reg := mets[h]
+		eventually(t, h+" to recover from the kill", func() bool {
+			f := reg.Counter("conn.failures").Value()
+			return f == 1 && reg.Counter("fault.conn_recoveries").Value() == f
+		})
+	}
+	if got := relayDials(); got < 2 {
+		t.Fatalf("%d relay dials between h1 and h2, want the first and the recovery's", got)
+	}
 	env.migrate("mover", "h1", "h3", 2)
 
 	moved, err := env.hosts["h3"].ctrl.AgentSocket("mover", client.ID())
@@ -70,12 +93,12 @@ func TestMigrationSustainedThroughRelayNAT(t *testing.T) {
 	if _, err := moved.Write([]byte("-post")); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, len("pre-post"))
+	got := make([]byte, len("pre-mid-post"))
 	if _, err := io.ReadFull(server, got); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "pre-post" {
-		t.Fatalf("anchor read %q, want \"pre-post\"", got)
+	if string(got) != "pre-mid-post" {
+		t.Fatalf("anchor read %q, want \"pre-mid-post\"", got)
 	}
 	if _, err := server.Write([]byte("back")); err != nil {
 		t.Fatal(err)

@@ -9,26 +9,26 @@ import (
 	"time"
 
 	"naplet/internal/core"
-	"naplet/internal/metrics"
 	"naplet/internal/netem"
 	"naplet/internal/obs"
 )
 
-// The WAN scenario matrix (ROADMAP item 5): every named netem profile is
-// run through the same chaos scenario — an echo session whose shared
-// transport is repeatedly killed mid-conversation, then one live
-// migration, then a throughput leg — with keepalive probing tightened
-// well below the emulated RTT. What the matrix proves is the negative
-// space: across every profile the resume machinery recovers each break,
-// and the keepalive timer never fires on a path that is merely slow.
-// WANMatrixResult.Check states those invariants.
+// The WAN scenario matrix: every named netem profile is run through the
+// same chaos scenario — an echo session whose shared transport is
+// repeatedly killed mid-conversation, then one live migration, then a
+// throughput leg — with keepalive probing tightened well below the
+// emulated RTT. Every break fails the connection on both ends, and the
+// connection's own resume (RES with the last received sequence, over a
+// fresh transport) must recover each failure; the keepalive timer must
+// never fire on a path that is merely slow. WANMatrixResult.Check states
+// those invariants.
 
 // WANMatrixConfig sizes one matrix run.
 type WANMatrixConfig struct {
 	// Profiles defaults to the full netem.WANProfiles() matrix.
 	Profiles []netem.Profile
 	// Breaks is how many times the live transport is severed per profile
-	// (default 4). Each break must resume inside the window.
+	// (default 4). Each break must be recovered.
 	Breaks int
 	// ThroughputBytes is the volume of the echo throughput leg (default
 	// 256 KiB — enough to exceed the credit window, small enough that the
@@ -57,23 +57,18 @@ type WANCell struct {
 	// RTTMs is the profile's base round trip (what the scenario emulated,
 	// not a measurement).
 	RTTMs float64
-	// Breaks is how many times the transport was severed; Broken/Resumed
-	// count the flight-recorder events across every host. An acceptor that
-	// learns of an outage only by the dialer's resume arriving records
-	// resumed without broken, so Resumed can exceed Broken.
-	Breaks  int
-	Broken  int
-	Resumed int
-	// ResumeRate is the fraction of broken events followed by a resumed
-	// event on the same transport: 1.0 means every break recovered.
-	ResumeRate float64
-	// Resume latency percentiles, measured per transport from the flight
-	// recorder (broken event to the matching resumed event).
-	ResumeP50Ms float64
-	ResumeP99Ms float64
-	// TransportLost counts ErrTransportLost tombstones — any value but 0
-	// is a false positive, since every break stayed inside the window.
-	TransportLost int
+	// Breaks is how many times the transport was severed. Failures and
+	// Recoveries are the connection's conn.failures and
+	// fault.conn_recoveries, both ends summed: a break fails the connection
+	// on each end, and each failure must be closed by a recovery.
+	Breaks     int
+	Failures   int
+	Recoveries int
+	// Recovery latency percentiles (fault.recovery_ms, failure to
+	// re-established) at the anchor, which holds one end of the connection
+	// through every break.
+	RecoveryP50Ms float64
+	RecoveryP99Ms float64
 	// KeepaliveTimeouts counts half-open declarations; the path was slow,
 	// never dead, so any value but 0 is a false positive.
 	KeepaliveTimeouts int
@@ -87,19 +82,16 @@ type WANMatrixResult struct {
 	Cells []WANCell
 }
 
-// Check reports every violated robustness invariant: each profile must
-// have seen all its breaks and resumed every one, and — since every break
-// stayed inside the resume window on a path that was slow, never dead —
-// recorded no ErrTransportLost or keepalive timeout.
+// Check reports every violated robustness invariant: each profile's breaks
+// must all have reached the connection, every failure must have been
+// recovered, and — the path being slow, never dead between breaks — no
+// keepalive timeout may have fired.
 func (r *WANMatrixResult) Check() error {
 	var errs []error
 	for _, c := range r.Cells {
-		if c.Broken < c.Breaks || c.ResumeRate != 1 {
-			errs = append(errs, fmt.Errorf("%s: %d breaks, %d broken, resume rate %.3f: not every break resumed",
-				c.Profile, c.Breaks, c.Broken, c.ResumeRate))
-		}
-		if c.TransportLost != 0 {
-			errs = append(errs, fmt.Errorf("%s: %d false ErrTransportLost", c.Profile, c.TransportLost))
+		if c.Failures < c.Breaks || c.Recoveries != c.Failures {
+			errs = append(errs, fmt.Errorf("%s: %d breaks, %d failures, %d recoveries: not every break recovered",
+				c.Profile, c.Breaks, c.Failures, c.Recoveries))
 		}
 		if c.KeepaliveTimeouts != 0 {
 			errs = append(errs, fmt.Errorf("%s: %d false keepalive timeouts", c.Profile, c.KeepaliveTimeouts))
@@ -114,15 +106,15 @@ func (r *WANMatrixResult) Table() string {
 	for _, c := range r.Cells {
 		rows = append(rows, []string{
 			c.Profile, f1(c.RTTMs),
-			fmt.Sprintf("%d/%d", c.Resumed, c.Broken),
-			f1(c.ResumeP50Ms), f1(c.ResumeP99Ms),
-			fmt.Sprintf("%d", c.TransportLost),
+			fmt.Sprintf("%d", c.Breaks),
+			fmt.Sprintf("%d/%d", c.Recoveries, c.Failures),
+			f1(c.RecoveryP50Ms), f1(c.RecoveryP99Ms),
 			fmt.Sprintf("%d", c.KeepaliveTimeouts),
 			f1(c.ThroughputMbps),
 		})
 	}
 	return table(
-		[]string{"profile", "rtt(ms)", "resumed", "res-p50(ms)", "res-p99(ms)", "false-lost", "ka-timeout", "echo(Mb/s)"},
+		[]string{"profile", "rtt(ms)", "breaks", "recovered", "rec-p50(ms)", "rec-p99(ms)", "ka-timeout", "echo(Mb/s)"},
 		rows,
 	)
 }
@@ -241,8 +233,9 @@ func runWANProfile(p netem.Profile, breaks int, volume int64, seed int64) (*WANC
 		}
 	}()
 
-	// Generous per-step budget: intercontinental resumes pay backoff plus
-	// several 250ms round trips, lossy-cell adds retransmits.
+	// Generous per-step budget: an intercontinental recovery pays the
+	// failure-resume delay, a fresh transport handshake and several 250ms
+	// round trips; lossy-cell adds retransmits.
 	step := 30 * time.Second
 	if err := roundtrip(client, step); err != nil {
 		return nil, fmt.Errorf("warmup: %w", err)
@@ -291,34 +284,14 @@ func runWANProfile(p netem.Profile, breaks int, volume int64, seed int64) (*WANC
 		Breaks:         breaks,
 		ThroughputMbps: mbps,
 	}
-	lat := metrics.NewSeries()
-	paired := 0
 	for _, h := range names {
-		for _, in := range d.hosts[h].ctrl.TransportInfos() {
-			cell.Broken += int(in.EventCounts["broken"])
-			cell.Resumed += int(in.EventCounts["resumed"])
-			cell.TransportLost += int(in.EventCounts["lost"])
-			var brokenAt time.Time
-			for _, ev := range in.Events {
-				switch ev.Kind {
-				case "broken":
-					brokenAt = ev.At
-				case "resumed":
-					if !brokenAt.IsZero() {
-						lat.AddDuration(ev.At.Sub(brokenAt))
-						paired++
-						brokenAt = time.Time{}
-					}
-				}
-			}
-		}
-		cell.KeepaliveTimeouts += int(mets[h].Snapshot().Counters["transport.keepalive_timeouts"])
+		snap := mets[h].Snapshot()
+		cell.Failures += int(snap.Counters["conn.failures"])
+		cell.Recoveries += int(snap.Counters["fault.conn_recoveries"])
+		cell.KeepaliveTimeouts += int(snap.Counters["transport.keepalive_timeouts"])
 	}
-	if cell.Broken > 0 {
-		cell.ResumeRate = float64(paired) / float64(cell.Broken)
-	}
-	cell.ResumeP50Ms = lat.Percentile(50)
-	cell.ResumeP99Ms = lat.Percentile(99)
+	rec := mets["h2"].Snapshot().Histograms["fault.recovery_ms"]
+	cell.RecoveryP50Ms, cell.RecoveryP99Ms = rec.P50, rec.P99
 	return cell, nil
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // TestWANMatrixMetro runs the full chaos scenario on the metro profile:
-// cheap enough for the unit suite, while still covering the break/resume
+// cheap enough for the unit suite, while still covering the break/recover
 // loop, the live migration, and the throughput leg end to end.
 func TestWANMatrixMetro(t *testing.T) {
 	res, err := RunWANMatrix(WANMatrixConfig{
@@ -26,8 +26,8 @@ func TestWANMatrixMetro(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := res.Cells[0]
-	if c.ResumeP99Ms <= 0 {
-		t.Fatal("no resume latency samples recorded")
+	if c.RecoveryP99Ms <= 0 {
+		t.Fatal("no recovery latency samples recorded")
 	}
 	if c.ThroughputMbps <= 0 {
 		t.Fatal("throughput leg measured nothing")
@@ -40,7 +40,7 @@ func TestWANMatrixMetro(t *testing.T) {
 // TestWANMatrixCheck pins what Check rejects, on synthetic cells.
 func TestWANMatrixCheck(t *testing.T) {
 	ok := &WANMatrixResult{Cells: []WANCell{
-		{Profile: "metro", Breaks: 4, Broken: 8, Resumed: 9, ResumeRate: 1},
+		{Profile: "metro", Breaks: 4, Failures: 8, Recoveries: 8},
 	}}
 	if err := ok.Check(); err != nil {
 		t.Fatalf("Check(ok) = %v", err)
@@ -50,10 +50,9 @@ func TestWANMatrixCheck(t *testing.T) {
 		cell WANCell
 		want string
 	}{
-		{"dropped resume", WANCell{Profile: "metro", Breaks: 4, Broken: 4, ResumeRate: 0.75}, "not every break resumed"},
-		{"unseen break", WANCell{Profile: "metro", Breaks: 4, Broken: 3, ResumeRate: 1}, "not every break resumed"},
-		{"false lost", WANCell{Profile: "metro", ResumeRate: 1, TransportLost: 1}, "ErrTransportLost"},
-		{"false keepalive", WANCell{Profile: "metro", ResumeRate: 1, KeepaliveTimeouts: 1}, "keepalive timeouts"},
+		{"unrecovered failure", WANCell{Profile: "metro", Breaks: 4, Failures: 8, Recoveries: 7}, "not every break recovered"},
+		{"unseen break", WANCell{Profile: "metro", Breaks: 4, Failures: 3, Recoveries: 3}, "not every break recovered"},
+		{"false keepalive", WANCell{Profile: "metro", KeepaliveTimeouts: 1}, "keepalive timeouts"},
 	}
 	for _, tc := range cases {
 		err := (&WANMatrixResult{Cells: []WANCell{ok.Cells[0], tc.cell}}).Check()

@@ -11,8 +11,8 @@ import (
 // Proxy is a TCP fault-injection proxy: it accepts connections on its own
 // address and pipes each to a fixed target, with every byte crossing the
 // shared Faults plan. Pointing a host's advertised data address at a Proxy
-// puts the whole shared transport — including its resume redials — under
-// the fault schedule, without the endpoints knowing.
+// puts the whole shared transport — including the fresh ones recovery
+// dials — under the fault schedule, without the endpoints knowing.
 type Proxy struct {
 	f      *Faults
 	ln     net.Listener
@@ -72,7 +72,7 @@ func (p *Proxy) Resets() uint64 { return p.resets.Load() }
 
 // ResetAll aborts every live proxied connection with a TCP RST, returning
 // how many it killed. New connections are still accepted — exactly the
-// blip-then-recover regime session resumption must survive.
+// blip-then-recover regime connection recovery must survive.
 func (p *Proxy) ResetAll() int {
 	p.mu.Lock()
 	flows := make([]*flow, 0, len(p.flows))

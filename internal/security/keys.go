@@ -8,22 +8,20 @@ import (
 
 // This file is the transport key schedule for version-2 (negotiated)
 // transport sessions. Version 1 fed the raw DH-derived session key into
-// every consumer — the handshake authenticator, the resume tag, and (had
-// it encrypted) the cipher — which is exactly the key-reuse hygiene
-// problem HKDF labels exist to prevent. Version 2 extracts one PRK from
-// the DH shared secret and expands it under a distinct label per purpose:
+// every consumer — the handshake authenticator and (had it encrypted) the
+// cipher — which is exactly the key-reuse hygiene problem HKDF labels exist
+// to prevent. Version 2 extracts one PRK from the DH shared secret and
+// expands it under a distinct label per purpose:
 //
 //	session auth   → HMAC key for handshake transcript tags and control
 //	                 message authentication
-//	resume tag     → HMAC key proving session possession on resume
 //	seal dialer    → AEAD key for records the transport dialer sends
 //	seal acceptor  → AEAD key for records the acceptor sends
 //
 // The seal keys additionally mix in the transcript hash of the handshake
-// (or resume handshake) that installed the current connection, so every
-// resumed generation runs fresh AEAD keys and nonce counters restart
-// safely from zero — a replayed record from a prior generation can never
-// authenticate.
+// that installed the connection. A transport lives on one connection and
+// one fresh DH exchange, so its AEAD nonce counters start at zero exactly
+// once per key: a record from any other transport can never authenticate.
 
 // KeySize is the size of every derived key.
 const KeySize = 32
@@ -32,7 +30,6 @@ const KeySize = 32
 const (
 	hkdfSalt          = "naplet-transport-v2 key extract"
 	labelSession      = "naplet-transport-v2 session auth"
-	labelResumeTag    = "naplet-transport-v2 resume tag"
 	labelSealDialer   = "naplet-transport-v2 seal dialer"
 	labelSealAcceptor = "naplet-transport-v2 seal acceptor"
 )
@@ -68,21 +65,15 @@ func (ks *KeySchedule) expand(label string, context []byte) []byte {
 // control messages for this transport session.
 func (ks *KeySchedule) SessionKey() []byte { return ks.expand(labelSession, nil) }
 
-// ResumeTagKey is the HMAC key under which resume hellos prove possession
-// of the session being resumed.
-func (ks *KeySchedule) ResumeTagKey() []byte { return ks.expand(labelResumeTag, nil) }
-
-// SealKeys derives the per-direction AEAD keys for one connection
-// generation, bound to the transcript hash of the handshake that
-// installed it. The dialer seals under dialerKey and opens under
-// acceptorKey; the acceptor does the reverse. Roles are fixed by who
-// originally dialed the transport and do not flip on resume.
+// SealKeys derives the per-direction AEAD keys of a transport, bound to
+// the transcript hash of its handshake. The dialer seals under dialerKey
+// and opens under acceptorKey; the acceptor does the reverse.
 func (ks *KeySchedule) SealKeys(transcriptHash []byte) (dialerKey, acceptorKey []byte) {
 	return ks.expand(labelSealDialer, transcriptHash), ks.expand(labelSealAcceptor, transcriptHash)
 }
 
 // TranscriptHash digests a handshake transcript — the raw hello bytes a
-// side sent and received — into the rekey context for SealKeys. Each side
+// side sent and received — into the context for SealKeys. Each side
 // passes its own sent/received order, so the two ends hash different
 // byte orders; Transcripts pins the order to the dialer's view to keep
 // the derivation symmetric.

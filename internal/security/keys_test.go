@@ -14,7 +14,6 @@ func TestKeyScheduleSeparation(t *testing.T) {
 
 	keys := map[string][]byte{
 		"session":       ks.SessionKey(),
-		"resume-tag":    ks.ResumeTagKey(),
 		"seal-dialer":   dk,
 		"seal-acceptor": ak,
 	}
@@ -41,7 +40,7 @@ func TestKeyScheduleSeparation(t *testing.T) {
 
 func TestKeyScheduleStable(t *testing.T) {
 	// Golden values pin the derivation: a refactor that silently changes
-	// any label, salt, or hash order breaks live resumed sessions, so it
+	// any label, salt, or hash order breaks mixed-build sessions, so it
 	// must break this test first.
 	secret := []byte("golden dh shared secret for key schedule stability")
 	connID := []byte("0123456789abcdef")
@@ -51,14 +50,12 @@ func TestKeyScheduleStable(t *testing.T) {
 
 	want := map[string]string{
 		"session":    "f86ed23165e362b76790fcc493bd786dca27cb286c2ab5cba84ece5aad3236b8",
-		"resume-tag": "4a5bc2d83dbfa8954e322cb81c91def26a792631f6143fc51484237298c091fb",
 		"seal-dial":  "53bdab7e530b3daad95b27b6372eec72492807c992a15db14717c70f3eaf73cb",
 		"seal-acc":   "38d9ed6553e11c7d1de6fed33cd85e3603d400876d7ccedf7c4fc94dc3b9e1df",
 		"transcript": "36c6cfc6199173eb12b7a26d9c70e8c2a898f50b51f9a6aa6c5b2ae7c4c4b147",
 	}
 	got := map[string]string{
 		"session":    hex.EncodeToString(ks.SessionKey()),
-		"resume-tag": hex.EncodeToString(ks.ResumeTagKey()),
 		"seal-dial":  hex.EncodeToString(dk),
 		"seal-acc":   hex.EncodeToString(ak),
 		"transcript": hex.EncodeToString(th),
@@ -77,7 +74,7 @@ func TestKeyScheduleBindings(t *testing.T) {
 	if hex.EncodeToString(ksA.SessionKey()) == hex.EncodeToString(ksB.SessionKey()) {
 		t.Fatal("session keys not bound to connection id")
 	}
-	// Seal keys must change with the transcript (rekey-on-resume).
+	// Seal keys must change with the handshake transcript.
 	th1 := TranscriptHash([]byte("gen1 dial"), []byte("gen1 accept"))
 	th2 := TranscriptHash([]byte("gen2 dial"), []byte("gen2 accept"))
 	d1, a1 := ksA.SealKeys(th1)

@@ -14,12 +14,12 @@ import (
 // reader needs the type and length to frame the stream — but it is bound
 // into the seal as associated data, so a tampered header fails
 // authentication just like tampered ciphertext. The nonce is an implicit
-// 64-bit counter per direction per connection generation: records are
-// sealed and opened strictly in wire order on a TCP stream, both ends
-// count, and nothing is transmitted. Resume installs fresh keys
-// (KeySchedule.SealKeys with the new transcript) and restarts the
-// counters, so a record captured from a dead connection can never be
-// replayed into its successor.
+// 64-bit counter per direction per transport: records are sealed and
+// opened strictly in wire order on a TCP stream, both ends count, and
+// nothing is transmitted. A transport never outlives its connection, and
+// its successor runs a fresh DH exchange and fresh keys
+// (KeySchedule.SealKeys), so a record captured from a dead connection can
+// never be replayed into the next one.
 
 // RecordOverhead is the bytes a sealed record adds to its plaintext (the
 // AEAD tag). A transport negotiating MaxPayload must cap plaintext chunks

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"naplet/internal/dhkx"
 	"naplet/internal/obs"
 	"naplet/internal/relay"
 	"naplet/internal/security"
@@ -25,8 +24,8 @@ type Config struct {
 	Insecure bool
 	// DisableEncryption keeps a secure transport's frames cleartext: the
 	// hello advertises no cipher suites, so negotiation settles
-	// on cleartext framing while the DH exchange, transcript tags, and
-	// resume tokens still run. Benchmarks use it to isolate the record
+	// on cleartext framing while the DH exchange and transcript tags still
+	// run. Benchmarks use it to isolate the record
 	// layer's cost; Insecure implies it.
 	DisableEncryption bool
 	// Limits overrides the advertised protocol limits field by field; zero
@@ -56,28 +55,17 @@ type Config struct {
 	// default, negative disables keepalive probing entirely.
 	KeepaliveInterval time.Duration
 	// KeepaliveTimeout is the inbound-silence threshold past which the
-	// connection is declared half-open and broken (feeding resumption);
-	// 0 defaults to 3x the keepalive interval.
+	// connection is declared half-open and the transport fails; 0 defaults
+	// to 3x the keepalive interval.
 	KeepaliveTimeout time.Duration
-	// ResumeWindow bounds how long a broken transport keeps its streams
-	// stalled while trying to resume the session; past it every stream
-	// fails with ErrTransportLost. 0 means the 30s default, negative
-	// disables resumption (a broken connection fails streams immediately,
-	// the pre-resumption behaviour).
-	ResumeWindow time.Duration
-	// RedialBackoffBase / RedialBackoffCap bound the jittered exponential
-	// backoff between resume redial attempts; 0 means the 25ms / 2s
-	// defaults. These are floors: on a path whose measured RTT exceeds
-	// them, the backoff scales up from the RTT estimate (see rtt.go).
-	RedialBackoffBase time.Duration
-	RedialBackoffCap  time.Duration
 	// RelayAddr is the address of a rendezvous relay (internal/relay) to
-	// fall back to when a direct dial — fresh or resume redial — fails;
-	// "" disables the fallback. The relay sees only the transport
-	// handshake and (on encrypted sessions) AEAD ciphertext.
+	// fall back to when a direct dial fails; "" disables the fallback. The
+	// relay sees only the transport handshake and (on encrypted sessions)
+	// AEAD ciphertext.
 	RelayAddr string
-	// Metrics receives the transport.reconnects / transport.resumed_streams
-	// / transport.keepalive_timeouts counters; nil records nothing.
+	// Metrics receives the transport.keepalive_timeouts,
+	// transport.encrypted / transport.cleartext and transport.relay_dials
+	// counters; nil records nothing.
 	Metrics *obs.Registry
 	// Tracer records transport dial/accept spans; a fresh dial performed
 	// with a trace context (TransportTraced) joins that trace and carries
@@ -89,10 +77,10 @@ type Config struct {
 	advertised wire.Limits
 }
 
-// helloNegotiation fills the negotiation section of an outbound
-// fresh-session hello: the supported versions, the cipher suites this
-// side will encrypt under (none when encryption is off — negotiation then
-// settles on cleartext), and the advertised limits.
+// helloNegotiation fills the negotiation section of an outbound hello: the
+// supported versions, the cipher suites this side will encrypt under (none
+// when encryption is off — negotiation then settles on cleartext), and the
+// advertised limits.
 func (cfg *Config) helloNegotiation(h *wire.TransportHello) {
 	h.Versions = wire.SupportedVersions()
 	if !cfg.Insecure && !cfg.DisableEncryption {
@@ -107,21 +95,19 @@ func (cfg *Config) helloNegotiation(h *wire.TransportHello) {
 type Manager struct {
 	cfg Config
 
-	// done closes when the manager closes, releasing keepalive tickers,
-	// reconnect backoff sleeps, and dials blocked in flight.
+	// done closes when the manager closes, releasing dials blocked in
+	// flight and SecretByID waiters.
 	done chan struct{}
 
-	// Resumption metrics (nil-safe when cfg.Metrics is nil).
-	reconnects        *obs.Counter
-	resumedStreams    *obs.Counter
+	// Metrics (nil-safe when cfg.Metrics is nil): half-open declarations.
 	keepaliveTimeouts *obs.Counter
 	// Session-security metrics: how many transport sessions negotiated an
 	// AEAD record layer versus settling on cleartext framing (insecure
 	// mode, or encryption disabled on either side).
 	encrypted *obs.Counter
 	cleartext *obs.Counter
-	// relayDials counts connections (fresh or resume redials) established
-	// through the rendezvous relay after a direct dial failed.
+	// relayDials counts connections established through the rendezvous
+	// relay after a direct dial failed.
 	relayDials *obs.Counter
 
 	mu     sync.Mutex
@@ -166,24 +152,10 @@ func NewManager(cfg Config) *Manager {
 	if cfg.KeepaliveTimeout <= 0 {
 		cfg.KeepaliveTimeout = 3 * cfg.KeepaliveInterval
 	}
-	if cfg.ResumeWindow == 0 {
-		cfg.ResumeWindow = 30 * time.Second
-	}
-	if cfg.RedialBackoffBase <= 0 {
-		cfg.RedialBackoffBase = 25 * time.Millisecond
-	}
-	if cfg.RedialBackoffCap <= 0 {
-		cfg.RedialBackoffCap = 2 * time.Second
-	}
-	if cfg.RedialBackoffCap < cfg.RedialBackoffBase {
-		cfg.RedialBackoffCap = cfg.RedialBackoffBase
-	}
 	cfg.advertised = advertisedLimits(&cfg)
 	m := &Manager{
 		cfg:               cfg,
 		done:              make(chan struct{}),
-		reconnects:        cfg.Metrics.Counter("transport.reconnects"),
-		resumedStreams:    cfg.Metrics.Counter("transport.resumed_streams"),
 		keepaliveTimeouts: cfg.Metrics.Counter("transport.keepalive_timeouts"),
 		encrypted:         cfg.Metrics.Counter("transport.encrypted"),
 		cleartext:         cfg.Metrics.Counter("transport.cleartext"),
@@ -229,12 +201,6 @@ func advertisedLimits(cfg *Config) wire.Limits {
 	}
 	if cfg.Limits.InitialWindow != 0 {
 		adv.InitialWindow = cfg.Limits.InitialWindow
-	}
-	if cfg.Limits.AckFrames != 0 {
-		adv.AckFrames = cfg.Limits.AckFrames
-	}
-	if cfg.Limits.AckBytes != 0 {
-		adv.AckBytes = cfg.Limits.AckBytes
 	}
 	adv.KeepaliveMs = kaMs
 	if err := adv.Validate(); err != nil {
@@ -412,7 +378,6 @@ func (m *Manager) TransportTraced(addr string, timeout time.Duration, tc obs.Spa
 	if t == nil {
 		return nil, ErrClosed
 	}
-	t.dialAddr = addr
 	// Seed the RTT estimate from what the dial + handshake cost: three
 	// round trips (TCP connect, hello exchange, tag exchange), so a WAN
 	// transport starts with WAN-scaled timeouts before its first pong.
@@ -422,10 +387,8 @@ func (m *Manager) TransportTraced(addr string, timeout time.Duration, tc obs.Spa
 
 // HandleConn runs the accept side of the transport handshake on an inbound
 // connection and registers the result; a connection that does not open
-// with a valid hello is closed. A resume hello instead
-// resurrects the prior session in place (see resume.go). It returns once
-// the handshake finishes; the transport's read loop runs on its own
-// goroutine.
+// with a valid hello is closed. It returns once the handshake finishes;
+// the transport's read loop runs on its own goroutine.
 func (m *Manager) HandleConn(conn net.Conn) error {
 	return m.handleConn(conn, false)
 }
@@ -447,11 +410,6 @@ func (m *Manager) handleConn(conn net.Conn, relayed bool) error {
 	if err != nil {
 		m.untrackPending(conn)
 		conn.Close()
-		return err
-	}
-	if peer.Resume {
-		err := m.handleResume(conn, peer, recvd, relayed)
-		m.untrackPending(conn)
 		return err
 	}
 	started := time.Now()
@@ -501,45 +459,25 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 	if m.cfg.WrapData != nil {
 		conn = m.cfg.WrapData(conn)
 	}
-	auth, err := newResumeAuth(hs.secret)
-	if err != nil {
-		conn.Close()
-		return nil
-	}
-	// Secure sessions sign resume tokens under a dedicated HKDF-derived
-	// key; insecure sessions have no key schedule and use the session key.
-	resumeAuth := auth
-	if hs.ks != nil {
-		if resumeAuth, err = dhkx.NewAuthenticator(hs.ks.ResumeTagKey()); err != nil {
-			conn.Close()
-			return nil
-		}
-	}
 	t := &Transport{
-		mgr:        m,
-		conn:       conn,
-		id:         hs.id,
-		secret:     hs.secret,
-		auth:       auth,
-		resumeAuth: resumeAuth,
-		neg:        hs.neg,
-		ks:         hs.ks,
-		dialer:     dialer,
-		peerHost:   hs.peer.Host,
-		peerAddr:   hs.peer.Addr,
-		gen:        1,
-		readerDone: make(chan struct{}),
-		streams:    make(map[uint64]*Stream),
-		opened:     time.Now(),
-		relayed:    relayed,
-		rec:        newFlightRecorder(),
+		mgr:      m,
+		conn:     conn,
+		id:       hs.id,
+		secret:   hs.secret,
+		neg:      hs.neg,
+		dialer:   dialer,
+		peerHost: hs.peer.Host,
+		peerAddr: hs.peer.Addr,
+		streams:  make(map[uint64]*Stream),
+		done:     make(chan struct{}),
+		opened:   time.Now(),
+		relayed:  relayed,
+		rec:      newFlightRecorder(),
 	}
 	lim := hs.neg.Limits
 	t.maxPlain = int(lim.MaxPayload)
 	t.streamWindow = int(lim.InitialWindow)
 	t.streamWindowAt = int(lim.InitialWindow / 2)
-	t.ackFrames = int(lim.AckFrames)
-	t.ackBytes = int(lim.AckBytes)
 	// The negotiated probe interval is the min of both advertisements,
 	// so probing never gets slower than the local config asked for; a
 	// locally disabled keepalive stays disabled regardless of the peer.
@@ -567,9 +505,8 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 			conn.Close()
 			return nil
 		}
-		t.sealer = sealer
 		opener = op
-		t.flusher = newRecordFlusher(t)
+		t.flusher = newRecordFlusher(t, conn, sealer)
 		m.encrypted.Inc()
 	} else {
 		m.cleartext.Inc()
@@ -608,8 +545,8 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 	if t.flusher != nil {
 		go t.flusher.run()
 	}
-	go t.readLoop(conn, t.readerDone, opener)
-	go t.keepalive(conn)
+	go t.readLoop(opener)
+	go t.keepalive()
 	return t
 }
 
@@ -658,27 +595,6 @@ func (m *Manager) OpenStreamTraced(addr string, hdr *wire.HandoffHeader, timeout
 		}
 	}
 	return nil, lastErr
-}
-
-// FailIfReconnecting fails the transport with the given id if and only if
-// it is currently between connections trying to resume, returning whether
-// it did. The core layer calls this when a peer's connection-level RES
-// proves the peer's end of the session is gone for good (crash + restart
-// re-handshakes the connection; it never resumes the old transport) —
-// waiting out the resume window would only stall recovery.
-func (m *Manager) FailIfReconnecting(id wire.ConnID, cause error) bool {
-	t := m.byID(id)
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	down := t.reconnecting && !t.closed
-	t.mu.Unlock()
-	if !down {
-		return false
-	}
-	t.fail(fmt.Errorf("%w: peer abandoned session: %v", ErrTransportLost, cause))
-	return true
 }
 
 // SecretByID returns the secret of the live transport with the given id,
@@ -744,19 +660,14 @@ type Info struct {
 	// the effective negotiated limits.
 	Cipher string
 	Limits wire.Limits
-	// State is "connected", "reconnecting(n)" with n the attempt count of
-	// the current outage, or "lost (<cause>)" for a tombstone.
+	// State is "connected", or "lost (<cause>)" for a tombstone.
 	State string
-	// ResumeDeadline is when the current outage's resume window expires
-	// (zero unless reconnecting): past it the transport fails with
-	// ErrTransportLost.
-	ResumeDeadline time.Time
 	// LastKeepalive is when the transport last saw any inbound frame
 	// (data or keepalive), feeding the half-open detector.
 	LastKeepalive time.Time
 	// RTT is the smoothed path round-trip estimate (zero before any
-	// sample); Relayed reports whether the current connection runs through
-	// a rendezvous relay instead of a direct dial.
+	// sample); Relayed reports whether the connection runs through a
+	// rendezvous relay instead of a direct dial.
 	RTT     time.Duration
 	Relayed bool
 	// Events is the transport's flight-recorder ring, oldest first;
@@ -770,24 +681,20 @@ type Info struct {
 func (t *Transport) info() Info {
 	t.mu.Lock()
 	state := "connected"
-	if t.reconnecting {
-		state = fmt.Sprintf("reconnecting(%d)", t.attempts)
-	}
 	if t.closed {
 		state = "lost"
 	}
 	info := Info{
-		ID:             t.id,
-		PeerHost:       t.peerHost,
-		PeerAddr:       t.peerAddr,
-		Dialer:         t.dialer,
-		Streams:        len(t.streams),
-		Opened:         t.opened,
-		Cipher:         wire.CipherName(t.neg.Cipher),
-		Limits:         t.neg.Limits,
-		State:          state,
-		ResumeDeadline: t.resumeDeadline,
-		Relayed:        t.relayed,
+		ID:       t.id,
+		PeerHost: t.peerHost,
+		PeerAddr: t.peerAddr,
+		Dialer:   t.dialer,
+		Streams:  len(t.streams),
+		Opened:   t.opened,
+		Cipher:   wire.CipherName(t.neg.Cipher),
+		Limits:   t.neg.Limits,
+		State:    state,
+		Relayed:  t.relayed,
 	}
 	t.mu.Unlock()
 	info.RTT = t.SRTT()

@@ -7,10 +7,10 @@ import (
 )
 
 // This file is the transport's black-box flight recorder: every transport
-// keeps a small ring of lifecycle events (dial, broken, redial, resumed,
-// keepalive timeouts, credit stalls) so that when a session finally dies
-// with ErrTransportLost the log shows what the transport lived through,
-// not just the terminal cause. The ring is also surfaced on Info for the
+// keeps a small ring of lifecycle events (dial or accept, keepalive
+// timeouts, credit stalls, lost) so that when the session dies with
+// ErrTransportLost the log shows what the transport lived through, not
+// just the terminal cause. The ring is also surfaced on Info for the
 // /connz debug endpoint, and cumulative per-kind counts survive ring
 // eviction so tests can assert exact fault coverage.
 

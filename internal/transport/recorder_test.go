@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -9,33 +10,32 @@ import (
 	"time"
 
 	"naplet/internal/netem"
-	"naplet/internal/obs"
 )
 
 func TestFlightRecorderRingAndCounts(t *testing.T) {
 	rec := newFlightRecorder()
 	for i := 0; i < recorderCap+10; i++ {
-		rec.record("redial", "attempt=%d", i)
+		rec.record("credit-stall", "stream=%d", i)
 	}
-	rec.record("broken", "cause=x")
+	rec.record("lost", "cause=x")
 	events, counts := rec.snapshot()
 	if len(events) != recorderCap {
 		t.Fatalf("ring holds %d events, want %d", len(events), recorderCap)
 	}
-	// Oldest-first: the first retained redial is attempt 11 (10 evicted by
-	// wraparound plus one more for the broken event).
-	if events[0].Kind != "redial" || events[0].Detail != "attempt=11" {
+	// Oldest-first: the first retained stall is stream 11 (10 evicted by
+	// wraparound plus one more for the lost event).
+	if events[0].Kind != "credit-stall" || events[0].Detail != "stream=11" {
 		t.Fatalf("oldest event = %+v", events[0])
 	}
-	if events[len(events)-1].Kind != "broken" {
+	if events[len(events)-1].Kind != "lost" {
 		t.Fatalf("newest event = %+v", events[len(events)-1])
 	}
 	// Cumulative counts survive eviction.
-	if counts["redial"] != recorderCap+10 || counts["broken"] != 1 {
+	if counts["credit-stall"] != recorderCap+10 || counts["lost"] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
-	if rec.count("redial") != recorderCap+10 || rec.count("missing") != 0 {
-		t.Fatalf("count() = %d / %d", rec.count("redial"), rec.count("missing"))
+	if rec.count("credit-stall") != recorderCap+10 || rec.count("missing") != 0 {
+		t.Fatalf("count() = %d / %d", rec.count("credit-stall"), rec.count("missing"))
 	}
 
 	// Timestamps are monotone non-decreasing oldest-to-newest.
@@ -60,7 +60,7 @@ func TestFlightRecorderRingAndCounts(t *testing.T) {
 func TestFlightRecorderDump(t *testing.T) {
 	rec := newFlightRecorder()
 	rec.record("dial", "peer=b addr=1.2.3.4:5")
-	rec.record("broken", "cause=eof window=10s")
+	rec.record("keepalive-timeout", "idle=750ms srtt=1ms")
 	var mu sync.Mutex
 	var lines []string
 	logf := func(format string, args ...any) {
@@ -73,21 +73,21 @@ func TestFlightRecorderDump(t *testing.T) {
 		t.Fatalf("dump wrote %d lines: %q", len(lines), lines)
 	}
 	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"tid (peer b)", "session lost", "dial", "peer=b addr=1.2.3.4:5", "broken", "cause=eof"} {
+	for _, want := range []string{"tid (peer b)", "session lost", "dial", "peer=b addr=1.2.3.4:5", "keepalive-timeout", "idle=750ms"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("dump missing %q:\n%s", want, joined)
 		}
 	}
 }
 
-// TestFlightRecorderCapturesNetemFaults is the chaos-soak follow-up from
-// the issue: every RST the netem proxy injects must show up in the dialing
-// transport's flight recorder — the recorder's broken/resumed counts equal
-// the proxy's injected fault count exactly.
+// TestFlightRecorderCapturesNetemFaults is the chaos-soak follow-up: every
+// RST the netem proxy injects must show up in the dialing side's flight
+// recorders — each transport it kills ends with exactly one "lost" event,
+// and the lost count across the tombstones equals the proxy's injected
+// fault count exactly.
 func TestFlightRecorderCapturesNetemFaults(t *testing.T) {
 	faults := netem.NewFaults(0xF11647)
-	met := obs.NewRegistry()
-	b := newTestPeerCfg(t, "b", true, resumable(10*time.Second))
+	b := newTestPeer(t, "b", true)
 	proxy, err := netem.NewProxy(b.addr(), faults)
 	if err != nil {
 		t.Fatal(err)
@@ -95,33 +95,13 @@ func TestFlightRecorderCapturesNetemFaults(t *testing.T) {
 	t.Cleanup(func() { proxy.Close() })
 
 	a := newTestPeerCfg(t, "a", true, func(cfg *Config) {
-		cfg.ResumeWindow = 10 * time.Second
-		cfg.Metrics = met
-		// Every dial — including resumption redials — crosses the fault
-		// proxy, so the proxy sees exactly the transport's connections.
+		// Every dial crosses the fault proxy, so the proxy sees exactly the
+		// transport's connections.
 		cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", proxy.Addr(), timeout)
 		}
 	})
 
-	cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := recvStream(t, b)
-
-	roundTrip := func(k int) {
-		t.Helper()
-		msg := []byte(fmt.Sprintf("ping-%d", k))
-		if _, err := cs.Write(msg); err != nil {
-			t.Fatalf("round %d write: %v", k, err)
-		}
-		buf := make([]byte, 64)
-		n, err := ss.Read(buf)
-		if err != nil || string(buf[:n]) != string(msg) {
-			t.Fatalf("round %d read: %q, %v", k, buf[:n], err)
-		}
-	}
 	waitFlows := func(n int) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -134,51 +114,48 @@ func TestFlightRecorderCapturesNetemFaults(t *testing.T) {
 	}
 
 	const rounds = 4
-	roundTrip(0)
 	for k := 1; k <= rounds; k++ {
+		// Each round opens over a fresh transport: the last one was lost.
+		cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+		if err != nil {
+			t.Fatalf("round %d open: %v", k, err)
+		}
+		ss := recvStream(t, b)
+		msg := []byte(fmt.Sprintf("ping-%d", k))
+		if _, err := cs.Write(msg); err != nil {
+			t.Fatalf("round %d write: %v", k, err)
+		}
+		buf := make([]byte, 64)
+		if n, err := ss.Read(buf); err != nil || string(buf[:n]) != string(msg) {
+			t.Fatalf("round %d read: %q, %v", k, buf[:n], err)
+		}
 		waitFlows(1)
 		if killed := proxy.ResetAll(); killed != 1 {
 			t.Fatalf("round %d: reset killed %d flows, want 1", k, killed)
 		}
-		// The round trip blocks until the session has resumed over a fresh
-		// connection, so each injected fault is fully absorbed before the
-		// next one fires.
-		roundTrip(k)
-	}
-
-	var info *Info
-	for _, in := range a.mgr.Infos() {
-		if in.Dialer {
-			in := in
-			info = &in
+		// The read returns once the transport has failed, so each injected
+		// fault is fully absorbed before the next one fires.
+		if _, err := cs.Read(buf); !errors.Is(err, ErrTransportLost) {
+			t.Fatalf("round %d: read after the reset: %v, want ErrTransportLost", k, err)
 		}
 	}
-	if info == nil {
-		t.Fatal("no dialer transport in Infos()")
-	}
+
 	resets := proxy.Resets()
 	if resets != rounds {
 		t.Fatalf("proxy injected %d resets, want %d", resets, rounds)
 	}
-	if got := info.EventCounts["broken"]; got != resets {
-		t.Errorf("recorder broken count = %d, want %d (one per injected RST)", got, resets)
+	var lost uint64
+	for _, in := range a.mgr.Infos() {
+		if n := in.EventCounts["lost"]; n != 1 {
+			t.Errorf("transport %s: %d lost events, want 1 (events: %v)", in.ID, n, in.Events)
+		}
+		lost += in.EventCounts["lost"]
+		// The ring holds the narrative: a dial, then the loss.
+		if in.Events[0].Kind != "dial" || in.Events[len(in.Events)-1].Kind != "lost" {
+			t.Errorf("transport %s events %v, want dial ... lost", in.ID, in.Events)
+		}
 	}
-	if got := info.EventCounts["resumed"]; got != resets {
-		t.Errorf("recorder resumed count = %d, want %d", got, resets)
-	}
-	if got := met.Counter("transport.reconnects").Value(); got != resets {
-		t.Errorf("transport.reconnects = %d, want %d", got, resets)
-	}
-	if info.EventCounts["redial"] < resets {
-		t.Errorf("recorder redial count = %d, want >= %d", info.EventCounts["redial"], resets)
-	}
-	// The ring itself holds the narrative: a dial, then broken/redial/
-	// resumed triples.
-	var kinds []string
-	for _, ev := range info.Events {
-		kinds = append(kinds, ev.Kind)
-	}
-	if kinds[0] != "dial" {
-		t.Errorf("first event = %q, want dial (events: %v)", kinds[0], kinds)
+	if lost != resets {
+		t.Errorf("recorded %d lost events, want %d (one per injected RST)", lost, resets)
 	}
 }

@@ -1,28 +1,29 @@
 package transport
 
 import (
+	"fmt"
 	"time"
+
+	"naplet/internal/wire"
 )
 
-// RTT-adaptive tuning. Every timeout in this layer was originally
-// calibrated for the paper's single-LAN testbed; on a 300 ms WAN path the
-// same constants declare healthy connections half-open and redial faster
-// than a round trip can complete. Instead of asking operators to retune
-// per deployment, each transport measures its own path: the keepalive
-// ping/pong exchange doubles as an RTT probe, smoothed with the RFC 6298
-// estimator (srtt, rttvar), and seeded from the handshake duration so an
-// estimate exists before the first pong. Everything latency-sensitive —
-// keepalive timeout, redial backoff, resume window, ack cadence — then
-// scales from the estimate, with the configured values acting as floors:
-// a LAN deployment behaves exactly as before, a WAN deployment stretches.
+// Liveness and RTT-adaptive tuning. The keepalive is the transport's one
+// dead-peer detector, and its timeout was originally calibrated for the
+// paper's single-LAN testbed; on a 300 ms WAN path the same constant
+// declares healthy connections half-open. Instead of asking operators to
+// retune per deployment, each transport measures its own path: the
+// keepalive ping/pong exchange doubles as an RTT probe, smoothed with the
+// RFC 6298 estimator (srtt, rttvar), and seeded from the handshake duration
+// so an estimate exists before the first pong. The keepalive timeout then
+// scales from the estimate, with the configured value acting as a floor: a
+// LAN deployment behaves exactly as configured, a WAN deployment stretches.
 
 // rttSampleCap bounds one sample: a pong measured across a dropped ping
-// or a resume gap would otherwise poison the estimate with minutes.
+// would otherwise poison the estimate with minutes.
 const rttSampleCap = 30 * time.Second
 
 // seedRTT installs the first RTT estimate (from the handshake duration)
-// unless samples already exist. The estimate survives resumes: the path
-// is the same even when the connection is new.
+// unless samples already exist.
 func (t *Transport) seedRTT(sample time.Duration) {
 	if sample <= 0 || t.srttNanos.Load() != 0 {
 		return
@@ -92,7 +93,7 @@ func (t *Transport) notePongReceived() {
 }
 
 // adaptiveKeepaliveTimeout is the inbound-silence threshold past which
-// this generation is declared half-open: the configured timeout, floored
+// the connection is declared half-open: the configured timeout, floored
 // by interval + 4·(srtt + 4·rttvar) so that on a slow path a pong that is
 // merely in flight — plus jitter — is never mistaken for a dead peer.
 func (t *Transport) adaptiveKeepaliveTimeout(interval time.Duration) time.Duration {
@@ -105,64 +106,52 @@ func (t *Transport) adaptiveKeepaliveTimeout(interval time.Duration) time.Durati
 	return timeout
 }
 
-// redialBackoffBounds returns the resume redial backoff's initial delay
-// and cap: the configured values, scaled up when the measured path is
-// slower than they assume — redialing a 300 ms-away peer every 25 ms
-// only burns the resume window on connections that cannot complete.
-func (t *Transport) redialBackoffBounds() (base, max time.Duration) {
-	base, max = t.mgr.cfg.RedialBackoffBase, t.mgr.cfg.RedialBackoffCap
-	if b := t.rttBound(); b > 0 {
-		if b > base {
-			base = b
+// keepalive probes the transport for liveness: every tick it sends a mux
+// ping (whose pong doubles as an RTT sample), and after the adaptive
+// keepalive timeout of inbound silence it declares the connection
+// half-open and fails the transport. The timeout is re-evaluated each tick
+// against the live RTT estimate — the configured KeepaliveTimeout is a
+// floor, stretched on slow paths so a pong that is merely in flight never
+// reads as a dead peer. It exits when the transport fails. The probe
+// interval is the negotiated one — the min of both sides' advertisements,
+// so it is never slower than the local config asked for.
+func (t *Transport) keepalive() {
+	interval := t.kaInterval
+	if interval <= 0 {
+		return
+	}
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ticker.C:
+		case <-t.done:
+			return
 		}
-		if c := 8 * b; c > max {
-			max = c
+		timeout := t.adaptiveKeepaliveTimeout(interval)
+		idle := time.Since(time.Unix(0, t.lastRead.Load()))
+		if idle >= timeout {
+			t.mgr.keepaliveTimeouts.Inc()
+			t.rec.record("keepalive-timeout", "idle=%v srtt=%v", idle.Round(time.Millisecond), t.SRTT().Round(time.Millisecond))
+			t.fail(fmt.Errorf("%w: keepalive timeout after %v of silence", ErrTransportLost, idle.Round(time.Millisecond)))
+			return
+		}
+		// One ping outstanding at a time, so each pong resolves the stamp
+		// of the ping it answers and the RTT samples stay honest — pinging
+		// every tick would pair pongs of old pings with fresh stamps and
+		// collapse the estimate toward zero on slow paths. A stamp older
+		// than half the declare-dead timeout means the ping or its pong was
+		// dropped (both are droppable): restamp and probe again.
+		stamp := t.pingSentAt.Load()
+		switch {
+		case stamp == 0:
+			t.notePingSent()
+			t.writeFrame(wire.MuxPing, 0, nil)
+		case time.Since(time.Unix(0, stamp)) >= timeout/2:
+			t.pingSentAt.Store(time.Now().UnixNano())
+			t.writeFrame(wire.MuxPing, 0, nil)
 		}
 	}
-	if base > max {
-		base = max
-	}
-	return base, max
-}
-
-// adaptiveResumeWindow is how long a broken transport holds stream state
-// for resumption: the configured window, stretched (up to 4×) when the
-// path is slow enough that the configured window covers too few redial
-// round trips to be a fair chance.
-func (t *Transport) adaptiveResumeWindow() time.Duration {
-	window := t.mgr.cfg.ResumeWindow
-	if b := t.rttBound(); b > 0 {
-		if a := 32 * b; a > window {
-			window = a
-			if cap := 4 * t.mgr.cfg.ResumeWindow; window > cap {
-				window = cap
-			}
-		}
-	}
-	return window
-}
-
-// adaptiveAckCadence is the reliable-frame ack cadence for the current
-// path: the negotiated cadence, tightened on slow paths. The send log
-// holds every unacked reliable frame; at WAN RTTs the bandwidth-delay
-// product inflates how much sits unacked under a fixed cadence, so acking
-// more often bounds both the replay log and the replay burst a resume
-// must push through the recovering connection.
-func (t *Transport) adaptiveAckCadence() (frames, bytes int) {
-	frames, bytes = t.ackFrames, t.ackBytes
-	switch srtt := t.SRTT(); {
-	case srtt >= 200*time.Millisecond:
-		frames, bytes = frames/4, bytes/4
-	case srtt >= 50*time.Millisecond:
-		frames, bytes = frames/2, bytes/2
-	}
-	if frames < 8 {
-		frames = 8
-	}
-	if min := 32 << 10; bytes < min {
-		bytes = min
-	}
-	return frames, bytes
 }
 
 // MaxRTT returns the largest smoothed RTT estimate across live

@@ -132,8 +132,8 @@ func (s *Stream) remoteReset(reason string) {
 	s.fail(fmt.Errorf("transport: stream reset by peer%s", reason))
 }
 
-// transportFailed fails the stream because the shared transport died for
-// good (broken past the resume window, or torn down). The error wraps
+// transportFailed fails the stream because the shared transport died (its
+// connection broke or went silent, or it was torn down). The error wraps
 // ErrTransportLost so the layer above can tell transport loss — retryable
 // through its own connection-level recovery — from a stream-level reset.
 func (s *Stream) transportFailed(cause error) {
@@ -283,9 +283,8 @@ func (s *Stream) grantWindow(grant int) {
 	}
 	var w [4]byte
 	w[0], w[1], w[2], w[3] = byte(grant>>24), byte(grant>>16), byte(grant>>8), byte(grant)
-	// writeFrame handles connection failure internally (the grant waits
-	// in the resume log); an error here means the transport is gone and
-	// this stream's err is already set.
+	// An error here means the transport is gone and this stream's err is
+	// already set.
 	s.t.writeFrame(wire.MuxWindow, s.id, w[:])
 }
 

@@ -12,13 +12,14 @@
 // the others, and each stream supports the half-close (CloseWrite) the
 // suspend drain's FLUSH barrier depends on.
 //
-// The transport is also self-healing (see resume.go): when the shared
-// connection dies or goes half-open, the dialer reconnects with jittered
-// capped backoff and resumes the session in place — reliable mux frames
-// are retained until acked and replayed across the gap, so every live
-// stream stalls and then recovers without surfacing an error. Only when
-// the bounded resume window expires do streams fail, with the typed
-// ErrTransportLost, into the NapletSocket layer's own recovery path.
+// The transport is fail-stop: it lives exactly as long as its one TCP
+// connection. A read or write error, or a keepalive timeout on a half-open
+// path, fails it once, and every stream on it fails with the typed
+// ErrTransportLost. Recovery is not this layer's job: each NapletSocket
+// above keeps its unconfirmed frames in its own send log, degrades to
+// SUSPENDED, and resumes over a fresh transport with the paper's RES and
+// last-sequence exchange, which retransmits exactly the gap. One replay
+// log, one resume handshake, one backoff loop — the connection's.
 //
 // Security (Section 3.3 of the paper, amortised): the transport handshake
 // runs the paper's unauthenticated ephemeral DH once per host pair instead
@@ -35,7 +36,6 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -57,27 +57,12 @@ var (
 	ErrStreamClosed = errors.New("transport: stream closed")
 	// ErrHandshake reports a failed transport handshake.
 	ErrHandshake = errors.New("transport: handshake failed")
-	// ErrTransportLost reports that the shared transport session died for
-	// good: the connection broke and could not be resumed within the
-	// resume window (or resumption is disabled). Stream errors wrap it, so
-	// the layer above can tell retryable transport loss apart from a
-	// stream-level reset with errors.Is.
+	// ErrTransportLost reports that the shared transport session died: its
+	// connection broke, or went silent past the keepalive timeout. Stream
+	// errors wrap it, so the layer above can tell retryable transport loss
+	// apart from a stream-level reset with errors.Is.
 	ErrTransportLost = errors.New("transport: session lost")
 )
-
-// resumeLogBudget bounds the unacked reliable-frame bytes retained for
-// resume replay while a transport is down; exceeding it during an outage
-// fails the transport rather than buffering without bound.
-const resumeLogBudget = 64 << 20
-
-// muxLogEntry is one unacked reliable frame retained for resume replay.
-// The payload is a pooled copy owned by the log until the frame is acked.
-type muxLogEntry struct {
-	seq     uint64
-	typ     uint8
-	stream  uint64
-	payload []byte
-}
 
 // Transport is one end of the shared connection between a pair of hosts.
 // Both sides hold the same transport id and secret; the dialer opens
@@ -86,35 +71,22 @@ type Transport struct {
 	mgr    *Manager
 	id     wire.ConnID
 	secret []byte
-	// auth signs and verifies handshake transcript tags under the session
-	// key.
-	auth *dhkx.Authenticator
-	// resumeAuth signs and verifies resume tokens: under a dedicated
-	// HKDF-derived resume-tag key on secure sessions, under the session
-	// key (it is auth) on insecure ones, which have no key schedule.
-	resumeAuth *dhkx.Authenticator
 	// neg is the protocol agreement of the handshake (version, cipher
 	// suite, limits).
 	neg wire.Negotiated
-	// ks derives per-purpose keys for secure sessions (nil on insecure
-	// ones); rekey-on-resume expands fresh seal keys from it bound to the
-	// resume handshake transcript.
-	ks *security.KeySchedule
-	// flusher drains sealed records to the connection outside wmu (nil on
-	// cleartext sessions): sealing happens under wmu so nonce order is
-	// wire order, while the flusher's writev of already-sealed records
-	// overlaps the next frame's crypto.
+	// conn is the shared connection: one for the transport's life.
+	conn net.Conn
+	// flusher seals and writes records to the connection outside wmu (nil
+	// on cleartext sessions): frames are packed under wmu so nonce order is
+	// wire order, while the flusher's crypto and writev overlap the next
+	// frame's production.
 	flusher *recordFlusher
-	// sealer encrypts outbound records; guarded by wmu (rekey swaps it
-	// under wmu in adopt). Nil on cleartext sessions.
-	sealer *security.Sealer
 	// Negotiated limits, fixed at registration: maxPlain caps one frame's
 	// plaintext payload (sealed frames still fit the wire-level MaxPayload
 	// once the record overhead is added back), streamWindow is the
 	// per-stream credit window and streamWindowAt the consumed-byte
 	// threshold past which a stream's reader grants the peer more credit,
-	// ackFrames/ackBytes the reliable-frame ack cadence, kaInterval the
-	// keepalive probe cadence.
+	// kaInterval the keepalive probe cadence.
 	maxPlain int
 	// containerPlain caps one MuxSealed container's plaintext (the
 	// negotiated MaxPayload minus the AEAD tag, so the sealed container
@@ -124,59 +96,36 @@ type Transport struct {
 	containerPlain int
 	streamWindow   int
 	streamWindowAt int
-	ackFrames      int
-	ackBytes       int
 	kaInterval     time.Duration
 	dialer         bool
+	// relayed records whether the connection runs through a rendezvous
+	// relay rather than a direct dial.
+	relayed bool
 	// peerHost and peerAddr are what the peer advertised in its hello;
 	// peerAddr keys the manager's reuse table so either side can open
 	// streams over the one connection.
 	peerHost string
 	peerAddr string
 	// addrKey is the manager reuse-table key this transport registered
-	// under ("" when none); dialAddr is the address the dialer side
-	// originally dialed, reused for session resumption.
-	addrKey  string
-	dialAddr string
+	// under ("" when none).
+	addrKey string
+	opened  time.Time
 
-	// wmu serializes frame writes to the shared connection and guards the
-	// reliable-frame send state (sendSeq, sendLog): the log order is the
-	// wire order, which resume replay depends on. The header+payload pair
-	// of one frame goes out with a single writev so concurrent streams
-	// interleave only on frame boundaries.
-	wmu          sync.Mutex
-	sendSeq      uint64
-	sendLog      []muxLogEntry
-	sendLogBytes int
+	// wmu serializes frame writes to the shared connection. The
+	// header+payload pair of one frame goes out with a single writev so
+	// concurrent streams interleave only on frame boundaries.
+	wmu sync.Mutex
 
-	// resumeMu serializes inbound resume handshakes.
-	resumeMu sync.Mutex
+	mu       sync.Mutex
+	streams  map[uint64]*Stream
+	nextID   uint64
+	closed   bool
+	closeErr error
+	// done closes when the transport fails, stopping its keepalive.
+	done chan struct{}
 
-	mu sync.Mutex
-	// conn is the current shared connection; nil while reconnecting.
-	conn net.Conn
-	// gen counts successfully installed connections; a resume attempt is
-	// valid only for the generation it observed breaking.
-	gen int
-	// readerDone is closed when the current generation's read loop exits;
-	// resume waits on it so recvSeq is final before being advertised.
-	readerDone   chan struct{}
-	reconnecting bool
-	// attempts counts reconnect attempts in the current outage (the n of
-	// the debug surface's "reconnecting(n)").
-	attempts int
-	// resumeDeadline is when the current outage's resume window expires;
-	// zero while connected. Surfaced on Info for /connz.
-	resumeDeadline time.Time
-	streams        map[uint64]*Stream
-	nextID         uint64
-	closed         bool
-	closeErr       error
-	opened         time.Time
-
-	// recvSeq counts reliable mux frames fully received; lastRead is the
-	// unix-nano time of the last inbound frame (keepalive freshness).
-	recvSeq  atomic.Uint64
+	// lastRead is the unix-nano time of the last inbound frame (keepalive
+	// freshness).
 	lastRead atomic.Int64
 
 	// Smoothed path RTT (RFC 6298 estimator, see rtt.go): srttNanos /
@@ -186,10 +135,6 @@ type Transport struct {
 	srttNanos   atomic.Int64
 	rttvarNanos atomic.Int64
 	pingSentAt  atomic.Int64
-
-	// relayed records whether the current connection runs through a
-	// rendezvous relay rather than a direct dial; guarded by mu.
-	relayed bool
 
 	// rec is the transport's flight recorder: a bounded ring of lifecycle
 	// events dumped into the log when the session dies with
@@ -230,10 +175,10 @@ func transcriptTag(auth *dhkx.Authenticator, label string, clientHello, serverHe
 	return auth.Sign(msg)
 }
 
-// handshakeResult is everything a completed fresh-session handshake
-// produced: the identity and secret, the negotiated protocol, the key
-// schedule (secure sessions only), and the dialer-order
-// transcript hash the initial seal keys are bound to.
+// handshakeResult is everything a completed handshake produced: the
+// identity and secret, the negotiated protocol, the key schedule (secure
+// sessions only), and the dialer-order transcript hash the seal keys are
+// bound to.
 type handshakeResult struct {
 	id         wire.ConnID
 	secret     []byte
@@ -320,9 +265,8 @@ func clientHandshake(conn net.Conn, cfg *Config, trace []byte) (*handshakeResult
 	}, nil
 }
 
-// serverHandshake runs the acceptor's half of a fresh-session handshake,
-// given the already-read client hello (HandleConn reads it first to tell
-// fresh sessions from resumes).
+// serverHandshake runs the acceptor's half of the handshake, given the
+// already-read client hello.
 func serverHandshake(conn net.Conn, cfg *Config, peer *wire.TransportHello, recvd []byte) (*handshakeResult, error) {
 	if peer.Insecure != cfg.Insecure {
 		return nil, fmt.Errorf("%w: security mode mismatch with %s", ErrHandshake, peer.Host)
@@ -399,143 +343,53 @@ func writeMux(conn net.Conn, typ uint8, stream uint64, payload []byte) error {
 	return err
 }
 
-// seqPayload encodes a reliable-frame count for ping/pong/ack payloads.
-func seqPayload(v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return b[:]
-}
-
-// writeFrame sends one mux frame. Reliable frames (open/reset/data/fin/
-// window) are first copied into the unacked send log — if the shared
-// connection is down they simply wait there and are replayed when the
-// session resumes, so callers see success for anything the resume contract
-// covers. Unreliable frames (ping/pong/ack) are droppable by definition:
-// they use a try-lock so the read loop can never deadlock against a resume
-// replay holding the write lock, and they vanish while disconnected.
+// writeFrame sends one mux frame. Keepalive probes (ping/pong) are
+// droppable — liveness is judged by any inbound frame, not by pongs — so
+// they take the write lock only if it is free: the read loop answers pings,
+// and must never wait on a writer that is itself waiting for the peer's
+// read loop to drain the kernel buffers. A write error fails the transport.
 func (t *Transport) writeFrame(typ uint8, stream uint64, payload []byte) error {
 	if len(payload) > t.maxPlain {
 		return fmt.Errorf("transport: mux payload %d exceeds limit", len(payload))
 	}
-	reliable := wire.ReliableMuxFrame(typ)
-	if reliable && t.flusher != nil {
+	probe := typ == wire.MuxPing || typ == wire.MuxPong
+	if !probe && t.flusher != nil {
 		// Soft backpressure on the sealed-record queue, taken before wmu
 		// so a waiting writer can never deadlock the flusher (which needs
 		// no lock we hold while waiting).
 		t.flusher.waitSpace()
 	}
-	if reliable {
+	if !probe {
 		t.wmu.Lock()
 	} else if !t.wmu.TryLock() {
 		return nil
 	}
-	err, failCause := t.writeFrameLocked(typ, stream, payload, reliable)
+	t.mu.Lock()
+	closed, closeErr := t.closed, t.closeErr
+	t.mu.Unlock()
+	var err error
+	switch {
+	case closed:
+		err = closeErr
+	case t.flusher != nil:
+		// Packed here, in wire order; sealed and written by the flusher.
+		t.flusher.enqueue(typ, stream, payload)
+	default:
+		err = writeMux(t.conn, typ, stream, payload)
+	}
 	t.wmu.Unlock()
-	if failCause != nil {
-		t.fail(failCause)
+	if err != nil && !closed {
+		err = fmt.Errorf("%w: %w", ErrTransportLost, err)
+		t.fail(err)
 	}
 	return err
 }
 
-// writeFrameLocked does writeFrame's work under wmu. It returns the error
-// for the caller plus an optional transport-fatal cause the caller must
-// pass to fail after releasing wmu.
-func (t *Transport) writeFrameLocked(typ uint8, stream uint64, payload []byte, reliable bool) (err, failCause error) {
-	if reliable {
-		var cp []byte
-		if len(payload) > 0 {
-			cp = wire.GetPayload(len(payload))
-			copy(cp, payload)
-		}
-		t.sendSeq++
-		t.sendLog = append(t.sendLog, muxLogEntry{seq: t.sendSeq, typ: typ, stream: stream, payload: cp})
-		t.sendLogBytes += len(payload)
-	}
-	t.mu.Lock()
-	conn, closed, closeErr := t.conn, t.closed, t.closeErr
-	t.mu.Unlock()
-	if closed {
-		if closeErr == nil {
-			closeErr = ErrClosed
-		}
-		return closeErr, nil
-	}
-	if conn == nil {
-		// Between connections. Reliable frames wait in the log for the
-		// resume replay — unless the outage has already outgrown the
-		// replay budget, at which point the session is unrecoverable.
-		if !reliable {
-			return nil, nil
-		}
-		if t.sendLogBytes > resumeLogBudget {
-			cause := fmt.Errorf("%w: resume log budget exceeded (%d bytes unacked)", ErrTransportLost, t.sendLogBytes)
-			return cause, cause
-		}
-		return nil, nil
-	}
-	if werr, fatal := t.sendLocked(conn, typ, stream, payload); werr != nil {
-		if fatal {
-			return werr, werr
-		}
-		t.connBroken(conn, werr)
-		if !reliable {
-			return werr, nil
-		}
-	}
-	return nil, nil
-}
-
-// sendLocked transmits one frame on conn; the caller holds wmu. Cleartext
-// sessions write straight to the kernel. Encrypted sessions pack the
-// frame into the flusher's pending container — tagged with the current
-// generation's sealer, which resume swaps under this same lock — and the
-// flusher goroutine seals containers in queue order (so the AEAD nonce
-// order is exactly the wire order) and writevs multi-container batches.
-// Both the crypto and the flush syscall run outside wmu, overlapping the
-// next frame's production; seal failures (nonce exhaustion) fail the
-// transport from the flusher. A fatal=true error must fail the whole
-// transport; others are connection I/O errors that feed the resume path.
-func (t *Transport) sendLocked(conn net.Conn, typ uint8, stream uint64, payload []byte) (err error, fatal bool) {
-	if t.flusher == nil {
-		return writeMux(conn, typ, stream, payload), false
-	}
-	t.flusher.enqueue(conn, t.sealer, typ, stream, payload)
-	return nil, false
-}
-
-// trimSendLogLocked releases reliable frames the peer confirmed receiving.
-// Caller holds wmu.
-func (t *Transport) trimSendLogLocked(acked uint64) {
-	i := 0
-	for i < len(t.sendLog) && t.sendLog[i].seq <= acked {
-		t.sendLogBytes -= len(t.sendLog[i].payload)
-		if t.sendLog[i].payload != nil {
-			wire.PutPayload(t.sendLog[i].payload)
-		}
-		i++
-	}
-	if i == 0 {
-		return
-	}
-	kept := copy(t.sendLog, t.sendLog[i:])
-	for j := kept; j < len(t.sendLog); j++ {
-		t.sendLog[j] = muxLogEntry{}
-	}
-	t.sendLog = t.sendLog[:kept]
-}
-
-// handleAck trims the send log up to the peer's cumulative receive count.
-func (t *Transport) handleAck(acked uint64) {
-	t.wmu.Lock()
-	t.trimSendLogLocked(acked)
-	t.wmu.Unlock()
-}
-
 // OpenStream opens a logical stream carrying hdr as its open payload, at no
-// round trip: the stream is usable once the MuxOpen is written (or logged for
-// the resume replay), and bytes written behind it land in the stream the
-// peer's read loop registers on that MuxOpen. A refusal arrives as a MuxReset
-// and fails the stream like any later reset.
+// round trip: the stream is usable once the MuxOpen is written, and bytes
+// written behind it land in the stream the peer's read loop registers on
+// that MuxOpen. A refusal arrives as a MuxReset and fails the stream like any
+// later reset.
 func (t *Transport) OpenStream(hdr *wire.HandoffHeader) (*Stream, error) {
 	var buf bytes.Buffer
 	if err := hdr.Write(&buf); err != nil {
@@ -595,62 +449,39 @@ func readPayloadInto(br *bufio.Reader, conn io.Reader, p []byte) error {
 	return nil
 }
 
-// muxReadState carries one connection generation's receive-side
-// bookkeeping across frames: the cumulative reliable-frame count the
-// resume contract advertises, plus the ack cadence counters and
-// thresholds. It is shared by the cleartext wire path and the sealed
-// container demux, so both count exactly the same logical frames.
-type muxReadState struct {
-	recvSeq        uint64
-	framesSinceAck int
-	bytesSinceAck  int
-	ackFrames      int
-	ackBytes       int
-}
-
-// readFailed classifies the end of one connection generation: a protocol
-// violation (desynchronised mux framing, malformed open) is unrecoverable
-// and fails the whole transport, while a plain I/O error means the
-// connection died and the session tries to resume.
-func (t *Transport) readFailed(conn net.Conn, err error) {
-	if errors.Is(err, wire.ErrBadTransport) {
-		t.fail(err)
-		return
+// readFailed fails the transport with the error its read loop ended on: a
+// protocol violation (desynchronised mux framing, malformed open) as
+// itself, an I/O error as the loss of the session.
+func (t *Transport) readFailed(err error) {
+	if !errors.Is(err, wire.ErrBadTransport) {
+		err = fmt.Errorf("%w: %w", ErrTransportLost, err)
 	}
-	t.connBroken(conn, err)
+	t.fail(err)
 }
 
-// readLoop demultiplexes inbound frames for one connection generation. Data
+// readLoop demultiplexes inbound frames for the transport's life. Data
 // payloads land in pooled buffers whose ownership passes to the receiving
 // stream (and from there, segment by segment, back to the pool as the
 // stream's reader drains them); control payloads — open headers, reset
-// reasons, window grants — are small and reuse one scratch buffer.
+// reasons, window grants — are small and reuse one scratch buffer. Every
+// inbound frame refreshes the keepalive clock.
 //
-// The loop also carries the session-resumption bookkeeping: every reliable
-// frame bumps the transport's cumulative receive count (advertised back to
-// the peer as ack cadence demands, and in the resume hello after a
-// failure), and every inbound frame refreshes the keepalive clock.
-//
-// On encrypted sessions opener holds the peer's per-generation seal key
-// (nil on cleartext sessions): every frame on the wire is a MuxSealed
-// container — one AEAD record, opened in place in the buffer the
-// ciphertext arrived in, whose plaintext is a sequence of complete mux
-// frames that amortise the GCM pass. An authentication failure (or a bare
-// cleartext frame) is a protocol violation, not an I/O blip — it fails the
-// transport rather than feeding the resume path, since a tampered stream
-// can never resynchronise.
-func (t *Transport) readLoop(conn net.Conn, done chan struct{}, opener *security.Opener) {
-	defer close(done)
+// On encrypted sessions opener holds the peer's seal key (nil on cleartext
+// sessions): every frame on the wire is a MuxSealed container — one AEAD
+// record, opened in place in the buffer the ciphertext arrived in, whose
+// plaintext is a sequence of complete mux frames that amortise the GCM
+// pass. An authentication failure (or a bare cleartext frame) is a
+// protocol violation, not an I/O error; either way the transport fails.
+func (t *Transport) readLoop(opener *security.Opener) {
+	conn := t.conn
 	// The buffer is deliberately small: it batches the 13-byte mux headers
 	// and small control frames, while readPayloadInto pulls the bulk of
 	// each data payload straight from the socket into its pooled segment —
 	// a large buffer here would soak up payload bytes on header reads and
 	// force an extra copy for almost every data byte.
 	br := bufio.NewReaderSize(conn, 4<<10)
-	rl := muxReadState{recvSeq: t.recvSeq.Load()}
-	rl.ackFrames, rl.ackBytes = t.adaptiveAckCadence()
 	if opener != nil {
-		t.readSealed(conn, br, opener, &rl)
+		t.readSealed(br, opener)
 		return
 	}
 	var scratch []byte
@@ -658,7 +489,7 @@ func (t *Transport) readLoop(conn net.Conn, done chan struct{}, opener *security
 	for {
 		h, err := wire.ReadMuxHeader(br)
 		if err != nil {
-			t.readFailed(conn, err)
+			t.readFailed(err)
 			return
 		}
 		if h.Type == wire.MuxSealed {
@@ -676,11 +507,11 @@ func (t *Transport) readLoop(conn net.Conn, done chan struct{}, opener *security
 				buf = wire.GetPayload(int(h.Length))
 				if err := readPayloadInto(br, conn, buf); err != nil {
 					wire.PutPayload(buf)
-					t.readFailed(conn, err)
+					t.readFailed(err)
 					return
 				}
 			}
-			if !t.handleFrame(h, buf, true, &rl) {
+			if !t.handleFrame(h, buf, true) {
 				return
 			}
 			continue
@@ -692,11 +523,11 @@ func (t *Transport) readLoop(conn net.Conn, done chan struct{}, opener *security
 			}
 			payload = scratch[:h.Length]
 			if _, err := io.ReadFull(br, payload); err != nil {
-				t.readFailed(conn, err)
+				t.readFailed(err)
 				return
 			}
 		}
-		if !t.handleFrame(h, payload, false, &rl) {
+		if !t.handleFrame(h, payload, false) {
 			return
 		}
 	}
@@ -707,16 +538,15 @@ func (t *Transport) readLoop(conn net.Conn, done chan struct{}, opener *security
 // (AppendMuxHeader is deterministic, so the rebuilt bytes equal what the
 // peer sealed over). Each container is opened in place with one GCM pass,
 // then the inner frames are demultiplexed through the same handler the
-// cleartext loop uses — so reliable-frame counting, ack cadence, and the
-// resume contract see exactly the inner frames, never the container.
-func (t *Transport) readSealed(conn net.Conn, br *bufio.Reader, opener *security.Opener, rl *muxReadState) {
+// cleartext loop uses.
+func (t *Transport) readSealed(br *bufio.Reader, opener *security.Opener) {
 	var aadBuf [wire.MuxHeaderSize]byte
 	wireMax := t.containerPlain + security.RecordOverhead
 	maxInner := t.maxPlain
 	for {
 		h, err := wire.ReadMuxHeader(br)
 		if err != nil {
-			t.readFailed(conn, err)
+			t.readFailed(err)
 			return
 		}
 		if h.Type != wire.MuxSealed {
@@ -729,9 +559,9 @@ func (t *Transport) readSealed(conn net.Conn, br *bufio.Reader, opener *security
 		}
 		t.lastRead.Store(time.Now().UnixNano())
 		buf := wire.GetPayload(int(h.Length))
-		if err := readPayloadInto(br, conn, buf); err != nil {
+		if err := readPayloadInto(br, t.conn, buf); err != nil {
 			wire.PutPayload(buf)
-			t.readFailed(conn, err)
+			t.readFailed(err)
 			return
 		}
 		aad := wire.AppendMuxHeader(aadBuf[:0], h.Type, h.Stream, int(h.Length))
@@ -756,7 +586,7 @@ func (t *Transport) readSealed(conn net.Conn, br *bufio.Reader, opener *security
 				t.fail(fmt.Errorf("%w: inner mux frame of %d bytes overruns its container", wire.ErrBadTransport, ih.Length))
 				return
 			}
-			ok = t.handleFrame(ih, pt[off:end], false, rl)
+			ok = t.handleFrame(ih, pt[off:end], false)
 			off = end
 		}
 		wire.PutPayload(buf)
@@ -767,22 +597,17 @@ func (t *Transport) readSealed(conn net.Conn, br *bufio.Reader, opener *security
 }
 
 // handleFrame applies one demultiplexed mux frame — straight off a
-// cleartext wire or from inside an opened container — to the transport:
-// reliable-frame sequence counting, ack cadence, and stream dispatch.
+// cleartext wire or from inside an opened container — to the transport.
 // payload is only valid for the duration of the call unless owned is true,
 // in which case it is a pooled buffer whose ownership transfers here (only
 // data frames arrive owned: the buffer moves to the receiving stream, or
 // back to the pool). It returns false when the read loop must exit; the
 // transport has already been failed or closed by then.
-func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte, owned bool, rl *muxReadState) bool {
+func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte, owned bool) bool {
 	t.mu.Lock()
 	s := t.streams[h.Stream]
 	t.mu.Unlock()
 	if h.Type == wire.MuxData {
-		rl.recvSeq++
-		t.recvSeq.Store(rl.recvSeq)
-		rl.framesSinceAck++
-		rl.bytesSinceAck += len(payload)
 		buf := payload
 		if !owned && len(payload) > 0 {
 			// Container plaintext is recycled when the demux finishes, so
@@ -798,19 +623,7 @@ func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte, owned bool, rl
 				wire.PutPayload(buf) // stream already gone; drop the bytes
 			}
 		}
-		if rl.framesSinceAck >= rl.ackFrames || rl.bytesSinceAck >= rl.ackBytes {
-			rl.framesSinceAck, rl.bytesSinceAck = 0, 0
-			t.writeFrame(wire.MuxAck, 0, seqPayload(rl.recvSeq))
-		}
 		return true
-	}
-	if wire.ReliableMuxFrame(h.Type) {
-		rl.recvSeq++
-		t.recvSeq.Store(rl.recvSeq)
-		if rl.framesSinceAck++; rl.framesSinceAck >= rl.ackFrames {
-			rl.framesSinceAck, rl.bytesSinceAck = 0, 0
-			t.writeFrame(wire.MuxAck, 0, seqPayload(rl.recvSeq))
-		}
 	}
 	switch h.Type {
 	case wire.MuxOpen:
@@ -850,30 +663,18 @@ func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte, owned bool, rl
 			s.addSendWindow(int(uint32(payload[0])<<24 | uint32(payload[1])<<16 | uint32(payload[2])<<8 | uint32(payload[3])))
 		}
 	case wire.MuxPing:
-		if len(payload) == 8 {
-			t.handleAck(binary.BigEndian.Uint64(payload))
-		}
-		t.writeFrame(wire.MuxPong, 0, seqPayload(rl.recvSeq))
+		t.writeFrame(wire.MuxPong, 0, nil)
 	case wire.MuxPong:
-		if len(payload) == 8 {
-			t.handleAck(binary.BigEndian.Uint64(payload))
-		}
-		// A pong resolves our oldest outstanding ping into an RTT sample,
-		// and the refined estimate retunes this generation's ack cadence.
+		// A pong resolves our oldest outstanding ping into an RTT sample.
 		t.notePongReceived()
-		rl.ackFrames, rl.ackBytes = t.adaptiveAckCadence()
-	case wire.MuxAck:
-		if len(payload) == 8 {
-			t.handleAck(binary.BigEndian.Uint64(payload))
-		}
 	}
 	return true
 }
 
-// fail tears the transport down for good: the shared connection closes,
-// every stream fails with an ErrTransportLost-wrapped error (which the
+// fail tears the transport down, once: the shared connection closes, and
+// every stream fails with an ErrTransportLost-wrapped error, which the
 // NapletSocket layer above heals through its SUSPENDED/resume recovery
-// path), and the retained replay log is released.
+// path over a fresh transport.
 func (t *Transport) fail(cause error) {
 	t.mu.Lock()
 	if t.closed {
@@ -882,44 +683,29 @@ func (t *Transport) fail(cause error) {
 	}
 	t.closed = true
 	t.closeErr = cause
-	t.reconnecting = false
-	conn := t.conn
-	t.conn = nil
 	streams := make([]*Stream, 0, len(t.streams))
 	for _, s := range t.streams {
 		streams = append(streams, s)
 	}
 	t.streams = map[uint64]*Stream{}
+	close(t.done)
 	t.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
+	t.conn.Close()
 	if t.flusher != nil {
 		t.flusher.close()
 	}
-	for _, s := range streams {
-		s.transportFailed(cause)
-	}
-	// Release the replay log after the connection is closed: any replay
-	// holding wmu fails its write promptly and lets go.
-	t.wmu.Lock()
-	for i := range t.sendLog {
-		if t.sendLog[i].payload != nil {
-			wire.PutPayload(t.sendLog[i].payload)
-		}
-		t.sendLog[i] = muxLogEntry{}
-	}
-	t.sendLog = nil
-	t.sendLogBytes = 0
-	t.wmu.Unlock()
-	// A session lost for good gets its black box on record before the
-	// tombstone replaces it.
+	// A lost session gets its black box on record, and its tombstone
+	// replaces it in the manager before any stream hears of the loss: a
+	// caller that reopens on that news must not find the dead transport.
 	if errors.Is(cause, ErrTransportLost) {
 		t.rec.record("lost", "%v", cause)
 		t.rec.dump(t.logf, fmt.Sprintf("%s (peer %s)", t.id, t.peerHost), cause)
 	}
 	if t.mgr != nil {
 		t.mgr.remove(t, cause)
+	}
+	for _, s := range streams {
+		s.transportFailed(cause)
 	}
 }
 

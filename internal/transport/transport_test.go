@@ -46,7 +46,7 @@ func newTestPeer(t *testing.T, name string, insecure bool) *testPeer {
 }
 
 // newTestPeerCfg is newTestPeer with a hook to adjust the Config before the
-// Manager starts (resume windows, keepalive cadence, conn wrappers).
+// Manager starts (keepalive cadence, conn wrappers, dial hooks).
 func newTestPeerCfg(t *testing.T, name string, insecure bool, mutate func(*Config)) *testPeer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

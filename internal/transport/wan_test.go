@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,11 +24,12 @@ func waitRelayRegistered(t *testing.T, c *relay.Client) {
 	}
 }
 
-// TestRelayFallbackThroughNAT proves the full WAN story: host a sits behind
-// a default-deny NAT that admits only the relay, so its direct dial to b
-// fails and the manager falls back to the rendezvous. The session is then
-// killed mid-stream and must resume — again through the relay — with every
-// byte delivered exactly once.
+// TestRelayFallbackThroughNAT: host a sits behind a default-deny NAT that
+// admits only the relay, so its direct dial to b fails and the manager
+// falls back to the rendezvous; both ends mark the transport relayed, and
+// several credit windows cross it byte-exact in both directions. (A relayed
+// transport killed mid-stream is recovered by the connection above it:
+// core's TestMigrationSustainedThroughRelayNAT.)
 func TestRelayFallbackThroughNAT(t *testing.T) {
 	rs, err := relay.New("127.0.0.1:0", t.Logf)
 	if err != nil {
@@ -39,16 +38,13 @@ func TestRelayFallbackThroughNAT(t *testing.T) {
 	defer rs.Close()
 
 	met := obs.NewRegistry()
-	tap := &connTap{}
-	b := newTestPeerCfg(t, "b", true, resumable(10*time.Second))
+	b := newTestPeer(t, "b", true)
 
 	nat := netem.NewNAT()
 	nat.Allow(rs.Addr())
 	a := newTestPeerCfg(t, "a", true, func(cfg *Config) {
-		cfg.ResumeWindow = 10 * time.Second
 		cfg.RelayAddr = rs.Addr()
 		cfg.Metrics = met
-		cfg.WrapData = tap.wrap
 		cfg.Dial = nat.WrapDial(func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		})
@@ -81,9 +77,7 @@ func TestRelayFallbackThroughNAT(t *testing.T) {
 		}
 	}
 
-	// Stream a deterministic payload — several credit windows, so the
-	// writer is still mid-flight when the spliced connection dies and the
-	// resume must also route through the relay.
+	// A deterministic payload of several credit windows.
 	const total = 4 << 20
 	payload := make([]byte, total)
 	for i := range payload {
@@ -91,122 +85,29 @@ func TestRelayFallbackThroughNAT(t *testing.T) {
 	}
 	writeErr := make(chan error, 1)
 	go func() {
-		var err error
-		for off := 0; off < total && err == nil; off += 8 << 10 {
-			end := off + 8<<10
-			if end > total {
-				end = total
-			}
-			_, err = cs.Write(payload[off:end])
-		}
+		_, err := cs.Write(payload)
 		if err == nil {
 			err = cs.CloseWrite()
 		}
 		writeErr <- err
 	}()
-
-	killed := false
-	got := make([]byte, 0, total)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := ss.Read(buf)
-		got = append(got, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("server read after %d bytes: %v", len(got), err)
-		}
-		if !killed && len(got) > total/4 {
-			killed = true
-			tap.killLatest()
-		}
+	got, err := io.ReadAll(ss)
+	if err != nil {
+		t.Fatalf("server read after %d bytes: %v", len(got), err)
 	}
 	if err := <-writeErr; err != nil {
 		t.Fatalf("client write: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload corrupted across relayed resume: got %d bytes, want %d", len(got), total)
+		t.Fatalf("payload corrupted over the relay: got %d bytes, want %d", len(got), total)
 	}
-	if !killed {
-		t.Fatal("never killed the relayed connection")
-	}
-
-	// The reverse direction still works on the resumed relayed session.
 	if _, err := ss.Write([]byte("over the relay")); err != nil {
 		t.Fatal(err)
 	}
 	rb := make([]byte, 32)
 	n, err := cs.Read(rb)
 	if err != nil || string(rb[:n]) != "over the relay" {
-		t.Fatalf("client read after relayed resume: %q, %v", rb[:n], err)
-	}
-	// By now the resume definitely happened, and the NAT forced it back
-	// through the rendezvous.
-	if got := met.Counter("transport.relay_dials").Value(); got < 2 {
-		t.Fatalf("transport.relay_dials after resume = %d, want >= 2", got)
-	}
-}
-
-// TestRedialBackoffConfigHonored proves the hoisted Config knobs drive the
-// reconnect loop: with a 60ms cap the redial gaps stay tight; the stock 2s
-// cap would open >400ms gaps well inside the observation window.
-func TestRedialBackoffConfigHonored(t *testing.T) {
-	tap := &connTap{}
-	var (
-		mu       sync.Mutex
-		attempts []time.Time
-		blocked  atomic.Bool
-	)
-	b := newTestPeerCfg(t, "b", true, resumable(10*time.Second))
-	a := newTestPeerCfg(t, "a", true, func(cfg *Config) {
-		cfg.ResumeWindow = 10 * time.Second
-		cfg.RedialBackoffBase = 20 * time.Millisecond
-		cfg.RedialBackoffCap = 60 * time.Millisecond
-		cfg.WrapData = tap.wrap
-		cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			if blocked.Load() {
-				mu.Lock()
-				attempts = append(attempts, time.Now())
-				mu.Unlock()
-				return nil, net.ErrClosed
-			}
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	})
-
-	cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := recvStream(t, b)
-
-	blocked.Store(true)
-	tap.killLatest()
-	time.Sleep(1200 * time.Millisecond)
-	blocked.Store(false)
-
-	// The session must come back once dials succeed again.
-	if _, err := cs.Write([]byte("after outage")); err != nil {
-		t.Fatal(err)
-	}
-	rb := make([]byte, 32)
-	ss.SetReadDeadline(time.Now().Add(5 * time.Second))
-	n, err := ss.Read(rb)
-	if err != nil || string(rb[:n]) != "after outage" {
-		t.Fatalf("post-outage read: %q, %v", rb[:n], err)
-	}
-
-	mu.Lock()
-	times := append([]time.Time(nil), attempts...)
-	mu.Unlock()
-	if len(times) < 6 {
-		t.Fatalf("only %d redial attempts in 1.2s; cap=60ms should keep retrying briskly", len(times))
-	}
-	for i := 1; i < len(times); i++ {
-		if gap := times[i].Sub(times[i-1]); gap > 400*time.Millisecond {
-			t.Fatalf("redial gap %v exceeds the capped backoff (cap=60ms, jittered max 120ms)", gap)
-		}
+		t.Fatalf("client read over the relay: %q, %v", rb[:n], err)
 	}
 }
 
@@ -225,9 +126,8 @@ func TestKeepaliveAdaptsToWANRTT(t *testing.T) {
 	// The dialer's half of the path delay is installed at dial time, so the
 	// handshake itself crosses the slow path and seeds the RTT estimator —
 	// exactly what a real WAN dial looks like. The acceptor's half wraps its
-	// end post-handshake (WrapData), delaying pongs and acks.
+	// end post-handshake (WrapData), delaying pongs.
 	a := newTestPeerCfg(t, "a", true, func(cfg *Config) {
-		cfg.ResumeWindow = 10 * time.Second
 		cfg.KeepaliveInterval = 50 * time.Millisecond
 		cfg.KeepaliveTimeout = 150 * time.Millisecond
 		cfg.Metrics = met
@@ -240,7 +140,6 @@ func TestKeepaliveAdaptsToWANRTT(t *testing.T) {
 		}
 	})
 	b := newTestPeerCfg(t, "b", true, func(cfg *Config) {
-		cfg.ResumeWindow = 10 * time.Second
 		cfg.KeepaliveInterval = 50 * time.Millisecond
 		cfg.KeepaliveTimeout = 150 * time.Millisecond
 		cfg.WrapData = func(c net.Conn) net.Conn { return fb.Wrap(c, netem.Up) }
@@ -271,8 +170,8 @@ func TestKeepaliveAdaptsToWANRTT(t *testing.T) {
 			if n := in.EventCounts["keepalive-timeout"]; n != 0 {
 				t.Fatalf("peer %s recorded %d keepalive-timeout events", peer.mgr.cfg.HostName, n)
 			}
-			if n := in.EventCounts["broken"]; n != 0 {
-				t.Fatalf("peer %s transport broke %d times on a healthy path", peer.mgr.cfg.HostName, n)
+			if n := in.EventCounts["lost"]; n != 0 {
+				t.Fatalf("peer %s transport lost %d times on a healthy path", peer.mgr.cfg.HostName, n)
 			}
 			if in.State != "connected" {
 				t.Fatalf("peer %s transport state %q, want connected", peer.mgr.cfg.HostName, in.State)

@@ -297,16 +297,26 @@ func FuzzReadTransportHello(f *testing.F) {
 	f.Add(v1msg.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x4e, 0x54, 0, 0, 0, 4, 0x4e, 0x54, 2, 0})
+	// A session-resumption hello of earlier builds: a must-reject seed.
+	resume := oldResumeHello(id)
+	if _, _, err := ReadTransportHello(bytes.NewReader(resume)); !errors.Is(err, ErrBadTransport) {
+		f.Fatalf("old-format resume hello: want ErrBadTransport, got %v", err)
+	}
+	f.Add(resume)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, _, err := ReadTransportHello(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		// Anything accepted is a version-2 hello (the version byte follows
-		// the six-byte prefix and the body magic) with validated limits and
-		// a non-empty version list, and re-encodes losslessly.
+		// the six-byte prefix and the body magic, the flags byte follows it)
+		// with no flag but insecure, validated limits and a non-empty version
+		// list, and re-encodes losslessly.
 		if data[8] != TransportVersion2 {
 			t.Fatalf("accepted hello of version %d", data[8])
+		}
+		if data[9]&^transportFlagInsecure != 0 {
+			t.Fatalf("accepted hello with unknown flags %#02x", data[9])
 		}
 		if len(h.Versions) == 0 {
 			t.Fatal("accepted hello with empty version list")
@@ -322,7 +332,7 @@ func FuzzReadTransportHello(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if h2.ID != h.ID || h2.Host != h.Host || h2.RecvSeq != h.RecvSeq ||
+		if h2.ID != h.ID || h2.Host != h.Host || h2.Insecure != h.Insecure ||
 			!bytes.Equal(h2.Versions, h.Versions) || h2.Limits != h.Limits ||
 			len(h2.Ciphers) != len(h.Ciphers) {
 			t.Fatal("hello round-trip mismatch")

@@ -69,11 +69,6 @@ type Limits struct {
 	// InitialWindow is the per-stream credit window in each direction,
 	// within [4 KiB, 1 GiB].
 	InitialWindow uint32
-	// AckFrames / AckBytes set the reliable-frame ack cadence: the
-	// receiver confirms its cumulative count after this many frames or
-	// payload bytes, whichever comes first.
-	AckFrames uint32
-	AckBytes  uint32
 	// KeepaliveMs is the advertised keepalive probe interval in
 	// milliseconds; 0 means the sender does not probe.
 	KeepaliveMs uint32
@@ -85,8 +80,6 @@ func DefaultLimits() Limits {
 	return Limits{
 		MaxPayload:    MaxMuxPayload,
 		InitialWindow: 1 << 20,
-		AckFrames:     64,
-		AckBytes:      256 << 10,
 		KeepaliveMs:   15_000,
 	}
 }
@@ -96,9 +89,6 @@ const (
 	minLimitPayload = 1 << 10
 	minLimitWindow  = 4 << 10
 	maxLimitWindow  = 1 << 30
-	maxLimitFrames  = 1 << 20
-	minLimitAckB    = 1 << 10
-	maxLimitAckB    = 1 << 30
 	maxKeepaliveMs  = 24 * 60 * 60 * 1000
 )
 
@@ -109,10 +99,6 @@ func (l Limits) Validate() error {
 		return fmt.Errorf("%w: max payload %d outside [%d, %d]", ErrBadTransport, l.MaxPayload, minLimitPayload, MaxMuxPayload)
 	case l.InitialWindow < minLimitWindow || l.InitialWindow > maxLimitWindow:
 		return fmt.Errorf("%w: initial window %d outside [%d, %d]", ErrBadTransport, l.InitialWindow, minLimitWindow, maxLimitWindow)
-	case l.AckFrames < 1 || l.AckFrames > maxLimitFrames:
-		return fmt.Errorf("%w: ack frame cadence %d outside [1, %d]", ErrBadTransport, l.AckFrames, maxLimitFrames)
-	case l.AckBytes < minLimitAckB || l.AckBytes > maxLimitAckB:
-		return fmt.Errorf("%w: ack byte cadence %d outside [%d, %d]", ErrBadTransport, l.AckBytes, minLimitAckB, maxLimitAckB)
 	case l.KeepaliveMs > maxKeepaliveMs:
 		return fmt.Errorf("%w: keepalive interval %dms above %dms", ErrBadTransport, l.KeepaliveMs, maxKeepaliveMs)
 	}
@@ -138,29 +124,18 @@ func (l Limits) Merge(o Limits) Limits {
 	return Limits{
 		MaxPayload:    minU32(l.MaxPayload, o.MaxPayload),
 		InitialWindow: minU32(l.InitialWindow, o.InitialWindow),
-		AckFrames:     minU32(l.AckFrames, o.AckFrames),
-		AckBytes:      minU32(l.AckBytes, o.AckBytes),
 		KeepaliveMs:   ka,
 	}
 }
 
 // transportFlagInsecure marks a hello from a host running the paper's
-// "w/o security" configuration; both sides must agree.
+// "w/o security" configuration; both sides must agree. It is the only flag:
+// decode refuses a hello with any other bit set (0x02 and 0x04 marked the
+// session-resumption hellos of earlier builds, which had no other use).
 const transportFlagInsecure = 0x01
 
-// transportFlagResume marks a hello that resumes a previously established
-// transport session instead of creating a fresh one: ID names the prior
-// transport, ResumeTag proves possession of its secret, and RecvSeq tells
-// the peer which reliable mux frames were already received so it can replay
-// only the gap.
-const transportFlagResume = 0x02
-
-// transportFlagResumeDenied marks an acceptor's reply to a resume hello it
-// cannot honour (unknown or expired transport id). The denial is
-// necessarily unauthenticated — the acceptor has no secret for the id — so
-// the dialer treats it as final and falls back to the connection-level
-// recovery path.
-const transportFlagResumeDenied = 0x04
+// limitsSize is the encoded length of a hello's Limits block.
+const limitsSize = 12
 
 // maxTransportHello bounds a hello read so a garbage peer cannot make the
 // acceptor allocate unbounded memory (the DH public value dominates).
@@ -174,26 +149,12 @@ const maxTransportHello = 4096
 type TransportHello struct {
 	ID       ConnID
 	Insecure bool
-	// Resume marks a session-resumption hello: ID names the prior
-	// transport whose streams are being resurrected in place.
-	Resume bool
-	// ResumeDenied marks an acceptor's refusal of a resume hello.
-	ResumeDenied bool
 	// Host is the sender's host name (diagnostics only).
 	Host string
 	// Addr is the sender's redirector address ("" when not listening).
 	Addr string
 	// Public is the sender's ephemeral DH public value.
 	Public []byte
-	// RecvSeq is the count of reliable mux frames the sender had received
-	// on the prior connection (resume hellos only); the peer replays its
-	// unacked frames above this point and discards the rest.
-	RecvSeq uint64
-	// ResumeTag authenticates a resume hello: an HMAC under the prior
-	// transport secret over the transport id and RecvSeq, proving the
-	// dialer held the session being resumed before the acceptor commits
-	// any state to it.
-	ResumeTag []byte
 	// Trace is the dialer's marshaled tracing span context (empty when
 	// not tracing): a dial performed on behalf of a migration carries the
 	// migration's trace so the acceptor's handshake span joins it.
@@ -223,19 +184,11 @@ func (h *TransportHello) encode() []byte {
 	if h.Insecure {
 		flags |= transportFlagInsecure
 	}
-	if h.Resume {
-		flags |= transportFlagResume
-	}
-	if h.ResumeDenied {
-		flags |= transportFlagResumeDenied
-	}
 	b = append(b, flags)
 	b = append(b, h.ID[:]...)
 	b = appendString(b, h.Host)
 	b = appendString(b, h.Addr)
 	b = appendBytes(b, h.Public)
-	b = binary.BigEndian.AppendUint64(b, h.RecvSeq)
-	b = appendBytes(b, h.ResumeTag)
 	b = appendBytes(b, h.Trace)
 
 	// Negotiation section. A zero-value hello still encodes a valid
@@ -256,8 +209,6 @@ func (h *TransportHello) encode() []byte {
 	}
 	b = binary.BigEndian.AppendUint32(b, limits.MaxPayload)
 	b = binary.BigEndian.AppendUint32(b, limits.InitialWindow)
-	b = binary.BigEndian.AppendUint32(b, limits.AckFrames)
-	b = binary.BigEndian.AppendUint32(b, limits.AckBytes)
 	b = binary.BigEndian.AppendUint32(b, limits.KeepaliveMs)
 	return b
 }
@@ -322,11 +273,10 @@ func decodeTransportHello(b []byte) (*TransportHello, error) {
 	if b[0] != TransportVersion2 {
 		return nil, fmt.Errorf("%w: unsupported transport version %d", ErrBadTransport, b[0])
 	}
-	h := &TransportHello{
-		Insecure:     b[1]&transportFlagInsecure != 0,
-		Resume:       b[1]&transportFlagResume != 0,
-		ResumeDenied: b[1]&transportFlagResumeDenied != 0,
+	if b[1]&^transportFlagInsecure != 0 {
+		return nil, fmt.Errorf("%w: unknown hello flags %#02x", ErrBadTransport, b[1]&^transportFlagInsecure)
 	}
+	h := &TransportHello{Insecure: b[1]&transportFlagInsecure != 0}
 	copy(h.ID[:], b[2:18])
 	b = b[18:]
 	var err error
@@ -337,14 +287,6 @@ func decodeTransportHello(b []byte) (*TransportHello, error) {
 		return nil, err
 	}
 	if h.Public, b, err = takeBytes(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 8 {
-		return nil, fmt.Errorf("%w: truncated hello recv-seq", ErrBadTransport)
-	}
-	h.RecvSeq = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	if h.ResumeTag, b, err = takeBytes(b); err != nil {
 		return nil, err
 	}
 	if h.Trace, b, err = takeBytes(b); err != nil {
@@ -387,20 +329,18 @@ func decodeTransportHello(b []byte) (*TransportHello, error) {
 		}
 	}
 	b = b[2*nc:]
-	if len(b) < 20 {
+	if len(b) < limitsSize {
 		return nil, fmt.Errorf("%w: truncated hello limits", ErrBadTransport)
 	}
 	h.Limits = Limits{
 		MaxPayload:    binary.BigEndian.Uint32(b[0:]),
 		InitialWindow: binary.BigEndian.Uint32(b[4:]),
-		AckFrames:     binary.BigEndian.Uint32(b[8:]),
-		AckBytes:      binary.BigEndian.Uint32(b[12:]),
-		KeepaliveMs:   binary.BigEndian.Uint32(b[16:]),
+		KeepaliveMs:   binary.BigEndian.Uint32(b[8:]),
 	}
 	if err := h.Limits.Validate(); err != nil {
 		return nil, err
 	}
-	b = b[20:]
+	b = b[limitsSize:]
 	if len(b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing hello bytes", ErrBadTransport, len(b))
 	}
@@ -476,33 +416,21 @@ const (
 	// MuxWindow grants the peer more send credit; the payload is a 4-byte
 	// big-endian byte count.
 	MuxWindow
-	// MuxPing probes transport liveness; the payload is the sender's
-	// 8-byte reliable-frame receive count, so keepalives double as acks.
-	// Pings are unreliable: they are neither counted nor replayed.
+	// MuxPing probes transport liveness and samples the path RTT; it has
+	// no payload.
 	MuxPing
-	// MuxPong answers a ping, carrying the responder's receive count.
+	// MuxPong answers a ping, with no payload.
 	MuxPong
-	// MuxAck acknowledges reliable frames without a ping: the payload is
-	// the 8-byte cumulative count of reliable frames received, letting the
-	// sender trim its resume replay log. Unreliable, like ping/pong.
+	// MuxAck is reserved (it acknowledged frames for a transport-level
+	// replay log): never sent, not reused, refused by both decoders.
 	MuxAck
 	// MuxSealed wraps one AEAD record on encrypted sessions: the payload
 	// is a sealed container whose plaintext is a sequence of complete mux
 	// frames (header + payload), so one GCM pass amortises over many
-	// small frames. Only the inner frames carry reliable sequence
-	// numbers; the container itself is transparent to the resume
-	// contract. Never valid inside another container (DecodeMuxHeader
+	// small frames. Never valid inside another container (DecodeMuxHeader
 	// rejects it) and never valid on a cleartext session.
 	MuxSealed
 )
-
-// ReliableMuxFrame reports whether a frame type participates in the
-// session-resumption contract: reliable frames are sequence-counted by the
-// receiver and retained by the sender until acked, so a resumed transport
-// can replay exactly the gap. Keepalives and acks themselves are exempt.
-func ReliableMuxFrame(typ uint8) bool {
-	return typ >= MuxOpen && typ <= MuxWindow
-}
 
 // MaxMuxPayload bounds one mux frame's payload; stream writes larger than
 // this are split by the transport layer. It matches the payload pool's
@@ -511,6 +439,9 @@ func ReliableMuxFrame(typ uint8) bool {
 // on every miss; it also bounds how long one bulk stream's frame can
 // occupy the shared wire ahead of its siblings.
 const MaxMuxPayload = 64 << 10
+
+// reservedMuxType reports the type values no build sends any more.
+func reservedMuxType(typ uint8) bool { return typ == MuxAccept || typ == MuxAck }
 
 // MuxHeaderSize is the fixed mux frame header length:
 //
@@ -548,7 +479,7 @@ func ReadMuxHeader(r io.Reader) (MuxHeader, error) {
 		Stream: binary.BigEndian.Uint64(hdr[1:9]),
 		Length: binary.BigEndian.Uint32(hdr[9:13]),
 	}
-	if h.Type < MuxOpen || h.Type > MuxSealed {
+	if h.Type < MuxOpen || h.Type > MuxSealed || reservedMuxType(h.Type) {
 		return MuxHeader{}, fmt.Errorf("%w: unknown mux frame type %d", ErrBadTransport, h.Type)
 	}
 	if h.Length > MaxMuxPayload {
@@ -569,7 +500,7 @@ func DecodeMuxHeader(b []byte) (MuxHeader, error) {
 		Stream: binary.BigEndian.Uint64(b[1:9]),
 		Length: binary.BigEndian.Uint32(b[9:13]),
 	}
-	if h.Type < MuxOpen || h.Type > MuxAck {
+	if h.Type < MuxOpen || h.Type >= MuxSealed || reservedMuxType(h.Type) {
 		return MuxHeader{}, fmt.Errorf("%w: unknown inner mux frame type %d", ErrBadTransport, h.Type)
 	}
 	if h.Length > MaxMuxPayload {

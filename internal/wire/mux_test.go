@@ -61,45 +61,61 @@ func TestTransportHelloInsecureFlag(t *testing.T) {
 	}
 }
 
-func TestTransportHelloResumeRoundTrip(t *testing.T) {
+// The insecure bit is the only hello flag. A peer still setting one of the
+// bits earlier builds used for session resumption (0x02 resume, 0x04 resume
+// denied) is refused at decode — its hello must not start a fresh handshake
+// under the id it meant to resume — and so is any other unknown bit.
+func TestTransportHelloRejectsUnknownFlags(t *testing.T) {
 	id, _ := NewConnID()
-	h := &TransportHello{
-		ID:        id,
-		Resume:    true,
-		Host:      "beta",
-		RecvSeq:   0xDEADBEEF01,
-		ResumeTag: bytes.Repeat([]byte{0x5A}, 32),
-	}
 	var buf bytes.Buffer
-	if _, err := WriteTransportHello(&buf, h); err != nil {
+	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "h"}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ReadTransportHello(&buf)
-	if err != nil {
-		t.Fatal(err)
+	body := buf.Bytes()[6:]
+	for _, flag := range []byte{0x02, 0x04, 0x80} {
+		b := append([]byte(nil), body...)
+		b[3] |= flag
+		if _, err := decodeTransportHello(b); !errors.Is(err, ErrBadTransport) {
+			t.Fatalf("flag %#02x: want ErrBadTransport, got %v", flag, err)
+		}
 	}
-	if !got.Resume || got.ResumeDenied || got.RecvSeq != h.RecvSeq || !bytes.Equal(got.ResumeTag, h.ResumeTag) {
-		t.Fatalf("resume roundtrip mismatch: %+v", got)
-	}
-
-	buf.Reset()
-	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, ResumeDenied: true}); err != nil {
-		t.Fatal(err)
-	}
-	if got, _, err = ReadTransportHello(&buf); err != nil || !got.ResumeDenied {
-		t.Fatalf("denied roundtrip: %+v, %v", got, err)
+	if _, _, err := ReadTransportHello(bytes.NewReader(oldResumeHello(id))); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("old-format resume hello: want ErrBadTransport, got %v", err)
 	}
 }
 
-func TestReliableMuxFrame(t *testing.T) {
-	for _, typ := range []uint8{MuxOpen, MuxReset, MuxData, MuxFin, MuxWindow} {
-		if !ReliableMuxFrame(typ) {
-			t.Fatalf("type %d should be reliable", typ)
-		}
+// oldResumeHello is a complete resume hello as earlier builds sent it: the
+// resume flag, then a receive count and a resume tag between the DH value
+// and the trace, and a five-field limits block.
+func oldResumeHello(id ConnID) []byte {
+	body := binary.BigEndian.AppendUint16(nil, 0x4e54)
+	body = append(body, TransportVersion2, 0x02)
+	body = append(body, id[:]...)
+	body = appendString(body, "old")
+	body = appendString(body, "")
+	body = appendBytes(body, nil)
+	body = binary.BigEndian.AppendUint64(body, 42)
+	body = appendBytes(body, bytes.Repeat([]byte{0x5A}, 32))
+	body = appendBytes(body, nil)
+	body = append(body, 1, TransportVersion2, 0)
+	for _, v := range []uint32{MaxMuxPayload, 1 << 20, 64, 256 << 10, 15_000} {
+		body = binary.BigEndian.AppendUint32(body, v)
 	}
-	for _, typ := range []uint8{MuxPing, MuxPong, MuxAck, 0, 99} {
-		if ReliableMuxFrame(typ) {
-			t.Fatalf("type %d should not be reliable", typ)
+	msg := binary.BigEndian.AppendUint16(nil, 0x4e54)
+	msg = binary.BigEndian.AppendUint32(msg, uint32(len(body)))
+	return append(msg, body...)
+}
+
+// The type values of frames no build sends any more stay reserved: neither
+// the wire reader nor the container demux accepts them.
+func TestMuxHeaderRejectsReservedTypes(t *testing.T) {
+	for _, typ := range []uint8{MuxAccept, MuxAck} {
+		b := AppendMuxHeader(nil, typ, 1, 8)
+		if _, err := ReadMuxHeader(bytes.NewReader(b)); !errors.Is(err, ErrBadTransport) {
+			t.Fatalf("ReadMuxHeader type %d: want ErrBadTransport, got %v", typ, err)
+		}
+		if _, err := DecodeMuxHeader(b); !errors.Is(err, ErrBadTransport) {
+			t.Fatalf("DecodeMuxHeader type %d: want ErrBadTransport, got %v", typ, err)
 		}
 	}
 }
@@ -129,7 +145,7 @@ func TestReadTransportHelloRejectsForeignMagicAtOnce(t *testing.T) {
 }
 
 func TestMuxHeaderRoundTrip(t *testing.T) {
-	for _, typ := range []uint8{MuxOpen, MuxReset, MuxData, MuxFin, MuxWindow, MuxPing, MuxPong, MuxAck} {
+	for _, typ := range []uint8{MuxOpen, MuxReset, MuxData, MuxFin, MuxWindow, MuxPing, MuxPong} {
 		b := AppendMuxHeader(nil, typ, 0x0102030405060708, 77)
 		if len(b) != MuxHeaderSize {
 			t.Fatalf("header length %d, want %d", len(b), MuxHeaderSize)
@@ -197,8 +213,6 @@ func TestTransportHelloNegotiationRoundTrip(t *testing.T) {
 		Limits: Limits{
 			MaxPayload:    32 << 10,
 			InitialWindow: 512 << 10,
-			AckFrames:     32,
-			AckBytes:      128 << 10,
 			KeepaliveMs:   5000,
 		},
 	}
@@ -258,8 +272,8 @@ func encodeV1Hello(h *TransportHello) []byte {
 	b = appendString(b, h.Host)
 	b = appendString(b, h.Addr)
 	b = appendBytes(b, h.Public)
-	b = binary.BigEndian.AppendUint64(b, h.RecvSeq)
-	b = appendBytes(b, h.ResumeTag)
+	b = binary.BigEndian.AppendUint64(b, 0) // receive count
+	b = appendBytes(b, nil)                 // resume tag
 	b = appendBytes(b, h.Trace)
 	return b
 }
@@ -296,8 +310,9 @@ func TestDecodeHelloRejectsMalformedNegotiation(t *testing.T) {
 	if _, err := decodeTransportHello(valid); err != nil {
 		t.Fatal(err)
 	}
-	// The negotiation section is the final 2 + len(versions) + 20 bytes.
-	tail := 2 + len(SupportedVersions()) + 20
+	// The negotiation section is the final 2 + len(versions) + limitsSize
+	// bytes.
+	tail := 2 + len(SupportedVersions()) + limitsSize
 
 	mutate := func(name string, f func(b []byte) []byte) {
 		b := append([]byte(nil), valid...)
@@ -308,7 +323,7 @@ func TestDecodeHelloRejectsMalformedNegotiation(t *testing.T) {
 	mutate("truncated version list", func(b []byte) []byte { return b[:len(b)-tail] })
 	mutate("empty version list", func(b []byte) []byte {
 		b[len(b)-tail] = 0
-		return b[:len(b)-tail+1+1+20] // count byte, cipher count, limits
+		return b[:len(b)-tail+1+1+limitsSize] // count byte, cipher count, limits
 	})
 	mutate("version zero", func(b []byte) []byte {
 		b[len(b)-tail+1] = 0
@@ -316,15 +331,11 @@ func TestDecodeHelloRejectsMalformedNegotiation(t *testing.T) {
 	})
 	mutate("truncated limits", func(b []byte) []byte { return b[:len(b)-1] })
 	mutate("zero max payload", func(b []byte) []byte {
-		copy(b[len(b)-20:], []byte{0, 0, 0, 0})
+		copy(b[len(b)-12:], []byte{0, 0, 0, 0})
 		return b
 	})
 	mutate("overflow window", func(b []byte) []byte {
-		copy(b[len(b)-16:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
-		return b
-	})
-	mutate("zero ack cadence", func(b []byte) []byte {
-		copy(b[len(b)-12:], []byte{0, 0, 0, 0})
+		copy(b[len(b)-8:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
 		return b
 	})
 	mutate("cleartext in cipher list", func(b []byte) []byte {
@@ -332,7 +343,7 @@ func TestDecodeHelloRejectsMalformedNegotiation(t *testing.T) {
 		head := b[:len(b)-tail+1+len(SupportedVersions())]
 		out := append([]byte(nil), head...)
 		out = append(out, 1, 0, 0) // 1 cipher: 0x0000
-		return append(out, b[len(b)-20:]...)
+		return append(out, b[len(b)-limitsSize:]...)
 	})
 }
 
@@ -341,13 +352,11 @@ func TestLimitsValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Limits{
-		{MaxPayload: 0, InitialWindow: 1 << 20, AckFrames: 64, AckBytes: 256 << 10},
-		{MaxPayload: MaxMuxPayload + 1, InitialWindow: 1 << 20, AckFrames: 64, AckBytes: 256 << 10},
-		{MaxPayload: MaxMuxPayload, InitialWindow: 0, AckFrames: 64, AckBytes: 256 << 10},
-		{MaxPayload: MaxMuxPayload, InitialWindow: 1 << 31, AckFrames: 64, AckBytes: 256 << 10},
-		{MaxPayload: MaxMuxPayload, InitialWindow: 1 << 20, AckFrames: 0, AckBytes: 256 << 10},
-		{MaxPayload: MaxMuxPayload, InitialWindow: 1 << 20, AckFrames: 64, AckBytes: 0},
-		{MaxPayload: MaxMuxPayload, InitialWindow: 1 << 20, AckFrames: 64, AckBytes: 256 << 10, KeepaliveMs: 1 << 31},
+		{MaxPayload: 0, InitialWindow: 1 << 20},
+		{MaxPayload: MaxMuxPayload + 1, InitialWindow: 1 << 20},
+		{MaxPayload: MaxMuxPayload, InitialWindow: 0},
+		{MaxPayload: MaxMuxPayload, InitialWindow: 1 << 31},
+		{MaxPayload: MaxMuxPayload, InitialWindow: 1 << 20, KeepaliveMs: 1 << 31},
 	}
 	for i, l := range bad {
 		if err := l.Validate(); !errors.Is(err, ErrBadTransport) {
@@ -360,7 +369,7 @@ func TestNegotiate(t *testing.T) {
 	v2 := func(ciphers []uint16, l Limits) *TransportHello {
 		return &TransportHello{Versions: []uint8{1, 2}, Ciphers: ciphers, Limits: l}
 	}
-	small := Limits{MaxPayload: 16 << 10, InitialWindow: 256 << 10, AckFrames: 16, AckBytes: 64 << 10, KeepaliveMs: 4000}
+	small := Limits{MaxPayload: 16 << 10, InitialWindow: 256 << 10, KeepaliveMs: 4000}
 	big := DefaultLimits()
 
 	n, err := Negotiate(v2([]uint16{CipherAES256GCM}, big), v2([]uint16{CipherAES256GCM}, small))
