@@ -123,6 +123,86 @@ func TestKillFailsEveryStreamTyped(t *testing.T) {
 	}
 }
 
+// TestResumeWindowExpiryFailsStreamsTyped: there is no resume window to wait
+// out any more. With the peer off the air entirely and the connection
+// killed, the streams fail typed at once, and the transport attempts no
+// redial of its own — the connection above decides when to dial again.
+func TestResumeWindowExpiryFailsStreamsTyped(t *testing.T) {
+	tap := &connTap{}
+	a := newTestPeerCfg(t, "a", true, func(cfg *Config) { cfg.WrapData = tap.wrap })
+	b := newTestPeer(t, "b", true)
+	cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvStream(t, b)
+
+	b.ln.Close()
+	b.mgr.Close()
+	start := time.Now()
+	tap.killLatest()
+
+	cs.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := cs.Read(make([]byte, 1)); !errors.Is(err, ErrTransportLost) {
+		t.Fatalf("read error = %v, want ErrTransportLost", err)
+	}
+	if _, err := cs.Write([]byte("x")); !errors.Is(err, ErrTransportLost) {
+		t.Fatalf("write error = %v, want ErrTransportLost", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("streams failed %v after the kill; a fail-stop transport fails them at once", took)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if got := a.dials.Load(); got != 1 {
+		t.Fatalf("%d dials by a, want 1: the transport must not redial on its own", got)
+	}
+}
+
+// TestResumeDeniedFailsPromptly: the acceptor forgets the session (as a
+// restarted host would). The dialer's streams fail typed promptly, and the
+// next open is served by a fresh dial and handshake rather than by any
+// attempt to revive the forgotten session.
+func TestResumeDeniedFailsPromptly(t *testing.T) {
+	a := newTestPeer(t, "a", true)
+	b := newTestPeer(t, "b", true)
+	cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvStream(t, b)
+	old := a.mgr.Infos()[0].ID
+
+	b.mgr.CloseTransports()
+	cs.SetDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	if _, err := cs.Read(make([]byte, 1)); !errors.Is(err, ErrTransportLost) {
+		t.Fatalf("read error = %v, want ErrTransportLost", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("forgotten session took %v to fail; should be prompt", elapsed)
+	}
+
+	ns, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := recvStream(t, b)
+	if _, err := ns.Write([]byte("fresh")); err != nil {
+		t.Fatal(err)
+	}
+	rb := make([]byte, 8)
+	ss.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := ss.Read(rb); err != nil || string(rb[:n]) != "fresh" {
+		t.Fatalf("read on the fresh transport: %q, %v", rb[:n], err)
+	}
+	if got := a.dials.Load(); got != 2 {
+		t.Fatalf("%d dials by a, want 2 (the forgotten session and a fresh one)", got)
+	}
+	if infos := a.mgr.Infos(); infos[0].ID == old {
+		t.Fatalf("the fresh transport reuses the forgotten session id %v", old)
+	}
+}
+
 // stallConn emulates a half-open connection: once stalled, inbound bytes
 // are swallowed (reads hang) while the peer still believes it is writing
 // into a live socket. Close unblocks any hung read.
