@@ -68,15 +68,16 @@ storm-smoke:
 # wan-smoke is the CI WAN-robustness gate: the relay rendezvous tests and
 # the NAT'd migration scenario under the race detector (two hosts that
 # cannot dial each other sustain a connection through an untrusted relay,
-# across a kill of the relayed transport and a migration), the
-# RTT-adaptive keepalive regression test, then the netem scenario matrix in
+# across a kill of the relayed transport and a migration, and an agent hops
+# to a host reachable only through the relay), the RTT-adaptive keepalive
+# regression test, then the netem scenario matrix in
 # short mode (metro + intercontinental, 2 breaks) — any unrecovered
 # connection failure, or a false keepalive timeout on a merely-slow path,
 # fails the gate.
 wan-smoke:
 	$(GO) test ./internal/relay -race -count=1
 	$(GO) test ./internal/transport -run 'TestRelayFallbackThroughNAT|TestKeepaliveAdaptsToWANRTT' -race -count=1 -v
-	$(GO) test ./internal/core -run TestMigrationSustainedThroughRelayNAT -race -count=1 -v
+	$(GO) test ./internal/core -run 'TestMigrationSustainedThroughRelayNAT|TestCarryThroughRelayNAT' -race -count=1 -v
 	$(GO) run ./cmd/repro -quick wanmatrix
 
 # crash-soak is the CI gate for exactly-once across a crash: the
@@ -97,10 +98,11 @@ crash-soak:
 # transports), a break while a 64 KiB writer is credit-stalled behind a full
 # reader (the send-log bound), a handoff lost with its transport, a refused
 # handoff landing at every point of the opener's way to ESTABLISHED, a stream
-# that dies before either end is established, and the refusal tests of both
-# layers, repeated under the race detector.
+# that dies before either end is established, the refusal tests of both
+# layers, and the agent-bundle streams (delivery, warm reuse, a refusal with
+# nothing docked, the size bound), repeated under the race detector.
 handoff-soak:
-	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff' -race -count=20
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff|TestCarry' -race -count=20
 	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing' -race -count=20
 
 # census prints the four numbers a simplicity PR quotes, so CHANGES.md can

@@ -82,7 +82,8 @@ func buildDaemon(t *testing.T) string {
 // with -naming-listen alone, so it is the one-node layout) and an echo
 // agent; host h2 launches a roaming agent that migrates h2 → h1 → h2 while
 // keeping its connection to the echo agent — the full cross-process gob +
-// docking + connection-migration path. Either host may start first.
+// migration + connection-migration path, the agent riding the shared
+// transport to each host's -data address. Either host may start first.
 func TestIntegrationTwoProcessDeployment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -94,20 +95,20 @@ func TestIntegrationTwoProcessDeployment(t *testing.T) {
 
 func twoProcessDeployment(t *testing.T, bin string, h2First bool) {
 	ns := freeUDPAddr(t)
-	dock1 := freePort(t)
-	dock2 := freePort(t)
+	data1 := freePort(t)
+	data2 := freePort(t)
 	debug1 := freePort(t)
 
 	var out1, out2 logBuf
 	h1 := exec.Command(bin,
-		"-name", "h1", "-naming-listen", ns, "-dock", dock1,
+		"-name", "h1", "-naming-listen", ns, "-data", data1,
 		"-debug-addr", debug1,
 		"-launch", "echoer:echo",
 	)
 	h1.Stdout, h1.Stderr = &out1, &out1
 	h2 := exec.Command(bin,
-		"-name", "h2", "-naming-peers", ns, "-dock", dock2,
-		"-launch", fmt.Sprintf("walker:roamer:target=echoer,docks=%s;%s,msgs=2", dock1, dock2),
+		"-name", "h2", "-naming-peers", ns, "-data", data2,
+		"-launch", fmt.Sprintf("walker:roamer:target=echoer,docks=%s;%s,msgs=2", data1, data2),
 	)
 	h2.Stdout, h2.Stderr = &out2, &out2
 
@@ -270,12 +271,11 @@ func TestIntegrationCrashRecovery(t *testing.T) {
 	}
 
 	jdir := t.TempDir()
-	dock := freePort(t)
 	debug1 := freePort(t)
 	debug2 := freePort(t)
 	args := func(dbg string) []string {
 		return []string{
-			"-name", "h1", "-naming-peers", ns, "-dock", dock,
+			"-name", "h1", "-naming-peers", ns,
 			"-journal-dir", jdir, "-heartbeat-interval", "50ms",
 			"-postoffice=false", "-debug-addr", dbg,
 			"-launch", fmt.Sprintf("streamer:streamer:target=sink,count=%d,interval=5,size=32", total),

@@ -1,17 +1,19 @@
-// Command napletd runs one Naplet agent server: a docking host, a
+// Command napletd runs one Naplet agent server: an agent host, a
 // NapletSocket controller, and (optionally) a post office, joined to a
 // deployment through a shared location service. One napletd can also host
-// the location service for the others.
+// the location service for the others. Agents migrate to a host's -data
+// address: their bundles ride the same shared transport as every
+// connection between the two hosts.
 //
 // A two-host demo on one machine (either host may start first):
 //
 //	# terminal 1: host h1, runs the location service and an echo agent
 //	napletd -name h1 -naming-listen 127.0.0.1:7000 \
-//	        -dock 127.0.0.1:7001 -launch echoer:echo
+//	        -data 127.0.0.1:7001 -launch echoer:echo
 //
 //	# terminal 2: host h2, joins and launches a roaming client that
 //	# migrates to h1 and back while talking to the echo agent
-//	napletd -name h2 -naming-peers 127.0.0.1:7000 -dock 127.0.0.1:7002 \
+//	napletd -name h2 -naming-peers 127.0.0.1:7000 -data 127.0.0.1:7002 \
 //	        -launch walker:roamer:target=echoer,docks=127.0.0.1:7001;127.0.0.1:7002
 package main
 
@@ -43,9 +45,8 @@ func (l *launchList) Set(v string) error { *l = append(*l, v); return nil }
 
 var (
 	name         = flag.String("name", "host", "host name")
-	dock         = flag.String("dock", "127.0.0.1:0", "docking listener address")
 	control      = flag.String("control", "127.0.0.1:0", "control channel (UDP) address")
-	data         = flag.String("data", "127.0.0.1:0", "redirector (TCP) address")
+	data         = flag.String("data", "127.0.0.1:0", "redirector (TCP) address: every stream from other hosts, migrating agents included, arrives here")
 	mail         = flag.String("mail", "127.0.0.1:0", "post office (UDP) address")
 	namingListen = flag.String("naming-listen", "", "also host a location service node on this address (must appear in -naming-peers)")
 	namingPeers  = flag.String("naming-peers", "", "comma-separated location service node addresses: every node, identical on all hosts that set -naming-listen (defaults to -naming-listen alone); any reachable subset on hosts that do not")
@@ -56,7 +57,7 @@ var (
 	tpEncrypt    = flag.Bool("transport-encrypt", true, "seal shared-transport frames with the negotiated AEAD cipher (secure mode only; false keeps authenticated-handshake cleartext framing)")
 	relayAddr    = flag.String("relay-addr", "", "also host a rendezvous relay (TCP) on this address, splicing transport sessions between hosts that cannot dial each other (off when empty)")
 	relayVia     = flag.String("relay-via", "", "relay server to keep a registration leg open with; the shared transport also falls back to dialing peers through it when direct dials fail")
-	clusterKey   = flag.String("cluster-secret", "", "shared secret authenticating the docking channel between hosts")
+	clusterKey   = flag.String("cluster-secret", "", "shared secret authenticating migrating agents between hosts")
 	debugAddr    = flag.String("debug-addr", "", "serve /metrics, /connz and pprof on this address (off when empty)")
 	logLevel     = flag.String("log-level", "info", "runtime log level: debug, info, warn, error")
 	journalDir   = flag.String("journal-dir", "", "checkpoint agent and connection state into a journal under this directory; restarting with the same directory recovers them (off when empty)")
@@ -119,7 +120,6 @@ func main() {
 
 	cfg := naplet.Config{
 		Name:           *name,
-		DockAddr:       *dock,
 		ControlAddr:    *control,
 		DataAddr:       *data,
 		MailAddr:       *mail,
@@ -209,7 +209,7 @@ func main() {
 		log.Fatalf("starting node: %v", err)
 	}
 	defer node.Close()
-	log.Printf("host %s up: dock=%s", node.Name(), node.DockAddr())
+	log.Printf("host %s up: data=%s", node.Name(), node.DockAddr())
 
 	if *debugAddr != "" {
 		srv, addr, err := startDebugServer(*debugAddr, node, metrics, namingNode)

@@ -78,7 +78,7 @@ func TestTracezAcrossMigration(t *testing.T) {
 	if err := n1.Launch("echoer", &behaviors.Echo{}); err != nil {
 		t.Fatal(err)
 	}
-	// The walker starts on h2 and hops to h1's dock while holding one
+	// The walker starts on h2 and hops to h1 while holding one
 	// connection to the echoer (which stays on h1): the migration's origin
 	// spans land on h2, its arrival spans and the stationary peer's
 	// redirect span on h1.

@@ -17,11 +17,47 @@ type testEnv struct {
 	svc      *naming.Service
 	registry *Registry
 	hosts    []*Host
+	carrier  *carrier
+}
+
+// carrier moves bundles between the hosts of one test deployment in
+// process: a bundle for dest goes straight to the arrive func docked under
+// that data address.
+type carrier struct {
+	mu     sync.Mutex
+	docked map[string]func([]byte) error
+}
+
+// hostCarrier is one host's Carrier hook onto the deployment's carrier.
+type hostCarrier struct {
+	c    *carrier
+	addr string
+}
+
+func (hostCarrier) HookName() string                 { return "carrier" }
+func (hostCarrier) PreDepart(string) ([]byte, error) { return nil, nil }
+func (hostCarrier) PostArrive(string, []byte) error  { return nil }
+func (hostCarrier) OnTerminate(string)               {}
+func (hc hostCarrier) Dock(arrive func(bundle []byte) error) {
+	hc.c.mu.Lock()
+	defer hc.c.mu.Unlock()
+	hc.c.docked[hc.addr] = arrive
+}
+
+func (hc hostCarrier) Carry(_, dest string, bundle []byte) error {
+	hc.c.mu.Lock()
+	arrive := hc.c.docked[dest]
+	hc.c.mu.Unlock()
+	if arrive == nil {
+		return fmt.Errorf("no host at %s", dest)
+	}
+	return arrive(bundle)
 }
 
 func newEnv(t *testing.T, hostNames ...string) *testEnv {
 	t.Helper()
-	env := &testEnv{svc: naming.NewService(), registry: NewRegistry()}
+	env := &testEnv{svc: naming.NewService(), registry: NewRegistry(),
+		carrier: &carrier{docked: make(map[string]func([]byte) error)}}
 	registerTestBehaviors(env.registry)
 	for _, name := range hostNames {
 		guard, err := security.NewGuard(security.NewStore(security.AllowAgentAll()...))
@@ -29,16 +65,19 @@ func newEnv(t *testing.T, hostNames ...string) *testEnv {
 			t.Fatal(err)
 		}
 		h, err := NewHost(Config{
-			Name:      name,
-			Directory: naming.Local{Svc: env.svc},
-			Registry:  env.registry,
-			Guard:     guard,
-			Logf:      t.Logf,
+			Name:        name,
+			ControlAddr: name + "/control",
+			DataAddr:    name + "/data",
+			Directory:   naming.Local{Svc: env.svc},
+			Registry:    env.registry,
+			Guard:       guard,
+			Logf:        t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { h.Close() })
+		h.AddHook(hostCarrier{c: env.carrier, addr: h.Location().DataAddr})
 		env.hosts = append(env.hosts, h)
 	}
 	return env
@@ -52,6 +91,9 @@ func (e *testEnv) host(name string) *Host {
 	}
 	return nil
 }
+
+// dest returns the address agents migrate to the named host by.
+func (e *testEnv) dest(name string) string { return e.host(name).Location().DataAddr }
 
 // awaitGone polls the directory until the agent is deregistered.
 func (e *testEnv) awaitGone(t *testing.T, agentID string) {
@@ -86,7 +128,7 @@ func visits(agentID string) []string {
 	return append([]string(nil), results.visited[agentID]...)
 }
 
-// hopper walks a fixed itinerary of dock addresses, then terminates.
+// hopper walks a fixed itinerary of host addresses, then terminates.
 type hopper struct {
 	Docks []string
 }
@@ -108,7 +150,7 @@ var errBoom = errors.New("boom")
 
 func (failer) Run(*Context) error { return errBoom }
 
-// badHopper tries to migrate to an unreachable dock once, then terminates.
+// badHopper tries to migrate to an unreachable host once, then terminates.
 type badHopper struct {
 	Tried bool
 }
@@ -163,14 +205,14 @@ func TestLaunchRegistersLocation(t *testing.T) {
 	if rec.Loc.Host != "h1" || rec.Epoch != 1 {
 		t.Fatalf("record = %+v", rec)
 	}
-	if rec.Loc.DockAddr != env.host("h1").DockAddr() {
-		t.Fatalf("dock addr = %q, want %q", rec.Loc.DockAddr, env.host("h1").DockAddr())
+	if rec.Loc.DataAddr != env.dest("h1") {
+		t.Fatalf("data addr = %q, want %q", rec.Loc.DataAddr, env.dest("h1"))
 	}
 }
 
 func TestMigrationAcrossThreeHosts(t *testing.T) {
 	env := newEnv(t, "h1", "h2", "h3")
-	itinerary := []string{env.host("h2").DockAddr(), env.host("h3").DockAddr()}
+	itinerary := []string{env.dest("h2"), env.dest("h3")}
 	if err := env.host("h1").Launch("walker", &hopper{Docks: itinerary}); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +241,7 @@ func TestMigrationAcrossThreeHosts(t *testing.T) {
 
 func TestWaitLocalReportsMigration(t *testing.T) {
 	env := newEnv(t, "h1", "h2")
-	dest := env.host("h2").DockAddr()
+	dest := env.dest("h2")
 	if err := env.host("h1").Launch("w", &hopper{Docks: []string{dest}}); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +343,7 @@ func TestHooksRunAroundMigration(t *testing.T) {
 	env.host("h1").AddHook(hook)
 	env.host("h2").AddHook(hook) // same recorder on both hosts
 
-	if err := env.host("h1").Launch("hk", &hopper{Docks: []string{env.host("h2").DockAddr()}}); err != nil {
+	if err := env.host("h1").Launch("hk", &hopper{Docks: []string{env.dest("h2")}}); err != nil {
 		t.Fatal(err)
 	}
 	env.awaitGone(t, "hk")
@@ -340,7 +382,7 @@ func TestHookDepartFailureKeepsAgentRunning(t *testing.T) {
 	// re-runs locally and tries again, which succeeds. The itinerary is
 	// consumed before PreDepart runs, so Run retries with an empty
 	// itinerary and terminates on h1.
-	if err := env.host("h1").Launch("hb", &hopper{Docks: []string{env.host("h2").DockAddr()}}); err != nil {
+	if err := env.host("h1").Launch("hb", &hopper{Docks: []string{env.dest("h2")}}); err != nil {
 		t.Fatal(err)
 	}
 	env.awaitGone(t, "hb")
@@ -413,7 +455,7 @@ func TestResidents(t *testing.T) {
 
 func TestConcurrentMigrationsBetweenHosts(t *testing.T) {
 	env := newEnv(t, "h1", "h2")
-	d1, d2 := env.host("h1").DockAddr(), env.host("h2").DockAddr()
+	d1, d2 := env.dest("h1"), env.dest("h2")
 	const n = 16
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("swarm-%d", i)

@@ -1,13 +1,15 @@
 // Package agent implements the Naplet-like mobile agent middleware that
-// NapletSocket lives in: agent servers (hosts), the docking system that
-// transfers agents between hosts, agent lifecycle management, and the
-// migration hooks that let the connection layer suspend and resume an
-// agent's connections around each hop.
+// NapletSocket lives in: agent servers (hosts), agent lifecycle
+// management, and the migration hooks that let the connection layer suspend
+// and resume an agent's connections around each hop. The package opens no
+// socket: agents move between hosts through a Carrier hook, which in a full
+// node is the NapletSocket controller, so a bundle rides the same shared
+// transport as every other byte between the two hosts.
 //
 // Mobility is weak mobility, as in Naplet and most Java mobile-agent
 // systems: an agent is a registered behaviour type plus its serializable
-// state. Migration checkpoints the behaviour value with encoding/gob, ships
-// it to the destination host's dock, and re-enters Run there. Behaviours
+// state. Migration checkpoints the behaviour value with encoding/gob, hands
+// it to the carrier for the destination host, and re-enters Run there. Behaviours
 // resume from explicit state they carry (a phase counter, remaining
 // itinerary, etc.) rather than from a captured stack.
 package agent

@@ -18,7 +18,7 @@ type Context struct {
 	// journal its current state.
 	behavior Behavior
 
-	// migrateDest holds the destination dock address after MigrateTo.
+	// migrateDest holds the destination address after MigrateTo.
 	migrateDest string
 
 	// ctx is cancelled when the host shuts down or the agent is killed.
@@ -54,15 +54,16 @@ func (c *Context) Logf(format string, args ...any) {
 	}
 }
 
-// MigrateTo requests migration to the host whose docking address is
-// destDock. It returns ErrMigrate, which Run must propagate:
+// MigrateTo requests migration to the host whose agents arrive at dest —
+// in a full node, the host's data address. It returns ErrMigrate, which Run
+// must propagate:
 //
 //	return ctx.MigrateTo(next)
 //
 // The runtime then suspends the agent's connections, ships the behaviour,
 // and re-enters Run on the destination.
-func (c *Context) MigrateTo(destDock string) error {
-	c.migrateDest = destDock
+func (c *Context) MigrateTo(dest string) error {
+	c.migrateDest = dest
 	return ErrMigrate
 }
 

@@ -1,44 +1,26 @@
 package agent
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
-	"io"
-	"net"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestDockSurvivesGarbage throws malformed bundles at the dock listener
-// and checks the host keeps working.
+// TestDockSurvivesGarbage hands malformed bundles to the arrival path and
+// checks each is refused and the host keeps working.
 func TestDockSurvivesGarbage(t *testing.T) {
 	env := newEnv(t, "h1")
 	h := env.host("h1")
 
-	junk := [][]byte{
-		{},
-		{0x01},
-		{0xff, 0xff, 0xff, 0xff}, // oversize length prefix
-		append([]byte{0, 0, 0, 4}, []byte("junk")...),
-		append([]byte{0, 0, 0, 1}, 0x00),
-	}
-	for _, j := range junk {
-		conn, err := net.Dial("tcp", h.DockAddr())
-		if err != nil {
-			t.Fatal(err)
+	for _, junk := range [][]byte{{}, {0x01}, {0xff, 0xff, 0xff, 0xff}, []byte("junk"), {0x00}} {
+		if err := h.arrive(junk); err == nil {
+			t.Fatalf("arrive(%x) accepted garbage", junk)
 		}
-		conn.Write(j)
-		conn.Close()
 	}
-	// A half-open connection that sends nothing (the dock read deadline
-	// must reap it without wedging the accept loop).
-	idle, err := net.Dial("tcp", h.DockAddr())
-	if err != nil {
-		t.Fatal(err)
+	if n := len(h.Residents()); n != 0 {
+		t.Fatalf("%d residents after garbage arrivals", n)
 	}
-	defer idle.Close()
 
 	// The host still launches and finishes agents.
 	if err := h.Launch("after-junk", &hopper{}); err != nil {
@@ -47,40 +29,17 @@ func TestDockSurvivesGarbage(t *testing.T) {
 	env.awaitGone(t, "after-junk")
 }
 
-// TestDockRejectsBundleWithoutBehavior sends a structurally valid but
-// incomplete bundle and expects a rejection string back.
+// TestDockRejectsBundleWithoutBehavior hands the arrival path a
+// structurally valid but incomplete bundle and expects a refusal.
 func TestDockRejectsBundleWithoutBehavior(t *testing.T) {
 	env := newEnv(t, "h1")
-	h := env.host("h1")
-
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&bundle{AgentID: "ghost", Epoch: 2}); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", h.DockAddr())
+	raw, err := sealBundle(&bundle{AgentID: "ghost", Epoch: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(payload.Len()))
-	conn.Write(lenb[:])
-	conn.Write(payload.Bytes())
-
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.ReadFull(conn, lenb[:]); err != nil {
-		t.Fatal(err)
-	}
-	n := binary.BigEndian.Uint32(lenb[:])
-	if n == 0 {
-		t.Fatal("incomplete bundle accepted")
-	}
-	msg := make([]byte, n)
-	if _, err := io.ReadFull(conn, msg); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(msg, []byte("missing")) {
-		t.Fatalf("rejection = %q", msg)
+	err = env.host("h1").arrive(raw)
+	if err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Fatalf("incomplete bundle: arrive = %v, want a \"missing\" refusal", err)
 	}
 }
 
@@ -93,7 +52,7 @@ func TestMigrationDelayModelsTransferCost(t *testing.T) {
 		shared.host(name).cfg.MigrationDelay = 60 * time.Millisecond
 	}
 	start := time.Now()
-	if err := shared.host("d1").Launch("slowpoke", &hopper{Docks: []string{shared.host("d2").DockAddr()}}); err != nil {
+	if err := shared.host("d1").Launch("slowpoke", &hopper{Docks: []string{shared.dest("d2")}}); err != nil {
 		t.Fatal(err)
 	}
 	shared.awaitGone(t, "slowpoke")
@@ -110,12 +69,12 @@ func TestWaitLocalUnknownAgent(t *testing.T) {
 	}
 }
 
-// TestLocationRecord checks the advertised location is fully populated.
+// TestLocationRecord checks the advertised location carries the host's
+// control and data addresses.
 func TestLocationRecord(t *testing.T) {
 	env := newEnv(t, "h1")
-	h := env.host("h1")
-	loc := h.Location()
-	if loc.Host != "h1" || loc.DockAddr == "" {
+	loc := env.host("h1").Location()
+	if loc.Host != "h1" || loc.ControlAddr != "h1/control" || loc.DataAddr != "h1/data" {
 		t.Fatalf("location = %+v", loc)
 	}
 }
@@ -131,7 +90,7 @@ func TestClusterSecretAuthenticatesDock(t *testing.T) {
 	env.host("c3").cfg.ClusterSecret = []byte("different-secret")
 
 	// Matching secrets: migration succeeds.
-	if err := env.host("c1").Launch("ok-agent", &hopper{Docks: []string{env.host("c2").DockAddr()}}); err != nil {
+	if err := env.host("c1").Launch("ok-agent", &hopper{Docks: []string{env.dest("c2")}}); err != nil {
 		t.Fatal(err)
 	}
 	env.awaitGone(t, "ok-agent")
@@ -142,7 +101,7 @@ func TestClusterSecretAuthenticatesDock(t *testing.T) {
 
 	// Mismatched secret: the destination refuses, the agent re-arrives
 	// locally and finishes on its origin host.
-	if err := env.host("c1").Launch("refused-agent", &hopper{Docks: []string{env.host("c3").DockAddr()}}); err != nil {
+	if err := env.host("c1").Launch("refused-agent", &hopper{Docks: []string{env.dest("c3")}}); err != nil {
 		t.Fatal(err)
 	}
 	env.awaitGone(t, "refused-agent")
@@ -153,7 +112,7 @@ func TestClusterSecretAuthenticatesDock(t *testing.T) {
 
 	// No secret at all against a secured host: refused too.
 	env.host("c2").cfg.ClusterSecret = nil
-	if err := env.host("c2").Launch("untagged", &hopper{Docks: []string{env.host("c1").DockAddr()}}); err != nil {
+	if err := env.host("c2").Launch("untagged", &hopper{Docks: []string{env.dest("c1")}}); err != nil {
 		t.Fatal(err)
 	}
 	env.awaitGone(t, "untagged")

@@ -6,13 +6,10 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"sync"
 	"time"
 
@@ -50,13 +47,23 @@ type Hook interface {
 	OnTerminate(agentID string)
 }
 
+// Carrier moves migration bundles between hosts; the host uses the first
+// hook that implements it, found by type assertion. The NapletSocket
+// controller is the carrier of a full node: a bundle rides the shared
+// per-host-pair transport as one stream.
+type Carrier interface {
+	// Carry delivers one agent's bundle to the host whose agents arrive at
+	// dest and returns that host's verdict: nil when it took the agent.
+	Carry(agentID, dest string, bundle []byte) error
+	// Dock installs arrive as the receiver of inbound bundles; arrive's
+	// error is the refusal returned to the sender.
+	Dock(arrive func(bundle []byte) error)
+}
+
 // Config configures a Host.
 type Config struct {
 	// Name is the host's human-readable name.
 	Name string
-	// DockAddr is the TCP address of the docking listener; empty means an
-	// ephemeral loopback port.
-	DockAddr string
 	// ControlAddr and DataAddr advertise the co-located NapletSocket
 	// controller's endpoints in the host's location record.
 	ControlAddr string
@@ -77,10 +84,10 @@ type Config struct {
 	// plus epoch, batched atomically with connection state from any
 	// ConnCheckpointer hooks) and feeds Recover after a restart.
 	Journal *journal.Journal
-	// ClusterSecret, when non-empty, authenticates the docking channel:
-	// every outbound bundle carries an HMAC-SHA256 tag under the secret and
-	// inbound bundles without a valid tag are rejected. All hosts of a
-	// deployment must share the secret.
+	// ClusterSecret, when non-empty, authenticates migration bundles: every
+	// outbound bundle carries an HMAC-SHA256 tag under the secret and
+	// inbound bundles without a valid tag are rejected before they are
+	// decoded. All hosts of a deployment must share the secret.
 	ClusterSecret []byte
 	// Logf, when non-nil, receives host diagnostics. It also backs each
 	// agent Context's Logf.
@@ -98,18 +105,7 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-const (
-	// maxBundleSize bounds an inbound migration bundle.
-	maxBundleSize = 64 << 20
-	// dockDialTimeout bounds the TCP dial to a destination dock when
-	// shipping an agent.
-	dockDialTimeout = 10 * time.Second
-	// bundleTimeout bounds the transfer of one migration bundle in either
-	// direction (send and receive).
-	bundleTimeout = 30 * time.Second
-)
-
-// bundle is what travels between docks.
+// bundle is what travels between hosts.
 type bundle struct {
 	AgentID  string
 	Epoch    uint64
@@ -122,7 +118,7 @@ type bundle struct {
 // LocalExit describes why an agent left this host.
 type LocalExit struct {
 	Status Status
-	// Dest is the docking address the agent migrated to (StatusMigrating).
+	// Dest is the address the agent migrated to (StatusMigrating).
 	Dest string
 	// Err is the failure cause (StatusFailed).
 	Err error
@@ -137,12 +133,11 @@ type running struct {
 	exit   LocalExit
 }
 
-// Host is an agent server: it runs resident agents, accepts arriving agents
-// on its dock, and ships departing agents to other docks.
+// Host is an agent server: it runs resident agents and moves arriving and
+// departing agents through its Carrier hook.
 type Host struct {
-	cfg    Config
-	log    *obs.Logger
-	dockLn net.Listener
+	cfg Config
+	log *obs.Logger
 
 	// Runtime metrics; nil-safe, so call sites stay unconditional.
 	launches, doneCount, failedCount       *obs.Counter
@@ -150,33 +145,26 @@ type Host struct {
 	checkpoints, recoveries                *obs.Counter
 	migrateMs                              *obs.Histogram
 
-	mu     sync.Mutex
-	agents map[string]*running
-	hooks  []Hook
-	ext    map[string]any
-	closed bool
+	mu      sync.Mutex
+	agents  map[string]*running
+	hooks   []Hook
+	carrier Carrier // the first hook that is one
+	ext     map[string]any
+	closed  bool
 
 	rootCtx context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 }
 
-// NewHost creates and starts a host: the dock listener is live when NewHost
-// returns.
+// NewHost creates a host. It takes arriving agents once a Carrier hook is
+// added.
 func NewHost(cfg Config) (*Host, error) {
 	if cfg.Directory == nil || cfg.Registry == nil || cfg.Guard == nil {
 		return nil, errors.New("agent: Config requires Directory, Registry, and Guard")
 	}
 	if cfg.Name == "" {
 		return nil, errors.New("agent: Config requires a host name")
-	}
-	addr := cfg.DockAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("agent: dock listener: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &Host{
@@ -187,7 +175,6 @@ func NewHost(cfg Config) (*Host, error) {
 		rootCtx: ctx,
 		cancel:  cancel,
 	}
-	h.dockLn = ln
 	met := cfg.Metrics
 	h.launches = met.Counter("agent.launches")
 	h.doneCount = met.Counter("agent.done")
@@ -203,8 +190,6 @@ func NewHost(cfg Config) (*Host, error) {
 		defer h.mu.Unlock()
 		return float64(len(h.agents))
 	})
-	h.wg.Add(1)
-	go h.acceptDocks()
 	return h, nil
 }
 
@@ -224,16 +209,12 @@ func resolveLogger(cfg Config) *obs.Logger {
 // Name returns the host's name.
 func (h *Host) Name() string { return h.cfg.Name }
 
-// DockAddr returns the docking listener's address.
-func (h *Host) DockAddr() string { return h.dockLn.Addr().String() }
-
 // Location returns the host's advertised location record.
 func (h *Host) Location() naming.Location {
 	return naming.Location{
 		Host:        h.cfg.Name,
 		ControlAddr: h.cfg.ControlAddr,
 		DataAddr:    h.cfg.DataAddr,
-		DockAddr:    h.DockAddr(),
 		MailAddr:    h.cfg.MailAddr,
 	}
 }
@@ -245,11 +226,19 @@ func (h *Host) Guard() *security.Guard { return h.cfg.Guard }
 func (h *Host) Directory() Directory { return h.cfg.Directory }
 
 // AddHook registers a migration hook. Hooks run in registration order on
-// departure and arrival.
+// departure and arrival. A hook that is a Carrier is docked: bundles it
+// receives arrive here.
 func (h *Host) AddHook(hook Hook) {
+	c, ok := hook.(Carrier)
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.hooks = append(h.hooks, hook)
+	if ok && h.carrier == nil {
+		h.carrier = c
+	}
+	h.mu.Unlock()
+	if ok {
+		c.Dock(h.arrive)
+	}
 }
 
 // noteLocationEpoch tells hooks that track directory epochs (the
@@ -281,8 +270,9 @@ func (h *Host) Extension(name string) any {
 	return h.ext[name]
 }
 
-// Close shuts the host down: the dock stops accepting, resident agents'
-// contexts are cancelled, and Close blocks until agent goroutines return.
+// Close shuts the host down: arrivals are refused, resident agents'
+// contexts are cancelled, and Close blocks until agent goroutines and
+// in-flight arrivals return.
 func (h *Host) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -292,9 +282,8 @@ func (h *Host) Close() error {
 	h.closed = true
 	h.mu.Unlock()
 	h.cancel()
-	err := h.dockLn.Close()
 	h.wg.Wait()
-	return err
+	return nil
 }
 
 // Launch starts a new agent with the given id and behaviour on this host.
@@ -388,13 +377,15 @@ func (h *Host) remove(r *running, exit LocalExit) {
 	close(r.exited)
 }
 
-// migrate ships the agent to destDock. On any failure the agent re-arrives
-// locally (its connections are resumed in place) and keeps running.
-func (h *Host) migrate(r *running, b Behavior, epoch uint64, destDock string) {
+// migrate ships the agent to dest through the carrier. On any failure the
+// agent re-arrives locally (its connections are resumed in place) and keeps
+// running.
+func (h *Host) migrate(r *running, b Behavior, epoch uint64, dest string) {
 	start := time.Now()
 	h.mu.Lock()
 	r.status = StatusMigrating
 	hooks := append([]Hook(nil), h.hooks...)
+	carrier := h.carrier
 	h.mu.Unlock()
 
 	// Root the migration trace and publish it under the agent id: hooks
@@ -402,7 +393,7 @@ func (h *Host) migrate(r *running, b Behavior, epoch uint64, destDock string) {
 	// the sealed trace context travels in the bundle so arrival work on the
 	// destination joins the same trace.
 	root := h.cfg.Tracer.StartTrace("migrate " + r.id)
-	root.Annotate("dest=" + destDock)
+	root.Annotate("dest=" + dest)
 	h.cfg.Tracer.SetActive(r.id, root.Context())
 	defer func() {
 		h.cfg.Tracer.ClearActive(r.id)
@@ -414,7 +405,7 @@ func (h *Host) migrate(r *running, b Behavior, epoch uint64, destDock string) {
 	fail := func(err error) {
 		root.Annotate("failed: " + err.Error())
 		h.migrationFailures.Inc()
-		h.log.Warnf("migration of %s to %s failed: %v; re-arriving locally", r.id, destDock, err)
+		h.log.Warnf("migration of %s to %s failed: %v; re-arriving locally", r.id, dest, err)
 		for _, hook := range departed {
 			if aerr := hook.PostArrive(r.id, blobs[hook.HookName()]); aerr != nil {
 				h.log.Warnf("local re-arrive hook %s for %s: %v", hook.HookName(), r.id, aerr)
@@ -427,6 +418,10 @@ func (h *Host) migrate(r *running, b Behavior, epoch uint64, destDock string) {
 		go h.runAgent(h.rootCtx, r, b, epoch)
 	}
 
+	if carrier == nil {
+		fail(errors.New("no carrier to ship the agent"))
+		return
+	}
 	for _, hook := range hooks {
 		blob, err := hook.PreDepart(r.id)
 		if err != nil {
@@ -453,8 +448,15 @@ func (h *Host) migrate(r *running, b Behavior, epoch uint64, destDock string) {
 
 	bd := bundle{AgentID: r.id, Epoch: epoch + 1, Behavior: b, Blobs: blobs}
 	xfer := root.Child("transfer")
-	xfer.Annotate("dest=" + destDock)
-	if err := sendBundle(destDock, &bd, h.cfg.ClusterSecret); err != nil {
+	xfer.Annotate("dest=" + dest)
+	// The carrier looks the trace up by agent id: a transport dial the hop
+	// pays for lands under transfer.
+	h.cfg.Tracer.SetActive(r.id, xfer.Context())
+	raw, err := sealBundle(&bd, h.cfg.ClusterSecret)
+	if err == nil {
+		err = carrier.Carry(r.id, dest, raw)
+	}
+	if err != nil {
 		xfer.Annotate("failed: " + err.Error())
 		xfer.End()
 		h.mu.Lock()
@@ -467,15 +469,15 @@ func (h *Host) migrate(r *running, b Behavior, epoch uint64, destDock string) {
 	h.migrations.Inc()
 	h.migrateMs.ObserveDuration(time.Since(start))
 	h.log.Infof("agent %s migrated to %s in %v (epoch %d)",
-		r.id, destDock, time.Since(start).Round(time.Microsecond), epoch+1)
+		r.id, dest, time.Since(start).Round(time.Microsecond), epoch+1)
 	// The agent now lives at the destination; a restart here must not
 	// resurrect it.
 	h.dropAgentJournal(r.id)
-	h.remove(r, LocalExit{Status: StatusMigrating, Dest: destDock})
+	h.remove(r, LocalExit{Status: StatusMigrating, Dest: dest})
 }
 
-// dockTag computes the docking-channel authentication tag of a bundle's
-// bytes under the cluster secret.
+// dockTag computes the authentication tag of a bundle's bytes under the
+// cluster secret.
 func dockTag(secret, body []byte) [sha256.Size]byte {
 	m := hmac.New(sha256.New, secret)
 	m.Write([]byte("naplet dock bundle"))
@@ -485,163 +487,62 @@ func dockTag(secret, body []byte) [sha256.Size]byte {
 	return tag
 }
 
-// sendBundle dials a dock and delivers one agent bundle, appending the
-// cluster authentication tag when a secret is configured.
-func sendBundle(dockAddr string, bd *bundle, secret []byte) error {
-	conn, err := net.DialTimeout("tcp", dockAddr, dockDialTimeout)
-	if err != nil {
-		return fmt.Errorf("agent: dialing dock %s: %w", dockAddr, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(bundleTimeout))
-
+// sealBundle encodes one agent bundle, appending the cluster authentication
+// tag when a secret is configured.
+func sealBundle(bd *bundle, secret []byte) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(bd); err != nil {
-		return fmt.Errorf("agent: encoding bundle: %w", err)
+		return nil, fmt.Errorf("agent: encoding bundle: %w", err)
 	}
 	body := buf.Bytes()
 	if len(secret) > 0 {
 		tag := dockTag(secret, body)
 		body = append(body, tag[:]...)
 	}
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(len(body)))
-	if _, err := conn.Write(lenb[:]); err != nil {
-		return err
-	}
-	if _, err := conn.Write(body); err != nil {
-		return err
-	}
-	// The dock replies with a length-prefixed status string; empty = OK.
-	status, err := readLenPrefixed(conn, 1<<16)
-	if err != nil {
-		return fmt.Errorf("agent: reading dock reply: %w", err)
-	}
-	if len(status) != 0 {
-		return fmt.Errorf("agent: dock %s rejected agent: %s", dockAddr, status)
-	}
-	return nil
+	return body, nil
 }
 
-func readLenPrefixed(r io.Reader, limit uint32) ([]byte, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(lenb[:])
-	if n > limit {
-		return nil, fmt.Errorf("agent: message of %d bytes exceeds limit %d", n, limit)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// Accept-error backoff bounds for the dock listener, matching the
-// redirector: transient errors (EMFILE, ECONNABORTED) back off
-// exponentially instead of hot-looping.
-const (
-	dockBackoffMin = 5 * time.Millisecond
-	dockBackoffMax = 1 * time.Second
-)
-
-func (h *Host) acceptDocks() {
-	defer h.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := h.dockLn.Accept()
-		if err != nil {
-			select {
-			case <-h.rootCtx.Done():
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			if backoff == 0 {
-				backoff = dockBackoffMin
-			} else if backoff *= 2; backoff > dockBackoffMax {
-				backoff = dockBackoffMax
-			}
-			h.log.Warnf("dock accept error: %v; retrying in %v", err, backoff)
-			timer := time.NewTimer(backoff)
-			select {
-			case <-timer.C:
-			case <-h.rootCtx.Done():
-				timer.Stop()
-				return
-			}
-			continue
-		}
-		backoff = 0
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			h.handleDock(conn)
-		}()
-	}
-}
-
-// handleDock receives one arriving agent.
-func (h *Host) handleDock(conn net.Conn) {
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(bundleTimeout))
-	reply := func(msg string) {
-		var lenb [4]byte
-		binary.BigEndian.PutUint32(lenb[:], uint32(len(msg)))
-		conn.Write(lenb[:])
-		io.WriteString(conn, msg)
-	}
-
-	raw, err := readLenPrefixed(conn, maxBundleSize)
-	if err != nil {
-		h.log.Warnf("dock read: %v", err)
-		return
-	}
+// arrive receives one agent bundle from the carrier. The cluster tag is
+// checked before anything is decoded; the error is the refusal the sender
+// hears, and its agent then re-arrives at the origin.
+func (h *Host) arrive(raw []byte) error {
 	if len(h.cfg.ClusterSecret) > 0 {
 		if len(raw) < sha256.Size {
-			reply("bundle missing cluster tag")
-			return
+			return errors.New("bundle missing cluster tag")
 		}
 		body, got := raw[:len(raw)-sha256.Size], raw[len(raw)-sha256.Size:]
 		want := dockTag(h.cfg.ClusterSecret, body)
 		if subtle.ConstantTimeCompare(want[:], got) != 1 {
-			reply("cluster authentication failed")
-			return
+			return errors.New("cluster authentication failed")
 		}
 		raw = body
 	}
 	var bd bundle
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&bd); err != nil {
-		reply("decoding bundle: " + err.Error())
-		return
+		return fmt.Errorf("decoding bundle: %w", err)
 	}
 	if bd.AgentID == "" || bd.Behavior == nil {
-		reply("bundle missing agent id or behaviour")
-		return
+		return errors.New("bundle missing agent id or behaviour")
 	}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		reply("host closed")
-		return
+		return errors.New("host closed")
 	}
 	if _, ok := h.agents[bd.AgentID]; ok {
 		h.mu.Unlock()
-		reply(fmt.Sprintf("agent %q already resident", bd.AgentID))
-		return
+		return fmt.Errorf("agent %q already resident", bd.AgentID)
 	}
 	hooks := append([]Hook(nil), h.hooks...)
+	// Close waits for an arrival that got past the closed check.
+	h.wg.Add(1)
 	h.mu.Unlock()
+	defer h.wg.Done()
 
 	// Update the location service first: once we are the agent's location,
 	// resume traffic and new dials find us.
 	if err := h.cfg.Directory.Update(h.rootCtx, bd.AgentID, h.Location(), bd.Epoch); err != nil {
-		reply("location update: " + err.Error())
-		return
+		return fmt.Errorf("location update: %w", err)
 	}
 	// Hooks learn the epoch before PostArrive runs, so the SUS_RES/RES
 	// messages sent while resuming the restored connections already carry
@@ -649,8 +550,7 @@ func (h *Host) handleDock(conn net.Conn) {
 	h.noteLocationEpoch(bd.AgentID, bd.Epoch)
 	for _, hook := range hooks {
 		if err := hook.PostArrive(bd.AgentID, bd.Blobs[hook.HookName()]); err != nil {
-			reply(fmt.Sprintf("hook %s PostArrive: %v", hook.HookName(), err))
-			return
+			return fmt.Errorf("hook %s PostArrive: %w", hook.HookName(), err)
 		}
 	}
 	h.arrived.Inc()
@@ -659,7 +559,7 @@ func (h *Host) handleDock(conn net.Conn) {
 		h.log.Warnf("%v", err)
 	}
 	h.startAgent(bd.AgentID, bd.Behavior, bd.Epoch)
-	reply("")
+	return nil
 }
 
 // AgentStatus reports the status of a resident agent.

@@ -194,6 +194,10 @@ type Controller struct {
 	// testing.T that must not be used after the test ends).
 	closing atomic.Bool
 
+	// arrive receives inbound agent bundles once the agent runtime docks
+	// (carry.go); nil until then.
+	arrive atomic.Pointer[func(bundle []byte) error]
+
 	done chan struct{}
 }
 
@@ -537,6 +541,14 @@ func rejectReply(id wire.ConnID, code wire.RejectCode, reason string) []byte {
 // against the connection it claims (Section 3.3: only the holders of the
 // session key can attach a socket to a connection).
 func (ctrl *Controller) authorizeHandoff(hdr *wire.HandoffHeader) error {
+	if hdr.Purpose == wire.HandoffAgent {
+		// The bundle carries its own cluster tag: all it needs here is a
+		// runtime docked to take it (carry.go).
+		if ctrl.arrive.Load() == nil {
+			return errors.New("no agent runtime docked")
+		}
+		return nil
+	}
 	s, ok := ctrl.connByKey(hdr.ConnID, hdr.TargetAgent)
 	if !ok {
 		return fmt.Errorf("unknown connection %s", hdr.ConnID)
@@ -551,8 +563,13 @@ func (ctrl *Controller) authorizeHandoff(hdr *wire.HandoffHeader) error {
 }
 
 // deliverStream hands an accepted transport stream to the endpoint waiting
-// for it; a stream nothing waits for is refused.
+// for it (an agent bundle, to takeBundle); a stream nothing waits for is
+// refused.
 func (ctrl *Controller) deliverStream(hdr *wire.HandoffHeader, st *transport.Stream) bool {
+	if hdr.Purpose == wire.HandoffAgent {
+		ctrl.takeBundle(st)
+		return true
+	}
 	return ctrl.rv.deliver(connKey{id: hdr.ConnID, agent: hdr.TargetAgent}, st)
 }
 

@@ -232,6 +232,11 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 		t.Fatalf("delivered %d messages, want %d", got, total)
 	}
 
+	// The resume that established client2 records the recovery once it
+	// returns, which may be after the data it let through was read.
+	eventually(t, "the recovery to be recorded", func() bool {
+		return reg2.Snapshot().Histograms["fault.recovery_ms"].Count > 0
+	})
 	snap := reg2.Snapshot()
 	if snap.Counters["fault.conn_recoveries"] == 0 {
 		t.Errorf("fault.conn_recoveries = 0 after recovery; counters = %v", snap.Counters)

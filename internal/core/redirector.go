@@ -93,18 +93,24 @@ func (r *rendezvous) disarm(id connKey) {
 	}
 }
 
-// redirector is the host's data-plane listener (Section 3.4 of the paper):
-// every kernel connection arriving here opens a shared transport, and every
-// data socket — for a new connection or a resume — is a stream on one,
-// whose open carries a handoff header naming its connection; the header is
-// authenticated and the stream handed to the right NapletSocket. One
-// redirector is shared by all connections of the host.
+// redirector is the host's one listener (Section 3.4 of the paper): every
+// kernel connection arriving here opens a shared transport, and every
+// stream from another host — a data socket for a new connection or a
+// resume, or a migrating agent's bundle — rides one, its open carrying a
+// handoff header that says where it goes. One redirector is shared by all
+// connections of the host.
 type redirector struct {
 	ctrl *Controller
 	ln   net.Listener
 	wg   sync.WaitGroup
 	done chan struct{}
+	// handshakes holds a token per accepted connection in its handshake.
+	handshakes chan struct{}
 }
+
+// maxHandshakes caps the accepted connections in their transport handshake
+// at once: each holds a goroutine and a socket for up to HandshakeTimeout.
+const maxHandshakes = 128
 
 func newRedirector(ctrl *Controller, addr string) (*redirector, error) {
 	if addr == "" {
@@ -114,7 +120,7 @@ func newRedirector(ctrl *Controller, addr string) (*redirector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &redirector{ctrl: ctrl, ln: ln, done: make(chan struct{})}, nil
+	return &redirector{ctrl: ctrl, ln: ln, done: make(chan struct{}), handshakes: make(chan struct{}, maxHandshakes)}, nil
 }
 
 // serve starts accepting. It is separate from newRedirector because the
@@ -173,10 +179,18 @@ func (r *redirector) acceptLoop() {
 			continue
 		}
 		backoff = 0
+		select {
+		case r.handshakes <- struct{}{}:
+		default:
+			r.ctrl.cfg.Metrics.Counter("transport.handshakes_refused").Inc()
+			sock.Close()
+			continue
+		}
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
 			r.handle(sock, false)
+			<-r.handshakes
 		}()
 	}
 }

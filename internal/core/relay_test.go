@@ -11,6 +11,37 @@ import (
 	"naplet/internal/relay"
 )
 
+// behindNAT puts every host behind a default-deny NAT that admits only the
+// relay rs, registers each with it, and gives each a metrics registry in
+// mets.
+func behindNAT(rs *relay.Server, mets map[string]*obs.Registry) envOption {
+	return func(cfg *Config) {
+		nat := netem.NewNAT()
+		nat.Allow(rs.Addr())
+		met := obs.NewRegistry()
+		mets[cfg.HostName] = met
+		cfg.Metrics = met
+		cfg.RelayVia = rs.Addr()
+		cfg.DialData = nat.WrapDial(func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		})
+	}
+}
+
+// awaitRegistrations waits for n registration legs at the relay: they come
+// up asynchronously, and the rendezvous only works once every host holds
+// one.
+func awaitRegistrations(t *testing.T, rs *relay.Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for rs.Registrations() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d relay registrations, want %d", rs.Registrations(), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestMigrationSustainedThroughRelayNAT is the WAN acceptance scenario: every
 // host sits behind a default-deny NAT that admits only the relay, so no host
 // can dial another's redirector directly. The logical connection must still
@@ -27,26 +58,8 @@ func TestMigrationSustainedThroughRelayNAT(t *testing.T) {
 
 	mets := map[string]*obs.Registry{}
 	tap := &connTap{}
-	env := newEnv(t, []string{"h1", "h2", "h3"}, onHost("h1", func(cfg *Config) { cfg.WrapData = tap.wrap }), func(cfg *Config) {
-		nat := netem.NewNAT()
-		nat.Allow(rs.Addr())
-		met := obs.NewRegistry()
-		mets[cfg.HostName] = met
-		cfg.Metrics = met
-		cfg.RelayVia = rs.Addr()
-		cfg.DialData = nat.WrapDial(func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		})
-	})
-	// Registration legs come up asynchronously; the rendezvous only works
-	// once every host holds one.
-	deadline := time.Now().Add(5 * time.Second)
-	for rs.Registrations() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d relay registrations, want 3", rs.Registrations())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	env := newEnv(t, []string{"h1", "h2", "h3"}, onHost("h1", func(cfg *Config) { cfg.WrapData = tap.wrap }), behindNAT(rs, mets))
+	awaitRegistrations(t, rs, 3)
 
 	client, server := env.pair("mover", "h1", "anchor", "h2")
 
@@ -124,5 +137,32 @@ func TestMigrationSustainedThroughRelayNAT(t *testing.T) {
 	}
 	if got := mets["h3"].Counter("transport.relay_dials").Value(); got < 1 {
 		t.Fatalf("h3 transport.relay_dials = %d, want >= 1", got)
+	}
+}
+
+// TestCarryThroughRelayNAT hops an agent bundle to a host that nothing can
+// dial directly, which the old dedicated dock listener could never reach:
+// the carrier's stream opens on a transport dialed through the relay, and
+// the destination's docked receiver runs.
+func TestCarryThroughRelayNAT(t *testing.T) {
+	rs, err := relay.New("127.0.0.1:0", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	mets := map[string]*obs.Registry{}
+	env := newEnv(t, []string{"h1", "h2"}, behindNAT(rs, mets))
+	awaitRegistrations(t, rs, 2)
+
+	sink := &bundleSink{}
+	env.hosts["h2"].ctrl.Dock(sink.arrive)
+	if err := env.hosts["h1"].ctrl.Carry("mover", env.hosts["h2"].ctrl.DataAddr(), []byte("over the relay")); err != nil {
+		t.Fatalf("carry to the NAT'd host: %v", err)
+	}
+	if got := sink.received(); len(got) != 1 || string(got[0]) != "over the relay" {
+		t.Fatalf("receiver got %q", got)
+	}
+	if got := mets["h1"].Counter("transport.relay_dials").Value(); got != 1 {
+		t.Fatalf("h1 transport.relay_dials = %d, want 1", got)
 	}
 }

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"naplet/internal/obs"
 )
 
 // countingDialer installs a Config.DialData hook that counts kernel TCP
@@ -202,4 +205,70 @@ func TestConnectWaitsOutTransportRegistration(t *testing.T) {
 	if m, err := server.ReadMsg(); err != nil || string(m) != "hello" {
 		t.Fatalf("read %q, %v", m, err)
 	}
+}
+
+// TestHandshakeFloodIsBounded opens more idle TCP connections to a
+// redirector than it handshakes at once. Those past maxHandshakes are
+// closed at once and counted; an established connection keeps exchanging
+// data throughout; once the idle ones are gone, a fresh transport is
+// accepted and the goroutines they held are back.
+func TestHandshakeFloodIsBounded(t *testing.T) {
+	const extra = 16
+	met := obs.NewRegistry()
+	env := newEnv(t, []string{"h1", "h2", "h3"}, onHost("h2", func(c *Config) {
+		c.Metrics = met
+		c.HandshakeTimeout = time.Minute
+	}))
+	client, server := env.pair("a", "h1", "b", "h2")
+	defer client.Close()
+	echo := func(msg string) {
+		t.Helper()
+		if err := client.WriteMsg([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := server.ReadMsg(); err != nil || string(m) != msg {
+			t.Fatalf("read %q, %v; want %q", m, err, msg)
+		}
+	}
+	echo("before")
+	base := settledGoroutines(t, 0)
+
+	var idle []net.Conn
+	defer func() {
+		for _, c := range idle {
+			c.Close()
+		}
+	}()
+	for len(idle) < maxHandshakes+extra {
+		c, err := net.DialTimeout("tcp", env.hosts["h2"].ctrl.DataAddr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idle = append(idle, c)
+	}
+	// The last ones accepted found every handshake slot taken: the
+	// redirector's close shows up as EOF or a reset, not a deadline.
+	for _, c := range idle[maxHandshakes:] {
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err := c.Read(make([]byte, 1))
+		var ne net.Error
+		if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("connection past the handshake cap still open (read: %v)", err)
+		}
+	}
+	if got := met.Counter("transport.handshakes_refused").Value(); got != extra {
+		t.Fatalf("transport.handshakes_refused = %d, want %d", got, extra)
+	}
+	echo("during")
+
+	for _, c := range idle {
+		c.Close()
+	}
+	idle = nil
+	if after := settledGoroutines(t, base); after > base {
+		t.Fatalf("goroutines grew from %d to %d after the idle connections closed", base, after)
+	}
+	fresh, _ := env.pair("c", "h3", "d", "h2")
+	defer fresh.Close()
+	echo("after")
 }

@@ -14,7 +14,7 @@ import (
 // the agent migrates — and the controller already hears about every
 // migration of a peer it talks to, through the SUS/SUS_RES/RES exchanges
 // the redirector path handles. Invalidation therefore piggybacks on those
-// messages (Invalidate / InvalidateBelow / Advance) instead of relying on
+// messages (Invalidate / Advance) instead of relying on
 // TTL expiry; the TTL here is only a safety net for peers the controller
 // has no connection to.
 //
@@ -39,9 +39,8 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	rec     Record
-	filled  time.Time
-	partial bool // installed by Advance: addresses only, no Dock/Mail
+	rec    Record
+	filled time.Time
 }
 
 // CacheConfig tunes a Cache. The zero value selects the defaults.
@@ -140,31 +139,12 @@ func (c *Cache) Invalidate(agentID string) {
 	}
 }
 
-// InvalidateBelow drops the agent's entry if its epoch is strictly below
-// epoch — the epoch-guarded form used when a migration notification
-// carries the mover's new epoch, so a notification arriving late (after
-// the cache already refilled with the new location) does not evict fresh
-// state.
-func (c *Cache) InvalidateBelow(agentID string, epoch uint64) {
-	c.mu.Lock()
-	e, ok := c.entries[agentID]
-	dropped := ok && e.rec.Epoch < epoch
-	if dropped {
-		delete(c.entries, agentID)
-		c.invalsTotal++
-	}
-	c.mu.Unlock()
-	if dropped {
-		c.invalidations.Inc()
-	}
-}
-
 // Advance moves a cached entry forward to the mover's announced location
 // at the given epoch — the piggyback optimisation: a RES/SUS_RES already
 // carries the mover's new control and data addresses, so the peer can
 // keep serving opens from cache without ever re-asking the registry.
 // Address fields left empty by the announcement keep their cached values
-// (a control message does not carry dock/mail addresses). Nothing is
+// (a control message does not carry the mail address). Nothing is
 // fabricated for agents not already cached, and entries at or past epoch
 // are left alone.
 func (c *Cache) Advance(agentID string, loc Location, epoch uint64) {
@@ -188,20 +168,13 @@ func (c *Cache) Advance(agentID string, loc Location, epoch uint64) {
 	if loc.DataAddr != "" {
 		merged.DataAddr = loc.DataAddr
 	}
-	if loc.DockAddr != "" {
-		merged.DockAddr = loc.DockAddr
-	}
 	if loc.MailAddr != "" {
 		merged.MailAddr = loc.MailAddr
 	}
-	// The host name is unknown when only addresses were announced; the
-	// entry stays marked partial so an authoritative fill can overwrite it
-	// even at an equal epoch.
 	e.rec.Loc = merged
 	e.rec.Epoch = epoch
 	e.rec.UpdatedAt = c.now()
 	e.filled = c.now()
-	e.partial = true
 	c.advancesTotal++
 	c.mu.Unlock()
 	c.advances.Inc()

@@ -21,7 +21,7 @@ func (c *countingResolver) Lookup(ctx context.Context, id string) (Record, error
 }
 
 func cacheLoc(host string) Location {
-	return Location{Host: host, ControlAddr: host + ":1", DataAddr: host + ":2", DockAddr: host + ":3"}
+	return Location{Host: host, ControlAddr: host + ":1", DataAddr: host + ":2", MailAddr: host + ":3"}
 }
 
 func TestCacheHitsAndMetrics(t *testing.T) {
@@ -77,24 +77,12 @@ func TestCacheInvalidation(t *testing.T) {
 		t.Fatalf("expected cached (stale) h1 before invalidation, got %s", rec.Loc.Host)
 	}
 
-	// Epoch-guarded invalidation: a notification at or below the cached
-	// epoch is a no-op, one above it evicts.
-	c.InvalidateBelow("a", 1)
-	if rec, _ := c.Lookup(ctx, "a"); rec.Loc.Host != "h1" {
-		t.Fatal("InvalidateBelow(1) must not evict an epoch-1 entry")
-	}
-	c.InvalidateBelow("a", 2)
-	rec, err := c.Lookup(ctx, "a")
-	if err != nil || rec.Loc.Host != "h2" || rec.Epoch != 2 {
-		t.Fatalf("after invalidation: %+v, %v", rec, err)
-	}
-
-	// Unconditional invalidation always evicts.
+	// Invalidation evicts: the next lookup asks the registry again.
 	before := cr.calls
 	c.Invalidate("a")
-	c.Lookup(ctx, "a")
-	if cr.calls != before+1 {
-		t.Fatal("Invalidate did not evict")
+	rec, err := c.Lookup(ctx, "a")
+	if err != nil || rec.Loc.Host != "h2" || rec.Epoch != 2 || cr.calls != before+1 {
+		t.Fatalf("after invalidation: %+v, %v (%d resolver calls, want %d)", rec, err, cr.calls, before+1)
 	}
 }
 
@@ -113,7 +101,7 @@ func TestCacheEpochGuardAgainstStaleFill(t *testing.T) {
 	if rec.Epoch != 2 || rec.Loc.DataAddr != "h2:2" {
 		t.Fatalf("advance did not take: %+v", rec)
 	}
-	if rec.Loc.DockAddr != "h1:3" {
+	if rec.Loc.MailAddr != "h1:3" {
 		t.Fatalf("advance must keep unannounced fields: %+v", rec)
 	}
 

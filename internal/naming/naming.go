@@ -28,10 +28,9 @@ type Location struct {
 	Host string
 	// ControlAddr is the host's reliable-UDP control endpoint.
 	ControlAddr string
-	// DataAddr is the host's redirector TCP address (data-plane handoff).
+	// DataAddr is the host's redirector TCP address (data-plane handoff);
+	// agents migrate to it too.
 	DataAddr string
-	// DockAddr is the host's agent docking TCP address.
-	DockAddr string
 	// MailAddr is the host's post office UDP address (asynchronous
 	// persistent communication); empty when the host runs no post office.
 	MailAddr string

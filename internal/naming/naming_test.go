@@ -13,7 +13,7 @@ func loc(host string) Location {
 		Host:        host,
 		ControlAddr: host + ":7001",
 		DataAddr:    host + ":7002",
-		DockAddr:    host + ":7003",
+		MailAddr:    host + ":7003",
 	}
 }
 

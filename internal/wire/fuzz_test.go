@@ -346,6 +346,17 @@ func FuzzReadHandoffHeader(f *testing.F) {
 	h.Write(&buf)
 	f.Add(buf.Bytes())
 	f.Add([]byte{0, 0, 0, 2, 0x4e, 0x48})
+	// An agent-bundle open must be accepted; purposes 0 and 4, on either
+	// side of the legal range, must be rejected.
+	for _, p := range []HandoffPurpose{HandoffAgent, 0, 4} {
+		var seed bytes.Buffer
+		(&HandoffHeader{Purpose: p}).Write(&seed)
+		_, err := ReadHandoffHeader(bytes.NewReader(seed.Bytes()))
+		if (err == nil) != (p == HandoffAgent) {
+			f.Fatalf("purpose %d: decode error %v", p, err)
+		}
+		f.Add(seed.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, err := ReadHandoffHeader(bytes.NewReader(data))
 		if err != nil {
@@ -358,6 +369,9 @@ func FuzzReadHandoffHeader(f *testing.F) {
 		hdr2, err := ReadHandoffHeader(&out)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
+		}
+		if hdr.Purpose < HandoffConnect || hdr.Purpose > HandoffAgent {
+			t.Fatalf("accepted handoff purpose %d", hdr.Purpose)
 		}
 		if hdr2.Purpose != hdr.Purpose || hdr2.TargetAgent != hdr.TargetAgent || hdr2.Nonce != hdr.Nonce {
 			t.Fatal("handoff round-trip mismatch")

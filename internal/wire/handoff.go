@@ -19,6 +19,9 @@ const (
 	// HandoffResume hands a replacement data socket to a suspended
 	// NapletSocket during connection resume.
 	HandoffResume
+	// HandoffAgent carries one migrating agent's bundle to the destination
+	// host's agent runtime; the stream is answered with the arrival verdict.
+	HandoffAgent
 )
 
 // String names the purpose.
@@ -28,6 +31,8 @@ func (p HandoffPurpose) String() string {
 		return "connect"
 	case HandoffResume:
 		return "resume"
+	case HandoffAgent:
+		return "agent"
 	default:
 		return fmt.Sprintf("HandoffPurpose(%d)", uint8(p))
 	}
@@ -39,7 +44,8 @@ func (p HandoffPurpose) String() string {
 // third party cannot steal a suspended connection.
 type HandoffHeader struct {
 	Purpose HandoffPurpose
-	// ConnID identifies the connection (both purposes).
+	// ConnID identifies the connection (connect and resume; zero for an
+	// agent bundle, which names no connection).
 	ConnID ConnID
 	// TargetAgent is the resident agent being connected to (connect only).
 	TargetAgent string
@@ -135,7 +141,7 @@ func decodeHandoff(b []byte) (*HandoffHeader, error) {
 		return nil, fmt.Errorf("%w: bad token length %d", ErrBadControl, len(b))
 	}
 	copy(h.Token[:], b)
-	if h.Purpose != HandoffConnect && h.Purpose != HandoffResume {
+	if h.Purpose < HandoffConnect || h.Purpose > HandoffAgent {
 		return nil, fmt.Errorf("%w: unknown purpose %d", ErrBadControl, h.Purpose)
 	}
 	return h, nil

@@ -22,17 +22,24 @@ func sampleHandoff() *HandoffHeader {
 }
 
 func TestHandoffRoundTrip(t *testing.T) {
-	want := sampleHandoff()
-	var buf bytes.Buffer
-	if err := want.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadHandoffHeader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+	for _, p := range []HandoffPurpose{HandoffConnect, HandoffResume, HandoffAgent} {
+		want := sampleHandoff()
+		want.Purpose = p
+		if p == HandoffAgent {
+			// An agent bundle's open names no connection and carries no token.
+			want.ConnID, want.TargetAgent, want.FromAgent, want.Nonce, want.Token = ConnID{}, "", "", 0, [TagSize]byte{}
+		}
+		var buf bytes.Buffer
+		if err := want.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadHandoffHeader(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s round trip:\n got %+v\nwant %+v", p, got, want)
+		}
 	}
 }
 
@@ -75,14 +82,16 @@ func TestHandoffErrors(t *testing.T) {
 		}
 	})
 	t.Run("bad purpose", func(t *testing.T) {
-		h := sampleHandoff()
-		h.Purpose = HandoffPurpose(9)
-		var buf bytes.Buffer
-		if err := h.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadHandoffHeader(&buf); err == nil {
-			t.Error("bad purpose accepted")
+		for _, p := range []HandoffPurpose{HandoffInvalid, HandoffAgent + 1, 9} {
+			h := sampleHandoff()
+			h.Purpose = p
+			var buf bytes.Buffer
+			if err := h.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadHandoffHeader(&buf); err == nil {
+				t.Errorf("purpose %d accepted", p)
+			}
 		}
 	})
 }

@@ -92,9 +92,10 @@ const (
 type Config struct {
 	// Name is the host name (required).
 	Name string
-	// DockAddr, ControlAddr, DataAddr, MailAddr bind the four listeners;
-	// empty values select ephemeral loopback ports.
-	DockAddr, ControlAddr, DataAddr, MailAddr string
+	// ControlAddr, DataAddr, MailAddr bind the three listeners; empty
+	// values select ephemeral loopback ports. Agents migrate to DataAddr:
+	// their bundles ride the shared transport like every other byte.
+	ControlAddr, DataAddr, MailAddr string
 	// Directory is the shared location service handle (required): a
 	// naming.Local for in-process deployments or a *cluster.Client for a
 	// location service reached over the network.
@@ -110,8 +111,8 @@ type Config struct {
 	// MigrationDelay models agent code+state transfer cost (the paper's
 	// T_a-migrate); zero means real transfer time only.
 	MigrationDelay time.Duration
-	// ClusterSecret authenticates the docking channel between the
-	// deployment's hosts (see agent.Config.ClusterSecret).
+	// ClusterSecret authenticates migrating agents between the deployment's
+	// hosts (see agent.Config.ClusterSecret).
 	ClusterSecret []byte
 	// WithPostOffice additionally runs the asynchronous mailbox service.
 	WithPostOffice bool
@@ -236,7 +237,6 @@ func NewNode(cfg Config) (*Node, error) {
 
 	hcfg := agent.Config{
 		Name:           cfg.Name,
-		DockAddr:       cfg.DockAddr,
 		ControlAddr:    ctrl.ControlAddr(),
 		DataAddr:       ctrl.DataAddr(),
 		MailAddr:       mailAddr,
@@ -274,8 +274,9 @@ func NewNode(cfg Config) (*Node, error) {
 // Name returns the node's host name.
 func (n *Node) Name() string { return n.host.Name() }
 
-// DockAddr returns the address other nodes' agents migrate to.
-func (n *Node) DockAddr() string { return n.host.DockAddr() }
+// DockAddr returns the address agents migrate to: the node's data address,
+// where every stream from another host arrives.
+func (n *Node) DockAddr() string { return n.ctrl.DataAddr() }
 
 // Controller exposes the underlying NapletSocket controller.
 func (n *Node) Controller() *core.Controller { return n.ctrl }
@@ -405,8 +406,8 @@ func (nw *Network) Node(name string) *Node {
 	return nw.nodes[name]
 }
 
-// DockOf returns the dock address of the named host — what behaviours pass
-// to Context.MigrateTo.
+// DockOf returns the address agents migrate to the named host by — what
+// behaviours pass to Context.MigrateTo.
 func (nw *Network) DockOf(name string) string {
 	if n := nw.Node(name); n != nil {
 		return n.DockAddr()
