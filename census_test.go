@@ -231,6 +231,22 @@ func TestCoreKeepsGobOffTheMigrationPath(t *testing.T) {
 	}
 }
 
+// TestOnlyTheBenchImportsTimerwheel: protocol timeouts are runtime timers
+// (time.AfterFunc), one way of doing it. internal/timerwheel survives only
+// for the benchmark's timerwheel.schedule_cancel_ns row, so no non-test file
+// outside bench/ may import it again.
+func TestOnlyTheBenchImportsTimerwheel(t *testing.T) {
+	const wheel = "internal/timerwheel"
+	for _, f := range parseTree(t) {
+		if f.test || f.dir == "bench" || f.dir == wheel {
+			continue
+		}
+		if f.importsDir(wheel) {
+			t.Errorf("%s imports %s: product timers are time.AfterFunc; the package stays only for bench/ until ROADMAP item 4 deletes it with its bench row", f.path, wheel)
+		}
+	}
+}
+
 // parseTree parses every Go file of the module: product, tests, examples
 // and bench/ alike (the benchmark is a mover too).
 func parseTree(t *testing.T) []*parsedFile {

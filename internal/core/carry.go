@@ -30,9 +30,12 @@ func (ctrl *Controller) Dock(arrive func(bundle []byte) error) { ctrl.arrive.Sto
 // Carry writes one agent's bundle to the host whose redirector listens at
 // dest, half-closes, and reads that host's verdict to EOF: nothing when it
 // took the agent, else its refusal. A dial the hop pays for joins the
-// migration trace published under the agent id.
+// migration trace published under the agent id. A delivered agent's
+// location epoch is forgotten here — the one read as the carry started, so
+// an agent that hops straight back keeps the newer epoch its arrival noted.
 func (ctrl *Controller) Carry(agentID, dest string, bundle []byte) error {
 	fail := func(err error) error { return fmt.Errorf("napletsocket: carrying %s to %s: %w", agentID, dest, err) }
+	epoch := ctrl.locationEpoch(agentID)
 	st, err := ctrl.tm.OpenStreamTraced(dest, &wire.HandoffHeader{Purpose: wire.HandoffAgent},
 		ctrl.cfg.opTimeout(), ctrl.obs.tr.Active(agentID))
 	if err != nil {
@@ -51,6 +54,11 @@ func (ctrl *Controller) Carry(agentID, dest string, bundle []byte) error {
 	if err != nil {
 		return fail(err)
 	}
+	ctrl.epochMu.Lock()
+	if ctrl.locEpochs[agentID] == epoch {
+		delete(ctrl.locEpochs, agentID)
+	}
+	ctrl.epochMu.Unlock()
 	return nil
 }
 

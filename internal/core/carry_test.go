@@ -144,3 +144,39 @@ func TestCarryRefusesOversizeBundle(t *testing.T) {
 		t.Fatalf("read %q, %v after the refused bundle", m, err)
 	}
 }
+
+// A host forgets the location epoch of an agent it carried away, so the
+// epoch table holds resident agents only.
+func TestCarryForgetsDepartedEpoch(t *testing.T) {
+	env := newEnv(t, []string{"h1", "h2"})
+	h1, h2 := env.hosts["h1"].ctrl, env.hosts["h2"].ctrl
+	h2.Dock((&bundleSink{}).arrive)
+	h1.NoteLocationEpoch("mover", 5)
+	if err := h1.Carry("mover", h2.DataAddr(), []byte("hop")); err != nil {
+		t.Fatal(err)
+	}
+	h1.epochMu.Lock()
+	n := len(h1.locEpochs)
+	h1.epochMu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d epochs kept after the only agent left, want 0", n)
+	}
+}
+
+// An agent that hops straight back before the carry returns keeps the newer
+// epoch its arrival noted: the carry forgets only the epoch it started with.
+func TestCarryKeepsEpochOfAgentBackAlready(t *testing.T) {
+	env := newEnv(t, []string{"h1", "h2"})
+	h1, h2 := env.hosts["h1"].ctrl, env.hosts["h2"].ctrl
+	h2.Dock(func([]byte) error {
+		h1.NoteLocationEpoch("mover", 7) // the agent is back on h1
+		return nil
+	})
+	h1.NoteLocationEpoch("mover", 5)
+	if err := h1.Carry("mover", h2.DataAddr(), []byte("hop")); err != nil {
+		t.Fatal(err)
+	}
+	if got := h1.locationEpoch("mover"); got != 7 {
+		t.Fatalf("epoch %d after the agent came back, want 7", got)
+	}
+}

@@ -174,9 +174,8 @@ type Controller struct {
 	epochMu   sync.Mutex
 	locEpochs map[string]uint64
 
-	// tab is the sharded resident-connection table (conns, per-agent
-	// index, migrating flags), striped by agent hash so the per-conn hot
-	// path never funnels through one controller-wide lock.
+	// tab is the resident-connection table (per-agent index, migrating
+	// flags).
 	tab *connTable
 
 	// dp is the shared data-plane worker pool: connections have no
@@ -373,15 +372,6 @@ func (ctrl *Controller) logf(format string, args ...any) {
 	ctrl.olog(obs.LevelWarn, format, args...)
 }
 
-func (ctrl *Controller) isMigrating(agentID string) bool {
-	return ctrl.tab.isMigrating(agentID)
-}
-
-// registerConn adds a socket to the controller's tables.
-func (ctrl *Controller) registerConn(s *Socket) {
-	ctrl.tab.register(s)
-}
-
 // dropConn removes a socket from the tables. This is also the point a
 // connection leaves the journal: it is either closed for good or departing
 // inside a migration bundle, and either way a restarted host must not
@@ -393,16 +383,11 @@ func (ctrl *Controller) dropConn(s *Socket) {
 	ctrl.dropConnJournal(s)
 }
 
-// connByKey fetches a resident connection endpoint by id and local agent.
-func (ctrl *Controller) connByKey(id wire.ConnID, localAgent string) (*Socket, bool) {
-	return ctrl.tab.byKey(id, localAgent)
-}
-
 // AgentSocket re-attaches an agent to one of its connections by id — the
 // post-migration handle, since live Socket values cannot travel inside a
 // gob-encoded behaviour.
 func (ctrl *Controller) AgentSocket(agentID string, id wire.ConnID) (*Socket, error) {
-	s, ok := ctrl.tab.agentSocket(agentID, id)
+	s, ok := ctrl.tab.byKey(id, agentID)
 	if !ok {
 		return nil, fmt.Errorf("napletsocket: agent %s has no connection %s here", agentID, id)
 	}
@@ -415,28 +400,6 @@ func (ctrl *Controller) AgentSockets(agentID string) []*Socket {
 }
 
 // ---- migration-aware location cache ----
-
-// lookupAgent resolves an agent's location through the cache.
-func (ctrl *Controller) lookupAgent(ctx context.Context, agentID string) (naming.Record, error) {
-	return ctrl.loc.Lookup(ctx, agentID)
-}
-
-// invalidateLocation drops the agent's cached location: called when a
-// connect against the cached addresses failed, or when a SUS announces
-// the agent is about to move and its current entry is living on borrowed
-// time.
-func (ctrl *Controller) invalidateLocation(agentID string) {
-	ctrl.loc.Invalidate(agentID)
-}
-
-// advanceLocation moves the agent's cached location forward to the
-// addresses a SUS_RES/RES announced, at the mover's stamped epoch — the
-// piggyback path that keeps the cache fresh without re-consulting the
-// registry. A zero epoch (the mover's host never learned its epoch)
-// degrades to unconditional invalidation.
-func (ctrl *Controller) advanceLocation(agentID string, loc naming.Location, epoch uint64) {
-	ctrl.loc.Advance(agentID, loc, epoch)
-}
 
 // NoteLocationEpoch records the directory epoch this host's entry for a
 // resident agent carries (reported by the agent host after each
@@ -490,7 +453,7 @@ func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
 	if m.Type == wire.MsgConnect {
 		return ctrl.handleConnect(m)
 	}
-	s, ok := ctrl.connByKey(m.ConnID, m.To)
+	s, ok := ctrl.tab.byKey(m.ConnID, m.To)
 	if !ok {
 		return rejectReply(m.ConnID, wire.RejectUnknownConn, "unknown connection")
 	}
@@ -515,9 +478,9 @@ func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
 	// round trip.
 	switch m.Type {
 	case wire.MsgSuspend:
-		ctrl.invalidateLocation(m.From)
+		ctrl.loc.Invalidate(m.From)
 	case wire.MsgSusRes, wire.MsgResume:
-		ctrl.advanceLocation(m.From, naming.Location{
+		ctrl.loc.Advance(m.From, naming.Location{
 			ControlAddr: m.ControlAddr,
 			DataAddr:    m.DataAddr,
 		}, m.LocEpoch)
@@ -549,7 +512,7 @@ func (ctrl *Controller) authorizeHandoff(hdr *wire.HandoffHeader) error {
 		}
 		return nil
 	}
-	s, ok := ctrl.connByKey(hdr.ConnID, hdr.TargetAgent)
+	s, ok := ctrl.tab.byKey(hdr.ConnID, hdr.TargetAgent)
 	if !ok {
 		return fmt.Errorf("unknown connection %s", hdr.ConnID)
 	}
@@ -645,7 +608,7 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 	if err != nil {
 		return nil, err
 	}
-	rec, err := ctrl.lookupAgent(ctx, target)
+	rec, err := ctrl.loc.Lookup(ctx, target)
 	bd.Add(metrics.PhaseManagement, time.Since(start))
 	if err != nil {
 		return nil, fmt.Errorf("napletsocket: locating agent %q: %w", target, err)
@@ -670,7 +633,7 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 	if err != nil {
 		// The cached location may be the reason the host is unreachable;
 		// drop it so the retry path re-resolves.
-		ctrl.invalidateLocation(target)
+		ctrl.loc.Invalidate(target)
 		return nil, fmt.Errorf("napletsocket: transport to %q's host: %w", target, err)
 	}
 
@@ -694,7 +657,7 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 	raw, err := ctrl.ep.Request(ctx, rec.Loc.ControlAddr, m.Encode())
 	bd.Add(metrics.PhaseHandshaking, time.Since(start))
 	if err != nil {
-		ctrl.invalidateLocation(target)
+		ctrl.loc.Invalidate(target)
 		return nil, fmt.Errorf("napletsocket: CONNECT to %q: %w", target, err)
 	}
 	reply, err := wire.DecodeControlReply(raw)
@@ -705,7 +668,7 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 		// "Not listening here" usually means the target migrated (or has not
 		// landed); either way the cached record must not pin the retry loop
 		// to this host until the TTL saves it.
-		ctrl.invalidateLocation(target)
+		ctrl.loc.Invalidate(target)
 		err := fmt.Errorf("napletsocket: connection to %q refused: %s", target, reply.Reason)
 		if reply.Code == wire.RejectRetry {
 			err = fmt.Errorf("%w (%w)", err, errTargetNotReady)
@@ -734,7 +697,7 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 	s.step(fsm.AppOpen) // -> CONNECT_SENT
 	s.setPeerAddrsLocked(rec.Loc.ControlAddr, rec.Loc.DataAddr)
 	s.mu.Unlock()
-	ctrl.registerConn(s)
+	ctrl.tab.register(s)
 
 	// Open socket: a stream on the shared transport, carrying the
 	// authenticated handoff header as its open payload and handed off by the
@@ -817,7 +780,7 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 	if m.ConnID.IsZero() || m.From == "" {
 		return rejectReply(m.ConnID, wire.RejectOther, "malformed CONNECT")
 	}
-	if _, dup := ctrl.connByKey(m.ConnID, target); dup {
+	if _, dup := ctrl.tab.byKey(m.ConnID, target); dup {
 		return rejectReply(m.ConnID, wire.RejectOther, "duplicate connection id")
 	}
 
@@ -861,11 +824,11 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 	s.step(fsm.RecvConnect) // -> CONNECT_ACKED
 	s.setPeerAddrsLocked(m.ControlAddr, m.DataAddr)
 	s.mu.Unlock()
-	ctrl.registerConn(s)
+	ctrl.tab.register(s)
 
 	// Await the handoff socket; establishment completes in
 	// completeEstablishment once the ID message has arrived too. The wait
-	// is a rendezvous callback plus one timer-wheel entry, not a parked
+	// is a rendezvous callback plus one runtime timer, not a parked
 	// goroutine: a connect storm of 10k concurrent opens adds nothing to
 	// the goroutine count. Giving up closes the endpoint, which releases an
 	// ID message waiting on it with a REJECT.

@@ -692,7 +692,7 @@ func TestReplayedControlMessageRejected(t *testing.T) {
 	}
 	raw := wire.SignEncoded(m.Encode(), client.auth)
 	if err := func() error {
-		serverConn, ok := env.hosts["h2"].ctrl.connByKey(client.ID(), "b")
+		serverConn, ok := env.hosts["h2"].ctrl.tab.byKey(client.ID(), "b")
 		if !ok {
 			return errors.New("server conn missing")
 		}
@@ -711,7 +711,7 @@ func TestTamperedControlMessageRejected(t *testing.T) {
 	}
 	m.Tag = client.auth.Sign(m.SigningBytes())
 	m.Nonce = 100 // tamper after signing
-	serverConn, ok := env.hosts["h2"].ctrl.connByKey(client.ID(), "b")
+	serverConn, ok := env.hosts["h2"].ctrl.tab.byKey(client.ID(), "b")
 	if !ok {
 		t.Fatal("server conn missing")
 	}

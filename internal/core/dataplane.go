@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"naplet/internal/fsm"
-	"naplet/internal/timerwheel"
 	"naplet/internal/transport"
 	"naplet/internal/wire"
 )
@@ -538,18 +537,18 @@ func (s *Socket) failLocked(cause error) {
 	s.scheduleFailureResume(failureResumeDelay(s.highPriority))
 }
 
-// scheduleFailureResume arms a failure-recovery attempt on the shared
-// timer wheel: a suspended-by-failure connection costs one wheel entry,
-// not a parked goroutine. The high-priority side fires first; the
-// low-priority side is a late fallback, and the resume-race rules sort
-// out collisions. While the peer stays unreachable (crashed and not yet
-// restarted, or partitioned away) attempts re-arm with capped exponential
-// backoff, so the connection heals as soon as the peer returns rather
-// than stranding after one failed try. The wheel callback only inspects
-// state; the resume handshake itself runs on a transient goroutine.
+// scheduleFailureResume arms a failure-recovery attempt on a runtime
+// timer: a suspended-by-failure connection costs one timer, not a parked
+// goroutine. The high-priority side fires first; the low-priority side is
+// a late fallback, and the resume-race rules sort out collisions. While
+// the peer stays unreachable (crashed and not yet restarted, or
+// partitioned away) attempts re-arm with capped exponential backoff, so
+// the connection heals as soon as the peer returns rather than stranding
+// after one failed try. The resume handshake runs on the timer's own
+// goroutine.
 func (s *Socket) scheduleFailureResume(delay time.Duration) {
 	const maxDelay = 5 * time.Second
-	timerwheel.AfterFunc(delay, func() {
+	time.AfterFunc(delay, func() {
 		select {
 		case <-s.ctrl.done:
 			return
@@ -565,18 +564,16 @@ func (s *Socket) scheduleFailureResume(delay time.Duration) {
 		if next > maxDelay {
 			next = maxDelay
 		}
-		if s.ctrl.isMigrating(s.localAgent) {
+		if s.ctrl.tab.isMigrating(s.localAgent) {
 			s.scheduleFailureResume(next)
 			return
 		}
-		go func() {
-			err := s.Resume()
-			if err == nil || errors.Is(err, ErrClosed) || errors.Is(err, ErrMigrated) {
-				return
-			}
-			s.ctrl.logf("conn %s: failure resume: %v", s.id, err)
-			s.scheduleFailureResume(next)
-		}()
+		err := s.Resume()
+		if err == nil || errors.Is(err, ErrClosed) || errors.Is(err, ErrMigrated) {
+			return
+		}
+		s.ctrl.logf("conn %s: failure resume: %v", s.id, err)
+		s.scheduleFailureResume(next)
 	})
 }
 
@@ -911,19 +908,17 @@ func (s *Socket) drainAndClose() {
 var condTimerFires atomic.Uint64
 
 // waitCond waits on c until a broadcast or until d elapses, implemented
-// with a one-shot entry on the shared timer wheel because sync.Cond has no
-// native timed wait. It reports false when d was already non-positive
-// (deadline passed). The wheel entry fires at most once per call — at or
-// just after the caller's true deadline — so a blocked operation costs
-// zero wakeups until something actually happens, and 100k blocked
-// operations share one timer goroutine instead of owning one runtime
-// timer each. A wakeup broadcast that lands after the wait already
+// with a one-shot runtime timer because sync.Cond has no native timed
+// wait. It reports false when d was already non-positive (deadline
+// passed). The timer fires at most once per call, at the caller's
+// deadline, so a blocked operation costs zero wakeups until something
+// actually happens. A wakeup broadcast that lands after the wait already
 // returned is a harmless spurious broadcast (all cond users loop).
 func waitCond(c *sync.Cond, d time.Duration) bool {
 	if d <= 0 {
 		return false
 	}
-	t := timerwheel.AfterFunc(d, func() {
+	t := time.AfterFunc(d, func() {
 		c.L.Lock()
 		condTimerFires.Add(1)
 		c.Broadcast()

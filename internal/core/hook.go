@@ -227,7 +227,7 @@ func (ctrl *Controller) PostArrive(agentID string, blob []byte) error {
 
 	for i, s := range socks {
 		st := &hb.Conns[i]
-		ctrl.registerConn(s)
+		ctrl.tab.register(s)
 		// The connection now lives here: journal it so a crash before the
 		// post-arrival resume completes still recovers it.
 		if !st.PeerClosed {

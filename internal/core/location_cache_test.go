@@ -14,7 +14,7 @@ func (e *testEnv) lookupVia(host, agentID string) (string, uint64) {
 	e.t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	rec, err := e.hosts[host].ctrl.lookupAgent(ctx, agentID)
+	rec, err := e.hosts[host].ctrl.loc.Lookup(ctx, agentID)
 	if err != nil {
 		e.t.Fatalf("lookup %s via %s: %v", agentID, host, err)
 	}

@@ -334,7 +334,7 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 	for !s.closed && settles(m.Type, s.m.State()) && waitCond(s.cond, time.Until(settleDeadline)) {
 	}
 	st := s.m.State()
-	r := onPeer(m.Type, st, s.highPriority, s.ctrl.isMigrating(s.localAgent))
+	r := onPeer(m.Type, st, s.highPriority, s.ctrl.tab.isMigrating(s.localAgent))
 	if r.step != noStep {
 		s.step(r.step)
 	}
@@ -629,8 +629,8 @@ func (s *Socket) resumeAttempt() (done bool, err error) {
 func (s *Socket) relookupPeer() {
 	ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
 	defer cancel()
-	s.ctrl.invalidateLocation(s.remoteAgent)
-	rec, err := s.ctrl.lookupAgent(ctx, s.remoteAgent)
+	s.ctrl.loc.Invalidate(s.remoteAgent)
+	rec, err := s.ctrl.loc.Lookup(ctx, s.remoteAgent)
 	if err != nil {
 		return
 	}
@@ -641,7 +641,7 @@ func (s *Socket) relookupPeer() {
 
 // grantResume arms the redirector rendezvous and completes establishment
 // when the mover's handoff lands. The wait is a rendezvous
-// callback with a timer-wheel deadline, not a parked goroutine: a
+// callback with a runtime-timer deadline, not a parked goroutine: a
 // migration wave resuming 10k connections arms 10k map entries.
 func (s *Socket) grantResume(m *wire.ControlMsg) {
 	peerHasUpTo := m.LastSeq

@@ -223,7 +223,7 @@ func (ctrl *Controller) RecoverConns() (int, error) {
 			ctrl.logf("recover: %v", err)
 			continue
 		}
-		ctrl.registerConn(s)
+		ctrl.tab.register(s)
 		// Re-checkpoint immediately with the bumped nonce, so a second crash
 		// before the resume completes bumps again from here, not from the
 		// pre-crash value.

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"naplet/internal/timerwheel"
 	"naplet/internal/transport"
 	"naplet/internal/wire"
 )
@@ -20,19 +19,19 @@ type connKey struct {
 }
 
 // rvWaiter is an endpoint armed for its socket: the claim callback plus
-// the wheel entry that expires the wait.
+// the timer that expires the wait.
 type rvWaiter struct {
 	onSock func(*transport.Stream)
-	timer  *timerwheel.Timer
+	timer  *time.Timer
 }
 
 // rendezvous pairs arriving data streams with the NapletSocket endpoints
 // waiting for them. An endpoint arms a callback before it sends the ACK
 // that licenses the peer to open the stream, so a stream always finds its
 // waiter unless the arm has expired or was disarmed — and then it is
-// refused. A waiting endpoint costs one map entry and one shared
-// timer-wheel slot — not a parked goroutine with its own timer — so 10k
-// in-flight opens or resumes add no goroutines.
+// refused. A waiting endpoint costs one map entry and one runtime timer —
+// not a parked goroutine — so 10k in-flight opens or resumes add no
+// goroutines.
 type rendezvous struct {
 	mu      sync.Mutex
 	waiters map[connKey]*rvWaiter
@@ -48,7 +47,7 @@ func newRendezvous() *rendezvous {
 func (r *rendezvous) armFunc(id connKey, timeout time.Duration, onSock func(*transport.Stream), onTimeout func()) {
 	r.mu.Lock()
 	w := &rvWaiter{onSock: onSock}
-	w.timer = timerwheel.AfterFunc(timeout, func() {
+	w.timer = time.AfterFunc(timeout, func() {
 		r.mu.Lock()
 		if r.waiters[id] != w {
 			r.mu.Unlock()
@@ -57,9 +56,7 @@ func (r *rendezvous) armFunc(id connKey, timeout time.Duration, onSock func(*tra
 		delete(r.waiters, id)
 		r.mu.Unlock()
 		if onTimeout != nil {
-			// The wheel goroutine only expires the arm; the caller's
-			// timeout handling (teardown, logging) gets its own goroutine.
-			go onTimeout()
+			onTimeout()
 		}
 	})
 	r.waiters[id] = w

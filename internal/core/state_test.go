@@ -70,7 +70,7 @@ func TestConnStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.registerConn(s)
+	ctrl.tab.register(s)
 	if info := s.Info(); info.RecvBufferedMsgs != 3 || info.RecvBufferedBytes != 61+100+70<<10+1 ||
 		!info.LeftoverFromBuffer || info.SendLogBytes != 1<<10+64<<10+9 {
 		t.Errorf("restored endpoint reports %+v", info)

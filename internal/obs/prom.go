@@ -70,14 +70,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // histogramSums captures each histogram's running sum, which the summary
 // rendering needs but HistogramSnapshot (Mean-based) does not carry.
 func (r *Registry) histogramSums() map[string]float64 {
-	out := make(map[string]float64)
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for name, h := range s.hists {
-			out[name] = math.Float64frombits(h.sumBits.Load())
-		}
-		s.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]float64, len(r.hists))
+	for name, h := range r.hists {
+		out[name] = math.Float64frombits(h.sumBits.Load())
 	}
 	return out
 }

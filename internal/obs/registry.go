@@ -3,11 +3,10 @@
 // latency histograms) snapshot-able as JSON, and a structured, leveled
 // event logger with per-connection context.
 //
-// Unlike the offline instrumentation in internal/metrics and
-// internal/trace — which exists to reproduce the paper's figures in
-// one-shot benchmark harnesses — this package makes the same quantities
-// continuously measurable on a live daemon, where they feed the
-// /metrics and /connz endpoints of napletd.
+// Unlike the offline instrumentation in internal/metrics — which exists
+// to reproduce the paper's figures in one-shot benchmark harnesses — this
+// package makes the same quantities continuously measurable on a live
+// daemon, where they feed the /metrics and /connz endpoints of napletd.
 //
 // Every type is nil-safe: methods on a nil *Registry, *Counter, *Gauge,
 // *Histogram, or *Logger record nothing, so instrumentation can stay
@@ -287,16 +286,13 @@ func (s Snapshot) MarshalJSON() ([]byte, error) {
 	return json.Marshal(alias(s))
 }
 
-// regShards is the stripe count for the registry's name→metric maps.
-// Lookups hash the metric name to a shard, so get-or-create calls from
-// different subsystems (which overwhelmingly use different names) take
-// different locks. 16 stripes is plenty: the maps are small and the
-// per-sample hot path (Counter.Add, Histogram.Observe) never touches
-// them once the caller holds the metric pointer.
-const regShards = 16
-
-// regShard is one stripe of the registry.
-type regShard struct {
+// Registry is a named collection of metrics behind one mutex. Metric
+// constructors return the existing metric when the name is already
+// registered, so independent subsystems can share names safely. The
+// per-sample path (Counter.Add, Histogram.Observe) never takes the lock
+// once the caller holds the metric pointer. A nil *Registry hands out nil
+// metrics, which record nothing.
+type Registry struct {
 	mu     sync.Mutex
 	counts map[string]*Counter
 	gauges map[string]*Gauge
@@ -304,40 +300,14 @@ type regShard struct {
 	hists  map[string]*Histogram
 }
 
-// Registry is a named collection of metrics, striped regShards ways by
-// metric-name hash. Metric constructors return the existing metric when
-// the name is already registered, so independent subsystems can share
-// names safely. A nil *Registry hands out nil metrics, which record
-// nothing.
-type Registry struct {
-	shards [regShards]regShard
-}
-
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.counts = make(map[string]*Counter)
-		s.gauges = make(map[string]*Gauge)
-		s.funcs = make(map[string]func() float64)
-		s.hists = make(map[string]*Histogram)
+	return &Registry{
+		counts: make(map[string]*Counter),
+		gauges: make(map[string]*Gauge),
+		funcs:  make(map[string]func() float64),
+		hists:  make(map[string]*Histogram),
 	}
-	return r
-}
-
-// shard maps a metric name to its stripe (FNV-1a).
-func (r *Registry) shard(name string) *regShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
-	}
-	return &r.shards[h%regShards]
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -345,13 +315,12 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.shard(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.counts[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, ok := r.counts[name]
 	if !ok {
 		c = &Counter{}
-		s.counts[name] = c
+		r.counts[name] = c
 	}
 	return c
 }
@@ -361,13 +330,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.shard(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.gauges[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
-		s.gauges[name] = g
+		r.gauges[name] = g
 	}
 	return g
 }
@@ -380,10 +348,9 @@ func (r *Registry) Func(name string, fn func() float64) {
 	if r == nil || fn == nil {
 		return
 	}
-	s := r.shard(name)
-	s.mu.Lock()
-	s.funcs[name] = fn
-	s.mu.Unlock()
+	r.mu.Lock()
+	r.funcs[name] = fn
+	r.mu.Unlock()
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -391,20 +358,18 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	s := r.shard(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.hists[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h, ok := r.hists[name]
 	if !ok {
 		h = &Histogram{}
-		s.hists[name] = h
+		r.hists[name] = h
 	}
 	return h
 }
 
 // Snapshot captures every metric. Func gauges are evaluated outside the
-// shard locks, so callbacks may themselves take locks (including other
-// registry shards).
+// lock, so callbacks may themselves take locks (including the registry's).
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{
 		Counters:   map[string]uint64{},
@@ -414,29 +379,21 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return snap
 	}
-	var funcs map[string]func() float64
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for name, c := range s.counts {
-			snap.Counters[name] = c.Value()
-		}
-		for name, g := range s.gauges {
-			snap.Gauges[name] = g.Value()
-		}
-		for name, h := range s.hists {
-			snap.Histograms[name] = h.snapshot()
-		}
-		if len(s.funcs) > 0 {
-			if funcs == nil {
-				funcs = make(map[string]func() float64, len(s.funcs))
-			}
-			for name, fn := range s.funcs {
-				funcs[name] = fn
-			}
-		}
-		s.mu.Unlock()
+	r.mu.Lock()
+	for name, c := range r.counts {
+		snap.Counters[name] = c.Value()
 	}
+	for name, g := range r.gauges {
+		snap.Gauges[name] = g.Value()
+	}
+	for name, h := range r.hists {
+		snap.Histograms[name] = h.snapshot()
+	}
+	funcs := make(map[string]func() float64, len(r.funcs))
+	for name, fn := range r.funcs {
+		funcs[name] = fn
+	}
+	r.mu.Unlock()
 	for name, fn := range funcs {
 		snap.Gauges[name] = fn()
 	}

@@ -1,12 +1,10 @@
-// Package timerwheel provides a hierarchical timing wheel: a shared
-// replacement for the per-connection time.Timer/time.AfterFunc churn that
-// dominates the scheduler at 100k+ connections. One wheel runs one
-// goroutine regardless of how many timers are armed, insertion and
+// Package timerwheel provides a hierarchical timing wheel. One wheel runs
+// one goroutine regardless of how many timers are armed, insertion and
 // cancellation are O(1), and expiry processing touches only the bucket
-// whose tick arrived. The price is coarse granularity: a timer fires
-// within one tick after its deadline, which is exactly right for protocol
-// timeouts (op timeouts, drain deadlines, reconnect backoff) and wrong
-// for microsecond pacing — callers needing precision keep time.Timer.
+// whose tick arrived; the price is that a timer fires within one tick
+// after its deadline. No product code uses it — protocol timeouts are
+// runtime timers (time.AfterFunc) — and it is kept only for the
+// benchmark's timerwheel.schedule_cancel_ns row.
 //
 // The wheel is hierarchical in the classic Varghese/Lauck arrangement:
 // level 0 spans wheelSlots ticks at full resolution, and each level above
@@ -32,10 +30,8 @@ const (
 	wheelLevels = 4
 )
 
-// DefaultTick is the default wheel granularity. Two milliseconds keeps
-// the idle wakeup rate of a busy wheel at 500/s for the whole process —
-// versus one runtime timer per pending operation — while staying well
-// under every protocol timeout in the tree (the tightest is 5ms).
+// DefaultTick is the default wheel granularity: a busy wheel wakes 500
+// times a second.
 const DefaultTick = 2 * time.Millisecond
 
 // Timer is one scheduled callback. The zero value is not a valid Timer;
@@ -292,26 +288,4 @@ func (w *Wheel) collectLocked(now uint64, ready *Timer) *Timer {
 		}
 	}
 	return ready
-}
-
-// ---- process-default wheel ----
-
-var (
-	defaultOnce  sync.Once
-	defaultWheel *Wheel
-)
-
-// Default returns the process-wide shared wheel, starting it on first
-// use. It is never closed: like the runtime timer goroutine it sleeps
-// when idle and belongs to no one subsystem. Every caller that schedules
-// protocol timeouts (core, transport) shares it, which is the point —
-// one driver goroutine for the whole process.
-func Default() *Wheel {
-	defaultOnce.Do(func() { defaultWheel = New(DefaultTick) })
-	return defaultWheel
-}
-
-// AfterFunc schedules fn on the default wheel.
-func AfterFunc(d time.Duration, fn func()) *Timer {
-	return Default().AfterFunc(d, fn)
 }

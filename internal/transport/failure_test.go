@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"naplet/internal/obs"
-	"naplet/internal/timerwheel"
 )
 
 // connTap records the shared connections a manager installs (via WrapData)
@@ -67,9 +66,6 @@ func TestKillFailsEveryStreamTyped(t *testing.T) {
 				cfg.WrapData = tap.wrap
 			})
 			b := newTestPeerCfg(t, "b", insecure, probing)
-			// The shared timer wheel behind stream deadlines starts on first
-			// use and lives on; start it before counting.
-			timerwheel.AfterFunc(time.Hour, func() {}).Stop()
 			baseline := runtime.NumGoroutine()
 
 			var streams []*Stream

@@ -123,14 +123,12 @@ type Manager struct {
 	// registered is closed and replaced each time a transport joins all,
 	// waking SecretByID callers waiting for an id to appear.
 	registered chan struct{}
-
-	// dialMu holds one mutex per address, serialising dials so that N
-	// concurrent opens to a new peer produce exactly one connection. It is
-	// never held while registering an accepted inbound transport, so a host
-	// dialing itself (or two hosts dialing each other simultaneously)
-	// cannot deadlock.
-	dialMuMu sync.Mutex
-	dialMu   map[string]*sync.Mutex
+	// dialing holds an entry per address with a dial in flight, closed and
+	// removed when that dial returns, so N concurrent opens to a new peer
+	// produce exactly one connection. Registering an accepted inbound
+	// transport never waits on it, so a host dialing itself (or two hosts
+	// dialing each other simultaneously) cannot deadlock.
+	dialing map[string]chan struct{}
 }
 
 // maxLostInfos bounds the lost-transport ring kept for the debug surface.
@@ -164,7 +162,7 @@ func NewManager(cfg Config) *Manager {
 		all:               make(map[*Transport]struct{}),
 		pending:           make(map[net.Conn]struct{}),
 		registered:        make(chan struct{}),
-		dialMu:            make(map[string]*sync.Mutex),
+		dialing:           make(map[string]chan struct{}),
 	}
 	// The worst-path RTT gauge: evaluated at snapshot time, so dashboards
 	// see the live estimate without the manager pushing samples anywhere.
@@ -211,24 +209,6 @@ func advertisedLimits(cfg *Config) wire.Limits {
 		adv.KeepaliveMs = kaMs
 	}
 	return adv
-}
-
-func (m *Manager) addrLock(addr string) *sync.Mutex {
-	m.dialMuMu.Lock()
-	defer m.dialMuMu.Unlock()
-	mu := m.dialMu[addr]
-	if mu == nil {
-		mu = &sync.Mutex{}
-		m.dialMu[addr] = mu
-	}
-	return mu
-}
-
-func (m *Manager) lookup(addr string) (*Transport, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t, ok := m.byAddr[addr]
-	return t, ok && !m.closed
 }
 
 func (m *Manager) isClosed() bool {
@@ -324,19 +304,38 @@ func (m *Manager) Transport(addr string, timeout time.Duration) (*Transport, err
 // hello carries the context to the acceptor, so cross-host operations see
 // the transport establishment they paid for inside their own trace.
 func (m *Manager) TransportTraced(addr string, timeout time.Duration, tc obs.SpanContext) (*Transport, error) {
-	if t, ok := m.lookup(addr); ok {
-		return t, nil
+	for {
+		m.mu.Lock()
+		if m.closed {
+			m.mu.Unlock()
+			return nil, ErrClosed
+		}
+		if t, ok := m.byAddr[addr]; ok {
+			m.mu.Unlock()
+			return t, nil
+		}
+		wait, busy := m.dialing[addr]
+		if !busy {
+			done := make(chan struct{})
+			m.dialing[addr] = done
+			m.mu.Unlock()
+			t, err := m.dialNew(addr, timeout, tc)
+			m.mu.Lock()
+			delete(m.dialing, addr)
+			m.mu.Unlock()
+			close(done)
+			return t, err
+		}
+		m.mu.Unlock()
+		// Another caller's dial is in flight: take its transport, or dial
+		// again if it failed.
+		<-wait
 	}
-	lock := m.addrLock(addr)
-	lock.Lock()
-	defer lock.Unlock()
-	// Another caller may have finished the dial while we waited.
-	if t, ok := m.lookup(addr); ok {
-		return t, nil
-	}
-	if m.isClosed() {
-		return nil, ErrClosed
-	}
+}
+
+// dialNew dials and handshakes a fresh transport to addr; the caller holds
+// addr's in-flight dial entry.
+func (m *Manager) dialNew(addr string, timeout time.Duration, tc obs.SpanContext) (*Transport, error) {
 	if timeout <= 0 {
 		timeout = m.cfg.HandshakeTimeout
 	}

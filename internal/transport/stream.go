@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"naplet/internal/timerwheel"
 	"naplet/internal/wire"
 )
 
@@ -86,13 +85,10 @@ func (s *Stream) broadcastLocked() {
 }
 
 // waitLocked releases s.mu until the next broadcast or the deadline; it
-// returns os.ErrDeadlineExceeded on timeout. s.mu is held on return.
-// Deadlines ride the shared timer wheel rather than a per-wait
-// time.Timer: with 100k streams each blocked in a deadline-bearing
-// Read/Write, per-wait timers put 100k entries in the runtime timer
-// heap; the wheel pays one bucket node each, and the callback only
-// broadcasts (every caller loops re-checking its condition, so a
-// coarse-tick or spurious wake is harmless).
+// returns os.ErrDeadlineExceeded on timeout. s.mu is held on return. A
+// deadline arms a one-shot runtime timer whose callback only broadcasts
+// (every caller loops re-checking its condition, so a spurious wake is
+// harmless).
 func (s *Stream) waitLocked(deadline time.Time) error {
 	if s.cond == nil {
 		s.cond = make(chan struct{})
@@ -109,7 +105,7 @@ func (s *Stream) waitLocked(deadline time.Time) error {
 		s.mu.Lock()
 		return os.ErrDeadlineExceeded
 	}
-	tm := timerwheel.AfterFunc(d, func() {
+	tm := time.AfterFunc(d, func() {
 		s.mu.Lock()
 		s.broadcastLocked()
 		s.mu.Unlock()

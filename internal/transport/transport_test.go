@@ -485,6 +485,43 @@ func TestSelfDialDoesNotDeadlock(t *testing.T) {
 	recvStream(t, a)
 }
 
+// TestDialTableEmptiesAfterDials: the in-flight dial table holds an
+// address only while its dial runs, whether the dial succeeded or was
+// refused, so a host that has dialed many peers keeps no entry for any.
+func TestDialTableEmptiesAfterDials(t *testing.T) {
+	a := newTestPeer(t, "a", true)
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		addrs = append(addrs, newTestPeer(t, fmt.Sprintf("b%d", i), true).addr())
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, ln.Addr().String())
+		ln.Close() // nothing listens there now: the dial is refused
+	}
+	var wg sync.WaitGroup
+	for _, addr := range addrs {
+		for j := 0; j < 4; j++ {
+			wg.Add(1)
+			go func(addr string) {
+				defer wg.Done()
+				a.mgr.Transport(addr, time.Second)
+			}(addr)
+		}
+	}
+	wg.Wait()
+	a.mgr.mu.Lock()
+	n := len(a.mgr.dialing)
+	a.mgr.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d addresses left in the dial table after every dial returned, want 0", n)
+	}
+	if tr, _ := a.mgr.Counts(); tr != 3 {
+		t.Fatalf("%d transports, want one per listening peer (3)", tr)
+	}
+}
+
 func TestReadDeadline(t *testing.T) {
 	a := newTestPeer(t, "a", true)
 	b := newTestPeer(t, "b", true)
