@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small profile-control chaos-smoke naming-smoke storm-smoke wan-smoke crash-soak handoff-soak census
+.PHONY: build test vet fmt lint race check integration fuzz-smoke bench profile-small profile-bulk profile-control chaos-smoke naming-smoke storm-smoke wan-smoke crash-soak handoff-soak census
 
 build:
 	$(GO) build ./...
@@ -144,6 +144,15 @@ profile-small:
 	$(GO) test ./internal/core -run '^TestSmallMessageSteadyState$$' -count=30 \
 		-o .bench_build/profile-small/core.test -cpuprofile .bench_build/profile-small/cpu.out
 	$(GO) tool pprof -top -nodecount=20 .bench_build/profile-small/core.test .bench_build/profile-small/cpu.out
+
+# profile-bulk does the same for the bulk steady state: what it profiles is
+# the tier-1 budget test TestBulkMessageSteadyState, 64 KiB messages through
+# a connected pair on sealed records.
+profile-bulk:
+	mkdir -p .bench_build/profile-bulk
+	$(GO) test ./internal/core -run '^TestBulkMessageSteadyState$$' -count=30 \
+		-o .bench_build/profile-bulk/core.test -cpuprofile .bench_build/profile-bulk/cpu.out
+	$(GO) tool pprof -top -nodecount=20 .bench_build/profile-bulk/core.test .bench_build/profile-bulk/cpu.out
 
 # profile-control does the same for the control cycle: the driver is the
 # tier-1 budget test TestMigrationSteadyState, an agent with two connections

@@ -102,7 +102,7 @@ func startDebugServer(addr string, node *naplet.Node, reg *obs.Registry, cnode *
 				tr.ID, tr.PeerHost, tr.PeerAddr, role, via, tr.Cipher, limits, tr.Streams, rtt,
 				time.Since(tr.Opened).Round(time.Second), tr.State, lastKA)
 			for _, ev := range tr.Events {
-				fmt.Fprintf(w, "    %s %-18s %s\n", ev.At.Format("15:04:05.000"), ev.Kind, ev.Detail)
+				fmt.Fprintf(w, "    %s\n", ev)
 			}
 		}
 	})

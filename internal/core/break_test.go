@@ -53,14 +53,32 @@ func (ct *connTap) count() int {
 // had not yet pulled off its stream, and the send log must still hold all of
 // it when the RES reports how far the peer got. Credit bounds that to one
 // stream window — the controller never overrides the transport's limits, so
-// the window is at most wire.DefaultLimits' (a peer can only negotiate it
-// down) — plus the batch a stalled flush is writing and the pending bytes
-// behind it. Eviction past maxSendLog must never reach them.
+// the window is at most wire.DefaultInitialWindow (a peer can only negotiate
+// it down) — plus the batch a stalled flush is writing and the pending bytes
+// behind it. Eviction past maxSendLog must never reach them, for every window
+// a default-configured host can negotiate with any peer; and both buffer
+// bounds are derived from that window, not set beside it.
 func TestSendLogCoversCreditWindow(t *testing.T) {
-	window := int(wire.DefaultLimits().InitialWindow)
-	if window+sendSegBytes+coalesceFlushBytes >= maxSendLog {
-		t.Fatalf("InitialWindow %d + sendSegBytes %d + coalesceFlushBytes %d >= maxSendLog %d: a break could lose frames the log evicted",
-			window, sendSegBytes, coalesceFlushBytes, maxSendLog)
+	if maxSendLog != 2*wire.DefaultInitialWindow || maxRecvBuffer != 2*wire.DefaultInitialWindow {
+		t.Fatalf("maxSendLog %d and maxRecvBuffer %d, want both twice the default window %d",
+			maxSendLog, maxRecvBuffer, wire.DefaultInitialWindow)
+	}
+	local := &wire.TransportHello{Versions: wire.SupportedVersions(), Limits: wire.DefaultLimits()}
+	for _, adv := range []uint32{4 << 10, 64 << 10, 1 << 20, wire.DefaultInitialWindow - 1, wire.DefaultInitialWindow, 4 << 20, 1 << 30} {
+		remote := &wire.TransportHello{Versions: wire.SupportedVersions(), Limits: wire.DefaultLimits()}
+		remote.Limits.InitialWindow = adv
+		n, err := wire.Negotiate(local, remote)
+		if err != nil {
+			t.Fatalf("peer advertising a %d-byte window: %v", adv, err)
+		}
+		window := int(n.Limits.InitialWindow)
+		if window > wire.DefaultInitialWindow {
+			t.Fatalf("peer advertising %d negotiated a %d-byte window, above the local %d", adv, window, wire.DefaultInitialWindow)
+		}
+		if window+sendSegBytes+coalesceFlushBytes >= maxSendLog {
+			t.Fatalf("window %d + sendSegBytes %d + coalesceFlushBytes %d >= maxSendLog %d: a break could lose frames the log evicted",
+				window, sendSegBytes, coalesceFlushBytes, maxSendLog)
+		}
 	}
 }
 
@@ -97,7 +115,9 @@ func unrecoverableLog(t *testing.T, seen *atomic.Bool) envOption {
 // no ErrUnrecoverable, every message delivered byte-exact, in order, once,
 // and every failure matched by a recovery.
 func TestBreakWhileCreditStalled(t *testing.T) {
-	const msgs = 160 // 10 MiB: the reader's buffer, a window, and more
+	// Twice what the reader's buffer and a window hold: the writer is still
+	// far from done when both fill.
+	const msgs = 2 * (maxRecvBuffer + wire.DefaultInitialWindow) / sendSegBytes
 	regs := map[string]*obs.Registry{"h1": obs.NewRegistry(), "h2": obs.NewRegistry()}
 	tap := &connTap{}
 	var unrecoverable atomic.Bool

@@ -22,25 +22,33 @@ import (
 // live in ops.go; the socket's identity and lifecycle bookkeeping stay in
 // conn.go.
 
-// Limits of the per-connection buffers.
+// Limits of the per-connection buffers. Both bounds derive from the largest
+// credit window a stream can negotiate (the controller never overrides the
+// transport's limits, and a peer can only negotiate the window down), so
+// the window and the buffers around it cannot drift apart by hand.
 const (
 	// maxRecvBuffer bounds the bytes the receive buffer holds (segment
 	// capacities, headers and slack included); at the bound the pump stops
 	// taking segments from the stream, so transport flow control pushes
-	// back on the sender. The bound is lifted while draining for a suspend
-	// — everything in flight must be captured.
-	maxRecvBuffer = 4 << 20
+	// back on the sender. Two windows: the reader can fall a window behind
+	// while the next one is in flight. The bound is lifted while draining
+	// for a suspend — everything in flight must be captured.
+	maxRecvBuffer = 2 * wire.DefaultInitialWindow
 	// maxSendLog bounds the bytes the retransmission log holds, counted the
-	// same way; past it the oldest segments are evicted. A graceful suspend
+	// same way; past it the oldest segments are evicted. Two windows: a
+	// break can destroy a whole window in flight, plus the batch a stalled
+	// flush is writing and the bytes pending behind it, and the log must
+	// still hold them (TestSendLogCoversCreditWindow). A graceful suspend
 	// clears the log (the drain handshake proves delivery); the cap only
 	// matters between suspends.
-	maxSendLog = 4 << 20
+	maxSendLog = 2 * wire.DefaultInitialWindow
 	// coalesceFlushBytes is the write-coalescing high-water mark: a write
 	// that leaves at least this much pending flushes inline instead of
 	// waiting for the next flush pass, bounding the data one pass writes.
 	coalesceFlushBytes = 32 << 10
-	// sendSegBytes is the size send segments grow to: the largest pool
-	// class, one 64 KiB message with its header or some 560 of 100 B.
+	// sendSegBytes is the size send segments grow to: the pool's 64 KiB
+	// class, one 64 KiB message with its header or some 560 of 100 B. A
+	// full segment fits one mux frame (wire.MaxMuxPayload), sealed or not.
 	sendSegBytes = 64<<10 + wire.FrameHeaderSize
 )
 
@@ -393,6 +401,12 @@ func (s *Socket) writeCut(sock *transport.Stream, last uint64, b1, b2 []byte) er
 			writes++
 		}
 	}
+	return s.cutWritten(sock, last, writes, err)
+}
+
+// cutWritten is the end of writeCut, after its writes returned err: the same
+// unlock and bookkeeping, for a flush pass that wrote its batch itself.
+func (s *Socket) cutWritten(sock *transport.Stream, last, writes uint64, err error) error {
 	s.flushMu.Unlock()
 	s.mu.Lock()
 	s.flushedSeq = max(s.flushedSeq, last)
@@ -414,9 +428,11 @@ func (s *Socket) writeCut(sock *transport.Stream, last uint64, b1, b2 []byte) er
 }
 
 // flushEvent is one event-driven flush pass: cut the pending frames and
-// push them to the stream. A batch the stream lacks send credit for is
-// handed to a transient goroutine that rides out the stall holding
-// flushMu, so pool workers never block on a slow peer.
+// push them to the stream. A batch the stream cannot take without waiting —
+// it lacks send credit, or the transport's sealed-record queue is full of
+// sibling streams' bulk — is handed to a transient goroutine that rides out
+// the wait holding flushMu, so pool workers never block on a slow peer or a
+// busy transport.
 func (s *Socket) flushEvent() {
 	s.writeMu.Lock()
 	if !s.flushMu.TryLock() {
@@ -444,11 +460,11 @@ func (s *Socket) flushEvent() {
 	// writeMu releases before the write: writers encode the next batch
 	// while this one's syscall is in flight.
 	s.writeMu.Unlock()
-	if sock.SendWindow() < len(batch) {
-		go s.writeCut(sock, last, batch, nil)
+	if wrote, err := sock.TryWrite(batch); wrote || err != nil {
+		s.cutWritten(sock, last, 1, err)
 		return
 	}
-	s.writeCut(sock, last, batch, nil)
+	go s.writeCut(sock, last, batch, nil)
 }
 
 // readerExit classifies the end of a socket generation: a completed

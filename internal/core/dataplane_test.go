@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -359,4 +360,94 @@ func TestDataPlaneStressConcurrent(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestBulkSiblingsLeaveThePoolFree: two bulk streams and a small-message
+// sibling share one encrypted transport. The bulk writers keep the
+// transport's sealed-record queue at its bound, so a flush pass that wrote
+// the sibling's batch from a pool worker would park that worker in
+// recordFlusher.waitSpace — holding the worker every connection's pump and
+// flush share. A batch the stream cannot take without waiting goes to a
+// transient goroutine instead, and a window grant never waits for queue
+// room: the sibling's round trips keep completing, and no goroutine dump
+// taken throughout finds a pool worker inside waitSpace.
+func TestBulkSiblingsLeaveThePoolFree(t *testing.T) {
+	const rounds = 500
+	env := newEnv(t, []string{"h1", "h2"})
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer stop.Store(true)
+	for i := 0; i < 2; i++ {
+		w, r := env.pair(fmt.Sprintf("bulk%d", i), "h1", fmt.Sprintf("drain%d", i), "h2")
+		defer w.Close()
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			msg := make([]byte, 64<<10)
+			for !stop.Load() {
+				if err := w.WriteMsg(msg); err != nil {
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 64<<10)
+			for {
+				if _, err := r.Read(buf); err != nil {
+					return
+				}
+			}
+		}()
+	}
+	client, echo := env.pair("small", "h1", "echo", "h2")
+	defer client.Close()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			m, err := echo.ReadMsg()
+			if err != nil || echo.WriteMsg(m) != nil {
+				return
+			}
+		}
+	}()
+
+	var samples, parked int
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		buf := make([]byte, 1<<20)
+		for !stop.Load() {
+			n := runtime.Stack(buf, true)
+			for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+				if bytes.Contains(g, []byte("(*dpPool).worker")) && bytes.Contains(g, []byte("(*recordFlusher).waitSpace")) {
+					parked++
+				}
+			}
+			samples++
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+
+	msg := make([]byte, 100)
+	var worst time.Duration
+	for i := 0; i < rounds; i++ {
+		t0 := time.Now()
+		if err := client.WriteMsg(msg); err != nil {
+			t.Fatalf("round %d: write: %v", i, err)
+		}
+		if _, err := client.ReadMsg(); err != nil {
+			t.Fatalf("round %d: read: %v", i, err)
+		}
+		worst = max(worst, time.Since(t0))
+	}
+	stop.Store(true)
+	<-sampled
+	t.Logf("%d small round trips beside two bulk streams, the slowest %v; a pool worker in waitSpace in %d of %d goroutine dumps",
+		rounds, worst, parked, samples)
+	if parked > 0 {
+		t.Errorf("a pool worker sat in waitSpace in %d of %d goroutine dumps, want none", parked, samples)
+	}
 }

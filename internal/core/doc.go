@@ -23,7 +23,7 @@
 //
 // All logical connections between two hosts share a single kernel TCP
 // connection. Streams are framed with a 13-byte mux header and flow-controlled
-// with per-stream credit windows (negotiated, 1 MiB each direction by
+// with per-stream credit windows (negotiated, 2 MiB each direction by
 // default, replenished at the half-window mark), so a bulk stream cannot
 // starve its siblings: the transport's read loop never blocks on any one
 // stream, and a writer that exhausts its window parks without holding the

@@ -217,7 +217,10 @@ func TestBuffersBoundHeldBytes(t *testing.T) {
 	client, server := env.pair("src", "h1", "sink", "h2")
 	defer client.Close()
 
-	const msgs, size = 100_000, 100
+	// Enough frames to fill the receive buffer, a window in flight and the
+	// send log twice over, so the writer stalls and the log evicts its head.
+	const size = 100
+	const msgs = 2 * (maxRecvBuffer + wire.DefaultInitialWindow + maxSendLog) / (size + wire.FrameHeaderSize)
 	hits0, misses0 := wire.PoolStats()
 	returns0 := wire.PoolReturns()
 	wrote := make(chan error, 1)

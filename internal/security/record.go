@@ -61,6 +61,9 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 type Sealer struct {
 	aead    cipher.AEAD
 	counter uint64
+	// nonce is the scratch the counter is encoded into: a local array
+	// passed to the AEAD interface would escape, one allocation a record.
+	nonce [nonceSize]byte
 }
 
 // NewSealer builds a sealer over a 32-byte AES-256-GCM key with its nonce
@@ -80,10 +83,9 @@ func (s *Sealer) Seal(dst, plaintext, aad []byte) ([]byte, error) {
 	if s.counter == ^uint64(0) {
 		return nil, ErrNonceExhausted
 	}
-	var nonce [nonceSize]byte
-	binary.BigEndian.PutUint64(nonce[4:], s.counter)
+	binary.BigEndian.PutUint64(s.nonce[4:], s.counter)
 	s.counter++
-	return s.aead.Seal(dst, nonce[:], plaintext, aad), nil
+	return s.aead.Seal(dst, s.nonce[:], plaintext, aad), nil
 }
 
 // Opener opens inbound records sealed by the peer's Sealer. Not safe for
@@ -92,6 +94,7 @@ func (s *Sealer) Seal(dst, plaintext, aad []byte) ([]byte, error) {
 type Opener struct {
 	aead    cipher.AEAD
 	counter uint64
+	nonce   [nonceSize]byte // as Sealer.nonce
 }
 
 // NewOpener builds an opener over a 32-byte AES-256-GCM key with its
@@ -112,9 +115,8 @@ func (o *Opener) Open(dst, record, aad []byte) ([]byte, error) {
 	if o.counter == ^uint64(0) {
 		return nil, ErrNonceExhausted
 	}
-	var nonce [nonceSize]byte
-	binary.BigEndian.PutUint64(nonce[4:], o.counter)
-	out, err := o.aead.Open(dst, nonce[:], record, aad)
+	binary.BigEndian.PutUint64(o.nonce[4:], o.counter)
+	out, err := o.aead.Open(dst, o.nonce[:], record, aad)
 	if err != nil {
 		return nil, ErrRecordAuth
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"naplet/internal/obs"
+	"naplet/internal/security"
 	"naplet/internal/wire"
 )
 
@@ -190,6 +192,68 @@ func TestNegotiatedLimitsThreaded(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("bulk payload corrupted under tight limits: %d bytes, want %d", len(got), total)
+	}
+}
+
+// TestBulkSegmentFrames: a data-plane segment — a 64 KiB message and its
+// 16-byte frame header — crosses a sealed session between two default peers
+// as one mux frame, so the receiver's stream queues it as one segment. A
+// peer advertising a 64 KiB MaxPayload (the bound of earlier builds) still
+// negotiates, and the same write falls back to two frames.
+func TestBulkSegmentFrames(t *testing.T) {
+	const seg = 64<<10 + wire.FrameHeaderSize
+	for _, tc := range []struct {
+		name   string
+		limits wire.Limits
+		frames []int
+	}{
+		{"default", wire.Limits{}, []int{seg}},
+		{"64KiB-peer", wire.Limits{MaxPayload: 64 << 10, InitialWindow: 1 << 20}, []int{64<<10 - security.RecordOverhead - wire.MuxHeaderSize, 45}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newTestPeer(t, "a", false)
+			b := newTestPeerCfg(t, "b", false, func(cfg *Config) { cfg.Limits = tc.limits })
+			cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss := recvStream(t, b)
+			want := wire.DefaultLimits()
+			if tc.limits.MaxPayload != 0 {
+				want.MaxPayload, want.InitialWindow = tc.limits.MaxPayload, tc.limits.InitialWindow
+			}
+			for _, m := range []*Manager{a.mgr, b.mgr} {
+				if info := transportInfo(t, m); info.Limits.MaxPayload != want.MaxPayload || info.Limits.InitialWindow != want.InitialWindow || info.Cipher != "aes256gcm" {
+					t.Fatalf("negotiated %s %+v, want aes256gcm %+v", info.Cipher, info.Limits, want)
+				}
+			}
+
+			payload := make([]byte, seg)
+			for i := range payload {
+				payload[i] = byte(i*31 + i>>8)
+			}
+			if _, err := cs.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			var got []byte
+			var sizes []int
+			for deadline := time.Now().Add(5 * time.Second); len(got) < seg; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("received %d of %d bytes", len(got), seg)
+				}
+				for _, s := range ss.TakeSegments(nil, 1<<20) {
+					got = append(got, s...)
+					sizes = append(sizes, len(s))
+					wire.PutPayload(s)
+				}
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatal("segment corrupted in transit")
+			}
+			if fmt.Sprint(sizes) != fmt.Sprint(tc.frames) {
+				t.Fatalf("segment arrived in frames of %v bytes, want %v", sizes, tc.frames)
+			}
+		})
 	}
 }
 

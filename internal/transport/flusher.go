@@ -75,14 +75,22 @@ func (f *recordFlusher) enqueue(typ uint8, stream uint64, payload []byte) {
 
 // waitSpace blocks while the pending queue is over budget. Callers must
 // NOT hold the transport's write lock: the flusher drains without it, so
-// waiting here cannot deadlock, and keepalive probes (sent under a
-// try-lock) skip the wait entirely.
+// waiting here cannot deadlock. Only data frames wait (writeFrame); control
+// frames and Stream.TryWrite skip the wait.
 func (f *recordFlusher) waitSpace() {
 	f.mu.Lock()
 	for f.qBytes >= maxPendingRecordBytes && !f.closed {
 		f.cond.Wait()
 	}
 	f.mu.Unlock()
+}
+
+// full reports whether the pending queue is over budget: a write now would
+// wait in waitSpace.
+func (f *recordFlusher) full() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.qBytes >= maxPendingRecordBytes && !f.closed
 }
 
 // close shuts the flusher down for good (transport failed): queued
@@ -108,7 +116,8 @@ func (f *recordFlusher) close() {
 // broke) or a seal error (nonce space exhausted) fails the transport. The
 // loop exits only when the transport fails.
 func (f *recordFlusher) run() {
-	var batch, recs [][]byte
+	var batch, recs, bufSlab [][]byte
+	var hdrs []byte
 	for {
 		f.mu.Lock()
 		for len(f.q) == 0 && !f.closed {
@@ -123,12 +132,19 @@ func (f *recordFlusher) run() {
 		f.cond.Broadcast()
 		f.mu.Unlock()
 
-		// Headers live in one slab sized exactly for the batch, so the
+		// Headers live in one slab with room for the whole batch, so the
 		// appends below never reallocate and the slices stay valid through
 		// the writev. recs keeps the sealed buffers for recycling:
-		// net.Buffers.WriteTo consumes bufs in place.
-		hdrs := make([]byte, 0, wire.MuxHeaderSize*len(batch))
-		bufs := make(net.Buffers, 0, 2*len(batch))
+		// net.Buffers.WriteTo consumes bufs in place, so bufs is a fresh
+		// view of a slab of its own. All three slabs serve the next batch.
+		if need := wire.MuxHeaderSize * len(batch); cap(hdrs) < need {
+			hdrs = make([]byte, 0, need)
+		}
+		if cap(bufSlab) < 2*len(batch) {
+			bufSlab = make([][]byte, 0, 2*len(batch))
+		}
+		hdrs = hdrs[:0]
+		bufs := net.Buffers(bufSlab[:0])
 		recs = recs[:0]
 		var err error
 		for _, pt := range batch {
@@ -149,6 +165,7 @@ func (f *recordFlusher) run() {
 		if err == nil {
 			_, err = bufs.WriteTo(f.conn)
 		}
+		clear(bufSlab[:2*len(batch)])
 		for _, rec := range recs {
 			wire.PutPayload(rec[:cap(rec)])
 		}

@@ -12,13 +12,27 @@ import (
 // ErrTransportLost the log shows what the transport lived through, not
 // just the terminal cause. The ring is also surfaced on Info for the
 // /connz debug endpoint, and cumulative per-kind counts survive ring
-// eviction so tests can assert exact fault coverage.
+// eviction so tests can assert exact fault coverage. An event that repeats
+// one already in the newest run of its kind (a bulk stream stalls on credit
+// thousands of times) is folded into that entry's repeat count, so the
+// repeats cannot push the dial or accept out of the ring.
 
-// RecorderEvent is one recorded transport lifecycle event.
+// RecorderEvent is one recorded transport lifecycle event. Repeats counts
+// the identical events (same kind and detail) folded into it after At.
 type RecorderEvent struct {
-	At     time.Time `json:"at"`
-	Kind   string    `json:"kind"`
-	Detail string    `json:"detail,omitempty"`
+	At      time.Time `json:"at"`
+	Kind    string    `json:"kind"`
+	Detail  string    `json:"detail,omitempty"`
+	Repeats uint64    `json:"repeats,omitempty"`
+}
+
+// String renders the event as one log line.
+func (ev RecorderEvent) String() string {
+	line := fmt.Sprintf("%s %-18s %s", ev.At.Format("15:04:05.000"), ev.Kind, ev.Detail)
+	if ev.Repeats > 0 {
+		line += fmt.Sprintf(" (and %d more)", ev.Repeats)
+	}
+	return line
 }
 
 // recorderCap bounds the per-transport event ring.
@@ -46,14 +60,36 @@ func (r *flightRecorder) record(kind, format string, args ...any) {
 		ev.Detail = fmt.Sprintf(format, args...)
 	}
 	r.mu.Lock()
-	if len(r.events) < recorderCap {
+	switch prev := r.repeatOf(ev); {
+	case prev != nil:
+		prev.Repeats++
+	case len(r.events) < recorderCap:
 		r.events = append(r.events, ev)
-	} else {
+	default:
 		r.events[r.next] = ev
 		r.next = (r.next + 1) % recorderCap
 	}
 	r.counts[kind]++
 	r.mu.Unlock()
+}
+
+// repeatOf returns the ring entry ev repeats — one of the same kind and
+// detail in the newest run of events of that kind — or nil. Two bulk streams
+// stalling in turn thus hold one entry each, not the whole ring. Caller holds
+// r.mu.
+func (r *flightRecorder) repeatOf(ev RecorderEvent) *RecorderEvent {
+	n := len(r.events)
+	for i := 0; i < n; i++ {
+		// Newest first; r.next is 0 until the ring is full.
+		e := &r.events[(r.next-1-i+n)%n]
+		if e.Kind != ev.Kind {
+			return nil
+		}
+		if e.Detail == ev.Detail {
+			return e
+		}
+	}
+	return nil
 }
 
 // snapshot returns the recorded events oldest-first and a copy of the
@@ -98,6 +134,6 @@ func (r *flightRecorder) dump(logf func(format string, args ...any), label strin
 	events, _ := r.snapshot()
 	logf("transport %s lost (%v); flight recorder (%d events):", label, cause, len(events))
 	for _, ev := range events {
-		logf("  %s %-18s %s", ev.At.Format("15:04:05.000"), ev.Kind, ev.Detail)
+		logf("  %s", ev)
 	}
 }

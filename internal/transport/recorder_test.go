@@ -80,6 +80,42 @@ func TestFlightRecorderDump(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderCoalescesRepeats: a bulk stream stalls on credit
+// thousands of times in a run. The count stays exact — the benchmark reads
+// it — but the repeats fold into one ring entry per stream, so the dump on
+// a loss still tells how the transport began.
+func TestFlightRecorderCoalescesRepeats(t *testing.T) {
+	rec := newFlightRecorder()
+	rec.record("dial", "peer=b")
+	for i := 0; i < 1000; i++ {
+		rec.record("credit-stall", "stream=%d", 1+2*(i%2)) // two streams in turn
+	}
+	rec.record("lost", "cause=x")
+	var lines []string
+	rec.dump(func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }, "tid", ErrTransportLost)
+	events, counts := rec.snapshot()
+	if counts["credit-stall"] != 1000 {
+		t.Fatalf("credit-stall count %d, want 1000", counts["credit-stall"])
+	}
+	if len(events) != 4 || events[0].Kind != "dial" || events[3].Kind != "lost" {
+		t.Fatalf("events %v, want dial, one stall per stream, lost", events)
+	}
+	if events[1].Repeats+events[2].Repeats != 1000-2 {
+		t.Fatalf("stall entries fold %d and %d repeats, want 998 between them", events[1].Repeats, events[2].Repeats)
+	}
+	joined := strings.Join(lines, "\n")
+	for _, want := range []string{"dial", "peer=b", "stream=1 (and 499 more)", "stream=3 (and 499 more)", "lost"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("dump missing %q:\n%s", want, joined)
+		}
+	}
+	// Another kind in between ends the run: a later stall is news again.
+	rec.record("credit-stall", "stream=1")
+	if events, _ := rec.snapshot(); events[len(events)-1].Kind != "credit-stall" || events[len(events)-1].Repeats != 0 {
+		t.Fatalf("a stall after the loss folded into an earlier entry: %v", events)
+	}
+}
+
 // TestFlightRecorderCapturesNetemFaults is the chaos-soak follow-up: every
 // RST the netem proxy injects must show up in the dialing side's flight
 // recorders — each transport it kills ends with exactly one "lost" event,

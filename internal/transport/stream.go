@@ -295,12 +295,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 	for len(p) > 0 {
 		s.mu.Lock()
 		for {
-			if s.closed || s.writeClosed {
-				s.mu.Unlock()
-				return written, ErrStreamClosed
-			}
-			if s.err != nil {
-				err := s.err
+			if err := s.writeErrLocked(); err != nil {
 				s.mu.Unlock()
 				return written, err
 			}
@@ -332,6 +327,16 @@ func (s *Stream) Write(p []byte) (int, error) {
 		p = p[n:]
 	}
 	return written, nil
+}
+
+// writeErrLocked is the error a write fails with before sending anything:
+// ErrStreamClosed after Close or CloseWrite, else the stream's terminal
+// error, if any. Callers hold s.mu.
+func (s *Stream) writeErrLocked() error {
+	if s.closed || s.writeClosed {
+		return ErrStreamClosed
+	}
+	return s.err
 }
 
 // CloseWrite half-closes the stream: the peer reads EOF after consuming
@@ -484,6 +489,34 @@ func (s *Stream) SetWritable(fn func()) {
 	if fire {
 		fn()
 	}
+}
+
+// TryWrite writes all of p if it can without waiting, and reports whether
+// it did: the stream must hold the credit for every byte, and the
+// transport's sealed-record queue must be under its bound. Otherwise it
+// writes nothing and returns false, and the caller — a worker shared by many
+// connections, which must not block — hands p to a goroutine of its own for
+// Write. A sibling stream that fills the queue between the check and the
+// write only lets it run over its bound by p.
+func (s *Stream) TryWrite(p []byte) (bool, error) {
+	if s.t.flusher != nil && s.t.flusher.full() {
+		return false, nil
+	}
+	s.mu.Lock()
+	if err := s.writeErrLocked(); err != nil || s.sendWindow < len(p) {
+		s.mu.Unlock()
+		return false, err
+	}
+	s.sendWindow -= len(p)
+	s.mu.Unlock()
+	for len(p) > 0 {
+		n := min(len(p), s.t.maxPlain)
+		if err := s.t.sendFrame(wire.MuxData, s.id, p[:n]); err != nil {
+			return false, err
+		}
+		p = p[n:]
+	}
+	return true, nil
 }
 
 // SendWindow reports the remaining peer-granted send credit.

@@ -343,22 +343,30 @@ func writeMux(conn net.Conn, typ uint8, stream uint64, payload []byte) error {
 	return err
 }
 
-// writeFrame sends one mux frame. Keepalive probes (ping/pong) are
-// droppable — liveness is judged by any inbound frame, not by pongs — so
-// they take the write lock only if it is free: the read loop answers pings,
-// and must never wait on a writer that is itself waiting for the peer's
-// read loop to drain the kernel buffers. A write error fails the transport.
+// writeFrame sends one mux frame. A data frame first waits for room in the
+// sealed-record queue: soft backpressure, taken before wmu so a waiting
+// writer can never deadlock the flusher (which needs no lock we hold while
+// waiting). Control frames — grants, opens, resets, FINs, probes — are a few
+// bytes each and never wait behind bulk data: a window grant is what
+// releases the peer's bulk, and it is sent from workers that must not block.
 func (t *Transport) writeFrame(typ uint8, stream uint64, payload []byte) error {
+	if typ == wire.MuxData && t.flusher != nil {
+		t.flusher.waitSpace()
+	}
+	return t.sendFrame(typ, stream, payload)
+}
+
+// sendFrame is writeFrame without the wait for queue room. Keepalive probes
+// (ping/pong) are droppable — liveness is judged by any inbound frame, not by
+// pongs — so they take the write lock only if it is free: the read loop
+// answers pings, and must never wait on a writer that is itself waiting for
+// the peer's read loop to drain the kernel buffers. A write error fails the
+// transport.
+func (t *Transport) sendFrame(typ uint8, stream uint64, payload []byte) error {
 	if len(payload) > t.maxPlain {
 		return fmt.Errorf("transport: mux payload %d exceeds limit", len(payload))
 	}
 	probe := typ == wire.MuxPing || typ == wire.MuxPong
-	if !probe && t.flusher != nil {
-		// Soft backpressure on the sealed-record queue, taken before wmu
-		// so a waiting writer can never deadlock the flusher (which needs
-		// no lock we hold while waiting).
-		t.flusher.waitSpace()
-	}
 	if !probe {
 		t.wmu.Lock()
 	} else if !t.wmu.TryLock() {

@@ -303,6 +303,19 @@ func FuzzReadTransportHello(f *testing.F) {
 		f.Fatalf("old-format resume hello: want ErrBadTransport, got %v", err)
 	}
 	f.Add(resume)
+	// The largest MaxPayload a hello may carry, and one past it: a must-accept
+	// and a must-reject seed.
+	for _, mp := range []uint32{MaxMuxPayload, MaxMuxPayload + 1} {
+		lim := DefaultLimits()
+		lim.MaxPayload = mp
+		var b bytes.Buffer
+		WriteTransportHello(&b, &TransportHello{ID: id, Host: "h", Versions: []uint8{2}, Limits: lim})
+		_, _, err := ReadTransportHello(bytes.NewReader(b.Bytes()))
+		if (err == nil) != (mp == MaxMuxPayload) {
+			f.Fatalf("MaxPayload %d: decode error %v", mp, err)
+		}
+		f.Add(b.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, _, err := ReadTransportHello(bytes.NewReader(data))
 		if err != nil {

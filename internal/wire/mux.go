@@ -79,10 +79,19 @@ type Limits struct {
 func DefaultLimits() Limits {
 	return Limits{
 		MaxPayload:    MaxMuxPayload,
-		InitialWindow: 1 << 20,
+		InitialWindow: DefaultInitialWindow,
 		KeepaliveMs:   15_000,
 	}
 }
+
+// DefaultInitialWindow is the per-stream credit window a hello advertises by
+// default. Negotiation takes the minimum of both sides', so it is also the
+// largest window a session can end up with when the caller overrides
+// nothing: the bound the layers above size their buffers from. 2 MiB keeps
+// the two-CPU pipeline of a 64 KiB bulk stream busy: at 1 MiB it sat idle
+// for over a third of each message's wall time, and 4 MiB, though faster in
+// the median, made whole runs fall into a slow mode more often.
+const DefaultInitialWindow = 2 << 20
 
 // Limit bounds enforced at decode.
 const (
@@ -433,12 +442,16 @@ const (
 )
 
 // MaxMuxPayload bounds one mux frame's payload; stream writes larger than
-// this are split by the transport layer. It matches the payload pool's
-// 64 KiB class so inbound data segments recycle through the pool instead
-// of falling into the top class and allocating a fresh top-class buffer
-// on every miss; it also bounds how long one bulk stream's frame can
-// occupy the shared wire ahead of its siblings.
-const MaxMuxPayload = 64 << 10
+// this are split by the transport layer. It is 64 KiB plus 64 bytes of
+// headroom: enough for one full data-plane segment (a 64 KiB message and
+// its 16-byte frame header) to travel as one mux frame even when sealed —
+// the inner mux header and the AEAD tag come out of the same budget — so a
+// bulk message costs one container, one seal and one open, not two. It
+// matches the payload pool's 64 KiB class so inbound data segments recycle
+// through the pool instead of falling into the top class; it also bounds
+// how long one bulk stream's frame can occupy the shared wire ahead of its
+// siblings.
+const MaxMuxPayload = 64<<10 + 64
 
 // reservedMuxType reports the type values no build sends any more.
 func reservedMuxType(typ uint8) bool { return typ == MuxAccept || typ == MuxAck }

@@ -3,8 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -348,8 +351,16 @@ func TestDecodeHelloRejectsMalformedNegotiation(t *testing.T) {
 }
 
 func TestLimitsValidate(t *testing.T) {
-	if err := DefaultLimits().Validate(); err != nil {
-		t.Fatal(err)
+	good := []Limits{
+		DefaultLimits(),
+		{MaxPayload: MaxMuxPayload, InitialWindow: DefaultInitialWindow},
+		{MaxPayload: 64 << 10, InitialWindow: 1 << 20}, // the defaults of earlier builds
+		{MaxPayload: minLimitPayload, InitialWindow: minLimitWindow},
+	}
+	for i, l := range good {
+		if err := l.Validate(); err != nil {
+			t.Fatalf("good case %d: %v", i, err)
+		}
 	}
 	bad := []Limits{
 		{MaxPayload: 0, InitialWindow: 1 << 20},
@@ -424,6 +435,57 @@ func TestNegotiate(t *testing.T) {
 	nb, _ := Negotiate(b, a)
 	if na != nb {
 		t.Fatalf("asymmetric negotiation: %+v vs %+v", na, nb)
+	}
+}
+
+// helloGolden is a hello as this build writes it with every negotiation
+// field defaulted: the limits block at its tail pins the default MaxPayload
+// (64 KiB + 64), InitialWindow (2 MiB) and keepalive (15 s). A change to
+// any of them changes what a peer must accept, so it changes this file.
+const helloGolden = "testdata/hello-default-limits.hex"
+
+func TestTransportHelloGolden(t *testing.T) {
+	var id ConnID
+	for i := range id {
+		id[i] = byte(i + 1)
+	}
+	var buf bytes.Buffer
+	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "h1", Addr: "127.0.0.1:7401", Ciphers: []uint16{CipherAES256GCM}}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(helloGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("%s: %v", helloGolden, err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("hello encodes as\n%x\nwant (%s)\n%x", buf.Bytes(), helloGolden, want)
+	}
+	h, _, err := ReadTransportHello(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Limits != DefaultLimits() || h.Limits.MaxPayload != 64<<10+64 || h.Limits.InitialWindow != 2<<20 {
+		t.Fatalf("golden hello limits %+v, want the defaults %+v", h.Limits, DefaultLimits())
+	}
+}
+
+// A peer advertising the 64 KiB MaxPayload and 1 MiB window of earlier
+// builds still negotiates; the session takes its smaller bounds.
+func TestNegotiateWithEarlierLimits(t *testing.T) {
+	local := &TransportHello{Versions: SupportedVersions(), Ciphers: []uint16{CipherAES256GCM}, Limits: DefaultLimits()}
+	earlier := &TransportHello{Versions: SupportedVersions(), Ciphers: []uint16{CipherAES256GCM}, Limits: Limits{MaxPayload: 64 << 10, InitialWindow: 1 << 20, KeepaliveMs: 15_000}}
+	for _, pair := range [][2]*TransportHello{{local, earlier}, {earlier, local}} {
+		n, err := Negotiate(pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Limits != earlier.Limits || n.Cipher != CipherAES256GCM {
+			t.Fatalf("negotiated %+v, want the earlier peer's limits %+v under AES-256-GCM", n, earlier.Limits)
+		}
 	}
 }
 

@@ -18,15 +18,17 @@ import (
 // PutPayload. A buffer that escapes the protocol is simply never returned;
 // the pool refills itself through GetPayload misses.
 
-// payloadClasses are the pooled capacity classes: the third holds a 64 KiB
-// message with its frame header — the biggest mux payload, and the data
-// plane's segment size — and the last the largest frame there is. A request
+// payloadClasses are the pooled capacity classes: the third holds the
+// biggest mux payload — a 64 KiB message with its frame header, the data
+// plane's segment size, with room left for the inner mux header and AEAD tag
+// of the sealed record that carries it — and the last the largest frame
+// there is. A request
 // is served from the smallest class that fits, except that the last class
 // serves only requests above half its size: what falls in between is rare
 // enough to be allocated at its exact size, so that a large buffer never
 // holds more than twice what was asked of it and a bound counted in buffer
 // capacities stays a bound on data.
-var payloadClasses = [...]int{1 << 10, 8 << 10, 64<<10 + FrameHeaderSize, MaxFramePayload + FrameHeaderSize}
+var payloadClasses = [...]int{1 << 10, 8 << 10, MaxMuxPayload, MaxFramePayload + FrameHeaderSize}
 
 // payloadPools hold *[]byte boxes, one per class; boxPool holds the empty
 // boxes between a Get and the next Put, so recycling a buffer allocates

@@ -25,7 +25,7 @@ func TestPayloadPoolRecyclesWithoutAllocating(t *testing.T) {
 // holds. Requests between the last two classes are sized exactly, and such
 // a buffer does not come back as a member of a class it dwarfs.
 func TestPayloadPoolHoldsAtMostTwiceTheRequest(t *testing.T) {
-	for _, n := range []int{64<<10 + FrameHeaderSize + 1, 100 << 10, 512 << 10, 512<<10 + 9, MaxFramePayload + FrameHeaderSize} {
+	for _, n := range []int{MaxMuxPayload + 1, 100 << 10, 512 << 10, 512<<10 + 9, MaxFramePayload + FrameHeaderSize} {
 		b := GetPayload(n)
 		if len(b) != n || cap(b) > 2*n {
 			t.Errorf("GetPayload(%d): len %d cap %d, want cap <= %d", n, len(b), cap(b), 2*n)
