@@ -94,16 +94,19 @@ crash-soak:
 # recovery path: the round-trip census (what each operation costs in
 # sequential one-way trips and control requests — a wait put back fails a
 # named number), the break census (what one TCP break costs eight
-# connections: a failure, a recovery and a RES each, one or two fresh
-# transports), a break while a 64 KiB writer is credit-stalled behind a full
-# reader (the send-log bound), a handoff lost with its transport, a refused
-# handoff landing at every point of the opener's way to ESTABLISHED, a stream
-# that dies before either end is established, the refusal tests of both
-# layers, and the agent-bundle streams (delivery, warm reuse, a refusal with
-# nothing docked, the size bound), repeated under the race detector.
+# connections: a failure, a recovery and a RES each, one fresh transport), a
+# break while a 64 KiB writer is credit-stalled behind a full reader (the
+# send-log bound), a handoff lost with its transport, a refused handoff
+# landing at every point of the opener's way to ESTABLISHED, a stream that
+# dies before either end is established, a recovery RES that meets a peer
+# which has not noticed the break or is suspending, exactly-once delivery
+# over segment boundaries, the refusal tests of both layers, the redial
+# backoff of a recovery whose peer is unreachable, and the agent-bundle
+# streams (delivery, warm reuse, a refusal with nothing docked, the size
+# bound), repeated under the race detector.
 handoff-soak:
-	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff|TestCarry' -race -count=20
-	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing' -race -count=20
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries' -race -count=20
+	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored' -race -count=20
 
 # census prints the four numbers a simplicity PR quotes, so CHANGES.md can
 # be checked against the CI log: non-test lines, packages directly under

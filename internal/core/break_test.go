@@ -201,9 +201,10 @@ func resumeRaces(n *atomic.Int64) envOption {
 // the transport between two hosts, and it is killed once mid-stream. Each
 // connection pays its own recovery — one failure and one recovery on each
 // end, one RES (plus a retry for each resume race the priority rule
-// settles) — while the fresh transports they resume over are shared: at
-// most one per resuming direction, not one per connection. Every stream,
-// half of them in each direction, delivers exactly once, in order.
+// settles) — while the one fresh transport they resume over is shared: the
+// high-priority side resumes at once, and the other side's backstop finds
+// nothing left to do. Every stream, half of them in each direction,
+// delivers exactly once, in order.
 func TestBreakCensus(t *testing.T) {
 	const n, phase = 8, 20
 	regs := map[string]*obs.Registry{"h1": obs.NewRegistry(), "h2": obs.NewRegistry()}
@@ -276,53 +277,10 @@ func TestBreakCensus(t *testing.T) {
 		t.Errorf("%d RES requests for %d connections and %d resume races, want at most %d", res, n, raced, n+raced)
 	}
 	fresh := tap.count() - 1
-	if fresh < 1 || fresh > 2 {
-		t.Errorf("%d fresh transports after one break, want 1 or 2 (one per resuming direction)", fresh)
+	if fresh != 1 {
+		t.Errorf("%d fresh transports after one break, want the one every connection resumes over", fresh)
 	}
 	t.Logf("one break, %d connections: %d RES, %d resume races, %d fresh transports", n, res, raced, fresh)
-}
-
-// TestBreakWithoutFailureResume: with DisableFailureResume a break still
-// reaches both ends' state machines, and leaves the connection SUSPENDED —
-// nothing resumes it behind the application's back — until an explicit
-// Resume, which succeeds and delivers what was written across the break
-// exactly once.
-func TestBreakWithoutFailureResume(t *testing.T) {
-	tap := &connTap{}
-	env := newEnv(t, []string{"h1", "h2"}, noFailureResume(),
-		onHost("h1", func(c *Config) { c.WrapData = tap.wrap }))
-	client, server := env.pair("cli", "h1", "srv", "h2")
-	defer client.Close()
-	done := readPatterned(server)
-	for i := uint64(0); i < 10; i++ {
-		if err := client.WriteMsg(patterned(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tap.killLatest()
-	for _, s := range []*Socket{client, server} {
-		eventually(t, "the break to degrade "+s.localAgent, func() bool {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.failing && s.m.State() == fsm.Suspended
-		})
-	}
-	// Failure resume would have fired 50 ms after the break on the
-	// high-priority end; nothing does.
-	time.Sleep(200 * time.Millisecond)
-	if cs, ss := client.State(), server.State(); cs != fsm.Suspended || ss != fsm.Suspended {
-		t.Fatalf("states %s / %s without failure resume, want both SUSPENDED", cs, ss)
-	}
-	if err := client.Resume(); err != nil {
-		t.Fatalf("explicit Resume after the break: %v", err)
-	}
-	waitEstablished(t, client, server)
-	if err := client.WriteMsg(endOfStream(10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
 }
 
 // deafConn never reads: bytes sent to it stay in the kernel until Close.
@@ -402,5 +360,123 @@ func TestHandoffLostWithItsTransportStandsDown(t *testing.T) {
 	}
 	if stoodDown == 0 {
 		t.Error("no RES_ACKED -> SUSPENDED transition: the lost handoff was not what the test exercised")
+	}
+}
+
+// unnoticedBreak pairs hi (cli on h1, the high-priority end) with lo (srv on
+// h2) and breaks their transport so that only hi notices: h1's end is killed,
+// while h2 holds what the first transport reads, so lo stays ESTABLISHED over
+// a dead stream until open is called. hi recovers at once. h1's control
+// packets leave delay late, so hi's RES reaches lo that much after hi sends
+// it. requests counts the control requests h1 has sent since the break;
+// regs, when non-nil, gets each host's metrics.
+func unnoticedBreak(t *testing.T, delay time.Duration, regs map[string]*obs.Registry) (hi, lo *Socket, open func(), requests func() uint64) {
+	t.Helper()
+	tap := &connTap{}
+	gate := &readGate{}
+	var wrapped atomic.Bool
+	env := newEnv(t, []string{"h1", "h2"},
+		func(c *Config) { c.Metrics = regs[c.HostName] },
+		onHost("h1", func(c *Config) { c.WrapData = tap.wrap; c.ControlSendDelay = delay }),
+		onHost("h2", func(c *Config) {
+			c.WrapData = func(conn net.Conn) net.Conn {
+				if wrapped.CompareAndSwap(false, true) {
+					return gate.wrap(conn)
+				}
+				return conn
+			}
+		}))
+	hi, lo = env.pair("cli", "h1", "srv", "h2")
+	if !hi.highPriority {
+		t.Fatal("cli does not hold the priority")
+	}
+	if err := hi.WriteMsg([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := lo.ReadMsg(); err != nil || string(got) != "before" {
+		t.Fatalf("read %q, %v", got, err)
+	}
+	t.Cleanup(gate.open)
+	gate.hold()
+	h1 := env.hosts["h1"].ctrl
+	before := h1.ControlStats().RequestsSent
+	tap.killLatest()
+	return hi, lo, gate.open, func() uint64 { return h1.ControlStats().RequestsSent - before }
+}
+
+// TestResumeMeetsUnnoticedBreak: a RES that reaches the peer before the peer
+// has noticed the break meets ESTABLISHED. The RES itself says the stream is
+// gone, so the peer degrades and grants it: one RES recovers the connection,
+// instead of a refusal and a retry for as long as the peer has not noticed.
+func TestResumeMeetsUnnoticedBreak(t *testing.T) {
+	regs := map[string]*obs.Registry{"h1": obs.NewRegistry(), "h2": obs.NewRegistry()}
+	hi, lo, _, requests := unnoticedBreak(t, 0, regs)
+	for deadline := time.Now().Add(3 * time.Second); regs["h1"].Counter("fault.conn_recoveries").Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the high side never recovered while its peer had not noticed the break (state %s)", hi.State())
+		}
+	}
+	waitEstablished(t, hi, lo)
+	for host, reg := range regs {
+		eventually(t, host+" to count its recovery", func() bool { return reg.Counter("fault.conn_recoveries").Value() == 1 })
+		if f := reg.Counter("conn.failures").Value(); f != 1 {
+			t.Errorf("%s: %d failures; want the break counted on each end", host, f)
+		}
+	}
+	if n := requests(); n != 1 {
+		t.Errorf("%d control requests to recover, want the one RES", n)
+	}
+	for from, to := range map[*Socket]*Socket{hi: lo, lo: hi} {
+		if err := from.WriteMsg([]byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := to.ReadMsg(); err != nil || string(got) != "after" {
+			t.Fatalf("read %q, %v after the recovery", got, err)
+		}
+	}
+}
+
+// TestResumeMeetsSuspendSent: the high side's recovery RES crosses the low
+// side's application suspend — the low side has not noticed the break, and
+// its SUS reaches the resumer in RES_SENT, where it waits for the resume to
+// settle. The RES meets SUS_SENT and is parked (RESUME_WAIT), as a resume
+// behind a suspend is in Fig 4(b); that answers the held SUS, so the suspend
+// completes in a few control trips, not after a timeout. The suspender's own
+// later Resume meets RESUME_WAIT and is granted, and the connection carries
+// data both ways.
+func TestResumeMeetsSuspendSent(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	hi, lo, open, _ := unnoticedBreak(t, delay, nil)
+	eventually(t, "the high side's recovery to send its RES", func() bool { return hi.State() == fsm.ResSent })
+	start := time.Now()
+	suspended := make(chan error, 1)
+	go func() { suspended <- lo.Suspend() }()
+	eventually(t, "the low side's SUS", func() bool { return lo.State() == fsm.SusSent })
+	// The low side may hear of the break now: its suspend is under way.
+	open()
+	if err := <-suspended; err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 10*delay {
+		t.Fatalf("suspend took %v across the crossing RES, want a few %v control trips", took, delay)
+	}
+	if st := hi.State(); st != fsm.ResumeWait {
+		t.Fatalf("the resumer is in %s after the suspend, want RESUME_WAIT", st)
+	}
+	if err := lo.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	waitEstablished(t, hi, lo)
+	for from, to := range map[*Socket]*Socket{hi: lo, lo: hi} {
+		if err := from.WriteMsg([]byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := to.ReadMsg(); err != nil || string(got) != "after" {
+			t.Fatalf("read %q, %v after the recovery", got, err)
+		}
+	}
+	time.Sleep(2 * delay)
+	if hs, ls := hi.State(), lo.State(); hs != fsm.Established || ls != fsm.Established {
+		t.Fatalf("states %s / %s after the recovery settled, want both ESTABLISHED", hs, ls)
 	}
 }

@@ -337,8 +337,8 @@ func (s *Socket) Info() Info {
 
 // KillDataSocket forcibly closes the underlying data socket without any
 // protocol exchange — fault injection for the failure-recovery extension
-// (tests, ablations). The connection degrades to SUSPENDED and, unless
-// failure resume is disabled, heals automatically.
+// (tests, ablations). The connection degrades to SUSPENDED and heals
+// automatically.
 func (s *Socket) KillDataSocket() {
 	s.mu.Lock()
 	sock := s.sock

@@ -46,9 +46,6 @@ type Config struct {
 	// still tagged under a connection-id-derived key so the protocol shape
 	// is unchanged. Both hosts of a connection must agree on this setting.
 	Insecure bool
-	// DisableFailureResume turns off the fault-tolerance extension
-	// (automatic re-resume after a data socket failure).
-	DisableFailureResume bool
 	// Journal, when non-nil, receives connection-state checkpoints at each
 	// lifecycle edge and feeds RecoverConns after a restart.
 	Journal *journal.Journal
@@ -140,13 +137,6 @@ func (c Config) drainTimeout() time.Duration {
 	return 5 * time.Second
 }
 
-func failureResumeDelay(highPriority bool) time.Duration {
-	if highPriority {
-		return 50 * time.Millisecond
-	}
-	return time.Second
-}
-
 // Controller is the per-host NapletSocket manager of Section 2.1: it owns
 // the control channel and redirector shared by all connections, performs
 // the security-checked connection setup on behalf of agents (the proxy
@@ -190,8 +180,11 @@ type Controller struct {
 	closed    bool
 
 	// closing silences diagnostics once Close begins (the logger may be a
-	// testing.T that must not be used after the test ends).
+	// testing.T that must not be used after the test ends). Close sets it
+	// under logMu, which every line is written under: no line starts after
+	// Close begins, and none is still being written when it returns.
 	closing atomic.Bool
+	logMu   sync.RWMutex
 
 	// arrive receives inbound agent bundles once the agent runtime docks
 	// (carry.go); nil until then.
@@ -331,8 +324,10 @@ func (ctrl *Controller) Close() error {
 		return nil
 	}
 	ctrl.closed = true
-	ctrl.closing.Store(true)
 	ctrl.mu.Unlock()
+	ctrl.logMu.Lock()
+	ctrl.closing.Store(true)
+	ctrl.logMu.Unlock()
 	conns := ctrl.tab.all()
 	close(ctrl.done)
 	if ctrl.relayCli != nil {

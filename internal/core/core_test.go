@@ -49,8 +49,7 @@ type testEnv struct {
 
 type envOption func(*Config)
 
-func insecure() envOption        { return func(c *Config) { c.Insecure = true } }
-func noFailureResume() envOption { return func(c *Config) { c.DisableFailureResume = true } }
+func insecure() envOption { return func(c *Config) { c.Insecure = true } }
 func quickOps() envOption {
 	return func(c *Config) { c.OpTimeout = 2 * time.Second; c.DrainTimeout = 2 * time.Second }
 }

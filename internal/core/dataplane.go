@@ -517,16 +517,37 @@ func (s *Socket) establishLocked(from fsm.State, ev fsm.Event) {
 }
 
 // failLocked moves an established connection to SUSPENDED after a data
-// socket failure and schedules recovery. Caller holds mu.
+// socket failure and starts its recovery. Caller holds mu.
 func (s *Socket) failLocked(cause error) {
-	if s.failing || s.closed {
+	if !s.degradeLocked(cause) {
 		return
 	}
+	// The high-priority side resumes at once. The other side's RES is a
+	// backstop for a peer that never noticed the break: the high side's RES
+	// normally lands first and is granted, so the backstop finds the
+	// connection ESTABLISHED and does nothing.
+	var delay time.Duration
+	if !s.highPriority {
+		delay = lowPriorityBackstop
+	}
+	s.startRecovery(delay)
+}
+
+// lowPriorityBackstop is how long the low-priority side of a broken
+// connection waits before it resumes on its own.
+const lowPriorityBackstop = time.Second
+
+// degradeLocked drops an established connection's stream and steps it to
+// SUSPENDED by failure (fsm Fail), opening a failure episode. It reports
+// whether it did: a connection on its way to ESTABLISHED is left to the step
+// that gets it there. Caller holds mu.
+func (s *Socket) degradeLocked(cause error) bool {
+	if s.failing || s.closed {
+		return false
+	}
 	if s.m.State() != fsm.Established {
-		// An open or resume is still on its way to ESTABLISHED over this
-		// stream; the step that gets it there takes the failure up.
 		s.cond.Broadcast()
-		return
+		return false
 	}
 	s.failing = true
 	if s.failedAt.IsZero() {
@@ -547,23 +568,16 @@ func (s *Socket) failLocked(cause error) {
 	} else {
 		s.ctrl.logf("conn %s: data socket failed (%v); degraded to SUSPENDED", s.id, cause)
 	}
-	if s.ctrl.cfg.DisableFailureResume {
-		return
-	}
-	s.scheduleFailureResume(failureResumeDelay(s.highPriority))
+	return true
 }
 
-// scheduleFailureResume arms a failure-recovery attempt on a runtime
-// timer: a suspended-by-failure connection costs one timer, not a parked
-// goroutine. The high-priority side fires first; the low-priority side is
-// a late fallback, and the resume-race rules sort out collisions. While
-// the peer stays unreachable (crashed and not yet restarted, or
-// partitioned away) attempts re-arm with capped exponential backoff, so
-// the connection heals as soon as the peer returns rather than stranding
-// after one failed try. The resume handshake runs on the timer's own
-// goroutine.
-func (s *Socket) scheduleFailureResume(delay time.Duration) {
-	const maxDelay = 5 * time.Second
+// startRecovery is the one recovery path, for a data socket failure and a
+// crash restore alike: after delay, one Resume of a connection still down by
+// failure. Resume's own loop re-resolves the peer and backs off while it is
+// unreachable, up to ParkTimeout; a connection whose agent is migrating is
+// left to the resume its landing runs. The wait costs a runtime timer, not a
+// parked goroutine.
+func (s *Socket) startRecovery(delay time.Duration) {
 	time.AfterFunc(delay, func() {
 		select {
 		case <-s.ctrl.done:
@@ -571,25 +585,14 @@ func (s *Socket) scheduleFailureResume(delay time.Duration) {
 		default:
 		}
 		s.mu.Lock()
-		stillDown := s.failing && !s.closed && s.m.State() == fsm.Suspended
+		down := s.failing && !s.closed && s.m.State() == fsm.Suspended
 		s.mu.Unlock()
-		if !stillDown {
+		if !down || s.ctrl.tab.isMigrating(s.localAgent) {
 			return
 		}
-		next := delay * 2
-		if next > maxDelay {
-			next = maxDelay
+		if err := s.Resume(); err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrMigrated) {
+			s.ctrl.logf("conn %s: failure resume: %v", s.id, err)
 		}
-		if s.ctrl.tab.isMigrating(s.localAgent) {
-			s.scheduleFailureResume(next)
-			return
-		}
-		err := s.Resume()
-		if err == nil || errors.Is(err, ErrClosed) || errors.Is(err, ErrMigrated) {
-			return
-		}
-		s.ctrl.logf("conn %s: failure resume: %v", s.id, err)
-		s.scheduleFailureResume(next)
 	})
 }
 

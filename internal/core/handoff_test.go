@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -107,31 +106,49 @@ func assertLiveIfEstablished(t *testing.T, s *Socket) {
 // opener's way to ESTABLISHED: before installSocket has touched the stream,
 // on the installed stream while the FSM step is under way, and after the
 // step. (Between install and step there is nothing of the opener's to hold;
-// TestStreamDeathBeforeEstablished parks a connect there.) Wherever it lands, Resume reports no error, the connection degrades to SUSPENDED with
-// one conn.failures, and failure resume (or, with that disabled, the next
-// explicit Resume) re-establishes it with every message delivered once, in
-// order — including one written into the refused stream.
+// TestStreamDeathBeforeEstablished parks a connect there.) Wherever it lands,
+// Resume reports no error, the connection degrades with one conn.failures,
+// and its recovery re-establishes it with every message delivered once, in
+// order — including one written into the refused stream. With the peer held
+// unreachable, the degraded connection stays down, its stream dropped and its
+// recovery retrying, until the peer is back.
 func TestRefusedHandoffRace(t *testing.T) {
 	for _, landing := range []string{"before-install", "during-step", "after-step"} {
-		for _, autoResume := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/failure-resume=%v", landing, autoResume), func(t *testing.T) {
+		for _, peer := range []string{"reachable", "held-away"} {
+			t.Run(landing+"/peer-"+peer, func(t *testing.T) {
 				t.Parallel()
-				testRefusedHandoff(t, landing, autoResume)
+				testRefusedHandoff(t, landing, peer == "held-away")
 			})
 		}
 	}
 }
 
-func testRefusedHandoff(t *testing.T, landing string, autoResume bool) {
+func testRefusedHandoff(t *testing.T, landing string, heldAway bool) {
 	gate := &readGate{}
 	reg := obs.NewRegistry()
+	// away drops h1's RES requests: the peer is unreachable for a resume.
+	var away atomic.Bool
+	var lost atomic.Int64
 	env := newEnv(t, []string{"h1", "h2"},
-		func(c *Config) { c.DisableFailureResume = !autoResume },
-		onHost("h1", func(c *Config) { c.Metrics = reg }),
+		onHost("h1", func(c *Config) {
+			c.Metrics = reg
+			c.ControlDropFn = func(pkt []byte) bool {
+				const rudpHeader = 12
+				if !away.Load() || len(pkt) < rudpHeader {
+					return false
+				}
+				m, err := wire.DecodeControlMsg(pkt[rudpHeader:])
+				if err != nil || m.Type != wire.MsgResume {
+					return false
+				}
+				lost.Add(1)
+				return true
+			}
+		}),
 		// h2's rendezvous for a granted resume runs out after its OpTimeout,
 		// and the gate keeps the opener's stream from arriving before that.
 		onHost("h2", func(c *Config) { c.OpTimeout = 250 * time.Millisecond; c.WrapData = gate.wrap }))
-	client, server := env.pair("cli", "h1", "srv", "h2") // cli holds the priority: its failure resume fires first
+	client, server := env.pair("cli", "h1", "srv", "h2") // cli holds the priority: its failure resume fires at once
 	defer client.Close()
 
 	var seqs []uint64
@@ -159,6 +176,7 @@ func testRefusedHandoff(t *testing.T, landing string, autoResume bool) {
 		if _, err := server.waitState(5*time.Second, fsm.Suspended); err != nil {
 			t.Fatalf("h2's rendezvous never ran out: %v", err)
 		}
+		away.Store(heldAway)
 		gate.open()
 	}
 	openerStreams := func() int {
@@ -224,16 +242,15 @@ func testRefusedHandoff(t *testing.T, landing string, autoResume bool) {
 	eventually(t, "the refusal to degrade the opener", func() bool {
 		return reg.Counter("conn.failures").Value() == 1
 	})
-	if !autoResume {
+	if heldAway {
+		eventually(t, "the recovery's RES to be lost", func() bool { return lost.Load() > 0 })
 		client.mu.Lock()
 		st, failing, sock := client.m.State(), client.failing, client.sock
 		client.mu.Unlock()
-		if st != fsm.Suspended || !failing || sock != nil {
-			t.Fatalf("after the refusal: state %s, failing %v, stream held %v; want SUSPENDED by failure", st, failing, sock != nil)
+		if st != fsm.ResSent || !failing || sock != nil {
+			t.Fatalf("after the refusal, peer away: state %s, failing %v, stream held %v; want a failed connection resuming", st, failing, sock != nil)
 		}
-		if err := client.Resume(); err != nil {
-			t.Fatalf("explicit Resume after the refusal: %v", err)
-		}
+		away.Store(false)
 	}
 	waitEstablished(t, client, server)
 	assertLiveIfEstablished(t, client)

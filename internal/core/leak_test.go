@@ -4,7 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,7 +47,7 @@ func settledGoroutines(t *testing.T, target int) int {
 // churn of N connections the count must return to the post-warmup
 // baseline (slack covers runtime and test-harness noise).
 func TestGoroutineCountFlatAcrossConns(t *testing.T) {
-	env := newEnv(t, []string{"h1", "h2"}, noFailureResume())
+	env := newEnv(t, []string{"h1", "h2"})
 
 	churn := func(i int) {
 		t.Helper()
@@ -128,5 +132,71 @@ func TestCloseInterruptsRetryingDial(t *testing.T) {
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)
 		t.Fatalf("goroutines grew from %d to %d\n%s", base, after, buf[:n])
+	}
+}
+
+// TestCloseDuringResumeDialLogsNothingAfter: a broken connection resumes at
+// once, so a host that closes soon after a break closes on a recovery in
+// flight — here its resume is dialing the fresh transport. Once Close has
+// returned nothing of the host may write to its log: the line could land in
+// a test that has already ended. The low-priority side's backstop fires
+// inside the window watched, too.
+func TestCloseDuringResumeDialLogsNothingAfter(t *testing.T) {
+	var mu sync.Mutex
+	var late []string
+	closed := map[string]*atomic.Bool{"h1": {}, "h2": {}}
+	tap := &connTap{}
+	var blocked atomic.Bool
+	dialing, release := make(chan struct{}, 1), make(chan struct{})
+	defer close(release)
+	env := newEnv(t, []string{"h1", "h2"},
+		func(c *Config) {
+			host, done := c.HostName, closed[c.HostName]
+			c.Logger = obs.NewLogger(func(format string, args ...any) {
+				if done.Load() {
+					mu.Lock()
+					late = append(late, host+": "+fmt.Sprintf(format, args...))
+					mu.Unlock()
+				}
+			}, obs.LevelDebug)
+		},
+		onHost("h1", func(c *Config) {
+			c.WrapData = tap.wrap
+			c.DialData = func(addr string, timeout time.Duration) (net.Conn, error) {
+				if !blocked.Load() {
+					return net.DialTimeout("tcp", addr, timeout)
+				}
+				select {
+				case dialing <- struct{}{}:
+				default:
+				}
+				<-release
+				return nil, net.ErrClosed
+			}
+		}))
+	client, server := env.pair("cli", "h1", "srv", "h2") // cli holds the priority: it resumes at once
+	if err := client.WriteMsg([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.ReadMsg(); err != nil {
+		t.Fatal(err)
+	}
+
+	blocked.Store(true)
+	tap.killLatest()
+	select {
+	case <-dialing:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the recovery never dialed a fresh transport")
+	}
+	for _, h := range []string{"h1", "h2"} {
+		env.hosts[h].ctrl.Close()
+		closed[h].Store(true)
+	}
+	time.Sleep(lowPriorityBackstop + 200*time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(late) > 0 {
+		t.Fatalf("%d lines logged after Close returned:\n%s", len(late), strings.Join(late, "\n"))
 	}
 }

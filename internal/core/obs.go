@@ -182,27 +182,35 @@ func registerRUDP(met *obs.Registry, ep *rudp.Endpoint) {
 	met.Func("rudp.packets_dropped", stat(func(s rudp.Stats) uint64 { return s.PacketsDropped }))
 }
 
-// olog emits one controller-scoped line, silenced once Close begins (the
-// sink may be a testing.T that must not be used after the test ends).
-func (ctrl *Controller) olog(lv obs.Level, format string, args ...any) {
-	if ctrl.closing.Load() {
-		return
+// unlessClosing runs emit, which writes one log line, unless Close has begun
+// (the sink may be a testing.T that must not be used after the test ends).
+func (ctrl *Controller) unlessClosing(emit func()) {
+	ctrl.logMu.RLock()
+	defer ctrl.logMu.RUnlock()
+	if !ctrl.closing.Load() {
+		emit()
 	}
-	ctrl.obs.log.Logf(lv, format, args...)
+}
+
+// olog emits one controller-scoped line.
+func (ctrl *Controller) olog(lv obs.Level, format string, args ...any) {
+	ctrl.unlessClosing(func() { ctrl.obs.log.Logf(lv, format, args...) })
 }
 
 // olog emits one connection-scoped line carrying the conn id, current
 // FSM state, and peer agent as structured fields.
 func (s *Socket) olog(lv obs.Level, format string, args ...any) {
 	ctrl := s.ctrl
-	if ctrl.closing.Load() || !ctrl.obs.log.Enabled(lv) {
+	if !ctrl.obs.log.Enabled(lv) {
 		return
 	}
-	ctrl.obs.log.
-		With("conn", s.id).
-		With("state", s.m.State()).
-		With("peer", s.remoteAgent).
-		Logf(lv, format, args...)
+	ctrl.unlessClosing(func() {
+		ctrl.obs.log.
+			With("conn", s.id).
+			With("state", s.m.State()).
+			With("peer", s.remoteAgent).
+			Logf(lv, format, args...)
+	})
 }
 
 // observeFSM installs the observability hooks on a socket's state
@@ -222,8 +230,10 @@ func (s *Socket) observeFSM() {
 		if sp := s.traceSpan; sp != nil {
 			sp.Annotate(fmt.Sprintf("fsm %s->%s @%s", tr.From, tr.To, tr.At.UTC().Format("15:04:05.000000")))
 		}
-		if o.log.Enabled(obs.LevelDebug) && !s.ctrl.closing.Load() {
-			o.log.With("conn", s.id).Debugf("fsm %s --[%s]--> %s", tr.From, tr.Event, tr.To)
+		if o.log.Enabled(obs.LevelDebug) {
+			s.ctrl.unlessClosing(func() {
+				o.log.With("conn", s.id).Debugf("fsm %s --[%s]--> %s", tr.From, tr.Event, tr.To)
+			})
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -317,6 +318,10 @@ func (s *Socket) delivered() uint64 {
 	return s.lastEnqueued
 }
 
+// errPeerResumed is the failure a degrade rule records: the peer's RES says
+// its end of the stream is gone.
+var errPeerResumed = errors.New("peer resumed: its end of the stream is gone")
+
 // serve answers a peer's SUS, SUS_RES, RES or CLS. Which verdict, FSM step,
 // latches and follow-up the message gets in the state it meets is onPeer's
 // decision (proto.go); this is the one place that decision is carried out.
@@ -335,6 +340,9 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 	}
 	st := s.m.State()
 	r := onPeer(m.Type, st, s.highPriority, s.ctrl.tab.isMigrating(s.localAgent))
+	if r.degrade {
+		s.degradeLocked(errPeerResumed)
+	}
 	if r.step != noStep {
 		s.step(r.step)
 	}

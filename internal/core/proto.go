@@ -47,6 +47,9 @@ const noStep = fsm.AppListen
 
 // rule is one cell of the reply table.
 type rule struct {
+	// degrade drops the stream first (fsm Fail, a failure episode like a
+	// break's), so step starts from SUSPENDED.
+	degrade bool
 	step    fsm.Event
 	verdict wire.Verdict
 	code    wire.RejectCode // meaningful beside VerdictReject only
@@ -111,10 +114,24 @@ func onPeer(msg wire.MsgType, st fsm.State, highPriority, migrating bool) rule {
 			// Our suspend is parked; the peer's RES both completes it and is
 			// itself parked (Fig 4(b), side B).
 			return rule{step: fsm.RecvResume, verdict: wire.VerdictResumeWait, set: latchPeerResumeParked}
+		case st == fsm.SusSent:
+			// The peer resumes while our suspend is on its way to it: park the
+			// resume behind the suspend as SUSPEND_WAIT does (Fig 4(b)). The
+			// peer's RESUME_WAIT grants our SUS, and our own later RES meets
+			// that RESUME_WAIT and is granted. A refusal here deadlocks: the
+			// peer holds our SUS while it is in RES_SENT.
+			return rule{verdict: wire.VerdictResumeWait, set: latchPeerResumeParked}
 		case st == fsm.Suspended, st == fsm.ResumeWait:
 			// In RESUME_WAIT our earlier resume was parked; the peer has
 			// migrated and now resumes toward us (Fig 4(b), side A).
 			return grant
+		case st == fsm.Established:
+			// A resuming peer has dropped its end of the stream; ours is dead
+			// and we have not noticed yet. Degrade as a break would, and answer
+			// as SUSPENDED does.
+			r := onPeer(msg, fsm.Suspended, highPriority, migrating)
+			r.degrade = true
+			return r
 		case st == fsm.ResSent && highPriority:
 			// Both sides resumed at once (both migrated, or dueling failure
 			// recoveries): the higher priority rejects and lets its own RES

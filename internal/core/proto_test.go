@@ -44,16 +44,24 @@ func TestReplyTableRequestsOnlyLegalSteps(t *testing.T) {
 		if r.verdict != wire.VerdictReject && r.code != wire.RejectOther {
 			t.Errorf("%s: code %d beside %s would not decode", cell, r.code, r.verdict)
 		}
-		if isClosing(st) && (r.step != noStep || r.then != thenNothing || r.set != 0) {
-			t.Errorf("%s: a closing state steps %s, sets %b, follows up %d", cell, r.step, r.set, r.then)
+		if isClosing(st) && (r.degrade || r.step != noStep || r.then != thenNothing || r.set != 0) {
+			t.Errorf("%s: a closing state degrades %v, steps %s, sets %b, follows up %d", cell, r.degrade, r.step, r.set, r.then)
 		}
 		if (r.then == thenSuspended || r.then == thenClosed || r.then == thenGrantResume) && r.step == noStep {
 			t.Errorf("%s: follow-up %d without the step it completes", cell, r.then)
 		}
+		from := st
+		if r.degrade {
+			var err error
+			if from, err = fsm.Next(st, fsm.Fail); err != nil {
+				t.Errorf("%s: degrade: %v", cell, err)
+				return
+			}
+		}
 		if r.step == noStep {
 			return
 		}
-		next, err := fsm.Next(st, r.step)
+		next, err := fsm.Next(from, r.step)
 		if err != nil {
 			t.Errorf("%s: %v", cell, err)
 			return
@@ -87,6 +95,28 @@ func TestReplyTablePriorityBreaksTies(t *testing.T) {
 		}
 		if lo.verdict != wire.VerdictAck || lo.then != thenGrantResume {
 			t.Errorf("RES meets RES_SENT, low priority: %+v, want a grant", lo)
+		}
+	}
+}
+
+// A peer's RES that meets a state the break has not reached yet: a
+// connection still ESTABLISHED over the stream the resumer has dropped is
+// degraded and answered as SUSPENDED (granted, or parked by a migrating
+// agent), and one whose own suspend is on its way parks the resume behind it
+// (Fig 4(b)) rather than refuse it while the resumer holds that SUS.
+func TestReplyTableResumeBeforeTheBreakIsNoticed(t *testing.T) {
+	for _, high := range []bool{false, true} {
+		for _, migrating := range []bool{false, true} {
+			r, asSuspended := onPeer(wire.MsgResume, fsm.Established, high, migrating), onPeer(wire.MsgResume, fsm.Suspended, high, migrating)
+			want := asSuspended
+			want.degrade = true
+			if r != want {
+				t.Errorf("RES meets ESTABLISHED (high=%v migrating=%v): %+v, want a degrade, then %+v", high, migrating, r, asSuspended)
+			}
+			r = onPeer(wire.MsgResume, fsm.SusSent, high, migrating)
+			if r.verdict != wire.VerdictResumeWait || r.step != noStep || r.set != latchPeerResumeParked || r.degrade {
+				t.Errorf("RES meets SUS_SENT (high=%v migrating=%v): %+v, want RESUME_WAIT, no step, peerResumeParked", high, migrating, r)
+			}
 		}
 	}
 }
@@ -142,8 +172,15 @@ var (
 
 func (r rule) columns() string {
 	step, reply, sets := "—", r.verdict.String(), "—"
+	var steps []string
+	if r.degrade {
+		steps = append(steps, "`"+fsm.Fail.String()+"`")
+	}
 	if r.step != noStep {
-		step = "`" + r.step.String() + "`"
+		steps = append(steps, "`"+r.step.String()+"`")
+	}
+	if len(steps) > 0 {
+		step = strings.Join(steps, ", ")
 	}
 	if r.verdict == wire.VerdictReject {
 		reply += " " + codeNames[r.code]

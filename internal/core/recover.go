@@ -21,7 +21,7 @@ import (
 // layer: the shared transport's keepalive fails a silent connection, a
 // broken one fails at once, and either way every stream on it reaches
 // failLocked as ErrTransportLost. From there one chain recovers every
-// failure, crash or not: SUSPENDED, scheduleFailureResume, RES carrying
+// failure, crash or not: SUSPENDED, startRecovery's one Resume, RES carrying
 // LastSeq, a fresh stream over a fresh transport, retransmit from the send
 // log.
 
@@ -184,7 +184,9 @@ func (ctrl *Controller) buildConn(st *connState, nonceSlack uint64) (*Socket, er
 	s.closed = st.PeerClosed
 	if nonceSlack > 0 {
 		// Crash restore: the connection has been down since (at latest) the
-		// crash; stamp the episode so the resume records a recovery latency.
+		// crash. It is recovered like a broken one, and the stamped episode
+		// makes the resume record a recovery latency.
+		s.failing = true
 		s.failedAt = time.Now()
 	}
 	return s, nil
@@ -229,11 +231,7 @@ func (ctrl *Controller) RecoverConns() (int, error) {
 		// pre-crash value.
 		ctrl.checkpointConn(s)
 		restored++
-		go func(s *Socket) {
-			if err := s.Resume(); err != nil && !errors.Is(err, ErrClosed) {
-				ctrl.logf("conn %s: resume after restart: %v", s.id, err)
-			}
-		}(s)
+		s.startRecovery(0)
 	}
 	if restored > 0 || j.Replayed() > 0 {
 		ctrl.olog(obs.LevelInfo, "recovered %d connections from journal (%d records replayed)",

@@ -213,7 +213,7 @@ func TestPumpDeliversLiveSplits(t *testing.T) {
 // segment, every message still arrives exactly once, and an eviction the peer
 // needed is still an unrecoverable failure, not silence.
 func TestBuffersBoundHeldBytes(t *testing.T) {
-	env := newEnv(t, []string{"h1", "h2"}, noFailureResume())
+	env := newEnv(t, []string{"h1", "h2"})
 	client, server := env.pair("src", "h1", "sink", "h2")
 	defer client.Close()
 

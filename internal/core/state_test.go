@@ -333,7 +333,6 @@ func TestRecoverSkipsPreV1Records(t *testing.T) {
 	var lines []string
 	h := newFaultHost(t, "h1", naming.NewService(), func(c *Config) {
 		c.Journal = j
-		c.DisableFailureResume = true
 		c.OpTimeout, c.ParkTimeout = 50*time.Millisecond, 100*time.Millisecond
 		c.Logger = obs.NewLogger(func(format string, args ...any) {
 			mu.Lock()

@@ -21,8 +21,7 @@ import (
 //     connection setup.
 //   - The reliable-UDP control channel (Section 3.5) versus issuing each
 //     control request over a fresh TCP connection.
-//   - The failure-resume extension on versus off: with it on, a broken
-//     data socket heals; with it off, the connection stays down.
+//   - The failure-resume extension: how soon a broken data socket heals.
 
 // AblationHandoffResult quantifies the socket handoff of Section 3.4: the
 // query-then-connect alternative pays one extra control round trip (ask
@@ -222,24 +221,16 @@ func RunAblationControl(iters int) (*AblationControlResult, error) {
 }
 
 // AblationFailureResult measures the fault-tolerance extension: time until
-// traffic flows again after the data socket is killed, with automatic
-// failure-resume on, and whether the connection recovers at all with it
-// off.
+// traffic flows again after the data socket is killed.
 type AblationFailureResult struct {
-	RecoveryMs       float64
-	RecoveredWithOff bool
-	Trials           int
+	RecoveryMs float64
+	Trials     int
 }
 
-// Table renders the comparison.
+// Table renders the result.
 func (r *AblationFailureResult) Table() string {
-	off := "connection stays down (by design)"
-	if r.RecoveredWithOff {
-		off = "recovered (unexpected)"
-	}
 	return table([]string{"failure handling", "outcome"}, [][]string{
-		{"failure-resume on", fmt.Sprintf("traffic restored in %.1f ms (mean of %d)", r.RecoveryMs, r.Trials)},
-		{"failure-resume off", off},
+		{"failure resume", fmt.Sprintf("traffic restored in %.1f ms (mean of %d)", r.RecoveryMs, r.Trials)},
 	})
 }
 
@@ -251,29 +242,17 @@ func RunAblationFailure(trials int) (*AblationFailureResult, error) {
 	}
 	rec := metrics.NewSeries()
 	for i := 0; i < trials; i++ {
-		ms, err := failureRecoveryOnce(true)
+		ms, err := failureRecoveryOnce()
 		if err != nil {
 			return nil, err
 		}
 		rec.Add(ms)
 	}
-	// One trial with the extension disabled: traffic must NOT recover
-	// within the observation window.
-	recovered, err := failureRecoveryProbe(false, 500*time.Millisecond)
-	if err != nil {
-		return nil, err
-	}
-	return &AblationFailureResult{
-		RecoveryMs:       rec.Mean(),
-		RecoveredWithOff: recovered,
-		Trials:           trials,
-	}, nil
+	return &AblationFailureResult{RecoveryMs: rec.Mean(), Trials: trials}, nil
 }
 
-func failureRecoveryOnce(failureResume bool) (float64, error) {
-	d, err := newDeployment([]string{"h1", "h2"}, func(_ string, cfg *core.Config) {
-		cfg.DisableFailureResume = !failureResume
-	})
+func failureRecoveryOnce() (float64, error) {
+	d, err := newDeployment([]string{"h1", "h2"}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -304,40 +283,4 @@ func failureRecoveryOnce(failureResume bool) (float64, error) {
 		return 0, err
 	}
 	return float64(time.Since(start)) / float64(time.Millisecond), nil
-}
-
-// failureRecoveryProbe reports whether traffic recovered within the window
-// when the extension is configured off.
-func failureRecoveryProbe(failureResume bool, window time.Duration) (bool, error) {
-	d, err := newDeployment([]string{"h1", "h2"}, func(_ string, cfg *core.Config) {
-		cfg.DisableFailureResume = !failureResume
-	})
-	if err != nil {
-		return false, err
-	}
-	defer d.close()
-	client, server, err := d.pair("a", "h1", "b", "h2")
-	if err != nil {
-		return false, err
-	}
-	if err := client.WriteMsg([]byte("pre")); err != nil {
-		return false, err
-	}
-	if _, err := server.ReadMsg(); err != nil {
-		return false, err
-	}
-	client.KillDataSocket()
-	got := make(chan struct{}, 1)
-	go func() {
-		if _, err := server.ReadMsg(); err == nil {
-			got <- struct{}{}
-		}
-	}()
-	go client.WriteMsg([]byte("post")) // blocks forever with the extension off
-	select {
-	case <-got:
-		return true, nil
-	case <-time.After(window):
-		return false, nil
-	}
 }

@@ -117,7 +117,6 @@ func RunC10K(cfg C10KConfig) (*C10KResult, error) {
 	cfg.defaults()
 	d, err := newDeployment([]string{"h1", "h2", "h3"}, func(_ string, cfg *core.Config) {
 		cfg.Insecure = true
-		cfg.DisableFailureResume = true
 	})
 	if err != nil {
 		return nil, err

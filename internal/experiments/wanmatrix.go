@@ -82,16 +82,25 @@ type WANMatrixResult struct {
 	Cells []WANCell
 }
 
+// recoverySlackMs is what a recovery may take beyond two round trips: local
+// work, scheduling, and the profile's jitter and loss.
+const recoverySlackMs = 25
+
 // Check reports every violated robustness invariant: each profile's breaks
 // must all have reached the connection, every failure must have been
-// recovered, and — the path being slow, never dead between breaks — no
-// keepalive timeout may have fired.
+// recovered, within 2 × the profile's RTT + recoverySlackMs at the p99, and
+// — the path being slow, never dead between breaks — no keepalive timeout
+// may have fired.
 func (r *WANMatrixResult) Check() error {
 	var errs []error
 	for _, c := range r.Cells {
 		if c.Failures < c.Breaks || c.Recoveries != c.Failures {
 			errs = append(errs, fmt.Errorf("%s: %d breaks, %d failures, %d recoveries: not every break recovered",
 				c.Profile, c.Breaks, c.Failures, c.Recoveries))
+		}
+		if bound := 2*c.RTTMs + recoverySlackMs; c.RecoveryP99Ms > bound {
+			errs = append(errs, fmt.Errorf("%s: recovery p99 %.1f ms over its bound of %.1f ms (2 x RTT + %d ms)",
+				c.Profile, c.RecoveryP99Ms, bound, recoverySlackMs))
 		}
 		if c.KeepaliveTimeouts != 0 {
 			errs = append(errs, fmt.Errorf("%s: %d false keepalive timeouts", c.Profile, c.KeepaliveTimeouts))
@@ -233,9 +242,9 @@ func runWANProfile(p netem.Profile, breaks int, volume int64, seed int64) (*WANC
 		}
 	}()
 
-	// Generous per-step budget: an intercontinental recovery pays the
-	// failure-resume delay, a fresh transport handshake and several 250ms
-	// round trips; lossy-cell adds retransmits.
+	// Generous per-step budget: an intercontinental recovery pays a fresh
+	// transport handshake and several 250ms round trips; lossy-cell adds
+	// retransmits.
 	step := 30 * time.Second
 	if err := roundtrip(client, step); err != nil {
 		return nil, fmt.Errorf("warmup: %w", err)

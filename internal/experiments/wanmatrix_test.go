@@ -53,6 +53,7 @@ func TestWANMatrixCheck(t *testing.T) {
 		{"unrecovered failure", WANCell{Profile: "metro", Breaks: 4, Failures: 8, Recoveries: 7}, "not every break recovered"},
 		{"unseen break", WANCell{Profile: "metro", Breaks: 4, Failures: 3, Recoveries: 3}, "not every break recovered"},
 		{"false keepalive", WANCell{Profile: "metro", KeepaliveTimeouts: 1}, "keepalive timeouts"},
+		{"slow recovery", WANCell{Profile: "metro", RTTMs: 10, RecoveryP99Ms: 46}, "recovery p99"},
 	}
 	for _, tc := range cases {
 		err := (&WANMatrixResult{Cells: []WANCell{ok.Cells[0], tc.cell}}).Check()

@@ -419,3 +419,107 @@ func TestTransportInfoStates(t *testing.T) {
 		t.Fatalf("tombstone events %v, want one lost", infos[1].EventCounts)
 	}
 }
+
+// heldDump holds the first flight-recorder dump a manager logs until
+// released: the transport being failed stays closed but registered, the
+// window between a transport's death and its removal from the reuse table.
+type heldDump struct {
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newHeldDump() *heldDump {
+	return &heldDump{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (h *heldDump) logf(format string, _ ...any) {
+	if strings.Contains(format, "flight recorder") {
+		h.once.Do(func() {
+			close(h.entered)
+			<-h.release
+		})
+	}
+}
+
+// failingWrites fails every write once broken is set.
+type failingWrites struct {
+	net.Conn
+	broken *atomic.Bool
+}
+
+func (c *failingWrites) Write(p []byte) (int, error) {
+	if c.broken.Load() {
+		return 0, errors.New("write broken")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestReopenAfterWriteFailureDialsFresh: a write that fails the transport
+// is heard of by its caller before Transport.fail has taken the transport
+// out of the reuse table (here the fail is held inside its flight-recorder
+// dump). An open to the same address at that moment must dial a fresh
+// transport on its first try, not be handed the dead one.
+func TestReopenAfterWriteFailureDialsFresh(t *testing.T) {
+	dump := newHeldDump()
+	defer close(dump.release)
+	var broken atomic.Bool
+	a := newTestPeerCfg(t, "a", true, func(cfg *Config) {
+		cfg.Logf = dump.logf
+		cfg.WrapData = func(c net.Conn) net.Conn { return &failingWrites{Conn: c, broken: &broken} }
+	})
+	b := newTestPeer(t, "b", true)
+	cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvStream(t, b)
+
+	broken.Store(true)
+	go cs.Write([]byte("into a broken connection"))
+	<-dump.entered
+	broken.Store(false)
+	dials := a.dials.Load()
+	if _, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second); err != nil {
+		t.Fatalf("open while the failed transport is still registered: %v", err)
+	}
+	if n := a.dials.Load() - dials; n != 1 {
+		t.Fatalf("%d dials for the reopen, want the one fresh transport", n)
+	}
+	recvStream(t, b)
+}
+
+// TestManagerCloseWaitsForFailingTransport: the peer going away fails a
+// transport on its own read loop, which may still be dumping its flight
+// recorder into the log when the manager closes. Close must not return
+// before that transport is down: a log line after it may land in a test
+// that has already ended.
+func TestManagerCloseWaitsForFailingTransport(t *testing.T) {
+	dump := newHeldDump()
+	a := newTestPeerCfg(t, "a", true, func(cfg *Config) { cfg.Logf = dump.logf })
+	b := newTestPeer(t, "b", true)
+	if _, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	recvStream(t, b)
+
+	b.mgr.Close()
+	<-dump.entered
+	closed := make(chan struct{})
+	go func() {
+		a.mgr.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		close(dump.release)
+		t.Fatal("Close returned while a transport was still failing")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(dump.release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned after the failing transport finished")
+	}
+}

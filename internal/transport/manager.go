@@ -310,7 +310,7 @@ func (m *Manager) TransportTraced(addr string, timeout time.Duration, tc obs.Spa
 			m.mu.Unlock()
 			return nil, ErrClosed
 		}
-		if t, ok := m.byAddr[addr]; ok {
+		if t, ok := m.byAddr[addr]; ok && t.alive() {
 			m.mu.Unlock()
 			return t, nil
 		}
@@ -469,6 +469,7 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 		peerAddr: hs.peer.Addr,
 		streams:  make(map[uint64]*Stream),
 		done:     make(chan struct{}),
+		down:     make(chan struct{}),
 		opened:   time.Now(),
 		relayed:  relayed,
 		rec:      newFlightRecorder(),
@@ -535,7 +536,7 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 	close(m.registered)
 	m.registered = make(chan struct{})
 	if addrKey != "" {
-		if _, taken := m.byAddr[addrKey]; !taken {
+		if old, taken := m.byAddr[addrKey]; !taken || !old.alive() {
 			m.byAddr[addrKey] = t
 			t.addrKey = addrKey
 		}
@@ -761,5 +762,11 @@ func (m *Manager) Close() {
 	}
 	for _, t := range all {
 		t.fail(ErrClosed)
+	}
+	// A transport another goroutine is failing (its peer went away first)
+	// may still be dumping its flight recorder into the log: none outlives
+	// Close.
+	for _, t := range all {
+		<-t.down
 	}
 }

@@ -121,8 +121,11 @@ type Transport struct {
 	nextID   uint64
 	closed   bool
 	closeErr error
-	// done closes when the transport fails, stopping its keepalive.
+	// done closes when the transport fails, stopping its keepalive; down
+	// closes once that failure has run to its end (flight recorder dumped,
+	// every stream failed), which Manager.Close waits for.
 	done chan struct{}
+	down chan struct{}
 
 	// lastRead is the unix-nano time of the last inbound frame (keepalive
 	// freshness).
@@ -689,6 +692,7 @@ func (t *Transport) fail(cause error) {
 		t.mu.Unlock()
 		return
 	}
+	defer close(t.down)
 	t.closed = true
 	t.closeErr = cause
 	streams := make([]*Stream, 0, len(t.streams))
@@ -703,8 +707,10 @@ func (t *Transport) fail(cause error) {
 		t.flusher.close()
 	}
 	// A lost session gets its black box on record, and its tombstone
-	// replaces it in the manager before any stream hears of the loss: a
-	// caller that reopens on that news must not find the dead transport.
+	// replaces it in the manager before any stream hears of the loss. A
+	// writer can hear of it sooner, from a write that finds the transport
+	// closed: the manager's lookups skip a transport that is not alive, so
+	// a caller that reopens on that news never finds the dead one.
 	if errors.Is(cause, ErrTransportLost) {
 		t.rec.record("lost", "%v", cause)
 		t.rec.dump(t.logf, fmt.Sprintf("%s (peer %s)", t.id, t.peerHost), cause)
