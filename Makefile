@@ -103,10 +103,12 @@ crash-soak:
 # over segment boundaries, the refusal tests of both layers, the redial
 # backoff of a recovery whose peer is unreachable, and the agent-bundle
 # streams (delivery, warm reuse, a refusal with nothing docked, the size
-# bound), repeated under the race detector.
+# bound), and the one transport writer (a peer whose kernel writes never
+# complete parks neither the shared data-plane pool nor a grant, pong,
+# CloseWrite or TryWrite), repeated under the race detector.
 handoff-soak:
-	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries' -race -count=20
-	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored' -race -count=20
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestSlowPeerDoesNotStallOtherPeers' -race -count=20
+	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored|TestNothingWaitsOnAStuckKernelSend' -race -count=20
 
 # census prints the four numbers a simplicity PR quotes, so CHANGES.md can
 # be checked against the CI log: non-test lines, packages directly under
@@ -149,11 +151,11 @@ profile-small:
 	$(GO) tool pprof -top -nodecount=20 .bench_build/profile-small/core.test .bench_build/profile-small/cpu.out
 
 # profile-bulk does the same for the bulk steady state: what it profiles is
-# the tier-1 budget test TestBulkMessageSteadyState, 64 KiB messages through
-# a connected pair on sealed records.
+# the sealed row of the tier-1 budget test TestBulkMessageSteadyState, 64 KiB
+# messages through a connected pair on sealed records.
 profile-bulk:
 	mkdir -p .bench_build/profile-bulk
-	$(GO) test ./internal/core -run '^TestBulkMessageSteadyState$$' -count=30 \
+	$(GO) test ./internal/core -run '^TestBulkMessageSteadyState$$/^sealed$$' -count=30 \
 		-o .bench_build/profile-bulk/core.test -cpuprofile .bench_build/profile-bulk/cpu.out
 	$(GO) tool pprof -top -nodecount=20 .bench_build/profile-bulk/core.test .bench_build/profile-bulk/cpu.out
 

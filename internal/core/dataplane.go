@@ -429,7 +429,7 @@ func (s *Socket) cutWritten(sock *transport.Stream, last, writes uint64, err err
 
 // flushEvent is one event-driven flush pass: cut the pending frames and
 // push them to the stream. A batch the stream cannot take without waiting —
-// it lacks send credit, or the transport's sealed-record queue is full of
+// it lacks send credit, or the transport's write queue is full of
 // sibling streams' bulk — is handed to a transient goroutine that rides out
 // the wait holding flushMu, so pool workers never block on a slow peer or a
 // busy transport.

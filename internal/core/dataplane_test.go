@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -364,7 +365,7 @@ func TestDataPlaneStressConcurrent(t *testing.T) {
 
 // TestBulkSiblingsLeaveThePoolFree: two bulk streams and a small-message
 // sibling share one encrypted transport. The bulk writers keep the
-// transport's sealed-record queue at its bound, so a flush pass that wrote
+// transport's write queue at its bound, so a flush pass that wrote
 // the sibling's batch from a pool worker would park that worker in
 // recordFlusher.waitSpace — holding the worker every connection's pump and
 // flush share. A batch the stream cannot take without waiting goes to a
@@ -449,5 +450,100 @@ func TestBulkSiblingsLeaveThePoolFree(t *testing.T) {
 		rounds, worst, parked, samples)
 	if parked > 0 {
 		t.Errorf("a pool worker sat in waitSpace in %d of %d goroutine dumps, want none", parked, samples)
+	}
+}
+
+// writeGate parks a host's kernel writes toward one peer's data address once
+// held — a peer whose receive window never opens — and counts them; first
+// closes at the first write it parks. Releasing it lets every parked write go
+// on.
+type writeGate struct {
+	target  string // set before held
+	held    atomic.Bool
+	parked  atomic.Int64
+	once    sync.Once
+	first   chan struct{}
+	release chan struct{}
+}
+
+type writeGatedConn struct {
+	net.Conn
+	g *writeGate
+}
+
+func (c writeGatedConn) Write(p []byte) (int, error) {
+	if g := c.g; g.held.Load() && c.RemoteAddr().String() == g.target {
+		g.parked.Add(1)
+		g.once.Do(func() { close(g.first) })
+		<-g.release
+	}
+	return c.Conn.Write(p)
+}
+
+// TestSlowPeerDoesNotStallOtherPeers: h1 holds ten connections to h2, whose
+// kernel writes from h1 never complete, and one to h3. Every flush pass runs
+// on the data-plane pool that all of h1's connections share, so a pass that
+// waited on the kernel toward h2 would hold a worker, and ten of them hold
+// them all (the pool is FIFO and at most eight strong): h3's message would
+// queue behind them for as long as h2 stalls. Flush passes only hand frames
+// to the transport's writer, on cleartext and sealed sessions alike, so h3's
+// message arrives at once.
+func TestSlowPeerDoesNotStallOtherPeers(t *testing.T) {
+	for _, cleartext := range []bool{true, false} {
+		name := "sealed"
+		if cleartext {
+			name = "cleartext"
+		}
+		t.Run(name, func(t *testing.T) {
+			g := &writeGate{first: make(chan struct{}), release: make(chan struct{})}
+			env := newEnv(t, []string{"h1", "h2", "h3"}, func(c *Config) {
+				c.DisableTransportEncryption = cleartext
+			}, onHost("h1", func(c *Config) {
+				c.WrapData = func(conn net.Conn) net.Conn { return writeGatedConn{Conn: conn, g: g} }
+			}))
+			// Cleanups run last-in first-out: the gate opens before the
+			// controllers close.
+			t.Cleanup(func() { close(g.release) })
+
+			writers := make([]*Socket, 10)
+			for i := range writers {
+				writers[i], _ = env.pair(fmt.Sprintf("w%d", i), "h1", fmt.Sprintf("r%d", i), "h2")
+			}
+			near, far := env.pair("near", "h1", "far", "h3")
+
+			g.target = env.hosts["h2"].ctrl.DataAddr()
+			g.held.Store(true)
+			for i, w := range writers {
+				if err := w.WriteMsg([]byte("toward the slow peer")); err != nil {
+					t.Fatalf("writer %d: %v", i, err)
+				}
+			}
+			select {
+			case <-g.first:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no write toward h2 reached the gate")
+			}
+
+			const msg = "toward a healthy peer"
+			if err := near.WriteMsg([]byte(msg)); err != nil {
+				t.Fatal(err)
+			}
+			got := make(chan error, 1)
+			go func() {
+				m, err := far.ReadMsg()
+				if err == nil && string(m) != msg {
+					err = fmt.Errorf("read %q", m)
+				}
+				got <- err
+			}()
+			select {
+			case err := <-got:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("h1's message to h3 undelivered after 1 s, with %d writes toward h2 parked", g.parked.Load())
+			}
+		})
 	}
 }

@@ -99,82 +99,111 @@ func (c countingConn) Write(p []byte) (int, error) {
 }
 
 // TestBulkMessageSteadyState is the bulk-message budget, stated in counts
-// rather than wall clock: once an encrypted pair is warm, a 64 KiB message is
-// one data-plane segment, one mux frame and one sealed record — a header and
-// a record handed to the kernel (two Writes once writev is defeated), and
-// five payload-pool draws end to end: the send segment, the container, the
-// sealed record, the received record and the data segment copied out of it.
+// rather than wall clock, on sealed and cleartext sessions alike: once a pair
+// is warm, a 64 KiB message is one data-plane segment and one mux frame in
+// one chunk of the transport writer's queue.
+//
+// Sealed, the chunk goes out as one record: a header and a record handed to
+// the kernel (two Writes once writev is defeated), and five payload-pool
+// draws end to end — the send segment, the chunk, the sealed record, the
+// received record and the data segment copied out of it. Cleartext, the chunk
+// is the wire bytes: one Write, and three draws — the send segment, the chunk
+// and the received data segment.
+//
 // The only extras are bounded by the credit window: a window grant (half a
-// window, some sixteen messages) is one small record back, and a sender that
+// window, some sixteen messages) is one small chunk back, and a sender that
 // ran its credit out mid-message splits that one message in two — at most
-// one split per grant, each an extra record and a frame the receiver
+// one split per grant, each an extra chunk and a frame the receiver
 // reassembles. A mux payload bound below the segment size splits every
 // message in two instead. The same test is what `make profile-bulk`
-// profiles.
+// profiles (the sealed row).
 func TestBulkMessageSteadyState(t *testing.T) {
 	const (
 		size   = 64 << 10
 		warmup = 100
 		msgs   = 1000
 	)
-	var writes atomic.Uint64
-	env := newEnv(t, []string{"h1", "h2"}, onHost("h1", func(c *Config) {
-		c.WrapData = func(conn net.Conn) net.Conn { return countingConn{Conn: conn, writes: &writes} }
-	}))
-	client, server := env.pair("src", "h1", "sink", "h2")
-	defer client.Close()
+	for _, tc := range []struct {
+		name      string
+		cleartext bool
+		// writes is the sender's kernel Writes per chunk; draws the pool
+		// draws per message, per grant and per split; allocs the heap
+		// allocations per message.
+		writes                        float64
+		draws, grantDraws, splitDraws float64
+		allocs                        float64
+	}{
+		// A grant costs a chunk, a seal and a read; a split a chunk, a
+		// seal, a read, a copy-out and a reassembly.
+		{name: "sealed", writes: 2, draws: 5, grantDraws: 3, splitDraws: 5, allocs: 3},
+		// A grant costs a chunk; a split a chunk, a read and a reassembly.
+		{name: "cleartext", cleartext: true, writes: 1, draws: 3, grantDraws: 1, splitDraws: 3, allocs: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var writes atomic.Uint64
+			env := newEnv(t, []string{"h1", "h2"}, func(c *Config) {
+				c.DisableTransportEncryption = tc.cleartext
+			}, onHost("h1", func(c *Config) {
+				c.WrapData = func(conn net.Conn) net.Conn { return countingConn{Conn: conn, writes: &writes} }
+			}))
+			client, server := env.pair("src", "h1", "sink", "h2")
+			defer client.Close()
 
-	stream := func(n int) {
-		t.Helper()
-		done := make(chan error, 1)
-		go func() {
-			buf := make([]byte, size)
-			for left := n * size; left > 0; {
-				m, err := server.Read(buf[:min(len(buf), left)])
-				if err != nil {
-					done <- err
-					return
+			stream := func(n int) {
+				t.Helper()
+				done := make(chan error, 1)
+				go func() {
+					buf := make([]byte, size)
+					for left := n * size; left > 0; {
+						m, err := server.Read(buf[:min(len(buf), left)])
+						if err != nil {
+							done <- err
+							return
+						}
+						left -= m
+					}
+					done <- nil
+				}()
+				msg := make([]byte, size)
+				for i := 0; i < n; i++ {
+					if _, err := client.Write(msg); err != nil {
+						t.Fatalf("write %d: %v", i, err)
+					}
 				}
-				left -= m
+				if err := <-done; err != nil {
+					t.Fatalf("read: %v", err)
+				}
 			}
-			done <- nil
-		}()
-		msg := make([]byte, size)
-		for i := 0; i < n; i++ {
-			if _, err := client.Write(msg); err != nil {
-				t.Fatalf("write %d: %v", i, err)
+
+			stream(warmup)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			hits0, misses0 := wire.PoolStats()
+			writes0 := writes.Load()
+			stream(msgs)
+			writesPerMsg := float64(writes.Load()-writes0) / msgs
+			hits1, misses1 := wire.PoolStats()
+			runtime.ReadMemStats(&m1)
+
+			draws := float64((hits1-hits0)+(misses1-misses0)) / msgs
+			allocs := float64(m1.Mallocs-m0.Mallocs) / msgs
+			t.Logf("%d x %d B %s: %.2f kernel writes/msg on the sender, %.2f pool draws/msg, %.2f allocs/msg, %.0f B/msg",
+				msgs, size, tc.name, writesPerMsg, draws, allocs, float64(m1.TotalAlloc-m0.TotalAlloc)/msgs)
+			// Grants, and so splits, come at most once per half window of messages.
+			perGrant := float64(wire.DefaultInitialWindow/2) / (size + wire.FrameHeaderSize)
+			if limit := tc.writes * (1 + 1/perGrant + 1.0/msgs); writesPerMsg > limit {
+				t.Errorf("%.3f kernel writes per message on the sender, want <= %.3f: one chunk per message, one more per split", writesPerMsg, limit)
 			}
-		}
-		if err := <-done; err != nil {
-			t.Fatalf("read: %v", err)
-		}
-	}
-
-	stream(warmup)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	hits0, misses0 := wire.PoolStats()
-	writes0 := writes.Load()
-	stream(msgs)
-	writesPerMsg := float64(writes.Load()-writes0) / msgs
-	hits1, misses1 := wire.PoolStats()
-	runtime.ReadMemStats(&m1)
-
-	draws := float64((hits1-hits0)+(misses1-misses0)) / msgs
-	t.Logf("%d x %d B encrypted: %.2f kernel writes/msg on the sender, %.2f pool draws/msg, %.2f allocs/msg, %.0f B/msg",
-		msgs, size, writesPerMsg, draws, float64(m1.Mallocs-m0.Mallocs)/msgs, float64(m1.TotalAlloc-m0.TotalAlloc)/msgs)
-	// Grants, and so splits, come at most once per half window of messages.
-	perGrant := float64(wire.DefaultInitialWindow/2) / (size + wire.FrameHeaderSize)
-	if limit := 2 + 2/perGrant + 2.0/msgs; writesPerMsg > limit {
-		t.Errorf("%.3f kernel writes per message on the sender, want <= %.3f: one sealed record per message, one more per split", writesPerMsg, limit)
-	}
-	if raceDetector() {
-		return // see TestSmallMessageSteadyState
-	}
-	// A split costs a container, a seal, a read, a copy-out and a
-	// reassembly; a grant a container, a seal and a read.
-	if limit := 5 + (5+3)/perGrant; draws > limit {
-		t.Errorf("%.2f payload-pool draws per message, want <= %.2f: one per buffer a 64 KiB message passes through", draws, limit)
+			if raceDetector() {
+				return // see TestSmallMessageSteadyState
+			}
+			if limit := tc.draws + (tc.splitDraws+tc.grantDraws)/perGrant; draws > limit {
+				t.Errorf("%.2f payload-pool draws per message, want <= %.2f: one per buffer a 64 KiB message passes through", draws, limit)
+			}
+			if allocs > tc.allocs {
+				t.Errorf("%.2f heap allocations per message, want <= %.0f", allocs, tc.allocs)
+			}
+		})
 	}
 }
 

@@ -56,8 +56,8 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 
 // Sealer seals outbound records under one direction's AEAD key. Not safe
 // for concurrent use: the caller must serialize Seal calls in wire order
-// (the transport seals under its write lock, preserving the counter ==
-// wire-order invariant the implicit nonce depends on).
+// (the transport's one flusher goroutine seals in queue order, preserving
+// the counter == wire-order invariant the implicit nonce depends on).
 type Sealer struct {
 	aead    cipher.AEAD
 	counter uint64

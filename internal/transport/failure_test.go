@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"naplet/internal/obs"
+	"naplet/internal/wire"
 )
 
 // connTap records the shared connections a manager installs (via WrapData)
@@ -201,16 +202,32 @@ func TestResumeDeniedFailsPromptly(t *testing.T) {
 
 // stallConn emulates a half-open connection: once stalled, inbound bytes
 // are swallowed (reads hang) while the peer still believes it is writing
-// into a live socket. Close unblocks any hung read.
+// into a live socket. Once writesHeld, every write parks instead — a peer
+// whose receive window never opens — and parked hears of each. Close
+// unblocks any hung read or write.
 type stallConn struct {
 	net.Conn
-	stalled atomic.Bool
-	once    sync.Once
-	unblock chan struct{}
+	stalled    atomic.Bool
+	writesHeld atomic.Bool
+	parked     chan struct{}
+	once       sync.Once
+	unblock    chan struct{}
 }
 
 func newStallConn(c net.Conn) *stallConn {
-	return &stallConn{Conn: c, unblock: make(chan struct{})}
+	return &stallConn{Conn: c, parked: make(chan struct{}, 1), unblock: make(chan struct{})}
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	if c.writesHeld.Load() {
+		select {
+		case c.parked <- struct{}{}:
+		default:
+		}
+		<-c.unblock
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
 }
 
 func (c *stallConn) Read(p []byte) (int, error) {
@@ -277,6 +294,118 @@ func TestKeepaliveDetectsHalfOpenTransport(t *testing.T) {
 	infos := a.mgr.Infos()
 	if len(infos) != 1 || infos[0].EventCounts["keepalive-timeout"] != 1 || infos[0].EventCounts["lost"] != 1 {
 		t.Fatalf("tombstone %+v, want one keepalive-timeout and one lost event", infos)
+	}
+}
+
+// TestNothingWaitsOnAStuckKernelSend: with a session's kernel writes held,
+// only a data writer over the write queue's bound may wait. A TryWrite, a
+// credit grant from TakeSegments, a CloseWrite and the read loop's answer to
+// a ping each return at once, on both session kinds — they run on the shared
+// data-plane workers and the read loop, which a slow peer must never park.
+func TestNothingWaitsOnAStuckKernelSend(t *testing.T) {
+	for _, insecure := range []bool{false, true} {
+		t.Run(fmt.Sprintf("insecure=%v", insecure), func(t *testing.T) {
+			var mu sync.Mutex
+			var conns []*stallConn
+			a := newTestPeerCfg(t, "a", insecure, func(cfg *Config) {
+				cfg.WrapData = func(c net.Conn) net.Conn {
+					sc := newStallConn(c)
+					mu.Lock()
+					conns = append(conns, sc)
+					mu.Unlock()
+					return sc
+				}
+			})
+			b := newTestPeer(t, "b", insecure)
+			cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss := recvStream(t, b)
+			sibling, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recvStream(t, b)
+
+			// Half a window in from b, so a's next take owes b a grant.
+			half := cs.t.streamWindowAt
+			readable := make(chan struct{}, 1)
+			cs.SetReadable(func() {
+				select {
+				case readable <- struct{}{}:
+				default:
+				}
+			})
+			if _, err := ss.Write(make([]byte, half)); err != nil {
+				t.Fatal(err)
+			}
+			for cs.Buffered() < half {
+				select {
+				case <-readable:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%d of %d bytes arrived", cs.Buffered(), half)
+				}
+			}
+
+			mu.Lock()
+			held := conns[0]
+			mu.Unlock()
+			held.writesHeld.Store(true)
+			go cs.Write([]byte("parks the writer"))
+			select {
+			case <-held.parked:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no kernel write parked")
+			}
+
+			within := func(what string, f func() error) {
+				t.Helper()
+				done := make(chan error, 1)
+				go func() { done <- f() }()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+				case <-time.After(100 * time.Millisecond):
+					t.Fatalf("%s waited on the held kernel write", what)
+				}
+			}
+			within("TryWrite", func() error {
+				if ok, err := cs.TryWrite([]byte("queued")); !ok || err != nil {
+					return fmt.Errorf("got %v, %v; want queued", ok, err)
+				}
+				return nil
+			})
+			within("a credit grant", func() error {
+				for _, seg := range cs.TakeSegments(nil, 2*half) {
+					wire.PutPayload(seg)
+				}
+				cs.mu.Lock()
+				defer cs.mu.Unlock()
+				if cs.consumed != 0 {
+					return fmt.Errorf("%d bytes taken and not granted", cs.consumed)
+				}
+				return nil
+			})
+			within("CloseWrite", sibling.CloseWrite)
+			// b's ping, then data behind it: the data arrives only once a's
+			// read loop has answered the ping.
+			within("the answer to a ping", func() error {
+				if err := ss.t.sendFrame(wire.MuxPing, 0, nil); err != nil {
+					return err
+				}
+				if _, err := ss.Write([]byte("behind the ping")); err != nil {
+					return err
+				}
+				buf := make([]byte, 32)
+				if n, err := cs.Read(buf); err != nil || string(buf[:n]) != "behind the ping" {
+					return fmt.Errorf("read %q, %v", buf[:n], err)
+				}
+				return nil
+			})
+		})
 	}
 }
 

@@ -16,17 +16,20 @@ import (
 // transport-wide buffer).
 const maxPendingRecordBytes = 1 << 20
 
-// recordFlusher decouples AEAD sealing and flushing from frame production
-// on encrypted transports. Producers pack plaintext frames into container
-// chunks in wire order under the transport's write lock and return
-// immediately; a single goroutine seals each container (queue order ==
-// seal order == nonce order) and writevs the batch to the socket. Crypto
-// and the flush syscall thus run entirely outside wmu, and a burst of small
-// frames costs one GCM pass and one writev entry instead of one each.
+// recordFlusher is the one writer of a transport's connection, on sealed
+// and cleartext sessions alike. Producers pack frames into container chunks
+// in wire order under the flusher's mutex and return at once; a single
+// goroutine writevs the chunks to the socket — on encrypted sessions each
+// sealed into one MuxSealed record first (queue order == seal order == nonce
+// order), on cleartext sessions as they are, a chunk being a run of whole mux
+// frames. No producer — a stream writer, a pool worker's flush pass, a
+// credit grant, the read loop's pong — ever waits on the kernel, and a burst
+// of small frames costs one GCM pass and one writev entry instead of one
+// each.
 //
-// A flusher serves one connection under one sealer for the transport's
-// life: a failed write or seal fails the transport, and with it the
-// flusher.
+// A flusher serves one connection (under one sealer, nil on cleartext) for
+// the transport's life: a failed write or seal fails the transport, and
+// with it the flusher.
 type recordFlusher struct {
 	t      *Transport
 	conn   net.Conn
@@ -34,8 +37,8 @@ type recordFlusher struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// q holds the pending containers' plaintext, each a pooled buffer of
-	// whole mux frames (inner header + payload).
+	// q holds the pending chunks, each a pooled buffer of whole mux frames
+	// (header + payload).
 	q      [][]byte
 	qBytes int
 	closed bool
@@ -47,12 +50,12 @@ func newRecordFlusher(t *Transport, conn net.Conn, sealer *security.Sealer) *rec
 	return f
 }
 
-// enqueue packs one frame into the pending container chunks; payload need
-// only be valid for the duration of the call (it is copied into the
-// chunk's pooled buffer). Called under the transport's write lock, so
-// queue order is wire order. A new chunk starts when the container
-// plaintext budget would overflow; writeFrame's maxPayload check
-// guarantees any single frame fits an empty chunk.
+// enqueue packs one frame into the pending chunks; payload need only be
+// valid for the duration of the call (it is copied into the chunk's pooled
+// buffer). The frame is appended whole under f.mu, so queue order is wire
+// order and frames never interleave. A new chunk starts when the chunk
+// budget would overflow; sendFrame's maxPlain check guarantees any single
+// frame fits an empty chunk.
 func (f *recordFlusher) enqueue(typ uint8, stream uint64, payload []byte) {
 	need := wire.MuxHeaderSize + len(payload)
 	budget := f.t.containerPlain
@@ -73,14 +76,18 @@ func (f *recordFlusher) enqueue(typ uint8, stream uint64, payload []byte) {
 	f.mu.Unlock()
 }
 
-// waitSpace blocks while the pending queue is over budget. Callers must
-// NOT hold the transport's write lock: the flusher drains without it, so
-// waiting here cannot deadlock. Only data frames wait (writeFrame); control
-// frames and Stream.TryWrite skip the wait.
+// waitSpace blocks while the pending queue is over budget. Only data frames
+// wait (writeFrame); control frames and Stream.TryWrite skip the wait. Each
+// wait is one queue-stall event in the flight recorder, folded with its
+// repeats, so a transport whose kernel send is stuck shows on /connz and in
+// the loss dump.
 func (f *recordFlusher) waitSpace() {
 	f.mu.Lock()
-	for f.qBytes >= maxPendingRecordBytes && !f.closed {
-		f.cond.Wait()
+	if f.qBytes >= maxPendingRecordBytes && !f.closed {
+		f.t.rec.record("queue-stall", "")
+		for f.qBytes >= maxPendingRecordBytes && !f.closed {
+			f.cond.Wait()
+		}
 	}
 	f.mu.Unlock()
 }
@@ -111,10 +118,10 @@ func (f *recordFlusher) close() {
 }
 
 // run is the flusher goroutine: it swaps the whole pending queue out
-// under the lock, seals each container into a MuxSealed record, then
-// writevs the batch outside the lock. A write error (the connection
-// broke) or a seal error (nonce space exhausted) fails the transport. The
-// loop exits only when the transport fails.
+// under the lock, seals each chunk into a MuxSealed record on encrypted
+// sessions, then writevs the batch outside the lock. A write error (the
+// connection broke) or a seal error (nonce space exhausted) fails the
+// transport. The loop exits only when the transport fails.
 func (f *recordFlusher) run() {
 	var batch, recs, bufSlab [][]byte
 	var hdrs []byte
@@ -148,6 +155,10 @@ func (f *recordFlusher) run() {
 		recs = recs[:0]
 		var err error
 		for _, pt := range batch {
+			if f.sealer == nil {
+				bufs = append(bufs, pt)
+				continue
+			}
 			sealedLen := len(pt) + security.RecordOverhead
 			mark := len(hdrs)
 			hdrs = wire.AppendMuxHeader(hdrs, wire.MuxSealed, 0, sealedLen)

@@ -475,7 +475,7 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 		rec:      newFlightRecorder(),
 	}
 	lim := hs.neg.Limits
-	t.maxPlain = int(lim.MaxPayload)
+	t.containerPlain = int(lim.MaxPayload)
 	t.streamWindow = int(lim.InitialWindow)
 	t.streamWindowAt = int(lim.InitialWindow / 2)
 	// The negotiated probe interval is the min of both advertisements,
@@ -486,31 +486,32 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 		t.kaInterval = time.Duration(lim.KeepaliveMs) * time.Millisecond
 	}
 	var opener *security.Opener
+	var sealer *security.Sealer
 	if hs.neg.Cipher == wire.CipherAES256GCM {
 		// Sealed containers ride inside the negotiated frame limit: the
 		// container plaintext cap shrinks by the AEAD tag so every sealed
-		// container still fits a pooled buffer of the negotiated class, and
-		// one frame's payload additionally leaves room for its inner header
-		// so a full-size data frame always fits a container alone.
-		t.containerPlain = t.maxPlain - security.RecordOverhead
-		t.maxPlain = t.containerPlain - wire.MuxHeaderSize
+		// container still fits a pooled buffer of the negotiated class.
+		t.containerPlain -= security.RecordOverhead
 		dialKey, acceptKey := hs.ks.SealKeys(hs.transcript)
 		sealKey, openKey := dialKey, acceptKey
 		if !dialer {
 			sealKey, openKey = acceptKey, dialKey
 		}
-		sealer, serr := security.NewSealer(sealKey)
-		op, oerr := security.NewOpener(openKey)
+		var serr, oerr error
+		sealer, serr = security.NewSealer(sealKey)
+		opener, oerr = security.NewOpener(openKey)
 		if serr != nil || oerr != nil {
 			conn.Close()
 			return nil
 		}
-		opener = op
-		t.flusher = newRecordFlusher(t, conn, sealer)
 		m.encrypted.Inc()
 	} else {
 		m.cleartext.Inc()
 	}
+	// One frame's payload leaves room for its header, so a full-size data
+	// frame always fits a chunk alone.
+	t.maxPlain = t.containerPlain - wire.MuxHeaderSize
+	t.flusher = newRecordFlusher(t, conn, sealer)
 	t.lastRead.Store(time.Now().UnixNano())
 	path := "direct"
 	if relayed {
@@ -542,9 +543,7 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 		}
 	}
 	m.mu.Unlock()
-	if t.flusher != nil {
-		go t.flusher.run()
-	}
+	go t.flusher.run()
 	go t.readLoop(opener)
 	go t.keepalive()
 	return t

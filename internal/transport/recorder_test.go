@@ -116,6 +116,72 @@ func TestFlightRecorderCoalescesRepeats(t *testing.T) {
 	}
 }
 
+// TestQueueStallRecorded: a data writer that meets a full write queue — the
+// transport's kernel send is stuck — leaves one queue-stall event per wait,
+// on the transport's Info (what /connz shows) and in the dump when the
+// transport is lost.
+func TestQueueStallRecorded(t *testing.T) {
+	var mu sync.Mutex
+	var held *stallConn
+	var lines []string
+	a := newTestPeerCfg(t, "a", true, func(cfg *Config) {
+		cfg.WrapData = func(c net.Conn) net.Conn {
+			mu.Lock()
+			defer mu.Unlock()
+			held = newStallConn(c)
+			return held
+		}
+		cfg.Logf = func(format string, args ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}
+	})
+	b := newTestPeer(t, "b", true)
+	cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvStream(t, b)
+
+	mu.Lock()
+	conn := held
+	mu.Unlock()
+	conn.writesHeld.Store(true)
+	if _, err := cs.Write([]byte("parks the flusher")); err != nil {
+		t.Fatal(err)
+	}
+	<-conn.parked
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := cs.Write(make([]byte, maxPendingRecordBytes+4*cs.t.maxPlain))
+		wrote <- err
+	}()
+	stalls := func() uint64 { return a.mgr.Infos()[0].EventCounts["queue-stall"] }
+	for deadline := time.Now().Add(5 * time.Second); stalls() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never met a full queue")
+		}
+	}
+
+	conn.Close()
+	if err := <-wrote; !errors.Is(err, ErrTransportLost) {
+		t.Fatalf("write on the lost transport: %v, want ErrTransportLost", err)
+	}
+	// A stream hears of the loss only after the dump is on record.
+	if _, err := cs.Read(make([]byte, 1)); !errors.Is(err, ErrTransportLost) {
+		t.Fatalf("read on the lost transport: %v, want ErrTransportLost", err)
+	}
+	if n := stalls(); n != 1 {
+		t.Errorf("%d queue-stall events, want 1 for one wait", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if dump := strings.Join(lines, "\n"); !strings.Contains(dump, "queue-stall") {
+		t.Errorf("loss dump has no queue-stall:\n%s", dump)
+	}
+}
+
 // TestFlightRecorderCapturesNetemFaults is the chaos-soak follow-up: every
 // RST the netem proxy injects must show up in the dialing side's flight
 // recorders — each transport it kills ends with exactly one "lost" event,

@@ -285,8 +285,9 @@ func (s *Stream) grantWindow(grant int) {
 }
 
 // Write implements io.Writer, chunking by both the peer's credit window and
-// the mux frame payload bound. The frame write happens outside s.mu so a
-// slow kernel write on the shared connection never holds the stream lock.
+// the mux frame payload bound. The wait for room in the transport's write
+// queue happens outside s.mu, so a stuck kernel send never holds the stream
+// lock.
 func (s *Stream) Write(p []byte) (int, error) {
 	written := 0
 	// stalled throttles the flight-recorder event to one per Write call
@@ -493,13 +494,13 @@ func (s *Stream) SetWritable(fn func()) {
 
 // TryWrite writes all of p if it can without waiting, and reports whether
 // it did: the stream must hold the credit for every byte, and the
-// transport's sealed-record queue must be under its bound. Otherwise it
+// transport's write queue must be under its bound. Otherwise it
 // writes nothing and returns false, and the caller — a worker shared by many
 // connections, which must not block — hands p to a goroutine of its own for
 // Write. A sibling stream that fills the queue between the check and the
 // write only lets it run over its bound by p.
 func (s *Stream) TryWrite(p []byte) (bool, error) {
-	if s.t.flusher != nil && s.t.flusher.full() {
+	if s.t.flusher.full() {
 		return false, nil
 	}
 	s.mu.Lock()

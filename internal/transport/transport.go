@@ -76,23 +76,22 @@ type Transport struct {
 	neg wire.Negotiated
 	// conn is the shared connection: one for the transport's life.
 	conn net.Conn
-	// flusher seals and writes records to the connection outside wmu (nil
-	// on cleartext sessions): frames are packed under wmu so nonce order is
-	// wire order, while the flusher's crypto and writev overlap the next
-	// frame's production.
+	// flusher is the connection's one writer: every frame is packed into
+	// its queue, in wire order, and its goroutine seals (on encrypted
+	// sessions) and writes the queue, so no caller ever waits on the
+	// kernel.
 	flusher *recordFlusher
 	// Negotiated limits, fixed at registration: maxPlain caps one frame's
-	// plaintext payload (sealed frames still fit the wire-level MaxPayload
-	// once the record overhead is added back), streamWindow is the
-	// per-stream credit window and streamWindowAt the consumed-byte
+	// payload (a frame with its header fits one queue chunk), streamWindow
+	// is the per-stream credit window and streamWindowAt the consumed-byte
 	// threshold past which a stream's reader grants the peer more credit,
 	// kaInterval the keepalive probe cadence.
 	maxPlain int
-	// containerPlain caps one MuxSealed container's plaintext (the
-	// negotiated MaxPayload minus the AEAD tag, so the sealed container
-	// fits the negotiated wire-level MaxPayload exactly); zero on
-	// cleartext sessions. The flusher packs consecutive frames up to this
-	// budget so one GCM pass and one writev cover a burst of small frames.
+	// containerPlain caps one queue chunk: the negotiated MaxPayload, less
+	// the AEAD tag on encrypted sessions so a sealed container fits the
+	// negotiated wire-level MaxPayload exactly. The flusher packs
+	// consecutive frames up to this budget so one GCM pass and one writev
+	// entry cover a burst of small frames.
 	containerPlain int
 	streamWindow   int
 	streamWindowAt int
@@ -110,11 +109,6 @@ type Transport struct {
 	// under ("" when none).
 	addrKey string
 	opened  time.Time
-
-	// wmu serializes frame writes to the shared connection. The
-	// header+payload pair of one frame goes out with a single writev so
-	// concurrent streams interleave only on frame boundaries.
-	wmu sync.Mutex
 
 	mu       sync.Mutex
 	streams  map[uint64]*Stream
@@ -333,67 +327,33 @@ func hmacEqual(a, b [wire.TagSize]byte) bool {
 	return diff == 0
 }
 
-// writeMux writes one mux frame to conn; the header and payload reach the
-// kernel in a single writev, so no copy joins them.
-func writeMux(conn net.Conn, typ uint8, stream uint64, payload []byte) error {
-	hdr := wire.AppendMuxHeader(make([]byte, 0, wire.MuxHeaderSize), typ, stream, len(payload))
-	if len(payload) == 0 {
-		_, err := conn.Write(hdr)
-		return err
-	}
-	bufs := net.Buffers{hdr, payload}
-	_, err := bufs.WriteTo(conn)
-	return err
-}
-
 // writeFrame sends one mux frame. A data frame first waits for room in the
-// sealed-record queue: soft backpressure, taken before wmu so a waiting
-// writer can never deadlock the flusher (which needs no lock we hold while
-// waiting). Control frames — grants, opens, resets, FINs, probes — are a few
-// bytes each and never wait behind bulk data: a window grant is what
-// releases the peer's bulk, and it is sent from workers that must not block.
+// flusher's queue: soft backpressure, and the only wait a write makes.
+// Control frames — grants, opens, resets, FINs, probes — are a few bytes each
+// and never wait behind bulk data: a window grant is what releases the peer's
+// bulk, and it is sent from workers and the read loop, which must not block.
 func (t *Transport) writeFrame(typ uint8, stream uint64, payload []byte) error {
-	if typ == wire.MuxData && t.flusher != nil {
+	if typ == wire.MuxData {
 		t.flusher.waitSpace()
 	}
 	return t.sendFrame(typ, stream, payload)
 }
 
-// sendFrame is writeFrame without the wait for queue room. Keepalive probes
-// (ping/pong) are droppable — liveness is judged by any inbound frame, not by
-// pongs — so they take the write lock only if it is free: the read loop
-// answers pings, and must never wait on a writer that is itself waiting for
-// the peer's read loop to drain the kernel buffers. A write error fails the
-// transport.
+// sendFrame is writeFrame without the wait for queue room: it packs the frame
+// into the flusher's queue and returns. A failed transport says so here; a
+// write error is the flusher's to report, by failing the transport.
 func (t *Transport) sendFrame(typ uint8, stream uint64, payload []byte) error {
 	if len(payload) > t.maxPlain {
 		return fmt.Errorf("transport: mux payload %d exceeds limit", len(payload))
 	}
-	probe := typ == wire.MuxPing || typ == wire.MuxPong
-	if !probe {
-		t.wmu.Lock()
-	} else if !t.wmu.TryLock() {
-		return nil
-	}
 	t.mu.Lock()
 	closed, closeErr := t.closed, t.closeErr
 	t.mu.Unlock()
-	var err error
-	switch {
-	case closed:
-		err = closeErr
-	case t.flusher != nil:
-		// Packed here, in wire order; sealed and written by the flusher.
-		t.flusher.enqueue(typ, stream, payload)
-	default:
-		err = writeMux(t.conn, typ, stream, payload)
+	if closed {
+		return closeErr
 	}
-	t.wmu.Unlock()
-	if err != nil && !closed {
-		err = fmt.Errorf("%w: %w", ErrTransportLost, err)
-		t.fail(err)
-	}
-	return err
+	t.flusher.enqueue(typ, stream, payload)
+	return nil
 }
 
 // OpenStream opens a logical stream carrying hdr as its open payload, at no
@@ -496,7 +456,7 @@ func (t *Transport) readLoop(opener *security.Opener) {
 		return
 	}
 	var scratch []byte
-	wireMax := t.maxPlain
+	wireMax := int(t.neg.Limits.MaxPayload)
 	for {
 		h, err := wire.ReadMuxHeader(br)
 		if err != nil {
@@ -703,9 +663,7 @@ func (t *Transport) fail(cause error) {
 	close(t.done)
 	t.mu.Unlock()
 	t.conn.Close()
-	if t.flusher != nil {
-		t.flusher.close()
-	}
+	t.flusher.close()
 	// A lost session gets its black box on record, and its tombstone
 	// replaces it in the manager before any stream hears of the loss. A
 	// writer can hear of it sooner, from a write that finds the transport

@@ -159,6 +159,97 @@ func TestStreamDataBothDirections(t *testing.T) {
 	}
 }
 
+// recordConn copies every byte written to the connection, in order, and
+// signals each write on wrote.
+type recordConn struct {
+	net.Conn
+	mu    sync.Mutex
+	sent  bytes.Buffer
+	wrote chan struct{}
+}
+
+func (c *recordConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.sent.Write(p)
+	c.mu.Unlock()
+	select {
+	case c.wrote <- struct{}{}:
+	default:
+	}
+	return c.Conn.Write(p)
+}
+
+// TestCleartextWireBytes pins the cleartext mux wire format: a scripted
+// open, data, window grant, FIN and ping reach the connection as exactly the
+// concatenated header-plus-payload encodings, whichever code path writes
+// them.
+func TestCleartextWireBytes(t *testing.T) {
+	rc := &recordConn{wrote: make(chan struct{}, 1)}
+	noKeepalive := func(cfg *Config) { cfg.KeepaliveInterval = -1 }
+	a := newTestPeerCfg(t, "a", true, func(cfg *Config) {
+		noKeepalive(cfg)
+		cfg.WrapData = func(c net.Conn) net.Conn {
+			rc.Conn = c
+			return rc
+		}
+	})
+	b := newTestPeerCfg(t, "b", true, noKeepalive)
+
+	hdr := testHeader(t)
+	var open bytes.Buffer
+	if err := hdr.Write(&open); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := a.mgr.OpenStream(b.addr(), hdr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvStream(t, b)
+	if _, err := cs.Write([]byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	cs.grantWindow(70000)
+	if err := cs.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.t.writeFrame(wire.MuxPing, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []byte
+	for _, f := range []struct {
+		typ     uint8
+		stream  uint64
+		payload []byte
+	}{
+		{wire.MuxOpen, 1, open.Bytes()},
+		{wire.MuxData, 1, []byte("data")},
+		{wire.MuxWindow, 1, []byte{0, 1, 0x11, 0x70}},
+		{wire.MuxFin, 1, nil},
+		{wire.MuxPing, 0, nil},
+	} {
+		want = wire.AppendMuxHeader(want, f.typ, f.stream, len(f.payload))
+		want = append(want, f.payload...)
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		rc.mu.Lock()
+		got := bytes.Clone(rc.sent.Bytes())
+		rc.mu.Unlock()
+		if len(got) >= len(want) {
+			if !bytes.Equal(got, want) {
+				t.Fatalf("wire bytes\n got %x\nwant %x", got, want)
+			}
+			return
+		}
+		select {
+		case <-rc.wrote:
+		case <-deadline:
+			t.Fatalf("%d of %d bytes written", len(got), len(want))
+		}
+	}
+}
+
 func TestSecurityModeMismatchRefused(t *testing.T) {
 	a := newTestPeer(t, "a", false)
 	b := newTestPeer(t, "b", true)

@@ -206,7 +206,8 @@ func NewNode(cfg Config) (*Node, error) {
 	ccfg.Tracer = tracer
 	if ccfg.Logger == nil {
 		// Logf alone receives every level; with neither set the controller
-		// stays silent instead of falling back to the standard logger.
+		// and the agent host stay silent instead of falling back to the
+		// standard logger.
 		sink, min := cfg.Logf, obs.LevelDebug
 		if sink == nil {
 			sink, min = func(string, ...any) {}, obs.LevelError
@@ -246,7 +247,7 @@ func NewNode(cfg Config) (*Node, error) {
 		MigrationDelay: cfg.MigrationDelay,
 		ClusterSecret:  cfg.ClusterSecret,
 		Logf:           cfg.Logf,
-		Logger:         cfg.Logger,
+		Logger:         ccfg.Logger,
 		Metrics:        cfg.Metrics,
 		Tracer:         tracer,
 		Journal:        jnl,

@@ -1,9 +1,11 @@
 package naplet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"testing"
 	"time"
@@ -406,6 +408,59 @@ func TestInsecureNetwork(t *testing.T) {
 	await(t, nw, "c2", "s2")
 	if got := recorded("c2"); len(got) != 3 {
 		t.Fatalf("replies = %v", got)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the standard logger's writers.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestNoLoggerIsSilent: Config.Logf's "nil silences them" holds in every
+// layer. A network built without a logger writes nothing to the standard
+// logger across an agent's launch, migration and finish.
+func TestNoLoggerIsSilent(t *testing.T) {
+	var out lockedBuffer
+	prev := log.Writer()
+	log.SetOutput(&out)
+	defer log.SetOutput(prev)
+
+	nw := NewNetwork(WithCore(core.Config{OpTimeout: 2 * time.Second, DrainTimeout: 2 * time.Second}))
+	registerTestBehaviors(nw)
+	for _, h := range []string{"h1", "h2"} {
+		if _, err := nw.AddHost(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nw.Node("h2").Launch("quiet-sink", echoServer{}); err != nil {
+		t.Fatal(err)
+	}
+	roamer := &roamingClient{Target: "quiet-sink", Docks: []string{nw.DockOf("h2")}, Total: 2}
+	if err := nw.Node("h1").Launch("quiet-roamer", roamer); err != nil {
+		t.Fatal(err)
+	}
+	await(t, nw, "quiet-roamer", "quiet-sink")
+	if got := recorded("quiet-roamer"); len(got) != 2 {
+		t.Fatalf("echoes = %v, want one before and one after the migration", got)
+	}
+	if err := nw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); s != "" {
+		t.Fatalf("a network without a logger wrote to the standard logger:\n%s", s)
 	}
 }
 
