@@ -105,9 +105,15 @@ crash-soak:
 # streams (delivery, warm reuse, a refusal with nothing docked, the size
 # bound), and the one transport writer (a peer whose kernel writes never
 # complete parks neither the shared data-plane pool nor a grant, pong,
-# CloseWrite or TryWrite), repeated under the race detector.
+# CloseWrite or TryWrite), and the requester half of the control protocol
+# as the one table and interpreter it is (both tables checked cell by cell
+# and against each other, every concurrent migration of Figs 4 and 5 — the
+# two-connection one bounded at a quarter of the operation timeout, so the
+# resume race costs a retry, not a timeout — a SUS granted in RESUME_WAIT, a
+# CLS that waits out a resume's completion, and a parked resume that expires
+# closed), repeated under the race detector.
 handoff-soak:
-	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestSlowPeerDoesNotStallOtherPeers' -race -count=20
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable' -race -count=20
 	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored|TestNothingWaitsOnAStuckKernelSend' -race -count=20
 
 # census prints the four numbers a simplicity PR quotes, so CHANGES.md can

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -132,6 +133,40 @@ func TestSuspendGrantedInResumeWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitEstablished(t, client, server)
+}
+
+// A resume parked behind a peer that never comes back ends, at the end of
+// the park window, as one stuck in RES_SENT does: the connection is closed
+// and dropped, and a reader blocked on it returns.
+func TestParkedResumeExpiresClosed(t *testing.T) {
+	env := newEnv(t, []string{"h1", "h2"}, parkFor(300*time.Millisecond))
+	client, server := env.pair("a", "h1", "b", "h2")
+	if err := client.Suspend(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.waitState(5*time.Second, fsm.Suspended); err != nil {
+		t.Fatal(err)
+	}
+	env.hosts["h2"].ctrl.tab.setMigrating("b", true) // b leaves and never lands
+	read := make(chan error, 1)
+	go func() {
+		_, err := client.ReadMsg()
+		read <- err
+	}()
+	if err := client.Resume(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Resume parked past the window: %v, want an ErrClosed", err)
+	}
+	select {
+	case err := <-read:
+		if err == nil {
+			t.Fatal("blocked ReadMsg returned a message")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReadMsg still blocked on a connection whose resume expired")
+	}
+	if _, err := env.hosts["h1"].ctrl.AgentSocket("a", client.ID()); err == nil {
+		t.Fatal("the expired connection is still in the table")
+	}
 }
 
 // The closer reaches ESTABLISHED from its half of a resume handoff, writes

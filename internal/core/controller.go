@@ -347,9 +347,28 @@ func (ctrl *Controller) Close() error {
 	return err
 }
 
-// pause sleeps d between two attempts of a retry loop. It returns false,
-// at once, when the controller closes: the loop must give up with ErrClosed
-// instead of sleeping out its backoff against a dead controller.
+// errExpired is retry's answer when its deadline passes first.
+var errExpired = errors.New("napletsocket: retry window ran out")
+
+// retry is the one retry loop, the control requests' and Dial's: it calls try
+// until try reports done, pausing 10 ms, then doubling to 200 ms. It gives up
+// with errExpired once deadline has passed, with ErrClosed as soon as the
+// controller closes.
+func (ctrl *Controller) retry(deadline time.Time, try func() (done bool)) error {
+	for backoff := 10 * time.Millisecond; !try(); backoff = min(2*backoff, 200*time.Millisecond) {
+		if time.Now().After(deadline) {
+			return errExpired
+		}
+		if !ctrl.pause(backoff) {
+			return ErrClosed
+		}
+	}
+	return nil
+}
+
+// pause sleeps d between two tries of retry. It returns false, at once, when
+// the controller closes: the loop must give up with ErrClosed instead of
+// sleeping out its backoff against a dead controller.
 func (ctrl *Controller) pause(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -1037,40 +1056,28 @@ func (ss *ServerSocket) Close() error {
 
 // errTargetNotReady marks an open the target's host refused with
 // wire.RejectRetry: the agent is not listening there yet (launching, or
-// mid-migration), and openRetry tries again.
+// mid-migration), and Dial tries again.
 var errTargetNotReady = errors.New("target not ready")
-
-// openRetry wraps OpenAs with retries for targets that are still launching
-// or mid-migration.
-func (ctrl *Controller) openRetry(agentID string, cred [security.CredentialSize]byte, target string, deadline time.Time) (*Socket, error) {
-	backoff := 10 * time.Millisecond
-	for {
-		s, err := ctrl.OpenAs(agentID, cred, target)
-		if err == nil {
-			return s, nil
-		}
-		retriable := errors.Is(err, naming.ErrNotFound) ||
-			errors.Is(err, errTargetNotReady) ||
-			errors.Is(err, rudp.ErrTimeout)
-		if !retriable || time.Now().After(deadline) {
-			return nil, err
-		}
-		if !ctrl.pause(backoff) {
-			return nil, ErrClosed
-		}
-		if backoff < 200*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
 
 // Dial opens a connection to target, retrying while the target agent is
 // launching or migrating, up to the park timeout.
 func (ctrl *Controller) Dial(actx *agent.Context, target string) (*Socket, error) {
-	return ctrl.openRetry(actx.AgentID(), actx.Credential(), target, time.Now().Add(ctrl.cfg.parkTimeout()))
+	return ctrl.DialAs(actx.AgentID(), actx.Credential(), target)
 }
 
 // DialAs is Dial with explicit agent identity.
 func (ctrl *Controller) DialAs(agentID string, cred [security.CredentialSize]byte, target string) (*Socket, error) {
-	return ctrl.openRetry(agentID, cred, target, time.Now().Add(ctrl.cfg.parkTimeout()))
+	var (
+		s   *Socket
+		err error
+	)
+	if ctrl.retry(time.Now().Add(ctrl.cfg.parkTimeout()), func() bool {
+		s, err = ctrl.OpenAs(agentID, cred, target)
+		return err == nil || !(errors.Is(err, naming.ErrNotFound) ||
+			errors.Is(err, errTargetNotReady) ||
+			errors.Is(err, rudp.ErrTimeout))
+	}) == ErrClosed {
+		return nil, ErrClosed
+	}
+	return s, err
 }

@@ -250,7 +250,7 @@ func (ctrl *Controller) PostArrive(agentID string, blob []byte) error {
 			if owes {
 				// Release the parked peer; it migrates next and will
 				// resume toward us (Fig 4(a)).
-				if err := s.sendSusRes(); err != nil {
+				if err := s.ask(wire.MsgSusRes); err != nil {
 					ctrl.logf("conn %s: SUS_RES after migration: %v", s.id, err)
 				}
 				return

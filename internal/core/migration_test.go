@@ -347,6 +347,10 @@ func TestConcurrentMigrationWithMultipleConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The resume race of Fig 5 costs a retry, not an operation timeout: the
+	// low-priority mover must not sit out the high side's RES while that RES
+	// is parked at the host the mover left.
+	start := time.Now()
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -376,6 +380,9 @@ func TestConcurrentMigrationWithMultipleConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitEstablished(t, a1, a2, b1, b2)
+	if took, limit := time.Since(start), env.hosts["h3"].ctrl.cfg.opTimeout()/4; took > limit {
+		t.Errorf("concurrent migration took %v to re-establish both connections, want under %v", took, limit)
+	}
 
 	// Seeded data arrived across the double migration.
 	if m, err := b1.ReadMsg(); err != nil || string(m) != "one" {

@@ -237,11 +237,3 @@ func (s *Socket) observeFSM() {
 		}
 	})
 }
-
-// drainTimed runs drainAndClose, charging its elapsed time to the
-// suspend breakdown's drain phase.
-func (s *Socket) drainTimed() {
-	start := time.Now()
-	s.drainAndClose()
-	s.ctrl.obs.suspendBD.Add(metrics.PhaseDrain, time.Since(start))
-}

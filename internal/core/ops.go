@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"naplet/internal/fsm"
@@ -15,10 +16,12 @@ import (
 )
 
 // This file implements the connection migration operations of Sections
-// 2.2–3.2 of the paper: the locally issued suspend / resume / close
-// transactions, the local/remote-suspend priority rules for multiple
-// connections, and serve, which carries out what the reply table (proto.go)
-// decides for the corresponding control messages from the peer.
+// 2.2–3.2 of the paper. Suspend, Resume and Close classify the local call
+// against the connection's state (the local/remote-suspend priority rules
+// for multiple connections included); what the SUS, RES, CLS or SUS_RES they
+// send then gets is carried out by ask, the interpreter of the request table
+// (onReply, proto.go), and what such a message from the peer gets by serve,
+// the interpreter of the reply table (onPeer).
 
 // request sends one authenticated control message to the peer controller
 // and returns its verified reply: encoded once and signed in place, the reply
@@ -91,6 +94,153 @@ func (s *Socket) checkAuth(m *wire.ControlMsg, raw []byte) error {
 	return nil
 }
 
+// ---- the requester ----
+
+// ask sends msg and carries out what the request table (onReply) makes of
+// its outcome: the one place that decision is carried out, and the one retry
+// loop of the four requests, asking again while the rule says so and the
+// park window lasts.
+func (s *Socket) ask(msg wire.MsgType) error {
+	var (
+		r   replyRule // the rule the last try carried out
+		err error
+	)
+	switch s.ctrl.retry(time.Now().Add(s.ctrl.cfg.parkTimeout()), func() bool {
+		out, reply := overtaken, (*wire.ControlReply)(nil)
+		if sent, ok := sentIn[msg]; !r.retry || !ok || s.State() == sent {
+			if r.relookup {
+				s.relookupPeer()
+			}
+			out, reply = s.send(msg)
+		}
+		r, err = s.carryOut(msg, out, reply)
+		return !r.retry
+	}) {
+	case errExpired:
+		_, err = s.carryOut(msg, expired, nil)
+	case ErrClosed:
+		return ErrClosed
+	}
+	return err
+}
+
+// breakdown is the phase breakdown a request's costs are charged to.
+func (s *Socket) breakdown(msg wire.MsgType) *metrics.Breakdown {
+	switch msg {
+	case wire.MsgSuspend:
+		return s.ctrl.obs.suspendBD
+	case wire.MsgResume:
+		return s.ctrl.obs.resumeBD
+	}
+	return nil
+}
+
+// send makes one request and reports its outcome. A message carries what
+// serve acts on: LastSeq trims the peer's send log (SUS) or starts its
+// retransmission (RES); our addresses and location epoch tell it where we
+// now are (SUS_RES, RES).
+func (s *Socket) send(msg wire.MsgType) (outcome, *wire.ControlReply) {
+	ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
+	defer cancel()
+	start := time.Now()
+	reply, err := s.request(ctx, msg, func(m *wire.ControlMsg) {
+		if msg == wire.MsgSuspend || msg == wire.MsgResume {
+			m.LastSeq = s.delivered()
+		}
+		if msg == wire.MsgSusRes || msg == wire.MsgResume {
+			m.ControlAddr, m.DataAddr = s.ctrl.ControlAddr(), s.ctrl.DataAddr()
+			m.LocEpoch = s.ctrl.locationEpoch(s.localAgent)
+		}
+	})
+	s.breakdown(msg).Add(metrics.PhaseHandshaking, time.Since(start))
+	if err != nil {
+		s.olog(obs.LevelDebug, "%s undeliverable: %v", msg, err)
+		return unreachable, nil
+	}
+	return outcomeOf(reply.Verdict, reply.Code), reply
+}
+
+// carryOut carries out onReply(msg, out), reply being the peer's if any. It
+// returns the rule it ended up carrying out, whose retry says whether to ask
+// again, and otherwise how the operation ended.
+func (s *Socket) carryOut(msg wire.MsgType, out outcome, reply *wire.ControlReply) (replyRule, error) {
+	r := onReply(msg, out)
+	var err error
+	bd := s.breakdown(msg)
+	if r.handoff {
+		if !slices.Contains(r.from, s.State()) {
+			return s.carryOut(msg, overtaken, nil) // the peer's RES was granted first
+		}
+		start := time.Now()
+		err := s.dialAndInstall(wire.HandoffResume, reply.LastSeq)
+		bd.Add(metrics.PhaseOpenSocket, time.Since(start))
+		if err != nil {
+			s.ctrl.logf("conn %s: resume handoff failed: %v", s.id, err)
+			return s.carryOut(msg, unreachable, nil)
+		}
+	}
+	if r.drain {
+		start := time.Now()
+		s.drainAndClose()
+		bd.Add(metrics.PhaseDrain, time.Since(start))
+	}
+	s.mu.Lock()
+	// A suspend we granted may still be draining: wait for the
+	// exec:suspended it is about to take, and step from there.
+	settleDeadline := time.Now().Add(s.ctrl.cfg.drainTimeout())
+	for !s.closed && s.m.State() == fsm.SusAcked && waitCond(s.cond, time.Until(settleDeadline)) {
+	}
+	for i, flag := range s.latchFields() {
+		if r.early&(1<<i) != 0 && *flag {
+			*flag = false
+			r = onReply(msg, ack) // the peer's release beat this reply here
+		}
+		if r.clear&(1<<i) != 0 {
+			*flag = false
+		}
+	}
+	st := s.m.State()
+	if r.step != noStep && slices.Contains(r.from, st) {
+		if r.handoff {
+			s.establishLocked(st, r.step) // and probe the stream just installed
+		} else {
+			s.step(r.step)
+		}
+	}
+	if r.fail {
+		detail := fmt.Sprintf("%s on %s: %s in %s", msg, s.id, out, st)
+		if reply != nil {
+			detail += ": " + reply.Reason
+		}
+		err = fmt.Errorf("napletsocket: %s", detail)
+		if r.close {
+			err = fmt.Errorf("%w: %s", ErrClosed, detail)
+		}
+	}
+	if r.close {
+		s.markClosedLocked(err)
+	}
+	s.mu.Unlock()
+	if r.close {
+		s.ctrl.dropConn(s)
+	}
+	if r.wait != noWait {
+		timeout := s.ctrl.cfg.opTimeout()
+		if r.park {
+			timeout = s.ctrl.cfg.parkTimeout()
+		}
+		switch _, werr := s.waitState(timeout, r.wait); {
+		case werr == ErrClosed:
+			return r, ErrClosed
+		case werr != nil && r.park:
+			return s.carryOut(msg, expired, nil)
+		case werr != nil:
+			return r, fmt.Errorf("napletsocket: %s on %s: %w", msg, s.id, werr)
+		}
+	}
+	return r, err
+}
+
 // ---- suspend ----
 
 // Suspend suspends the connection ahead of a local migration (or under
@@ -118,13 +268,12 @@ func (s *Socket) Suspend() error {
 }
 
 func (s *Socket) suspendLocked() error {
-	opTimeout := s.ctrl.cfg.opTimeout()
 	s.mu.Lock()
 	switch st := s.m.State(); st {
 	case fsm.Established:
 		s.step(fsm.AppSuspend) // -> SUS_SENT
 		s.mu.Unlock()
-		return s.suspendHandshake(opTimeout)
+		return s.ask(wire.MsgSuspend)
 
 	case fsm.Suspended:
 		if !s.remoteSuspended {
@@ -157,24 +306,17 @@ func (s *Socket) suspendLocked() error {
 		}
 		return nil
 
-	case fsm.SusAcked:
-		// A remote suspend is mid-drain; wait for it, then reclassify.
-		s.mu.Unlock()
-		if _, err := s.waitState(opTimeout, fsm.Suspended); err != nil {
-			return err
-		}
-		return s.suspendLocked()
-
 	case fsm.SuspendWait:
 		s.mu.Unlock()
 		_, err := s.waitState(s.ctrl.cfg.parkTimeout(), fsm.Suspended)
 		return err
 
-	case fsm.ResAcked, fsm.ResSent, fsm.ResumeWait:
-		// A resume is in flight — possibly peer-initiated (RES_ACKED does
-		// not hold the operation mutex while the handoff lands). Wait for
-		// it to settle, then reclassify; dropping the connection here
-		// would strand the peer on a live endpoint.
+	case fsm.SusAcked, fsm.ResAcked, fsm.ResSent, fsm.ResumeWait:
+		// A remote suspend is mid-drain, or a resume is in flight —
+		// possibly peer-initiated (RES_ACKED does not hold the operation
+		// mutex while the handoff lands). Wait for it to settle, then
+		// reclassify; dropping the connection here would strand the peer
+		// on a live endpoint.
 		s.mu.Unlock()
 		if _, err := s.waitState(s.ctrl.cfg.parkTimeout(), fsm.Established, fsm.Suspended); err != nil {
 			return err
@@ -195,118 +337,6 @@ func (s *Socket) suspendLocked() error {
 	default:
 		s.mu.Unlock()
 		return fmt.Errorf("napletsocket: cannot suspend %s in state %s", s.id, st)
-	}
-}
-
-// suspendHandshake runs the SUS exchange from SUS_SENT and completes the
-// local teardown per the verdict. Transient rejections (the peer is mid-
-// resume or mid-close on another front) are retried within the operation
-// timeout.
-func (s *Socket) suspendHandshake(opTimeout time.Duration) error {
-	deadline := time.Now().Add(s.ctrl.cfg.parkTimeout())
-	backoff := 5 * time.Millisecond
-retry:
-	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
-	defer cancel()
-	hsStart := time.Now()
-	reply, err := s.request(ctx, wire.MsgSuspend, func(m *wire.ControlMsg) {
-		m.LastSeq = s.delivered()
-	})
-	s.ctrl.obs.suspendBD.Add(metrics.PhaseHandshaking, time.Since(hsStart))
-	if err != nil {
-		// Peer unreachable: suspend ungracefully; the send log covers any
-		// in-flight loss at resume time.
-		s.ctrl.logf("conn %s: SUS undeliverable (%v); suspending ungracefully", s.id, err)
-		s.drainToSuspended(fsm.Timeout)
-		return nil
-	}
-	switch reply.Verdict {
-	case wire.VerdictAck:
-		s.drainToSuspended(fsm.RecvSuspendAck)
-		return nil
-
-	case wire.VerdictAckWait:
-		// Overlapped concurrent migration, we are the low-priority side:
-		// drain now, then park until the peer's SUS_RES (Fig 4(a)). The
-		// SUS_RES may already have raced ahead of us — the latch catches it.
-		s.drainTimed()
-		deadline := time.Now().Add(s.ctrl.cfg.parkTimeout())
-		parked := false
-		s.mu.Lock()
-		for {
-			if s.closed {
-				s.mu.Unlock()
-				return ErrClosed
-			}
-			// Let a concurrently granted remote suspend finish draining.
-			if s.m.State() == fsm.SusAcked {
-				if !waitCond(s.cond, time.Until(deadline)) {
-					s.mu.Unlock()
-					return fmt.Errorf("napletsocket: waiting for SUS_RES on %s: timed out in %s", s.id, s.m.State())
-				}
-				continue
-			}
-			if s.susResReceived {
-				// The peer's migration already finished.
-				s.susResReceived = false
-				if s.m.State() == fsm.SusSent {
-					s.step(fsm.RecvSuspendAck) // -> SUSPENDED
-				}
-				if s.m.State() == fsm.SuspendWait {
-					s.step(fsm.RecvSusRes) // -> SUSPENDED
-				}
-				break
-			}
-			switch s.m.State() {
-			case fsm.SusSent:
-				s.step(fsm.RecvAckWait) // -> SUSPEND_WAIT
-				parked = true
-			case fsm.Suspended:
-				// Parked already: released by the peer's SUS_RES or RESUME.
-				// Otherwise the peer's SUS was granted concurrently; park from
-				// there.
-				if !parked {
-					s.step(fsm.RecvAckWait) // -> SUSPEND_WAIT
-					parked = true
-				}
-			case fsm.SuspendWait:
-				parked = true // already parked; wait for the release below
-			}
-			if s.m.State() == fsm.Suspended {
-				break
-			}
-			if !waitCond(s.cond, time.Until(deadline)) {
-				s.mu.Unlock()
-				return fmt.Errorf("napletsocket: waiting for SUS_RES on %s: timed out in %s", s.id, s.m.State())
-			}
-		}
-		s.mu.Unlock()
-		return nil
-
-	case wire.VerdictReject:
-		if reply.Code == wire.RejectUnknownConn {
-			// The peer's host does not know the connection — typically the
-			// peer agent is itself mid-migration and its endpoint is
-			// travelling in a bundle. Suspend ungracefully; our eventual
-			// resume chases the peer through the location service, and the
-			// send log covers anything lost in flight.
-			s.drainToSuspended(fsm.Timeout)
-			return nil
-		}
-		if reply.Code == wire.RejectRetry && time.Now().Before(deadline) {
-			cancel()
-			if !s.ctrl.pause(backoff) {
-				return ErrClosed
-			}
-			if backoff < 100*time.Millisecond {
-				backoff *= 2
-			}
-			goto retry
-		}
-		return fmt.Errorf("napletsocket: peer rejected suspend on %s: %s", s.id, reply.Reason)
-
-	default:
-		return fmt.Errorf("napletsocket: unexpected suspend verdict %s on %s", reply.Verdict, s.id)
 	}
 }
 
@@ -346,8 +376,7 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 	if r.step != noStep {
 		s.step(r.step)
 	}
-	// In latch bit order.
-	for i, flag := range [...]*bool{&s.remoteSuspended, &s.owesSusRes, &s.susResReceived, &s.peerResumeParked, &s.suspending} {
+	for i, flag := range s.latchFields() {
 		if r.set&(1<<i) != 0 {
 			*flag = true
 		}
@@ -377,6 +406,11 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 	})
 }
 
+// latchFields lists the Socket flags the latch bits name, in bit order.
+func (s *Socket) latchFields() [5]*bool {
+	return [...]*bool{&s.remoteSuspended, &s.owesSusRes, &s.susResReceived, &s.peerResumeParked, &s.suspending}
+}
+
 // finishGranted completes a suspend or close this side granted, off the
 // control path: drain, so in-flight data reaches the buffer before the
 // connection settles, then step from by ev (exec:suspended or exec:closed).
@@ -402,49 +436,6 @@ func (s *Socket) finishGranted(from fsm.State, ev fsm.Event) {
 	if !closing {
 		s.ctrl.checkpointConn(s)
 	}
-}
-
-// drainToSuspended completes a local suspend the peer acked, or could not be
-// asked: drain, then SUS_SENT -> SUSPENDED by ev.
-func (s *Socket) drainToSuspended(ev fsm.Event) {
-	s.drainTimed()
-	s.mu.Lock()
-	if s.m.State() == fsm.SusSent {
-		s.step(ev)
-	}
-	s.mu.Unlock()
-}
-
-// ---- SUS_RES ----
-
-// sendSusRes tells the parked low-priority peer that our migration is done
-// (Fig 4(a)); sent from the new host with our new addresses. It retries a
-// few times: a parked peer is pinned, but its host may be momentarily slow.
-func (s *Socket) sendSusRes() error {
-	var lastErr error
-	for attempt := 0; attempt < 5; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
-		reply, err := s.request(ctx, wire.MsgSusRes, func(m *wire.ControlMsg) {
-			m.ControlAddr = s.ctrl.ControlAddr()
-			m.DataAddr = s.ctrl.DataAddr()
-			m.LocEpoch = s.ctrl.locationEpoch(s.localAgent)
-		})
-		cancel()
-		if err == nil && reply.Verdict == wire.VerdictAck {
-			s.mu.Lock()
-			s.owesSusRes = false
-			s.mu.Unlock()
-			return nil
-		}
-		if err == nil {
-			err = fmt.Errorf("napletsocket: SUS_RES on %s got %s: %s", s.id, reply.Verdict, reply.Reason)
-		}
-		lastErr = err
-		if !s.ctrl.pause(time.Duration(attempt+1) * 20 * time.Millisecond) {
-			return ErrClosed
-		}
-	}
-	return lastErr
 }
 
 // setPeerAddrsLocked records where the peer now is, as a CONNECT, SUS_RES or
@@ -490,17 +481,15 @@ func (s *Socket) Resume() error {
 func (s *Socket) resumeLocked() error {
 	s.mu.Lock()
 	switch st := s.m.State(); st {
-	case fsm.Established:
-		s.mu.Unlock()
-		return nil
-	case fsm.ResAcked:
-		// A peer-initiated resume is mid-handoff; wait for it.
+	case fsm.Established, fsm.ResAcked:
+		// Resumed already, or a peer-initiated resume is mid-handoff.
 		s.mu.Unlock()
 		_, err := s.waitState(s.ctrl.cfg.opTimeout(), fsm.Established)
 		return err
 	case fsm.Suspended:
 		s.step(fsm.AppResume) // -> RES_SENT
 		s.mu.Unlock()
+		return s.ask(wire.MsgResume)
 	case fsm.Closed, fsm.CloseSent, fsm.CloseAcked:
 		s.mu.Unlock()
 		return ErrClosed
@@ -508,133 +497,15 @@ func (s *Socket) resumeLocked() error {
 		s.mu.Unlock()
 		return fmt.Errorf("napletsocket: cannot resume %s in state %s", s.id, st)
 	}
-
-	backoff := 10 * time.Millisecond
-	deadline := time.Now().Add(s.ctrl.cfg.parkTimeout())
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		st := s.m.State()
-		s.mu.Unlock()
-		switch st {
-		case fsm.Established:
-			return nil
-		case fsm.ResAcked:
-			_, err := s.waitState(s.ctrl.cfg.opTimeout(), fsm.Established)
-			return err
-		case fsm.ResSent:
-			// proceed below
-		default:
-			return fmt.Errorf("napletsocket: resume of %s interrupted in state %s", s.id, st)
-		}
-		done, err := s.resumeAttempt()
-		if done || err != nil {
-			return err
-		}
-		if time.Now().After(deadline) {
-			// The peer has been unreachable (or unwilling) for the whole
-			// park window: declare the connection dead so blocked readers
-			// and writers fail instead of waiting forever.
-			err := fmt.Errorf("%w: resume of %s timed out; peer unreachable", ErrClosed, s.id)
-			s.mu.Lock()
-			if s.m.State() == fsm.ResSent {
-				s.step(fsm.Timeout) // back to SUSPENDED (terminal here)
-			}
-			s.markClosedLocked(err)
-			s.mu.Unlock()
-			s.ctrl.dropConn(s)
-			return err
-		}
-		select {
-		case <-s.ctrl.done:
-			return ErrClosed
-		default:
-		}
-		// Re-resolve the peer: it may have moved (or not yet landed).
-		mgmtStart := time.Now()
-		s.relookupPeer()
-		s.ctrl.obs.resumeBD.Add(metrics.PhaseManagement, time.Since(mgmtStart))
-		if !s.ctrl.pause(backoff) {
-			return ErrClosed
-		}
-		if backoff < 200*time.Millisecond {
-			backoff *= 2
-		}
-	}
 }
 
-// resumeAttempt sends one RES and processes the verdict. done=true means
-// the operation concluded (successfully unless err is set); done=false
-// asks the caller to retry.
-func (s *Socket) resumeAttempt() (done bool, err error) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
-	defer cancel()
-	hsStart := time.Now()
-	reply, rerr := s.request(ctx, wire.MsgResume, func(m *wire.ControlMsg) {
-		m.ControlAddr = s.ctrl.ControlAddr()
-		m.DataAddr = s.ctrl.DataAddr()
-		m.LastSeq = s.delivered()
-		m.LocEpoch = s.ctrl.locationEpoch(s.localAgent)
-	})
-	s.ctrl.obs.resumeBD.Add(metrics.PhaseHandshaking, time.Since(hsStart))
-	if rerr != nil {
-		// Peer host unreachable (mid-migration or failed): retry.
-		return false, nil
-	}
-	switch reply.Verdict {
-	case wire.VerdictAck:
-		dialStart := time.Now()
-		err := s.dialAndInstall(wire.HandoffResume, reply.LastSeq)
-		s.ctrl.obs.resumeBD.Add(metrics.PhaseOpenSocket, time.Since(dialStart))
-		if err != nil {
-			s.ctrl.logf("conn %s: resume handoff failed: %v", s.id, err)
-			return false, nil
-		}
-		s.mu.Lock()
-		s.establishLocked(fsm.ResSent, fsm.RecvResumeAck)
-		s.mu.Unlock()
-		return true, nil
-
-	case wire.VerdictResumeWait:
-		// Non-overlapped concurrent migration: the peer has a parked
-		// suspend to finish; our resume parks until the peer's RES reaches
-		// us (Fig 4(b), side A).
-		s.mu.Lock()
-		if s.m.State() == fsm.ResSent {
-			s.step(fsm.RecvResumeWait) // -> RESUME_WAIT
-		}
-		s.mu.Unlock()
-		if _, werr := s.waitState(s.ctrl.cfg.parkTimeout(), fsm.Established); werr != nil {
-			return true, fmt.Errorf("napletsocket: parked resume on %s: %w", s.id, werr)
-		}
-		return true, nil
-
-	case wire.VerdictReject:
-		switch reply.Code {
-		case wire.RejectResumeRace:
-			// The higher-priority peer is resuming toward us; its RES will
-			// land here and complete the connection.
-			if _, werr := s.waitState(s.ctrl.cfg.opTimeout(), fsm.Established); werr == nil {
-				return true, nil
-			}
-			return false, nil
-		case wire.RejectUnknownConn, wire.RejectRetry:
-			// The peer agent moved on (or has not landed); re-resolve and
-			// chase it through the location service.
-			return false, nil
-		default:
-			return true, fmt.Errorf("napletsocket: peer rejected resume on %s: %s", s.id, reply.Reason)
-		}
-
-	default:
-		return true, fmt.Errorf("napletsocket: unexpected resume verdict %s on %s", reply.Verdict, s.id)
-	}
-}
-
-// relookupPeer refreshes the peer's addresses from the location service.
-// The resume loop only re-resolves after failing to reach the peer at its
-// last known addresses, so the cached entry is evicted first: serving it
-// back would pin the chase to the address that just failed.
+// relookupPeer refreshes the peer's addresses from the location service, a
+// cost of the resume's management phase. A resume only re-resolves after
+// failing to reach the peer at its last known addresses, so the cached entry
+// is evicted first: serving it back would pin the chase to the address that
+// just failed.
 func (s *Socket) relookupPeer() {
+	defer func(start time.Time) { s.ctrl.obs.resumeBD.Add(metrics.PhaseManagement, time.Since(start)) }(time.Now())
 	ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
 	defer cancel()
 	s.ctrl.loc.Invalidate(s.remoteAgent)
@@ -733,27 +604,7 @@ func (s *Socket) Close() error {
 	}
 	s.step(fsm.AppClose) // -> CLOSE_SENT
 	s.mu.Unlock()
-
-	ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
-	defer cancel()
-	reply, err := s.request(ctx, wire.MsgClose, nil)
-	// Drain before finalizing: the peer acked and is draining too, so all
-	// in-flight frames (ours and theirs) land in the buffers — the paper's
-	// exactly-once guarantee extends through a graceful close.
-	if err == nil && reply.Verdict == wire.VerdictAck {
-		s.drainAndClose()
-	}
-	s.mu.Lock()
-	if err == nil && reply.Verdict == wire.VerdictAck {
-		if s.m.State() == fsm.CloseSent {
-			s.step(fsm.RecvCloseAck) // -> CLOSED
-		}
-	} else if s.m.State() == fsm.CloseSent {
-		s.step(fsm.Timeout) // close anyway
-	}
-	s.markClosedLocked(nil)
-	s.mu.Unlock()
-	s.ctrl.dropConn(s)
+	s.ask(wire.MsgClose)
 	s.olog(obs.LevelInfo, "closed")
 	return nil
 }

@@ -5,15 +5,19 @@ import (
 	"naplet/internal/wire"
 )
 
-// This file is the protocol's reply rule as data: what a peer's SUS,
-// SUS_RES, RES or CLS gets in each of the fourteen states (Sections 2.2–3.2,
-// Figs 3–5), including both concurrent-migration protocols — overlapped
-// (ACK_WAIT + SUS_RES) and non-overlapped (RESUME_WAIT). It decides and
-// touches nothing: Socket.serve (ops.go) is the one interpreter, and the
-// table in DESIGN.md "Concurrent migration" is rendered from onPeer.
+// This file is the protocol's control exchange as data, both halves of it
+// (Sections 2.2–3.2, Figs 3–5), including both concurrent-migration
+// protocols — overlapped (ACK_WAIT + SUS_RES) and non-overlapped
+// (RESUME_WAIT). onPeer is the responder's half: what a peer's SUS, SUS_RES,
+// RES or CLS gets in each of the fourteen states. onReply is the requester's
+// half: what the sender of each of those four does with what became of it.
+// Both decide and touch nothing: Socket.serve and Socket.ask (ops.go) are
+// their interpreters, and the two tables in DESIGN.md "Concurrent migration"
+// are rendered from them.
 
 // latch is a set of the connection's concurrent-migration flags a rule
-// raises; serve maps the bits onto the Socket fields of the same names.
+// raises or lowers; latchFields maps the bits onto the Socket fields of the
+// same names.
 type latch uint8
 
 const (
@@ -180,4 +184,144 @@ func settles(msg wire.MsgType, st fsm.State) bool {
 		return msg == wire.MsgResume || msg == wire.MsgClose
 	}
 	return false
+}
+
+// ---- the requester half ----
+
+// outcome is what became of a request: a reply's verdict, by its code if a
+// rejection, or one of three things no reply says. Replies are numbered as
+// the wire numbers verdicts and codes.
+type outcome uint8
+
+const (
+	// unreachable (VerdictInvalid): no verified reply within the operation
+	// timeout, or no stream for the handoff a grant calls for.
+	unreachable outcome = iota
+	ack
+	ackWait
+	resumeWait
+	rejectOther
+	rejectUnknownConn
+	rejectRetry
+	rejectResumeRace
+	// expired: the park window ran out, in a parked wait or retrying.
+	expired
+	// overtaken: before a retry or a grant's handoff, the peer's own
+	// message moved the machine off the state the request is sent in.
+	overtaken
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{"no reply", "ACK", "ACK_WAIT", "RESUME_WAIT", "REJECT other",
+	"REJECT unknown-conn", "REJECT retry", "REJECT resume-race", "park window out", "overtaken"}
+
+func (o outcome) String() string { return outcomeNames[o] }
+
+// outcomeOf is the outcome of a decoded reply: codes but RejectOther come
+// only beside VerdictReject.
+func outcomeOf(v wire.Verdict, c wire.RejectCode) outcome { return outcome(v) + outcome(c) }
+
+// sentIn is the state a request is sent in; SUS_RES moves no state of its
+// sender's.
+var sentIn = map[wire.MsgType]fsm.State{wire.MsgSuspend: fsm.SusSent, wire.MsgResume: fsm.ResSent, wire.MsgClose: fsm.CloseSent}
+
+// noWait marks a rule that waits for nothing, as the zero rule does: no
+// request waits for CLOSED.
+const noWait = fsm.Closed
+
+// replyRule is one cell of the request table, carried out in field order.
+type replyRule struct {
+	// handoff dials and installs the resumed stream where step is taken;
+	// elsewhere the outcome is overtaken, and a failed dial unreachable.
+	handoff bool
+	drain   bool
+	// early is a latch recording that the peer's release beat this reply:
+	// it is lowered, and the reply taken as ACK. clear lowers latches.
+	early, clear latch
+	// step is taken if the machine is in one of from.
+	step  fsm.Event
+	from  []fsm.State
+	close bool // marks the connection closed and drops it
+	// wait waits for a state, up to the park window if park is set (running
+	// out is then the expired outcome), else up to the operation timeout.
+	wait fsm.State
+	park bool
+	// retry asks again after a backoff, re-resolving the peer through the
+	// location service first if relookup is set. A rule that neither
+	// retries nor fails ends the operation successfully.
+	retry, relookup, fail bool
+}
+
+// onReply is the request table: what the sender of msg does with outcome
+// out. An outcome the requester has no other cell for fails the operation;
+// onPeer gives no answer that does.
+func onReply(msg wire.MsgType, out outcome) replyRule {
+	sent := []fsm.State{sentIn[msg]}
+	switch msg {
+	case wire.MsgSuspend:
+		switch out {
+		case ack:
+			return replyRule{drain: true, step: fsm.RecvSuspendAck, from: sent}
+		case unreachable, rejectUnknownConn:
+			// The peer agent is typically mid-migration, its endpoint in a
+			// bundle: suspend ungracefully. Our resume chases it through the
+			// location service; the send log covers anything lost in flight.
+			return replyRule{drain: true, step: fsm.Timeout, from: sent}
+		case ackWait:
+			// Overlapped concurrent migration, low-priority side (Fig 4(a)):
+			// drain now, then park until the peer's SUS_RES or RES releases
+			// us. We may have granted the peer's own SUS meanwhile.
+			return replyRule{drain: true, early: latchSusResReceived, step: fsm.RecvAckWait,
+				from: []fsm.State{fsm.SusSent, fsm.Suspended}, wait: fsm.Suspended, park: true}
+		case rejectRetry:
+			return replyRule{retry: true} // the peer is mid-resume or mid-open
+		case overtaken:
+			return replyRule{wait: fsm.Suspended} // the drain of the peer's SUS we granted
+		}
+
+	case wire.MsgSusRes:
+		// Our migration is done and the parked low-priority peer may go
+		// (Fig 4(a)). It is pinned, but its host may be momentarily slow.
+		if out == ack {
+			return replyRule{clear: latchOwesSusRes}
+		}
+		if out < expired {
+			return replyRule{retry: true}
+		}
+
+	case wire.MsgResume:
+		switch out {
+		case ack:
+			return replyRule{handoff: true, step: fsm.RecvResumeAck, from: sent}
+		case resumeWait:
+			// Non-overlapped concurrent migration (Fig 4(b), side A): the peer
+			// has a parked suspend to finish, and our resume parks until its
+			// RES reaches us.
+			return replyRule{step: fsm.RecvResumeWait, from: sent, wait: fsm.Established, park: true}
+		case unreachable, rejectUnknownConn, rejectRetry:
+			// Chase a peer agent that moved on or has not landed.
+			return replyRule{retry: true, relookup: true}
+		case rejectResumeRace:
+			// Both sides resumed at once and the peer holds priority: its RES
+			// completes the connection. That RES may be parked at the host we
+			// left (Fig 5), so ask again; one granted here meanwhile makes the
+			// next try overtaken.
+			return replyRule{retry: true}
+		case overtaken:
+			return replyRule{wait: fsm.Established} // the handoff of the peer's RES we granted
+		case expired:
+			// Unreachable, unwilling or parked for the whole window: the
+			// connection is dead, and blocked readers and writers fail.
+			return replyRule{step: fsm.Timeout, from: []fsm.State{fsm.ResSent, fsm.ResumeWait}, close: true, fail: true}
+		}
+
+	case wire.MsgClose:
+		if out == ack {
+			// The peer is draining too: exactly-once extends through a
+			// graceful close.
+			return replyRule{drain: true, step: fsm.RecvCloseAck, from: sent, close: true}
+		}
+		return replyRule{step: fsm.Timeout, from: sent, close: true} // close unilaterally
+	}
+	return replyRule{fail: true}
 }

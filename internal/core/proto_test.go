@@ -121,34 +121,23 @@ func TestReplyTableResumeBeforeTheBreakIsNoticed(t *testing.T) {
 	}
 }
 
-type answer struct {
-	verdict wire.Verdict
-	code    wire.RejectCode
-}
-
-// The responder can say only what the requester has a branch for: the
-// verdict switches of suspendHandshake, resumeAttempt, sendSusRes and Close
-// are the other half of this table.
+// The responder can say only what the requester has a cell for: no answer
+// onPeer gives fails the requester's operation.
 func TestReplyTableIsClosedOverRequesterBranches(t *testing.T) {
-	understood := map[wire.MsgType][]answer{
-		// suspendHandshake: ACK, ACK_WAIT, unknown-conn (suspend ungracefully), retry.
-		wire.MsgSuspend: {{wire.VerdictAck, 0}, {wire.VerdictAckWait, 0},
-			{wire.VerdictReject, wire.RejectUnknownConn}, {wire.VerdictReject, wire.RejectRetry}},
-		// sendSusRes: ACK or try again.
-		wire.MsgSusRes: {{wire.VerdictAck, 0}, {wire.VerdictReject, wire.RejectOther}},
-		// resumeAttempt: ACK, RESUME_WAIT, resume-race (wait for the peer's RES), unknown-conn / retry (chase the peer).
-		wire.MsgResume: {{wire.VerdictAck, 0}, {wire.VerdictResumeWait, 0}, {wire.VerdictReject, wire.RejectResumeRace},
-			{wire.VerdictReject, wire.RejectUnknownConn}, {wire.VerdictReject, wire.RejectRetry}},
-		// Close: ACK or close unilaterally.
-		wire.MsgClose: {{wire.VerdictAck, 0}, {wire.VerdictReject, wire.RejectRetry}},
-	}
 	// SUS_RES is refused exactly where no suspend of ours can be waiting
 	// for it.
 	susResRefused := []fsm.State{fsm.Closed, fsm.Listen, fsm.ConnectSent, fsm.ConnectAcked, fsm.Established,
 		fsm.ResSent, fsm.ResAcked, fsm.ResumeWait, fsm.CloseSent, fsm.CloseAcked}
 	eachCell(func(msg wire.MsgType, st fsm.State, high, migrating bool, r rule) {
-		if !slices.Contains(understood[msg], answer{r.verdict, r.code}) {
-			t.Errorf("%s in %s: reply %s/%d has no branch at the requester", msg, st, r.verdict, r.code)
+		out, want := outcomeOf(r.verdict, r.code), r.verdict.String()
+		if r.verdict == wire.VerdictReject {
+			want += " " + codeNames[r.code]
+		}
+		if out.String() != want {
+			t.Errorf("%s in %s: reply %s read as %s", msg, st, want, out)
+		}
+		if onReply(msg, out).fail {
+			t.Errorf("%s in %s: reply %s has no cell at the requester", msg, st, out)
 		}
 		if msg == wire.MsgSusRes && (r.verdict == wire.VerdictReject) != slices.Contains(susResRefused, st) {
 			t.Errorf("SUS_RES in %s: %s", st, r.verdict)
@@ -161,7 +150,85 @@ func TestReplyTableIsClosedOverRequesterBranches(t *testing.T) {
 	})
 }
 
-// ---- the table as DESIGN.md prints it ----
+// eachRequestCell calls fn once per cell of the request table.
+func eachRequestCell(fn func(msg wire.MsgType, out outcome, r replyRule)) {
+	for _, msg := range peerMsgs {
+		for out := outcome(0); out < numOutcomes; out++ {
+			fn(msg, out, onReply(msg, out))
+		}
+	}
+}
+
+func TestRequestTableRequestsOnlyLegalSteps(t *testing.T) {
+	cells := 0
+	eachRequestCell(func(msg wire.MsgType, out outcome, r replyRule) {
+		cells++
+		cell := fmt.Sprintf("%s answered %s", msg, out)
+		sent, sends := sentIn[msg]
+		if r.step != noStep {
+			// The step is taken in the state the request was sent in, and in
+			// the others the requester can be in when the outcome lands.
+			if !sends || !slices.Contains(r.from, sent) {
+				t.Errorf("%s: %s is not taken in the state the request is sent in", cell, r.step)
+			}
+			for _, st := range r.from {
+				if !fsm.Legal(st, r.step) {
+					t.Errorf("%s: %s is illegal in %s", cell, r.step, st)
+				}
+			}
+		}
+		if r.early != 0 {
+			// The early release turns the reply into ACK, stepped from the
+			// same states.
+			a := onReply(msg, ack)
+			if a.retry || a.fail || slices.ContainsFunc(a.from, func(st fsm.State) bool { return !slices.Contains(r.from, st) }) {
+				t.Errorf("%s: an early release has no ACK to turn into: %+v", cell, a)
+			}
+		}
+		if r.handoff && r.step == noStep {
+			t.Errorf("%s: a handoff without the step it completes", cell)
+		}
+		if r.relookup && !r.retry {
+			t.Errorf("%s: re-resolves the peer for no retry", cell)
+		}
+		if r.retry && (r.fail || r.close || r.wait != noWait || r.step != noStep) {
+			t.Errorf("%s: a retry also steps, waits or ends the operation: %+v", cell, r)
+		}
+		if (out == expired || out == overtaken) && r.retry {
+			t.Errorf("%s: retries past the window or a settled machine", cell)
+		}
+		if r.wait != noWait && r.step != noStep {
+			// What the requester waits for is reachable from where the step
+			// leaves it.
+			next, _ := fsm.Next(sent, r.step)
+			if !reachable(next, r.wait) {
+				t.Errorf("%s: waits for %s, unreachable from %s", cell, r.wait, next)
+			}
+		}
+	})
+	if cells != len(peerMsgs)*int(numOutcomes) {
+		t.Fatalf("walked %d cells, want %d", cells, len(peerMsgs)*int(numOutcomes))
+	}
+}
+
+// reachable reports whether some sequence of events leads from a to b.
+func reachable(a, b fsm.State) bool {
+	seen := map[fsm.State]bool{a: true}
+	for frontier := []fsm.State{a}; len(frontier) > 0; frontier = frontier[1:] {
+		if frontier[0] == b {
+			return true
+		}
+		for _, e := range fsm.Events() {
+			if next, err := fsm.Next(frontier[0], e); err == nil && !seen[next] {
+				seen[next] = true
+				frontier = append(frontier, next)
+			}
+		}
+	}
+	return false
+}
+
+// ---- the tables as DESIGN.md prints them ----
 
 var (
 	codeNames  = map[wire.RejectCode]string{wire.RejectOther: "other", wire.RejectUnknownConn: "unknown-conn", wire.RejectRetry: "retry", wire.RejectResumeRace: "resume-race"}
@@ -263,5 +330,108 @@ func TestReplyTableMatchesDesignDoc(t *testing.T) {
 	}
 	if want := renderReplyTable(); doc != want {
 		t.Errorf("DESIGN.md's reply table is not what onPeer says; replace it with:\n%s", want)
+	}
+}
+
+func (r replyRule) columns() string {
+	var before, step, wait, ends []string
+	if r.handoff {
+		before = append(before, "dial handoff")
+	}
+	if r.drain {
+		before = append(before, "drain")
+	}
+	if r.early != 0 {
+		step = append(step, "as ACK if "+latchList(r.early)+";")
+	}
+	if r.step != noStep {
+		var from []string
+		for _, st := range r.from {
+			from = append(from, st.String())
+		}
+		step = append(step, "`"+r.step.String()+"` in "+strings.Join(from, "/"))
+	}
+	if r.wait != noWait {
+		wait = append(wait, r.wait.String()+map[bool]string{false: " ≤ op", true: " ≤ park"}[r.park])
+	}
+	if r.clear != 0 {
+		ends = append(ends, "clear "+latchList(r.clear))
+	}
+	if r.close {
+		ends = append(ends, "close")
+	}
+	switch {
+	case r.retry && r.relookup:
+		ends = append(ends, "retry, re-resolve peer")
+	case r.retry:
+		ends = append(ends, "retry")
+	case r.fail:
+		ends = append(ends, "fail")
+	default:
+		ends = append(ends, "done")
+	}
+	col := func(parts []string) string {
+		if len(parts) == 0 {
+			return "—"
+		}
+		return strings.Join(parts, " ")
+	}
+	return fmt.Sprintf("%s | %s | %s | %s", col(before), col(step), col(wait), strings.Join(ends, ", "))
+}
+
+func latchList(l latch) string {
+	var set []string
+	for i, name := range latchNames {
+		if l&(1<<i) != 0 {
+			set = append(set, "`"+name+"`")
+		}
+	}
+	return strings.Join(set, ", ")
+}
+
+// renderRequestTable prints onReply one row per distinct cell of a message:
+// the outcomes that get it share the row.
+func renderRequestTable() string {
+	var b strings.Builder
+	b.WriteString("| Request | Outcome | First | Step | Wait | Then |\n|---|---|---|---|---|---|\n")
+	for _, msg := range peerMsgs {
+		var order []string // cells, in order of first outcome
+		outs := map[string][]string{}
+		for out := outcome(0); out < numOutcomes; out++ {
+			cell := onReply(msg, out).columns()
+			if _, seen := outs[cell]; !seen {
+				order = append(order, cell)
+			}
+			outs[cell] = append(outs[cell], out.String())
+		}
+		req := msg.String()
+		if sent, ok := sentIn[msg]; ok {
+			req += " (from " + sent.String() + ")"
+		}
+		for _, cell := range order {
+			fmt.Fprintf(&b, "| %s | %s | %s |\n", req, strings.Join(outs[cell], ", "), cell)
+		}
+	}
+	b.WriteString("\nA handoff is dialled only where the step is taken;" +
+		" elsewhere the outcome is taken as *overtaken*. A retry backs off from 10 ms, doubling to 200 ms; when the park window" +
+		" runs out, retrying or in a wait bounded by it, the outcome is *park window out*. A wait bounded by the operation timeout" +
+		" that runs out fails the operation.\n")
+	return b.String()
+}
+
+// DESIGN.md carries the request table between two markers too.
+func TestRequestTableMatchesDesignDoc(t *testing.T) {
+	const begin, end = "<!-- request-table:begin (rendered from onReply by internal/core/proto_test.go; do not edit) -->\n", "<!-- request-table:end -->"
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(raw), begin)
+	doc, _, ok2 := strings.Cut(rest, end)
+	if !ok || !ok2 {
+		t.Fatalf("DESIGN.md lacks the request-table markers %q ... %q", begin, end)
+	}
+	if want := renderRequestTable(); doc != want {
+		t.Errorf("DESIGN.md's request table is not what onReply says; replace it with:\n%s", want)
 	}
 }

@@ -265,6 +265,9 @@ var transitions = map[State]map[Event]State{
 		// The peer finished its parked suspend and migration, and now
 		// resumes toward us.
 		RecvResume: ResAcked,
+		// The park window ran out first: the resume gives up as one stuck
+		// in RES_SENT does.
+		Timeout: Suspended,
 	},
 	CloseSent: {
 		RecvCloseAck: Closed,

@@ -136,6 +136,9 @@ func TestTimeouts(t *testing.T) {
 	if got := walk(t, Suspended, AppResume, Timeout); got != Suspended {
 		t.Fatalf("resume timeout -> %s", got)
 	}
+	if got := walk(t, Suspended, AppResume, RecvResumeWait, Timeout); got != Suspended {
+		t.Fatalf("parked resume timeout -> %s", got)
+	}
 	if got := walk(t, Established, AppClose, Timeout); got != Closed {
 		t.Fatalf("close timeout -> %s", got)
 	}
