@@ -111,9 +111,12 @@ crash-soak:
 # two-connection one bounded at a quarter of the operation timeout, so the
 # resume race costs a retry, not a timeout — a SUS granted in RESUME_WAIT, a
 # CLS that waits out a resume's completion, and a parked resume that expires
-# closed), repeated under the race detector.
+# closed), and the endpoint's one wait for its handoff (a stale handoff,
+# signed below the granted RES's nonce, is refused; an open whose stream
+# lands but whose ID never does is given up at the operation timeout),
+# repeated under the race detector.
 handoff-soak:
-	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable' -race -count=20
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable' -race -count=20
 	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored|TestNothingWaitsOnAStuckKernelSend' -race -count=20
 
 # census prints the four numbers a simplicity PR quotes, so CHANGES.md can

@@ -306,7 +306,7 @@ func (c *deafConn) Close() error {
 // sits in RES_ACKED for a handoff that will never land while the opener,
 // failed again, sends a new RES. That RES must make the granter stand down
 // at once (RES_ACKED to SUSPENDED, then grant the retry), not when its
-// rendezvous times out an OpTimeout later.
+// wait for the handoff times out an OpTimeout later.
 func TestHandoffLostWithItsTransportStandsDown(t *testing.T) {
 	const opTimeout = 10 * time.Second
 	regs := map[string]*obs.Registry{"h1": obs.NewRegistry(), "h2": obs.NewRegistry()}
@@ -348,7 +348,7 @@ func TestHandoffLostWithItsTransportStandsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took > opTimeout/2 {
-		t.Fatalf("recovered %v after the break, want well inside the %v rendezvous timeout", took, opTimeout)
+		t.Fatalf("recovered %v after the break, want well inside the %v handoff timeout", took, opTimeout)
 	}
 	stoodDown := uint64(0)
 	for host, reg := range regs {

@@ -193,9 +193,12 @@ type Socket struct {
 	// satisfied (Fig 5).
 	peerResumeParked bool
 
-	// Establishment bookkeeping (server side).
+	// Establishment bookkeeping (server side). handoff is the wait for the
+	// data stream a granted CONNECT or RES licensed the peer to open, nil
+	// when none is pending (redirector.go).
 	idReceived bool
 	accepted   bool
+	handoff    *handoffWait
 
 	closed   bool
 	closeErr error
@@ -385,6 +388,7 @@ func (s *Socket) markClosedLocked(err error) {
 	}
 	s.closed = true
 	s.closeErr = err
+	s.endHandoffLocked("closed")
 	s.dropSockLocked()
 	s.cond.Broadcast()
 }

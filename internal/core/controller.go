@@ -148,7 +148,6 @@ type Controller struct {
 	obs *ctrlObs
 	ep  *rudp.Endpoint
 	red *redirector
-	rv  *rendezvous
 	// tm owns the shared per-host-pair transports every data stream rides.
 	tm *transport.Manager
 	// relayCli keeps this host registered with the RelayVia relay so
@@ -202,7 +201,6 @@ func NewController(cfg Config) (*Controller, error) {
 	ctrl := &Controller{
 		cfg:       cfg,
 		obs:       newCtrlObs(cfg),
-		rv:        newRendezvous(),
 		tab:       newConnTable(),
 		dp:        newDPPool(),
 		loc:       naming.NewCache(cfg.Locator, naming.CacheConfig{Metrics: cfg.Metrics}),
@@ -393,7 +391,6 @@ func (ctrl *Controller) logf(format string, args ...any) {
 // so a graceful shutdown stays recoverable like a crash.)
 func (ctrl *Controller) dropConn(s *Socket) {
 	ctrl.tab.drop(s)
-	ctrl.rv.disarm(connKey{id: s.id, agent: s.localAgent})
 	ctrl.dropConnJournal(s)
 }
 
@@ -539,15 +536,16 @@ func (ctrl *Controller) authorizeHandoff(hdr *wire.HandoffHeader) error {
 	return nil
 }
 
-// deliverStream hands an accepted transport stream to the endpoint waiting
-// for it (an agent bundle, to takeBundle); a stream nothing waits for is
+// deliverStream hands an accepted transport stream to the endpoint awaiting
+// it (an agent bundle, to takeBundle); a stream no endpoint awaits is
 // refused.
 func (ctrl *Controller) deliverStream(hdr *wire.HandoffHeader, st *transport.Stream) bool {
 	if hdr.Purpose == wire.HandoffAgent {
 		ctrl.takeBundle(st)
 		return true
 	}
-	return ctrl.rv.deliver(connKey{id: hdr.ConnID, agent: hdr.TargetAgent}, st)
+	s, ok := ctrl.tab.byKey(hdr.ConnID, hdr.TargetAgent)
+	return ok && s.takeHandoff(hdr, st)
 }
 
 // TransportInfos snapshots the live shared transports — the data source of
@@ -745,10 +743,10 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 // over the shared transport — dialing and handshaking one only if no warm
 // transport exists — for the authenticated connect or resume handoff purpose
 // names, and installs it; what the peer is missing is retransmitted behind
-// the stream's own open. Nothing waits for the peer: it armed its rendezvous
-// for this connection before the ACK to our RES or CONNECT. Its controller
-// still authorizes the header, and a refusal is a reset of the stream — a
-// stream death, which readerExit and establishLocked handle.
+// the stream's own open. Nothing waits for the peer: it began awaiting the
+// handoff before the ACK to our RES or CONNECT. Its controller still
+// authorizes the header, and a refusal is a reset of the stream — a stream
+// death, which readerExit and establishLocked handle.
 func (s *Socket) dialAndInstall(purpose wire.HandoffPurpose, peerHasUpTo uint64) error {
 	s.mu.Lock()
 	addr := s.peerDataAddr
@@ -772,8 +770,8 @@ func (s *Socket) dialAndInstall(purpose wire.HandoffPurpose, peerHasUpTo uint64)
 
 // handleConnect serves a CONNECT request on the server side: policy check,
 // key agreement (derived from the shared transport's secret), connection
-// creation, and redirector arming. Establishment completes when both the
-// data stream (via the transport) and the client's ID message arrive.
+// creation, and the wait for the handoff. Establishment completes when both
+// the data stream (via the transport) and the client's ID message arrive.
 func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 	if rtc := (obs.SpanContext{Trace: obs.TraceID(m.TraceID), Span: obs.SpanID(m.SpanID)}); rtc.Valid() {
 		sp := ctrl.obs.tr.StartSpan(rtc, "handle.CONNECT")
@@ -834,44 +832,21 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 	if err != nil {
 		return rejectReply(m.ConnID, wire.RejectOther, "internal error")
 	}
+	// Await the handoff stream; establishment completes in
+	// completeEstablishment once the ID message has arrived too. Giving up
+	// closes the endpoint, which releases an ID message waiting on it with a
+	// REJECT.
+	ctrl.tab.register(s)
 	s.mu.Lock()
 	s.step(fsm.RecvConnect) // -> CONNECT_ACKED
 	s.setPeerAddrsLocked(m.ControlAddr, m.DataAddr)
+	s.awaitHandoffLocked(&handoffWait{state: fsm.ConnectAcked, ss: ss})
 	s.mu.Unlock()
-	ctrl.tab.register(s)
-
-	// Await the handoff socket; establishment completes in
-	// completeEstablishment once the ID message has arrived too. The wait
-	// is a rendezvous callback plus one runtime timer, not a parked
-	// goroutine: a connect storm of 10k concurrent opens adds nothing to
-	// the goroutine count. Giving up closes the endpoint, which releases an
-	// ID message waiting on it with a REJECT.
-	ctrl.rv.armFunc(connKey{id: s.id, agent: s.localAgent}, ctrl.cfg.opTimeout(),
-		func(sock *transport.Stream) {
-			if ctrl.closing.Load() {
-				sock.Close()
-				return
-			}
-			if err := s.installSocket(sock, 0); err != nil {
-				ctrl.logf("conn %s: installing accepted socket: %v", s.id, err)
-				s.abandon(err)
-				return
-			}
-			s.completeEstablishment(ss)
-		},
-		func() {
-			if !ctrl.closing.Load() {
-				s.abandon(errNoHandoff)
-			}
-		})
-
 	return s.reply(wire.VerdictAck, nil)
 }
 
-var errNoHandoff = errors.New("napletsocket: connect handoff never arrived")
-
-// abandon gives the endpoint up for good: out of the tables, the rendezvous
-// and the journal, and closed with err, which it returns.
+// abandon gives the endpoint up for good: out of the table and the journal,
+// and closed with err, which it returns.
 func (s *Socket) abandon(err error) error {
 	s.ctrl.dropConn(s)
 	s.mu.Lock()
@@ -913,7 +888,7 @@ func (s *Socket) handleIDExchange(_ *wire.ControlMsg) []byte {
 // are in: the connection becomes ESTABLISHED and is queued for Accept.
 func (s *Socket) completeEstablishment(ss *ServerSocket) {
 	s.mu.Lock()
-	ready := s.idReceived && s.sock != nil && s.m.State() == fsm.ConnectAcked
+	ready := s.idReceived && s.sock != nil && !s.closed && s.m.State() == fsm.ConnectAcked
 	if ready {
 		s.establishLocked(fsm.ConnectAcked, fsm.RecvID)
 	}

@@ -563,13 +563,12 @@ func TestHandoffWithBadTokenRejected(t *testing.T) {
 	gen := server.gen
 	server.mu.Unlock()
 
-	// The connection is armed for a legitimate handoff, as after a granted
-	// RES; the forgery must not consume the arm.
-	rv := env.hosts["h2"].ctrl.rv
-	key := connKey{id: server.id, agent: "b"}
-	rv.armFunc(key, time.Minute,
-		func(*transport.Stream) { t.Error("forged handoff reached the armed endpoint") }, nil)
-	defer rv.disarm(key)
+	// The connection awaits a legitimate handoff, as after a granted RES;
+	// the forgery must not take the wait's stream.
+	w := &handoffWait{state: fsm.ResAcked}
+	server.mu.Lock()
+	server.awaitHandoffLocked(w)
+	server.mu.Unlock()
 
 	// Forge a resume handoff for the existing connection without the
 	// session key.
@@ -583,8 +582,62 @@ func TestHandoffWithBadTokenRejected(t *testing.T) {
 	expectHandoffRefused(t, env.hosts["h2"].ctrl, hdr, 1)
 	server.mu.Lock()
 	defer server.mu.Unlock()
-	if server.gen != gen || server.m.State() != fsm.Established {
-		t.Fatalf("forged handoff reached the socket: gen %d -> %d, state %s", gen, server.gen, server.m.State())
+	if server.gen != gen || server.m.State() != fsm.Established || w.taken {
+		t.Fatalf("forged handoff reached the socket: gen %d -> %d, state %s, wait taken %v", gen, server.gen, server.m.State(), w.taken)
+	}
+}
+
+// TestStaleHandoffRefused: a resume handoff correctly signed, but at a nonce
+// older than the RES being granted — a replay from a cleartext transport, or
+// a late stream from an earlier grant — is refused, and the granter keeps
+// waiting in RES_ACKED; a handoff signed after the RES is taken.
+func TestStaleHandoffRefused(t *testing.T) {
+	env := newEnv(t, []string{"h1", "h2"})
+	client, server := env.pair("a", "h1", "b", "h2")
+	defer client.Close()
+	ctrl := env.hosts["h2"].ctrl
+	sign := func(nonce uint64) *wire.HandoffHeader {
+		hdr := &wire.HandoffHeader{Purpose: wire.HandoffResume, ConnID: client.ID(), TargetAgent: "b", FromAgent: "a", Nonce: nonce}
+		hdr.Token = client.auth.Sign(hdr.SigningBytes())
+		return hdr
+	}
+	stale := sign(1)
+
+	if err := client.Suspend(); err != nil {
+		t.Fatal(err)
+	}
+	if out, reply := client.send(wire.MsgResume); out != ack {
+		t.Fatalf("RES: %s (%+v), want ACK", out, reply)
+	}
+	if st := server.State(); st != fsm.ResAcked {
+		t.Fatalf("server in %s after the granted RES, want RES_ACKED", st)
+	}
+
+	// An outsider holding the stale header opens it over a transport of its
+	// own: the signature verifies, but no endpoint takes it.
+	mgr := transport.NewManager(transport.Config{HostName: "outsider"})
+	defer mgr.Close()
+	st, err := mgr.OpenStream(ctrl.DataAddr(), stale, 2*time.Second)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	st.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := st.Read(make([]byte, 1)); err == nil || !strings.Contains(err.Error(), "unclaimed") {
+		t.Fatalf("stale handoff's stream read %v, want an unclaimed reset", err)
+	}
+	if st := server.State(); st != fsm.ResAcked || awaitingHandoff(ctrl) != 1 {
+		t.Fatalf("server in %s awaiting %d handoffs after the stale one, want RES_ACKED awaiting 1", st, awaitingHandoff(ctrl))
+	}
+
+	client.mu.Lock()
+	fresh := sign(client.sendNonce + 1)
+	client.mu.Unlock()
+	if _, err := mgr.OpenStream(ctrl.DataAddr(), fresh, 2*time.Second); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	waitEstablished(t, server)
+	if n := awaitingHandoff(ctrl); n != 0 {
+		t.Fatalf("%d handoffs awaited once established, want 0", n)
 	}
 }
 
@@ -603,8 +656,8 @@ func TestHandoffForUnknownConnRejected(t *testing.T) {
 // the host-pair handshake but holds no session key. The open itself
 // succeeds (it waits for no verdict); the refusal is the reset the stream
 // then reads, with its reason. The transport survives it — a second forgery
-// rides the same one — and the rendezvous is left as it was, with armed
-// endpoints waiting.
+// rides the same one — and the awaited handoffs are left as they were, armed
+// endpoints awaiting one.
 func expectHandoffRefused(t *testing.T, ctrl *Controller, hdr *wire.HandoffHeader, armed int) {
 	t.Helper()
 	var dials atomic.Int64
@@ -630,11 +683,22 @@ func expectHandoffRefused(t *testing.T, ctrl *Controller, hdr *wire.HandoffHeade
 	if n := dials.Load(); n != 1 {
 		t.Fatalf("%d dials: the refusal burned the transport", n)
 	}
-	ctrl.rv.mu.Lock()
-	defer ctrl.rv.mu.Unlock()
-	if len(ctrl.rv.waiters) != armed {
-		t.Fatalf("%d endpoints waiting in the rendezvous after a refused handoff, want %d", len(ctrl.rv.waiters), armed)
+	if n := awaitingHandoff(ctrl); n != armed {
+		t.Fatalf("%d endpoints awaiting a handoff after a refused one, want %d", n, armed)
 	}
+}
+
+// awaitingHandoff counts ctrl's endpoints with a handoff wait pending.
+func awaitingHandoff(ctrl *Controller) int {
+	n := 0
+	for _, s := range ctrl.tab.all() {
+		s.mu.Lock()
+		if s.handoff != nil {
+			n++
+		}
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // A connection that does not open with the transport magic — an old

@@ -503,12 +503,17 @@ func (s *Socket) readerExit(gen int, err error) {
 // RES_SENT, CONNECT_ACKED or RES_ACKED, where readerExit's failLocked has
 // nothing to degrade — and a dead stream raises no second event. Probing under
 // the same hold of mu as the step keeps every connection from resting in
-// ESTABLISHED over a terminal stream. Caller holds mu.
+// ESTABLISHED over a terminal stream. Reaching ESTABLISHED ends the wait for
+// the handoff. Caller holds mu.
 func (s *Socket) establishLocked(from fsm.State, ev fsm.Event) {
 	if s.m.State() == from {
 		s.step(ev)
 	}
-	if s.sock == nil || s.m.State() != fsm.Established {
+	if s.m.State() != fsm.Established {
+		return
+	}
+	s.endHandoffLocked("")
+	if s.sock == nil {
 		return
 	}
 	if err, terminal := s.sock.TermStatus(); terminal {

@@ -15,7 +15,7 @@ import (
 )
 
 // A data stream is opened without waiting for the peer's verdict: the ACK to
-// the RES or CONNECT, given with the rendezvous already armed, is the
+// the RES or CONNECT, given with the wait for the handoff already set, is the
 // verdict, and a refusal that comes anyway is a reset of a stream already in
 // use. The tests here pin both halves: what an operation costs in sequential
 // one-way trips, and what becomes of a refusal wherever it lands.
@@ -101,7 +101,7 @@ func assertLiveIfEstablished(t *testing.T, s *Socket) {
 }
 
 // TestRefusedHandoffRace refuses a resume's stream open after the RES was
-// acked — the peer's rendezvous ran out before the stream arrived, the one
+// acked — the peer's wait ran out before the stream arrived, the one
 // refusal an honest peer produces — and lands the reset at each point of the
 // opener's way to ESTABLISHED: before installSocket has touched the stream,
 // on the installed stream while the FSM step is under way, and after the
@@ -145,7 +145,7 @@ func testRefusedHandoff(t *testing.T, landing string, heldAway bool) {
 				return true
 			}
 		}),
-		// h2's rendezvous for a granted resume runs out after its OpTimeout,
+		// h2's wait for a granted resume's handoff runs out after its OpTimeout,
 		// and the gate keeps the opener's stream from arriving before that.
 		onHost("h2", func(c *Config) { c.OpTimeout = 250 * time.Millisecond; c.WrapData = gate.wrap }))
 	client, server := env.pair("cli", "h1", "srv", "h2") // cli holds the priority: its failure resume fires at once
@@ -167,14 +167,14 @@ func testRefusedHandoff(t *testing.T, landing string, heldAway bool) {
 		t.Fatal(err)
 	}
 
-	// refuse lets h2's arm for the resume run out, then lets the stream
+	// refuse lets h2's wait for the resume run out, then lets the stream
 	// open through: nothing is waiting for it, and it is reset.
 	refuse := func() {
 		t.Helper()
 		// The RES was acked before any caller gets here, so h2 is in
 		// RES_ACKED, or back in SUSPENDED already.
 		if _, err := server.waitState(5*time.Second, fsm.Suspended); err != nil {
-			t.Fatalf("h2's rendezvous never ran out: %v", err)
+			t.Fatalf("h2's wait for the handoff never ran out: %v", err)
 		}
 		away.Store(heldAway)
 		gate.open()
@@ -289,16 +289,7 @@ func TestStreamDeathBeforeEstablished(t *testing.T) {
 	regs := map[string]*obs.Registry{"h1": obs.NewRegistry(), "h2": obs.NewRegistry()}
 	env := newEnv(t, []string{"h1", "h2"},
 		func(c *Config) { c.Metrics = regs[c.HostName] },
-		onHost("h1", func(c *Config) {
-			c.ControlDropFn = func(pkt []byte) bool {
-				const rudpHeader = 12
-				if len(pkt) < rudpHeader {
-					return false
-				}
-				m, err := wire.DecodeControlMsg(pkt[rudpHeader:])
-				return err == nil && m.Type == wire.MsgIDExchange && holdID.Load()
-			}
-		}))
+		onHost("h1", func(c *Config) { c.ControlDropFn = dropIDs(holdID.Load) }))
 	env.place("cli", "h1")
 	env.place("srv", "h2")
 	h1, h2 := env.hosts["h1"], env.hosts["h2"]
@@ -385,56 +376,97 @@ func TestStreamDeathBeforeEstablished(t *testing.T) {
 	}
 }
 
+// dropIDs is a ControlDropFn that drops every ID message while hold says so.
+func dropIDs(hold func() bool) func([]byte) bool {
+	return func(pkt []byte) bool {
+		const rudpHeader = 12
+		if len(pkt) < rudpHeader {
+			return false
+		}
+		m, err := wire.DecodeControlMsg(pkt[rudpHeader:])
+		return err == nil && m.Type == wire.MsgIDExchange && hold()
+	}
+}
+
 // TestOpenRefusedHandoffLeavesNoEndpoint: the ID exchange is the verdict of a
-// connect's handoff. A server whose rendezvous ran out before the stream
+// connect's handoff. A server whose wait for the stream ran out before it
 // arrived answers the ID with REJECT, OpenAs fails synchronously, and neither
 // host is left holding an endpoint; the stream, when it does arrive, is reset
-// as a handoff for a connection nobody knows.
+// as a handoff for a connection nobody knows. The server's wait covers the ID
+// too: an open whose stream lands but whose ID never does is given up at
+// OpTimeout, not left half open in CONNECT_ACKED.
 func TestOpenRefusedHandoffLeavesNoEndpoint(t *testing.T) {
-	gate := &readGate{}
-	env := newEnv(t, []string{"h1", "h2"},
-		onHost("h2", func(c *Config) { c.OpTimeout = 250 * time.Millisecond; c.WrapData = gate.wrap }))
-	env.place("cli", "h1")
-	env.place("srv", "h2")
-	h1, h2 := env.hosts["h1"], env.hosts["h2"]
-	if _, err := h2.ctrl.ListenAs("srv", h2.cred("srv")); err != nil {
-		t.Fatal(err)
-	}
-
-	gate.hold()
-	start := time.Now()
-	s, err := h1.ctrl.OpenAs("cli", h1.cred("cli"), "srv")
-	if err == nil {
-		s.Close()
-		t.Fatal("OpenAs succeeded although the server never got the data stream")
-	}
-	t.Logf("OpenAs failed after %v: %v", time.Since(start).Round(time.Millisecond), err)
-	for name, h := range env.hosts {
-		if n := h.ctrl.Stats().Connections; n != 0 {
-			t.Errorf("%s holds %d endpoints after a refused open, want 0", name, n)
+	t.Run("stream-late", func(t *testing.T) {
+		gate := &readGate{}
+		env := newEnv(t, []string{"h1", "h2"},
+			onHost("h2", func(c *Config) { c.OpTimeout = 250 * time.Millisecond; c.WrapData = gate.wrap }))
+		env.place("cli", "h1")
+		env.place("srv", "h2")
+		h1, h2 := env.hosts["h1"], env.hosts["h2"]
+		if _, err := h2.ctrl.ListenAs("srv", h2.cred("srv")); err != nil {
+			t.Fatal(err)
 		}
-	}
-	h2.ctrl.rv.mu.Lock()
-	waiting := len(h2.ctrl.rv.waiters)
-	h2.ctrl.rv.mu.Unlock()
-	if waiting != 0 {
-		t.Errorf("%d endpoints waiting in h2's rendezvous after a refused open", waiting)
-	}
 
-	// The late stream is refused without harm to the transport: the next
-	// open rides it.
-	gate.open()
-	eventually(t, "the late stream to be reset", func() bool {
-		_, n := h1.ctrl.tm.Counts()
-		return n == 0
+		gate.hold()
+		start := time.Now()
+		s, err := h1.ctrl.OpenAs("cli", h1.cred("cli"), "srv")
+		if err == nil {
+			s.Close()
+			t.Fatal("OpenAs succeeded although the server never got the data stream")
+		}
+		t.Logf("OpenAs failed after %v: %v", time.Since(start).Round(time.Millisecond), err)
+		for name, h := range env.hosts {
+			if n := h.ctrl.Stats().Connections; n != 0 {
+				t.Errorf("%s holds %d endpoints after a refused open, want 0", name, n)
+			}
+		}
+		if n := awaitingHandoff(h2.ctrl); n != 0 {
+			t.Errorf("%d endpoints awaiting a handoff on h2 after a refused open", n)
+		}
+
+		// The late stream is refused without harm to the transport: the next
+		// open rides it.
+		gate.open()
+		eventually(t, "the late stream to be reset", func() bool {
+			_, n := h1.ctrl.tm.Counts()
+			return n == 0
+		})
+		client, server := env.connect("cli", "h1", "srv", "h2")
+		defer client.Close()
+		assertLiveIfEstablished(t, client)
+		assertLiveIfEstablished(t, server)
+		if n := len(h1.ctrl.TransportInfos()); n != 1 {
+			t.Fatalf("%d transports on h1 after the refusal, want the one", n)
+		}
 	})
-	client, server := env.connect("cli", "h1", "srv", "h2")
-	defer client.Close()
-	assertLiveIfEstablished(t, client)
-	assertLiveIfEstablished(t, server)
-	if n := len(h1.ctrl.TransportInfos()); n != 1 {
-		t.Fatalf("%d transports on h1 after the refusal, want the one", n)
-	}
+
+	t.Run("id-lost", func(t *testing.T) {
+		const opTimeout = 250 * time.Millisecond
+		env := newEnv(t, []string{"h1", "h2"},
+			func(c *Config) { c.OpTimeout = opTimeout },
+			onHost("h1", func(c *Config) { c.ControlDropFn = dropIDs(func() bool { return true }) }))
+		env.place("cli", "h1")
+		env.place("srv", "h2")
+		h1, h2 := env.hosts["h1"], env.hosts["h2"]
+		if _, err := h2.ctrl.ListenAs("srv", h2.cred("srv")); err != nil {
+			t.Fatal(err)
+		}
+
+		if s, err := h1.ctrl.OpenAs("cli", h1.cred("cli"), "srv"); err == nil {
+			s.Close()
+			t.Fatal("OpenAs succeeded although the server never got the ID")
+		}
+		for deadline := time.Now().Add(4 * opTimeout); ; time.Sleep(time.Millisecond) {
+			st := h2.ctrl.Stats()
+			if st.Connections == 0 && h1.ctrl.Stats().Connections == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("h2 holds %v, h1 %d endpoints %v after the open failed, want none",
+					st.ByState, h1.ctrl.Stats().Connections, 4*opTimeout)
+			}
+		}
+	})
 }
 
 // TestRoundTripCensus counts what each operation costs in sequential one-way

@@ -11,7 +11,6 @@ import (
 	"naplet/internal/metrics"
 	"naplet/internal/obs"
 	"naplet/internal/rudp"
-	"naplet/internal/transport"
 	"naplet/internal/wire"
 )
 
@@ -381,6 +380,17 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 			*flag = true
 		}
 	}
+	// The wait for the mover's handoff starts and stops under the same hold
+	// of mu as the step, so no second RES can come between them. The
+	// redirect span covers the stationary peer's half of the resume, up to
+	// ESTABLISHED; it joins the mover's migration trace via the RES stamp.
+	switch r.then {
+	case thenGrantResume:
+		s.awaitHandoffLocked(&handoffWait{state: fsm.ResAcked, nonce: m.Nonce, lastSeq: m.LastSeq,
+			span: s.ctrl.obs.tr.StartSpan(obs.SpanContext{Trace: obs.TraceID(m.TraceID), Span: obs.SpanID(m.SpanID)}, "redirect")})
+	case thenStandDown:
+		s.endHandoffLocked("stood down")
+	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
@@ -389,10 +399,6 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 		go s.finishGranted(fsm.SusAcked, fsm.ExecSuspended)
 	case thenClosed:
 		go s.finishGranted(fsm.CloseAcked, fsm.ExecClosed)
-	case thenGrantResume:
-		s.grantResume(m)
-	case thenStandDown:
-		s.ctrl.rv.disarm(connKey{id: s.id, agent: s.localAgent})
 	}
 	if r.verdict == wire.VerdictReject {
 		return s.reject(r.code, fmt.Sprintf("%s in state %s", m.Type, st))
@@ -421,7 +427,6 @@ func (s *Socket) finishGranted(from fsm.State, ev fsm.Event) {
 		// The connection is over for the protocol and the journal, but what
 		// the peer wrote before closing is still the application's to read:
 		// the endpoint leaves the table with its last byte.
-		s.ctrl.rv.disarm(connKey{id: s.id, agent: s.localAgent})
 		s.ctrl.dropConnJournal(s)
 	}
 	s.mu.Lock()
@@ -516,52 +521,6 @@ func (s *Socket) relookupPeer() {
 	s.mu.Lock()
 	s.setPeerAddrsLocked(rec.Loc.ControlAddr, rec.Loc.DataAddr)
 	s.mu.Unlock()
-}
-
-// grantResume arms the redirector rendezvous and completes establishment
-// when the mover's handoff lands. The wait is a rendezvous
-// callback with a runtime-timer deadline, not a parked goroutine: a
-// migration wave resuming 10k connections arms 10k map entries.
-func (s *Socket) grantResume(m *wire.ControlMsg) {
-	peerHasUpTo := m.LastSeq
-	// The redirect span covers the stationary peer's half of the resume:
-	// redirector armed, the mover's handoff socket landing, and the swap to
-	// ESTABLISHED. It joins the mover's migration trace via the RES stamp.
-	redirect := s.ctrl.obs.tr.StartSpan(
-		obs.SpanContext{Trace: obs.TraceID(m.TraceID), Span: obs.SpanID(m.SpanID)}, "redirect")
-	backToSuspended := func() {
-		s.mu.Lock()
-		if s.m.State() == fsm.ResAcked {
-			s.step(fsm.Timeout)
-		}
-		s.mu.Unlock()
-	}
-	s.ctrl.rv.armFunc(connKey{id: s.id, agent: s.localAgent}, s.ctrl.cfg.opTimeout(),
-		func(sock *transport.Stream) {
-			defer redirect.End()
-			if s.ctrl.closing.Load() {
-				sock.Close()
-				return
-			}
-			if err := s.installSocket(sock, peerHasUpTo); err != nil {
-				redirect.Annotate("install failed: " + err.Error())
-				s.ctrl.logf("conn %s: installing resumed socket: %v", s.id, err)
-				backToSuspended()
-				return
-			}
-			s.mu.Lock()
-			s.establishLocked(fsm.ResAcked, fsm.ExecResumed)
-			s.mu.Unlock()
-			s.noteRecovered()
-			s.ctrl.checkpointConn(s)
-		},
-		func() {
-			defer redirect.End()
-			if !s.ctrl.closing.Load() {
-				redirect.Annotate("handoff timeout")
-				backToSuspended()
-			}
-		})
 }
 
 // ---- close ----

@@ -38,9 +38,9 @@ const (
 	// the control path, then step exec:suspended / exec:closed.
 	thenSuspended
 	thenClosed
-	// thenGrantResume arms the rendezvous the mover's handoff will land on.
+	// thenGrantResume starts the endpoint's wait for the mover's handoff.
 	thenGrantResume
-	// thenStandDown disarms the rendezvous of a handoff that will never land.
+	// thenStandDown drops the wait for a handoff that will never land.
 	thenStandDown
 )
 
@@ -147,7 +147,7 @@ func onPeer(msg wire.MsgType, st fsm.State, highPriority, migrating bool) rule {
 			// We granted the peer's resume and wait for its handoff. A new RES
 			// proves that handoff will never land — it died with its
 			// transport, or the peer gave up on it — so stand down now, as the
-			// arm's timeout would later: back to SUSPENDED, where the retry is
+			// wait's timeout would later: back to SUSPENDED, where the retry is
 			// granted.
 			return rule{step: fsm.Timeout, verdict: wire.VerdictReject, code: wire.RejectRetry, then: thenStandDown}
 		case closing:

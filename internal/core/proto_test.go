@@ -234,7 +234,7 @@ var (
 	codeNames  = map[wire.RejectCode]string{wire.RejectOther: "other", wire.RejectUnknownConn: "unknown-conn", wire.RejectRetry: "retry", wire.RejectResumeRace: "resume-race"}
 	latchNames = []string{"remoteSuspended", "owesSusRes", "susResReceived", "peerResumeParked", "suspending"}
 	thenNames  = map[followUp]string{thenNothing: "—", thenSuspended: "drain, `exec:suspended`", thenClosed: "drain, `exec:closed`",
-		thenGrantResume: "arm rendezvous (grant resume)", thenStandDown: "disarm rendezvous"}
+		thenGrantResume: "await handoff", thenStandDown: "drop awaited handoff"}
 )
 
 func (r rule) columns() string {

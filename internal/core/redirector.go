@@ -6,88 +6,118 @@ import (
 	"sync"
 	"time"
 
+	"naplet/internal/fsm"
+	"naplet/internal/obs"
 	"naplet/internal/transport"
 	"naplet/internal/wire"
 )
 
-// connKey identifies a connection endpoint on a host: both endpoints of a
-// connection can live on the same host, so the connection id alone is not
-// unique.
-type connKey struct {
-	id    wire.ConnID
-	agent string
+// handoffWait is an endpoint's wait for its data stream, set when it grants
+// a CONNECT or a RES (whose ACK licenses the peer to open the stream) and
+// ended when it reaches ESTABLISHED, a later grant replaces it, a RES meeting
+// RES_ACKED stands it down, the endpoint closes, or OpTimeout passes. It
+// costs one runtime timer, not a parked goroutine.
+type handoffWait struct {
+	// state is the state granted into, CONNECT_ACKED or RES_ACKED. Only a
+	// handoff signed above nonce, the granted request's (0 for a CONNECT),
+	// is taken: an older one is a replay or a late stream of an earlier grant.
+	state   fsm.State
+	nonce   uint64
+	lastSeq uint64        // how far the peer's buffer had got (RES)
+	ss      *ServerSocket // where the endpoint is queued once established (CONNECT)
+	span    *obs.Span     // the redirect span (RES)
+	timer   *time.Timer
+	taken   bool // one stream per wait
 }
 
-// rvWaiter is an endpoint armed for its socket: the claim callback plus
-// the timer that expires the wait.
-type rvWaiter struct {
-	onSock func(*transport.Stream)
-	timer  *time.Timer
+var errNoHandoff = errors.New("napletsocket: handoff not completed within the operation timeout")
+
+// awaitHandoffLocked makes w the endpoint's wait, replacing any earlier one.
+// Caller holds mu.
+func (s *Socket) awaitHandoffLocked(w *handoffWait) {
+	s.endHandoffLocked("replaced")
+	w.timer = time.AfterFunc(s.ctrl.cfg.opTimeout(), func() { s.giveUpHandoff(w, errNoHandoff) })
+	s.handoff = w
 }
 
-// rendezvous pairs arriving data streams with the NapletSocket endpoints
-// waiting for them. An endpoint arms a callback before it sends the ACK
-// that licenses the peer to open the stream, so a stream always finds its
-// waiter unless the arm has expired or was disarmed — and then it is
-// refused. A waiting endpoint costs one map entry and one runtime timer —
-// not a parked goroutine — so 10k in-flight opens or resumes add no
-// goroutines.
-type rendezvous struct {
-	mu      sync.Mutex
-	waiters map[connKey]*rvWaiter
-}
-
-func newRendezvous() *rendezvous {
-	return &rendezvous{waiters: make(map[connKey]*rvWaiter)}
-}
-
-// armFunc registers onSock to receive id's data socket. If no deliver
-// lands within timeout, onTimeout runs instead and the arm is forgotten. A
-// later disarm cancels a still-pending arm without either callback.
-func (r *rendezvous) armFunc(id connKey, timeout time.Duration, onSock func(*transport.Stream), onTimeout func()) {
-	r.mu.Lock()
-	w := &rvWaiter{onSock: onSock}
-	w.timer = time.AfterFunc(timeout, func() {
-		r.mu.Lock()
-		if r.waiters[id] != w {
-			r.mu.Unlock()
-			return
+// endHandoffLocked ends the endpoint's wait, if any, noting why on its span.
+// Caller holds mu.
+func (s *Socket) endHandoffLocked(why string) {
+	if w := s.handoff; w != nil {
+		s.handoff = nil
+		w.timer.Stop()
+		if why != "" {
+			w.span.Annotate(why)
 		}
-		delete(r.waiters, id)
-		r.mu.Unlock()
-		if onTimeout != nil {
-			onTimeout()
-		}
-	})
-	r.waiters[id] = w
-	r.mu.Unlock()
+		w.span.End()
+	}
 }
 
-// deliver hands a socket to the endpoint armed for id and reports whether
-// one was. The claim callback runs on this goroutine — the deliverer
-// (transport serveOpen) is a per-stream goroutine that may block.
-func (r *rendezvous) deliver(id connKey, sock *transport.Stream) bool {
-	r.mu.Lock()
-	w, ok := r.waiters[id]
-	delete(r.waiters, id)
-	r.mu.Unlock()
+// giveUpHandoff ends w unmet, if it is still the endpoint's wait: a RES_ACKED
+// endpoint steps back to SUSPENDED, where the mover's retry is granted, and a
+// CONNECT_ACKED one is abandoned, whether or not its stream has landed — it
+// waits for the ID too.
+func (s *Socket) giveUpHandoff(w *handoffWait, cause error) {
+	s.mu.Lock()
+	abandon := false
+	if s.handoff == w {
+		s.endHandoffLocked(cause.Error())
+		if s.m.State() == fsm.ResAcked {
+			s.step(fsm.Timeout)
+		}
+		abandon = s.m.State() == fsm.ConnectAcked && !s.ctrl.closing.Load()
+	}
+	s.mu.Unlock()
+	if abandon {
+		s.abandon(cause)
+	}
+}
+
+// takeHandoff gives st to the endpoint if it awaits the handoff hdr
+// announces — in the granted state, for the matching purpose, at a later
+// nonce, and no stream taken yet — and reports whether it did. The caller is
+// the transport's per-stream goroutine, which may block.
+func (s *Socket) takeHandoff(hdr *wire.HandoffHeader, st *transport.Stream) bool {
+	s.mu.Lock()
+	w := s.handoff
+	purpose := wire.HandoffConnect
+	if w != nil && w.state == fsm.ResAcked {
+		purpose = wire.HandoffResume
+	}
+	ok := w != nil && !w.taken && !s.closed && s.m.State() == w.state && hdr.Purpose == purpose && hdr.Nonce > w.nonce
+	if ok {
+		w.taken = true
+	}
+	s.mu.Unlock()
 	if !ok {
 		return false
 	}
-	w.timer.Stop()
-	w.onSock(sock)
-	return true
-}
-
-// disarm cancels a pending arm for id (endpoint no longer waiting).
-func (r *rendezvous) disarm(id connKey) {
-	r.mu.Lock()
-	w, ok := r.waiters[id]
-	delete(r.waiters, id)
-	r.mu.Unlock()
-	if ok {
-		w.timer.Stop()
+	if s.ctrl.closing.Load() {
+		st.Close()
+		return true
 	}
+	if err := s.installSocket(st, w.lastSeq); err != nil {
+		s.ctrl.logf("conn %s: installing handed-off stream: %v", s.id, err)
+		s.giveUpHandoff(w, err)
+		return true
+	}
+	s.mu.Lock()
+	resumed := false
+	switch {
+	case s.closed || s.handoff != w && s.m.State() != fsm.Established:
+		s.dropSockLocked() // the wait was given up during the install
+	case w.state == fsm.ResAcked:
+		s.establishLocked(fsm.ResAcked, fsm.ExecResumed)
+		resumed = true
+	}
+	s.mu.Unlock()
+	if resumed {
+		s.noteRecovered()
+		s.ctrl.checkpointConn(s)
+	} else if w.state == fsm.ConnectAcked {
+		s.completeEstablishment(w.ss)
+	}
+	return true
 }
 
 // redirector is the host's one listener (Section 3.4 of the paper): every

@@ -13,7 +13,9 @@ import (
 	"naplet/internal/core"
 )
 
-// results is a cross-host sink for behaviour outputs (test process only).
+// results is a cross-host sink for behaviour outputs (test process only),
+// keyed by agent id. Every test network empties it (registerTestBehaviors),
+// so each run of a test starts clean; no root test runs in parallel.
 var results = struct {
 	sync.Mutex
 	m map[string][]string
@@ -263,6 +265,9 @@ func (b *bouncer) Run(ctx *Context) error {
 }
 
 func registerTestBehaviors(nw *Network) {
+	results.Lock()
+	clear(results.m)
+	results.Unlock()
 	nw.Register("t.echoServer", echoServer{})
 	nw.Register("t.pingClient", &pingClient{})
 	nw.Register("t.roamingClient", &roamingClient{})
