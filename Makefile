@@ -100,7 +100,9 @@ crash-soak:
 # landing at every point of the opener's way to ESTABLISHED, a stream that
 # dies before either end is established, a recovery RES that meets a peer
 # which has not noticed the break or is suspending, exactly-once delivery
-# over segment boundaries, the refusal tests of both layers, the redial
+# over segment boundaries and under concurrent writers (four goroutines
+# writing 1 B to 70 KiB messages through suspends: every writer's messages
+# arrive in order and exactly once), the refusal tests of both layers, the redial
 # backoff of a recovery whose peer is unreachable, and the agent-bundle
 # streams (delivery, warm reuse, a refusal with nothing docked, the size
 # bound), and the one transport writer (a peer whose kernel writes never
@@ -116,7 +118,7 @@ crash-soak:
 # lands but whose ID never does is given up at the operation timeout),
 # repeated under the race detector.
 handoff-soak:
-	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable' -race -count=20
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestConcurrentWritersKeepWireOrder|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable' -race -count=20
 	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored|TestNothingWaitsOnAStuckKernelSend' -race -count=20
 
 # census prints the four numbers a simplicity PR quotes, so CHANGES.md can

@@ -69,9 +69,9 @@ type Observer func(seq uint64, payload []byte, fromBuffer bool)
 // Controller.OpenAs (client side) or ServerSocket.Accept (server side), and
 // remains usable across any number of migrations of either agent.
 //
-// Read and Write are safe for one reader and one writer concurrently (plus
-// the control plane); both block transparently while the connection is
-// suspended for a migration.
+// Read and Write are safe for concurrent use, alongside the control plane,
+// and each frame a writer sends is atomic (see Write); both block
+// transparently while the connection is suspended for a migration.
 type Socket struct {
 	ctrl *Controller
 	id   wire.ConnID
@@ -89,13 +89,13 @@ type Socket struct {
 	// drainMu makes drainAndClose single-entry: a second caller blocks
 	// until the first teardown finishes, then sees the socket gone.
 	drainMu sync.Mutex
-	// writeMu orders what goes onto the data stream: application frames,
-	// retransmits, and the pre-suspend flush marker.
-	writeMu sync.Mutex
-	// flushMu is held across every stream write of send-log bytes. A flush
-	// pass cuts a batch under writeMu but writes it under flushMu only, so
-	// writers keep encoding frames while a flush is in flight. Lock order:
-	// writeMu, then flushMu, then mu.
+	// flushMu orders what goes onto the data stream: application frames,
+	// retransmits, and the pre-suspend flush marker. Every cut of pending
+	// frames for a write happens under it, and its batch is written before
+	// it is released, so batches reach the stream in sequence order. Writers
+	// append frames under mu alone and keep doing so while a flush is in
+	// flight. Lock order: flushMu, then mu; a holder of mu may TryLock
+	// flushMu, which never waits.
 	flushMu sync.Mutex
 
 	// mu guards everything below; cond is signalled on any change readers,

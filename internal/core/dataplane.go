@@ -52,10 +52,12 @@ const (
 	sendSegBytes = 64<<10 + wire.FrameHeaderSize
 )
 
-// eachDataFrame calls fn for every data frame of b, a run of whole frames.
+// eachDataFrame calls fn for every data frame of b, a run of whole frames
+// from the receive buffer or the send log, which hold only frames validated
+// or encoded once already (wire.FrameAt).
 func eachDataFrame(b []byte, fn func(wire.Frame)) {
 	for len(b) > 0 {
-		f, size, _ := wire.PeekFrame(b)
+		f, size := wire.FrameAt(b)
 		if f.IsData() {
 			fn(f)
 		}
@@ -68,24 +70,23 @@ func eachDataFrame(b []byte, fn func(wire.Frame)) {
 // transition the state machine afterwards. Network emulation wrapping
 // happens at the shared transport (per host pair), not here.
 func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
 	// Taking flushMu waits out a flush of the previous generation that is
 	// still returning from its (failed) write: from here on nothing else
-	// reads the log.
+	// reads the log, and no writer appends to it until the stream is
+	// installed below.
 	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-
 	s.mu.Lock()
 	// Trim acknowledged segments, then collect what the peer is missing:
 	// the rest of the head segment from the first frame it lacks, and every
 	// later segment verbatim.
 	s.trimSendLogLocked(peerHasUpTo)
 	if len(s.sendLog) > 0 && s.sendLog[0].first > peerHasUpTo+1 {
-		s.mu.Unlock()
-		sock.Close()
-		return fmt.Errorf("%w: peer has up to %d, log starts at %d",
+		err := fmt.Errorf("%w: peer has up to %d, log starts at %d",
 			ErrUnrecoverable, peerHasUpTo, s.sendLog[0].first)
+		s.mu.Unlock()
+		s.flushMu.Unlock()
+		sock.Close()
+		return err
 	}
 	missing := make([][]byte, len(s.sendLog))
 	for i := range s.sendLog {
@@ -94,7 +95,7 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 	if len(missing) > 0 {
 		b := missing[0]
 		for len(b) > 0 {
-			f, size, _ := wire.PeekFrame(b)
+			f, size := wire.FrameAt(b)
 			if f.Seq > peerHasUpTo {
 				break
 			}
@@ -118,6 +119,7 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 			s.mu.Lock()
 			s.retxPending = false
 			s.mu.Unlock()
+			s.flushMu.Unlock()
 			return fmt.Errorf("napletsocket: retransmitting frames: %w", err)
 		}
 	}
@@ -126,7 +128,10 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 	s.retxPending = false
 	s.sock = sock
 	s.gen++
-	// Everything logged has now been written; nothing is pending.
+	// Everything logged has now been written; nothing is pending. Writers
+	// append again from here on, and a flush pass they schedule finds
+	// flushMu taken and stands down: it is released through cutWritten,
+	// which re-checks for pending frames.
 	s.flushedSeq = s.nextSendSeq - 1
 	s.cutSeq = s.nextSendSeq
 	s.cutOff = 0
@@ -142,8 +147,10 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 	s.remoteSuspended = false
 	s.susResReceived = false
 	s.peerResumeParked = false
+	last := s.cutSeq - 1
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.cutWritten(sock, last, 0, nil)
 
 	// The stream's readable/writable callbacks drive pump and flush passes
 	// on the controller's shared worker pool, so a host with 100k
@@ -367,8 +374,9 @@ func (s *Socket) maybeResumePumpLocked() {
 // cutLocked takes the pending frames out of the write buffer — for a stream
 // write, or for good when the data socket is gone — and returns their bytes
 // (nil when nothing is pending). This is where the data counters move: per
-// cut, not per frame. Caller holds mu, and to write the batch also writeMu,
-// and flushMu by the time it does.
+// cut, not per frame. Caller holds mu, and to write the batch also flushMu,
+// from before the cut until the batch is written: that is what keeps
+// batches in sequence order on the stream.
 func (s *Socket) cutLocked() []byte {
 	frames := s.nextSendSeq - s.cutSeq
 	if frames == 0 {
@@ -384,28 +392,25 @@ func (s *Socket) cutLocked() []byte {
 	return batch
 }
 
-// writeCut writes cut batches to the stream in order, releases flushMu
-// (which the caller holds), and then records that the frames up to last are
-// through: their segments may be recycled, and whatever became pending
-// meanwhile gets a flush pass. That check has to follow the unlock — a pass
-// that found flushMu taken stood down counting on it. A failed write
-// degrades the connection; the frames are in the send log, so recovery
-// retransmits them. The caller also holds writeMu unless a flush pass cut
-// the batch.
-func (s *Socket) writeCut(sock *transport.Stream, last uint64, b1, b2 []byte) error {
+// writeCut writes a batch cut under flushMu, which the caller holds, to the
+// stream, and ends the hold with cutWritten.
+func (s *Socket) writeCut(sock *transport.Stream, last uint64, batch []byte) error {
 	var err error
 	var writes uint64
-	for _, b := range [2][]byte{b1, b2} {
-		if len(b) > 0 && err == nil {
-			_, err = sock.Write(b)
-			writes++
-		}
+	if len(batch) > 0 {
+		_, err = sock.Write(batch)
+		writes = 1
 	}
 	return s.cutWritten(sock, last, writes, err)
 }
 
-// cutWritten is the end of writeCut, after its writes returned err: the same
-// unlock and bookkeeping, for a flush pass that wrote its batch itself.
+// cutWritten ends a hold of flushMu (which the caller holds) whose writes
+// returned err: it releases flushMu, and then records that the frames up to
+// last are through — their segments may be recycled — and gives whatever
+// became pending meanwhile a flush pass. That check has to follow the
+// unlock: a pass that found flushMu taken stood down counting on it. A
+// failed write degrades the connection; the frames are in the send log, so
+// recovery retransmits them.
 func (s *Socket) cutWritten(sock *transport.Stream, last, writes uint64, err error) error {
 	s.flushMu.Unlock()
 	s.mu.Lock()
@@ -428,43 +433,54 @@ func (s *Socket) cutWritten(sock *transport.Stream, last, writes uint64, err err
 }
 
 // flushEvent is one event-driven flush pass: cut the pending frames and
-// push them to the stream. A batch the stream cannot take without waiting —
-// it lacks send credit, or the transport's write queue is full of
-// sibling streams' bulk — is handed to a transient goroutine that rides out
-// the wait holding flushMu, so pool workers never block on a slow peer or a
-// busy transport.
+// push them to the stream. A pass that finds flushMu taken stands down: the
+// holder re-checks for pending frames on release. A batch the stream cannot
+// take without waiting — it lacks send credit, or the transport's write
+// queue is full of sibling streams' bulk — is handed to a transient
+// goroutine that rides out the wait holding flushMu, so pool workers never
+// block on a slow peer or a busy transport.
 func (s *Socket) flushEvent() {
-	s.writeMu.Lock()
 	if !s.flushMu.TryLock() {
-		// A flush (possibly credit-stalled) is already in flight; it
-		// re-schedules on completion, so this pass just stands down.
-		s.writeMu.Unlock()
 		return
 	}
+	sock, last, batch := s.cut()
+	if batch == nil {
+		s.cutWritten(sock, last, 0, nil)
+		return
+	}
+	if wrote, err := sock.TryWrite(batch); wrote || err != nil {
+		s.cutWritten(sock, last, 1, err)
+		return
+	}
+	go s.writeCut(sock, last, batch)
+}
+
+// flushInline is a writer's own flush: it waits for flushMu, then cuts and
+// writes what is pending, blocking on the stream if it must.
+func (s *Socket) flushInline() {
+	s.flushMu.Lock()
+	s.writeCut(s.cut())
+}
+
+// cut takes the pending frames for a stream write under mu; the caller
+// holds flushMu.
+func (s *Socket) cut() (*transport.Stream, uint64, []byte) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cutForWriteLocked()
+}
+
+// cutForWriteLocked is cut for a caller that holds flushMu and mu. It
+// returns the stream, the last frame cut so far, and the batch (nil when
+// nothing is pending or there is no stream to write to).
+func (s *Socket) cutForWriteLocked() (*transport.Stream, uint64, []byte) {
 	sock := s.sock
 	var batch []byte
 	if sock != nil && !s.closed {
 		batch = s.cutLocked()
 	}
-	last := s.cutSeq - 1
 	s.flushing = batch != nil
-	s.mu.Unlock()
-	if batch == nil {
-		// flushMu goes first: a pass that finds it taken stands down, and
-		// with writeMu still held no frame can have become pending for it.
-		s.flushMu.Unlock()
-		s.writeMu.Unlock()
-		return
-	}
-	// writeMu releases before the write: writers encode the next batch
-	// while this one's syscall is in flight.
-	s.writeMu.Unlock()
-	if wrote, err := sock.TryWrite(batch); wrote || err != nil {
-		s.cutWritten(sock, last, 1, err)
-		return
-	}
-	go s.writeCut(sock, last, batch, nil)
+	return sock, s.cutSeq - 1, batch
 }
 
 // readerExit classifies the end of a socket generation: a completed
@@ -616,7 +632,7 @@ func (s *Socket) Read(p []byte) (int, error) {
 		n := 0
 		for n < len(p) && len(s.recvQ) > 0 {
 			seg := &s.recvQ[0]
-			f, size, _ := wire.PeekFrame(seg.buf[seg.off:])
+			f, size := wire.FrameAt(seg.buf[seg.off:])
 			if f.IsData() {
 				// The observer hears of a message when its first byte is
 				// served — for the restored tail of a half-read message that
@@ -684,7 +700,7 @@ func (s *Socket) ReadMsg() ([]byte, error) {
 	for {
 		for len(s.recvQ) > 0 {
 			seg := &s.recvQ[0]
-			f, size, _ := wire.PeekFrame(seg.buf[seg.off:])
+			f, size := wire.FrameAt(seg.buf[seg.off:])
 			if !f.IsData() {
 				s.nextFrameLocked(size)
 				continue
@@ -709,9 +725,12 @@ func (s *Socket) ReadMsg() ([]byte, error) {
 }
 
 // Write sends application bytes, splitting them into sequence-numbered
-// frames. It blocks transparently while the connection is suspended and
-// returns only after every frame is in the send log, from where a flush or
-// a later retransmit carries it to the peer.
+// frames of at most wire.MaxFramePayload bytes. It blocks transparently
+// while the connection is suspended and returns only after every frame is
+// in the send log, from where a flush or a later retransmit carries it to
+// the peer. Concurrent writers are safe and each frame is atomic, but the
+// frames of two goroutines' writes larger than wire.MaxFramePayload may
+// interleave.
 func (s *Socket) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
@@ -738,61 +757,70 @@ func (s *Socket) WriteMsg(p []byte) error {
 }
 
 // writeFrame sends one frame of at most wire.MaxFramePayload bytes, waiting
-// out suspensions. The frame is encoded once, onto the tail segment of the
-// send log, under one acquisition each of writeMu and mu; once there the
-// write has succeeded, whatever becomes of the data socket — recovery
-// retransmits from the log, and the peer dedups by sequence number.
+// out suspensions. The frame is encoded once, in place onto the tail segment
+// of the send log, under one acquisition of mu; once there the write has
+// succeeded, whatever becomes of the data socket — recovery retransmits
+// from the log, and the peer dedups by sequence number. Concurrent callers
+// are safe: mu makes each frame atomic and assigns its sequence number, and
+// flushMu keeps the batches in sequence order on the stream.
 func (s *Socket) writeFrame(p []byte) error {
-	s.writeMu.Lock()
+	need := wire.FrameHeaderSize + len(p)
 	s.mu.Lock()
-	for s.m.State() != fsm.Established || s.sock == nil || s.suspending {
-		// Not writable: wait for a state change without holding writeMu,
-		// which the suspend drain needs for its flush marker.
-		s.writeMu.Unlock()
-		if s.closed {
-			err := s.closedErrLocked()
-			s.mu.Unlock()
-			return err
+	for {
+		for s.m.State() != fsm.Established || s.sock == nil || s.suspending {
+			if s.closed {
+				err := s.closedErrLocked()
+				s.mu.Unlock()
+				return err
+			}
+			s.cond.Wait()
 		}
-		s.cond.Wait()
+		k := len(s.sendLog) - 1
+		if k >= 0 && cap(s.sendLog[k].buf)-len(s.sendLog[k].buf) >= need {
+			break
+		}
+		if s.cutSeq == s.nextSendSeq {
+			s.growSendLogLocked(need)
+			break
+		}
+		// The frame does not fit the tail segment, and frames are pending
+		// there: they go to the stream before a new tail starts. A cut for a
+		// write needs flushMu, which comes before mu; after it the state is
+		// checked again.
 		s.mu.Unlock()
-		s.writeMu.Lock()
+		s.flushInline()
 		s.mu.Lock()
 	}
-	sock := s.sock
 
 	// Coalescing: the frame joins the pending bytes without a syscall. A
-	// large accumulation flushes inline (bounding what one pass writes), as
-	// does what is pending in a tail segment the frame no longer fits;
+	// large accumulation flushes inline, bounding what one pass writes;
 	// otherwise the next flush pass batches the frame with its neighbours
 	// into one stream write.
-	var b1, b2 []byte
-	need := wire.FrameHeaderSize + len(p)
-	k := len(s.sendLog) - 1
-	if k < 0 || cap(s.sendLog[k].buf)-len(s.sendLog[k].buf) < need {
-		b1 = s.cutLocked()
-		s.growSendLogLocked(need)
-		k = len(s.sendLog) - 1
-	}
-	tail := &s.sendLog[k]
+	tail := &s.sendLog[len(s.sendLog)-1]
 	// Write and WriteMsg bound len(p), the only thing AppendFrame rejects.
 	tail.buf, _ = wire.AppendFrame(tail.buf, wire.Frame{Seq: s.nextSendSeq, Flags: wire.FlagData, Payload: p})
 	tail.last = s.nextSendSeq
 	s.nextSendSeq++
-	if len(tail.buf)-s.cutOff >= coalesceFlushBytes {
-		b2 = s.cutLocked()
+	if len(tail.buf)-s.cutOff < coalesceFlushBytes {
+		if !s.flushing && !s.flushReq.Load() {
+			s.scheduleFlush()
+		}
+		s.mu.Unlock()
+		return nil
 	}
-	last := s.cutSeq - 1
-	inline := b1 != nil || b2 != nil
-	if !inline && !s.flushing && !s.flushReq.Load() {
-		s.scheduleFlush()
+	// With flushMu free the cut joins this hold of mu: TryLock never waits,
+	// so taking it under mu keeps the lock order. Otherwise a flush pass
+	// woken by a credit grant could take the batch in the gap between the
+	// locks and, short of credit, hand it to a goroutine of its own that
+	// the writer then waits for — a hand-off per 64 KiB message.
+	if s.flushMu.TryLock() {
+		sock, last, batch := s.cutForWriteLocked()
+		s.mu.Unlock()
+		s.writeCut(sock, last, batch)
+		return nil
 	}
 	s.mu.Unlock()
-	if inline {
-		s.flushMu.Lock()
-		s.writeCut(sock, last, b1, b2)
-	}
-	s.writeMu.Unlock()
+	s.flushInline()
 	return nil
 }
 
@@ -879,7 +907,8 @@ func (s *Socket) drainAndClose() {
 	// Write the flush marker after any in-flight application frame: what is
 	// still pending first, then the marker carrying the last sequence
 	// number written (not logged — a later generation must not replay it).
-	s.writeMu.Lock()
+	// flushMu is held from the cut through the marker, so the marker follows
+	// every frame; writers append nothing more once suspending is set.
 	s.flushMu.Lock()
 	s.mu.Lock()
 	var batch []byte
@@ -888,14 +917,19 @@ func (s *Socket) drainAndClose() {
 	}
 	last := s.cutSeq - 1
 	s.mu.Unlock()
-	flushErr := s.writeCut(sock, last, batch, nil)
+	var batchErr error
+	var writes uint64
+	if len(batch) > 0 {
+		_, batchErr = sock.Write(batch)
+		writes = 1
+	}
+	flushErr := batchErr
 	if flushErr == nil {
-		// writeMu still orders the marker behind every frame.
 		var hdr [wire.FrameHeaderSize]byte
 		marker, _ := wire.AppendFrame(hdr[:0], wire.Frame{Seq: last, Flags: wire.FlagFlush})
 		_, flushErr = sock.Write(marker)
 	}
-	s.writeMu.Unlock()
+	s.cutWritten(sock, last, writes, batchErr)
 	if flushErr == nil {
 		flushErr = sock.CloseWrite()
 	}

@@ -80,6 +80,114 @@ func TestCoalescedWritesFlushBeforeSuspendDrain(t *testing.T) {
 	}
 }
 
+// TestConcurrentWritersKeepWireOrder: several goroutines WriteMsg on one
+// socket at once, with sizes from 1 B to 70 KiB — across the 32 KiB inline
+// flush threshold and the 64 KiB send-segment rollover — while a reader
+// ReadMsgs and the socket is suspended and resumed under them. Every
+// writer's messages must arrive complete, in order and exactly once. A batch
+// that reached the stream behind a later one would have its frames dropped
+// by the peer's sequence-number dedup without a sound: this is where that
+// loss becomes loud.
+func TestConcurrentWritersKeepWireOrder(t *testing.T) {
+	env := newEnv(t, []string{"h1", "h2"}, quickOps())
+	client, server := env.pair("writers", "h1", "reader", "h2")
+	defer client.Close()
+
+	const writers, perWriter = 4, 120
+	sizes := []int{1, 70 << 10, 2, 100, 33 << 10, 7, 60 << 10, 1000, 20 << 10, 9}
+	// msg is writer w's message number c: the writer id, then as much of the
+	// counter as fits, then filler; its size is a function of (w, c) too, so
+	// a lost, repeated or reordered message changes what the reader sees.
+	msg := func(w, c int) []byte {
+		b := make([]byte, sizes[(c+w)%len(sizes)])
+		b[0] = byte(w)
+		var ctr [8]byte
+		binary.BigEndian.PutUint64(ctr[:], uint64(c))
+		n := copy(b[1:], ctr[:])
+		for i := 1 + n; i < len(b); i++ {
+			b[i] = byte(c*7 + w + i)
+		}
+		return b
+	}
+
+	readErr := make(chan error, 1)
+	go func() {
+		var next [writers]int
+		for n := 0; n < writers*perWriter; n++ {
+			m, err := server.ReadMsg()
+			if err != nil {
+				readErr <- fmt.Errorf("read %d: %w", n, err)
+				return
+			}
+			if len(m) == 0 || int(m[0]) >= writers {
+				readErr <- fmt.Errorf("read %d: %d bytes from no writer", n, len(m))
+				return
+			}
+			w := int(m[0])
+			if next[w] >= perWriter || !bytes.Equal(m, msg(w, next[w])) {
+				readErr <- fmt.Errorf("read %d: writer %d's message is not its number %d (%d bytes)", n, w, next[w], len(m))
+				return
+			}
+			next[w]++
+		}
+		readErr <- nil
+	}()
+
+	// The goroutines below report through errs, never through t: after a
+	// failure they may still be running when the test has returned.
+	errs := make(chan error, writers+1)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := 0; c < perWriter; c++ {
+				if err := client.WriteMsg(msg(w, c)); err != nil {
+					errs <- fmt.Errorf("writer %d, message %d: %w", w, c, err)
+					return
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	cycled := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { cycled <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+			if err := client.Suspend(); err != nil {
+				errs <- fmt.Errorf("suspend: %w", err)
+				return
+			}
+			if err := client.Resume(); err != nil {
+				errs <- fmt.Errorf("resume: %w", err)
+				return
+			}
+			n++
+		}
+	}()
+
+	select {
+	case err := <-readErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("reader timed out: messages lost")
+	}
+	wg.Wait()
+	close(stop)
+	t.Logf("%d suspend/resume cycles under %d writers", <-cycled, writers)
+	for len(errs) > 0 {
+		t.Error(<-errs)
+	}
+}
+
 // ---- event-driven waits ----
 
 // TestIdleConnectionsNoPeriodicWakeups pins the thundering-herd fix: an

@@ -193,14 +193,14 @@ func testRefusedHandoff(t *testing.T, landing string, heldAway bool) {
 	resumed := make(chan error, 1)
 	switch landing {
 	case "before-install":
-		// installSocket starts by taking writeMu: held, the stream is open
+		// installSocket starts by taking flushMu: held, the stream is open
 		// and refused before the install has looked at it.
-		client.writeMu.Lock()
+		client.flushMu.Lock()
 		go func() { resumed <- client.Resume() }()
 		eventually(t, "the opener's stream open", func() bool { return openerStreams() == 1 })
 		refuse()
 		eventually(t, "the reset to reach the opener", func() bool { return openerStreams() == 0 })
-		client.writeMu.Unlock()
+		client.flushMu.Unlock()
 	case "during-step":
 		// The FSM observer runs inside the step, under mu: the refusal is
 		// let through only once the opener is there, and the step does not

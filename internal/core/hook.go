@@ -138,7 +138,7 @@ func (s *Socket) snapshotLocked() connState {
 			// The frame under the read cursor is half delivered: its rest
 			// travels as the leftover tail, with the identity and provenance
 			// of the message it belongs to.
-			f, size, _ := wire.PeekFrame(st.RecvBuf[0])
+			f, size := wire.FrameAt(st.RecvBuf[0])
 			st.RecvBuf[0] = st.RecvBuf[0][size:]
 			st.Leftover, st.LeftoverSeq, st.LeftoverBuf = f.Payload[s.readDone:], f.Seq, s.recvQ[0].via
 		}

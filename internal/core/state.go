@@ -440,7 +440,7 @@ func packRuns(pieces [][]byte, via bool) []segment {
 			n := 0
 			var first, last uint64
 			for n < len(run) {
-				f, size, _ := wire.PeekFrame(run[n:])
+				f, size := wire.FrameAt(run[n:])
 				if n > 0 && n+size > sendSegBytes {
 					break
 				}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Frame flag bits.
@@ -67,9 +68,10 @@ var ErrBadFrame = errors.New("wire: malformed frame")
 // WriteFrame encodes f to w in canonical form.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFramePayload {
-		return fmt.Errorf("wire: frame payload %d exceeds limit %d", len(f.Payload), MaxFramePayload)
+		return errFrameTooLarge(len(f.Payload))
 	}
-	hdr := frameHeader(f)
+	var hdr [frameHeaderSize]byte
+	putFrameHeader(hdr[:], f.Seq, f.Flags, len(f.Payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -84,23 +86,36 @@ func WriteFrame(w io.Writer, f Frame) error {
 // AppendFrame encodes f onto buf in canonical form: header, then payload.
 // A run of such frames in one buffer is the data plane's segment — what a
 // FrameWriter accumulates, what the peer's stream delivers, and what the
-// send log and the receive buffer hold.
+// send log and the receive buffer hold. The frame is encoded in place: one
+// capacity check, the header written straight into buf, one copy of the
+// payload; a buf with room for the frame keeps its backing array and costs
+// no allocation. An oversized payload returns the error and buf unchanged.
 func AppendFrame(buf []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > MaxFramePayload {
-		return buf, fmt.Errorf("wire: frame payload %d exceeds limit %d", len(f.Payload), MaxFramePayload)
+		return buf, errFrameTooLarge(len(f.Payload))
 	}
-	hdr := frameHeader(f)
-	buf = append(buf, hdr[:]...)
-	return append(buf, f.Payload...), nil
+	n := len(buf)
+	buf = slices.Grow(buf, frameHeaderSize+len(f.Payload))[:n+frameHeaderSize+len(f.Payload)]
+	putFrameHeader(buf[n:], f.Seq, f.Flags, len(f.Payload))
+	copy(buf[n+frameHeaderSize:], f.Payload)
+	return buf, nil
 }
 
-func frameHeader(f Frame) (hdr [frameHeaderSize]byte) {
-	binary.BigEndian.PutUint16(hdr[0:2], frameMagic)
-	hdr[2] = frameVersion
-	hdr[3] = f.Flags
-	binary.BigEndian.PutUint64(hdr[4:12], f.Seq)
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(f.Payload)))
-	return hdr
+// putFrameHeader writes the header of a frame of n payload bytes into the
+// first frameHeaderSize bytes of h.
+func putFrameHeader(h []byte, seq uint64, flags uint8, n int) {
+	_ = h[frameHeaderSize-1]
+	binary.BigEndian.PutUint16(h[0:2], frameMagic)
+	h[2] = frameVersion
+	h[3] = flags
+	binary.BigEndian.PutUint64(h[4:12], seq)
+	binary.BigEndian.PutUint32(h[12:16], uint32(n))
+}
+
+// errFrameTooLarge is the encoders' refusal of an oversized payload, out of
+// line so they stay small.
+func errFrameTooLarge(n int) error {
+	return fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFramePayload)
 }
 
 // parseFrameHeader decodes and validates the header at the head of b, which
@@ -145,6 +160,17 @@ func PeekFrame(b []byte) (f Frame, size int, err error) {
 	}
 	f.Payload = b[frameHeaderSize:size:size]
 	return f, size, nil
+}
+
+// FrameAt decodes the frame at the head of b without validating it: f.Payload
+// aliases b, and size is the frame's encoded length. It is for bytes that
+// were validated once already, and it trusts them. Precondition: b starts
+// with a whole frame that PeekFrame or FrameDecoder.Fill accepted, or that
+// AppendFrame encoded — possibly voided since by VoidFrame. On anything
+// else the result is meaningless and it may panic.
+func FrameAt(b []byte) (f Frame, size int) {
+	size = frameHeaderSize + int(binary.BigEndian.Uint32(b[12:16]))
+	return Frame{Seq: binary.BigEndian.Uint64(b[4:12]), Flags: b[3], Payload: b[frameHeaderSize:size:size]}, size
 }
 
 // VoidFrame rewrites the header at the head of b so that the frame is
@@ -322,8 +348,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 
 // FrameWriter encodes frames into an in-memory coalescing buffer, assigning
 // sequence numbers: small writes accumulate and reach the kernel in one
-// syscall per Flush (or Take) rather than one per frame. It is not safe for
-// concurrent use; the socket layer serializes writers, and Take lets a
+// syscall per Flush (or Take) rather than one per frame. It encodes with
+// AppendFrame, in place. It is not safe for concurrent use; Take lets a
 // background flusher detach a filled buffer and perform the socket write
 // outside the writer's critical section.
 type FrameWriter struct {

@@ -257,3 +257,46 @@ func TestParseConnIDErrors(t *testing.T) {
 		t.Error("short id accepted")
 	}
 }
+
+// TestAppendFrameInPlace: AppendFrame onto a buffer with room encodes the
+// frame where it lies — no allocation, the same backing array — and what
+// it writes is what PeekFrame reads back, at every payload size the data
+// plane produces, up to MaxFramePayload. An oversized payload is refused
+// with buf unchanged.
+func TestAppendFrameInPlace(t *testing.T) {
+	for _, n := range []int{0, 1, 100, 64 << 10, MaxFramePayload} {
+		payload := bytes.Repeat([]byte{0x5a}, n)
+		buf := make([]byte, 3, 3+FrameHeaderSize+n)
+		copy(buf, "pre")
+		out, err := AppendFrame(buf, Frame{Seq: 7, Flags: FlagData, Payload: payload})
+		if err != nil {
+			t.Fatalf("%d B: %v", n, err)
+		}
+		if len(out) != 3+FrameHeaderSize+n || &out[0] != &buf[0] {
+			t.Fatalf("%d B: %d bytes, same array %v: not encoded in place", n, len(out), &out[0] == &buf[0])
+		}
+		f, size, err := PeekFrame(out[3:])
+		if err != nil || size != FrameHeaderSize+n || f.Seq != 7 || f.Flags != FlagData || !bytes.Equal(f.Payload, payload) {
+			t.Fatalf("%d B: PeekFrame read seq %d flags %#x size %d, %v", n, f.Seq, f.Flags, size, err)
+		}
+		if string(out[:3]) != "pre" {
+			t.Fatalf("%d B: the bytes before the frame changed", n)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			out, _ = AppendFrame(buf, Frame{Seq: 7, Flags: FlagData, Payload: payload})
+		})
+		if allocs != 0 {
+			t.Fatalf("%d B: %.1f allocations per AppendFrame into a buffer with room", n, allocs)
+		}
+	}
+
+	buf := make([]byte, 5, 64)
+	big := make([]byte, MaxFramePayload+1)
+	out, err := AppendFrame(buf, Frame{Seq: 1, Flags: FlagData, Payload: big})
+	if err == nil {
+		t.Fatal("an oversized payload was encoded")
+	}
+	if len(out) != len(buf) || cap(out) != cap(buf) || &out[0] != &buf[0] || !bytes.Equal(buf[:cap(buf)], make([]byte, cap(buf))) {
+		t.Fatalf("the refused append changed buf: len %d cap %d", len(out), cap(out))
+	}
+}

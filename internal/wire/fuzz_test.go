@@ -64,7 +64,7 @@ func FuzzReadFrame(f *testing.F) {
 
 		hits0, misses0 := PoolStats()
 		returns0 := PoolReturns()
-		walked, walkErr := walkSegments(data, chunks)
+		walked, walkErr := walkSegments(t, data, chunks)
 		src := &trickleSource{buf: data}
 		var dec FrameDecoder
 		var got []Frame
@@ -137,13 +137,23 @@ func FuzzReadFrame(f *testing.F) {
 // into pooled segments (1..256 bytes each as chunks dictates, then the rest
 // in one), each walked in place with PeekFrame, the frame that straddles two
 // of them assembled with Fill. The frames it returns are copies; every
-// segment and assembly buffer is back in the pool when it returns.
-func walkSegments(data, chunks []byte) (frames []Frame, err error) {
+// segment and assembly buffer is back in the pool when it returns. Every
+// frame of a run it accepts is decoded with FrameAt too, the way the data
+// plane reads what it admitted, and must come out the same.
+func walkSegments(t *testing.T, data, chunks []byte) (frames []Frame, err error) {
 	var dec FrameDecoder
 	defer dec.Release()
 	keep := func(run []byte) {
 		for len(run) > 0 {
-			f, size, _ := PeekFrame(run)
+			f, size, err := PeekFrame(run)
+			if err != nil || size == 0 {
+				t.Fatalf("an accepted run does not walk: size %d, %v", size, err)
+			}
+			g, gsize := FrameAt(run)
+			if gsize != size || g.Seq != f.Seq || g.Flags != f.Flags || !bytes.Equal(g.Payload, f.Payload) {
+				t.Fatalf("FrameAt read seq %d flags %#x size %d where PeekFrame accepted seq %d flags %#x size %d",
+					g.Seq, g.Flags, gsize, f.Seq, f.Flags, size)
+			}
 			f.Payload = append([]byte(nil), f.Payload...)
 			frames = append(frames, f)
 			run = run[size:]
