@@ -247,6 +247,28 @@ func TestOnlyTheBenchImportsTimerwheel(t *testing.T) {
 	}
 }
 
+// TestNoStdlibLogOutsideCmd: a *obs.Logger is every layer's one log input,
+// and a nil one is silent. So no non-test file of the library — internal/
+// and the root package — imports the standard library's log: only the
+// programs under cmd/ and examples/ choose where lines go.
+func TestNoStdlibLogOutsideCmd(t *testing.T) {
+	seen := 0
+	for _, f := range parseTree(t) {
+		if f.test || !(f.dir == "." || strings.HasPrefix(f.dir, "internal/")) {
+			continue
+		}
+		seen++
+		for _, imp := range f.ast.Imports {
+			if imp.Path.Value == `"log"` {
+				t.Errorf("%s imports log; take a *obs.Logger instead", f.path)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no library file was parsed")
+	}
+}
+
 // parseTree parses every Go file of the module: product, tests, examples
 // and bench/ alike (the benchmark is a mover too).
 func parseTree(t *testing.T) []*parsedFile {

@@ -61,7 +61,7 @@ func TestDebugServerAcrossMigration(t *testing.T) {
 			Directory: naming.Local{Svc: svc},
 			Registry:  breg,
 			Metrics:   met,
-			Logf:      t.Logf,
+			Logger:    obs.NewLogger(t.Logf, obs.LevelDebug),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +157,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 		Directory: naming.Local{Svc: svc},
 		Registry:  breg,
 		Metrics:   met,
-		Logf:      t.Logf,
+		Logger:    obs.NewLogger(t.Logf, obs.LevelDebug),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestConnzTransportState(t *testing.T) {
 			Directory: naming.Local{Svc: svc},
 			Registry:  breg,
 			Metrics:   met,
-			Logf:      t.Logf,
+			Logger:    obs.NewLogger(t.Logf, obs.LevelDebug),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -420,7 +420,7 @@ func TestNamezEndpoint(t *testing.T) {
 		Directory: cli,
 		Registry:  breg,
 		Metrics:   met,
-		Logf:      t.Logf,
+		Logger:    obs.NewLogger(t.Logf, obs.LevelDebug),
 	})
 	if err != nil {
 		t.Fatal(err)

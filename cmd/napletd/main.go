@@ -127,7 +127,6 @@ func main() {
 		WithPostOffice: *postoffice,
 		JournalDir:     *journalDir,
 		JournalSync:    *jrnSync,
-		Logf:           log.Printf,
 		Logger:         obs.NewLogger(log.Printf, level),
 		Metrics:        metrics,
 	}
@@ -139,7 +138,7 @@ func main() {
 	cfg.Core.TransportKeepaliveInterval = *heartbeat
 
 	if *relayAddr != "" {
-		rs, err := relay.New(*relayAddr, log.Printf)
+		rs, err := relay.New(*relayAddr, cfg.Logger)
 		if err != nil {
 			log.Fatalf("starting relay: %v", err)
 		}

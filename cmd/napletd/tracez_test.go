@@ -59,7 +59,7 @@ func TestTracezAcrossMigration(t *testing.T) {
 			Directory: naming.Local{Svc: svc},
 			Registry:  breg,
 			Metrics:   met,
-			Logf:      t.Logf,
+			Logger:    obs.NewLogger(t.Logf, obs.LevelDebug),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -322,7 +322,7 @@ func TestMetricsPromFormat(t *testing.T) {
 		Directory: naming.Local{Svc: svc},
 		Registry:  breg,
 		Metrics:   met,
-		Logf:      t.Logf,
+		Logger:    obs.NewLogger(t.Logf, obs.LevelDebug),
 	})
 	if err != nil {
 		t.Fatal(err)

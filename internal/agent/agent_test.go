@@ -1,14 +1,17 @@
 package agent
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"testing"
 	"time"
 
 	"naplet/internal/naming"
+	"naplet/internal/obs"
 	"naplet/internal/security"
 )
 
@@ -56,6 +59,12 @@ func (hc hostCarrier) Carry(_, dest string, bundle []byte) error {
 
 func newEnv(t *testing.T, hostNames ...string) *testEnv {
 	t.Helper()
+	return newEnvLogging(t, obs.NewLogger(t.Logf, obs.LevelDebug), hostNames...)
+}
+
+// newEnvLogging is newEnv with every host logging to logger.
+func newEnvLogging(t *testing.T, logger *obs.Logger, hostNames ...string) *testEnv {
+	t.Helper()
 	env := &testEnv{svc: naming.NewService(), registry: NewRegistry(),
 		carrier: &carrier{docked: make(map[string]func([]byte) error)}}
 	registerTestBehaviors(env.registry)
@@ -71,7 +80,7 @@ func newEnv(t *testing.T, hostNames ...string) *testEnv {
 			Directory:   naming.Local{Svc: env.svc},
 			Registry:    env.registry,
 			Guard:       guard,
-			Logf:        t.Logf,
+			Logger:      logger,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -143,6 +152,22 @@ func (hp *hopper) Run(ctx *Context) error {
 	return ctx.MigrateTo(next)
 }
 
+// chattyHopper is a hopper that also logs through its Context on every host.
+type chattyHopper struct {
+	Docks []string
+}
+
+func (c *chattyHopper) Run(ctx *Context) error {
+	ctx.Logf("visiting %s", ctx.HostName())
+	recordVisit(ctx.AgentID(), ctx.HostName())
+	if len(c.Docks) == 0 {
+		return nil
+	}
+	next := c.Docks[0]
+	c.Docks = c.Docks[1:]
+	return ctx.MigrateTo(next)
+}
+
 // failer fails immediately with a recognizable error.
 type failer struct{}
 
@@ -174,6 +199,7 @@ func (sleeper) Run(ctx *Context) error {
 
 func registerTestBehaviors(r *Registry) {
 	r.Register("test.hopper", &hopper{})
+	r.Register("test.chattyHopper", &chattyHopper{})
 	r.Register("test.failer", failer{})
 	r.Register("test.badHopper", &badHopper{})
 	r.Register("test.sleeper", sleeper{})
@@ -423,6 +449,50 @@ func TestHostCloseStopsAgents(t *testing.T) {
 	}
 	if err := h.Launch("s2", sleeper{}); err == nil {
 		t.Fatal("launch on closed host accepted")
+	}
+}
+
+// lockedBuffer is an io.Writer safe for the standard logger's concurrent
+// writers.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestNoLoggerIsSilent: a host built without a Logger writes nothing to the
+// standard logger across an agent's launch, its migration (logging through
+// its Context on both hosts), its finish and the hosts' close.
+func TestNoLoggerIsSilent(t *testing.T) {
+	var out lockedBuffer
+	prev := log.Writer()
+	log.SetOutput(&out)
+	defer log.SetOutput(prev)
+
+	env := newEnvLogging(t, nil, "h1", "h2")
+	if err := env.host("h1").Launch("quiet", &chattyHopper{Docks: []string{env.dest("h2")}}); err != nil {
+		t.Fatal(err)
+	}
+	env.awaitGone(t, "quiet")
+	if got := visits("quiet"); len(got) != 2 {
+		t.Fatalf("visits = %v, want h1 then h2", got)
+	}
+	for _, h := range env.hosts {
+		h.Close()
+	}
+	if s := out.String(); s != "" {
+		t.Fatalf("a host without a logger wrote to the standard logger:\n%s", s)
 	}
 }
 

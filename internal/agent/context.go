@@ -47,11 +47,10 @@ func (c *Context) Done() <-chan struct{} { return c.ctx.Done() }
 // to APIs that take one.
 func (c *Context) StdContext() context.Context { return c.ctx }
 
-// Logf logs a message tagged with the agent and host.
+// Logf logs a message tagged with the agent and host, at Info on the host's
+// logger.
 func (c *Context) Logf(format string, args ...any) {
-	if c.host.cfg.Logf != nil {
-		c.host.cfg.Logf("[%s@%s] "+format, append([]any{c.agentID, c.host.Name()}, args...)...)
-	}
+	c.host.log.Infof("[%s@%s] "+format, append([]any{c.agentID, c.host.Name()}, args...)...)
 }
 
 // MigrateTo requests migration to the host whose agents arrive at dest —

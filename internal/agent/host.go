@@ -9,7 +9,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"time"
 
@@ -89,12 +88,8 @@ type Config struct {
 	// inbound bundles without a valid tag are rejected before they are
 	// decoded. All hosts of a deployment must share the secret.
 	ClusterSecret []byte
-	// Logf, when non-nil, receives host diagnostics. It also backs each
-	// agent Context's Logf.
-	Logf func(format string, args ...any)
-	// Logger, when non-nil, receives leveled host diagnostics and takes
-	// precedence over Logf for the runtime's own lines (Context.Logf keeps
-	// using Logf so behaviour output stays unprefixed).
+	// Logger receives the host's leveled diagnostics and, at Info, each
+	// agent Context's Logf; nil leaves both silent.
 	Logger *obs.Logger
 	// Metrics, when non-nil, receives the agent runtime's counters: agent
 	// launches, terminations, dispatches, and migration latency.
@@ -169,7 +164,7 @@ func NewHost(cfg Config) (*Host, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &Host{
 		cfg:     cfg,
-		log:     resolveLogger(cfg).With("host", cfg.Name),
+		log:     cfg.Logger.With("host", cfg.Name),
 		agents:  make(map[string]*running),
 		ext:     make(map[string]any),
 		rootCtx: ctx,
@@ -191,19 +186,6 @@ func NewHost(cfg Config) (*Host, error) {
 		return float64(len(h.agents))
 	})
 	return h, nil
-}
-
-// resolveLogger builds the host's leveled logger: the configured Logger,
-// else the Logf compatibility shim at Debug, else the standard library
-// logger at Info.
-func resolveLogger(cfg Config) *obs.Logger {
-	if cfg.Logger != nil {
-		return cfg.Logger
-	}
-	if cfg.Logf != nil {
-		return obs.NewLogger(cfg.Logf, obs.LevelDebug)
-	}
-	return obs.NewLogger(log.Printf, obs.LevelInfo)
 }
 
 // Name returns the host's name.

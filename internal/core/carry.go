@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"naplet/internal/obs"
 	"naplet/internal/transport"
 	"naplet/internal/wire"
 )
@@ -71,7 +72,7 @@ func (ctrl *Controller) takeBundle(st *transport.Stream) {
 	raw, err := io.ReadAll(io.LimitReader(st, maxCarryBytes+1))
 	switch {
 	case err != nil:
-		ctrl.logf("agent bundle from a peer: %v", err)
+		ctrl.olog(obs.LevelWarn, "agent bundle from a peer: %v", err)
 		return
 	case len(raw) > maxCarryBytes:
 		err = fmt.Errorf("bundle exceeds %d bytes", maxCarryBytes)
@@ -80,7 +81,7 @@ func (ctrl *Controller) takeBundle(st *transport.Stream) {
 	}
 	// A verdict that cannot be written reaches the sender as a failed read.
 	if err != nil {
-		ctrl.logf("agent bundle refused: %v", err)
+		ctrl.olog(obs.LevelWarn, "agent bundle refused: %v", err)
 		io.WriteString(st, err.Error())
 	}
 	st.CloseWrite()

@@ -367,7 +367,7 @@ func (s *Socket) SetObserver(o Observer) {
 func (s *Socket) step(e fsm.Event) error {
 	_, err := s.m.Step(e)
 	if err != nil {
-		s.ctrl.logf("conn %s (%s<->%s): %v", s.id, s.localAgent, s.remoteAgent, err)
+		s.olog(obs.LevelWarn, "agent %s: %v", s.localAgent, err)
 	}
 	s.cond.Broadcast()
 	return err

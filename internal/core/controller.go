@@ -103,8 +103,8 @@ type Config struct {
 	// connection once its handshake is done — the hook for network
 	// emulation (internal/netem). Data streams are multiplexed inside it.
 	WrapData func(net.Conn) net.Conn
-	// Logger, when non-nil, receives leveled diagnostics; nil logs through
-	// the standard library logger at Info.
+	// Logger receives the leveled diagnostics of the controller, its shared
+	// transports and its relay client; nil leaves all three silent.
 	Logger *obs.Logger
 	// Metrics, when non-nil, receives the controller's lifecycle counters,
 	// latency histograms, FSM transition counts, and load gauges
@@ -200,7 +200,6 @@ func NewController(cfg Config) (*Controller, error) {
 	}
 	ctrl := &Controller{
 		cfg:       cfg,
-		obs:       newCtrlObs(cfg),
 		tab:       newConnTable(),
 		dp:        newDPPool(),
 		loc:       naming.NewCache(cfg.Locator, naming.CacheConfig{Metrics: cfg.Metrics}),
@@ -208,6 +207,7 @@ func NewController(cfg Config) (*Controller, error) {
 		locEpochs: make(map[string]uint64),
 		done:      make(chan struct{}),
 	}
+	ctrl.obs = newCtrlObs(cfg, ctrl.unlessClosing)
 	ep, err := rudp.Listen(cfg.ControlAddr, ctrl.handleControl,
 		rudp.Config{SendDelay: cfg.ControlSendDelay, DropFn: cfg.ControlDropFn})
 	if err != nil {
@@ -232,7 +232,7 @@ func NewController(cfg Config) (*Controller, error) {
 		HandshakeTimeout:  cfg.HandshakeTimeout,
 		Authorize:         ctrl.authorizeHandoff,
 		Deliver:           ctrl.deliverStream,
-		Logf:              ctrl.logf,
+		Logger:            ctrl.obs.log,
 		KeepaliveInterval: cfg.TransportKeepaliveInterval,
 		KeepaliveTimeout:  cfg.TransportKeepaliveTimeout,
 		DisableEncryption: cfg.DisableTransportEncryption,
@@ -249,7 +249,7 @@ func NewController(cfg Config) (*Controller, error) {
 			Advertise: red.addr(),
 			Dial:      cfg.DialData,
 			Handle:    func(conn net.Conn) { red.handle(conn, true) },
-			Logf:      ctrl.logf,
+			Logger:    ctrl.obs.log,
 		})
 	}
 	ctrl.registerGauges()
@@ -378,12 +378,6 @@ func (ctrl *Controller) pause(d time.Duration) bool {
 	}
 }
 
-// logf reports a degraded or failed operation: Warn on the leveled logger
-// (which itself falls back to log.Printf).
-func (ctrl *Controller) logf(format string, args ...any) {
-	ctrl.olog(obs.LevelWarn, format, args...)
-}
-
 // dropConn removes a socket from the tables. This is also the point a
 // connection leaves the journal: it is either closed for good or departing
 // inside a migration bundle, and either way a restarted host must not
@@ -456,9 +450,13 @@ func (ctrl *Controller) sessionKeyFor(id wire.ConnID, secret []byte) []byte {
 // ---- control-channel dispatch ----
 
 func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
+	// The two refusals below come before anything is known of the sender,
+	// so a peer that sends garbage earns a counter and a Debug line, not a
+	// warning per packet.
 	m, err := wire.DecodeControlMsg(req)
 	if err != nil {
-		ctrl.logf("control %s: %v", ctrl.cfg.HostName, err)
+		ctrl.obs.rejectMalformed.Inc()
+		ctrl.olog(obs.LevelDebug, "control: %v", err)
 		return rejectReply(wire.ZeroConnID, wire.RejectOther, "malformed control message")
 	}
 	if m.Type == wire.MsgConnect {
@@ -469,7 +467,8 @@ func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
 		return rejectReply(m.ConnID, wire.RejectUnknownConn, "unknown connection")
 	}
 	if err := s.checkAuth(m, req); err != nil {
-		ctrl.logf("control %s: %v", ctrl.cfg.HostName, err)
+		ctrl.obs.rejectUnauth.Inc()
+		ctrl.olog(obs.LevelDebug, "control: %v", err)
 		return rejectReply(m.ConnID, wire.RejectOther, "authentication failed")
 	}
 	// A message stamped with a trace context gets its handling recorded as

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"naplet/internal/fsm"
+	"naplet/internal/obs"
 	"naplet/internal/transport"
 	"naplet/internal/wire"
 )
@@ -585,9 +586,9 @@ func (s *Socket) degradeLocked(cause error) bool {
 		// its own. The typed error keeps the two failure modes countable
 		// apart.
 		s.ctrl.obs.transportLost.Inc()
-		s.ctrl.logf("conn %s: shared transport lost (%v); degraded to SUSPENDED", s.id, cause)
+		s.olog(obs.LevelWarn, "shared transport lost (%v); degraded to SUSPENDED", cause)
 	} else {
-		s.ctrl.logf("conn %s: data socket failed (%v); degraded to SUSPENDED", s.id, cause)
+		s.olog(obs.LevelWarn, "data socket failed (%v); degraded to SUSPENDED", cause)
 	}
 	return true
 }
@@ -612,7 +613,7 @@ func (s *Socket) startRecovery(delay time.Duration) {
 			return
 		}
 		if err := s.Resume(); err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrMigrated) {
-			s.ctrl.logf("conn %s: failure resume: %v", s.id, err)
+			s.olog(obs.LevelWarn, "failure resume: %v", err)
 		}
 	})
 }

@@ -71,7 +71,7 @@ func (ctrl *Controller) PreDepart(agentID string) ([]byte, error) {
 				ctrl.dropConn(s)
 				continue
 			}
-			ctrl.logf("conn %s: suspend for migration of %s failed (%v); dropping connection", s.id, agentID, err)
+			s.olog(obs.LevelError, "suspend for migration of %s failed (%v); dropping connection", agentID, err)
 			s.Close()
 			continue
 		}
@@ -251,13 +251,13 @@ func (ctrl *Controller) PostArrive(agentID string, blob []byte) error {
 				// Release the parked peer; it migrates next and will
 				// resume toward us (Fig 4(a)).
 				if err := s.ask(wire.MsgSusRes); err != nil {
-					ctrl.logf("conn %s: SUS_RES after migration: %v", s.id, err)
+					s.olog(obs.LevelWarn, "SUS_RES after migration: %v", err)
 				}
 				return
 			}
 			if err := s.Resume(); err != nil && err != ErrClosed {
 				sp.Annotate("failed: " + err.Error())
-				ctrl.logf("conn %s: resume after migration: %v", s.id, err)
+				s.olog(obs.LevelWarn, "resume after migration: %v", err)
 			}
 		}(s, st.OwesSusRes, resSp)
 	}

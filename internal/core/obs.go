@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"log"
 	"time"
 
 	"naplet/internal/fsm"
@@ -38,6 +37,9 @@ type ctrlObs struct {
 	connRecoveries          *obs.Counter
 	transportLost           *obs.Counter
 
+	// Control requests refused before anything is known of their sender.
+	rejectMalformed, rejectUnauth *obs.Counter
+
 	dataFrames  *obs.Counter
 	dataFlushes *obs.Counter
 	dataBytes   *obs.Counter
@@ -48,16 +50,13 @@ type ctrlObs struct {
 	openBD, suspendBD, resumeBD *metrics.Breakdown
 }
 
-// newCtrlObs resolves the observability configuration. The logger falls
-// back to the standard library logger at Info, so diagnostics never
-// vanish silently. Breakdowns are created on demand when a metrics
-// registry is present, so the phase gauges below always have a source on
-// an instrumented controller.
-func newCtrlObs(cfg Config) *ctrlObs {
-	lg := cfg.Logger
-	if lg == nil {
-		lg = obs.NewLogger(log.Printf, obs.LevelInfo)
-	}
+// newCtrlObs resolves the observability configuration. The logger is
+// cfg.Logger behind gate, the controller's close guard; the transport
+// manager and the relay client log through it too. Breakdowns are created
+// on demand when a metrics registry is present, so the phase gauges below
+// always have a source on an instrumented controller.
+func newCtrlObs(cfg Config, gate func(emit func())) *ctrlObs {
+	lg := cfg.Logger.Gated(gate)
 	if cfg.HostName != "" {
 		lg = lg.With("host", cfg.HostName)
 	}
@@ -82,6 +81,8 @@ func newCtrlObs(cfg Config) *ctrlObs {
 		connsShipped:     met.Counter("migrate.conns_shipped"),
 		fsmTransitions:   met.Counter("fsm.transitions"),
 		connRecoveries:   met.Counter("fault.conn_recoveries"),
+		rejectMalformed:  met.Counter(`control.rejected{reason="malformed"}`),
+		rejectUnauth:     met.Counter(`control.rejected{reason="unauthenticated"}`),
 		transportLost:    met.Counter("conn.transport_lost"),
 		dataFrames:       met.Counter("data.frames"),
 		dataFlushes:      met.Counter("data.flushes"),
@@ -184,6 +185,8 @@ func registerRUDP(met *obs.Registry, ep *rudp.Endpoint) {
 
 // unlessClosing runs emit, which writes one log line, unless Close has begun
 // (the sink may be a testing.T that must not be used after the test ends).
+// It is the gate of the controller's logger, so it covers every line of the
+// controller, its transports and its relay client.
 func (ctrl *Controller) unlessClosing(emit func()) {
 	ctrl.logMu.RLock()
 	defer ctrl.logMu.RUnlock()
@@ -194,23 +197,20 @@ func (ctrl *Controller) unlessClosing(emit func()) {
 
 // olog emits one controller-scoped line.
 func (ctrl *Controller) olog(lv obs.Level, format string, args ...any) {
-	ctrl.unlessClosing(func() { ctrl.obs.log.Logf(lv, format, args...) })
+	ctrl.obs.log.Logf(lv, format, args...)
 }
 
 // olog emits one connection-scoped line carrying the conn id, current
 // FSM state, and peer agent as structured fields.
 func (s *Socket) olog(lv obs.Level, format string, args ...any) {
-	ctrl := s.ctrl
-	if !ctrl.obs.log.Enabled(lv) {
+	lg := s.ctrl.obs.log
+	if !lg.Enabled(lv) {
 		return
 	}
-	ctrl.unlessClosing(func() {
-		ctrl.obs.log.
-			With("conn", s.id).
-			With("state", s.m.State()).
-			With("peer", s.remoteAgent).
-			Logf(lv, format, args...)
-	})
+	lg.With("conn", s.id).
+		With("state", s.m.State()).
+		With("peer", s.remoteAgent).
+		Logf(lv, format, args...)
 }
 
 // observeFSM installs the observability hooks on a socket's state
@@ -231,9 +231,7 @@ func (s *Socket) observeFSM() {
 			sp.Annotate(fmt.Sprintf("fsm %s->%s @%s", tr.From, tr.To, tr.At.UTC().Format("15:04:05.000000")))
 		}
 		if o.log.Enabled(obs.LevelDebug) {
-			s.ctrl.unlessClosing(func() {
-				o.log.With("conn", s.id).Debugf("fsm %s --[%s]--> %s", tr.From, tr.Event, tr.To)
-			})
+			o.log.With("conn", s.id).Debugf("fsm %s --[%s]--> %s", tr.From, tr.Event, tr.To)
 		}
 	})
 }

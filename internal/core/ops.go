@@ -174,7 +174,7 @@ func (s *Socket) carryOut(msg wire.MsgType, out outcome, reply *wire.ControlRepl
 		err := s.dialAndInstall(wire.HandoffResume, reply.LastSeq)
 		bd.Add(metrics.PhaseOpenSocket, time.Since(start))
 		if err != nil {
-			s.ctrl.logf("conn %s: resume handoff failed: %v", s.id, err)
+			s.olog(obs.LevelWarn, "resume handoff failed: %v", err)
 			return s.carryOut(msg, unreachable, nil)
 		}
 	}

@@ -95,7 +95,7 @@ func (ctrl *Controller) checkpointConn(s *Socket) {
 		return
 	}
 	if err := j.Append(s.journalRecord()); err != nil && !errors.Is(err, journal.ErrClosed) {
-		ctrl.logf("journal: checkpointing conn %s: %v", s.id, err)
+		s.olog(obs.LevelError, "journal: checkpoint: %v", err)
 	}
 }
 
@@ -205,7 +205,7 @@ func (ctrl *Controller) RecoverConns() (int, error) {
 
 	for agentID := range j.Entries(journal.KindListener) {
 		if _, err := ctrl.ListenAs(agentID, ctrl.cfg.Guard.IssueCredential(agentID)); err != nil {
-			ctrl.logf("recover: restoring listener of %s: %v", agentID, err)
+			ctrl.olog(obs.LevelWarn, "recover: restoring listener of %s: %v", agentID, err)
 		}
 	}
 
@@ -213,16 +213,16 @@ func (ctrl *Controller) RecoverConns() (int, error) {
 	for key, data := range j.Entries(journal.KindConn) {
 		st, err := decodeConnState(data)
 		if errors.Is(err, errPreV1State) {
-			ctrl.logf("recover: connection record in pre-v1 format, skipped: %q", key)
+			ctrl.olog(obs.LevelWarn, "recover: connection record in pre-v1 format, skipped: %q", key)
 			continue
 		}
 		if err != nil {
-			ctrl.logf("recover: undecodable conn record %q: %v", key, err)
+			ctrl.olog(obs.LevelWarn, "recover: undecodable conn record %q: %v", key, err)
 			continue
 		}
 		s, err := ctrl.buildConn(&st, restartNonceSlack)
 		if err != nil {
-			ctrl.logf("recover: %v", err)
+			ctrl.olog(obs.LevelWarn, "recover: %v", err)
 			continue
 		}
 		ctrl.tab.register(s)

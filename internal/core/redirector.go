@@ -97,7 +97,7 @@ func (s *Socket) takeHandoff(hdr *wire.HandoffHeader, st *transport.Stream) bool
 		return true
 	}
 	if err := s.installSocket(st, w.lastSeq); err != nil {
-		s.ctrl.logf("conn %s: installing handed-off stream: %v", s.id, err)
+		s.olog(obs.LevelWarn, "installing handed-off stream: %v", err)
 		s.giveUpHandoff(w, err)
 		return true
 	}
@@ -194,8 +194,7 @@ func (r *redirector) acceptLoop() {
 			} else if backoff *= 2; backoff > acceptBackoffMax {
 				backoff = acceptBackoffMax
 			}
-			r.ctrl.logf("redirector %s: accept error: %v; retrying in %v",
-				r.ctrl.cfg.HostName, err, backoff)
+			r.ctrl.olog(obs.LevelWarn, "redirector: accept error: %v; retrying in %v", err, backoff)
 			timer := time.NewTimer(backoff)
 			select {
 			case <-timer.C:
@@ -234,6 +233,6 @@ func (r *redirector) handle(sock net.Conn, relayed bool) {
 		err = r.ctrl.tm.HandleConn(sock)
 	}
 	if err != nil {
-		r.ctrl.logf("redirector %s: transport handshake: %v", r.ctrl.cfg.HostName, err)
+		r.ctrl.olog(obs.LevelWarn, "redirector: transport handshake: %v", err)
 	}
 }

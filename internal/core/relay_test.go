@@ -50,7 +50,7 @@ func awaitRegistrations(t *testing.T, rs *relay.Server, n int) {
 // migration, and deliver every byte exactly once — entirely over relayed
 // transport legs.
 func TestMigrationSustainedThroughRelayNAT(t *testing.T) {
-	rs, err := relay.New("127.0.0.1:0", t.Logf)
+	rs, err := relay.New("127.0.0.1:0", obs.NewLogger(t.Logf, obs.LevelDebug))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMigrationSustainedThroughRelayNAT(t *testing.T) {
 // the carrier's stream opens on a transport dialed through the relay, and
 // the destination's docked receiver runs.
 func TestCarryThroughRelayNAT(t *testing.T) {
-	rs, err := relay.New("127.0.0.1:0", t.Logf)
+	rs, err := relay.New("127.0.0.1:0", obs.NewLogger(t.Logf, obs.LevelDebug))
 	if err != nil {
 		t.Fatal(err)
 	}

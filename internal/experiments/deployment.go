@@ -20,7 +20,6 @@ import (
 	"naplet/internal/core"
 	"naplet/internal/metrics"
 	"naplet/internal/naming"
-	"naplet/internal/obs"
 	"naplet/internal/security"
 )
 
@@ -77,7 +76,6 @@ func newDeployment(names []string, tune func(hostName string, cfg *core.Config))
 			OpTimeout:    5 * time.Second,
 			ParkTimeout:  30 * time.Second,
 			DrainTimeout: 5 * time.Second,
-			Logger:       obs.NewLogger(func(string, ...any) {}, obs.LevelError),
 		}
 		if tune != nil {
 			tune(name, &ccfg)

@@ -52,11 +52,12 @@ func ParseLevel(s string) (Level, error) {
 // With is rendered after the message as space-separated key=value pairs,
 // so a connection-scoped logger carries its conn id, FSM state, and host
 // on every line. The sink is any printf-style function (log.Printf, a
-// testing.T's Logf, ...), which keeps the tree compatible with the
-// pre-existing Config.Logf plumbing.
+// testing.T's Logf, ...). A Logger is the one log input of every layer:
+// each config takes a *Logger, and the layers below hand theirs down.
 //
-// A nil *Logger discards everything. Loggers are immutable; With returns
-// a derived logger and is safe for concurrent use.
+// A nil *Logger discards everything, so a layer built without one is
+// silent. Loggers are immutable; With returns a derived logger and is safe
+// for concurrent use.
 type Logger struct {
 	min    Level
 	sink   func(format string, args ...any)
@@ -81,6 +82,25 @@ func (l *Logger) With(key string, value any) *Logger {
 		min:    l.min,
 		sink:   l.sink,
 		fields: l.fields + " " + key + "=" + fmt.Sprint(value),
+	}
+}
+
+// Gated returns a logger that writes each line through gate, which runs
+// emit — the write of that one line — or drops it. It is the hook for an
+// owner that must stop every line of its layers before the sink goes away
+// (a testing.T whose test has ended). Fields added later with With keep
+// the gate.
+func (l *Logger) Gated(gate func(emit func())) *Logger {
+	if l == nil {
+		return nil
+	}
+	sink := l.sink
+	return &Logger{
+		min:    l.min,
+		fields: l.fields,
+		sink: func(format string, args ...any) {
+			gate(func() { sink(format, args...) })
+		},
 	}
 }
 

@@ -264,6 +264,32 @@ func TestLoggerLevelsAndFields(t *testing.T) {
 	}
 }
 
+// TestLoggerGated: a gated logger writes a line only when its gate runs the
+// write, keeps the level and fields it was derived from, and hands the gate
+// on to loggers derived from it.
+func TestLoggerGated(t *testing.T) {
+	var lines []string
+	sink := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	open := true
+	gate := func(emit func()) {
+		if open {
+			emit()
+		}
+	}
+	l := NewLogger(sink, LevelInfo).With("host", "h").Gated(gate).With("conn", "c")
+	l.Debugf("below the level")
+	l.Infof("through")
+	open = false
+	l.Warnf("after the gate shut")
+	if len(lines) != 1 || lines[0] != "INFO  through host=h conn=c" {
+		t.Fatalf("lines = %q", lines)
+	}
+	var nilLogger *Logger
+	if nilLogger.Gated(gate) != nil {
+		t.Fatal("a gated nil logger is not nil")
+	}
+}
+
 func TestParseLevel(t *testing.T) {
 	for s, want := range map[string]Level{
 		"debug": LevelDebug, "Info": LevelInfo, "WARN": LevelWarn,

@@ -82,31 +82,14 @@ func (r *Registry) histogramSums() map[string]float64 {
 // WritePrometheusSnapshot renders a point-in-time snapshot; sums may be
 // nil, in which case each histogram's sum is reconstructed as mean*count.
 func WritePrometheusSnapshot(w io.Writer, s Snapshot, sums map[string]float64) error {
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
+	if err := writeFamilies(w, "counter", s.Counters, func(v uint64) string { return fmt.Sprint(v) }); err != nil {
+		return err
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		base, labels := promSplit(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s%s %d\n", base, base, labels, s.Counters[name]); err != nil {
-			return err
-		}
+	if err := writeFamilies(w, "gauge", s.Gauges, promFloat); err != nil {
+		return err
 	}
 
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		base, labels := promSplit(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %s\n", base, base, labels, promFloat(s.Gauges[name])); err != nil {
-			return err
-		}
-	}
-
-	names = names[:0]
+	names := make([]string, 0, len(s.Histograms))
 	for name := range s.Histograms {
 		names = append(names, name)
 	}
@@ -130,6 +113,31 @@ func WritePrometheusSnapshot(w io.Writer, s Snapshot, sums map[string]float64) e
 			}
 		}
 		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", base, promFloat(sum), base, h.Count); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFamilies renders the samples of one metric kind, sorted by name.
+// Names sharing a base differ only in their label block and sort together;
+// the family's TYPE line is written once, before the first of them.
+func writeFamilies[V any](w io.Writer, kind string, m map[string]V, format func(V) string) error {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	typed := ""
+	for _, name := range names {
+		base, labels := promSplit(name)
+		if base != typed {
+			typed = base
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", base, kind); err != nil {
+				return err
+			}
+		}
+		if _, err := fmt.Fprintf(w, "%s%s %s\n", base, labels, format(m[name])); err != nil {
 			return err
 		}
 	}

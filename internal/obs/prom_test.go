@@ -62,6 +62,9 @@ func ValidatePromText(t *testing.T, text string) int {
 			default:
 				t.Errorf("line %d: bad type %q", ln+1, f[3])
 			}
+			if _, dup := types[f[2]]; dup {
+				t.Errorf("line %d: second TYPE line for %s", ln+1, f[2])
+			}
 			types[f[2]] = f[3]
 			continue
 		}
@@ -179,6 +182,29 @@ func TestWritePrometheusTransportSessionCounters(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q\n%s", want, text)
 		}
+	}
+}
+
+// TestWritePrometheusLabeledFamily: counters that share a name and differ
+// in their label block are one family with one TYPE line.
+func TestWritePrometheusLabeledFamily(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(`control.rejected{reason="malformed"}`).Add(3)
+	r.Counter(`control.rejected{reason="unauthenticated"}`).Add(1)
+
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	if n := ValidatePromText(t, text); n != 2 {
+		t.Fatalf("samples = %d, want 2\n%s", n, text)
+	}
+	want := "# TYPE control_rejected counter\n" +
+		"control_rejected{reason=\"malformed\"} 3\n" +
+		"control_rejected{reason=\"unauthenticated\"} 1\n"
+	if !strings.Contains(text, want) {
+		t.Errorf("output missing %q\n%s", want, text)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"naplet/internal/obs"
 )
 
 // Client maintains a callee's registration with a relay: a persistent
@@ -14,6 +16,8 @@ import (
 // the transport layer cannot tell the difference, which is the point.
 type Client struct {
 	cfg ClientConfig
+	// log carries the relay's address on every line.
+	log *obs.Logger
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -34,8 +38,8 @@ type ClientConfig struct {
 	// Handle receives each matched call-in leg; it must not block forever
 	// (the transport handshake it runs is deadline-bounded). Required.
 	Handle func(net.Conn)
-	// Logf logs relay-client events; nil discards.
-	Logf func(format string, args ...any)
+	// Logger receives relay-client events; nil discards.
+	Logger *obs.Logger
 	// RedialBase is the first re-registration backoff after the
 	// registration leg dies; it doubles up to redialCap. 0 means 250ms.
 	RedialBase time.Duration
@@ -56,13 +60,10 @@ func NewClient(cfg ClientConfig) *Client {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	if cfg.RedialBase <= 0 {
 		cfg.RedialBase = 250 * time.Millisecond
 	}
-	c := &Client{cfg: cfg, done: make(chan struct{})}
+	c := &Client{cfg: cfg, log: cfg.Logger.With("relay", cfg.RelayAddr), done: make(chan struct{})}
 	c.wg.Add(1)
 	go c.run()
 	return c
@@ -101,7 +102,7 @@ func (c *Client) run() {
 		default:
 		}
 		if err := c.register(); err != nil {
-			c.cfg.Logf("relay client: registration with %s failed: %v", c.cfg.RelayAddr, err)
+			c.log.Warnf("relay client: registration failed: %v", err)
 		} else {
 			// The leg was live; start the backoff over.
 			backoff = c.cfg.RedialBase
@@ -153,7 +154,7 @@ func (c *Client) register() error {
 	conn.SetDeadline(time.Time{})
 	c.setRegistered(true)
 	defer c.setRegistered(false)
-	c.cfg.Logf("relay client: %s registered with %s", c.cfg.Advertise, c.cfg.RelayAddr)
+	c.log.Infof("relay client: %s registered", c.cfg.Advertise)
 	for {
 		line, err := readLine(conn)
 		if err != nil {
@@ -179,7 +180,7 @@ func (c *Client) callIn(token string) {
 	defer c.wg.Done()
 	conn, err := c.cfg.Dial(c.cfg.RelayAddr, legTimeout)
 	if err != nil {
-		c.cfg.Logf("relay client: call-in dial failed: %v", err)
+		c.log.Warnf("relay client: call-in dial failed: %v", err)
 		return
 	}
 	conn.SetDeadline(time.Now().Add(legTimeout))
@@ -189,7 +190,7 @@ func (c *Client) callIn(token string) {
 	}
 	line, err := readLine(conn)
 	if err != nil || line != "OK" {
-		c.cfg.Logf("relay client: call-in rendezvous failed: %v (%q)", err, line)
+		c.log.Warnf("relay client: call-in rendezvous failed: %v (%q)", err, line)
 		conn.Close()
 		return
 	}

@@ -32,6 +32,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"naplet/internal/obs"
 )
 
 // DialFn is the dial shape shared with transport.Config.Dial, so a relay
@@ -79,8 +81,8 @@ func newToken() (string, error) {
 
 // Server is a running relay listener.
 type Server struct {
-	ln   net.Listener
-	logf func(format string, args ...any)
+	ln  net.Listener
+	log *obs.Logger
 	// matchTimeout bounds how long a CONN leg waits for the callee's ACPT.
 	matchTimeout time.Duration
 	// done unblocks in-flight rendezvous waits when the server closes.
@@ -136,18 +138,16 @@ func (s *Server) track(conn net.Conn) net.Conn {
 	return tc
 }
 
-// New starts a relay server listening on addr ("host:0" picks a port).
-func New(addr string, logf func(format string, args ...any)) (*Server, error) {
+// New starts a relay server listening on addr ("host:0" picks a port),
+// logging registrations and splices to log (nil discards).
+func New(addr string, log *obs.Logger) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	s := &Server{
 		ln:           ln,
-		logf:         logf,
+		log:          log,
 		matchTimeout: 10 * time.Second,
 		done:         make(chan struct{}),
 		regs:         make(map[string]net.Conn),
@@ -261,7 +261,7 @@ func (s *Server) handleReg(conn net.Conn, addr string) {
 		s.dropReg(addr, conn)
 		return
 	}
-	s.logf("relay: %s registered by %s", addr, conn.RemoteAddr())
+	s.log.Infof("relay: %s registered by %s", addr, conn.RemoteAddr())
 	// Block reading the leg: the callee never writes again, so the read
 	// returning means the leg died and the registration is gone.
 	var buf [64]byte
@@ -349,7 +349,7 @@ func (s *Server) handleConn(conn net.Conn, target string) {
 			conn.Close()
 			return
 		}
-		s.logf("relay: spliced %s -> %s", conn.RemoteAddr(), target)
+		s.log.Infof("relay: spliced %s -> %s", conn.RemoteAddr(), target)
 		s.splice(conn, acpt)
 	case <-timer.C:
 		abort("match-timeout")

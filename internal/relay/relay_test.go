@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"naplet/internal/obs"
 )
 
 func tcpDial(addr string, timeout time.Duration) (net.Conn, error) {
@@ -26,11 +28,14 @@ func waitRegistered(t *testing.T, c *Client) {
 	}
 }
 
+// testLogger writes every level into the test's log.
+func testLogger(t *testing.T) *obs.Logger { return obs.NewLogger(t.Logf, obs.LevelDebug) }
+
 // TestSpliceBidirectional proves the full rendezvous: a registered callee
 // receives a caller's leg, and bytes flow both ways through the blind pipe
 // with half-close (CloseWrite) surviving the relay hop.
 func TestSpliceBidirectional(t *testing.T) {
-	srv, err := New("127.0.0.1:0", t.Logf)
+	srv, err := New("127.0.0.1:0", testLogger(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +47,7 @@ func TestSpliceBidirectional(t *testing.T) {
 		Advertise: "callee-1",
 		Dial:      tcpDial,
 		Handle:    func(c net.Conn) { accepted <- c },
-		Logf:      t.Logf,
+		Logger:    testLogger(t),
 	})
 	defer cli.Close()
 	waitRegistered(t, cli)
@@ -87,7 +92,7 @@ func TestSpliceBidirectional(t *testing.T) {
 // TestRefusesUnknownTarget proves a CONN for an unregistered address is
 // answered with ERR, surfaced as ErrRelayRefused.
 func TestRefusesUnknownTarget(t *testing.T) {
-	srv, err := New("127.0.0.1:0", t.Logf)
+	srv, err := New("127.0.0.1:0", testLogger(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +106,7 @@ func TestRefusesUnknownTarget(t *testing.T) {
 // leg dying: a usurping REG replaces (and severs) the old leg, and the
 // client re-registers after its backoff.
 func TestClientReregisters(t *testing.T) {
-	srv, err := New("127.0.0.1:0", t.Logf)
+	srv, err := New("127.0.0.1:0", testLogger(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +117,7 @@ func TestClientReregisters(t *testing.T) {
 		Advertise:  "callee-r",
 		Dial:       tcpDial,
 		Handle:     func(c net.Conn) { c.Close() },
-		Logf:       t.Logf,
+		Logger:     testLogger(t),
 		RedialBase: 20 * time.Millisecond,
 	})
 	defer cli.Close()
@@ -157,7 +162,7 @@ func TestClientReregisters(t *testing.T) {
 // TestConcurrentCalls proves independent rendezvous: several callers reach
 // the same callee at once and each pipe carries its own bytes.
 func TestConcurrentCalls(t *testing.T) {
-	srv, err := New("127.0.0.1:0", t.Logf)
+	srv, err := New("127.0.0.1:0", testLogger(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +179,7 @@ func TestConcurrentCalls(t *testing.T) {
 				io.Copy(c, c)
 			}()
 		},
-		Logf: t.Logf,
+		Logger: testLogger(t),
 	})
 	defer cli.Close()
 	waitRegistered(t, cli)
@@ -219,7 +224,7 @@ func TestConcurrentCalls(t *testing.T) {
 // the splice starts at the first payload byte (readLine consumed nothing
 // beyond the control line), so a byte-exact round trip survives.
 func TestRelayedLegIsOpaque(t *testing.T) {
-	srv, err := New("127.0.0.1:0", t.Logf)
+	srv, err := New("127.0.0.1:0", testLogger(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +236,7 @@ func TestRelayedLegIsOpaque(t *testing.T) {
 		Advertise: "callee-o",
 		Dial:      tcpDial,
 		Handle:    func(c net.Conn) { accepted <- c },
-		Logf:      t.Logf,
+		Logger:    testLogger(t),
 	})
 	defer cli.Close()
 	waitRegistered(t, cli)

@@ -562,13 +562,16 @@ func newHeldDump() *heldDump {
 	return &heldDump{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (h *heldDump) logf(format string, _ ...any) {
-	if strings.Contains(format, "flight recorder") {
-		h.once.Do(func() {
-			close(h.entered)
-			<-h.release
-		})
-	}
+// logger is a logger whose flight-recorder dump line is held.
+func (h *heldDump) logger() *obs.Logger {
+	return obs.NewLogger(func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), "flight recorder") {
+			h.once.Do(func() {
+				close(h.entered)
+				<-h.release
+			})
+		}
+	}, obs.LevelDebug)
 }
 
 // failingWrites fails every write once broken is set.
@@ -594,7 +597,7 @@ func TestReopenAfterWriteFailureDialsFresh(t *testing.T) {
 	defer close(dump.release)
 	var broken atomic.Bool
 	a := newTestPeerCfg(t, "a", true, func(cfg *Config) {
-		cfg.Logf = dump.logf
+		cfg.Logger = dump.logger()
 		cfg.WrapData = func(c net.Conn) net.Conn { return &failingWrites{Conn: c, broken: &broken} }
 	})
 	b := newTestPeer(t, "b", true)
@@ -625,7 +628,7 @@ func TestReopenAfterWriteFailureDialsFresh(t *testing.T) {
 // that has already ended.
 func TestManagerCloseWaitsForFailingTransport(t *testing.T) {
 	dump := newHeldDump()
-	a := newTestPeerCfg(t, "a", true, func(cfg *Config) { cfg.Logf = dump.logf })
+	a := newTestPeerCfg(t, "a", true, func(cfg *Config) { cfg.Logger = dump.logger() })
 	b := newTestPeer(t, "b", true)
 	if _, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second); err != nil {
 		t.Fatal(err)

@@ -47,8 +47,9 @@ type Config struct {
 	// Deliver hands an authorized inbound stream to the layer above; a false
 	// return means no endpoint claimed it and the stream is reset.
 	Deliver func(*wire.HandoffHeader, *Stream) bool
-	// Logf logs transport-level events; nil discards.
-	Logf func(format string, args ...any)
+	// Logger receives transport-level events; a transport's lines carry
+	// its id and peer host as fields. Nil discards.
+	Logger *obs.Logger
 
 	// KeepaliveInterval is how long a transport may sit without inbound
 	// traffic before the side probes it with a mux ping; 0 means the 15s
@@ -202,9 +203,7 @@ func advertisedLimits(cfg *Config) wire.Limits {
 	}
 	adv.KeepaliveMs = kaMs
 	if err := adv.Validate(); err != nil {
-		if cfg.Logf != nil {
-			cfg.Logf("transport: invalid limits override (%v); advertising defaults", err)
-		}
+		cfg.Logger.Warnf("transport: invalid limits override (%v); advertising defaults", err)
 		adv = wire.DefaultLimits()
 		adv.KeepaliveMs = kaMs
 	}
@@ -285,9 +284,7 @@ func (m *Manager) dialTransport(addr string, timeout time.Duration) (net.Conn, b
 		return nil, false, fmt.Errorf("transport: direct dial failed (%v); relay via %s failed: %w", err, ra, rerr)
 	}
 	m.relayDials.Inc()
-	if m.cfg.Logf != nil {
-		m.cfg.Logf("transport: direct dial to %s failed (%v); connected via relay %s", addr, err, ra)
-	}
+	m.cfg.Logger.Infof("transport: direct dial to %s failed (%v); connected via relay %s", addr, err, ra)
 	return rconn, true, nil
 }
 
@@ -473,6 +470,7 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 		opened:   time.Now(),
 		relayed:  relayed,
 		rec:      newFlightRecorder(),
+		log:      m.cfg.Logger.With("transport", hs.id).With("peer", hs.peer.Host),
 	}
 	lim := hs.neg.Limits
 	t.containerPlain = int(lim.MaxPayload)

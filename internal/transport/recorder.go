@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"naplet/internal/obs"
 )
 
 // This file is the transport's black-box flight recorder: every transport
@@ -127,13 +129,13 @@ func (r *flightRecorder) count(kind string) uint64 {
 // dump writes the ring into the log, one line per event, newest last; it
 // runs when a transport dies with ErrTransportLost so the black box is on
 // record before the tombstone replaces the transport.
-func (r *flightRecorder) dump(logf func(format string, args ...any), label string, cause error) {
-	if r == nil || logf == nil {
+func (r *flightRecorder) dump(log *obs.Logger, cause error) {
+	if r == nil || !log.Enabled(obs.LevelWarn) {
 		return
 	}
 	events, _ := r.snapshot()
-	logf("transport %s lost (%v); flight recorder (%d events):", label, cause, len(events))
+	log.Warnf("transport lost (%v); flight recorder (%d events):", cause, len(events))
 	for _, ev := range events {
-		logf("  %s", ev)
+		log.Warnf("  %s", ev)
 	}
 }

@@ -10,7 +10,29 @@ import (
 	"time"
 
 	"naplet/internal/netem"
+	"naplet/internal/obs"
 )
+
+// lineLog collects the lines a logger writes, formatted.
+type lineLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *lineLog) logf(format string, args ...any) {
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+// logger is a Debug-level logger writing into l.
+func (l *lineLog) logger() *obs.Logger { return obs.NewLogger(l.logf, obs.LevelDebug) }
+
+func (l *lineLog) snapshot() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.lines...)
+}
 
 func TestFlightRecorderRingAndCounts(t *testing.T) {
 	rec := newFlightRecorder()
@@ -54,26 +76,26 @@ func TestFlightRecorderRingAndCounts(t *testing.T) {
 	if nilRec.count("x") != 0 {
 		t.Fatal("nil recorder counts")
 	}
-	nilRec.dump(nil, "t", nil)
+	nilRec.dump(nil, nil)
 }
 
 func TestFlightRecorderDump(t *testing.T) {
 	rec := newFlightRecorder()
 	rec.record("dial", "peer=b addr=1.2.3.4:5")
 	rec.record("keepalive-timeout", "idle=750ms srtt=1ms")
-	var mu sync.Mutex
-	var lines []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-	rec.dump(logf, "tid (peer b)", ErrTransportLost)
+	var out lineLog
+	rec.dump(out.logger().With("transport", "tid").With("peer", "b"), ErrTransportLost)
+	lines := out.snapshot()
 	if len(lines) < 3 {
 		t.Fatalf("dump wrote %d lines: %q", len(lines), lines)
 	}
+	for _, ln := range lines {
+		if !strings.HasPrefix(ln, "WARN ") || !strings.HasSuffix(ln, " transport=tid peer=b") {
+			t.Errorf("dump line %q is not a Warn line carrying the transport's fields", ln)
+		}
+	}
 	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"tid (peer b)", "session lost", "dial", "peer=b addr=1.2.3.4:5", "keepalive-timeout", "idle=750ms"} {
+	for _, want := range []string{"session lost", "dial", "peer=b addr=1.2.3.4:5", "keepalive-timeout", "idle=750ms"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("dump missing %q:\n%s", want, joined)
 		}
@@ -91,8 +113,9 @@ func TestFlightRecorderCoalescesRepeats(t *testing.T) {
 		rec.record("credit-stall", "stream=%d", 1+2*(i%2)) // two streams in turn
 	}
 	rec.record("lost", "cause=x")
-	var lines []string
-	rec.dump(func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }, "tid", ErrTransportLost)
+	var out lineLog
+	rec.dump(out.logger(), ErrTransportLost)
+	lines := out.snapshot()
 	events, counts := rec.snapshot()
 	if counts["credit-stall"] != 1000 {
 		t.Fatalf("credit-stall count %d, want 1000", counts["credit-stall"])
@@ -123,7 +146,7 @@ func TestFlightRecorderCoalescesRepeats(t *testing.T) {
 func TestQueueStallRecorded(t *testing.T) {
 	var mu sync.Mutex
 	var held *stallConn
-	var lines []string
+	var out lineLog
 	a := newTestPeerCfg(t, "a", true, func(cfg *Config) {
 		cfg.WrapData = func(c net.Conn) net.Conn {
 			mu.Lock()
@@ -131,11 +154,7 @@ func TestQueueStallRecorded(t *testing.T) {
 			held = newStallConn(c)
 			return held
 		}
-		cfg.Logf = func(format string, args ...any) {
-			mu.Lock()
-			lines = append(lines, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		}
+		cfg.Logger = out.logger()
 	})
 	b := newTestPeer(t, "b", true)
 	cs, err := a.mgr.OpenStream(b.addr(), testHeader(t), 5*time.Second)
@@ -175,10 +194,20 @@ func TestQueueStallRecorded(t *testing.T) {
 	if n := stalls(); n != 1 {
 		t.Errorf("%d queue-stall events, want 1 for one wait", n)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if dump := strings.Join(lines, "\n"); !strings.Contains(dump, "queue-stall") {
-		t.Errorf("loss dump has no queue-stall:\n%s", dump)
+	// The dump is on record at Warn, each line carrying the transport's id
+	// and peer as fields.
+	fields := fmt.Sprintf(" transport=%s peer=b", cs.t.id)
+	var dump []string
+	for _, ln := range out.snapshot() {
+		if strings.HasSuffix(ln, fields) && strings.HasPrefix(ln, "WARN ") {
+			dump = append(dump, ln)
+		}
+	}
+	joined := strings.Join(dump, "\n")
+	for _, want := range []string{"flight recorder", "queue-stall"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("no Warn line with%s has %q; lines:\n%s", fields, want, strings.Join(out.snapshot(), "\n"))
+		}
 	}
 }
 

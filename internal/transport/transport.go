@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"naplet/internal/dhkx"
+	"naplet/internal/obs"
 	"naplet/internal/security"
 	"naplet/internal/wire"
 )
@@ -137,6 +138,8 @@ type Transport struct {
 	// events dumped into the log when the session dies with
 	// ErrTransportLost.
 	rec *flightRecorder
+	// log carries the transport's id and peer host on every line.
+	log *obs.Logger
 }
 
 // ID returns the transport id shared by both ends.
@@ -388,13 +391,13 @@ func (t *Transport) serveOpen(s *Stream, hdr *wire.HandoffHeader) {
 	cfg := &t.mgr.cfg
 	if cfg.Authorize != nil {
 		if err := cfg.Authorize(hdr); err != nil {
-			t.logf("transport %s: refused %s stream for %s: %v", t.peerHost, hdr.Purpose, hdr.ConnID, err)
+			t.log.Warnf("transport: refused %s stream for %s: %v", hdr.Purpose, hdr.ConnID, err)
 			s.reset("handoff denied")
 			return
 		}
 	}
 	if cfg.Deliver == nil || !cfg.Deliver(hdr, s) {
-		t.logf("transport %s: no endpoint claimed %s stream for %s", t.peerHost, hdr.Purpose, hdr.ConnID)
+		t.log.Warnf("transport: no endpoint claimed %s stream for %s", hdr.Purpose, hdr.ConnID)
 		s.reset("unclaimed")
 	}
 }
@@ -671,7 +674,7 @@ func (t *Transport) fail(cause error) {
 	// a caller that reopens on that news never finds the dead one.
 	if errors.Is(cause, ErrTransportLost) {
 		t.rec.record("lost", "%v", cause)
-		t.rec.dump(t.logf, fmt.Sprintf("%s (peer %s)", t.id, t.peerHost), cause)
+		t.rec.dump(t.log, cause)
 	}
 	if t.mgr != nil {
 		t.mgr.remove(t, cause)
@@ -692,10 +695,4 @@ func (t *Transport) streamCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.streams)
-}
-
-func (t *Transport) logf(format string, args ...any) {
-	if t.mgr != nil && t.mgr.cfg.Logf != nil {
-		t.mgr.cfg.Logf(format, args...)
-	}
 }

@@ -31,7 +31,7 @@ func waitRelayRegistered(t *testing.T, c *relay.Client) {
 // transport killed mid-stream is recovered by the connection above it:
 // core's TestMigrationSustainedThroughRelayNAT.)
 func TestRelayFallbackThroughNAT(t *testing.T) {
-	rs, err := relay.New("127.0.0.1:0", t.Logf)
+	rs, err := relay.New("127.0.0.1:0", obs.NewLogger(t.Logf, obs.LevelDebug))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRelayFallbackThroughNAT(t *testing.T) {
 		RelayAddr: rs.Addr(),
 		Advertise: b.addr(),
 		Handle:    func(c net.Conn) { b.mgr.HandleRelayedConn(c) },
-		Logf:      t.Logf,
+		Logger:    obs.NewLogger(t.Logf, obs.LevelDebug),
 	})
 	defer rc.Close()
 	waitRelayRegistered(t, rc)

@@ -126,10 +126,8 @@ type Config struct {
 	// nothing under any policy (appends are atomic single writes); the
 	// policy only matters for whole-machine failures.
 	JournalSync string
-	// Logf receives diagnostics; nil silences them.
-	Logf func(format string, args ...any)
-	// Logger receives leveled diagnostics from every layer of the node and
-	// takes precedence over Logf (which stays as a compatibility shim).
+	// Logger receives leveled diagnostics from every layer of the node, and
+	// agents' Context.Logf output at Info; nil silences them all.
 	Logger *obs.Logger
 	// Metrics collects the node's runtime metrics: connection lifecycle
 	// counters, FSM transitions, suspend/resume latency and phase
@@ -204,16 +202,6 @@ func NewNode(cfg Config) (*Node, error) {
 	ccfg.Logger = cfg.Logger
 	ccfg.Metrics = cfg.Metrics
 	ccfg.Tracer = tracer
-	if ccfg.Logger == nil {
-		// Logf alone receives every level; with neither set the controller
-		// and the agent host stay silent instead of falling back to the
-		// standard logger.
-		sink, min := cfg.Logf, obs.LevelDebug
-		if sink == nil {
-			sink, min = func(string, ...any) {}, obs.LevelError
-		}
-		ccfg.Logger = obs.NewLogger(sink, min)
-	}
 	ctrl, err := core.NewController(ccfg)
 	if err != nil {
 		if jnl != nil {
@@ -246,8 +234,7 @@ func NewNode(cfg Config) (*Node, error) {
 		Guard:          guard,
 		MigrationDelay: cfg.MigrationDelay,
 		ClusterSecret:  cfg.ClusterSecret,
-		Logf:           cfg.Logf,
-		Logger:         ccfg.Logger,
+		Logger:         cfg.Logger,
 		Metrics:        cfg.Metrics,
 		Tracer:         tracer,
 		Journal:        jnl,
@@ -347,9 +334,10 @@ func WithMigrationDelay(d time.Duration) NetworkOption {
 	return func(c *Config) { c.MigrationDelay = d }
 }
 
-// WithLogf routes node diagnostics.
+// WithLogf routes every level of node diagnostics, and agents'
+// Context.Logf output, to logf.
 func WithLogf(logf func(string, ...any)) NetworkOption {
-	return func(c *Config) { c.Logf = logf }
+	return func(c *Config) { c.Logger = obs.NewLogger(logf, obs.LevelDebug) }
 }
 
 // WithCore tunes controller timeouts on every node.

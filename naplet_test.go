@@ -434,8 +434,8 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// TestNoLoggerIsSilent: Config.Logf's "nil silences them" holds in every
-// layer. A network built without a logger writes nothing to the standard
+// TestNoLoggerIsSilent: Config.Logger's "nil silences them all" holds in
+// every layer. A network built without a logger writes nothing to the standard
 // logger across an agent's launch, migration and finish.
 func TestNoLoggerIsSilent(t *testing.T) {
 	var out lockedBuffer
