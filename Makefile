@@ -106,9 +106,14 @@ crash-soak:
 # backoff of a recovery whose peer is unreachable, and the agent-bundle
 # streams (delivery, warm reuse, a refusal with nothing docked, the size
 # bound), and the one transport writer (a peer whose kernel writes never
-# complete parks neither the shared data-plane pool nor a grant, pong,
-# CloseWrite or TryWrite), and the requester half of the control protocol
-# as the one table and interpreter it is (both tables checked cell by cell
+# complete parks no other peer's flush, nor a grant, pong or CloseWrite), the
+# lifetime of a connection's passes (a pump pass never waits for transport
+# queue room beside two bulk siblings; no pump or flush goroutine outlives
+# its work by a second, nor a credit-stalled flush its controller's close;
+# a line of their own: twenty bulk runs take about two minutes under the
+# race detector, which on the main line would near go test's ten-minute
+# timeout), and the requester half of the control protocol as
+# the one table and interpreter it is (both tables checked cell by cell
 # and against each other, every concurrent migration of Figs 4 and 5 — the
 # two-connection one bounded at a quarter of the operation timeout, so the
 # resume race costs a retry, not a timeout — a SUS granted in RESUME_WAIT, a
@@ -119,6 +124,7 @@ crash-soak:
 # repeated under the race detector.
 handoff-soak:
 	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestConcurrentWritersKeepWireOrder|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable' -race -count=20
+	$(GO) test ./internal/core -run 'TestBulkSiblingsNeverParkThePump|TestNoPassOutlivesItsWork' -race -count=20
 	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored|TestNothingWaitsOnAStuckKernelSend' -race -count=20
 
 # census prints the numbers a simplicity PR quotes, so CHANGES.md can be

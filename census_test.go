@@ -19,9 +19,8 @@ import (
 // default. A non-empty value names the option function that forwards into
 // the field; the census then requires a call of that function instead.
 var exemptKnobs = map[string]string{
-	"..Config.Policy":         "",
-	"..Config.MigrationDelay": "WithMigrationDelay",
-	"..Config.Core":           "WithCore",
+	"..Config.Policy": "",
+	"..Config.Core":   "WithCore",
 }
 
 // knobStruct is one struct type named *Config or *Options, declared in a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestDockSurvivesGarbage hands malformed bundles to the arrival path and
@@ -40,24 +39,6 @@ func TestDockRejectsBundleWithoutBehavior(t *testing.T) {
 	err = env.host("h1").arrive(raw)
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("incomplete bundle: arrive = %v, want a \"missing\" refusal", err)
-	}
-}
-
-// TestMigrationDelayModelsTransferCost checks the configured delay is
-// actually spent during a hop.
-func TestMigrationDelayModelsTransferCost(t *testing.T) {
-	// Two hosts with a 60ms migration delay.
-	shared := newEnv(t, "d1", "d2")
-	for _, name := range []string{"d1", "d2"} {
-		shared.host(name).cfg.MigrationDelay = 60 * time.Millisecond
-	}
-	start := time.Now()
-	if err := shared.host("d1").Launch("slowpoke", &hopper{Docks: []string{shared.dest("d2")}}); err != nil {
-		t.Fatal(err)
-	}
-	shared.awaitGone(t, "slowpoke")
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Fatalf("hop took %v, migration delay not applied", elapsed)
 	}
 }
 

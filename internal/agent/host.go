@@ -75,10 +75,6 @@ type Config struct {
 	Registry *Registry
 	// Guard issues agent credentials and enforces policy (required).
 	Guard *security.Guard
-	// MigrationDelay, when positive, is slept during each outbound
-	// migration to model the cost of shipping agent code and state over a
-	// real network (the paper's T_a-migrate, 220ms on their testbed).
-	MigrationDelay time.Duration
 	// Journal, when non-nil, receives agent checkpoints (behaviour state
 	// plus epoch, batched atomically with connection state from any
 	// ConnCheckpointer hooks) and feeds Recover after a restart.
@@ -412,13 +408,6 @@ func (h *Host) migrate(r *running, b Behavior, epoch uint64, dest string) {
 		}
 		blobs[hook.HookName()] = blob
 		departed = append(departed, hook)
-	}
-
-	if h.cfg.MigrationDelay > 0 {
-		select {
-		case <-time.After(h.cfg.MigrationDelay):
-		case <-h.rootCtx.Done():
-		}
 	}
 
 	// Vacate the residents table before shipping: once the destination has

@@ -229,9 +229,10 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 	// closed on the host it left without a count.)
 	eventually(t, "every endpoint to be re-established", func() bool {
 		for _, h := range env.hosts {
-			st := h.ctrl.Stats()
-			if st.ByState[fsm.Established.String()] != st.Connections {
-				return false
+			for _, in := range h.ctrl.ConnInfos() {
+				if in.State != fsm.Established.String() {
+					return false
+				}
 			}
 		}
 		return true

@@ -104,8 +104,9 @@ type Socket struct {
 	cond *sync.Cond
 
 	// sock is the installed data stream, nil while the connection is
-	// suspended. Its readable/writable callbacks enqueue the socket on the
-	// controller's shared worker pool, so a connection owns no goroutines.
+	// suspended. Its readable/writable callbacks start pump and flush
+	// passes on goroutines that live only while there is work, so an idle
+	// connection owns no goroutine.
 	sock *transport.Stream
 	// gen counts data-socket generations, so a stale pump pass's exit is
 	// ignored.
@@ -116,20 +117,19 @@ type Socket struct {
 	retxPending bool
 
 	// pumpPaused marks the pump stopped for receive-buffer backpressure;
-	// Read restarts it when the application catches up. Guarded by mu;
-	// pumpMu (taken without mu) single-flights pump passes.
-	pumpMu     sync.Mutex
+	// Read restarts it when the application catches up. Guarded by mu.
 	pumpPaused bool
 	// pumpDec assembles the generation's frames that straddle two stream
-	// segments (one per installed stream, swapped under mu, used under
-	// pumpMu); pumpSegs and pumpRuns are the pump's scratch lists, reused
-	// from pass to pass under pumpMu.
+	// segments (one per installed stream, swapped under mu, used by the
+	// pump pass); pumpSegs and pumpRuns are the pump's scratch lists, reused
+	// from pass to pass.
 	pumpDec  *wire.FrameDecoder
 	pumpSegs [][]byte
 	pumpRuns []segment
-	// dpQueued dedups pool entries; pumpReq/flushReq are the level-triggered
-	// event flags a pool pass consumes.
-	dpQueued, pumpReq, flushReq atomic.Bool
+	// pumpReq/flushReq are the level-triggered event flags a pass consumes;
+	// pumpRun/flushRun are set while a goroutine runs that kind of pass, so
+	// one pump and one flush at most run at a time (see kick).
+	pumpReq, pumpRun, flushReq, flushRun atomic.Bool
 
 	// traceSpan is the span of the in-flight traced operation on this
 	// socket (a migration's suspend or resume); while set, every outgoing

@@ -167,11 +167,6 @@ type Controller struct {
 	// flags).
 	tab *connTable
 
-	// dp is the shared data-plane worker pool: connections have no
-	// pump/flush goroutines of their own, their streams' readable/writable
-	// events are serviced here.
-	dp *dpPool
-
 	// mu guards the listener map and the closed flag — control-plane
 	// state touched at listen/accept/shutdown rate, not per connection.
 	mu        sync.Mutex
@@ -201,7 +196,6 @@ func NewController(cfg Config) (*Controller, error) {
 	ctrl := &Controller{
 		cfg:       cfg,
 		tab:       newConnTable(),
-		dp:        newDPPool(),
 		loc:       naming.NewCache(cfg.Locator, naming.CacheConfig{Metrics: cfg.Metrics}),
 		listeners: make(map[string]*ServerSocket),
 		locEpochs: make(map[string]uint64),
@@ -211,14 +205,12 @@ func NewController(cfg Config) (*Controller, error) {
 	ep, err := rudp.Listen(cfg.ControlAddr, ctrl.handleControl,
 		rudp.Config{SendDelay: cfg.ControlSendDelay, DropFn: cfg.ControlDropFn})
 	if err != nil {
-		ctrl.dp.close()
 		return nil, err
 	}
 	ctrl.ep = ep
 	red, err := newRedirector(ctrl, cfg.DataAddr)
 	if err != nil {
 		ep.Close()
-		ctrl.dp.close()
 		return nil, err
 	}
 	ctrl.red = red
@@ -265,37 +257,6 @@ func (ctrl *Controller) DataAddr() string { return ctrl.red.addr() }
 // ControlStats exposes the control channel's counters.
 func (ctrl *Controller) ControlStats() rudp.Stats { return ctrl.ep.Stats() }
 
-// Stats is a snapshot of the controller's load.
-type Stats struct {
-	// Connections is the number of resident connection endpoints.
-	Connections int
-	// ByState counts resident connections per protocol state name.
-	ByState map[string]int
-	// Listeners is the number of open server sockets.
-	Listeners int
-	// MigratingAgents counts agents currently in their suspend phase.
-	MigratingAgents int
-}
-
-// Stats returns a snapshot of the controller's load, for monitoring and
-// tests.
-func (ctrl *Controller) Stats() Stats {
-	conns := ctrl.tab.all()
-	ctrl.mu.Lock()
-	listeners := len(ctrl.listeners)
-	ctrl.mu.Unlock()
-	st := Stats{
-		Connections:     len(conns),
-		ByState:         make(map[string]int),
-		Listeners:       listeners,
-		MigratingAgents: ctrl.tab.migratingCount(),
-	}
-	for _, s := range conns {
-		st.ByState[s.State().String()]++
-	}
-	return st
-}
-
 // ConnInfos snapshots every resident connection endpoint, sorted by
 // connection id — the data source of the /connz debug view.
 func (ctrl *Controller) ConnInfos() []Info {
@@ -337,7 +298,6 @@ func (ctrl *Controller) Close() error {
 		s.markClosedLocked(nil)
 		s.mu.Unlock()
 	}
-	ctrl.dp.close()
 	err := ctrl.red.close()
 	if eerr := ctrl.ep.Close(); err == nil {
 		err = eerr

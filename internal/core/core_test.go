@@ -646,7 +646,7 @@ func TestHandoffForUnknownConnRejected(t *testing.T) {
 	id, _ := wire.NewConnID()
 	hdr := &wire.HandoffHeader{Purpose: wire.HandoffConnect, ConnID: id, TargetAgent: "x", FromAgent: "y"}
 	expectHandoffRefused(t, env.hosts["h1"].ctrl, hdr, 0)
-	if n := env.hosts["h1"].ctrl.Stats().Connections; n != 0 {
+	if n := env.hosts["h1"].ctrl.tab.count(); n != 0 {
 		t.Fatalf("%d connections after a refused handoff, want 0", n)
 	}
 }

@@ -154,10 +154,10 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 	s.cutWritten(sock, last, 0, nil)
 
 	// The stream's readable/writable callbacks drive pump and flush passes
-	// on the controller's shared worker pool, so a host with 100k
-	// connections runs O(pool) data-plane goroutines, not O(conns).
-	// Registration fires the hook immediately if data or credit is already
-	// pending, so nothing that raced in before this point is lost.
+	// on goroutines started on demand, so a host with 100k idle connections
+	// runs no data-plane goroutine for them. Registration fires the hook
+	// immediately if data or credit is already pending, so nothing that
+	// raced in before this point is lost.
 	sock.SetReadable(s.schedulePump)
 	sock.SetWritable(s.scheduleFlush)
 	return nil
@@ -176,18 +176,34 @@ func (s *Socket) dropSockLocked() {
 	s.cutLocked()
 }
 
-// schedulePump requests a pump pass for this socket on the shared worker
-// pool. Level-triggered and deduped; safe from any goroutine, including
-// the transport read loop and callers holding s.mu.
-func (s *Socket) schedulePump() {
-	s.pumpReq.Store(true)
-	s.ctrl.dp.enqueue(s)
-}
+// schedulePump requests a pump pass for this socket. Level-triggered and
+// deduped; safe from any goroutine, including the transport read loop and
+// callers holding s.mu.
+func (s *Socket) schedulePump() { kick(&s.pumpReq, &s.pumpRun, s.pumpEvent) }
 
-// scheduleFlush requests a flush pass on the shared worker pool.
-func (s *Socket) scheduleFlush() {
-	s.flushReq.Store(true)
-	s.ctrl.dp.enqueue(s)
+// scheduleFlush requests a flush pass, likewise.
+func (s *Socket) scheduleFlush() { kick(&s.flushReq, &s.flushRun, s.flushEvent) }
+
+// kick sets req and, unless a goroutine already runs this kind of pass,
+// starts one that runs pass until req stays clear. A request raised while
+// a pass runs is taken up by the same goroutine; one raised between its
+// last look and its exit restarts it, so no wake-up is lost.
+func kick(req, running *atomic.Bool, pass func()) {
+	req.Store(true)
+	if !running.CompareAndSwap(false, true) {
+		return
+	}
+	go func() {
+		for {
+			for req.Swap(false) {
+				pass()
+			}
+			running.Store(false)
+			if !req.Load() || !running.CompareAndSwap(false, true) {
+				return
+			}
+		}
+	}()
 }
 
 // pumpEvent is one event-driven pump pass: take the segments the stream has
@@ -195,11 +211,8 @@ func (s *Socket) scheduleFlush() {
 // the network. It stops when the stream runs dry, when the receive buffer
 // is at its bound (backpressure: not taking means the stream grants the
 // peer no more flow-control credit), or when the stream reports a terminal
-// condition. pumpMu single-flights passes so a re-enqueue during a pass
-// cannot interleave them.
+// condition. The pump's run flag admits one pass at a time.
 func (s *Socket) pumpEvent() {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
 	for {
 		s.mu.Lock()
 		st, gen, dec := s.sock, s.gen, s.pumpDec
@@ -299,11 +312,11 @@ func (w *frameWalk) admit(buf []byte, off int) (start, stop, end int, err error)
 // Each segment is walked where it lies and queued as it is; only a frame
 // that straddles two segments is assembled, in a pooled buffer of its own,
 // itself a one-frame segment. Everything is queued under one lock
-// acquisition, and nothing waits for buffer space: the pump must not block
-// a pool worker, so pumpEvent stops taking from the stream while the buffer
-// is at its bound. It reports false when the socket generation ended
-// underneath the pump (what was taken is recycled), and the error of a
-// malformed frame after queueing what preceded it.
+// acquisition, and nothing waits for buffer space: pumpEvent stops taking
+// from the stream while the buffer is at its bound and ends its pass, so a
+// connection parked there holds no goroutine. It reports false when the
+// socket generation ended underneath the pump (what was taken is recycled),
+// and the error of a malformed frame after queueing what preceded it.
 func (s *Socket) ingest(gen int, dec *wire.FrameDecoder, last uint64, segs [][]byte) (bool, error) {
 	w := frameWalk{last: last}
 	runs := s.pumpRuns[:0]
@@ -435,25 +448,15 @@ func (s *Socket) cutWritten(sock *transport.Stream, last, writes uint64, err err
 
 // flushEvent is one event-driven flush pass: cut the pending frames and
 // push them to the stream. A pass that finds flushMu taken stands down: the
-// holder re-checks for pending frames on release. A batch the stream cannot
-// take without waiting — it lacks send credit, or the transport's write
-// queue is full of sibling streams' bulk — is handed to a transient
-// goroutine that rides out the wait holding flushMu, so pool workers never
-// block on a slow peer or a busy transport.
+// holder re-checks for pending frames on release. The write may wait on
+// send credit or a full transport write queue; it does so on the flush
+// pass's own goroutine, never the pump's, so a stalled flush does not stop
+// the connection granting its peer credit.
 func (s *Socket) flushEvent() {
 	if !s.flushMu.TryLock() {
 		return
 	}
-	sock, last, batch := s.cut()
-	if batch == nil {
-		s.cutWritten(sock, last, 0, nil)
-		return
-	}
-	if wrote, err := sock.TryWrite(batch); wrote || err != nil {
-		s.cutWritten(sock, last, 1, err)
-		return
-	}
-	go s.writeCut(sock, last, batch)
+	s.writeCut(s.cut())
 }
 
 // flushInline is a writer's own flush: it waits for flushMu, then cuts and
@@ -812,8 +815,8 @@ func (s *Socket) writeFrame(p []byte) error {
 	// With flushMu free the cut joins this hold of mu: TryLock never waits,
 	// so taking it under mu keeps the lock order. Otherwise a flush pass
 	// woken by a credit grant could take the batch in the gap between the
-	// locks and, short of credit, hand it to a goroutine of its own that
-	// the writer then waits for — a hand-off per 64 KiB message.
+	// locks and, short of credit, hold flushMu through its write while the
+	// writer waits for it — a hand-off per 64 KiB message.
 	if s.flushMu.TryLock() {
 		sock, last, batch := s.cutForWriteLocked()
 		s.mu.Unlock()

@@ -471,24 +471,58 @@ func TestDataPlaneStressConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBulkSiblingsLeaveThePoolFree: two bulk streams and a small-message
-// sibling share one encrypted transport. The bulk writers keep the
-// transport's write queue at its bound, so a flush pass that wrote
-// the sibling's batch from a pool worker would park that worker in
-// recordFlusher.waitSpace — holding the worker every connection's pump and
-// flush share. A batch the stream cannot take without waiting goes to a
-// transient goroutine instead, and a window grant never waits for queue
-// room: the sibling's round trips keep completing, and no goroutine dump
-// taken throughout finds a pool worker inside waitSpace.
-func TestBulkSiblingsLeaveThePoolFree(t *testing.T) {
-	const rounds = 500
+// goroutinesHolding returns the goroutines whose stacks hold every one of
+// frames, from one dump of them all. *buf holds the dump; it is grown as
+// needed and kept for the next call.
+func goroutinesHolding(buf *[]byte, frames ...string) []string {
+	var n int
+	for {
+		if len(*buf) == 0 {
+			*buf = make([]byte, 1<<20)
+		}
+		if n = runtime.Stack(*buf, true); n < len(*buf) {
+			break
+		}
+		*buf = make([]byte, 2*len(*buf))
+	}
+	var out []string
+next:
+	for _, g := range bytes.Split((*buf)[:n], []byte("\n\n")) {
+		for _, f := range frames {
+			if !bytes.Contains(g, []byte(f)) {
+				continue next
+			}
+		}
+		out = append(out, string(g))
+	}
+	return out
+}
+
+// TestBulkSiblingsNeverParkThePump: two bulk streams, one each way, and a
+// small-message sibling share one encrypted transport. The bulk writers keep
+// each host's write queue at its bound, so a data write may wait in
+// recordFlusher.waitSpace — on a flush pass or a writer, never on a pump
+// pass: each bulk reader's pump grants its writer credit through the queue
+// the other direction's bulk holds full, and a pump that waited there would
+// stop granting. A window grant never waits for queue room, so the
+// sibling's round trips keep completing, and no goroutine dump taken
+// throughout finds a pump pass inside waitSpace.
+func TestBulkSiblingsNeverParkThePump(t *testing.T) {
+	rounds := 500
+	if raceDetector() {
+		rounds = 150 // the soak runs it twenty times under the detector
+	}
 	env := newEnv(t, []string{"h1", "h2"})
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	defer stop.Store(true)
 	for i := 0; i < 2; i++ {
-		w, r := env.pair(fmt.Sprintf("bulk%d", i), "h1", fmt.Sprintf("drain%d", i), "h2")
+		from, to := "h1", "h2"
+		if i == 1 {
+			from, to = to, from
+		}
+		w, r := env.pair(fmt.Sprintf("bulk%d", i), from, fmt.Sprintf("drain%d", i), to)
 		defer w.Close()
 		wg.Add(2)
 		go func() {
@@ -527,14 +561,9 @@ func TestBulkSiblingsLeaveThePoolFree(t *testing.T) {
 	sampled := make(chan struct{})
 	go func() {
 		defer close(sampled)
-		buf := make([]byte, 1<<20)
+		var buf []byte
 		for !stop.Load() {
-			n := runtime.Stack(buf, true)
-			for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
-				if bytes.Contains(g, []byte("(*dpPool).worker")) && bytes.Contains(g, []byte("(*recordFlusher).waitSpace")) {
-					parked++
-				}
-			}
+			parked += len(goroutinesHolding(&buf, "(*Socket).pumpEvent", "(*recordFlusher).waitSpace"))
 			samples++
 			time.Sleep(200 * time.Microsecond)
 		}
@@ -554,10 +583,83 @@ func TestBulkSiblingsLeaveThePoolFree(t *testing.T) {
 	}
 	stop.Store(true)
 	<-sampled
-	t.Logf("%d small round trips beside two bulk streams, the slowest %v; a pool worker in waitSpace in %d of %d goroutine dumps",
+	t.Logf("%d small round trips beside two bulk streams, the slowest %v; a pump pass in waitSpace in %d of %d goroutine dumps",
 		rounds, worst, parked, samples)
 	if parked > 0 {
-		t.Errorf("a pool worker sat in waitSpace in %d of %d goroutine dumps, want none", parked, samples)
+		t.Errorf("a pump pass sat in waitSpace in %d of %d goroutine dumps, want none", parked, samples)
+	}
+}
+
+// TestNoPassOutlivesItsWork: a pump or flush pass runs on a goroutine that
+// exists only while its connection has work. Within a second after traffic
+// stops no pass goroutine is left, busy or idle; and a flush pass stalled on
+// send credit — the peer has stopped reading — ends within a second after
+// its controller closes.
+func TestNoPassOutlivesItsWork(t *testing.T) {
+	env := newEnv(t, []string{"h1", "h2"})
+	// Every pass goroutine runs kick's loop; a pass in progress also holds
+	// pumpEvent or flushEvent.
+	const passLoop = "naplet/internal/core.kick."
+	var buf []byte
+	passesEnd := func(when string) {
+		t.Helper()
+		deadline := time.Now().Add(time.Second)
+		for {
+			gs := goroutinesHolding(&buf, passLoop)
+			if len(gs) == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d pass goroutines left after 1 s:\n%s", when, len(gs), gs[0])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	client, echo := env.pair("talker", "h1", "echo", "h2")
+	defer client.Close()
+	go func() {
+		for {
+			m, err := echo.ReadMsg()
+			if err != nil || echo.WriteMsg(m) != nil {
+				return
+			}
+		}
+	}()
+	for _, size := range []int{1, 100, 1 << 10, 64 << 10, 100} {
+		for i := 0; i < 20; i++ {
+			if err := client.WriteMsg(make([]byte, size)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.ReadMsg(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	passesEnd("traffic stopped")
+
+	// A writer toward a reader that never reads: the reader's buffer and
+	// then the writer's credit run out. Paced writes below the inline
+	// flush mark leave every write to a flush pass, so a pass meets the
+	// credit wall.
+	w, _ := env.pair("writer", "h1", "idle", "h2")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		msg := make([]byte, 8<<10)
+		for w.WriteMsg(msg) == nil {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	eventually(t, "a flush pass to stall on send credit", func() bool {
+		return len(goroutinesHolding(&buf, passLoop, "(*Socket).flushEvent", "(*Stream).waitLocked")) > 0
+	})
+	env.hosts["h1"].ctrl.Close()
+	passesEnd("controller closed")
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the writer is still blocked 5 s after its controller closed")
 	}
 }
 
@@ -589,12 +691,10 @@ func (c writeGatedConn) Write(p []byte) (int, error) {
 }
 
 // TestSlowPeerDoesNotStallOtherPeers: h1 holds ten connections to h2, whose
-// kernel writes from h1 never complete, and one to h3. Every flush pass runs
-// on the data-plane pool that all of h1's connections share, so a pass that
-// waited on the kernel toward h2 would hold a worker, and ten of them hold
-// them all (the pool is FIFO and at most eight strong): h3's message would
-// queue behind them for as long as h2 stalls. Flush passes only hand frames
-// to the transport's writer, on cleartext and sealed sessions alike, so h3's
+// kernel writes from h1 never complete, and one to h3. Each connection's
+// flush pass runs on a goroutine of its own, and a pass only hands frames to
+// its transport's writer, on cleartext and sealed sessions alike: nothing
+// h3's connection needs waits behind the ten stalled toward h2, so h3's
 // message arrives at once.
 func TestSlowPeerDoesNotStallOtherPeers(t *testing.T) {
 	for _, cleartext := range []bool{true, false} {

@@ -521,27 +521,41 @@ func TestSoakRandomMigrationsManyPairs(t *testing.T) {
 	t.Logf("soak: %d pairs × %d messages across %d random migrations", pairs, msgs, migrations)
 }
 
+// byState counts ctrl's resident endpoints per protocol state name, as
+// /connz lists them.
+func byState(ctrl *Controller) map[string]int {
+	n := make(map[string]int)
+	for _, in := range ctrl.ConnInfos() {
+		n[in.State]++
+	}
+	return n
+}
+
+func listenerCount(ctrl *Controller) int {
+	ctrl.mu.Lock()
+	defer ctrl.mu.Unlock()
+	return len(ctrl.listeners)
+}
+
 func TestControllerStats(t *testing.T) {
 	env := newEnv(t, []string{"h1", "h2"})
-	h1 := env.hosts["h1"]
-	if got := h1.ctrl.Stats(); got.Connections != 0 || got.Listeners != 0 {
-		t.Fatalf("fresh stats = %+v", got)
+	h1, h2 := env.hosts["h1"].ctrl, env.hosts["h2"].ctrl
+	if conns, ls := h1.tab.count(), listenerCount(h1); conns != 0 || ls != 0 {
+		t.Fatalf("fresh h1 holds %d connections, %d listeners", conns, ls)
 	}
 	client, _ := env.pair("a", "h1", "b", "h2")
 	defer client.Close()
-	st1 := h1.ctrl.Stats()
-	if st1.Connections != 1 || st1.ByState["ESTABLISHED"] != 1 {
-		t.Fatalf("h1 stats = %+v", st1)
+	if conns, st := h1.tab.count(), byState(h1); conns != 1 || st["ESTABLISHED"] != 1 {
+		t.Fatalf("h1 holds %d connections by state %v", conns, st)
 	}
-	st2 := env.hosts["h2"].ctrl.Stats()
-	if st2.Connections != 1 || st2.Listeners != 1 {
-		t.Fatalf("h2 stats = %+v", st2)
+	if conns, ls := h2.tab.count(), listenerCount(h2); conns != 1 || ls != 1 {
+		t.Fatalf("h2 holds %d connections, %d listeners", conns, ls)
 	}
 	if err := client.Suspend(); err != nil {
 		t.Fatal(err)
 	}
-	if st := h1.ctrl.Stats(); st.ByState["SUSPENDED"] != 1 {
-		t.Fatalf("suspended stats = %+v", st)
+	if st := byState(h1); st["SUSPENDED"] != 1 {
+		t.Fatalf("suspended h1 by state %v", st)
 	}
 	client.Resume()
 }

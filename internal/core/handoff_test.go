@@ -335,12 +335,7 @@ func TestStreamDeathBeforeEstablished(t *testing.T) {
 			s.mu.Lock()
 			_, terminal := s.sock.TermStatus()
 			s.mu.Unlock()
-			if !terminal || s.pumpReq.Load() || s.dpQueued.Load() {
-				return false
-			}
-			s.pumpMu.Lock() // wait out a pass in flight
-			s.pumpMu.Unlock()
-			return true
+			return terminal && !s.pumpReq.Load() && !s.pumpRun.Load()
 		})
 	}
 	if cs, ss := client.State(), server.State(); cs != fsm.ConnectSent || ss != fsm.ConnectAcked {
@@ -416,7 +411,7 @@ func TestOpenRefusedHandoffLeavesNoEndpoint(t *testing.T) {
 		}
 		t.Logf("OpenAs failed after %v: %v", time.Since(start).Round(time.Millisecond), err)
 		for name, h := range env.hosts {
-			if n := h.ctrl.Stats().Connections; n != 0 {
+			if n := h.ctrl.tab.count(); n != 0 {
 				t.Errorf("%s holds %d endpoints after a refused open, want 0", name, n)
 			}
 		}
@@ -457,13 +452,12 @@ func TestOpenRefusedHandoffLeavesNoEndpoint(t *testing.T) {
 			t.Fatal("OpenAs succeeded although the server never got the ID")
 		}
 		for deadline := time.Now().Add(4 * opTimeout); ; time.Sleep(time.Millisecond) {
-			st := h2.ctrl.Stats()
-			if st.Connections == 0 && h1.ctrl.Stats().Connections == 0 {
+			if h2.ctrl.tab.count() == 0 && h1.ctrl.tab.count() == 0 {
 				break
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("h2 holds %v, h1 %d endpoints %v after the open failed, want none",
-					st.ByState, h1.ctrl.Stats().Connections, 4*opTimeout)
+					byState(h2.ctrl), h1.ctrl.tab.count(), 4*opTimeout)
 			}
 		}
 	})

@@ -43,8 +43,8 @@ func settledGoroutines(t *testing.T, target int) int {
 // TestGoroutineCountFlatAcrossConns guards the goroutine collapse behind
 // the 100k-connection target: opening and closing many connections must
 // not leave per-connection goroutines behind. Steady state is
-// O(transports + worker pool), not O(conns), so after a
-// churn of N connections the count must return to the post-warmup
+// O(transports), not O(conns) — a pass goroutine lives only while its
+// connection has work — so after a churn of N connections the count must return to the post-warmup
 // baseline (slack covers runtime and test-harness noise).
 func TestGoroutineCountFlatAcrossConns(t *testing.T) {
 	env := newEnv(t, []string{"h1", "h2"})
@@ -64,8 +64,8 @@ func TestGoroutineCountFlatAcrossConns(t *testing.T) {
 		}
 	}
 
-	// Warm up the shared machinery (host-pair transports, data-plane
-	// worker pool) so it lands in the baseline, not in the churn delta.
+	// Warm up the shared machinery (host-pair transports) so it lands in
+	// the baseline, not in the churn delta.
 	churn(-1)
 	base := settledGoroutines(t, 0)
 

@@ -41,6 +41,21 @@ func seededBytes(rng *rand.Rand, n int) []byte {
 	return p
 }
 
+// holdPump takes the pump's run flag once any pass in flight has ended, so
+// no pump pass runs until the returned release; a readable event raised
+// meanwhile is run on release.
+func holdPump(s *Socket) (release func()) {
+	for !s.pumpRun.CompareAndSwap(false, true) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return func() {
+		s.pumpRun.Store(false)
+		if s.pumpReq.Load() {
+			s.schedulePump()
+		}
+	}
+}
+
 // quiescent fails the test unless the receive side of s holds nothing and
 // has nothing left to do: ROADMAP item 1's "no quiescent state with
 // undelivered bytes", stated for the pump.
@@ -104,16 +119,16 @@ func TestPumpDeliversAcrossEverySplit(t *testing.T) {
 		if cut%2 == 1 {
 			handOvers = [][][]byte{handOvers[0][:1], handOvers[0][1:]}
 		}
+		release := holdPump(server)
 		server.pumpEvent()
 		for _, segs := range handOvers {
-			server.pumpMu.Lock()
 			ok, err := server.ingest(server.gen, dec, server.delivered(), segs)
-			server.pumpMu.Unlock()
 			if !ok || err != nil {
 				t.Fatalf("%s: ingest: ok=%v err=%v", when, ok, err)
 			}
 			server.pumpEvent()
 		}
+		release()
 		if info := server.Info(); info.RecvBufferedBytes != len(want) || info.RecvBufferedMsgs != len(payloads) {
 			t.Fatalf("%s: %d bytes in %d messages buffered, want %d in %d",
 				when, info.RecvBufferedBytes, info.RecvBufferedMsgs, len(want), len(payloads))
@@ -195,14 +210,14 @@ func TestPumpDeliversLiveSplits(t *testing.T) {
 			t.Fatalf("cut at %d: delivered bytes differ from those sent", cut)
 		}
 	}
-	// The spurious events drain on the worker pool; then nothing is left.
+	// The spurious events' passes end; then nothing is left.
 	deadline := time.Now().Add(5 * time.Second)
-	for (server.pumpReq.Load() || server.dpQueued.Load()) && time.Now().Before(deadline) {
+	for (server.pumpReq.Load() || server.pumpRun.Load()) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	server.pumpMu.Lock()
+	release := holdPump(server)
 	dec := server.pumpDec
-	server.pumpMu.Unlock()
+	release()
 	quiescent(t, server, dec, "after the last cut")
 }
 
@@ -319,7 +334,7 @@ func TestRetransmitStartsInsideSegment(t *testing.T) {
 	}
 	// With the pump held, five more frames — same send segment — reach the
 	// receiver's stream at most, and killing it loses them there.
-	server.pumpMu.Lock()
+	release := holdPump(server)
 	for i := 5; i < 10; i++ {
 		writeCounter(t, client, i)
 	}
@@ -329,7 +344,7 @@ func TestRetransmitStartsInsideSegment(t *testing.T) {
 	}
 	client.mu.Unlock()
 	server.KillDataSocket()
-	server.pumpMu.Unlock()
+	release()
 
 	var seqs []uint64
 	server.SetObserver(func(seq uint64, _ []byte, _ bool) { seqs = append(seqs, seq) })

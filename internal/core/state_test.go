@@ -233,10 +233,7 @@ func TestPostArriveIsAllOrNothing(t *testing.T) {
 		if !errors.Is(err, errBadState) {
 			t.Fatalf("%s: PostArrive returned %v", what, err)
 		}
-		dst.mu.Lock()
-		listeners := len(dst.listeners)
-		dst.mu.Unlock()
-		if n := dst.tab.count(); n != 0 || listeners != 0 {
+		if n, listeners := dst.tab.count(), listenerCount(dst); n != 0 || listeners != 0 {
 			t.Fatalf("%s: %d connections and %d listeners registered by a failed arrival", what, n, listeners)
 		}
 	}

@@ -64,7 +64,8 @@ type C10KResult struct {
 	// BaselineGoroutines is the process goroutine count with the
 	// deployment up but zero connections; SteadyGoroutines is the count
 	// with all Conns established. Their difference is the scaling
-	// invariant: O(transports + worker pool), never O(conns).
+	// invariant: O(transports), never O(conns) — an idle connection runs
+	// no goroutine.
 	BaselineGoroutines, SteadyGoroutines int
 	// WaveWall is the wall time of the whole migration wave; WaveP50 and
 	// WaveP99 are per-connection suspend-to-resumed latencies across the

@@ -340,23 +340,20 @@ type Transition struct {
 // the machine.
 type Observer func(Transition)
 
-// Machine is a concurrency-safe instance of the state machine with history,
-// one per connection endpoint.
+// Machine is a concurrency-safe instance of the state machine, one per
+// connection endpoint.
 type Machine struct {
 	// state is written under mu (Step) and read without it: State sits on
 	// the data path, once per message written.
 	state    atomic.Uint32
 	mu       sync.Mutex
-	history  []Transition
 	observer Observer
-	// maxHistory bounds the retained history.
-	maxHistory int
 }
 
 // NewMachine returns a machine starting in the given state (Closed for
 // fresh connections).
 func NewMachine(start State) *Machine {
-	m := &Machine{maxHistory: 128}
+	m := &Machine{}
 	m.state.Store(uint32(start))
 	return m
 }
@@ -384,10 +381,6 @@ func (m *Machine) Step(e Event) (State, error) {
 		return from, err
 	}
 	tr := Transition{From: from, Event: e, To: to, At: time.Now()}
-	m.history = append(m.history, tr)
-	if len(m.history) > m.maxHistory {
-		m.history = m.history[len(m.history)-m.maxHistory:]
-	}
 	m.state.Store(uint32(to))
 	obs := m.observer
 	m.mu.Unlock()
@@ -395,24 +388,4 @@ func (m *Machine) Step(e Event) (State, error) {
 		obs(tr)
 	}
 	return to, nil
-}
-
-// In reports whether the current state is one of the given states.
-func (m *Machine) In(states ...State) bool {
-	cur := m.State()
-	for _, s := range states {
-		if cur == s {
-			return true
-		}
-	}
-	return false
-}
-
-// History returns a copy of the recorded transitions, oldest first.
-func (m *Machine) History() []Transition {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Transition, len(m.history))
-	copy(out, m.history)
-	return out
 }

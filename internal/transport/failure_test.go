@@ -298,10 +298,10 @@ func TestKeepaliveDetectsHalfOpenTransport(t *testing.T) {
 }
 
 // TestNothingWaitsOnAStuckKernelSend: with a session's kernel writes held,
-// only a data writer over the write queue's bound may wait. A TryWrite, a
-// credit grant from TakeSegments, a CloseWrite and the read loop's answer to
-// a ping each return at once, on both session kinds — they run on the shared
-// data-plane workers and the read loop, which a slow peer must never park.
+// only a data writer over the write queue's bound may wait. A credit grant
+// from TakeSegments, a CloseWrite and the read loop's answer to a ping each
+// return at once, on both session kinds — they run on pump passes and the
+// read loop, which a slow peer must never park.
 func TestNothingWaitsOnAStuckKernelSend(t *testing.T) {
 	for _, insecure := range []bool{false, true} {
 		t.Run(fmt.Sprintf("insecure=%v", insecure), func(t *testing.T) {
@@ -372,12 +372,6 @@ func TestNothingWaitsOnAStuckKernelSend(t *testing.T) {
 					t.Fatalf("%s waited on the held kernel write", what)
 				}
 			}
-			within("TryWrite", func() error {
-				if ok, err := cs.TryWrite([]byte("queued")); !ok || err != nil {
-					return fmt.Errorf("got %v, %v; want queued", ok, err)
-				}
-				return nil
-			})
 			within("a credit grant", func() error {
 				for _, seg := range cs.TakeSegments(nil, 2*half) {
 					wire.PutPayload(seg)

@@ -22,7 +22,7 @@ const maxPendingRecordBytes = 1 << 20
 // goroutine writevs the chunks to the socket — on encrypted sessions each
 // sealed into one MuxSealed record first (queue order == seal order == nonce
 // order), on cleartext sessions as they are, a chunk being a run of whole mux
-// frames. No producer — a stream writer, a pool worker's flush pass, a
+// frames. No producer — a stream writer, a connection's flush pass, a
 // credit grant, the read loop's pong — ever waits on the kernel, and a burst
 // of small frames costs one GCM pass and one writev entry instead of one
 // each.
@@ -77,7 +77,7 @@ func (f *recordFlusher) enqueue(typ uint8, stream uint64, payload []byte) {
 }
 
 // waitSpace blocks while the pending queue is over budget. Only data frames
-// wait (writeFrame); control frames and Stream.TryWrite skip the wait. Each
+// wait (writeFrame); control frames skip the wait. Each
 // wait is one queue-stall event in the flight recorder, folded with its
 // repeats, so a transport whose kernel send is stuck shows on /connz and in
 // the loss dump.
@@ -90,14 +90,6 @@ func (f *recordFlusher) waitSpace() {
 		}
 	}
 	f.mu.Unlock()
-}
-
-// full reports whether the pending queue is over budget: a write now would
-// wait in waitSpace.
-func (f *recordFlusher) full() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.qBytes >= maxPendingRecordBytes && !f.closed
 }
 
 // close shuts the flusher down for good (transport failed): queued

@@ -492,34 +492,6 @@ func (s *Stream) SetWritable(fn func()) {
 	}
 }
 
-// TryWrite writes all of p if it can without waiting, and reports whether
-// it did: the stream must hold the credit for every byte, and the
-// transport's write queue must be under its bound. Otherwise it
-// writes nothing and returns false, and the caller — a worker shared by many
-// connections, which must not block — hands p to a goroutine of its own for
-// Write. A sibling stream that fills the queue between the check and the
-// write only lets it run over its bound by p.
-func (s *Stream) TryWrite(p []byte) (bool, error) {
-	if s.t.flusher.full() {
-		return false, nil
-	}
-	s.mu.Lock()
-	if err := s.writeErrLocked(); err != nil || s.sendWindow < len(p) {
-		s.mu.Unlock()
-		return false, err
-	}
-	s.sendWindow -= len(p)
-	s.mu.Unlock()
-	for len(p) > 0 {
-		n := min(len(p), s.t.maxPlain)
-		if err := s.t.sendFrame(wire.MuxData, s.id, p[:n]); err != nil {
-			return false, err
-		}
-		p = p[n:]
-	}
-	return true, nil
-}
-
 // SendWindow reports the remaining peer-granted send credit.
 func (s *Stream) SendWindow() int {
 	s.mu.Lock()

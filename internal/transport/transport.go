@@ -334,7 +334,8 @@ func hmacEqual(a, b [wire.TagSize]byte) bool {
 // flusher's queue: soft backpressure, and the only wait a write makes.
 // Control frames — grants, opens, resets, FINs, probes — are a few bytes each
 // and never wait behind bulk data: a window grant is what releases the peer's
-// bulk, and it is sent from workers and the read loop, which must not block.
+// bulk, and it is sent from pump passes and the read loop, which must not
+// block.
 func (t *Transport) writeFrame(typ uint8, stream uint64, payload []byte) error {
 	if typ == wire.MuxData {
 		t.flusher.waitSpace()

@@ -108,9 +108,6 @@ type Config struct {
 	Policy *security.Store
 	// Insecure selects the paper's "w/o security" configuration.
 	Insecure bool
-	// MigrationDelay models agent code+state transfer cost (the paper's
-	// T_a-migrate); zero means real transfer time only.
-	MigrationDelay time.Duration
 	// ClusterSecret authenticates migrating agents between the deployment's
 	// hosts (see agent.Config.ClusterSecret).
 	ClusterSecret []byte
@@ -225,19 +222,18 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 
 	hcfg := agent.Config{
-		Name:           cfg.Name,
-		ControlAddr:    ctrl.ControlAddr(),
-		DataAddr:       ctrl.DataAddr(),
-		MailAddr:       mailAddr,
-		Directory:      cfg.Directory,
-		Registry:       cfg.Registry,
-		Guard:          guard,
-		MigrationDelay: cfg.MigrationDelay,
-		ClusterSecret:  cfg.ClusterSecret,
-		Logger:         cfg.Logger,
-		Metrics:        cfg.Metrics,
-		Tracer:         tracer,
-		Journal:        jnl,
+		Name:          cfg.Name,
+		ControlAddr:   ctrl.ControlAddr(),
+		DataAddr:      ctrl.DataAddr(),
+		MailAddr:      mailAddr,
+		Directory:     cfg.Directory,
+		Registry:      cfg.Registry,
+		Guard:         guard,
+		ClusterSecret: cfg.ClusterSecret,
+		Logger:        cfg.Logger,
+		Metrics:       cfg.Metrics,
+		Tracer:        tracer,
+		Journal:       jnl,
 	}
 	host, err := agent.NewHost(hcfg)
 	if err != nil {
@@ -328,11 +324,6 @@ func WithInsecure() NetworkOption { return func(c *Config) { c.Insecure = true }
 
 // WithPostOffices runs a post office on every node.
 func WithPostOffices() NetworkOption { return func(c *Config) { c.WithPostOffice = true } }
-
-// WithMigrationDelay models the agent transfer cost on every node.
-func WithMigrationDelay(d time.Duration) NetworkOption {
-	return func(c *Config) { c.MigrationDelay = d }
-}
 
 // WithLogf routes every level of node diagnostics, and agents'
 // Context.Logf output, to logf.

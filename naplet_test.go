@@ -372,21 +372,6 @@ func TestEndToEndMailboxFollowsAgent(t *testing.T) {
 	}
 }
 
-func TestMigrationDelayIsApplied(t *testing.T) {
-	nw := newNet(t, []string{"h1", "h2"}, WithMigrationDelay(80*time.Millisecond))
-	start := time.Now()
-	if err := nw.Node("h1").Launch("lazy", &roamingClient{Target: "sink", Docks: []string{nw.DockOf("h2")}, Total: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Node("h2").Launch("sink", echoServer{}); err != nil {
-		t.Fatal(err)
-	}
-	await(t, nw, "lazy")
-	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
-		t.Fatalf("migration took %v, delay not applied", elapsed)
-	}
-}
-
 func TestNodeConfigValidation(t *testing.T) {
 	if _, err := NewNode(Config{}); err == nil {
 		t.Fatal("empty config accepted")
