@@ -237,13 +237,19 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 		}
 		return true
 	})
-	var failures, recoveries uint64
+	var failures, recoveries, gaps uint64
 	for _, r := range regs {
 		failures += r.Counter("conn.failures").Value()
 		recoveries += r.Counter("fault.conn_recoveries").Value()
+		gaps += r.Counter("data.seq_gaps").Value()
 	}
 	if recoveries < resets {
 		t.Errorf("fault.conn_recoveries = %d, want >= %d resets (recovery never exercised?)", recoveries, resets)
+	}
+	// Every retransmit starts at the receiver's cursor, so no stream ever
+	// carries a frame past one the receiver lacks.
+	if gaps != 0 {
+		t.Errorf("data.seq_gaps = %d, want 0: a frame arrived past a lost one", gaps)
 	}
 	t.Logf("soak: %d streams x %d msgs, %d resets, %d connection failures, %d recoveries",
 		streams, msgsPerStream, resets, failures, recoveries)

@@ -25,8 +25,8 @@ import (
 var (
 	// ErrClosed reports use of a closed connection.
 	ErrClosed = errors.New("napletsocket: connection closed")
-	// ErrUnrecoverable reports a failure-recovery gap: frames needed for
-	// retransmission were evicted from the bounded send log.
+	// ErrUnrecoverable reports a failure-recovery gap: the peer lacks frames
+	// the send log no longer holds.
 	ErrUnrecoverable = errors.New("napletsocket: unrecoverable data loss after failure")
 	// ErrMigrated reports use of a Socket object whose agent has migrated
 	// away: the connection lives on, but this handle is dead — re-attach at
@@ -381,7 +381,8 @@ func (s *Socket) closedErrLocked() error {
 	return ErrClosed
 }
 
-// markClosedLocked finalizes the connection. Caller holds mu.
+// markClosedLocked finalizes the connection. No stream follows, so the send
+// log goes back to the pool (a migrating one is in its blob). Caller holds mu.
 func (s *Socket) markClosedLocked(err error) {
 	if s.closed {
 		return
@@ -390,6 +391,7 @@ func (s *Socket) markClosedLocked(err error) {
 	s.closeErr = err
 	s.endHandoffLocked("closed")
 	s.dropSockLocked()
+	s.dropSendSegsLocked(len(s.sendLog))
 	s.cond.Broadcast()
 }
 

@@ -39,9 +39,8 @@ const (
 	// same way; past it the oldest segments are evicted. Two windows: a
 	// break can destroy a whole window in flight, plus the batch a stalled
 	// flush is writing and the bytes pending behind it, and the log must
-	// still hold them (TestSendLogCoversCreditWindow). A graceful suspend
-	// clears the log (the drain handshake proves delivery); the cap only
-	// matters between suspends.
+	// still hold them (TestSendLogCoversCreditWindow). Otherwise only a
+	// cursor the peer reported frees a frame (trimSendLogLocked).
 	maxSendLog = 2 * wire.DefaultInitialWindow
 	// coalesceFlushBytes is the write-coalescing high-water mark: a write
 	// that leaves at least this much pending flushes inline instead of
@@ -77,13 +76,18 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 	// installed below.
 	s.flushMu.Lock()
 	s.mu.Lock()
-	// Trim acknowledged segments, then collect what the peer is missing:
-	// the rest of the head segment from the first frame it lacks, and every
-	// later segment verbatim.
+	// Trim acknowledged segments; a peer short of the first frame we can
+	// still send, in the log or next, has lost frames for good. Then collect
+	// what the peer is missing: the rest of the head segment from the first
+	// frame it lacks, and every later segment verbatim.
 	s.trimSendLogLocked(peerHasUpTo)
-	if len(s.sendLog) > 0 && s.sendLog[0].first > peerHasUpTo+1 {
-		err := fmt.Errorf("%w: peer has up to %d, log starts at %d",
-			ErrUnrecoverable, peerHasUpTo, s.sendLog[0].first)
+	first := s.nextSendSeq
+	if len(s.sendLog) > 0 {
+		first = s.sendLog[0].first
+	}
+	if first > peerHasUpTo+1 {
+		err := fmt.Errorf("%w: peer has up to %d, we can send from %d",
+			ErrUnrecoverable, peerHasUpTo, first)
 		s.mu.Unlock()
 		s.flushMu.Unlock()
 		sock.Close()
@@ -273,13 +277,16 @@ type frameWalk struct {
 	flushSeq  uint64
 }
 
+// errSeqGap is a data frame past the next one due: frames between were lost.
+var errSeqGap = errors.New("napletsocket: data frame skips a sequence number")
+
 // admit walks the whole frames of buf from off, in place. Sequence-number
 // dedup makes redelivery idempotent: a data frame at or below the
 // high-water mark is a duplicate from a retransmit, stepped over if it
-// leads the run and voided if it sits inside it. It returns the span
-// [start, stop) from the first to the last admitted data frame (start < 0
-// when there is none) and end, where the walk stopped: len(buf), or the
-// start of a frame buf holds only part of.
+// leads the run and voided if it sits inside it; one past the next is
+// errSeqGap. It returns the span [start, stop) from the first to the last
+// admitted data frame (start < 0 when there is none) and end, where the
+// walk stopped: len(buf), or the start of a frame buf holds only part of.
 func (w *frameWalk) admit(buf []byte, off int) (start, stop, end int, err error) {
 	start = -1
 	for off < len(buf) {
@@ -294,6 +301,8 @@ func (w *frameWalk) admit(buf []byte, off int) (start, stop, end int, err error)
 		case f.IsFlush():
 			w.flushSeen, w.flushSeq = true, f.Seq
 		case !f.IsData():
+		case f.Seq > w.last+1:
+			return start, stop, off, fmt.Errorf("%w: frame %d after %d", errSeqGap, f.Seq, w.last)
 		case f.Seq > w.last:
 			w.last = f.Seq
 			if start < 0 {
@@ -328,7 +337,8 @@ func (s *Socket) ingest(gen int, dec *wire.FrameDecoder, last uint64, segs [][]b
 			var frame []byte
 			frame, off, err = dec.Fill(seg)
 			if frame != nil {
-				if start, stop, _, _ := w.admit(frame, 0); start >= 0 {
+				var start, stop int
+				if start, stop, _, err = w.admit(frame, 0); start >= 0 {
 					runs = append(runs, segment{buf: frame[:stop], off: start})
 				} else {
 					wire.PutPayload(frame)
@@ -351,6 +361,9 @@ func (s *Socket) ingest(gen int, dec *wire.FrameDecoder, last uint64, segs [][]b
 	}
 	s.pumpRuns = runs[:0]
 	defer clear(runs)
+	if errors.Is(err, errSeqGap) {
+		s.ctrl.obs.seqGaps.Inc()
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -889,9 +902,10 @@ func (s *Socket) dropSendSegsLocked(n int) {
 // flush marker, half-close, drain the inbound direction to EOF into the
 // buffer, then close. It is idempotent; a second call while suspended is a
 // no-op. On a drain timeout the socket is failed rather than suspended
-// cleanly (the send log covers the gap at resume). The half-close is
-// Stream.CloseWrite (a MuxFin), so the FLUSH-barrier exactly-once
-// semantics hold over the mux.
+// cleanly. Either way the send log covers the gap at resume: a drain shows
+// that we hold the peer's data, not that it holds ours, and frees nothing.
+// The half-close is Stream.CloseWrite (a MuxFin), so the FLUSH-barrier
+// exactly-once semantics hold over the mux.
 func (s *Socket) drainAndClose() {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
@@ -955,8 +969,6 @@ func (s *Socket) drainAndClose() {
 	s.drained = false
 	s.peerFlushSeen = false
 	if graceful {
-		// Drain handshake proves the peer received everything we sent.
-		s.dropSendSegsLocked(len(s.sendLog))
 		s.ctrl.obs.drainsGraceful.Inc()
 	} else {
 		s.ctrl.obs.drainsUngraceful.Inc()

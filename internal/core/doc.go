@@ -65,8 +65,10 @@
 // degrades to SUSPENDED and resumes by the paper's own RES exchange over a
 // fresh stream (and, when the transport died, a fresh transport); the peer's
 // last received sequence number selects what to retransmit from the send
-// log. That log is the only replay log in the stack: it is bounded by
-// maxSendLog, which exceeds what credit lets the peer leave unconsumed, so a
-// break never loses a frame the peer has not pulled into its receive
-// buffer.
+// log. That log is the only replay log in the stack. A frame leaves it when
+// a cursor the peer reported (LastSeq) covers it, never on a drain, so the
+// migration blob and the journal carry exactly what the peer lacks; or when
+// evicted past maxSendLog, which exceeds what credit lets the peer leave
+// unconsumed, so a break never loses a frame the peer has not pulled into
+// its receive buffer. A gap at either end is an error, never skipped.
 package core

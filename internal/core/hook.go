@@ -168,8 +168,6 @@ func (s *Socket) serialize(dst []byte) ([]byte, bool) {
 	}
 	s.recvQ, s.recvHeld = nil, 0
 	s.readDone, s.readTail = 0, false
-	s.dropSendSegsLocked(len(s.sendLog))
-	s.cutSeq, s.cutOff = s.nextSendSeq, 0
 	s.markClosedLocked(ErrMigrated)
 	s.closeErr = ErrMigrated // also on an endpoint the peer had already closed
 	return dst, st.PeerClosed

@@ -40,9 +40,9 @@ type ctrlObs struct {
 	// Control requests refused before anything is known of their sender.
 	rejectMalformed, rejectUnauth *obs.Counter
 
-	dataFrames  *obs.Counter
-	dataFlushes *obs.Counter
-	dataBytes   *obs.Counter
+	dataFrames         *obs.Counter
+	dataFlushes        *obs.Counter
+	dataBytes, seqGaps *obs.Counter
 
 	openMs, suspendMs, resumeMs *obs.Histogram
 	recoveryMs                  *obs.Histogram
@@ -87,6 +87,7 @@ func newCtrlObs(cfg Config, gate func(emit func())) *ctrlObs {
 		dataFrames:       met.Counter("data.frames"),
 		dataFlushes:      met.Counter("data.flushes"),
 		dataBytes:        met.Counter("data.bytes"),
+		seqGaps:          met.Counter("data.seq_gaps"),
 		openMs:           met.Histogram("conn.open_ms"),
 		suspendMs:        met.Histogram("conn.suspend_ms"),
 		resumeMs:         met.Histogram("conn.resume_ms"),

@@ -179,6 +179,11 @@ func (s *Socket) carryOut(msg wire.MsgType, out outcome, reply *wire.ControlRepl
 		}
 	}
 	if r.drain {
+		if reply != nil { // only a granted SUS carries a cursor (serve)
+			s.mu.Lock()
+			s.trimSendLogLocked(reply.LastSeq)
+			s.mu.Unlock()
+		}
 		start := time.Now()
 		s.drainAndClose()
 		bd.Add(metrics.PhaseDrain, time.Since(start))
@@ -404,9 +409,9 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 		return s.reject(r.code, fmt.Sprintf("%s in state %s", m.Type, st))
 	}
 	return s.reply(r.verdict, func(rep *wire.ControlReply) {
-		// A granted SUS or RES reports how far our buffer has got, so the
-		// peer trims its send log and retransmits from there.
-		if r.verdict == wire.VerdictAck && (m.Type == wire.MsgSuspend || m.Type == wire.MsgResume) {
+		// Every answer but a refusal to a SUS or RES reports how far our
+		// buffer has got: a granted peer trims its log, retransmits the rest.
+		if m.Type == wire.MsgSuspend || m.Type == wire.MsgResume {
 			rep.LastSeq = s.delivered()
 		}
 	})

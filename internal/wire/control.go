@@ -174,9 +174,9 @@ type ControlReply struct {
 	ConnID ConnID
 	// Reason is a human-readable explanation for VerdictReject.
 	Reason string
-	// LastSeq carries the replier's delivered data high-water mark on
-	// resume acks, so the mover can retransmit anything the replier never
-	// received (failure-recovery extension).
+	// LastSeq carries the replier's delivered data high-water mark on any
+	// answer to a SUS or RES but a refusal: a granted requester frees what
+	// it covers from its send log and retransmits what the replier lacks.
 	LastSeq uint64
 	// Payload carries reply-specific bytes.
 	Payload []byte
