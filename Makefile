@@ -157,6 +157,7 @@ fuzz-smoke:
 		$(GO) test ./internal/wire -run '^$$' -fuzz "^$$target$$" -fuzztime 10s || exit 1; \
 	done
 	$(GO) test ./internal/security -run '^$$' -fuzz '^FuzzOpenRecord$$' -fuzztime 10s
+	$(GO) test ./internal/dhkx -run '^$$' -fuzz '^FuzzSharedSecret$$' -fuzztime 10s
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzConnStateDecode$$' -fuzztime 10s
 

@@ -268,6 +268,27 @@ func TestNoStdlibLogOutsideCmd(t *testing.T) {
 	}
 }
 
+// TestNoBigIntArithmetic: the key exchange is X25519 from crypto/ecdh, so no
+// non-test file — product, programs or bench/ — imports math/big, and the
+// 2048-bit MODP arithmetic it replaced cannot come back unnoticed.
+func TestNoBigIntArithmetic(t *testing.T) {
+	seen := 0
+	for _, f := range parseTree(t) {
+		if f.test {
+			continue
+		}
+		seen++
+		for _, imp := range f.ast.Imports {
+			if imp.Path.Value == `"math/big"` {
+				t.Errorf("%s imports math/big", f.path)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no file was parsed")
+	}
+}
+
 // parseTree parses every Go file of the module: product, tests, examples
 // and bench/ alike (the benchmark is a mover too).
 func parseTree(t *testing.T) []*parsedFile {

@@ -44,9 +44,9 @@
 // authenticated by HMAC tags over the hello transcript), and each
 // connection's session key is derived from that secret bound to the
 // connection id. Key independence is preserved — compromising one
-// connection's key reveals nothing about siblings — while the modular
-// exponentiation cost is paid once per host pair instead of once per
-// connection (the Table 1 amortisation).
+// connection's key reveals nothing about siblings — while the X25519
+// exchange is paid once per host pair instead of once per connection (the
+// Table 1 amortisation).
 //
 // # Protocol
 //

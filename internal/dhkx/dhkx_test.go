@@ -2,11 +2,12 @@ package dhkx
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/big"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -66,26 +67,111 @@ func TestDistinctPairsDistinctKeys(t *testing.T) {
 	}
 }
 
+func unhex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestRFC7748KnownAnswer runs the Diffie-Hellman example of RFC 7748 §6.1
+// through KeyPair: Alice's and Bob's private keys give the listed public
+// keys and the listed shared secret.
+func TestRFC7748KnownAnswer(t *testing.T) {
+	pair := func(privHex string) *KeyPair {
+		priv, err := ecdh.X25519().NewPrivateKey(unhex(t, privHex))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &KeyPair{priv: priv}
+	}
+	alice := pair("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a")
+	bob := pair("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")
+	if got, want := alice.PublicBytes(), unhex(t, "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a"); !bytes.Equal(got, want) {
+		t.Fatalf("Alice's public key %x, want %x", got, want)
+	}
+	if got, want := bob.PublicBytes(), unhex(t, "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f"); !bytes.Equal(got, want) {
+		t.Fatalf("Bob's public key %x, want %x", got, want)
+	}
+	want := unhex(t, "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742")
+	for name, kp := range map[string][2]*KeyPair{"Alice": {alice, bob}, "Bob": {bob, alice}} {
+		got, err := kp[0].SharedSecret(kp[1].PublicBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s's shared secret %x, want %x", name, got, want)
+		}
+	}
+}
+
+// degeneratePublicKeys are the peer values SharedSecret must refuse: the
+// small-order u-coordinates RFC 7748 §7 warns of (0, 1, the two points of
+// order 8, and p-1, p and p+1 for p = 2^255-19), little-endian as on the
+// wire, and values of the wrong length.
+var degeneratePublicKeys = []string{
+	"0000000000000000000000000000000000000000000000000000000000000000", // 0
+	"0100000000000000000000000000000000000000000000000000000000000000", // 1
+	"e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800", // order 8
+	"5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157", // order 8
+	"ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f", // p-1
+	"edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f", // p
+	"eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f", // p+1
+	"",
+	"09",
+	"090000000000000000000000000000000000000000000000000000000000000000", // 33 bytes
+	"09000000000000000000000000000000000000000000000000000000000000",     // 31 bytes
+}
+
 func TestRejectDegeneratePublicKeys(t *testing.T) {
 	kp, err := GenerateKeyPair()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pMinus1 := new(big.Int).Sub(prime, big.NewInt(1))
-	bad := [][]byte{
-		nil,
-		{},
-		{0},
-		{1},
-		pMinus1.Bytes(),
-		prime.Bytes(),
-		new(big.Int).Add(prime, big.NewInt(5)).Bytes(),
-	}
-	for i, pub := range bad {
-		if _, err := kp.SharedSecret(pub); !errors.Is(err, ErrInvalidPublicKey) {
-			t.Errorf("degenerate key %d accepted (err=%v)", i, err)
+	for _, h := range degeneratePublicKeys {
+		if _, err := kp.SharedSecret(unhex(t, h)); !errors.Is(err, ErrInvalidPublicKey) {
+			t.Errorf("degenerate key %q accepted (err=%v)", h, err)
 		}
 	}
+	// The nil slice is refused as well as the empty one.
+	if _, err := kp.SharedSecret(nil); !errors.Is(err, ErrInvalidPublicKey) {
+		t.Errorf("nil key accepted (err=%v)", err)
+	}
+}
+
+// FuzzSharedSecret: whatever the peer sends, SharedSecret does not panic and
+// returns either ErrInvalidPublicKey or a 32-byte secret that is not all
+// zeros.
+func FuzzSharedSecret(f *testing.F) {
+	for _, h := range degeneratePublicKeys {
+		f.Add(unhex(f, h))
+	}
+	peer, err := GenerateKeyPair()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(peer.PublicBytes())
+	kp, err := GenerateKeyPair()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, pub []byte) {
+		secret, err := kp.SharedSecret(pub)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidPublicKey) {
+				t.Fatalf("error %v, want ErrInvalidPublicKey", err)
+			}
+			return
+		}
+		if len(secret) != 32 {
+			t.Fatalf("secret of %d bytes", len(secret))
+		}
+		if bytes.Equal(secret, make([]byte, 32)) {
+			t.Fatal("all-zero secret accepted")
+		}
+	})
 }
 
 func TestAuthenticatorSignVerify(t *testing.T) {

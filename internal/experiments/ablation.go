@@ -60,8 +60,8 @@ func RunAblationHandoff(iters int) (*AblationHandoffResult, error) {
 	if iters <= 0 {
 		iters = 50
 	}
-	// Without the key exchange: the Diffie-Hellman cost (~ms) would drown
-	// the round trip this ablation is about (~10 µs).
+	// Without the key exchange: an X25519 exchange (a few hundred µs) would
+	// drown the round trip this ablation is about (~10 µs).
 	d, err := newDeployment([]string{"h1", "h2"}, func(_ string, cfg *core.Config) { cfg.Insecure = true })
 	if err != nil {
 		return nil, err

@@ -287,8 +287,8 @@ func FuzzReadTransportHello(f *testing.F) {
 		ID:       id,
 		Host:     "h",
 		Addr:     "a:1",
-		Public:   []byte{1, 2, 3},
-		Versions: []uint8{1, 2},
+		Public:   testPublic,
+		Versions: []uint8{2, 3},
 		Ciphers:  []uint16{CipherAES256GCM},
 		Limits:   DefaultLimits(),
 	})
@@ -313,13 +313,34 @@ func FuzzReadTransportHello(f *testing.F) {
 		f.Fatalf("old-format resume hello: want ErrBadTransport, got %v", err)
 	}
 	f.Add(resume)
+	// A version-2 hello, MODP public value and all: a must-reject seed.
+	if _, _, err := ReadTransportHello(bytes.NewReader(v2Hello(id))); !errors.Is(err, ErrBadTransport) {
+		f.Fatalf("version-2 hello: want ErrBadTransport, got %v", err)
+	}
+	f.Add(v2Hello(id))
+	// Secure hellos whose public value is not one X25519 value, and an
+	// insecure hello that carries one: must-reject seeds.
+	for _, h := range []*TransportHello{
+		{ID: id, Host: "h"},
+		{ID: id, Host: "h", Public: make([]byte, 31)},
+		{ID: id, Host: "h", Public: make([]byte, 33)},
+		{ID: id, Host: "h", Public: make([]byte, 256)},
+		{ID: id, Host: "h", Insecure: true, Public: testPublic},
+	} {
+		var b bytes.Buffer
+		WriteTransportHello(&b, h)
+		if _, _, err := ReadTransportHello(bytes.NewReader(b.Bytes())); !errors.Is(err, ErrBadTransport) {
+			f.Fatalf("%d-byte public value (insecure %v): want ErrBadTransport, got %v", len(h.Public), h.Insecure, err)
+		}
+		f.Add(b.Bytes())
+	}
 	// The largest MaxPayload a hello may carry, and one past it: a must-accept
 	// and a must-reject seed.
 	for _, mp := range []uint32{MaxMuxPayload, MaxMuxPayload + 1} {
 		lim := DefaultLimits()
 		lim.MaxPayload = mp
 		var b bytes.Buffer
-		WriteTransportHello(&b, &TransportHello{ID: id, Host: "h", Versions: []uint8{2}, Limits: lim})
+		WriteTransportHello(&b, &TransportHello{ID: id, Host: "h", Public: testPublic, Versions: []uint8{3}, Limits: lim})
 		_, _, err := ReadTransportHello(bytes.NewReader(b.Bytes()))
 		if (err == nil) != (mp == MaxMuxPayload) {
 			f.Fatalf("MaxPayload %d: decode error %v", mp, err)
@@ -331,15 +352,23 @@ func FuzzReadTransportHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything accepted is a version-2 hello (the version byte follows
+		// Anything accepted is a version-3 hello (the version byte follows
 		// the six-byte prefix and the body magic, the flags byte follows it)
-		// with no flag but insecure, validated limits and a non-empty version
+		// with no flag but insecure, a public value of 32 bytes when secure
+		// and none when insecure, validated limits and a non-empty version
 		// list, and re-encodes losslessly.
-		if data[8] != TransportVersion2 {
+		if data[8] != TransportVersion3 {
 			t.Fatalf("accepted hello of version %d", data[8])
 		}
 		if data[9]&^transportFlagInsecure != 0 {
 			t.Fatalf("accepted hello with unknown flags %#02x", data[9])
+		}
+		want := helloPublicSize
+		if h.Insecure {
+			want = 0
+		}
+		if len(h.Public) != want {
+			t.Fatalf("accepted hello (insecure %v) with a %d-byte public value", h.Insecure, len(h.Public))
 		}
 		if len(h.Versions) == 0 {
 			t.Fatal("accepted hello with empty version list")

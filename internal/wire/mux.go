@@ -21,19 +21,26 @@ import (
 // reading further.
 const transportMagic = 0x4e54 // "NT"
 
-// TransportVersion2 is the transport protocol version: the hello carries a
+// TransportVersion3 is the transport protocol version: the hello carries a
 // negotiation section — a supported-version list, a cipher-suite preference
 // list, and a Limits block — and, when a cipher is agreed, every mux
-// payload rides the sealed-record framing. Both sides send the highest
-// version they speak plus the full list; the effective version is the
-// highest one both lists contain (see Negotiate). Downgrade protection is
-// inherited from the handshake: the transcript tags cover the raw hello
-// bytes, so a middlebox that rewrites either list breaks the tag on both
-// sides. A hello with any other version byte is refused at decode.
-const TransportVersion2 = 2
+// payload rides the sealed-record framing. A secure hello's Public is a
+// 32-byte X25519 value (version 2 carried a 2048-bit MODP value in the same
+// field). Both sides send the highest version they speak plus the full
+// list; the effective version is the highest one both lists contain (see
+// Negotiate). Downgrade protection is inherited from the handshake: the
+// transcript tags cover the raw hello bytes, so a middlebox that rewrites
+// either list breaks the tag on both sides. A hello with any other version
+// byte is refused at decode, so a host of an earlier version gets a typed
+// refusal rather than a transcript-tag mismatch.
+const TransportVersion3 = 3
 
 // SupportedVersions is the version list a hello advertises by default.
-func SupportedVersions() []uint8 { return []uint8{TransportVersion2} }
+func SupportedVersions() []uint8 { return []uint8{TransportVersion3} }
+
+// helloPublicSize is the length of a secure hello's Public: an X25519
+// public value.
+const helloPublicSize = 32
 
 // Cipher suites negotiable in a hello, in wire form. Cleartext (0) is never
 // sent in a cipher list; it is the result of negotiation when either side
@@ -147,12 +154,13 @@ const transportFlagInsecure = 0x01
 const limitsSize = 12
 
 // maxTransportHello bounds a hello read so a garbage peer cannot make the
-// acceptor allocate unbounded memory (the DH public value dominates).
+// acceptor allocate unbounded memory. It leaves room for the host name,
+// address and trace context, which dominate a hello's size.
 const maxTransportHello = 4096
 
 // TransportHello is the first message each side sends on a fresh transport
 // connection. The dialer picks the transport id; the acceptor echoes it.
-// Public carries the sender's ephemeral DH value (empty in insecure mode),
+// Public carries the sender's ephemeral X25519 value (empty in insecure mode),
 // and Addr advertises the sender's redirector address so the acceptor can
 // reuse this transport for its own future dials to that host.
 type TransportHello struct {
@@ -162,7 +170,8 @@ type TransportHello struct {
 	Host string
 	// Addr is the sender's redirector address ("" when not listening).
 	Addr string
-	// Public is the sender's ephemeral DH public value.
+	// Public is the sender's ephemeral X25519 public value: exactly 32
+	// bytes in a secure hello, empty in an insecure one.
 	Public []byte
 	// Trace is the dialer's marshaled tracing span context (empty when
 	// not tracing): a dial performed on behalf of a migration carries the
@@ -188,7 +197,7 @@ var ErrBadTransport = errors.New("wire: malformed transport message")
 func (h *TransportHello) encode() []byte {
 	b := make([]byte, 0, 32+len(h.Host)+len(h.Addr)+len(h.Public))
 	b = binary.BigEndian.AppendUint16(b, transportMagic)
-	b = append(b, TransportVersion2)
+	b = append(b, TransportVersion3)
 	var flags byte
 	if h.Insecure {
 		flags |= transportFlagInsecure
@@ -279,7 +288,7 @@ func decodeTransportHello(b []byte) (*TransportHello, error) {
 	if len(b) < 2+16 {
 		return nil, fmt.Errorf("%w: truncated hello", ErrBadTransport)
 	}
-	if b[0] != TransportVersion2 {
+	if b[0] != TransportVersion3 {
 		return nil, fmt.Errorf("%w: unsupported transport version %d", ErrBadTransport, b[0])
 	}
 	if b[1]&^transportFlagInsecure != 0 {
@@ -297,6 +306,12 @@ func decodeTransportHello(b []byte) (*TransportHello, error) {
 	}
 	if h.Public, b, err = takeBytes(b); err != nil {
 		return nil, err
+	}
+	switch {
+	case h.Insecure && len(h.Public) != 0:
+		return nil, fmt.Errorf("%w: insecure hello carries a %d-byte public value", ErrBadTransport, len(h.Public))
+	case !h.Insecure && len(h.Public) != helloPublicSize:
+		return nil, fmt.Errorf("%w: public value of %d bytes, want %d", ErrBadTransport, len(h.Public), helloPublicSize)
 	}
 	if h.Trace, b, err = takeBytes(b); err != nil {
 		return nil, err

@@ -11,6 +11,10 @@ import (
 	"testing"
 )
 
+// testPublic stands in for an X25519 public value: a secure hello's Public
+// is exactly 32 bytes.
+var testPublic = bytes.Repeat([]byte{0xAB}, helloPublicSize)
+
 func TestTransportHelloRoundTrip(t *testing.T) {
 	id, err := NewConnID()
 	if err != nil {
@@ -20,7 +24,7 @@ func TestTransportHelloRoundTrip(t *testing.T) {
 		ID:     id,
 		Host:   "alpha",
 		Addr:   "127.0.0.1:4410",
-		Public: bytes.Repeat([]byte{0xAB}, 256),
+		Public: testPublic,
 		Trace:  bytes.Repeat([]byte{0xC3}, 24),
 	}
 	var buf bytes.Buffer
@@ -71,10 +75,13 @@ func TestTransportHelloInsecureFlag(t *testing.T) {
 func TestTransportHelloRejectsUnknownFlags(t *testing.T) {
 	id, _ := NewConnID()
 	var buf bytes.Buffer
-	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "h"}); err != nil {
+	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "h", Public: testPublic}); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.Bytes()[6:]
+	if _, err := decodeTransportHello(body); err != nil {
+		t.Fatal(err)
+	}
 	for _, flag := range []byte{0x02, 0x04, 0x80} {
 		b := append([]byte(nil), body...)
 		b[3] |= flag
@@ -87,12 +94,12 @@ func TestTransportHelloRejectsUnknownFlags(t *testing.T) {
 	}
 }
 
-// oldResumeHello is a complete resume hello as earlier builds sent it: the
-// resume flag, then a receive count and a resume tag between the DH value
-// and the trace, and a five-field limits block.
+// oldResumeHello is a complete version-2 resume hello as earlier builds sent
+// it: the resume flag, then a receive count and a resume tag between the DH
+// value and the trace, and a five-field limits block.
 func oldResumeHello(id ConnID) []byte {
 	body := binary.BigEndian.AppendUint16(nil, 0x4e54)
-	body = append(body, TransportVersion2, 0x02)
+	body = append(body, 2, 0x02)
 	body = append(body, id[:]...)
 	body = appendString(body, "old")
 	body = appendString(body, "")
@@ -100,7 +107,7 @@ func oldResumeHello(id ConnID) []byte {
 	body = binary.BigEndian.AppendUint64(body, 42)
 	body = appendBytes(body, bytes.Repeat([]byte{0x5A}, 32))
 	body = appendBytes(body, nil)
-	body = append(body, 1, TransportVersion2, 0)
+	body = append(body, 1, 2, 0)
 	for _, v := range []uint32{MaxMuxPayload, 1 << 20, 64, 256 << 10, 15_000} {
 		body = binary.BigEndian.AppendUint32(body, v)
 	}
@@ -211,7 +218,8 @@ func TestTransportHelloNegotiationRoundTrip(t *testing.T) {
 	h := &TransportHello{
 		ID:       id,
 		Host:     "gamma",
-		Versions: []uint8{1, 2},
+		Public:   testPublic,
+		Versions: []uint8{2, 3},
 		Ciphers:  []uint16{CipherAES256GCM, 7},
 		Limits: Limits{
 			MaxPayload:    32 << 10,
@@ -243,7 +251,7 @@ func TestTransportHelloDefaultsNegotiationSection(t *testing.T) {
 	// version list and the default limits on the wire.
 	id, _ := NewConnID()
 	var buf bytes.Buffer
-	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "d"}); err != nil {
+	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "d", Public: testPublic}); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := ReadTransportHello(&buf)
@@ -283,7 +291,7 @@ func encodeV1Hello(h *TransportHello) []byte {
 
 func TestTransportHelloV1Refused(t *testing.T) {
 	id, _ := NewConnID()
-	h := &TransportHello{ID: id, Host: "old", Addr: "127.0.0.1:1", Public: []byte{1, 2, 3}}
+	h := &TransportHello{ID: id, Host: "old", Addr: "127.0.0.1:1", Public: testPublic}
 	if _, err := decodeTransportHello(encodeV1Hello(h)); !errors.Is(err, ErrBadTransport) {
 		t.Fatalf("version-1 hello: want ErrBadTransport, got %v", err)
 	}
@@ -300,11 +308,46 @@ func TestTransportHelloV1Refused(t *testing.T) {
 	}
 }
 
+// v2Hello is a complete hello as version-2 builds sent it: the layout is
+// today's, but the version byte and list say 2 and Public is a 256-byte
+// MODP group 14 value.
+func v2Hello(id ConnID) []byte {
+	var buf bytes.Buffer
+	WriteTransportHello(&buf, &TransportHello{ID: id, Host: "old", Public: bytes.Repeat([]byte{0xAB}, 256), Versions: []uint8{2}, Ciphers: []uint16{CipherAES256GCM}})
+	b := buf.Bytes()
+	b[8] = 2 // the version byte follows the length prefix and the body magic
+	return b
+}
+
+// A version-2 host is refused at decode just as a version-1 host is: two
+// hosts of different versions get one typed error, not a transcript-tag
+// mismatch after a key exchange one of them cannot do.
+func TestTransportHelloV2Refused(t *testing.T) {
+	id, _ := NewConnID()
+	if _, _, err := ReadTransportHello(bytes.NewReader(v2Hello(id))); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-2 hello: want ErrBadTransport, got %v", err)
+	}
+	// A version-2 version byte in front of an otherwise valid current body
+	// is refused just the same.
+	var buf bytes.Buffer
+	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "h", Public: testPublic}); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()[6:]
+	if _, err := decodeTransportHello(body); err != nil {
+		t.Fatal(err)
+	}
+	body[2] = 2
+	if _, err := decodeTransportHello(body); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version byte 2 on a current body: want ErrBadTransport, got %v", err)
+	}
+}
+
 func TestDecodeHelloRejectsMalformedNegotiation(t *testing.T) {
 	id, _ := NewConnID()
 	base := func() []byte {
 		var buf bytes.Buffer
-		if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "x"}); err != nil {
+		if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "x", Public: testPublic}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()[6:] // strip magic + length prefix: raw body
@@ -377,17 +420,17 @@ func TestLimitsValidate(t *testing.T) {
 }
 
 func TestNegotiate(t *testing.T) {
-	v2 := func(ciphers []uint16, l Limits) *TransportHello {
-		return &TransportHello{Versions: []uint8{1, 2}, Ciphers: ciphers, Limits: l}
+	v3 := func(ciphers []uint16, l Limits) *TransportHello {
+		return &TransportHello{Versions: []uint8{2, 3}, Ciphers: ciphers, Limits: l}
 	}
 	small := Limits{MaxPayload: 16 << 10, InitialWindow: 256 << 10, KeepaliveMs: 4000}
 	big := DefaultLimits()
 
-	n, err := Negotiate(v2([]uint16{CipherAES256GCM}, big), v2([]uint16{CipherAES256GCM}, small))
+	n, err := Negotiate(v3([]uint16{CipherAES256GCM}, big), v3([]uint16{CipherAES256GCM}, small))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Version != TransportVersion2 || n.Cipher != CipherAES256GCM {
+	if n.Version != TransportVersion3 || n.Cipher != CipherAES256GCM {
 		t.Fatalf("negotiated %+v", n)
 	}
 	if n.Limits != small {
@@ -395,42 +438,42 @@ func TestNegotiate(t *testing.T) {
 	}
 
 	// Highest common cipher wins, regardless of list order.
-	n, _ = Negotiate(v2([]uint16{CipherAES256GCM, 9}, big), v2([]uint16{9, CipherAES256GCM}, big))
+	n, _ = Negotiate(v3([]uint16{CipherAES256GCM, 9}, big), v3([]uint16{9, CipherAES256GCM}, big))
 	if n.Cipher != 9 {
 		t.Fatalf("highest common cipher: got %d", n.Cipher)
 	}
 
 	// Either side offering no ciphers yields cleartext.
-	n, _ = Negotiate(v2(nil, big), v2([]uint16{CipherAES256GCM}, big))
+	n, _ = Negotiate(v3(nil, big), v3([]uint16{CipherAES256GCM}, big))
 	if n.Cipher != CipherCleartext {
 		t.Fatalf("empty-list negotiation: got cipher %d", n.Cipher)
 	}
 
 	// Insecure mode can never negotiate a cipher.
-	ins := v2([]uint16{CipherAES256GCM}, big)
+	ins := v3([]uint16{CipherAES256GCM}, big)
 	ins.Insecure = true
-	n, _ = Negotiate(ins, v2([]uint16{CipherAES256GCM}, big))
+	n, _ = Negotiate(ins, v3([]uint16{CipherAES256GCM}, big))
 	if n.Cipher != CipherCleartext {
 		t.Fatalf("insecure negotiation: got cipher %d", n.Cipher)
 	}
 
-	// A peer whose list lacks version 2 is refused, from either side, even
-	// though both lists name version 1.
-	v1 := &TransportHello{Versions: []uint8{1}, Limits: big}
-	if _, err := Negotiate(v2([]uint16{CipherAES256GCM}, small), v1); !errors.Is(err, ErrBadTransport) {
-		t.Fatalf("version-1-only peer: want ErrBadTransport, got %v", err)
+	// A peer whose list lacks version 3 is refused, from either side, even
+	// though both lists name version 2.
+	v2 := &TransportHello{Versions: []uint8{1, 2}, Limits: big}
+	if _, err := Negotiate(v3([]uint16{CipherAES256GCM}, small), v2); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-2-only peer: want ErrBadTransport, got %v", err)
 	}
-	if _, err := Negotiate(v1, v2([]uint16{CipherAES256GCM}, small)); !errors.Is(err, ErrBadTransport) {
-		t.Fatalf("version-1-only local: want ErrBadTransport, got %v", err)
+	if _, err := Negotiate(v2, v3([]uint16{CipherAES256GCM}, small)); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-2-only local: want ErrBadTransport, got %v", err)
 	}
 
 	// No common version is a handshake failure.
-	if _, err := Negotiate(v2(nil, big), &TransportHello{Versions: []uint8{7}}); !errors.Is(err, ErrBadTransport) {
+	if _, err := Negotiate(v3(nil, big), &TransportHello{Versions: []uint8{7}}); !errors.Is(err, ErrBadTransport) {
 		t.Fatalf("no common version: %v", err)
 	}
 
 	// Symmetry: both ends compute the identical agreement.
-	a, b := v2([]uint16{9, CipherAES256GCM}, small), v2([]uint16{CipherAES256GCM, 9}, big)
+	a, b := v3([]uint16{9, CipherAES256GCM}, small), v3([]uint16{CipherAES256GCM, 9}, big)
 	na, _ := Negotiate(a, b)
 	nb, _ := Negotiate(b, a)
 	if na != nb {
@@ -438,10 +481,12 @@ func TestNegotiate(t *testing.T) {
 	}
 }
 
-// helloGolden is a hello as this build writes it with every negotiation
-// field defaulted: the limits block at its tail pins the default MaxPayload
-// (64 KiB + 64), InitialWindow (2 MiB) and keepalive (15 s). A change to
-// any of them changes what a peer must accept, so it changes this file.
+// helloGolden is a secure hello as this build writes it with every
+// negotiation field defaulted: it pins the version byte and version list
+// (3), the 32-byte public value (RFC 7748's example public key of Alice),
+// and, in the limits block at its tail, the default MaxPayload (64 KiB +
+// 64), InitialWindow (2 MiB) and keepalive (15 s). A change to any of them
+// changes what a peer must accept, so it changes this file.
 const helloGolden = "testdata/hello-default-limits.hex"
 
 func TestTransportHelloGolden(t *testing.T) {
@@ -450,7 +495,8 @@ func TestTransportHelloGolden(t *testing.T) {
 		id[i] = byte(i + 1)
 	}
 	var buf bytes.Buffer
-	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "h1", Addr: "127.0.0.1:7401", Ciphers: []uint16{CipherAES256GCM}}); err != nil {
+	public, _ := hex.DecodeString("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a")
+	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "h1", Addr: "127.0.0.1:7401", Public: public, Ciphers: []uint16{CipherAES256GCM}}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(helloGolden)
