@@ -99,7 +99,11 @@ crash-soak:
 # break while a 64 KiB writer is credit-stalled behind a full reader (the
 # send-log bound), a handoff lost with its transport, a refused handoff
 # landing at every point of the opener's way to ESTABLISHED, a stream that
-# dies before either end is established, a recovery RES that meets a peer
+# dies before either end is established (inside the step, and between the
+# install and the step), an open's stream and ACK landing in either order,
+# its ACK lost once, its opener giving up before the stream lands or with
+# every ACK lost, a cold open on the transport CONNECT names, a CONNECT not
+# signed with the named transport's key, a recovery RES that meets a peer
 # which has not noticed the break or is suspending, exactly-once delivery
 # over segment boundaries and under concurrent writers (four goroutines
 # writing 1 B to 70 KiB messages through suspends: every writer's messages
@@ -122,13 +126,13 @@ crash-soak:
 # resume race costs a retry, not a timeout — a SUS granted in RESUME_WAIT, a
 # CLS that waits out a resume's completion, and a parked resume that expires
 # closed), and the endpoint's one wait for its handoff (a stale handoff,
-# signed below the granted RES's nonce, is refused; an open whose stream
-# lands but whose ID never does is given up at the operation timeout),
+# signed below the granted RES's nonce, is refused; an opener whose stream
+# never lands gives up at the operation timeout),
 # repeated under the race detector. Last, the control cycle the benchmark
 # shields with 1 KiB bursts, with 64 KiB ones: 6 to 10 messages left unread
 # on each connection across every migration, 10,000 cycles (200 a run).
 handoff-soak:
-	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathBeforeEstablished|TestOpenRefusedHandoffLeavesNoEndpoint|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestConcurrentWritersKeepWireOrder|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable|TestSuspenderGivesUpItsDrain|TestResponderGivesUpItsDrain|TestGapToEmptyLogUnrecoverable|TestAdmitRefusesSeqGap' -race -count=20
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathAtEstablishment|TestStreamDeathBetweenInstallAndStep|TestOpenStreamAndACKInEitherOrder|TestConnectACKLostOnce|TestOpenerGivesUp|TestColdOpenUsesTheNamedTransport|TestForgedConnectOpensNothing|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestConcurrentWritersKeepWireOrder|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable|TestSuspenderGivesUpItsDrain|TestResponderGivesUpItsDrain|TestGapToEmptyLogUnrecoverable|TestAdmitRefusesSeqGap' -race -count=20
 	$(GO) test ./internal/core -run 'TestBulkSiblingsNeverParkThePump|TestNoPassOutlivesItsWork' -race -count=20
 	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored|TestNothingWaitsOnAStuckKernelSend' -race -count=20
 	$(GO) test ./internal/core -run 'TestBurstsUnreadAcrossMigrations$$' -count=50

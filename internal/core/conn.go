@@ -193,12 +193,11 @@ type Socket struct {
 	// satisfied (Fig 5).
 	peerResumeParked bool
 
-	// Establishment bookkeeping (server side). handoff is the wait for the
-	// data stream a granted CONNECT or RES licensed the peer to open, nil
-	// when none is pending (redirector.go).
-	idReceived bool
-	accepted   bool
-	handoff    *handoffWait
+	// Establishment bookkeeping. handoff is the wait for the data stream a
+	// sent CONNECT or a granted RES has the peer open, nil when none is
+	// pending (redirector.go).
+	accepted bool
+	handoff  *handoffWait
 
 	closed   bool
 	closeErr error

@@ -184,6 +184,11 @@ type Controller struct {
 	// (carry.go); nil until then.
 	arrive atomic.Pointer[func(bundle []byte) error]
 
+	// afterInstall, which only tests set, runs at the end of every
+	// installSocket: in the window where the stream is watched but the
+	// endpoint has not yet stepped on it.
+	afterInstall atomic.Pointer[func(*Socket)]
+
 	done chan struct{}
 }
 
@@ -420,16 +425,14 @@ func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
 		return rejectReply(wire.ZeroConnID, wire.RejectOther, "malformed control message")
 	}
 	if m.Type == wire.MsgConnect {
-		return ctrl.handleConnect(m)
+		return ctrl.handleConnect(m, req)
 	}
 	s, ok := ctrl.tab.byKey(m.ConnID, m.To)
 	if !ok {
 		return rejectReply(m.ConnID, wire.RejectUnknownConn, "unknown connection")
 	}
 	if err := s.checkAuth(m, req); err != nil {
-		ctrl.obs.rejectUnauth.Inc()
-		ctrl.olog(obs.LevelDebug, "control: %v", err)
-		return rejectReply(m.ConnID, wire.RejectOther, "authentication failed")
+		return ctrl.refuseUnauthenticated(m.ConnID, err)
 	}
 	// A message stamped with a trace context gets its handling recorded as
 	// a span of the sender's trace — this is how the stationary peer's side
@@ -455,14 +458,15 @@ func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
 			DataAddr:    m.DataAddr,
 		}, m.LocEpoch)
 	}
-	switch m.Type {
-	case wire.MsgIDExchange:
-		return s.handleIDExchange(m)
-	case wire.MsgSuspend, wire.MsgSusRes, wire.MsgResume, wire.MsgClose:
-		return s.serve(m)
-	default:
-		return rejectReply(m.ConnID, wire.RejectOther, fmt.Sprintf("unsupported message %s", m.Type))
-	}
+	return s.serve(m)
+}
+
+// refuseUnauthenticated answers a control message whose tag or nonce
+// checkAuth refused.
+func (ctrl *Controller) refuseUnauthenticated(id wire.ConnID, err error) []byte {
+	ctrl.obs.rejectUnauth.Inc()
+	ctrl.olog(obs.LevelDebug, "control: %v", err)
+	return rejectReply(id, wire.RejectOther, "authentication failed")
 }
 
 // rejectReply builds an unsigned rejection (no session context).
@@ -530,9 +534,9 @@ func (ctrl *Controller) transportCounts() (int, int) {
 // OpenAs establishes a NapletSocket connection from a resident agent to the
 // named remote agent, through the controller's proxy service: the agent is
 // authenticated and checked against policy, the target located, a session
-// key agreed, and the data socket delivered by the target's redirector
-// (socket handoff, saving the port-query round trip of Section 3.4). One
-// attempt; Dial retries while the target is launching or migrating.
+// key derived, and the data socket opened by the target's controller beside
+// its ACK (socket handoff, saving the port-query round trip of Section 3.4).
+// One attempt; Dial retries while the target is launching or migrating.
 func (ctrl *Controller) OpenAs(agentID string, cred [security.CredentialSize]byte, target string) (*Socket, error) {
 	start := time.Now()
 	s, err := ctrl.openAs(agentID, cred, target)
@@ -552,7 +556,8 @@ func (ctrl *Controller) OpenAs(agentID string, cred [security.CredentialSize]byt
 
 func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byte, target string) (*Socket, error) {
 	bd := ctrl.obs.openBD
-	ctx, cancel := context.WithTimeout(context.Background(), ctrl.cfg.opTimeout())
+	deadline := time.Now().Add(ctrl.cfg.opTimeout())
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
 
 	// Each open is its own trace; the CONNECT stamp carries it to the
@@ -608,32 +613,43 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 		return nil, fmt.Errorf("napletsocket: transport to %q's host: %w", target, err)
 	}
 
-	// Handshake: CONNECT names the transport whose secret keys the
-	// connection, so the server derives the same key without a public-value
-	// round trip.
-	m := &wire.ControlMsg{
-		Type:        wire.MsgConnect,
-		ConnID:      id,
-		From:        agentID,
-		To:          target,
-		DataAddr:    ctrl.DataAddr(),
-		ControlAddr: ctrl.ControlAddr(),
-		TraceID:     sp.Context().Trace,
-		SpanID:      sp.Context().Span,
-	}
-	if !ctrl.cfg.Insecure {
-		m.TransportID = tr.ID()
-	}
+	// Key exchange, client half: derive the session key from the transport
+	// secret bound to the connection id — no per-connection key agreement,
+	// and compromise of one connection's key reveals nothing about its
+	// siblings on the same transport.
 	start = time.Now()
-	raw, err := ctrl.ep.Request(ctx, rec.Loc.ControlAddr, m.Encode())
+	key := ctrl.sessionKeyFor(id, tr.Secret())
+	if !ctrl.cfg.Insecure {
+		bd.Add(metrics.PhaseKeyExchange, time.Since(start))
+	}
+	s, err := newSocket(ctrl, id, agentID, target, key, fsm.Closed)
+	if err != nil {
+		return nil, err
+	}
+	// The endpoint awaits its data stream before CONNECT leaves: the target
+	// opens it before it answers, so it may land ahead of the ACK.
+	s.mu.Lock()
+	s.step(fsm.AppOpen) // -> CONNECT_SENT
+	s.setPeerAddrsLocked(rec.Loc.ControlAddr, rec.Loc.DataAddr)
+	s.awaitHandoffLocked(&handoffWait{state: fsm.ConnectSent})
+	s.mu.Unlock()
+	ctrl.tab.register(s)
+
+	// Handshake: CONNECT names the transport whose secret keys the
+	// connection and on which the target opens the data stream, so neither
+	// a public value nor a socket id crosses the control channel. It is
+	// signed with the key just derived, so only this transport's peer host
+	// can open a connection over it.
+	start = time.Now()
+	reply, err := s.request(ctx, wire.MsgConnect, func(m *wire.ControlMsg) {
+		m.DataAddr, m.ControlAddr = ctrl.DataAddr(), ctrl.ControlAddr()
+		m.TransportID = tr.ID()
+		m.TraceID, m.SpanID = sp.Context().Trace, sp.Context().Span
+	})
 	bd.Add(metrics.PhaseHandshaking, time.Since(start))
 	if err != nil {
 		ctrl.loc.Invalidate(target)
-		return nil, fmt.Errorf("napletsocket: CONNECT to %q: %w", target, err)
-	}
-	reply, err := wire.DecodeControlReply(raw)
-	if err != nil {
-		return nil, err
+		return nil, s.giveUpOpen(fmt.Errorf("napletsocket: CONNECT to %q: %w", target, err))
 	}
 	if reply.Verdict != wire.VerdictAck {
 		// "Not listening here" usually means the target migrated (or has not
@@ -644,71 +660,29 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 		if reply.Code == wire.RejectRetry {
 			err = fmt.Errorf("%w (%w)", err, errTargetNotReady)
 		}
-		return nil, err
-	}
-
-	// Key exchange, client half: derive the session key from the transport
-	// secret bound to the connection id — no per-connection modular
-	// exponentiation, and compromise of one connection's key reveals
-	// nothing about its siblings on the same transport.
-	var key []byte
-	if ctrl.cfg.Insecure {
-		key = ctrl.sessionKeyFor(id, nil)
-	} else {
-		start = time.Now()
-		key = ctrl.sessionKeyFor(id, tr.Secret())
-		bd.Add(metrics.PhaseKeyExchange, time.Since(start))
-	}
-
-	s, err := newSocket(ctrl, id, agentID, target, key, fsm.Closed)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.step(fsm.AppOpen) // -> CONNECT_SENT
-	s.setPeerAddrsLocked(rec.Loc.ControlAddr, rec.Loc.DataAddr)
-	s.mu.Unlock()
-	ctrl.tab.register(s)
-
-	// Open socket: a stream on the shared transport, carrying the
-	// authenticated handoff header as its open payload and handed off by the
-	// target's controller. The open is not waited for.
-	start = time.Now()
-	err = s.dialAndInstall(wire.HandoffConnect, 0)
-	bd.Add(metrics.PhaseOpenSocket, time.Since(start))
-	if err != nil {
 		return nil, s.abandon(err)
 	}
 
-	// Final handshake: report our socket id (the ID message of Fig 3). It
-	// overlaps the handoff, and its reply is the handoff's verdict.
+	// Open socket: the target's stream travelled beside the ACK; takeHandoff
+	// installs it and steps the endpoint out of CONNECT_SENT.
 	start = time.Now()
-	idReply, err := s.request(ctx, wire.MsgIDExchange, nil)
-	bd.Add(metrics.PhaseHandshaking, time.Since(start))
-	if err != nil {
-		return nil, s.abandon(fmt.Errorf("napletsocket: ID exchange with %q: %w", target, err))
-	}
-	if idReply.Verdict != wire.VerdictAck {
-		return nil, s.abandon(fmt.Errorf("napletsocket: ID exchange with %q refused: %s", target, idReply.Reason))
-	}
 	s.mu.Lock()
-	s.establishLocked(fsm.ConnectSent, fsm.RecvConnectAck)
+	for !s.closed && s.m.State() == fsm.ConnectSent && waitCond(s.cond, time.Until(deadline)) {
+	}
+	opened := s.m.State() != fsm.ConnectSent
 	s.mu.Unlock()
+	bd.Add(metrics.PhaseOpenSocket, time.Since(start))
+	if !opened {
+		return nil, s.giveUpOpen(fmt.Errorf("napletsocket: open to %q: %w", target, errNoHandoff))
+	}
 	ctrl.checkpointConn(s)
 	return s, nil
 }
 
-// dialAndInstall opens a data stream to the peer's (possibly new) redirector
-// over the shared transport — dialing and handshaking one only if no warm
-// transport exists — for the authenticated connect or resume handoff purpose
-// names, and installs it; what the peer is missing is retransmitted behind
-// the stream's own open. Nothing waits for the peer: it began awaiting the
-// handoff before the ACK to our RES or CONNECT. Its controller still
-// authorizes the header, and a refusal is a reset of the stream — a stream
-// death, which readerExit and establishLocked handle.
-func (s *Socket) dialAndInstall(purpose wire.HandoffPurpose, peerHasUpTo uint64) error {
+// handoffHeader builds and signs the header of a data stream the endpoint
+// opens for purpose.
+func (s *Socket) handoffHeader(purpose wire.HandoffPurpose) *wire.HandoffHeader {
 	s.mu.Lock()
-	addr := s.peerDataAddr
 	s.sendNonce++
 	hdr := &wire.HandoffHeader{
 		Purpose:     purpose,
@@ -717,9 +691,24 @@ func (s *Socket) dialAndInstall(purpose wire.HandoffPurpose, peerHasUpTo uint64)
 		FromAgent:   s.localAgent,
 		Nonce:       s.sendNonce,
 	}
-	tc := s.traceSpan.Context()
 	s.mu.Unlock()
 	hdr.Token = s.auth.Sign(hdr.SigningBytes())
+	return hdr
+}
+
+// dialAndInstall opens a resumed connection's data stream to the peer's
+// (possibly new) redirector over the shared transport — dialing and
+// handshaking one only if no warm transport exists — and installs it; what
+// the peer is missing is retransmitted behind the stream's own open. Nothing
+// waits for the peer: it began awaiting the handoff before the ACK to our
+// RES. Its controller still authorizes the header, and a refusal is a reset
+// of the stream — a stream death, which readerExit and establishLocked
+// handle.
+func (s *Socket) dialAndInstall(peerHasUpTo uint64) error {
+	hdr := s.handoffHeader(wire.HandoffResume)
+	s.mu.Lock()
+	addr, tc := s.peerDataAddr, s.traceSpan.Context()
+	s.mu.Unlock()
 	stream, err := s.ctrl.tm.OpenStreamTraced(addr, hdr, s.ctrl.cfg.opTimeout(), tc)
 	if err != nil {
 		return err
@@ -728,10 +717,11 @@ func (s *Socket) dialAndInstall(purpose wire.HandoffPurpose, peerHasUpTo uint64)
 }
 
 // handleConnect serves a CONNECT request on the server side: policy check,
-// key agreement (derived from the shared transport's secret), connection
-// creation, and the wait for the handoff. Establishment completes when both
-// the data stream (via the transport) and the client's ID message arrive.
-func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
+// key agreement (derived from the named transport's secret), the check of
+// CONNECT's tag under that key, connection creation, and the data stream,
+// opened on that same transport before the ACK leaves. The connection is ESTABLISHED and queued for Accept when the
+// ACK is sent; the opener has awaited the stream since before its CONNECT.
+func (ctrl *Controller) handleConnect(m *wire.ControlMsg, req []byte) []byte {
 	if rtc := (obs.SpanContext{Trace: obs.TraceID(m.TraceID), Span: obs.SpanID(m.SpanID)}); rtc.Valid() {
 		sp := ctrl.obs.tr.StartSpan(rtc, "handle.CONNECT")
 		sp.Annotate("from=" + m.From)
@@ -769,39 +759,69 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg) []byte {
 		}
 	}
 
-	// Key agreement, server half: look up the named transport's secret and
-	// bind it to the connection id — the DH work already happened once at
-	// transport setup. CONNECT can outrun the transport's registration
-	// here; the lookup waits that out before the client is bounced into a
-	// retry.
-	var key []byte
-	if ctrl.cfg.Insecure {
-		key = ctrl.sessionKeyFor(m.ConnID, nil)
-	} else {
-		start := time.Now()
-		secret, ok := ctrl.tm.SecretByID(m.TransportID, ctrl.cfg.opTimeout()/2)
+	// Key agreement, server half: look up the named transport and bind its
+	// secret to the connection id — the DH work already happened once at
+	// transport setup. CONNECT can outrun the transport's registration here;
+	// the lookup waits that out before the client is bounced into a retry.
+	// The data stream goes on this transport too, never on one found by
+	// address: that may be a stale transport the client has already closed.
+	start := time.Now()
+	tr := ctrl.tm.TransportByID(m.TransportID, ctrl.cfg.opTimeout()/2)
+	if !ctrl.cfg.Insecure {
 		bd.Add(metrics.PhaseKeyExchange, time.Since(start))
-		if !ok {
-			return rejectReply(m.ConnID, wire.RejectRetry, "unknown transport")
-		}
-		key = ctrl.sessionKeyFor(m.ConnID, secret)
 	}
-
-	s, err := newSocket(ctrl, m.ConnID, target, m.From, key, fsm.Listen)
+	if tr == nil {
+		return rejectReply(m.ConnID, wire.RejectRetry, "unknown transport")
+	}
+	s, err := newSocket(ctrl, m.ConnID, target, m.From, ctrl.sessionKeyFor(m.ConnID, tr.Secret()), fsm.Listen)
 	if err != nil {
 		return rejectReply(m.ConnID, wire.RejectOther, "internal error")
 	}
-	// Await the handoff stream; establishment completes in
-	// completeEstablishment once the ID message has arrived too. Giving up
-	// closes the endpoint, which releases an ID message waiting on it with a
-	// REJECT.
-	ctrl.tab.register(s)
+	// Only the transport's peer host holds the key: a CONNECT it did not
+	// sign, from whoever learned the transport id, opens nothing.
+	if err := s.checkAuth(m, req); err != nil {
+		return ctrl.refuseUnauthenticated(m.ConnID, err)
+	}
 	s.mu.Lock()
 	s.step(fsm.RecvConnect) // -> CONNECT_ACKED
 	s.setPeerAddrsLocked(m.ControlAddr, m.DataAddr)
-	s.awaitHandoffLocked(&handoffWait{state: fsm.ConnectAcked, ss: ss})
 	s.mu.Unlock()
+	ctrl.tab.register(s)
+	st, err := tr.OpenStream(s.handoffHeader(wire.HandoffConnect))
+	if err == nil {
+		err = s.installSocket(st, 0)
+	}
+	if err != nil {
+		s.abandon(err)
+		return rejectReply(m.ConnID, wire.RejectRetry, "transport lost")
+	}
+	// CONNECT carried the client's socket id (the transport): the ID
+	// message of Fig 3 has nothing left to say.
+	s.mu.Lock()
+	s.establishLocked(fsm.ConnectAcked, fsm.RecvID)
+	s.mu.Unlock()
+	ctrl.obs.accepts.Inc()
+	s.olog(obs.LevelInfo, "accepted")
+	ctrl.checkpointConn(s)
+	ss.push(s)
 	return s.reply(wire.VerdictAck, nil)
+}
+
+// giveUpOpen abandons an open that failed after its CONNECT may have been
+// granted (its ACK lost, or its stream not landed), and closes the endpoint
+// the target may hold for it, queued for Accept, rather than leave that to
+// fail and chase this one for the park window. The CLS goes in the
+// background, so a failed open still returns at its deadline; its goroutine
+// ends at a deadline of its own or when the controller closes. A CLS that
+// does not arrive changes nothing here.
+func (s *Socket) giveUpOpen(err error) error {
+	err = s.abandon(err)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
+		defer cancel()
+		_, _ = s.request(ctx, wire.MsgClose, nil)
+	}()
+	return err
 }
 
 // abandon gives the endpoint up for good: out of the table and the journal,
@@ -812,52 +832,6 @@ func (s *Socket) abandon(err error) error {
 	s.markClosedLocked(err)
 	s.mu.Unlock()
 	return err
-}
-
-// handleIDExchange completes establishment on the server side (the client's
-// socket-id confirmation of Fig 3). The client sends the ID behind its
-// unanswered stream open, so the reply is also the handoff's verdict: the ID
-// waits out the stream's arrival and is acked only by an endpoint that got
-// it; one that did not is abandoned, as the client's is on the REJECT.
-func (s *Socket) handleIDExchange(_ *wire.ControlMsg) []byte {
-	deadline := time.Now().Add(s.ctrl.cfg.opTimeout())
-	s.mu.Lock()
-	s.idReceived = true
-	for !s.closed && s.sock == nil && s.m.State() == fsm.ConnectAcked && waitCond(s.cond, time.Until(deadline)) {
-	}
-	s.mu.Unlock()
-	s.ctrl.mu.Lock()
-	ss := s.ctrl.listeners[s.localAgent]
-	s.ctrl.mu.Unlock()
-	if ss == nil {
-		return s.reject(wire.RejectUnknownConn, "listener closed")
-	}
-	s.completeEstablishment(ss)
-	s.mu.Lock()
-	refused := s.closed || s.m.State() == fsm.ConnectAcked
-	s.mu.Unlock()
-	if refused {
-		s.abandon(errNoHandoff)
-		return s.reject(wire.RejectOther, "no data socket")
-	}
-	return s.reply(wire.VerdictAck, nil)
-}
-
-// completeEstablishment fires when both the data socket and the ID message
-// are in: the connection becomes ESTABLISHED and is queued for Accept.
-func (s *Socket) completeEstablishment(ss *ServerSocket) {
-	s.mu.Lock()
-	ready := s.idReceived && s.sock != nil && !s.closed && s.m.State() == fsm.ConnectAcked
-	if ready {
-		s.establishLocked(fsm.ConnectAcked, fsm.RecvID)
-	}
-	s.mu.Unlock()
-	if ready {
-		s.ctrl.obs.accepts.Inc()
-		s.olog(obs.LevelInfo, "accepted")
-		s.ctrl.checkpointConn(s)
-		ss.push(s)
-	}
 }
 
 // ---- server sockets ----

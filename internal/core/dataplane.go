@@ -164,6 +164,9 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 	// raced in before this point is lost.
 	sock.SetReadable(s.schedulePump)
 	sock.SetWritable(s.scheduleFlush)
+	if hook := s.ctrl.afterInstall.Load(); hook != nil {
+		(*hook)(s)
+	}
 	return nil
 }
 

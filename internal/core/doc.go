@@ -29,12 +29,17 @@
 // stream, and a writer that exhausts its window parks without holding the
 // shared write path. Stream open is the socket handoff of Section 3.4: the
 // handoff header rides the MuxOpen frame and the opener writes behind it
-// unanswered (the verdict is the ACK to its RES, or the reply to its ID);
-// the receiving controller authorizes the header or resets the stream. A
+// unanswered; the receiving controller authorizes the header or resets the
+// stream. A resume's mover opens the stream once its RES is acked; a new
+// connection's stream is opened by the acceptor, on the transport CONNECT
+// names (CONNECT is tagged with the key derived from that transport's
+// secret), beside its ACK, so an open is one control request and two one-way
+// trips, and the ID message of Fig 3 is gone (CONNECT carries the socket
+// id: the transport). A
 // stream's CloseWrite maps to MuxFin, which carries the pre-suspend
 // FLUSH-then-half-close drain. The
 // redirector hands every accepted kernel connection to the transport
-// manager; one that does not open with a version-2 transport hello is
+// manager; one that does not open with a version-4 transport hello is
 // closed. The transport is fail-stop: a broken or silent connection fails
 // every stream on it with transport.ErrTransportLost, and nothing below
 // this package replays or resumes anything.

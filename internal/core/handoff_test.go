@@ -2,23 +2,30 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"naplet/internal/dhkx"
 	"naplet/internal/fsm"
+	"naplet/internal/metrics"
 	"naplet/internal/netem"
 	"naplet/internal/obs"
 	"naplet/internal/wire"
 )
 
-// A data stream is opened without waiting for the peer's verdict: the ACK to
-// the RES or CONNECT, given with the wait for the handoff already set, is the
-// verdict, and a refusal that comes anyway is a reset of a stream already in
-// use. The tests here pin both halves: what an operation costs in sequential
-// one-way trips, and what becomes of a refusal wherever it lands.
+// A data stream is opened without waiting for the peer's verdict. A resume's
+// stream follows the ACK to its RES, given with the wait for the handoff
+// already set; an open's stream is opened by the acceptor beside its ACK, and
+// the opener awaits it from before its CONNECT leaves. A refusal that comes
+// anyway is a reset of a stream already in use. The tests here pin what an
+// operation costs in sequential one-way trips, what becomes of a refusal or
+// a stream death wherever it lands, and each way an open can go.
 
 // onHost applies opt to the named host's Config only.
 func onHost(name string, opt envOption) envOption {
@@ -105,8 +112,9 @@ func assertLiveIfEstablished(t *testing.T, s *Socket) {
 // refusal an honest peer produces — and lands the reset at each point of the
 // opener's way to ESTABLISHED: before installSocket has touched the stream,
 // on the installed stream while the FSM step is under way, and after the
-// step. (Between install and step there is nothing of the opener's to hold;
-// TestStreamDeathBeforeEstablished parks a connect there.) Wherever it lands,
+// step. (TestStreamDeathAtEstablishment kills an open's stream inside the
+// step; TestStreamDeathBetweenInstallAndStep kills an open's or a resume's
+// between install and step.) Wherever it lands,
 // Resume reports no error, the connection degrades with one conn.failures,
 // and its recovery re-establishes it with every message delivered once, in
 // order — including one written into the refused stream. With the peer held
@@ -273,208 +281,670 @@ func testRefusedHandoff(t *testing.T, landing string, heldAway bool) {
 	}
 }
 
-// TestStreamDeathBeforeEstablished parks a connect where a stream death used
-// to be lost: both ends have the data stream installed, neither is
-// ESTABLISHED yet (the ID message is held back), and the stream dies. The
-// pump pass that finds it dead runs to completion in CONNECT_SENT /
-// CONNECT_ACKED, where there is nothing to degrade, and a dead stream raises
-// no second event — so the step the ID then completes must itself notice. It
-// does: the open succeeds, each end counts one failure and degrades, and
-// failure resume re-establishes the connection. Without the probe in
-// establishLocked both ends rest in ESTABLISHED over a dead stream and the
-// first read never returns.
-func TestStreamDeathBeforeEstablished(t *testing.T) {
-	var holdID atomic.Bool
-	holdID.Store(true)
-	regs := map[string]*obs.Registry{"h1": obs.NewRegistry(), "h2": obs.NewRegistry()}
-	env := newEnv(t, []string{"h1", "h2"},
-		func(c *Config) { c.Metrics = regs[c.HostName] },
-		onHost("h1", func(c *Config) { c.ControlDropFn = dropIDs(holdID.Load) }))
-	env.place("cli", "h1")
-	env.place("srv", "h2")
-	h1, h2 := env.hosts["h1"], env.hosts["h2"]
-	ss, err := h2.ctrl.ListenAs("srv", h2.cred("srv"))
+// openAsync starts h's OpenAs of agent to target on its own goroutine.
+func openAsync(h *testHost, agent, target string) <-chan opened {
+	ch := make(chan opened, 1)
+	go func() {
+		s, err := h.ctrl.OpenAs(agent, h.cred(agent), target)
+		ch <- opened{s, err}
+	}()
+	return ch
+}
+
+type opened struct {
+	s   *Socket
+	err error
+}
+
+// endpointIs reports whether agent's one endpoint on h is in st.
+func endpointIs(h *testHost, agent string, st fsm.State) bool {
+	socks := h.ctrl.AgentSockets(agent)
+	return len(socks) == 1 && socks[0].State() == st
+}
+
+// exchangeBothWays writes msg each way and reads it at the other end.
+func exchangeBothWays(t *testing.T, a, b *Socket, msg string) {
+	t.Helper()
+	for _, dir := range [][2]*Socket{{a, b}, {b, a}} {
+		if err := dir[0].WriteMsg([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := dir[1].ReadMsg(); err != nil || string(got) != msg {
+			t.Fatalf("read %q, %v; want %q", got, err, msg)
+		}
+	}
+}
+
+// acceptAsync runs one Accept on agent's server socket at h.
+func acceptAsync(t *testing.T, h *testHost, agent string) <-chan opened {
+	t.Helper()
+	ss, err := h.ctrl.ListenAs(agent, h.cred(agent))
 	if err != nil {
 		t.Fatal(err)
 	}
-	type opened struct {
-		s   *Socket
-		err error
-	}
-	openCh := make(chan opened, 1)
+	ch := make(chan opened, 1)
 	go func() {
-		s, err := h1.ctrl.OpenAs("cli", h1.cred("cli"), "srv")
-		openCh <- opened{s, err}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s, err := ss.Accept(ctx)
+		ch <- opened{s, err}
 	}()
-
-	// parked waits for agent's endpoint to hold its stream short of
-	// ESTABLISHED.
-	parked := func(h *testHost, agent string, st fsm.State) *Socket {
-		var s *Socket
-		eventually(t, agent+"'s endpoint to install its stream", func() bool {
-			socks := h.ctrl.AgentSockets(agent)
-			if len(socks) != 1 {
-				return false
-			}
-			s = socks[0]
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.sock != nil
-		})
-		if got := s.State(); got != st {
-			t.Fatalf("%s's endpoint is in %s with the ID held back, want %s", agent, got, st)
-		}
-		return s
-	}
-	client := parked(h1, "cli", fsm.ConnectSent)
-	server := parked(h2, "srv", fsm.ConnectAcked)
-
-	client.KillDataSocket()
-	for _, s := range []*Socket{client, server} {
-		eventually(t, "the pump to have found the stream dead", func() bool {
-			s.mu.Lock()
-			_, terminal := s.sock.TermStatus()
-			s.mu.Unlock()
-			return terminal && !s.pumpReq.Load() && !s.pumpRun.Load()
-		})
-	}
-	if cs, ss := client.State(), server.State(); cs != fsm.ConnectSent || ss != fsm.ConnectAcked {
-		t.Fatalf("states %s / %s after the stream died, want the connect still parked", cs, ss)
-	}
-
-	holdID.Store(false) // the next retransmission of the ID gets through
-	res := <-openCh
-	if res.err != nil {
-		t.Fatalf("OpenAs: %v", res.err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := ss.Accept(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	for host, reg := range regs {
-		eventually(t, host+" to take up the stream death", func() bool {
-			return reg.Counter("conn.failures").Value() == 1
-		})
-	}
-	waitEstablished(t, client, server)
-	assertLiveIfEstablished(t, client)
-	assertLiveIfEstablished(t, server)
-	for _, dir := range [][2]*Socket{{client, server}, {server, client}} {
-		if err := dir[0].WriteMsg([]byte("after")); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := dir[1].ReadMsg(); err != nil || string(got) != "after" {
-			t.Fatalf("read %q, %v", got, err)
-		}
-	}
+	return ch
 }
 
-// dropIDs is a ControlDropFn that drops every ID message while hold says so.
-func dropIDs(hold func() bool) func([]byte) bool {
+// The acceptor opens the data stream before it answers CONNECT, so the
+// stream and the ACK race to the opener. Either may land first: the opener
+// awaits the stream from before its CONNECT leaves and takes it in
+// CONNECT_SENT, and OpenAs returns once both are in.
+func TestOpenStreamAndACKInEitherOrder(t *testing.T) {
+	t.Run("stream-first", func(t *testing.T) {
+		// h2's ACK is held back; its stream is not.
+		env := newEnv(t, []string{"h1", "h2"}, onHost("h2", func(c *Config) { c.ControlSendDelay = 200 * time.Millisecond }))
+		env.place("cli", "h1")
+		env.place("srv", "h2")
+		h1, h2 := env.hosts["h1"], env.hosts["h2"]
+		accepted := acceptAsync(t, h2, "srv")
+		open := openAsync(h1, "cli", "srv")
+		eventually(t, "the opener to take the stream", func() bool { return endpointIs(h1, "cli", fsm.Established) })
+		select {
+		case res := <-open:
+			t.Fatalf("OpenAs returned (%v) before the ACK was due; the stream did not land first", res.err)
+		default:
+		}
+		res := <-open
+		if res.err != nil {
+			t.Fatalf("OpenAs: %v", res.err)
+		}
+		defer res.s.Close()
+		acc := <-accepted
+		if acc.err != nil {
+			t.Fatal(acc.err)
+		}
+		exchangeBothWays(t, res.s, acc.s, "stream first")
+	})
+
+	t.Run("ack-first", func(t *testing.T) {
+		// h1's transports read nothing while the gate is held: h2's stream
+		// cannot land, its ACK can.
+		gate := &readGate{}
+		bd := metrics.NewBreakdown()
+		env := newEnv(t, []string{"h1", "h2"}, onHost("h1", func(c *Config) { c.WrapData = gate.wrap; c.OpenBreakdown = bd }))
+		env.place("cli", "h1")
+		env.place("srv", "h2")
+		h1, h2 := env.hosts["h1"], env.hosts["h2"]
+		// Warm the transport first, so the gate holds only the stream.
+		warm, _ := env.connect("cli", "h1", "srv", "h2")
+		warm.Close()
+		handshook := bd.Get(metrics.PhaseHandshaking)
+		accepted := acceptAsync(t, h2, "srv")
+		gate.hold()
+		open := openAsync(h1, "cli", "srv")
+		eventually(t, "the ACK to reach the opener", func() bool { return bd.Get(metrics.PhaseHandshaking) > handshook })
+		if !endpointIs(h1, "cli", fsm.ConnectSent) {
+			t.Fatalf("opener holds %v with the ACK in and the stream held, want one CONNECT_SENT endpoint", byState(h1.ctrl))
+		}
+		select {
+		case res := <-open:
+			t.Fatalf("OpenAs returned (%v) before its stream landed", res.err)
+		default:
+		}
+		gate.open()
+		res := <-open
+		if res.err != nil {
+			t.Fatalf("OpenAs: %v", res.err)
+		}
+		defer res.s.Close()
+		acc := <-accepted
+		if acc.err != nil {
+			t.Fatal(acc.err)
+		}
+		exchangeBothWays(t, res.s, acc.s, "ack first")
+	})
+}
+
+// dropFirst is a ControlDropFn that drops the first outgoing reply match
+// accepts, counting it in dropped.
+func dropFirst(dropped *atomic.Int64, match func(*wire.ControlReply) bool) func([]byte) bool {
 	return func(pkt []byte) bool {
 		const rudpHeader = 12
-		if len(pkt) < rudpHeader {
+		if len(pkt) < rudpHeader || dropped.Load() > 0 {
 			return false
 		}
-		m, err := wire.DecodeControlMsg(pkt[rudpHeader:])
-		return err == nil && m.Type == wire.MsgIDExchange && hold()
+		r, err := wire.DecodeControlReply(pkt[rudpHeader:])
+		if err != nil || !match(r) {
+			return false
+		}
+		return dropped.CompareAndSwap(0, 1)
 	}
 }
 
-// TestOpenRefusedHandoffLeavesNoEndpoint: the ID exchange is the verdict of a
-// connect's handoff. A server whose wait for the stream ran out before it
-// arrived answers the ID with REJECT, OpenAs fails synchronously, and neither
-// host is left holding an endpoint; the stream, when it does arrive, is reset
-// as a handoff for a connection nobody knows. The server's wait covers the ID
-// too: an open whose stream lands but whose ID never does is given up at
-// OpTimeout, not left half open in CONNECT_ACKED.
-func TestOpenRefusedHandoffLeavesNoEndpoint(t *testing.T) {
-	t.Run("stream-late", func(t *testing.T) {
-		gate := &readGate{}
-		env := newEnv(t, []string{"h1", "h2"},
-			onHost("h2", func(c *Config) { c.OpTimeout = 250 * time.Millisecond; c.WrapData = gate.wrap }))
-		env.place("cli", "h1")
-		env.place("srv", "h2")
-		h1, h2 := env.hosts["h1"], env.hosts["h2"]
-		if _, err := h2.ctrl.ListenAs("srv", h2.cred("srv")); err != nil {
-			t.Fatal(err)
+// A lost ACK costs a retransmission, not a second connection: the
+// opener's CONNECT goes again, the acceptor's control channel replays the
+// cached ACK without running the handler, and exactly one stream is opened.
+func TestConnectACKLostOnce(t *testing.T) {
+	var dropped atomic.Int64
+	reg := obs.NewRegistry()
+	env := newEnv(t, []string{"h1", "h2"}, onHost("h2", func(c *Config) {
+		c.Metrics = reg
+		c.ControlDropFn = dropFirst(&dropped, func(r *wire.ControlReply) bool { return r.Verdict == wire.VerdictAck })
+	}))
+	env.place("cli", "h1")
+	env.place("srv", "h2")
+	h1, h2 := env.hosts["h1"], env.hosts["h2"]
+	before1, before2 := h1.ctrl.ControlStats(), h2.ctrl.ControlStats()
+	client, server := env.connect("cli", "h1", "srv", "h2")
+	defer client.Close()
+	after1, after2 := h1.ctrl.ControlStats(), h2.ctrl.ControlStats()
+	if dropped.Load() != 1 {
+		t.Fatal("no ACK was dropped")
+	}
+	if n := after1.RequestsSent - before1.RequestsSent; n != 1 {
+		t.Errorf("opener sent %d requests, want the one CONNECT", n)
+	}
+	if n := after1.Retransmits - before1.Retransmits; n == 0 {
+		t.Error("the CONNECT was not retransmitted after its ACK was lost")
+	}
+	if n := after2.HandlerInvoked - before2.HandlerInvoked; n != 1 {
+		t.Errorf("the CONNECT handler ran %d times, want once", n)
+	}
+	if n := after2.DuplicateRequests - before2.DuplicateRequests; n == 0 {
+		t.Error("the retransmitted CONNECT was not answered from the reply cache")
+	}
+	if n := reg.Counter("conn.accepts").Value(); n != 1 {
+		t.Errorf("conn.accepts = %d, want 1", n)
+	}
+	for name, h := range env.hosts {
+		if n := h.ctrl.tab.count(); n != 1 {
+			t.Errorf("%s holds %d endpoints, want 1", name, n)
 		}
+		if _, n := h.ctrl.tm.Counts(); n != 1 {
+			t.Errorf("%s has %d streams, want the one", name, n)
+		}
+	}
+	exchangeBothWays(t, client, server, "once")
+}
 
-		gate.hold()
-		start := time.Now()
-		s, err := h1.ctrl.OpenAs("cli", h1.cred("cli"), "srv")
+// An opener that gives up before its stream lands leaves no endpoint, and
+// tells the acceptor: the endpoint the acceptor already queued for Accept
+// is closed within the time one failure recovery would take, and its
+// consumer reads an error instead of waiting out the park window. The
+// stream that lands late is refused without harm to the transport.
+func TestOpenerGivesUpBeforeTheStreamLands(t *testing.T) {
+	gate := &readGate{}
+	env := newEnv(t, []string{"h1", "h2"},
+		onHost("h1", func(c *Config) { c.OpTimeout = 250 * time.Millisecond; c.WrapData = gate.wrap }))
+	env.place("cli", "h1")
+	env.place("srv", "h2")
+	h1, h2 := env.hosts["h1"], env.hosts["h2"]
+	warm, _ := env.connect("cli", "h1", "srv", "h2")
+	warm.Close()
+	eventually(t, "the warm-up connection to close", func() bool { return h2.ctrl.tab.count() == 0 })
+
+	accepted := acceptAsync(t, h2, "srv")
+	gate.hold()
+	if s, err := h1.ctrl.OpenAs("cli", h1.cred("cli"), "srv"); err == nil {
+		s.Close()
+		t.Fatal("OpenAs succeeded although its stream never landed")
+	}
+	gaveUp := time.Now()
+	if n := h1.ctrl.tab.count(); n != 0 {
+		t.Errorf("h1 holds %d endpoints after a failed open, want 0", n)
+	}
+	if n := awaitingHandoff(h1.ctrl); n != 0 {
+		t.Errorf("%d endpoints awaiting a handoff on h1 after a failed open", n)
+	}
+	gate.open()
+	acceptedEndsSoon(t, h2, accepted, gaveUp)
+
+	// The late stream was refused; the next open rides the same transport.
+	eventually(t, "the late stream to be reset", func() bool {
+		_, n := h1.ctrl.tm.Counts()
+		return n == 0
+	})
+	client, server := env.connect("cli", "h1", "srv", "h2")
+	defer client.Close()
+	exchangeBothWays(t, client, server, "after")
+	if n := len(h1.ctrl.TransportInfos()); n != 1 {
+		t.Fatalf("%d transports on h1 after the refusal, want the one", n)
+	}
+}
+
+// acceptedEndsSoon checks what the acceptor h is left with after its opener
+// gave up at gaveUp: the endpoint it queued for Accept reads an error, not a
+// message, and h holds nothing, both within 2 s of the give-up.
+func acceptedEndsSoon(t *testing.T, h *testHost, accepted <-chan opened, gaveUp time.Time) {
+	t.Helper()
+	acc := <-accepted
+	if acc.err != nil {
+		t.Fatalf("Accept: %v", acc.err)
+	}
+	read := make(chan error, 1)
+	go func() {
+		_, err := acc.s.ReadMsg()
+		read <- err
+	}()
+	select {
+	case err := <-read:
 		if err == nil {
-			s.Close()
-			t.Fatal("OpenAs succeeded although the server never got the data stream")
+			t.Fatal("the accepted endpoint of a failed open delivered a message")
 		}
-		t.Logf("OpenAs failed after %v: %v", time.Since(start).Round(time.Millisecond), err)
-		for name, h := range env.hosts {
-			if n := h.ctrl.tab.count(); n != 0 {
-				t.Errorf("%s holds %d endpoints after a refused open, want 0", name, n)
-			}
+	case <-time.After(time.Until(gaveUp.Add(2 * time.Second))):
+		t.Fatal("the accepted endpoint of a failed open is still readable 2 s later")
+	}
+	for h.ctrl.tab.count() != 0 {
+		if time.Since(gaveUp) > 2*time.Second {
+			t.Fatalf("%s holds %v 2 s after the opener gave up, want nothing", h.name, byState(h.ctrl))
 		}
-		if n := awaitingHandoff(h2.ctrl); n != 0 {
-			t.Errorf("%d endpoints awaiting a handoff on h2 after a refused open", n)
-		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
-		// The late stream is refused without harm to the transport: the next
-		// open rides it.
-		gate.open()
-		eventually(t, "the late stream to be reset", func() bool {
-			_, n := h1.ctrl.tm.Counts()
-			return n == 0
+// An opener whose CONNECT gets no ACK at all gives up at its deadline,
+// although the acceptor granted it: it holds an endpoint queued for Accept,
+// its stream already on the way. The opener's give-up closes that endpoint
+// too, and the next open, its ACK let through, succeeds.
+func TestOpenerGivesUpWhenEveryACKIsLost(t *testing.T) {
+	var dropAcks atomic.Bool
+	env := newEnv(t, []string{"h1", "h2"},
+		onHost("h1", func(c *Config) { c.OpTimeout = 250 * time.Millisecond }),
+		onHost("h2", func(c *Config) {
+			c.ControlDropFn = func(pkt []byte) bool {
+				const rudpHeader = 12
+				if !dropAcks.Load() || len(pkt) < rudpHeader {
+					return false
+				}
+				r, err := wire.DecodeControlReply(pkt[rudpHeader:])
+				return err == nil && r.Verdict == wire.VerdictAck
+			}
+		}))
+	env.place("cli", "h1")
+	env.place("srv", "h2")
+	h1, h2 := env.hosts["h1"], env.hosts["h2"]
+	warm, _ := env.connect("cli", "h1", "srv", "h2")
+	warm.Close()
+	eventually(t, "the warm-up connection to close", func() bool { return h2.ctrl.tab.count() == 0 })
+
+	accepted := acceptAsync(t, h2, "srv")
+	dropAcks.Store(true)
+	if s, err := h1.ctrl.OpenAs("cli", h1.cred("cli"), "srv"); err == nil {
+		s.Close()
+		t.Fatal("OpenAs succeeded although no ACK arrived")
+	}
+	gaveUp := time.Now()
+	if n := h1.ctrl.tab.count(); n != 0 {
+		t.Errorf("h1 holds %d endpoints after a failed open, want 0", n)
+	}
+	acceptedEndsSoon(t, h2, accepted, gaveUp)
+
+	dropAcks.Store(false)
+	client, server := env.connect("cli", "h1", "srv", "h2")
+	defer client.Close()
+	exchangeBothWays(t, client, server, "after")
+}
+
+// killAt is a Logger sink that tears down the host's transports (through
+// *ctrl, set once the host exists) when the first FSM line for edge is
+// written — from inside the step, under the endpoint's mu, so the stream
+// the step stands on is dead before the step ends.
+func killAt(t *testing.T, edge string, ctrl **Controller, fired *atomic.Bool) *obs.Logger {
+	return obs.NewLogger(func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		if strings.Contains(line, "--["+edge+"]-->") && fired.CompareAndSwap(false, true) {
+			(*ctrl).CloseTransports()
+		}
+		t.Log(line)
+	}, obs.LevelDebug)
+}
+
+// A stream that dies on either side before that side is ESTABLISHED ends in
+// a failed open or a failed generation, never in ESTABLISHED over a
+// terminal stream. The stream is killed at each step of establishment: the
+// acceptor's CONNECT_ACKED (before its stream is open: the named transport
+// is gone, so the answer is REJECT retry with no endpoint left), its
+// recv:ID, and the opener's recv:ACK+ID.
+func TestStreamDeathAtEstablishment(t *testing.T) {
+	for _, c := range []struct{ name, host, edge string }{
+		{"acceptor-transport-gone", "h2", "recv:CONNECT"},
+		{"acceptor-established", "h2", "recv:ID"},
+		{"opener-established", "h1", "recv:ACK+ID"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var killer *Controller
+			var fired atomic.Bool
+			regs := map[string]*obs.Registry{"h1": obs.NewRegistry(), "h2": obs.NewRegistry()}
+			env := newEnv(t, []string{"h1", "h2"},
+				// An acceptor whose stream died before the opener gave up is in
+				// its recovery when the opener's CLS comes, and it chases the
+				// connection for the park window: shorten that.
+				func(cfg *Config) { cfg.Metrics = regs[cfg.HostName]; cfg.ParkTimeout = 3 * time.Second },
+				onHost(c.host, func(cfg *Config) { cfg.Logger = killAt(t, c.edge, &killer, &fired) }))
+			env.place("cli", "h1")
+			env.place("srv", "h2")
+			h1, h2 := env.hosts["h1"], env.hosts["h2"]
+			killer = env.hosts[c.host].ctrl
+			accepted := acceptAsync(t, h2, "srv")
+			client, err := h1.ctrl.OpenAs("cli", h1.cred("cli"), "srv")
+			if !fired.Load() {
+				t.Fatalf("the open never stepped %s on %s", c.edge, c.host)
+			}
+			if c.name == "acceptor-transport-gone" {
+				if !errors.Is(err, errTargetNotReady) {
+					t.Fatalf("OpenAs over a transport gone at CONNECT_ACKED: %v, want a REJECT retry", err)
+				}
+			}
+			if err != nil {
+				// A failed open: neither host keeps an endpoint.
+				t.Logf("failed open: %v", err)
+				eventually(t, "both hosts to drop the failed open", func() bool {
+					return h1.ctrl.tab.count() == 0 && h2.ctrl.tab.count() == 0
+				})
+				return
+			}
+			defer client.Close()
+			acc := <-accepted
+			if acc.err != nil {
+				t.Fatal(acc.err)
+			}
+			// A failed generation: the killed side degraded and recovered.
+			eventually(t, c.host+" to take up the stream death", func() bool {
+				return regs[c.host].Counter("conn.failures").Value() >= 1
+			})
+			waitEstablished(t, client, acc.s)
+			assertLiveIfEstablished(t, client)
+			assertLiveIfEstablished(t, acc.s)
+			exchangeBothWays(t, client, acc.s, "after")
 		})
-		client, server := env.connect("cli", "h1", "srv", "h2")
-		defer client.Close()
-		assertLiveIfEstablished(t, client)
-		assertLiveIfEstablished(t, server)
-		if n := len(h1.ctrl.TransportInfos()); n != 1 {
-			t.Fatalf("%d transports on h1 after the refusal, want the one", n)
-		}
-	})
+	}
+}
 
-	t.Run("id-lost", func(t *testing.T) {
-		const opTimeout = 250 * time.Millisecond
-		env := newEnv(t, []string{"h1", "h2"},
-			func(c *Config) { c.OpTimeout = opTimeout },
-			onHost("h1", func(c *Config) { c.ControlDropFn = dropIDs(func() bool { return true }) }))
-		env.place("cli", "h1")
-		env.place("srv", "h2")
-		h1, h2 := env.hosts["h1"], env.hosts["h2"]
-		if _, err := h2.ctrl.ListenAs("srv", h2.cred("srv")); err != nil {
-			t.Fatal(err)
-		}
+// A stream can also die after its endpoint has installed it, with the pump
+// watching it, but before the endpoint steps into ESTABLISHED: the pump
+// then meets the death in CONNECT_ACKED, CONNECT_SENT or RES_SENT, where
+// readerExit has nothing to degrade, and nothing raises it again. The
+// step's own probe (establishLocked) is what fails that generation. The
+// stream dies in that window (Controller.afterInstall) on an open's
+// acceptor and opener and on a resume's requester, and the death is taken
+// in by a pump pass before the step; the peer's mux reads are held
+// meanwhile, so it does not notice the loss. The side that lost its stream
+// must not rest in ESTABLISHED over it and must have counted the failure;
+// once the peer reads again the open ends failed or recovered, and the
+// resume recovered.
+func TestStreamDeathBetweenInstallAndStep(t *testing.T) {
+	for _, c := range []struct {
+		name, host, peer string
+		before           fsm.State
+	}{
+		{"acceptor", "h2", "h1", fsm.ConnectAcked},
+		{"opener", "h1", "h2", fsm.ConnectSent},
+		{"resumer", "h1", "h2", fsm.ResSent},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			gate := &readGate{}
+			regs := map[string]*obs.Registry{"h1": obs.NewRegistry(), "h2": obs.NewRegistry()}
+			env := newEnv(t, []string{"h1", "h2"},
+				func(cfg *Config) { cfg.Metrics = regs[cfg.HostName]; cfg.ParkTimeout = 3 * time.Second },
+				onHost(c.peer, func(cfg *Config) { cfg.WrapData = gate.wrap }))
+			env.place("cli", "h1")
+			env.place("srv", "h2")
+			h1, h2 := env.hosts["h1"], env.hosts["h2"]
+			client, server := env.connect("cli", "h1", "srv", "h2")
+			if c.name == "resumer" {
+				if err := client.Suspend(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := server.waitState(5*time.Second, fsm.Suspended); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				client.Close()
+				eventually(t, "the warm-up connection to close", func() bool {
+					return h1.ctrl.tab.count() == 0 && h2.ctrl.tab.count() == 0
+				})
+			}
 
-		if s, err := h1.ctrl.OpenAs("cli", h1.cred("cli"), "srv"); err == nil {
-			s.Close()
-			t.Fatal("OpenAs succeeded although the server never got the ID")
-		}
-		for deadline := time.Now().Add(4 * opTimeout); ; time.Sleep(time.Millisecond) {
-			if h2.ctrl.tab.count() == 0 && h1.ctrl.tab.count() == 0 {
-				break
+			killer := env.hosts[c.host].ctrl
+			killed := make(chan *Socket, 1)
+			var fired atomic.Bool
+			hook := func(s *Socket) {
+				if !fired.CompareAndSwap(false, true) {
+					return
+				}
+				killer.CloseTransports()
+				// The stream's death has kicked the pump; let its pass end.
+				for s.pumpReq.Load() || s.pumpRun.Load() {
+					time.Sleep(time.Millisecond)
+				}
+				killed <- s
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("h2 holds %v, h1 %d endpoints %v after the open failed, want none",
-					byState(h2.ctrl), h1.ctrl.tab.count(), 4*opTimeout)
+			killer.afterInstall.Store(&hook)
+			gate.hold()
+			var done, accepted <-chan opened
+			if c.name == "resumer" {
+				resumed, acc := make(chan opened, 1), make(chan opened, 1)
+				go func() { resumed <- opened{client, client.Resume()} }()
+				acc <- opened{server, nil}
+				done, accepted = resumed, acc
+			} else {
+				accepted = acceptAsync(t, h2, "srv")
+				done = openAsync(h1, "cli", "srv")
 			}
-		}
-	})
+
+			var s *Socket
+			select {
+			case s = <-killed:
+			case <-time.After(5 * time.Second):
+				gate.open()
+				t.Fatalf("no stream was installed on %s", c.host)
+			}
+			eventually(t, "the step after the install", func() bool { return s.State() != c.before })
+			// The killed side may have recovered onto a new stream already.
+			assertLiveIfEstablished(t, s)
+			eventually(t, c.host+" to count the stream death", func() bool {
+				return regs[c.host].Counter("conn.failures").Value() >= 1
+			})
+			gate.open()
+
+			res := <-done
+			if res.err != nil && c.name != "resumer" {
+				t.Logf("failed open: %v", res.err)
+				eventually(t, "both hosts to drop the failed open", func() bool {
+					return h1.ctrl.tab.count() == 0 && h2.ctrl.tab.count() == 0
+				})
+				return
+			}
+			if res.err != nil {
+				t.Fatalf("Resume: %v", res.err)
+			}
+			defer res.s.Close()
+			acc := <-accepted
+			if acc.err != nil {
+				t.Fatal(acc.err)
+			}
+			waitEstablished(t, res.s, acc.s)
+			assertLiveIfEstablished(t, res.s)
+			assertLiveIfEstablished(t, acc.s)
+			exchangeBothWays(t, res.s, acc.s, "after")
+		})
+	}
+}
+
+// A cold open after the opener's transports were torn down goes on the
+// transport CONNECT names: the acceptor, which has not yet noticed the old
+// transport die (its reads are held), must not open the stream on that one,
+// found by the opener's address, or the open waits out its timeout.
+func TestColdOpenUsesTheNamedTransport(t *testing.T) {
+	gate := &readGate{}
+	env := newEnv(t, []string{"h1", "h2"}, onHost("h2", func(c *Config) { c.WrapData = gate.wrap }))
+	env.place("cli", "h1")
+	env.place("srv", "h2")
+	h1, h2 := env.hosts["h1"], env.hosts["h2"]
+	warm, _ := env.connect("cli", "h1", "srv", "h2")
+	stale := warm.Info().Transport
+	warm.Close()
+	eventually(t, "the warm-up connection to close", func() bool { return h2.ctrl.tab.count() == 0 })
+	gate.hold()
+	h1.ctrl.CloseTransports()
+	if n, _ := h2.ctrl.tm.Counts(); n != 1 {
+		t.Fatalf("h2 holds %d transports, want the stale one it has not seen die", n)
+	}
+	start := time.Now()
+	accepted := acceptAsync(t, h2, "srv")
+	open := openAsync(h1, "cli", "srv")
+	var res opened
+	select {
+	case res = <-open:
+	case <-time.After(time.Second):
+		gate.open()
+		t.Fatal("the cold open is still waiting after 1 s: its stream went on a stale transport")
+	}
+	if res.err != nil {
+		gate.open()
+		t.Fatalf("OpenAs: %v", res.err)
+	}
+	defer res.s.Close()
+	t.Logf("cold open took %v", time.Since(start).Round(time.Millisecond))
+	if tr := res.s.Info().Transport; tr == "" || tr == stale {
+		t.Errorf("the stream rides transport %q, the stale one is %s", tr, stale)
+	}
+	gate.open()
+	acc := <-accepted
+	if acc.err != nil {
+		t.Fatal(acc.err)
+	}
+	exchangeBothWays(t, res.s, acc.s, "cold")
+}
+
+// The ID message (type 2) is retired: a peer that sends one, even signed
+// for a live connection, gets one unsigned REJECT and changes nothing.
+func TestRetiredIDMessageRefused(t *testing.T) {
+	env := newEnv(t, []string{"h1", "h2"})
+	client, server := env.pair("cli", "h1", "srv", "h2")
+	defer client.Close()
+	h1, h2 := env.hosts["h1"].ctrl, env.hosts["h2"].ctrl
+	server.mu.Lock()
+	nonce := server.lastPeerNonce
+	server.mu.Unlock()
+	m := &wire.ControlMsg{Type: 2, ConnID: client.ID(), From: "cli", To: "srv", Nonce: nonce + 1}
+	before := h2.ControlStats()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	raw, err := h1.ep.Request(ctx, h2.ControlAddr(), wire.SignEncoded(m.Encode(), client.auth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := wire.DecodeControlReply(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Verdict != wire.VerdictReject || r.Tag != [wire.TagSize]byte{} {
+		t.Fatalf("type 2 answered %s (tag %x), want an unsigned REJECT", r.Verdict, r.Tag[:4])
+	}
+	if n := h2.ControlStats().ResponsesServed - before.ResponsesServed; n != 1 {
+		t.Errorf("%d replies to one type-2 message, want 1", n)
+	}
+	server.mu.Lock()
+	st, got := server.m.State(), server.lastPeerNonce
+	server.mu.Unlock()
+	if st != fsm.Established || got != nonce {
+		t.Fatalf("after a type-2 message: %s, peer nonce %d (was %d); want nothing changed", st, got, nonce)
+	}
+	exchangeBothWays(t, client, server, "unchanged")
+}
+
+// CONNECT names its transport by an id that travels in the clear; what
+// proves the sender is that transport's peer host is the tag under the key
+// derived from the transport's secret. A CONNECT with no tag, or with one
+// under any other key, naming the live transport gets one unsigned REJECT:
+// no endpoint, no stream, nothing to Accept.
+func TestForgedConnectOpensNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	env := newEnv(t, []string{"h1", "h2"}, onHost("h2", func(c *Config) { c.Metrics = reg }))
+	client, server := env.pair("cli", "h1", "srv", "h2")
+	defer client.Close()
+	h1, h2 := env.hosts["h1"].ctrl, env.hosts["h2"].ctrl
+	tr, err := h1.tm.Transport(h2.DataAddr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := h2.ListenAs("srv", env.hosts["h2"].cred("srv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trID := tr.ID()
+	wrongKey, err := dhkx.NewAuthenticator(dhkx.DeriveSessionKey([]byte("not the transport secret"), trID[:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		sign func(b []byte) []byte
+	}{
+		{"unsigned", func(b []byte) []byte { return b }},
+		{"wrong-key", func(b []byte) []byte { return wire.SignEncoded(b, wrongKey) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			id, err := wire.NewConnID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &wire.ControlMsg{
+				Type: wire.MsgConnect, ConnID: id, From: "mallory", To: "srv", Nonce: 1,
+				ControlAddr: h1.ControlAddr(), DataAddr: h1.DataAddr(), TransportID: trID,
+			}
+			before := reg.Counter(`control.rejected{reason="unauthenticated"}`).Value()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			raw, err := h1.ep.Request(ctx, h2.ControlAddr(), c.sign(m.Encode()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := wire.DecodeControlReply(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Verdict != wire.VerdictReject || r.Code != wire.RejectOther || r.Tag != [wire.TagSize]byte{} {
+				t.Fatalf("forged CONNECT answered %s/%v (tag %x), want an unsigned REJECT other", r.Verdict, r.Code, r.Tag[:4])
+			}
+			if n := reg.Counter(`control.rejected{reason="unauthenticated"}`).Value() - before; n != 1 {
+				t.Errorf("unauthenticated rejections rose by %d, want 1", n)
+			}
+			if _, ok := h2.tab.byKey(id, "srv"); ok {
+				t.Error("the forged CONNECT left an endpoint on h2")
+			}
+			for name, h := range map[string]*Controller{"h1": h1, "h2": h2} {
+				if n := h.tab.count(); n != 1 {
+					t.Errorf("%s holds %d endpoints, want the one real connection", name, n)
+				}
+				if n, streams := h.tm.Counts(); n != 1 || streams != 1 {
+					t.Errorf("%s has %d transports and %d streams, want 1 and the real connection's 1", name, n, streams)
+				}
+			}
+			actx, acancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer acancel()
+			if s, err := ss.Accept(actx); err == nil {
+				t.Fatalf("Accept returned %s from a forged CONNECT", s.ID())
+			}
+		})
+	}
+	exchangeBothWays(t, client, server, "unharmed")
 }
 
 // TestRoundTripCensus counts what each operation costs in sequential one-way
 // trips, independent of host speed: every control packet and every data-path
 // write is delayed by D, so an operation's wall time over D is its trip
 // count. A stream open is not waited for, so a resume is RES, ACK (2 D — with
-// the MuxOpen/MuxAccept wait it was 4) and an open CONNECT, ACK, ID, ACK with
-// the stream open travelling beside the ID (4 D, was 6). The control-channel
-// requests per operation are pinned with them. A change that puts a wait back
-// fails a named number here.
+// the MuxOpen/MuxAccept wait it was 4), and an open is CONNECT, ACK with the
+// acceptor's stream open travelling beside the ACK (2 D; with the ID message
+// it was 4). The control-channel requests per operation are pinned with
+// them. Each operation runs three times: every run must take at least its
+// trips and send exactly its requests, and the fastest must come within
+// slack of the trips, so a loaded host slows a run without failing it while
+// a change that puts a wait back still fails a named number here.
 func TestRoundTripCensus(t *testing.T) {
 	const (
 		D     = 50 * time.Millisecond
 		slack = 4 * D / 5
+		runs  = 3
 	)
 	env := newEnv(t, []string{"h1", "h2"}, func(c *Config) {
 		c.ControlSendDelay = D
@@ -487,48 +957,64 @@ func TestRoundTripCensus(t *testing.T) {
 	first, _ := env.pair("cli", "h1", "srv", "h2")
 	h1 := env.hosts["h1"]
 
-	census := func(op string, trips int, requests uint64, fn func()) time.Duration {
+	trips := map[string]int{"OpenAs": 2, "Suspend": 2, "Resume": 2, "byte after Resume": 3, "Close": 2}
+	order := []string{"OpenAs", "Suspend", "Resume", "byte after Resume", "Close"}
+	fastest := make(map[string]time.Duration)
+	// took records one run of op: never under its trips, and the fastest kept.
+	took := func(op string, d time.Duration) {
+		t.Helper()
+		if lo := time.Duration(trips[op]) * D; d < lo {
+			t.Errorf("%s took %v = %.1f D, want at least %d sequential one-way trips",
+				op, d.Round(time.Millisecond), float64(d)/float64(D), trips[op])
+		}
+		if f, seen := fastest[op]; !seen || d < f {
+			fastest[op] = d
+		}
+	}
+	// census runs op once, pinning the control requests h1 sends for it.
+	census := func(op string, requests uint64, fn func()) {
 		t.Helper()
 		before := h1.ctrl.ControlStats().RequestsSent
 		start := time.Now()
 		fn()
-		took := time.Since(start)
-		if lo, hi := time.Duration(trips)*D, time.Duration(trips)*D+slack; took < lo || took > hi {
-			t.Errorf("%s took %v = %.1f D, want %d sequential one-way trips (%v..%v)",
-				op, took.Round(time.Millisecond), float64(took)/float64(D), trips, lo, hi)
-		}
+		took(op, time.Since(start))
 		if got := h1.ctrl.ControlStats().RequestsSent - before; got != requests {
 			t.Errorf("%s sent %d control requests, want %d", op, got, requests)
 		}
-		return took
 	}
 
-	var client, server *Socket
-	census("OpenAs", 4, 2, func() { client, server = env.connect("cli", "h1", "srv", "h2") })
-	census("Suspend", 2, 1, func() {
-		if err := client.Suspend(); err != nil {
+	for range runs {
+		var client, server *Socket
+		census("OpenAs", 1, func() { client, server = env.connect("cli", "h1", "srv", "h2") })
+		census("Suspend", 1, func() {
+			if err := client.Suspend(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		resumeStart := time.Now()
+		census("Resume", 1, func() {
+			if err := client.Resume(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// A byte written right behind the resume travels right behind the
+		// MuxOpen: the peer has it one trip after the resume returned (RES,
+		// ACK, data behind the MuxOpen).
+		if _, err := client.Write([]byte{0x42}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	var resumeStart time.Time
-	census("Resume", 2, 1, func() {
-		resumeStart = time.Now()
-		if err := client.Resume(); err != nil {
-			t.Fatal(err)
+		if n, err := server.Read(make([]byte, 1)); n != 1 || err != nil {
+			t.Fatal(n, err)
 		}
-	})
-	// A byte written right behind the resume travels right behind the
-	// MuxOpen: the peer has it one trip after the resume returned.
-	if _, err := client.Write([]byte{0x42}); err != nil {
-		t.Fatal(err)
+		took("byte after Resume", time.Since(resumeStart))
+		census("Close", 1, func() { client.Close() })
 	}
-	if n, err := server.Read(make([]byte, 1)); n != 1 || err != nil {
-		t.Fatal(n, err)
+	for _, op := range order {
+		t.Logf("%s: %.2f D at the fastest of %d runs", op, float64(fastest[op])/float64(D), runs)
+		if f, hi := fastest[op], time.Duration(trips[op])*D+slack; f > hi {
+			t.Errorf("%s took %v = %.1f D at the fastest of %d runs, want %d sequential one-way trips (at most %v)",
+				op, f.Round(time.Millisecond), float64(f)/float64(D), runs, trips[op], hi)
+		}
 	}
-	if at := time.Since(resumeStart); at < 3*D || at > 3*D+slack {
-		t.Errorf("a byte written after Resume was readable at the peer after %v = %.1f D, want 3 D (RES, ACK, data behind the MuxOpen)",
-			at.Round(time.Millisecond), float64(at)/float64(D))
-	}
-	census("Close", 2, 1, func() { client.Close() })
 	first.Close()
 }

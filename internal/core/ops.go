@@ -171,7 +171,7 @@ func (s *Socket) carryOut(msg wire.MsgType, out outcome, reply *wire.ControlRepl
 			return s.carryOut(msg, overtaken, nil) // the peer's RES was granted first
 		}
 		start := time.Now()
-		err := s.dialAndInstall(wire.HandoffResume, reply.LastSeq)
+		err := s.dialAndInstall(reply.LastSeq)
 		bd.Add(metrics.PhaseOpenSocket, time.Since(start))
 		if err != nil {
 			s.olog(obs.LevelWarn, "resume handoff failed: %v", err)

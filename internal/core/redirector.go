@@ -12,20 +12,21 @@ import (
 	"naplet/internal/wire"
 )
 
-// handoffWait is an endpoint's wait for its data stream, set when it grants
-// a CONNECT or a RES (whose ACK licenses the peer to open the stream) and
-// ended when it reaches ESTABLISHED, a later grant replaces it, a RES meeting
-// RES_ACKED stands it down, the endpoint closes, or OpTimeout passes. It
-// costs one runtime timer, not a parked goroutine.
+// handoffWait is an endpoint's wait for its data stream, set when it sends
+// a CONNECT (whose answer comes with the stream beside it) or grants a RES
+// (whose ACK licenses the peer to open the stream), and ended when it
+// reaches ESTABLISHED, a later grant replaces it, a RES meeting RES_ACKED
+// stands it down, the endpoint closes, or OpTimeout passes. It costs one
+// runtime timer, not a parked goroutine.
 type handoffWait struct {
-	// state is the state granted into, CONNECT_ACKED or RES_ACKED. Only a
-	// handoff signed above nonce, the granted request's (0 for a CONNECT),
-	// is taken: an older one is a replay or a late stream of an earlier grant.
+	// state is the state the wait is set in, CONNECT_SENT or RES_ACKED.
+	// Only a handoff signed above nonce, the granted request's (0 for a
+	// CONNECT), is taken: an older one is a replay or a late stream of an
+	// earlier grant.
 	state   fsm.State
 	nonce   uint64
-	lastSeq uint64        // how far the peer's buffer had got (RES)
-	ss      *ServerSocket // where the endpoint is queued once established (CONNECT)
-	span    *obs.Span     // the redirect span (RES)
+	lastSeq uint64    // how far the peer's buffer had got (RES)
+	span    *obs.Span // the redirect span (RES)
 	timer   *time.Timer
 	taken   bool // one stream per wait
 }
@@ -55,8 +56,7 @@ func (s *Socket) endHandoffLocked(why string) {
 
 // giveUpHandoff ends w unmet, if it is still the endpoint's wait: a RES_ACKED
 // endpoint steps back to SUSPENDED, where the mover's retry is granted, and a
-// CONNECT_ACKED one is abandoned, whether or not its stream has landed — it
-// waits for the ID too.
+// CONNECT_SENT one is abandoned: its open fails.
 func (s *Socket) giveUpHandoff(w *handoffWait, cause error) {
 	s.mu.Lock()
 	abandon := false
@@ -65,7 +65,7 @@ func (s *Socket) giveUpHandoff(w *handoffWait, cause error) {
 		if s.m.State() == fsm.ResAcked {
 			s.step(fsm.Timeout)
 		}
-		abandon = s.m.State() == fsm.ConnectAcked && !s.ctrl.closing.Load()
+		abandon = s.m.State() == fsm.ConnectSent && !s.ctrl.closing.Load()
 	}
 	s.mu.Unlock()
 	if abandon {
@@ -109,13 +109,13 @@ func (s *Socket) takeHandoff(hdr *wire.HandoffHeader, st *transport.Stream) bool
 	case w.state == fsm.ResAcked:
 		s.establishLocked(fsm.ResAcked, fsm.ExecResumed)
 		resumed = true
+	default:
+		s.establishLocked(fsm.ConnectSent, fsm.RecvConnectAck)
 	}
 	s.mu.Unlock()
 	if resumed {
 		s.noteRecovered()
 		s.ctrl.checkpointConn(s)
-	} else if w.state == fsm.ConnectAcked {
-		s.completeEstablishment(w.ss)
 	}
 	return true
 }

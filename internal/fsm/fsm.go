@@ -116,9 +116,14 @@ const (
 
 	// RecvConnect: a CONNECT request arrived (server side).
 	RecvConnect
-	// RecvConnectAck: the CONNECT was acknowledged with a socket id.
+	// RecvConnectAck: the acceptor's data stream for our CONNECT arrived
+	// (it is opened beside the ACK and may land before it), completing
+	// establishment on the client side.
 	RecvConnectAck
-	// RecvID: the client's socket id arrived, completing establishment.
+	// RecvID: the client's socket id arrived, completing establishment on
+	// the server side. It comes with the CONNECT — the transport it names is
+	// the client's socket — and fires once the server's stream for it is
+	// open and installed.
 	RecvID
 	// RecvSuspend: a SUS request arrived and was granted.
 	RecvSuspend

@@ -97,7 +97,7 @@ type Manager struct {
 	cfg Config
 
 	// done closes when the manager closes, releasing dials blocked in
-	// flight and SecretByID waiters.
+	// flight and TransportByID waiters.
 	done chan struct{}
 
 	// Metrics (nil-safe when cfg.Metrics is nil): half-open declarations.
@@ -122,7 +122,7 @@ type Manager struct {
 	pending map[net.Conn]struct{}
 	closed  bool
 	// registered is closed and replaced each time a transport joins all,
-	// waking SecretByID callers waiting for an id to appear.
+	// waking TransportByID callers waiting for an id to appear.
 	registered chan struct{}
 	// dialing holds an entry per address with a dial in flight, closed and
 	// removed when that dial returns, so N concurrent opens to a new peer
@@ -594,13 +594,13 @@ func (m *Manager) OpenStreamTraced(addr string, hdr *wire.HandoffHeader, timeout
 	return nil, lastErr
 }
 
-// SecretByID returns the secret of the live transport with the given id,
-// for deriving connection session keys on the accepting side of CONNECT.
-// The dialer finishes its handshake before it sends CONNECT, but that UDP
-// message can outrun the last handshake byte on the TCP path, so an id not
-// registered yet is waited for — woken by register, not polled — for up to
-// wait.
-func (m *Manager) SecretByID(id wire.ConnID, wait time.Duration) ([]byte, bool) {
+// TransportByID returns the live transport with the given id, or nil: the
+// transport a CONNECT names, whose secret keys the connection and on which
+// the accepting side opens its data stream. The dialer finishes its
+// handshake before it sends CONNECT, but that UDP message can outrun the
+// last handshake byte on the TCP path, so an id not registered yet is waited
+// for — woken by register, not polled — for up to wait.
+func (m *Manager) TransportByID(id wire.ConnID, wait time.Duration) *Transport {
 	var expired <-chan time.Time
 	for {
 		// Snapshot the signal before looking, so a registration that lands
@@ -609,10 +609,10 @@ func (m *Manager) SecretByID(id wire.ConnID, wait time.Duration) ([]byte, bool) 
 		registered := m.registered
 		m.mu.Unlock()
 		if t := m.byID(id); t != nil {
-			return t.secret, true
+			return t
 		}
 		if wait <= 0 {
-			return nil, false
+			return nil
 		}
 		if expired == nil {
 			timer := time.NewTimer(wait)
@@ -622,9 +622,9 @@ func (m *Manager) SecretByID(id wire.ConnID, wait time.Duration) ([]byte, bool) 
 		select {
 		case <-registered:
 		case <-expired:
-			return nil, false
+			return nil
 		case <-m.done:
-			return nil, false
+			return nil
 		}
 	}
 }

@@ -150,8 +150,8 @@ func TestStreamDataBothDirections(t *testing.T) {
 
 			// Both ends derived the same transport secret.
 			if !bytes.Equal(
-				func() []byte { s, _ := a.mgr.SecretByID(cs.TransportID(), 0); return s }(),
-				func() []byte { s, _ := b.mgr.SecretByID(ss.TransportID(), 0); return s }(),
+				a.mgr.TransportByID(cs.TransportID(), 0).Secret(),
+				b.mgr.TransportByID(ss.TransportID(), 0).Secret(),
 			) {
 				t.Fatal("transport secrets differ between the two ends")
 			}

@@ -17,12 +17,15 @@ const (
 	MsgInvalid MsgType = iota
 
 	// MsgConnect asks the peer controller to establish a new connection to
-	// a resident agent (CONNECT in the paper). Its payload carries the
-	// initiator's DH public key; the ACK carries the responder's.
+	// a resident agent (CONNECT in the paper). TransportID names the shared
+	// transport whose secret keys the connection (CONNECT is tagged with
+	// that key) and on which the responder opens the data stream before it
+	// sends the ACK.
 	MsgConnect
-	// MsgIDExchange completes establishment: the client reports its own
-	// socket id after receiving the server's ACK+id.
-	MsgIDExchange
+	// msgIDReserved is reserved (the ID message that completed
+	// establishment, made redundant by the transport CONNECT names): never
+	// sent, not reused, refused at decode.
+	msgIDReserved
 	// MsgSuspend asks the peer to suspend the connection (SUS).
 	MsgSuspend
 	// MsgSusRes tells a peer whose suspend was parked with ACK_WAIT that the
@@ -41,8 +44,6 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgConnect:
 		return "CONNECT"
-	case MsgIDExchange:
-		return "ID"
 	case MsgSuspend:
 		return "SUS"
 	case MsgSusRes:
@@ -359,7 +360,7 @@ func DecodeControlMsg(b []byte) (*ControlMsg, error) {
 		return nil, fmt.Errorf("%w: bad tag length %d", ErrBadControl, len(b))
 	}
 	copy(m.Tag[:], b)
-	if m.Type == MsgInvalid || m.Type > MsgClose {
+	if m.Type == MsgInvalid || m.Type == msgIDReserved || m.Type > MsgClose {
 		return nil, fmt.Errorf("%w: unknown type %d", ErrBadControl, m.Type)
 	}
 	return m, nil

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -50,6 +51,9 @@ func TestControlMsgRoundTrip(t *testing.T) {
 func TestControlMsgRoundTripProperty(t *testing.T) {
 	f := func(typ uint8, id [16]byte, from, to, addr, caddr string, nonce, lastSeq, locEpoch uint64, payload []byte, tag [32]byte) bool {
 		mt := MsgType(typ%uint8(MsgClose)) + 1
+		if mt == msgIDReserved {
+			mt = MsgConnect
+		}
 		in := &ControlMsg{
 			Type: mt, ConnID: ConnID(id), From: from, To: to,
 			Nonce: nonce, DataAddr: addr, ControlAddr: caddr, LastSeq: lastSeq, LocEpoch: locEpoch, Payload: payload, Tag: tag,
@@ -156,6 +160,13 @@ func TestDecodeControlErrors(t *testing.T) {
 			t.Error("unknown type accepted")
 		}
 	})
+	t.Run("reserved type", func(t *testing.T) {
+		m := sampleMsg()
+		m.Type = msgIDReserved
+		if _, err := DecodeControlMsg(m.Encode()); !errors.Is(err, ErrBadControl) {
+			t.Errorf("type 2 (the retired ID message): want ErrBadControl, got %v", err)
+		}
+	})
 	t.Run("bad verdict", func(t *testing.T) {
 		r := &ControlReply{Verdict: Verdict(200)}
 		if _, err := DecodeControlReply(r.Encode()); err == nil {
@@ -176,7 +187,7 @@ func TestDecodeControlErrors(t *testing.T) {
 
 func TestMsgTypeStrings(t *testing.T) {
 	names := map[MsgType]string{
-		MsgConnect: "CONNECT", MsgIDExchange: "ID", MsgSuspend: "SUS",
+		MsgConnect: "CONNECT", MsgSuspend: "SUS",
 		MsgSusRes: "SUS_RES", MsgResume: "RES", MsgClose: "CLS",
 	}
 	for typ, want := range names {
@@ -191,6 +202,17 @@ func TestMsgTypeStrings(t *testing.T) {
 	for v, want := range verdicts {
 		if got := v.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// The message types are wire values: retiring the ID message (type 2) left
+// every other number where it was.
+func TestMsgTypeValues(t *testing.T) {
+	want := map[MsgType]uint8{MsgConnect: 1, msgIDReserved: 2, MsgSuspend: 3, MsgSusRes: 4, MsgResume: 5, MsgClose: 6}
+	for typ, v := range want {
+		if uint8(typ) != v {
+			t.Errorf("%s = %d, want %d", typ, uint8(typ), v)
 		}
 	}
 }

@@ -233,10 +233,16 @@ func FuzzDecodeControlMsg(f *testing.F) {
 	f.Add(SignEncoded(sampleMsg().Encode(), fuzzMAC{})) // signed over a tag that was not zero
 	f.Add([]byte{})
 	f.Add([]byte{0x4e, 0x43})
+	// The retired ID message: a must-reject seed.
+	id := &ControlMsg{Type: msgIDReserved, From: "a", To: "b", Nonce: 2}
+	f.Add(SignEncoded(id.Encode(), fuzzMAC{}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeControlMsg(data)
 		if err != nil {
 			return
+		}
+		if msg.Type == msgIDReserved {
+			t.Fatal("accepted the reserved type 2")
 		}
 		re, err := DecodeControlMsg(msg.Encode())
 		if err != nil {
@@ -288,7 +294,7 @@ func FuzzReadTransportHello(f *testing.F) {
 		Host:     "h",
 		Addr:     "a:1",
 		Public:   testPublic,
-		Versions: []uint8{2, 3},
+		Versions: []uint8{3, 4},
 		Ciphers:  []uint16{CipherAES256GCM},
 		Limits:   DefaultLimits(),
 	})
@@ -318,6 +324,12 @@ func FuzzReadTransportHello(f *testing.F) {
 		f.Fatalf("version-2 hello: want ErrBadTransport, got %v", err)
 	}
 	f.Add(v2Hello(id))
+	// A version-3 hello, byte for byte today's but for the version: a
+	// must-reject seed.
+	if _, _, err := ReadTransportHello(bytes.NewReader(v3Hello(id))); !errors.Is(err, ErrBadTransport) {
+		f.Fatalf("version-3 hello: want ErrBadTransport, got %v", err)
+	}
+	f.Add(v3Hello(id))
 	// Secure hellos whose public value is not one X25519 value, and an
 	// insecure hello that carries one: must-reject seeds.
 	for _, h := range []*TransportHello{
@@ -340,7 +352,7 @@ func FuzzReadTransportHello(f *testing.F) {
 		lim := DefaultLimits()
 		lim.MaxPayload = mp
 		var b bytes.Buffer
-		WriteTransportHello(&b, &TransportHello{ID: id, Host: "h", Public: testPublic, Versions: []uint8{3}, Limits: lim})
+		WriteTransportHello(&b, &TransportHello{ID: id, Host: "h", Public: testPublic, Versions: []uint8{4}, Limits: lim})
 		_, _, err := ReadTransportHello(bytes.NewReader(b.Bytes()))
 		if (err == nil) != (mp == MaxMuxPayload) {
 			f.Fatalf("MaxPayload %d: decode error %v", mp, err)
@@ -352,12 +364,12 @@ func FuzzReadTransportHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything accepted is a version-3 hello (the version byte follows
+		// Anything accepted is a version-4 hello (the version byte follows
 		// the six-byte prefix and the body magic, the flags byte follows it)
 		// with no flag but insecure, a public value of 32 bytes when secure
 		// and none when insecure, validated limits and a non-empty version
 		// list, and re-encodes losslessly.
-		if data[8] != TransportVersion3 {
+		if data[8] != TransportVersion4 {
 			t.Fatalf("accepted hello of version %d", data[8])
 		}
 		if data[9]&^transportFlagInsecure != 0 {

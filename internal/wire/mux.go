@@ -21,22 +21,26 @@ import (
 // reading further.
 const transportMagic = 0x4e54 // "NT"
 
-// TransportVersion3 is the transport protocol version: the hello carries a
+// TransportVersion4 is the transport protocol version: the hello carries a
 // negotiation section — a supported-version list, a cipher-suite preference
 // list, and a Limits block — and, when a cipher is agreed, every mux
 // payload rides the sealed-record framing. A secure hello's Public is a
 // 32-byte X25519 value (version 2 carried a 2048-bit MODP value in the same
-// field). Both sides send the highest version they speak plus the full
-// list; the effective version is the highest one both lists contain (see
-// Negotiate). Downgrade protection is inherited from the handshake: the
-// transcript tags cover the raw hello bytes, so a middlebox that rewrites
-// either list breaks the tag on both sides. A hello with any other version
-// byte is refused at decode, so a host of an earlier version gets a typed
-// refusal rather than a transcript-tag mismatch.
-const TransportVersion3 = 3
+// field). Version 4 changed no hello byte but the version: it marks the
+// connection open in which the accepting host opens the data stream
+// (version 3 hosts waited for the dialer's stream and an ID message, so the
+// two would each wait for the other's stream). Both sides send the highest
+// version they speak plus the full list; the effective version is the
+// highest one both lists contain (see Negotiate). Downgrade protection is
+// inherited from the handshake: the transcript tags cover the raw hello
+// bytes, so a middlebox that rewrites either list breaks the tag on both
+// sides. A hello with any other version byte is refused at decode, so a
+// host of an earlier version gets a typed refusal rather than a
+// transcript-tag mismatch or a stalled open.
+const TransportVersion4 = 4
 
 // SupportedVersions is the version list a hello advertises by default.
-func SupportedVersions() []uint8 { return []uint8{TransportVersion3} }
+func SupportedVersions() []uint8 { return []uint8{TransportVersion4} }
 
 // helloPublicSize is the length of a secure hello's Public: an X25519
 // public value.
@@ -197,7 +201,7 @@ var ErrBadTransport = errors.New("wire: malformed transport message")
 func (h *TransportHello) encode() []byte {
 	b := make([]byte, 0, 32+len(h.Host)+len(h.Addr)+len(h.Public))
 	b = binary.BigEndian.AppendUint16(b, transportMagic)
-	b = append(b, TransportVersion3)
+	b = append(b, TransportVersion4)
 	var flags byte
 	if h.Insecure {
 		flags |= transportFlagInsecure
@@ -288,7 +292,7 @@ func decodeTransportHello(b []byte) (*TransportHello, error) {
 	if len(b) < 2+16 {
 		return nil, fmt.Errorf("%w: truncated hello", ErrBadTransport)
 	}
-	if b[0] != TransportVersion3 {
+	if b[0] != TransportVersion4 {
 		return nil, fmt.Errorf("%w: unsupported transport version %d", ErrBadTransport, b[0])
 	}
 	if b[1]&^transportFlagInsecure != 0 {

@@ -219,7 +219,7 @@ func TestTransportHelloNegotiationRoundTrip(t *testing.T) {
 		ID:       id,
 		Host:     "gamma",
 		Public:   testPublic,
-		Versions: []uint8{2, 3},
+		Versions: []uint8{3, 4},
 		Ciphers:  []uint16{CipherAES256GCM, 7},
 		Limits: Limits{
 			MaxPayload:    32 << 10,
@@ -343,6 +343,41 @@ func TestTransportHelloV2Refused(t *testing.T) {
 	}
 }
 
+// v3Hello is a complete hello as version-3 builds sent it: today's layout
+// and values, but the version byte and list say 3.
+func v3Hello(id ConnID) []byte {
+	var buf bytes.Buffer
+	WriteTransportHello(&buf, &TransportHello{ID: id, Host: "old", Public: testPublic, Versions: []uint8{3}, Ciphers: []uint16{CipherAES256GCM}})
+	b := buf.Bytes()
+	b[8] = 3 // the version byte follows the length prefix and the body magic
+	return b
+}
+
+// A version-3 host opens its connections with an ID message after its own
+// data stream, and would wait for a version-4 acceptor's stream while that
+// acceptor waits for its: the hello refuses it at decode instead, so mixed
+// versions get one typed error, not an OpTimeout wait.
+func TestTransportHelloV3Refused(t *testing.T) {
+	id, _ := NewConnID()
+	if _, _, err := ReadTransportHello(bytes.NewReader(v3Hello(id))); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-3 hello: want ErrBadTransport, got %v", err)
+	}
+	// A version-3 version byte in front of an otherwise valid current body
+	// is refused just the same.
+	var buf bytes.Buffer
+	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "h", Public: testPublic}); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()[6:]
+	if _, err := decodeTransportHello(body); err != nil {
+		t.Fatal(err)
+	}
+	body[2] = 3
+	if _, err := decodeTransportHello(body); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version byte 3 on a current body: want ErrBadTransport, got %v", err)
+	}
+}
+
 func TestDecodeHelloRejectsMalformedNegotiation(t *testing.T) {
 	id, _ := NewConnID()
 	base := func() []byte {
@@ -420,17 +455,17 @@ func TestLimitsValidate(t *testing.T) {
 }
 
 func TestNegotiate(t *testing.T) {
-	v3 := func(ciphers []uint16, l Limits) *TransportHello {
-		return &TransportHello{Versions: []uint8{2, 3}, Ciphers: ciphers, Limits: l}
+	v4 := func(ciphers []uint16, l Limits) *TransportHello {
+		return &TransportHello{Versions: []uint8{3, 4}, Ciphers: ciphers, Limits: l}
 	}
 	small := Limits{MaxPayload: 16 << 10, InitialWindow: 256 << 10, KeepaliveMs: 4000}
 	big := DefaultLimits()
 
-	n, err := Negotiate(v3([]uint16{CipherAES256GCM}, big), v3([]uint16{CipherAES256GCM}, small))
+	n, err := Negotiate(v4([]uint16{CipherAES256GCM}, big), v4([]uint16{CipherAES256GCM}, small))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Version != TransportVersion3 || n.Cipher != CipherAES256GCM {
+	if n.Version != TransportVersion4 || n.Cipher != CipherAES256GCM {
 		t.Fatalf("negotiated %+v", n)
 	}
 	if n.Limits != small {
@@ -438,42 +473,42 @@ func TestNegotiate(t *testing.T) {
 	}
 
 	// Highest common cipher wins, regardless of list order.
-	n, _ = Negotiate(v3([]uint16{CipherAES256GCM, 9}, big), v3([]uint16{9, CipherAES256GCM}, big))
+	n, _ = Negotiate(v4([]uint16{CipherAES256GCM, 9}, big), v4([]uint16{9, CipherAES256GCM}, big))
 	if n.Cipher != 9 {
 		t.Fatalf("highest common cipher: got %d", n.Cipher)
 	}
 
 	// Either side offering no ciphers yields cleartext.
-	n, _ = Negotiate(v3(nil, big), v3([]uint16{CipherAES256GCM}, big))
+	n, _ = Negotiate(v4(nil, big), v4([]uint16{CipherAES256GCM}, big))
 	if n.Cipher != CipherCleartext {
 		t.Fatalf("empty-list negotiation: got cipher %d", n.Cipher)
 	}
 
 	// Insecure mode can never negotiate a cipher.
-	ins := v3([]uint16{CipherAES256GCM}, big)
+	ins := v4([]uint16{CipherAES256GCM}, big)
 	ins.Insecure = true
-	n, _ = Negotiate(ins, v3([]uint16{CipherAES256GCM}, big))
+	n, _ = Negotiate(ins, v4([]uint16{CipherAES256GCM}, big))
 	if n.Cipher != CipherCleartext {
 		t.Fatalf("insecure negotiation: got cipher %d", n.Cipher)
 	}
 
-	// A peer whose list lacks version 3 is refused, from either side, even
-	// though both lists name version 2.
-	v2 := &TransportHello{Versions: []uint8{1, 2}, Limits: big}
-	if _, err := Negotiate(v3([]uint16{CipherAES256GCM}, small), v2); !errors.Is(err, ErrBadTransport) {
-		t.Fatalf("version-2-only peer: want ErrBadTransport, got %v", err)
+	// A peer whose list lacks version 4 is refused, from either side, even
+	// though both lists name version 3.
+	v3 := &TransportHello{Versions: []uint8{2, 3}, Limits: big}
+	if _, err := Negotiate(v4([]uint16{CipherAES256GCM}, small), v3); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-3-only peer: want ErrBadTransport, got %v", err)
 	}
-	if _, err := Negotiate(v2, v3([]uint16{CipherAES256GCM}, small)); !errors.Is(err, ErrBadTransport) {
-		t.Fatalf("version-2-only local: want ErrBadTransport, got %v", err)
+	if _, err := Negotiate(v3, v4([]uint16{CipherAES256GCM}, small)); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-3-only local: want ErrBadTransport, got %v", err)
 	}
 
 	// No common version is a handshake failure.
-	if _, err := Negotiate(v3(nil, big), &TransportHello{Versions: []uint8{7}}); !errors.Is(err, ErrBadTransport) {
+	if _, err := Negotiate(v4(nil, big), &TransportHello{Versions: []uint8{7}}); !errors.Is(err, ErrBadTransport) {
 		t.Fatalf("no common version: %v", err)
 	}
 
 	// Symmetry: both ends compute the identical agreement.
-	a, b := v3([]uint16{9, CipherAES256GCM}, small), v3([]uint16{CipherAES256GCM, 9}, big)
+	a, b := v4([]uint16{9, CipherAES256GCM}, small), v4([]uint16{CipherAES256GCM, 9}, big)
 	na, _ := Negotiate(a, b)
 	nb, _ := Negotiate(b, a)
 	if na != nb {
