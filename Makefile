@@ -161,6 +161,7 @@ fuzz-smoke:
 		$(GO) test ./internal/wire -run '^$$' -fuzz "^$$target$$" -fuzztime 10s || exit 1; \
 	done
 	$(GO) test ./internal/security -run '^$$' -fuzz '^FuzzOpenRecord$$' -fuzztime 10s
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzSealedReadLoop$$' -fuzztime 10s
 	$(GO) test ./internal/dhkx -run '^$$' -fuzz '^FuzzSharedSecret$$' -fuzztime 10s
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzConnStateDecode$$' -fuzztime 10s
@@ -171,12 +172,13 @@ bench:
 	$(GO) run ./bench
 
 # profile-small profiles the small-message steady state — the driver is the
-# tier-1 budget test TestSmallMessageSteadyState, 100 B messages through a
-# connected pair on cleartext records — and prints the top of the CPU
-# profile. Binary and profile stay under .bench_build/ (ignored).
+# cleartext row of the tier-1 budget test TestSmallMessageSteadyState, 100 B
+# messages through a connected pair on cleartext records — and prints the
+# top of the CPU profile. Binary and profile stay under .bench_build/
+# (ignored).
 profile-small:
 	mkdir -p .bench_build/profile-small
-	$(GO) test ./internal/core -run '^TestSmallMessageSteadyState$$' -count=30 \
+	$(GO) test ./internal/core -run '^TestSmallMessageSteadyState$$/^cleartext$$' -count=30 \
 		-o .bench_build/profile-small/core.test -cpuprofile .bench_build/profile-small/cpu.out
 	$(GO) tool pprof -top -nodecount=20 .bench_build/profile-small/core.test .bench_build/profile-small/cpu.out
 

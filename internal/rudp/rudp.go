@@ -428,8 +428,8 @@ func (e *Endpoint) handleRequest(from netip.AddrPort, id uint64, payload []byte)
 		go func() {
 			select {
 			case <-ent.done:
-				e.send(from, encodePacket(kindResponse, id, ent.resp))
 				e.stats.responsesServed.Add(1)
+				e.send(from, encodePacket(kindResponse, id, ent.resp))
 			case <-e.done:
 			}
 		}()
@@ -453,8 +453,10 @@ func (e *Endpoint) handleRequest(from netip.AddrPort, id uint64, payload []byte)
 		}
 		ent.resp = resp
 		close(ent.done)
-		e.send(from, encodePacket(kindResponse, id, resp))
+		// Counted before the send, so a requester that has the response
+		// also sees it counted.
 		e.stats.responsesServed.Add(1)
+		e.send(from, encodePacket(kindResponse, id, resp))
 	}()
 }
 

@@ -17,15 +17,17 @@ import (
 const maxPendingRecordBytes = 1 << 20
 
 // recordFlusher is the one writer of a transport's connection, on sealed
-// and cleartext sessions alike. Producers pack frames into container chunks
-// in wire order under the flusher's mutex and return at once; a single
-// goroutine writevs the chunks to the socket — on encrypted sessions each
-// sealed into one MuxSealed record first (queue order == seal order == nonce
-// order), on cleartext sessions as they are, a chunk being a run of whole mux
-// frames. No producer — a stream writer, a connection's flush pass, a
+// and cleartext sessions alike. Producers queue records in wire order under
+// the flusher's mutex and return at once; a single goroutine writevs the
+// queue to the socket. A record is either a container chunk — a run of whole
+// control frames, or on cleartext sessions of any frames — or, on encrypted
+// sessions, one data frame's payload alone. On encrypted sessions every
+// record is sealed in place first, a container as one MuxSealed record, a
+// data payload as one MuxData record (queue order == seal order == nonce
+// order). No producer — a stream writer, a connection's flush pass, a
 // credit grant, the read loop's pong — ever waits on the kernel, and a burst
-// of small frames costs one GCM pass and one writev entry instead of one
-// each.
+// of small control frames costs one GCM pass and one writev entry instead
+// of one each.
 //
 // A flusher serves one connection (under one sealer, nil on cleartext) for
 // the transport's life: a failed write or seal fails the transport, and
@@ -34,28 +36,44 @@ type recordFlusher struct {
 	t      *Transport
 	conn   net.Conn
 	sealer *security.Sealer
+	// room is the spare capacity every queued buffer is drawn with: the
+	// AEAD tag on encrypted sessions, so Seal never reallocates, else 0.
+	room int
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// q holds the pending chunks, each a pooled buffer of whole mux frames
-	// (header + payload).
-	q      [][]byte
+	// q holds the pending records in wire order.
+	q      []record
 	qBytes int
 	closed bool
 }
 
+// record is one queued wire record: a pooled buffer and the type and stream
+// of the header it goes out under. typ is MuxSealed for a container chunk
+// (stream 0), whose buffer holds whole mux frames, and MuxData for a sealed
+// data record, whose buffer holds the stream's payload alone.
+type record struct {
+	typ    uint8
+	stream uint64
+	buf    []byte
+}
+
 func newRecordFlusher(t *Transport, conn net.Conn, sealer *security.Sealer) *recordFlusher {
 	f := &recordFlusher{t: t, conn: conn, sealer: sealer}
+	if sealer != nil {
+		f.room = security.RecordOverhead
+	}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
 
-// enqueue packs one frame into the pending chunks; payload need only be
-// valid for the duration of the call (it is copied into the chunk's pooled
-// buffer). The frame is appended whole under f.mu, so queue order is wire
-// order and frames never interleave. A new chunk starts when the chunk
-// budget would overflow; sendFrame's maxPlain check guarantees any single
-// frame fits an empty chunk.
+// enqueue queues one frame; payload need only be valid for the duration of
+// the call (it is copied into a pooled buffer). On encrypted sessions a data
+// frame becomes a record of its own; every other frame is packed whole into
+// the last container chunk, or a new one when the queue ends in a data
+// record or the chunk budget would overflow (sendFrame's maxPlain check
+// guarantees any single frame fits an empty chunk). Either way it is queued
+// under f.mu, so queue order is wire order and frames never interleave.
 func (f *recordFlusher) enqueue(typ uint8, stream uint64, payload []byte) {
 	need := wire.MuxHeaderSize + len(payload)
 	budget := f.t.containerPlain
@@ -64,13 +82,19 @@ func (f *recordFlusher) enqueue(typ uint8, stream uint64, payload []byte) {
 		f.mu.Unlock()
 		return
 	}
-	n := len(f.q)
-	if n == 0 || len(f.q[n-1])+need > budget {
-		f.q = append(f.q, wire.GetPayload(budget)[:0])
-		n++
+	if typ == wire.MuxData && f.sealer != nil {
+		buf := wire.GetPayload(len(payload) + f.room)[:len(payload)]
+		copy(buf, payload)
+		f.q = append(f.q, record{typ: wire.MuxData, stream: stream, buf: buf})
+	} else {
+		n := len(f.q)
+		if n == 0 || f.q[n-1].typ != wire.MuxSealed || len(f.q[n-1].buf)+need > budget {
+			f.q = append(f.q, record{typ: wire.MuxSealed, buf: wire.GetPayload(budget + f.room)[:0]})
+			n++
+		}
+		c := wire.AppendMuxHeader(f.q[n-1].buf, typ, stream, len(payload))
+		f.q[n-1].buf = append(c, payload...)
 	}
-	c := wire.AppendMuxHeader(f.q[n-1], typ, stream, len(payload))
-	f.q[n-1] = append(c, payload...)
 	f.qBytes += need
 	f.cond.Signal()
 	f.mu.Unlock()
@@ -98,9 +122,9 @@ func (f *recordFlusher) close() {
 	f.mu.Lock()
 	if !f.closed {
 		f.closed = true
-		for i, pt := range f.q {
-			wire.PutPayload(pt)
-			f.q[i] = nil
+		for i, r := range f.q {
+			wire.PutPayload(r.buf)
+			f.q[i] = record{}
 		}
 		f.q = nil
 		f.qBytes = 0
@@ -110,12 +134,13 @@ func (f *recordFlusher) close() {
 }
 
 // run is the flusher goroutine: it swaps the whole pending queue out
-// under the lock, seals each chunk into a MuxSealed record on encrypted
-// sessions, then writevs the batch outside the lock. A write error (the
-// connection broke) or a seal error (nonce space exhausted) fails the
-// transport. The loop exits only when the transport fails.
+// under the lock, seals each record in place on encrypted sessions, then
+// writevs the batch outside the lock. A write error (the connection broke)
+// or a seal error (nonce space exhausted) fails the transport. The loop
+// exits only when the transport fails.
 func (f *recordFlusher) run() {
-	var batch, recs, bufSlab [][]byte
+	var batch []record
+	var bufSlab [][]byte
 	var hdrs []byte
 	for {
 		f.mu.Lock()
@@ -133,9 +158,9 @@ func (f *recordFlusher) run() {
 
 		// Headers live in one slab with room for the whole batch, so the
 		// appends below never reallocate and the slices stay valid through
-		// the writev. recs keeps the sealed buffers for recycling:
-		// net.Buffers.WriteTo consumes bufs in place, so bufs is a fresh
-		// view of a slab of its own. All three slabs serve the next batch.
+		// the writev. net.Buffers.WriteTo consumes bufs in place, so bufs
+		// is a fresh view of a slab of its own. Both slabs serve the next
+		// batch.
 		if need := wire.MuxHeaderSize * len(batch); cap(hdrs) < need {
 			hdrs = make([]byte, 0, need)
 		}
@@ -144,37 +169,31 @@ func (f *recordFlusher) run() {
 		}
 		hdrs = hdrs[:0]
 		bufs := net.Buffers(bufSlab[:0])
-		recs = recs[:0]
 		var err error
-		for _, pt := range batch {
+		for _, r := range batch {
 			if f.sealer == nil {
-				bufs = append(bufs, pt)
+				bufs = append(bufs, r.buf)
 				continue
 			}
-			sealedLen := len(pt) + security.RecordOverhead
 			mark := len(hdrs)
-			hdrs = wire.AppendMuxHeader(hdrs, wire.MuxSealed, 0, sealedLen)
+			hdrs = wire.AppendMuxHeader(hdrs, r.typ, r.stream, len(r.buf)+security.RecordOverhead)
 			hdr := hdrs[mark:]
-			buf := wire.GetPayload(sealedLen)
-			rec, serr := f.sealer.Seal(buf[:0], pt, hdr)
+			// In place: the buffer was drawn with the tag's room, so the
+			// record stays in the buffer that is recycled below.
+			rec, serr := f.sealer.Seal(r.buf[:0], r.buf, hdr)
 			if serr != nil {
-				wire.PutPayload(buf)
 				err = serr
 				break
 			}
 			bufs = append(bufs, hdr, rec)
-			recs = append(recs, rec)
 		}
 		if err == nil {
 			_, err = bufs.WriteTo(f.conn)
 		}
 		clear(bufSlab[:2*len(batch)])
-		for _, rec := range recs {
-			wire.PutPayload(rec[:cap(rec)])
-		}
-		for i, pt := range batch {
-			wire.PutPayload(pt)
-			batch[i] = nil
+		for i, r := range batch {
+			wire.PutPayload(r.buf)
+			batch[i] = record{}
 		}
 		if err != nil {
 			f.t.fail(fmt.Errorf("%w: %w", ErrTransportLost, err))

@@ -486,9 +486,9 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 	var opener *security.Opener
 	var sealer *security.Sealer
 	if hs.neg.Cipher == wire.CipherAES256GCM {
-		// Sealed containers ride inside the negotiated frame limit: the
-		// container plaintext cap shrinks by the AEAD tag so every sealed
-		// container still fits a pooled buffer of the negotiated class.
+		// Sealed records ride inside the negotiated frame limit: the
+		// plaintext cap shrinks by the AEAD tag so every sealed record
+		// still fits a pooled buffer of the negotiated class.
 		t.containerPlain -= security.RecordOverhead
 		dialKey, acceptKey := hs.ks.SealKeys(hs.transcript)
 		sealKey, openKey := dialKey, acceptKey

@@ -77,10 +77,9 @@ type Transport struct {
 	neg wire.Negotiated
 	// conn is the shared connection: one for the transport's life.
 	conn net.Conn
-	// flusher is the connection's one writer: every frame is packed into
-	// its queue, in wire order, and its goroutine seals (on encrypted
-	// sessions) and writes the queue, so no caller ever waits on the
-	// kernel.
+	// flusher is the connection's one writer: every frame is queued, in
+	// wire order, and its goroutine seals (on encrypted sessions) and
+	// writes the queue, so no caller ever waits on the kernel.
 	flusher *recordFlusher
 	// Negotiated limits, fixed at registration: maxPlain caps one frame's
 	// payload (a frame with its header fits one queue chunk), streamWindow
@@ -89,10 +88,10 @@ type Transport struct {
 	// kaInterval the keepalive probe cadence.
 	maxPlain int
 	// containerPlain caps one queue chunk: the negotiated MaxPayload, less
-	// the AEAD tag on encrypted sessions so a sealed container fits the
+	// the AEAD tag on encrypted sessions so a sealed record fits the
 	// negotiated wire-level MaxPayload exactly. The flusher packs
-	// consecutive frames up to this budget so one GCM pass and one writev
-	// entry cover a burst of small frames.
+	// consecutive control frames (and on cleartext sessions data frames)
+	// up to this budget so one GCM pass and one writev entry cover a burst.
 	containerPlain int
 	streamWindow   int
 	streamWindowAt int
@@ -435,18 +434,23 @@ func (t *Transport) readFailed(err error) {
 }
 
 // readLoop demultiplexes inbound frames for the transport's life. Data
-// payloads land in pooled buffers whose ownership passes to the receiving
-// stream (and from there, segment by segment, back to the pool as the
-// stream's reader drains them); control payloads — open headers, reset
-// reasons, window grants — are small and reuse one scratch buffer. Every
-// inbound frame refreshes the keepalive clock.
+// payloads are read straight into pooled buffers whose ownership passes to
+// the receiving stream (and from there, segment by segment, back to the
+// pool as the stream's reader drains them); control payloads — open
+// headers, reset reasons, window grants — are small and reuse one scratch
+// buffer. Every inbound frame refreshes the keepalive clock.
 //
 // On encrypted sessions opener holds the peer's seal key (nil on cleartext
-// sessions): every frame on the wire is a MuxSealed container — one AEAD
-// record, opened in place in the buffer the ciphertext arrived in, whose
-// plaintext is a sequence of complete mux frames that amortise the GCM
-// pass. An authentication failure (or a bare cleartext frame) is a
-// protocol violation, not an I/O error; either way the transport fails.
+// sessions), and every wire frame is an AEAD record whose associated data
+// is its own header (AppendMuxHeader is deterministic, so the rebuilt bytes
+// equal what the peer sealed over), opened in place in the buffer it was
+// read into, in wire order under one nonce counter across both record
+// kinds. A MuxData record's plaintext is the stream's payload alone, so its
+// buffer passes to the stream as a cleartext payload's does. A MuxSealed
+// container's plaintext is a run of control frames, demultiplexed through
+// the same handler. A data frame inside one (DecodeMuxHeader), an
+// authentication failure and a bare cleartext frame are protocol
+// violations, and each fails the transport.
 func (t *Transport) readLoop(opener *security.Opener) {
 	conn := t.conn
 	// The buffer is deliberately small: it batches the 13-byte mux headers
@@ -455,11 +459,10 @@ func (t *Transport) readLoop(opener *security.Opener) {
 	// a large buffer here would soak up payload bytes on header reads and
 	// force an extra copy for almost every data byte.
 	br := bufio.NewReaderSize(conn, 4<<10)
-	if opener != nil {
-		t.readSealed(br, opener)
-		return
-	}
 	var scratch []byte
+	var aadBuf [wire.MuxHeaderSize]byte
+	// A sealed record's length includes its tag, and the negotiated
+	// MaxPayload bounds it as it bounds a cleartext frame.
 	wireMax := int(t.neg.Limits.MaxPayload)
 	for {
 		h, err := wire.ReadMuxHeader(br)
@@ -467,84 +470,54 @@ func (t *Transport) readLoop(opener *security.Opener) {
 			t.readFailed(err)
 			return
 		}
-		if h.Type == wire.MuxSealed {
-			t.fail(fmt.Errorf("%w: sealed container on cleartext session", wire.ErrBadTransport))
+		sealed := h.Type == wire.MuxSealed || opener != nil && h.Type == wire.MuxData
+		if sealed != (opener != nil) {
+			t.fail(fmt.Errorf("%w: frame type %d does not match the session's record layer", wire.ErrBadTransport, h.Type))
 			return
 		}
-		if int(h.Length) > wireMax {
-			t.fail(fmt.Errorf("%w: mux payload %d exceeds negotiated limit %d", wire.ErrBadTransport, h.Length, wireMax))
+		// The bound holds before a buffer is drawn.
+		if int(h.Length) > wireMax || sealed && h.Length < security.RecordOverhead {
+			t.fail(fmt.Errorf("%w: mux payload %d outside the negotiated limit %d", wire.ErrBadTransport, h.Length, wireMax))
 			return
 		}
 		t.lastRead.Store(time.Now().UnixNano())
-		if h.Type == wire.MuxData {
-			var buf []byte
+		if !sealed && h.Type != wire.MuxData {
+			var payload []byte
 			if h.Length > 0 {
-				buf = wire.GetPayload(int(h.Length))
-				if err := readPayloadInto(br, conn, buf); err != nil {
-					wire.PutPayload(buf)
+				if cap(scratch) < int(h.Length) {
+					scratch = make([]byte, h.Length)
+				}
+				payload = scratch[:h.Length]
+				if _, err := io.ReadFull(br, payload); err != nil {
 					t.readFailed(err)
 					return
 				}
 			}
-			if !t.handleFrame(h, buf, true) {
+			if !t.handleFrame(h, payload) {
 				return
 			}
 			continue
 		}
-		var payload []byte
-		if h.Length > 0 {
-			if cap(scratch) < int(h.Length) {
-				scratch = make([]byte, h.Length)
-			}
-			payload = scratch[:h.Length]
-			if _, err := io.ReadFull(br, payload); err != nil {
-				t.readFailed(err)
+		buf := wire.GetPayload(int(h.Length))
+		if err := readPayloadInto(br, conn, buf); err != nil {
+			wire.PutPayload(buf)
+			t.readFailed(err)
+			return
+		}
+		pt := buf
+		if sealed {
+			aad := wire.AppendMuxHeader(aadBuf[:0], h.Type, h.Stream, int(h.Length))
+			if pt, err = opener.Open(buf[:0], buf, aad); err != nil {
+				wire.PutPayload(buf)
+				t.fail(err)
 				return
 			}
 		}
-		if !t.handleFrame(h, payload, false) {
-			return
-		}
-	}
-}
-
-// readSealed is the encrypted read loop: every wire frame must be a
-// MuxSealed container whose associated data is its own header
-// (AppendMuxHeader is deterministic, so the rebuilt bytes equal what the
-// peer sealed over). Each container is opened in place with one GCM pass,
-// then the inner frames are demultiplexed through the same handler the
-// cleartext loop uses.
-func (t *Transport) readSealed(br *bufio.Reader, opener *security.Opener) {
-	var aadBuf [wire.MuxHeaderSize]byte
-	wireMax := t.containerPlain + security.RecordOverhead
-	maxInner := t.maxPlain
-	for {
-		h, err := wire.ReadMuxHeader(br)
-		if err != nil {
-			t.readFailed(err)
-			return
-		}
-		if h.Type != wire.MuxSealed {
-			t.fail(fmt.Errorf("%w: cleartext frame type %d on encrypted session", wire.ErrBadTransport, h.Type))
-			return
-		}
-		if int(h.Length) > wireMax || h.Length < security.RecordOverhead {
-			t.fail(fmt.Errorf("%w: sealed container of %d bytes (cap %d)", wire.ErrBadTransport, h.Length, wireMax))
-			return
-		}
-		t.lastRead.Store(time.Now().UnixNano())
-		buf := wire.GetPayload(int(h.Length))
-		if err := readPayloadInto(br, t.conn, buf); err != nil {
-			wire.PutPayload(buf)
-			t.readFailed(err)
-			return
-		}
-		aad := wire.AppendMuxHeader(aadBuf[:0], h.Type, h.Stream, int(h.Length))
-		pt, oerr := opener.Open(buf[:0], buf, aad)
-		if oerr != nil {
-			wire.PutPayload(buf)
-			t.fail(oerr)
-			return
+		if h.Type == wire.MuxData {
+			if !t.handleFrame(h, pt) {
+				return
+			}
+			continue
 		}
 		ok := true
 		for off := 0; ok && off < len(pt); {
@@ -556,12 +529,12 @@ func (t *Transport) readSealed(br *bufio.Reader, opener *security.Opener) {
 			}
 			off += wire.MuxHeaderSize
 			end := off + int(ih.Length)
-			if int(ih.Length) > maxInner || end > len(pt) {
+			if int(ih.Length) > t.maxPlain || end > len(pt) {
 				wire.PutPayload(buf)
 				t.fail(fmt.Errorf("%w: inner mux frame of %d bytes overruns its container", wire.ErrBadTransport, ih.Length))
 				return
 			}
-			ok = t.handleFrame(ih, pt[off:end], false)
+			ok = t.handleFrame(ih, pt[off:end])
 			off = end
 		}
 		wire.PutPayload(buf)
@@ -572,31 +545,21 @@ func (t *Transport) readSealed(br *bufio.Reader, opener *security.Opener) {
 }
 
 // handleFrame applies one demultiplexed mux frame — straight off a
-// cleartext wire or from inside an opened container — to the transport.
-// payload is only valid for the duration of the call unless owned is true,
-// in which case it is a pooled buffer whose ownership transfers here (only
-// data frames arrive owned: the buffer moves to the receiving stream, or
-// back to the pool). It returns false when the read loop must exit; the
-// transport has already been failed or closed by then.
-func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte, owned bool) bool {
+// cleartext wire, an opened data record, or from inside an opened container
+// — to the transport. A data frame's payload is a pooled buffer whose
+// ownership transfers here, on both session kinds: it moves to the
+// receiving stream, or back to the pool. Any other payload is only valid
+// for the duration of the call. It returns false when the read loop must
+// exit; the transport has already been failed or closed by then.
+func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte) bool {
 	t.mu.Lock()
 	s := t.streams[h.Stream]
 	t.mu.Unlock()
 	if h.Type == wire.MuxData {
-		buf := payload
-		if !owned && len(payload) > 0 {
-			// Container plaintext is recycled when the demux finishes, so
-			// data segments are copied out into their own pooled buffer
-			// before ownership moves to the stream.
-			buf = wire.GetPayload(len(payload))
-			copy(buf, payload)
-		}
-		if len(buf) > 0 {
-			if s != nil {
-				s.pushData(buf) // ownership moves to the stream
-			} else {
-				wire.PutPayload(buf) // stream already gone; drop the bytes
-			}
+		if s != nil && len(payload) > 0 {
+			s.pushData(payload) // ownership moves to the stream
+		} else {
+			wire.PutPayload(payload) // empty, or the stream is already gone
 		}
 		return true
 	}
@@ -604,11 +567,11 @@ func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte, owned bool) bo
 	case wire.MuxOpen:
 		hdr, err := wire.ReadHandoffHeader(bytes.NewReader(payload))
 		if err != nil {
-			t.fail(fmt.Errorf("transport: bad stream open: %w", err))
+			t.fail(fmt.Errorf("%w: bad stream open: %w", wire.ErrBadTransport, err))
 			return false
 		}
 		if s != nil {
-			t.fail(fmt.Errorf("transport: stream %d reopened", h.Stream))
+			t.fail(fmt.Errorf("%w: stream %d reopened", wire.ErrBadTransport, h.Stream))
 			return false
 		}
 		// Register before the next frame is read: the opener writes behind

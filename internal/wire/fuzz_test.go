@@ -294,7 +294,7 @@ func FuzzReadTransportHello(f *testing.F) {
 		Host:     "h",
 		Addr:     "a:1",
 		Public:   testPublic,
-		Versions: []uint8{3, 4},
+		Versions: []uint8{4, 5},
 		Ciphers:  []uint16{CipherAES256GCM},
 		Limits:   DefaultLimits(),
 	})
@@ -330,6 +330,12 @@ func FuzzReadTransportHello(f *testing.F) {
 		f.Fatalf("version-3 hello: want ErrBadTransport, got %v", err)
 	}
 	f.Add(v3Hello(id))
+	// A version-4 hello, byte for byte today's but for the version: a
+	// must-reject seed.
+	if _, _, err := ReadTransportHello(bytes.NewReader(v4Hello(id))); !errors.Is(err, ErrBadTransport) {
+		f.Fatalf("version-4 hello: want ErrBadTransport, got %v", err)
+	}
+	f.Add(v4Hello(id))
 	// Secure hellos whose public value is not one X25519 value, and an
 	// insecure hello that carries one: must-reject seeds.
 	for _, h := range []*TransportHello{
@@ -352,7 +358,7 @@ func FuzzReadTransportHello(f *testing.F) {
 		lim := DefaultLimits()
 		lim.MaxPayload = mp
 		var b bytes.Buffer
-		WriteTransportHello(&b, &TransportHello{ID: id, Host: "h", Public: testPublic, Versions: []uint8{4}, Limits: lim})
+		WriteTransportHello(&b, &TransportHello{ID: id, Host: "h", Public: testPublic, Versions: []uint8{5}, Limits: lim})
 		_, _, err := ReadTransportHello(bytes.NewReader(b.Bytes()))
 		if (err == nil) != (mp == MaxMuxPayload) {
 			f.Fatalf("MaxPayload %d: decode error %v", mp, err)
@@ -364,12 +370,12 @@ func FuzzReadTransportHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything accepted is a version-4 hello (the version byte follows
+		// Anything accepted is a version-5 hello (the version byte follows
 		// the six-byte prefix and the body magic, the flags byte follows it)
 		// with no flag but insecure, a public value of 32 bytes when secure
 		// and none when insecure, validated limits and a non-empty version
 		// list, and re-encodes losslessly.
-		if data[8] != TransportVersion4 {
+		if data[8] != TransportVersion5 {
 			t.Fatalf("accepted hello of version %d", data[8])
 		}
 		if data[9]&^transportFlagInsecure != 0 {

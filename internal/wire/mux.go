@@ -21,26 +21,30 @@ import (
 // reading further.
 const transportMagic = 0x4e54 // "NT"
 
-// TransportVersion4 is the transport protocol version: the hello carries a
+// TransportVersion5 is the transport protocol version: the hello carries a
 // negotiation section — a supported-version list, a cipher-suite preference
 // list, and a Limits block — and, when a cipher is agreed, every mux
 // payload rides the sealed-record framing. A secure hello's Public is a
 // 32-byte X25519 value (version 2 carried a 2048-bit MODP value in the same
-// field). Version 4 changed no hello byte but the version: it marks the
-// connection open in which the accepting host opens the data stream
-// (version 3 hosts waited for the dialer's stream and an ID message, so the
-// two would each wait for the other's stream). Both sides send the highest
-// version they speak plus the full list; the effective version is the
-// highest one both lists contain (see Negotiate). Downgrade protection is
-// inherited from the handshake: the transcript tags cover the raw hello
-// bytes, so a middlebox that rewrites either list breaks the tag on both
-// sides. A hello with any other version byte is refused at decode, so a
-// host of an earlier version gets a typed refusal rather than a
-// transcript-tag mismatch or a stalled open.
-const TransportVersion4 = 4
+// field). Versions 4 and 5 changed no hello byte but the version. Version 4
+// marks the connection open in which the accepting host opens the data
+// stream (version 3 hosts waited for the dialer's stream and an ID message,
+// so the two would each wait for the other's stream). Version 5 marks the
+// sealed data record: a MuxData frame travels as an AEAD record of its own,
+// and a MuxSealed container carries control frames only (a version-4 host
+// packed data frames into containers, and would take every data record for
+// a protocol violation). Both sides send the highest version they speak
+// plus the full list; the effective version is the highest one both lists
+// contain (see Negotiate). Downgrade protection is inherited from the
+// handshake: the transcript tags cover the raw hello bytes, so a middlebox
+// that rewrites either list breaks the tag on both sides. A hello with any
+// other version byte is refused at decode, so a host of an earlier version
+// gets a typed refusal rather than a transcript-tag mismatch, a stalled
+// open or a failed session.
+const TransportVersion5 = 5
 
 // SupportedVersions is the version list a hello advertises by default.
-func SupportedVersions() []uint8 { return []uint8{TransportVersion4} }
+func SupportedVersions() []uint8 { return []uint8{TransportVersion5} }
 
 // helloPublicSize is the length of a secure hello's Public: an X25519
 // public value.
@@ -201,7 +205,7 @@ var ErrBadTransport = errors.New("wire: malformed transport message")
 func (h *TransportHello) encode() []byte {
 	b := make([]byte, 0, 32+len(h.Host)+len(h.Addr)+len(h.Public))
 	b = binary.BigEndian.AppendUint16(b, transportMagic)
-	b = append(b, TransportVersion4)
+	b = append(b, TransportVersion5)
 	var flags byte
 	if h.Insecure {
 		flags |= transportFlagInsecure
@@ -292,7 +296,7 @@ func decodeTransportHello(b []byte) (*TransportHello, error) {
 	if len(b) < 2+16 {
 		return nil, fmt.Errorf("%w: truncated hello", ErrBadTransport)
 	}
-	if b[0] != TransportVersion4 {
+	if b[0] != TransportVersion5 {
 		return nil, fmt.Errorf("%w: unsupported transport version %d", ErrBadTransport, b[0])
 	}
 	if b[1]&^transportFlagInsecure != 0 {
@@ -437,7 +441,9 @@ const (
 	// optional reason string. A reset answering MuxOpen is a refusal.
 	MuxReset
 	// MuxData carries stream payload bytes, bounded by the receiver's
-	// credit window.
+	// credit window. On encrypted sessions each one is an AEAD record of
+	// its own: the payload is the sealed stream bytes, and the header is
+	// the record's associated data.
 	MuxData
 	// MuxFin half-closes the sender's direction of the stream.
 	MuxFin
@@ -453,10 +459,11 @@ const (
 	// replay log): never sent, not reused, refused by both decoders.
 	MuxAck
 	// MuxSealed wraps one AEAD record on encrypted sessions: the payload
-	// is a sealed container whose plaintext is a sequence of complete mux
-	// frames (header + payload), so one GCM pass amortises over many
-	// small frames. Never valid inside another container (DecodeMuxHeader
-	// rejects it) and never valid on a cleartext session.
+	// is a sealed container whose plaintext is a sequence of complete
+	// control frames (header + payload), so one GCM pass amortises over
+	// many small frames. Data frames travel as records of their own, never
+	// inside a container (DecodeMuxHeader rejects them there, and a
+	// container inside another); never valid on a cleartext session.
 	MuxSealed
 )
 
@@ -464,10 +471,10 @@ const (
 // this are split by the transport layer. It is 64 KiB plus 64 bytes of
 // headroom: enough for one full data-plane segment (a 64 KiB message and
 // its 16-byte frame header) to travel as one mux frame even when sealed —
-// the inner mux header and the AEAD tag come out of the same budget — so a
-// bulk message costs one container, one seal and one open, not two. It
-// matches the payload pool's 64 KiB class so inbound data segments recycle
-// through the pool instead of falling into the top class; it also bounds
+// the AEAD tag comes out of the same budget — so a bulk message costs one
+// data record, one seal and one open, not two. It matches the payload
+// pool's 64 KiB class so inbound data segments recycle through the pool
+// instead of falling into the top class; it also bounds
 // how long one bulk stream's frame can occupy the shared wire ahead of its
 // siblings.
 const MaxMuxPayload = 64<<10 + 64
@@ -521,8 +528,9 @@ func ReadMuxHeader(r io.Reader) (MuxHeader, error) {
 }
 
 // DecodeMuxHeader decodes a mux frame header from the front of an opened
-// MuxSealed container. Containers never nest, so MuxSealed itself is
-// rejected here along with unknown types and oversized payloads.
+// MuxSealed container. A container carries control frames only: MuxData
+// (a record of its own) and MuxSealed (containers never nest) are rejected
+// here along with unknown types and oversized payloads.
 func DecodeMuxHeader(b []byte) (MuxHeader, error) {
 	if len(b) < MuxHeaderSize {
 		return MuxHeader{}, fmt.Errorf("%w: truncated inner mux header (%d bytes)", ErrBadTransport, len(b))
@@ -531,6 +539,9 @@ func DecodeMuxHeader(b []byte) (MuxHeader, error) {
 		Type:   b[0],
 		Stream: binary.BigEndian.Uint64(b[1:9]),
 		Length: binary.BigEndian.Uint32(b[9:13]),
+	}
+	if h.Type == MuxData {
+		return MuxHeader{}, fmt.Errorf("%w: data frame inside a sealed container", ErrBadTransport)
 	}
 	if h.Type < MuxOpen || h.Type >= MuxSealed || reservedMuxType(h.Type) {
 		return MuxHeader{}, fmt.Errorf("%w: unknown inner mux frame type %d", ErrBadTransport, h.Type)

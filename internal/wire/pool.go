@@ -7,7 +7,9 @@ import (
 
 // Pooled buffers cycle at segment rate: one per run of encoded frames on
 // either side of the data plane (send segment, received mux payload, the
-// assembly of a frame that straddles two of them) and one per sealed record.
+// assembly of a frame that straddles two of them) and one per run of queued
+// control frames. A sealed record is sealed and opened in place, in the
+// buffer its plaintext is queued in and the buffer its stream keeps.
 // Allocating each from the heap makes the garbage collector a data-plane
 // cost, so they are drawn from a small set of size-classed pools instead.
 //
@@ -20,11 +22,10 @@ import (
 
 // payloadClasses are the pooled capacity classes: the third holds the
 // biggest mux payload — a 64 KiB message with its frame header, the data
-// plane's segment size, with room left for the inner mux header and AEAD tag
-// of the sealed record that carries it — and the last the largest frame
-// there is. A request
-// is served from the smallest class that fits, except that the last class
-// serves only requests above half its size: what falls in between is rare
+// plane's segment size, with room left for the AEAD tag of the sealed
+// record that carries it — and the last the largest frame there is. A
+// request is served from the smallest class that fits, except that the last
+// class serves only requests above half its size: what falls in between is rare
 // enough to be allocated at its exact size, so that a large buffer never
 // holds more than twice what was asked of it and a bound counted in buffer
 // capacities stays a bound on data.
