@@ -113,7 +113,10 @@ crash-soak:
 # peer never got; a gap is an error at both ends), and the agent-bundle
 # streams (delivery, warm reuse, a refusal with nothing docked, the size
 # bound), and the one transport writer (a peer whose kernel writes never
-# complete parks no other peer's flush, nor a grant, pong or CloseWrite), the
+# complete parks no other peer's flush, nor a grant, pong or CloseWrite;
+# its queue swap and buffer slab under data and control records of two
+# streams in all four directions; a record whose clear header was changed
+# fails authentication), the
 # lifetime of a connection's passes (a pump pass never waits for transport
 # queue room beside two bulk siblings; no pump or flush goroutine outlives
 # its work by a second, nor a credit-stalled flush its controller's close;
@@ -134,7 +137,7 @@ crash-soak:
 handoff-soak:
 	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathAtEstablishment|TestStreamDeathBetweenInstallAndStep|TestOpenStreamAndACKInEitherOrder|TestConnectACKLostOnce|TestOpenerGivesUp|TestColdOpenUsesTheNamedTransport|TestForgedConnectOpensNothing|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestConcurrentWritersKeepWireOrder|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable|TestSuspenderGivesUpItsDrain|TestResponderGivesUpItsDrain|TestGapToEmptyLogUnrecoverable|TestAdmitRefusesSeqGap' -race -count=20
 	$(GO) test ./internal/core -run 'TestBulkSiblingsNeverParkThePump|TestNoPassOutlivesItsWork' -race -count=20
-	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored|TestNothingWaitsOnAStuckKernelSend' -race -count=20
+	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored|TestNothingWaitsOnAStuckKernelSend|TestRecordsInterleave|TestSealedDataRecordHeaderIsAuthenticated' -race -count=20
 	$(GO) test ./internal/core -run 'TestBurstsUnreadAcrossMigrations$$' -count=50
 
 # census prints the numbers a simplicity PR quotes, so CHANGES.md can be

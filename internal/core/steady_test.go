@@ -19,11 +19,11 @@ import (
 // messages costs next to no heap allocations and next to no payload-pool
 // traffic per message — each message is encoded once into a send segment
 // that serves a few hundred messages, and read at a cursor out of the
-// segment the transport delivered. On sealed records a segment travels as a
-// data record of its own, sealed in the buffer it was queued in and opened
-// in the buffer its stream keeps, so small sealed traffic draws no more
-// buffers than when data shared the control frames' containers. The
-// cleartext row is the profiling driver behind `make profile-small`.
+// segment the transport delivered. On both session kinds a segment travels
+// as a record of its own; sealed, it is sealed in the buffer it was queued
+// in and opened in the buffer its stream keeps, so small sealed traffic
+// draws no more buffers than cleartext. The cleartext row is the profiling
+// driver behind `make profile-small`.
 func TestSmallMessageSteadyState(t *testing.T) {
 	const (
 		size   = 100
@@ -122,16 +122,15 @@ func (c countingConn) Write(p []byte) (int, error) {
 // is warm, a 64 KiB message is one data-plane segment and one mux frame in
 // one entry of the transport writer's queue.
 //
-// Sealed, the entry is a data record of its own, sealed in place: a header
-// and a record handed to the kernel (two Writes once writev is defeated),
-// and three payload-pool draws end to end — the send segment, the record
-// and the received record, opened in place and kept by the stream as its
-// data segment. Cleartext, the entry is a chunk of wire bytes: one Write,
-// and three draws — the send segment, the chunk and the received data
-// segment.
+// The entry is a record of its own, one buffer holding the frame's header
+// and payload, sealed in place behind the header on sealed sessions: one
+// buffer per record handed to the kernel (one Write once writev is
+// defeated), and three payload-pool draws end to end — the send segment,
+// the record and the received record (opened in place when sealed), which
+// the stream keeps as its data segment.
 //
 // The only extras are bounded by the credit window: a window grant (half a
-// window, some sixteen messages) is one small chunk back, and a sender that
+// window, some sixteen messages) is one small record back, and a sender that
 // ran its credit out mid-message splits that one message in two — at most
 // one split per grant, each an extra queue entry and a frame the receiver
 // reassembles. A mux payload bound below the segment size splits every
@@ -146,17 +145,18 @@ func TestBulkMessageSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		cleartext bool
-		// writes is the sender's kernel Writes per chunk; draws the pool
+		// writes is the sender's kernel Writes per record; draws the pool
 		// draws per message, per grant and per split; allocs the heap
 		// allocations per message.
 		writes                        float64
 		draws, grantDraws, splitDraws float64
 		allocs                        float64
 	}{
-		// A grant costs a chunk, sealed in place, and a read; a split a
-		// record, a read and a reassembly.
-		{name: "sealed", writes: 2, draws: 3, grantDraws: 2, splitDraws: 3, allocs: 3},
-		// A grant costs a chunk; a split a chunk, a read and a reassembly.
+		// One buffer per record. A grant costs a record, sealed in place,
+		// and a read; a split a record, a read and a reassembly.
+		{name: "sealed", writes: 1, draws: 3, grantDraws: 2, splitDraws: 3, allocs: 3},
+		// A grant costs a record; a split a record, a read and a
+		// reassembly.
 		{name: "cleartext", cleartext: true, writes: 1, draws: 3, grantDraws: 1, splitDraws: 3, allocs: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -212,7 +212,7 @@ func TestBulkMessageSteadyState(t *testing.T) {
 			// Grants, and so splits, come at most once per half window of messages.
 			perGrant := float64(wire.DefaultInitialWindow/2) / (size + wire.FrameHeaderSize)
 			if limit := tc.writes * (1 + 1/perGrant + 1.0/msgs); writesPerMsg > limit {
-				t.Errorf("%.3f kernel writes per message on the sender, want <= %.3f: one chunk per message, one more per split", writesPerMsg, limit)
+				t.Errorf("%.3f kernel writes per message on the sender, want <= %.3f: one record per message, one more per split", writesPerMsg, limit)
 			}
 			if raceDetector() {
 				return // see TestSmallMessageSteadyState

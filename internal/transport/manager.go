@@ -473,7 +473,10 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 		log:      m.cfg.Logger.With("transport", hs.id).With("peer", hs.peer.Host),
 	}
 	lim := hs.neg.Limits
-	t.containerPlain = int(lim.MaxPayload)
+	// A frame's record — header, payload and, when sealed, the tag — fits
+	// the negotiated MaxPayload, so a full-size frame's record exactly
+	// fills a pooled buffer of the negotiated class.
+	t.maxPlain = int(lim.MaxPayload) - wire.MuxHeaderSize
 	t.streamWindow = int(lim.InitialWindow)
 	t.streamWindowAt = int(lim.InitialWindow / 2)
 	// The negotiated probe interval is the min of both advertisements,
@@ -486,10 +489,7 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 	var opener *security.Opener
 	var sealer *security.Sealer
 	if hs.neg.Cipher == wire.CipherAES256GCM {
-		// Sealed records ride inside the negotiated frame limit: the
-		// plaintext cap shrinks by the AEAD tag so every sealed record
-		// still fits a pooled buffer of the negotiated class.
-		t.containerPlain -= security.RecordOverhead
+		t.maxPlain -= security.RecordOverhead
 		dialKey, acceptKey := hs.ks.SealKeys(hs.transcript)
 		sealKey, openKey := dialKey, acceptKey
 		if !dialer {
@@ -506,9 +506,6 @@ func (m *Manager) register(conn net.Conn, hs *handshakeResult, dialer bool, addr
 	} else {
 		m.cleartext.Inc()
 	}
-	// One frame's payload leaves room for its header, so a full-size data
-	// frame always fits a chunk alone.
-	t.maxPlain = t.containerPlain - wire.MuxHeaderSize
 	t.flusher = newRecordFlusher(t, conn, sealer)
 	t.lastRead.Store(time.Now().UnixNano())
 	path := "direct"

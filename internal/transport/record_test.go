@@ -3,10 +3,13 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,15 +23,26 @@ import (
 // sealer the transport's opener expects, so it writes the exact records a
 // peer would — or a forged, tampered or malformed one — and watches what
 // the read loop makes of them. What the transport writes back (grants,
-// pongs, resets) is drained and dropped.
+// pongs, resets) is drained and dropped; registerSealedWire leaves it to
+// the caller.
 type sealedWire struct {
 	tr      *Transport
 	peer    net.Conn
 	sealer  *security.Sealer
+	opener  *security.Opener // opens what the transport seals
 	streams chan *Stream
 }
 
 func newSealedWire(t testing.TB, maxPayload uint32) *sealedWire {
+	t.Helper()
+	w := registerSealedWire(t, maxPayload)
+	go io.Copy(io.Discard, w.peer)
+	return w
+}
+
+// registerSealedWire is newSealedWire without the drain: nothing the
+// transport writes is read until the caller reads it from w.peer.
+func registerSealedWire(t testing.TB, maxPayload uint32) *sealedWire {
 	t.Helper()
 	near, far := net.Pipe()
 	w := &sealedWire{peer: far, streams: make(chan *Stream, 64)}
@@ -51,20 +65,23 @@ func newSealedWire(t testing.TB, maxPayload uint32) *sealedWire {
 	lim.MaxPayload = maxPayload
 	hs := &handshakeResult{
 		id: id, secret: secret, ks: security.NewKeySchedule(secret, id[:]),
-		neg:        wire.Negotiated{Version: wire.TransportVersion5, Cipher: wire.CipherAES256GCM, Limits: lim},
+		neg:        wire.Negotiated{Version: wire.TransportVersion6, Cipher: wire.CipherAES256GCM, Limits: lim},
 		transcript: transcript,
 		peer:       &wire.TransportHello{Host: "far"},
 	}
 	if w.tr = m.register(near, hs, true, "", false); w.tr == nil {
 		t.Fatal("register refused the transport")
 	}
-	// The transport dials, so it opens what the acceptor's key sealed.
-	_, acceptKey := hs.ks.SealKeys(transcript)
+	// The transport dials, so it opens what the acceptor's key sealed and
+	// seals under the dialer's.
+	dialKey, acceptKey := hs.ks.SealKeys(transcript)
 	var err error
 	if w.sealer, err = security.NewSealer(acceptKey); err != nil {
 		t.Fatal(err)
 	}
-	go io.Copy(io.Discard, far)
+	if w.opener, err = security.NewOpener(dialKey); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		far.Close()
 		m.Close()
@@ -83,19 +100,19 @@ func (w *sealedWire) seal(typ uint8, stream uint64, pt []byte) []byte {
 	return append(hdr, rec...)
 }
 
-// frame encodes one whole mux frame: a container's plaintext is a run of
-// them, and a cleartext session's wire.
+// frame encodes one whole mux frame as a cleartext session's wire carries
+// it.
 func frame(typ uint8, stream uint64, payload []byte) []byte {
 	return append(wire.AppendMuxHeader(nil, typ, stream, len(payload)), payload...)
 }
 
-// openFrame is a MuxOpen frame for stream, carrying a valid handoff header.
-func openFrame(t testing.TB, stream uint64) []byte {
+// openPayload is a MuxOpen payload for stream: a valid handoff header.
+func openPayload(t testing.TB, stream uint64) []byte {
 	var hdr bytes.Buffer
 	if err := (&wire.HandoffHeader{Purpose: wire.HandoffConnect, ConnID: wire.ConnID{byte(stream)}, TargetAgent: "srv", FromAgent: "cli"}).Write(&hdr); err != nil {
 		t.Fatal(err)
 	}
-	return frame(wire.MuxOpen, stream, hdr.Bytes())
+	return hdr.Bytes()
 }
 
 func (w *sealedWire) write(t testing.TB, b []byte) {
@@ -106,15 +123,15 @@ func (w *sealedWire) write(t testing.TB, b []byte) {
 	}
 }
 
-// openStreams opens the given streams with one sealed container and
+// openStreams opens the given streams with one sealed open record each and
 // returns them, in the order given, as the transport delivered them.
 func (w *sealedWire) openStreams(t testing.TB, ids ...uint64) []*Stream {
 	t.Helper()
-	var pt []byte
+	var recs []byte
 	for _, id := range ids {
-		pt = append(pt, openFrame(t, id)...)
+		recs = append(recs, w.seal(wire.MuxOpen, id, openPayload(t, id))...)
 	}
-	w.write(t, w.seal(wire.MuxSealed, 0, pt))
+	w.write(t, recs)
 	byID := map[uint64]*Stream{}
 	for range ids {
 		select {
@@ -154,17 +171,22 @@ func waitBuffered(t *testing.T, s *Stream, n int) {
 	}
 }
 
-// A sealed data record's header is its associated data: a record whose
-// stream id, length or type was changed on the wire fails authentication
-// and fails the transport, and no stream receives its bytes.
+// A sealed record's header is its associated data: a record whose stream
+// id, length or type was changed on the wire fails authentication and fails
+// the transport, and no stream receives its bytes or its credit.
 func TestSealedDataRecordHeaderIsAuthenticated(t *testing.T) {
+	data := func(w *sealedWire) []byte { return w.seal(wire.MuxData, 2, bytes.Repeat([]byte{0x5A}, 300)) }
 	for _, tc := range []struct {
-		name string
-		flip func(rec []byte)
+		name   string
+		record func(w *sealedWire) []byte
+		flip   func(rec []byte)
 	}{
-		{"stream", func(rec []byte) { rec[8] ^= 2 ^ 4 }}, // stream 2 becomes stream 4, also open
-		{"length", func(rec []byte) { rec[12]-- }},
-		{"type", func(rec []byte) { rec[0] = wire.MuxSealed }},
+		{"stream", data, func(rec []byte) { rec[8] ^= 2 ^ 4 }}, // stream 2 becomes stream 4, also open
+		{"length", data, func(rec []byte) { rec[12]-- }},
+		{"type", data, func(rec []byte) { rec[0] = wire.MuxWindow }}, // a live control type
+		{"window-stream", func(w *sealedWire) []byte {
+			return w.seal(wire.MuxWindow, 2, []byte{0, 1, 0, 0})
+		}, func(rec []byte) { rec[8] ^= 2 ^ 4 }}, // a grant for stream 2 becomes one for stream 4
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newSealedWire(t, wire.MaxMuxPayload)
@@ -172,10 +194,16 @@ func TestSealedDataRecordHeaderIsAuthenticated(t *testing.T) {
 			good := bytes.Repeat([]byte{0xA5}, 300)
 			w.write(t, w.seal(wire.MuxData, 2, good))
 			waitBuffered(t, ss[0], len(good))
+			window := func(s *Stream) int {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				return s.sendWindow
+			}
+			w0, w1 := window(ss[0]), window(ss[1])
 
 			// The stream id's low byte, the length's low byte and the type
 			// are all in the clear: the tag alone must catch the change.
-			rec := w.seal(wire.MuxData, 2, bytes.Repeat([]byte{0x5A}, 300))
+			rec := tc.record(w)
 			tc.flip(rec)
 			w.peer.SetWriteDeadline(time.Now().Add(5 * time.Second))
 			w.peer.Write(rec) // a short read leaves the tail unread
@@ -185,22 +213,83 @@ func TestSealedDataRecordHeaderIsAuthenticated(t *testing.T) {
 			if n0, n1 := ss[0].Buffered(), ss[1].Buffered(); n0 != len(good) || n1 != 0 {
 				t.Fatalf("streams hold %d and %d bytes after a forged record, want %d and 0", n0, n1, len(good))
 			}
+			if v0, v1 := window(ss[0]), window(ss[1]); v0 != w0 || v1 != w1 {
+				t.Fatalf("send windows %d and %d after a forged record, want %d and %d", v0, v1, w0, w1)
+			}
 		})
 	}
 }
 
-// A sealed container carries control frames only: one that carries a data
-// frame, even a validly sealed one, fails the transport as malformed, and
-// the stream gets none of it.
-func TestContainerCarryingDataFrameRefused(t *testing.T) {
-	w := newSealedWire(t, wire.MaxMuxPayload)
-	ss := w.openStreams(t, 2)
-	w.write(t, w.seal(wire.MuxSealed, 0, append(frame(wire.MuxWindow, 2, []byte{0, 0, 16, 0}), frame(wire.MuxData, 2, []byte("smuggled"))...)))
-	if err := w.failure(t); !errors.Is(err, wire.ErrBadTransport) {
-		t.Fatalf("transport failed with %v, want ErrBadTransport", err)
+// sealedRecordsGolden is what the transport's own flusher writes, under
+// registerSealedWire's fixed key schedule, for an open of stream 1, 300
+// bytes of data on it, a window grant, a FIN and a ping: five records, each
+// header in the clear and each body sealed under its header, in one nonce
+// sequence. A change to the record format, the key schedule or the nonce
+// order changes these bytes, as TestCleartextWireBytes pins the cleartext
+// wire.
+const sealedRecordsGolden = "testdata/sealed-records.hex"
+
+func TestSealedRecordsGolden(t *testing.T) {
+	w := registerSealedWire(t, wire.MaxMuxPayload)
+	open := &wire.HandoffHeader{Purpose: wire.HandoffConnect, ConnID: wire.ConnID{9}, TargetAgent: "srv", FromAgent: "cli", Nonce: 7}
+	s, err := w.tr.OpenStream(open)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := ss[0].Buffered(); n != 0 {
-		t.Fatalf("stream holds %d bytes from a data frame inside a container", n)
+	data := bytes.Repeat([]byte{0xA5}, 300)
+	if _, err := s.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	s.grantWindow(4096)
+	if err := s.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.tr.writeFrame(wire.MuxPing, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	var openPT bytes.Buffer
+	open.Write(&openPT)
+	want := []struct {
+		typ uint8
+		pt  []byte
+	}{
+		{wire.MuxOpen, openPT.Bytes()},
+		{wire.MuxData, data},
+		{wire.MuxWindow, []byte{0, 0, 16, 0}},
+		{wire.MuxFin, nil},
+		{wire.MuxPing, nil},
+	}
+	var got []byte
+	w.peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i, rec := range want {
+		hdr := make([]byte, wire.MuxHeaderSize)
+		if _, err := io.ReadFull(w.peer, hdr); err != nil {
+			t.Fatalf("record %d header: %v", i, err)
+		}
+		body := make([]byte, binary.BigEndian.Uint32(hdr[9:13]))
+		if _, err := io.ReadFull(w.peer, body); err != nil {
+			t.Fatalf("record %d body: %v", i, err)
+		}
+		got = append(append(got, hdr...), body...)
+		pt, err := w.opener.Open(nil, body, hdr)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if stream := binary.BigEndian.Uint64(hdr[1:9]); hdr[0] != rec.typ || !bytes.Equal(pt, rec.pt) || stream != 1 && rec.typ != wire.MuxPing {
+			t.Fatalf("record %d is type %d on stream %d with plaintext %x, want type %d with %x", i, hdr[0], stream, pt, rec.typ, rec.pt)
+		}
+	}
+	raw, err := os.ReadFile(sealedRecordsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("%s: %v", sealedRecordsGolden, err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("the flusher wrote\n%x\nwant (%s)\n%x", got, sealedRecordsGolden, golden)
 	}
 }
 
@@ -232,10 +321,11 @@ func TestUnsealedDataFrameOnSealedSession(t *testing.T) {
 // A sealed record longer than the negotiated MaxPayload is refused on its
 // header: the read loop fails the transport before it draws a buffer for
 // the body, so not one body byte is read. The header goes out in a write of
-// its own, so a loop that read on would take the next write.
+// its own, so a loop that read on would take the next write. The reserved
+// container type is refused on its header whatever its length.
 func TestOversizedRecordRefusedBeforeDraw(t *testing.T) {
 	const maxPayload = 2048
-	for _, typ := range []uint8{wire.MuxData, wire.MuxSealed} {
+	for _, typ := range []uint8{wire.MuxData, wire.MuxWindow, wire.MuxSealed} {
 		t.Run(fmt.Sprint(typ), func(t *testing.T) {
 			w := newSealedWire(t, maxPayload)
 			w.openStreams(t, 2)
@@ -256,11 +346,28 @@ func TestOversizedRecordRefusedBeforeDraw(t *testing.T) {
 	waitBuffered(t, ss[0], maxPayload-security.RecordOverhead)
 }
 
-// Data records of two streams interleave on the wire with the containers
-// that carry the window grants answering the other direction's data, all
+// A MuxSealed header, the container type of version 5, is refused as
+// malformed before any body byte is read: the read loop fails the transport
+// on the header alone, and the body write that follows finds nobody reading.
+func TestSealedContainerTypeRefusedBeforeBody(t *testing.T) {
+	w := newSealedWire(t, wire.MaxMuxPayload)
+	w.openStreams(t, 2)
+	rec := w.seal(wire.MuxSealed, 0, frame(wire.MuxPing, 0, nil))
+	w.write(t, rec[:wire.MuxHeaderSize])
+	w.peer.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	if n, err := w.peer.Write(rec[wire.MuxHeaderSize:]); err == nil || n > 0 {
+		t.Fatalf("the read loop took %d body bytes of a container record (%v)", n, err)
+	}
+	if err := w.failure(t); !errors.Is(err, wire.ErrBadTransport) {
+		t.Fatalf("transport failed with %v, want ErrBadTransport", err)
+	}
+}
+
+// Data records of two streams interleave on the wire with the control
+// records — the window grants answering the other direction's data — all
 // under one nonce counter per direction: every byte of all four directions
 // arrives in order. The sniffed wire shows the interleaving happened.
-func TestDataRecordsAndContainersInterleave(t *testing.T) {
+func TestRecordsInterleave(t *testing.T) {
 	sniff := &wireSniffer{}
 	small := wire.Limits{InitialWindow: 8 << 10}
 	a := newTestPeerCfg(t, "a", false, func(cfg *Config) {
@@ -320,7 +427,8 @@ func TestDataRecordsAndContainersInterleave(t *testing.T) {
 		t.Error(err)
 	}
 
-	// a's side of the wire: a sequence of records whose headers are clear.
+	// a's side of the wire: a sequence of records whose headers are clear,
+	// each frame a record of its own.
 	sniff.mu.Lock()
 	raw := append([]byte(nil), sniff.out.Bytes()...)
 	sniff.mu.Unlock()
@@ -332,18 +440,18 @@ func TestDataRecordsAndContainersInterleave(t *testing.T) {
 	}
 	between := 0
 	for i := 1; i+1 < len(kinds); i++ {
-		if kinds[i] == wire.MuxSealed && kinds[i-1] == wire.MuxData && kinds[i+1] == wire.MuxData {
+		if kinds[i] != wire.MuxData && kinds[i-1] == wire.MuxData && kinds[i+1] == wire.MuxData {
 			between++
 		}
 	}
 	if between == 0 {
-		t.Fatalf("no container went out between two data records in %d records", len(kinds))
+		t.Fatalf("no control record went out between two data records in %d records", len(kinds))
 	}
 }
 
 // FuzzSealedReadLoop feeds the encrypted read loop a fuzzer-chosen run of
-// records — outer types, stream ids, length fields and container contents
-// chosen freely; sealed under the peer's key, tampered, or never sealed —
+// records — types, stream ids, length fields and plaintexts chosen freely;
+// sealed under the peer's key, tampered, or never sealed —
 // and checks what a compromised peer can do with them: the loop never
 // panics, never reads the body of a record longer than the negotiated
 // MaxPayload (the buffer for it is drawn only after the bound), and fails
@@ -362,29 +470,35 @@ func FuzzSealedReadLoop(f *testing.F) {
 	}
 	var open bytes.Buffer
 	(&wire.HandoffHeader{Purpose: wire.HandoffConnect, TargetAgent: "srv", FromAgent: "cli"}).Write(&open)
-	openPT := frame(wire.MuxOpen, 2, open.Bytes())
 	seeds := [][]byte{
 		// Open stream 2, send it data, grant, ping, FIN: all accepted.
 		bytes.Join([][]byte{
-			rec(0, wire.MuxSealed, 0, openPT),
+			rec(0, wire.MuxOpen, 2, open.Bytes()),
 			rec(0, wire.MuxData, 2, []byte("hello")),
-			rec(0, wire.MuxSealed, 0, append(frame(wire.MuxWindow, 2, []byte{0, 0, 4, 0}), frame(wire.MuxPing, 0, nil)...)),
+			rec(0, wire.MuxWindow, 2, []byte{0, 0, 4, 0}),
+			rec(0, wire.MuxPing, 0, nil),
 			rec(0, wire.MuxData, 2, bytes.Repeat([]byte{1}, 200)),
-			rec(0, wire.MuxSealed, 0, frame(wire.MuxFin, 2, nil)),
+			rec(0, wire.MuxFin, 2, nil),
 		}, nil),
-		// A data frame inside a container.
-		bytes.Join([][]byte{rec(0, wire.MuxSealed, 0, openPT), rec(0, wire.MuxSealed, 0, frame(wire.MuxData, 2, []byte("x")))}, nil),
-		// A tampered data record, and a tampered container.
+		// The reserved container type, sealed like any record.
+		bytes.Join([][]byte{rec(0, wire.MuxOpen, 2, open.Bytes()), rec(0, wire.MuxSealed, 2, []byte("x"))}, nil),
+		// A version-5 peer: a container of an open and a grant, then a data
+		// record.
+		bytes.Join([][]byte{
+			rec(0, wire.MuxSealed, 0, append(frame(wire.MuxOpen, 2, open.Bytes()), frame(wire.MuxWindow, 2, []byte{0, 0, 4, 0})...)),
+			rec(0, wire.MuxData, 2, []byte("hello")),
+		}, nil),
+		// A tampered data record, and a tampered control record.
 		rec(2|5<<2, wire.MuxData, 2, []byte("tampered")),
-		rec(2|20<<2, wire.MuxSealed, 0, frame(wire.MuxPing, 0, nil)),
+		rec(2|20<<2, wire.MuxWindow, 2, []byte{0, 0, 4, 0}),
 		// Never sealed: a data frame, and one whose header claims 4 KiB.
 		rec(3, wire.MuxData, 2, bytes.Repeat([]byte{'c'}, 40)),
 		rec(3|8<<2, wire.MuxData, 2, []byte("oversized")),
 		// A length field that does not match the body.
 		rec(1|3<<2, wire.MuxData, 2, []byte("short")),
-		// Outer types no sealed session takes.
-		rec(0, wire.MuxPing, 0, nil),
-		rec(0, wire.MuxOpen, 2, open.Bytes()),
+		// Never sealed: bare control frames, and a type no build sends.
+		rec(3, wire.MuxPing, 0, nil),
+		rec(3, wire.MuxOpen, 2, open.Bytes()),
 		rec(0, 0, 0, nil),
 	}
 	for _, s := range seeds {

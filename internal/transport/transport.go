@@ -29,8 +29,8 @@
 // connection id, so compromise of one connection's key reveals nothing
 // about its siblings; the handoff tokens and control-message HMACs above
 // run under those keys. The trust root is the paper's (unauthenticated DH,
-// hardened by the Guard policy layer); only how often the modular
-// exponentiation is paid differs.
+// hardened by the Guard policy layer); the exchange is X25519 rather than
+// the paper's modular exponentiation, and it is paid once per host pair.
 package transport
 
 import (
@@ -82,17 +82,12 @@ type Transport struct {
 	// writes the queue, so no caller ever waits on the kernel.
 	flusher *recordFlusher
 	// Negotiated limits, fixed at registration: maxPlain caps one frame's
-	// payload (a frame with its header fits one queue chunk), streamWindow
-	// is the per-stream credit window and streamWindowAt the consumed-byte
-	// threshold past which a stream's reader grants the peer more credit,
-	// kaInterval the keepalive probe cadence.
-	maxPlain int
-	// containerPlain caps one queue chunk: the negotiated MaxPayload, less
-	// the AEAD tag on encrypted sessions so a sealed record fits the
-	// negotiated wire-level MaxPayload exactly. The flusher packs
-	// consecutive control frames (and on cleartext sessions data frames)
-	// up to this budget so one GCM pass and one writev entry cover a burst.
-	containerPlain int
+	// payload (a full-size frame's record, header and tag included, is the
+	// negotiated MaxPayload), streamWindow is the per-stream credit window
+	// and streamWindowAt the consumed-byte threshold past which a stream's
+	// reader grants the peer more credit, kaInterval the keepalive probe
+	// cadence.
+	maxPlain       int
 	streamWindow   int
 	streamWindowAt int
 	kaInterval     time.Duration
@@ -342,9 +337,10 @@ func (t *Transport) writeFrame(typ uint8, stream uint64, payload []byte) error {
 	return t.sendFrame(typ, stream, payload)
 }
 
-// sendFrame is writeFrame without the wait for queue room: it packs the frame
-// into the flusher's queue and returns. A failed transport says so here; a
-// write error is the flusher's to report, by failing the transport.
+// sendFrame is writeFrame without the wait for queue room: it queues the
+// frame as a record of its own in the flusher and returns. A failed
+// transport says so here; a write error is the flusher's to report, by
+// failing the transport.
 func (t *Transport) sendFrame(typ uint8, stream uint64, payload []byte) error {
 	if len(payload) > t.maxPlain {
 		return fmt.Errorf("transport: mux payload %d exceeds limit", len(payload))
@@ -433,24 +429,19 @@ func (t *Transport) readFailed(err error) {
 	t.fail(err)
 }
 
-// readLoop demultiplexes inbound frames for the transport's life. Data
-// payloads are read straight into pooled buffers whose ownership passes to
-// the receiving stream (and from there, segment by segment, back to the
-// pool as the stream's reader drains them); control payloads — open
-// headers, reset reasons, window grants — are small and reuse one scratch
-// buffer. Every inbound frame refreshes the keepalive clock.
+// readLoop demultiplexes inbound records for the transport's life, one
+// way for every frame on both session kinds: the header's length is bounded
+// by the negotiated MaxPayload before a buffer is drawn, the record is read
+// into a pooled buffer of that length, opened in place on encrypted
+// sessions, and the buffer passes to handleFrame. Every inbound record
+// refreshes the keepalive clock.
 //
 // On encrypted sessions opener holds the peer's seal key (nil on cleartext
-// sessions), and every wire frame is an AEAD record whose associated data
-// is its own header (AppendMuxHeader is deterministic, so the rebuilt bytes
-// equal what the peer sealed over), opened in place in the buffer it was
-// read into, in wire order under one nonce counter across both record
-// kinds. A MuxData record's plaintext is the stream's payload alone, so its
-// buffer passes to the stream as a cleartext payload's does. A MuxSealed
-// container's plaintext is a run of control frames, demultiplexed through
-// the same handler. A data frame inside one (DecodeMuxHeader), an
-// authentication failure and a bare cleartext frame are protocol
-// violations, and each fails the transport.
+// sessions), and every record is sealed under its own header as associated
+// data (AppendMuxHeader is deterministic, so the rebuilt bytes equal what
+// the peer sealed over), in wire order under one nonce counter. An
+// authentication failure, including a bare cleartext frame, fails the
+// transport.
 func (t *Transport) readLoop(opener *security.Opener) {
 	conn := t.conn
 	// The buffer is deliberately small: it batches the 13-byte mux headers
@@ -459,7 +450,6 @@ func (t *Transport) readLoop(opener *security.Opener) {
 	// a large buffer here would soak up payload bytes on header reads and
 	// force an extra copy for almost every data byte.
 	br := bufio.NewReaderSize(conn, 4<<10)
-	var scratch []byte
 	var aadBuf [wire.MuxHeaderSize]byte
 	// A sealed record's length includes its tag, and the negotiated
 	// MaxPayload bounds it as it bounds a cleartext frame.
@@ -470,87 +460,40 @@ func (t *Transport) readLoop(opener *security.Opener) {
 			t.readFailed(err)
 			return
 		}
-		sealed := h.Type == wire.MuxSealed || opener != nil && h.Type == wire.MuxData
-		if sealed != (opener != nil) {
-			t.fail(fmt.Errorf("%w: frame type %d does not match the session's record layer", wire.ErrBadTransport, h.Type))
-			return
-		}
 		// The bound holds before a buffer is drawn.
-		if int(h.Length) > wireMax || sealed && h.Length < security.RecordOverhead {
+		if int(h.Length) > wireMax || opener != nil && h.Length < security.RecordOverhead {
 			t.fail(fmt.Errorf("%w: mux payload %d outside the negotiated limit %d", wire.ErrBadTransport, h.Length, wireMax))
 			return
 		}
 		t.lastRead.Store(time.Now().UnixNano())
-		if !sealed && h.Type != wire.MuxData {
-			var payload []byte
-			if h.Length > 0 {
-				if cap(scratch) < int(h.Length) {
-					scratch = make([]byte, h.Length)
-				}
-				payload = scratch[:h.Length]
-				if _, err := io.ReadFull(br, payload); err != nil {
-					t.readFailed(err)
-					return
-				}
-			}
-			if !t.handleFrame(h, payload) {
-				return
-			}
-			continue
-		}
 		buf := wire.GetPayload(int(h.Length))
 		if err := readPayloadInto(br, conn, buf); err != nil {
 			wire.PutPayload(buf)
 			t.readFailed(err)
 			return
 		}
-		pt := buf
-		if sealed {
+		if opener != nil {
 			aad := wire.AppendMuxHeader(aadBuf[:0], h.Type, h.Stream, int(h.Length))
-			if pt, err = opener.Open(buf[:0], buf, aad); err != nil {
+			pt, err := opener.Open(buf[:0], buf, aad)
+			if err != nil {
 				wire.PutPayload(buf)
 				t.fail(err)
 				return
 			}
+			buf = pt
 		}
-		if h.Type == wire.MuxData {
-			if !t.handleFrame(h, pt) {
-				return
-			}
-			continue
-		}
-		ok := true
-		for off := 0; ok && off < len(pt); {
-			ih, derr := wire.DecodeMuxHeader(pt[off:])
-			if derr != nil {
-				wire.PutPayload(buf)
-				t.fail(derr)
-				return
-			}
-			off += wire.MuxHeaderSize
-			end := off + int(ih.Length)
-			if int(ih.Length) > t.maxPlain || end > len(pt) {
-				wire.PutPayload(buf)
-				t.fail(fmt.Errorf("%w: inner mux frame of %d bytes overruns its container", wire.ErrBadTransport, ih.Length))
-				return
-			}
-			ok = t.handleFrame(ih, pt[off:end])
-			off = end
-		}
-		wire.PutPayload(buf)
-		if !ok {
+		if !t.handleFrame(h, buf) {
 			return
 		}
 	}
 }
 
-// handleFrame applies one demultiplexed mux frame — straight off a
-// cleartext wire, an opened data record, or from inside an opened container
-// — to the transport. A data frame's payload is a pooled buffer whose
-// ownership transfers here, on both session kinds: it moves to the
-// receiving stream, or back to the pool. Any other payload is only valid
-// for the duration of the call. It returns false when the read loop must
-// exit; the transport has already been failed or closed by then.
+// handleFrame applies one inbound frame to the transport. Its payload is a
+// pooled buffer whose ownership transfers here: a data payload moves to the
+// receiving stream (or back to the pool when it is empty or the stream is
+// gone), and any other payload goes back to the pool once applied. It
+// returns false when the read loop must exit; the transport has already
+// been failed or closed by then.
 func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte) bool {
 	t.mu.Lock()
 	s := t.streams[h.Stream]
@@ -563,6 +506,7 @@ func (t *Transport) handleFrame(h wire.MuxHeader, payload []byte) bool {
 		}
 		return true
 	}
+	defer wire.PutPayload(payload)
 	switch h.Type {
 	case wire.MuxOpen:
 		hdr, err := wire.ReadHandoffHeader(bytes.NewReader(payload))

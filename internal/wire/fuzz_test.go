@@ -294,7 +294,7 @@ func FuzzReadTransportHello(f *testing.F) {
 		Host:     "h",
 		Addr:     "a:1",
 		Public:   testPublic,
-		Versions: []uint8{4, 5},
+		Versions: []uint8{5, 6},
 		Ciphers:  []uint16{CipherAES256GCM},
 		Limits:   DefaultLimits(),
 	})
@@ -336,6 +336,11 @@ func FuzzReadTransportHello(f *testing.F) {
 		f.Fatalf("version-4 hello: want ErrBadTransport, got %v", err)
 	}
 	f.Add(v4Hello(id))
+	// A version-5 hello, likewise a must-reject seed.
+	if _, _, err := ReadTransportHello(bytes.NewReader(v5Hello(id))); !errors.Is(err, ErrBadTransport) {
+		f.Fatalf("version-5 hello: want ErrBadTransport, got %v", err)
+	}
+	f.Add(v5Hello(id))
 	// Secure hellos whose public value is not one X25519 value, and an
 	// insecure hello that carries one: must-reject seeds.
 	for _, h := range []*TransportHello{
@@ -358,7 +363,7 @@ func FuzzReadTransportHello(f *testing.F) {
 		lim := DefaultLimits()
 		lim.MaxPayload = mp
 		var b bytes.Buffer
-		WriteTransportHello(&b, &TransportHello{ID: id, Host: "h", Public: testPublic, Versions: []uint8{5}, Limits: lim})
+		WriteTransportHello(&b, &TransportHello{ID: id, Host: "h", Public: testPublic, Versions: []uint8{6}, Limits: lim})
 		_, _, err := ReadTransportHello(bytes.NewReader(b.Bytes()))
 		if (err == nil) != (mp == MaxMuxPayload) {
 			f.Fatalf("MaxPayload %d: decode error %v", mp, err)
@@ -370,12 +375,12 @@ func FuzzReadTransportHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything accepted is a version-5 hello (the version byte follows
+		// Anything accepted is a version-6 hello (the version byte follows
 		// the six-byte prefix and the body magic, the flags byte follows it)
 		// with no flag but insecure, a public value of 32 bytes when secure
 		// and none when insecure, validated limits and a non-empty version
 		// list, and re-encodes losslessly.
-		if data[8] != TransportVersion5 {
+		if data[8] != TransportVersion6 {
 			t.Fatalf("accepted hello of version %d", data[8])
 		}
 		if data[9]&^transportFlagInsecure != 0 {

@@ -21,30 +21,31 @@ import (
 // reading further.
 const transportMagic = 0x4e54 // "NT"
 
-// TransportVersion5 is the transport protocol version: the hello carries a
+// TransportVersion6 is the transport protocol version: the hello carries a
 // negotiation section — a supported-version list, a cipher-suite preference
-// list, and a Limits block — and, when a cipher is agreed, every mux
-// payload rides the sealed-record framing. A secure hello's Public is a
-// 32-byte X25519 value (version 2 carried a 2048-bit MODP value in the same
-// field). Versions 4 and 5 changed no hello byte but the version. Version 4
-// marks the connection open in which the accepting host opens the data
-// stream (version 3 hosts waited for the dialer's stream and an ID message,
-// so the two would each wait for the other's stream). Version 5 marks the
-// sealed data record: a MuxData frame travels as an AEAD record of its own,
-// and a MuxSealed container carries control frames only (a version-4 host
-// packed data frames into containers, and would take every data record for
-// a protocol violation). Both sides send the highest version they speak
-// plus the full list; the effective version is the highest one both lists
-// contain (see Negotiate). Downgrade protection is inherited from the
+// list, and a Limits block — and, when a cipher is agreed, every mux frame
+// is an AEAD record of its own, sealed under its header. A secure hello's
+// Public is a 32-byte X25519 value (version 2 carried a 2048-bit MODP value
+// in the same field). Versions 4, 5 and 6 changed no hello byte but the
+// version. Version 4 marks the connection open in which the accepting host
+// opens the data stream (version 3 hosts waited for the dialer's stream and
+// an ID message, so the two would each wait for the other's stream).
+// Version 5 sealed each data frame as a record of its own but packed
+// control frames into MuxSealed containers. Version 6 seals every frame
+// alone and retires the container, so a version-5 host's first container
+// would fail a version-6 session, and a version-6 host's first sealed
+// control record a version-5 one. Both sides send the highest version they
+// speak plus the full list; the effective version is the highest one both
+// lists contain (see Negotiate). Downgrade protection is inherited from the
 // handshake: the transcript tags cover the raw hello bytes, so a middlebox
 // that rewrites either list breaks the tag on both sides. A hello with any
 // other version byte is refused at decode, so a host of an earlier version
 // gets a typed refusal rather than a transcript-tag mismatch, a stalled
 // open or a failed session.
-const TransportVersion5 = 5
+const TransportVersion6 = 6
 
 // SupportedVersions is the version list a hello advertises by default.
-func SupportedVersions() []uint8 { return []uint8{TransportVersion5} }
+func SupportedVersions() []uint8 { return []uint8{TransportVersion6} }
 
 // helloPublicSize is the length of a secure hello's Public: an X25519
 // public value.
@@ -55,7 +56,7 @@ const helloPublicSize = 32
 // offers no suites (insecure mode, or encryption explicitly disabled).
 const (
 	CipherCleartext uint16 = 0
-	// CipherAES256GCM seals every mux frame payload with AES-256-GCM under
+	// CipherAES256GCM seals every mux frame with AES-256-GCM under
 	// per-direction keys derived from the transport secret (the stdlib
 	// AEAD; hardware-accelerated on amd64/arm64).
 	CipherAES256GCM uint16 = 1
@@ -205,7 +206,7 @@ var ErrBadTransport = errors.New("wire: malformed transport message")
 func (h *TransportHello) encode() []byte {
 	b := make([]byte, 0, 32+len(h.Host)+len(h.Addr)+len(h.Public))
 	b = binary.BigEndian.AppendUint16(b, transportMagic)
-	b = append(b, TransportVersion5)
+	b = append(b, TransportVersion6)
 	var flags byte
 	if h.Insecure {
 		flags |= transportFlagInsecure
@@ -296,7 +297,7 @@ func decodeTransportHello(b []byte) (*TransportHello, error) {
 	if len(b) < 2+16 {
 		return nil, fmt.Errorf("%w: truncated hello", ErrBadTransport)
 	}
-	if b[0] != TransportVersion5 {
+	if b[0] != TransportVersion6 {
 		return nil, fmt.Errorf("%w: unsupported transport version %d", ErrBadTransport, b[0])
 	}
 	if b[1]&^transportFlagInsecure != 0 {
@@ -441,9 +442,7 @@ const (
 	// optional reason string. A reset answering MuxOpen is a refusal.
 	MuxReset
 	// MuxData carries stream payload bytes, bounded by the receiver's
-	// credit window. On encrypted sessions each one is an AEAD record of
-	// its own: the payload is the sealed stream bytes, and the header is
-	// the record's associated data.
+	// credit window.
 	MuxData
 	// MuxFin half-closes the sender's direction of the stream.
 	MuxFin
@@ -456,14 +455,10 @@ const (
 	// MuxPong answers a ping, with no payload.
 	MuxPong
 	// MuxAck is reserved (it acknowledged frames for a transport-level
-	// replay log): never sent, not reused, refused by both decoders.
+	// replay log): never sent, not reused.
 	MuxAck
-	// MuxSealed wraps one AEAD record on encrypted sessions: the payload
-	// is a sealed container whose plaintext is a sequence of complete
-	// control frames (header + payload), so one GCM pass amortises over
-	// many small frames. Data frames travel as records of their own, never
-	// inside a container (DecodeMuxHeader rejects them there, and a
-	// container inside another); never valid on a cleartext session.
+	// MuxSealed is reserved (it carried a sealed container of control
+	// frames, up to version 5): never sent, not reused.
 	MuxSealed
 )
 
@@ -480,7 +475,7 @@ const (
 const MaxMuxPayload = 64<<10 + 64
 
 // reservedMuxType reports the type values no build sends any more.
-func reservedMuxType(typ uint8) bool { return typ == MuxAccept || typ == MuxAck }
+func reservedMuxType(typ uint8) bool { return typ == MuxAccept || typ == MuxAck || typ == MuxSealed }
 
 // MuxHeaderSize is the fixed mux frame header length:
 //
@@ -490,6 +485,9 @@ func reservedMuxType(typ uint8) bool { return typ == MuxAccept || typ == MuxAck 
 //
 // No per-frame magic: frames follow the authenticated hello exchange on a
 // trusted byte stream, and any desynchronization kills the whole transport.
+// On encrypted sessions every frame is one AEAD record: the length counts
+// the sealed payload with its tag, and the header is the record's
+// associated data.
 const MuxHeaderSize = 1 + 8 + 4
 
 // MuxHeader is a decoded mux frame header; the payload follows on the wire.
@@ -523,31 +521,6 @@ func ReadMuxHeader(r io.Reader) (MuxHeader, error) {
 	}
 	if h.Length > MaxMuxPayload {
 		return MuxHeader{}, fmt.Errorf("%w: mux payload %d exceeds limit %d", ErrBadTransport, h.Length, MaxMuxPayload)
-	}
-	return h, nil
-}
-
-// DecodeMuxHeader decodes a mux frame header from the front of an opened
-// MuxSealed container. A container carries control frames only: MuxData
-// (a record of its own) and MuxSealed (containers never nest) are rejected
-// here along with unknown types and oversized payloads.
-func DecodeMuxHeader(b []byte) (MuxHeader, error) {
-	if len(b) < MuxHeaderSize {
-		return MuxHeader{}, fmt.Errorf("%w: truncated inner mux header (%d bytes)", ErrBadTransport, len(b))
-	}
-	h := MuxHeader{
-		Type:   b[0],
-		Stream: binary.BigEndian.Uint64(b[1:9]),
-		Length: binary.BigEndian.Uint32(b[9:13]),
-	}
-	if h.Type == MuxData {
-		return MuxHeader{}, fmt.Errorf("%w: data frame inside a sealed container", ErrBadTransport)
-	}
-	if h.Type < MuxOpen || h.Type >= MuxSealed || reservedMuxType(h.Type) {
-		return MuxHeader{}, fmt.Errorf("%w: unknown inner mux frame type %d", ErrBadTransport, h.Type)
-	}
-	if h.Length > MaxMuxPayload {
-		return MuxHeader{}, fmt.Errorf("%w: inner mux payload %d exceeds limit %d", ErrBadTransport, h.Length, MaxMuxPayload)
 	}
 	return h, nil
 }

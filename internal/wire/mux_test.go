@@ -116,34 +116,13 @@ func oldResumeHello(id ConnID) []byte {
 	return append(msg, body...)
 }
 
-// The type values of frames no build sends any more stay reserved: neither
-// the wire reader nor the container demux accepts them.
+// The type values of frames no build sends any more stay reserved: the
+// wire reader refuses them, the container type of version 5 included.
 func TestMuxHeaderRejectsReservedTypes(t *testing.T) {
-	for _, typ := range []uint8{MuxAccept, MuxAck} {
+	for _, typ := range []uint8{MuxAccept, MuxAck, MuxSealed} {
 		b := AppendMuxHeader(nil, typ, 1, 8)
 		if _, err := ReadMuxHeader(bytes.NewReader(b)); !errors.Is(err, ErrBadTransport) {
 			t.Fatalf("ReadMuxHeader type %d: want ErrBadTransport, got %v", typ, err)
-		}
-		if _, err := DecodeMuxHeader(b); !errors.Is(err, ErrBadTransport) {
-			t.Fatalf("DecodeMuxHeader type %d: want ErrBadTransport, got %v", typ, err)
-		}
-	}
-}
-
-// A sealed container carries control frames only: a data frame travels as a
-// record of its own, so the container demux refuses one, while the wire
-// reader, which reads data records, takes the same header.
-func TestDecodeMuxHeaderRefusesDataInContainer(t *testing.T) {
-	b := AppendMuxHeader(nil, MuxData, 1, 8)
-	if _, err := DecodeMuxHeader(b); !errors.Is(err, ErrBadTransport) {
-		t.Fatalf("DecodeMuxHeader data frame: want ErrBadTransport, got %v", err)
-	}
-	if _, err := ReadMuxHeader(bytes.NewReader(b)); err != nil {
-		t.Fatalf("ReadMuxHeader data frame: %v", err)
-	}
-	for _, typ := range []uint8{MuxOpen, MuxReset, MuxFin, MuxWindow, MuxPing, MuxPong} {
-		if _, err := DecodeMuxHeader(AppendMuxHeader(nil, typ, 1, 8)); err != nil {
-			t.Fatalf("DecodeMuxHeader control type %d: %v", typ, err)
 		}
 	}
 }
@@ -408,8 +387,8 @@ func v4Hello(id ConnID) []byte {
 
 // A version-4 host packs data frames into sealed containers and takes a
 // data record of its own for a cleartext frame on an encrypted session,
-// while a version-5 host refuses a data frame inside a container: each
-// would fail the other's first sealed write. The hello refuses it at decode
+// while a version-6 host refuses a container outright: each would fail the
+// other's first sealed write. The hello refuses it at decode
 // instead, so mixed versions get one typed error, not a session that fails
 // on its first message.
 func TestTransportHelloV4Refused(t *testing.T) {
@@ -430,6 +409,43 @@ func TestTransportHelloV4Refused(t *testing.T) {
 	body[2] = 4
 	if _, err := decodeTransportHello(body); !errors.Is(err, ErrBadTransport) {
 		t.Fatalf("version byte 4 on a current body: want ErrBadTransport, got %v", err)
+	}
+}
+
+// v5Hello is a complete hello as version-5 builds sent it: today's layout
+// and values, but the version byte and list say 5.
+func v5Hello(id ConnID) []byte {
+	var buf bytes.Buffer
+	WriteTransportHello(&buf, &TransportHello{ID: id, Host: "old", Public: testPublic, Versions: []uint8{5}, Ciphers: []uint16{CipherAES256GCM}})
+	b := buf.Bytes()
+	b[8] = 5 // the version byte follows the length prefix and the body magic
+	return b
+}
+
+// A version-5 host packs control frames into MuxSealed containers, which a
+// version-6 host refuses, and takes a version-6 host's sealed control
+// record for a frame outside any container: each would fail the other's
+// first sealed control frame. The hello refuses it at decode instead, so
+// mixed versions get one typed error, not a session that fails on its
+// first grant.
+func TestTransportHelloV5Refused(t *testing.T) {
+	id, _ := NewConnID()
+	if _, _, err := ReadTransportHello(bytes.NewReader(v5Hello(id))); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-5 hello: want ErrBadTransport, got %v", err)
+	}
+	// A version-5 version byte in front of an otherwise valid current body
+	// is refused just the same.
+	var buf bytes.Buffer
+	if _, err := WriteTransportHello(&buf, &TransportHello{ID: id, Host: "h", Public: testPublic}); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()[6:]
+	if _, err := decodeTransportHello(body); err != nil {
+		t.Fatal(err)
+	}
+	body[2] = 5
+	if _, err := decodeTransportHello(body); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version byte 5 on a current body: want ErrBadTransport, got %v", err)
 	}
 }
 
@@ -510,17 +526,17 @@ func TestLimitsValidate(t *testing.T) {
 }
 
 func TestNegotiate(t *testing.T) {
-	v5 := func(ciphers []uint16, l Limits) *TransportHello {
-		return &TransportHello{Versions: []uint8{4, 5}, Ciphers: ciphers, Limits: l}
+	v6 := func(ciphers []uint16, l Limits) *TransportHello {
+		return &TransportHello{Versions: []uint8{5, 6}, Ciphers: ciphers, Limits: l}
 	}
 	small := Limits{MaxPayload: 16 << 10, InitialWindow: 256 << 10, KeepaliveMs: 4000}
 	big := DefaultLimits()
 
-	n, err := Negotiate(v5([]uint16{CipherAES256GCM}, big), v5([]uint16{CipherAES256GCM}, small))
+	n, err := Negotiate(v6([]uint16{CipherAES256GCM}, big), v6([]uint16{CipherAES256GCM}, small))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Version != TransportVersion5 || n.Cipher != CipherAES256GCM {
+	if n.Version != TransportVersion6 || n.Cipher != CipherAES256GCM {
 		t.Fatalf("negotiated %+v", n)
 	}
 	if n.Limits != small {
@@ -528,42 +544,42 @@ func TestNegotiate(t *testing.T) {
 	}
 
 	// Highest common cipher wins, regardless of list order.
-	n, _ = Negotiate(v5([]uint16{CipherAES256GCM, 9}, big), v5([]uint16{9, CipherAES256GCM}, big))
+	n, _ = Negotiate(v6([]uint16{CipherAES256GCM, 9}, big), v6([]uint16{9, CipherAES256GCM}, big))
 	if n.Cipher != 9 {
 		t.Fatalf("highest common cipher: got %d", n.Cipher)
 	}
 
 	// Either side offering no ciphers yields cleartext.
-	n, _ = Negotiate(v5(nil, big), v5([]uint16{CipherAES256GCM}, big))
+	n, _ = Negotiate(v6(nil, big), v6([]uint16{CipherAES256GCM}, big))
 	if n.Cipher != CipherCleartext {
 		t.Fatalf("empty-list negotiation: got cipher %d", n.Cipher)
 	}
 
 	// Insecure mode can never negotiate a cipher.
-	ins := v5([]uint16{CipherAES256GCM}, big)
+	ins := v6([]uint16{CipherAES256GCM}, big)
 	ins.Insecure = true
-	n, _ = Negotiate(ins, v5([]uint16{CipherAES256GCM}, big))
+	n, _ = Negotiate(ins, v6([]uint16{CipherAES256GCM}, big))
 	if n.Cipher != CipherCleartext {
 		t.Fatalf("insecure negotiation: got cipher %d", n.Cipher)
 	}
 
-	// A peer whose list lacks version 5 is refused, from either side, even
-	// though both lists name version 4.
-	v4 := &TransportHello{Versions: []uint8{3, 4}, Limits: big}
-	if _, err := Negotiate(v5([]uint16{CipherAES256GCM}, small), v4); !errors.Is(err, ErrBadTransport) {
-		t.Fatalf("version-4-only peer: want ErrBadTransport, got %v", err)
+	// A peer whose list lacks version 6 is refused, from either side, even
+	// though both lists name version 5.
+	v5 := &TransportHello{Versions: []uint8{4, 5}, Limits: big}
+	if _, err := Negotiate(v6([]uint16{CipherAES256GCM}, small), v5); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-5-only peer: want ErrBadTransport, got %v", err)
 	}
-	if _, err := Negotiate(v4, v5([]uint16{CipherAES256GCM}, small)); !errors.Is(err, ErrBadTransport) {
-		t.Fatalf("version-4-only local: want ErrBadTransport, got %v", err)
+	if _, err := Negotiate(v5, v6([]uint16{CipherAES256GCM}, small)); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("version-5-only local: want ErrBadTransport, got %v", err)
 	}
 
 	// No common version is a handshake failure.
-	if _, err := Negotiate(v5(nil, big), &TransportHello{Versions: []uint8{7}}); !errors.Is(err, ErrBadTransport) {
+	if _, err := Negotiate(v6(nil, big), &TransportHello{Versions: []uint8{7}}); !errors.Is(err, ErrBadTransport) {
 		t.Fatalf("no common version: %v", err)
 	}
 
 	// Symmetry: both ends compute the identical agreement.
-	a, b := v5([]uint16{9, CipherAES256GCM}, small), v5([]uint16{CipherAES256GCM, 9}, big)
+	a, b := v6([]uint16{9, CipherAES256GCM}, small), v6([]uint16{CipherAES256GCM, 9}, big)
 	na, _ := Negotiate(a, b)
 	nb, _ := Negotiate(b, a)
 	if na != nb {
@@ -573,7 +589,7 @@ func TestNegotiate(t *testing.T) {
 
 // helloGolden is a secure hello as this build writes it with every
 // negotiation field defaulted: it pins the version byte and version list
-// (5), the 32-byte public value (RFC 7748's example public key of Alice),
+// (6), the 32-byte public value (RFC 7748's example public key of Alice),
 // and, in the limits block at its tail, the default MaxPayload (64 KiB +
 // 64), InitialWindow (2 MiB) and keepalive (15 s). A change to any of them
 // changes what a peer must accept, so it changes this file.

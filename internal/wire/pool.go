@@ -7,9 +7,10 @@ import (
 
 // Pooled buffers cycle at segment rate: one per run of encoded frames on
 // either side of the data plane (send segment, received mux payload, the
-// assembly of a frame that straddles two of them) and one per run of queued
-// control frames. A sealed record is sealed and opened in place, in the
-// buffer its plaintext is queued in and the buffer its stream keeps.
+// assembly of a frame that straddles two of them) and one per mux record the
+// transport queues or reads, control records included. A sealed record is
+// sealed and opened in place, in the buffer its frame is queued in and the
+// buffer its stream keeps.
 // Allocating each from the heap makes the garbage collector a data-plane
 // cost, so they are drawn from a small set of size-classed pools instead.
 //
