@@ -122,11 +122,12 @@ crash-soak:
 # its work by a second, nor a credit-stalled flush its controller's close;
 # a line of their own: twenty bulk runs take about two minutes under the
 # race detector, which on the main line would near go test's ten-minute
-# timeout), and the requester half of the control protocol as
-# the one table and interpreter it is (both tables checked cell by cell
-# and against each other, every concurrent migration of Figs 4 and 5 — the
-# two-connection one bounded at a quarter of the operation timeout, so the
-# resume race costs a retry, not a timeout — a SUS granted in RESUME_WAIT, a
+# timeout), and the control protocol as the three tables and interpreters
+# it is (the tables checked cell by cell and against each other, with the
+# flags the data plane and the control plane share under mu; every
+# concurrent migration of Figs 4 and 5 — the two-connection one with no
+# resume timed out and one request per connection and refusal from each
+# mover, so the resume race costs a retry, not a timeout — a SUS granted in RESUME_WAIT, a
 # CLS that waits out a resume's completion, and a parked resume that expires
 # closed), and the endpoint's one wait for its handoff (a stale handoff,
 # signed below the granted RES's nonce, is refused; an opener whose stream
@@ -135,7 +136,7 @@ crash-soak:
 # shields with 1 KiB bursts, with 64 KiB ones: 6 to 10 messages left unread
 # on each connection across every migration, 10,000 cycles (200 a run).
 handoff-soak:
-	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathAtEstablishment|TestStreamDeathBetweenInstallAndStep|TestOpenStreamAndACKInEitherOrder|TestConnectACKLostOnce|TestOpenerGivesUp|TestColdOpenUsesTheNamedTransport|TestForgedConnectOpensNothing|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestConcurrentWritersKeepWireOrder|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable|TestSuspenderGivesUpItsDrain|TestResponderGivesUpItsDrain|TestGapToEmptyLogUnrecoverable|TestAdmitRefusesSeqGap' -race -count=20
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathAtEstablishment|TestStreamDeathBetweenInstallAndStep|TestOpenStreamAndACKInEitherOrder|TestConnectACKLostOnce|TestOpenerGivesUp|TestColdOpenUsesTheNamedTransport|TestForgedConnectOpensNothing|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestConcurrentWritersKeepWireOrder|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable|TestLocalTable|TestSuspenderGivesUpItsDrain|TestResponderGivesUpItsDrain|TestGapToEmptyLogUnrecoverable|TestAdmitRefusesSeqGap' -race -count=20
 	$(GO) test ./internal/core -run 'TestBulkSiblingsNeverParkThePump|TestNoPassOutlivesItsWork' -race -count=20
 	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored|TestNothingWaitsOnAStuckKernelSend|TestRecordsInterleave|TestSealedDataRecordHeaderIsAuthenticated' -race -count=20
 	$(GO) test ./internal/core -run 'TestBurstsUnreadAcrossMigrations$$' -count=50

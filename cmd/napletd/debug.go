@@ -67,13 +67,13 @@ func startDebugServer(addr string, node *naplet.Node, reg *obs.Registry, cnode *
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "%d connections at %s\n\n", len(infos), time.Now().Format(time.RFC3339))
-		fmt.Fprintf(w, "%-32s %-12s %-12s %-14s %8s %8s %8s %9s %9s %-32s\n",
-			"ID", "LOCAL", "REMOTE", "STATE", "SENDSEQ", "RECVSEQ", "BUFMSGS", "BUFBYTES", "LOGBYTES", "TRANSPORT")
+		fmt.Fprintf(w, "%-32s %-12s %-12s %-14s %8s %8s %8s %9s %9s %-32s %s\n",
+			"ID", "LOCAL", "REMOTE", "STATE", "SENDSEQ", "RECVSEQ", "BUFMSGS", "BUFBYTES", "LOGBYTES", "TRANSPORT", "LATCHES")
 		for _, in := range infos {
-			fmt.Fprintf(w, "%-32s %-12s %-12s %-14s %8d %8d %8d %9d %9d %-32s\n",
+			fmt.Fprintf(w, "%-32s %-12s %-12s %-14s %8d %8d %8d %9d %9d %-32s %s\n",
 				in.ID, in.LocalAgent, in.RemoteAgent, in.State,
 				in.NextSendSeq, in.LastEnqueued, in.RecvBufferedMsgs, in.RecvBufferedBytes, in.SendLogBytes,
-				in.Transport)
+				in.Transport, in.Latches)
 		}
 		now := time.Now()
 		fmt.Fprintf(w, "\n%d shared transports\n\n", len(transports))

@@ -209,6 +209,9 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if !strings.Contains(table, "pinger") || !strings.Contains(table, "echoer") {
 		t.Errorf("/connz missing agent names:\n%s", table)
 	}
+	if !strings.Contains(table, "LATCHES") {
+		t.Errorf("/connz missing the LATCHES column:\n%s", table)
+	}
 
 	code, body := get("/connz?format=json")
 	if code != http.StatusOK {
@@ -235,6 +238,16 @@ func TestDebugServerEndpoints(t *testing.T) {
 	for _, in := range connz.Conns {
 		if in.Transport != "" && !byID[in.Transport] {
 			t.Errorf("conn %s references transport %s not in transports list", in.ID, in.Transport)
+		}
+	}
+	// The flags travel in the JSON rendering too: an ESTABLISHED endpoint
+	// with no release pending raises none.
+	if !strings.Contains(body, `"Latches"`) {
+		t.Errorf("/connz json lacks the Latches field:\n%s", body)
+	}
+	for _, in := range connz.Conns {
+		if in.State == "ESTABLISHED" && in.Latches != "" {
+			t.Errorf("conn %s: ESTABLISHED with flags %q raised", in.ID, in.Latches)
 		}
 	}
 

@@ -182,7 +182,7 @@ func TestCloseWaitsOutResumeCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	client.mu.Lock()
-	client.step(fsm.AppResume) // -> RES_SENT, as resumeLocked does
+	client.step(fsm.AppResume) // -> RES_SENT, as Resume does
 	client.mu.Unlock()
 	replied := make(chan *wire.ControlReply, 1)
 	go func() {

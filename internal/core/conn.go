@@ -18,8 +18,8 @@ import (
 
 // This file holds the Socket's identity, state, and lifecycle bookkeeping.
 // The data plane (pump and flush passes, receive buffer, send log, drain)
-// lives in dataplane.go; the control-plane suspend/resume/close exchanges
-// live in ops.go, and what a peer's message gets in each state in proto.go.
+// lives in dataplane.go; the control plane in ops.go, the interpreters of the
+// three tables in proto.go.
 
 // Errors returned by Socket operations.
 var (
@@ -148,11 +148,6 @@ type Socket struct {
 	readDone     int
 	readTail     bool
 	lastEnqueued uint64
-	// Drain bookkeeping during suspend.
-	suspending    bool
-	peerFlushSeen bool
-	peerFlushSeq  uint64
-	drained       bool
 
 	// Send side: the retransmission log, oldest segment first, charged by
 	// capacity against maxSendLog. It is also the write buffer: Write
@@ -181,17 +176,10 @@ type Socket struct {
 	sendNonce     uint64
 	lastPeerNonce uint64
 
-	// Concurrent-migration bookkeeping (Sections 3.1–3.2).
-	remoteSuspended bool
-	owesSusRes      bool
-	// susResReceived latches a SUS_RES that arrives before the local
-	// suspend has parked, so the release cannot be lost to the race.
-	susResReceived bool
-	// peerResumeParked records that we answered the peer's RESUME with
-	// RESUME_WAIT: the peer is pinned in RESUME_WAIT until we land and
-	// resume toward it, so a local suspend on this connection is already
-	// satisfied (Fig 5).
-	peerResumeParked bool
+	// latches are the flags the three tables read (proto.go): the
+	// concurrent-migration bookkeeping of Sections 3.1–3.2, and the drain's
+	// and the failure's.
+	latches latch
 
 	// Establishment bookkeeping. handoff is the wait for the data stream a
 	// sent CONNECT or a granted RES has the peer open, nil when none is
@@ -201,7 +189,6 @@ type Socket struct {
 
 	closed   bool
 	closeErr error
-	failing  bool
 	// failedAt opens a failure episode (data-socket failure or a crash
 	// restore); cleared when the connection resumes, recording the recovery
 	// latency.
@@ -273,6 +260,8 @@ type Info struct {
 	LocalAgent, RemoteAgent string
 	// State is the protocol state name (Table 1 of the paper).
 	State string
+	// Latches names the flags raised: what a parked endpoint is waiting for.
+	Latches string
 	// HighPriority reports whether the local agent wins the migration
 	// priority (Section 3.1).
 	HighPriority bool
@@ -307,6 +296,7 @@ func (s *Socket) Info() Info {
 		LocalAgent:      s.localAgent,
 		RemoteAgent:     s.remoteAgent,
 		State:           s.m.State().String(),
+		Latches:         s.latches.String(),
 		HighPriority:    s.highPriority,
 		NextSendSeq:     s.nextSendSeq,
 		LastEnqueued:    s.lastEnqueued,

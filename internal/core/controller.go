@@ -116,25 +116,16 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-func (c Config) opTimeout() time.Duration {
-	if c.OpTimeout > 0 {
-		return c.OpTimeout
-	}
-	return 5 * time.Second
-}
+func (c Config) opTimeout() time.Duration    { return orDefault(c.OpTimeout, 5*time.Second) }
+func (c Config) parkTimeout() time.Duration  { return orDefault(c.ParkTimeout, 60*time.Second) }
+func (c Config) drainTimeout() time.Duration { return orDefault(c.DrainTimeout, 5*time.Second) }
 
-func (c Config) parkTimeout() time.Duration {
-	if c.ParkTimeout > 0 {
-		return c.ParkTimeout
+// orDefault is d, or def where d is unset.
+func orDefault(d, def time.Duration) time.Duration {
+	if d > 0 {
+		return d
 	}
-	return 60 * time.Second
-}
-
-func (c Config) drainTimeout() time.Duration {
-	if c.DrainTimeout > 0 {
-		return c.DrainTimeout
-	}
-	return 5 * time.Second
+	return def
 }
 
 // Controller is the per-host NapletSocket manager of Section 2.1: it owns
@@ -702,7 +693,7 @@ func (s *Socket) handoffHeader(purpose wire.HandoffPurpose) *wire.HandoffHeader 
 // the peer is missing is retransmitted behind the stream's own open. Nothing
 // waits for the peer: it began awaiting the handoff before the ACK to our
 // RES. Its controller still authorizes the header, and a refusal is a reset
-// of the stream — a stream death, which readerExit and establishLocked
+// of the stream — a stream death, which readerExit and establishedLocked
 // handle.
 func (s *Socket) dialAndInstall(peerHasUpTo uint64) error {
 	hdr := s.handoffHeader(wire.HandoffResume)
@@ -719,8 +710,9 @@ func (s *Socket) dialAndInstall(peerHasUpTo uint64) error {
 // handleConnect serves a CONNECT request on the server side: policy check,
 // key agreement (derived from the named transport's secret), the check of
 // CONNECT's tag under that key, connection creation, and the data stream,
-// opened on that same transport before the ACK leaves. The connection is ESTABLISHED and queued for Accept when the
-// ACK is sent; the opener has awaited the stream since before its CONNECT.
+// opened on that same transport before the ACK leaves. The connection is
+// ESTABLISHED and queued for Accept when the ACK is sent; the opener has
+// awaited the stream since before its CONNECT.
 func (ctrl *Controller) handleConnect(m *wire.ControlMsg, req []byte) []byte {
 	if rtc := (obs.SpanContext{Trace: obs.TraceID(m.TraceID), Span: obs.SpanID(m.SpanID)}); rtc.Valid() {
 		sp := ctrl.obs.tr.StartSpan(rtc, "handle.CONNECT")
@@ -798,7 +790,10 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg, req []byte) []byte {
 	// CONNECT carried the client's socket id (the transport): the ID
 	// message of Fig 3 has nothing left to say.
 	s.mu.Lock()
-	s.establishLocked(fsm.ConnectAcked, fsm.RecvID)
+	if s.m.State() == fsm.ConnectAcked {
+		s.step(fsm.RecvID)
+	}
+	s.establishedLocked()
 	s.mu.Unlock()
 	ctrl.obs.accepts.Inc()
 	s.olog(obs.LevelInfo, "accepted")

@@ -145,13 +145,7 @@ func (s *Socket) installSocket(sock *transport.Stream, peerHasUpTo uint64) error
 	}
 	s.pumpDec = &wire.FrameDecoder{}
 	s.pumpPaused = false
-	s.suspending = false
-	s.peerFlushSeen = false
-	s.drained = false
-	s.failing = false
-	s.remoteSuspended = false
-	s.susResReceived = false
-	s.peerResumeParked = false
+	s.latches &^= generationLatches
 	last := s.cutSeq - 1
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -228,7 +222,7 @@ func (s *Socket) pumpEvent() {
 			return
 		}
 		room := maxRecvBuffer - s.recvHeld
-		if s.suspending {
+		if s.latches&latchSuspending != 0 {
 			room = math.MaxInt
 		}
 		if room <= 0 {
@@ -377,13 +371,13 @@ func (s *Socket) ingest(gen int, dec *wire.FrameDecoder, last uint64, segs [][]b
 		return false, nil
 	}
 	for _, r := range runs {
-		r.via = s.suspending
+		r.via = s.latches&latchSuspending != 0
 		s.recvQ = append(s.recvQ, r)
 		s.recvHeld += cap(r.buf)
 	}
 	s.lastEnqueued = w.last
-	if w.flushSeen {
-		s.peerFlushSeen, s.peerFlushSeq = true, w.flushSeq
+	if w.flushSeen && w.last >= w.flushSeq {
+		s.latches |= latchPeerFlushSeen
 	}
 	if len(runs) > 0 {
 		s.cond.Broadcast()
@@ -395,7 +389,7 @@ func (s *Socket) ingest(gen int, dec *wire.FrameDecoder, last uint64, segs [][]b
 // backpressure clears: the application drained below the bound, or a
 // suspend drain lifted it. Caller holds mu.
 func (s *Socket) maybeResumePumpLocked() {
-	if s.pumpPaused && (s.recvHeld < maxRecvBuffer || s.suspending) {
+	if s.pumpPaused && (s.recvHeld < maxRecvBuffer || s.latches&latchSuspending != 0) {
 		s.pumpPaused = false
 		s.schedulePump()
 	}
@@ -503,48 +497,26 @@ func (s *Socket) cutForWriteLocked() (*transport.Stream, uint64, []byte) {
 	return sock, s.cutSeq - 1, batch
 }
 
-// readerExit classifies the end of a socket generation: a completed
-// suspend drain, a close, or a failure.
+// readerExit ends a socket generation: the local table tells a completed
+// drain or a close from a failure.
 func (s *Socket) readerExit(gen int, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if gen != s.gen || s.closed {
+		s.mu.Unlock()
 		return
 	}
-	st := s.m.State()
-	// The peer's orderly teardown (flush marker then half-close) during any
-	// suspend or close in progress is a completed drain — even if our own
-	// drainAndClose has not started yet (its ACK may still be in flight).
-	orderly := s.peerFlushSeen && s.lastEnqueued >= s.peerFlushSeq
-	tearingDown := s.suspending || st != fsm.Established
-	if orderly && tearingDown {
-		s.drained = true
-		s.cond.Broadcast()
-		return
-	}
-	if st == fsm.CloseSent || st == fsm.CloseAcked || st == fsm.Closed {
-		// A close is in progress; EOF is expected, not a failure.
-		s.drained = true
-		s.cond.Broadcast()
-		return
-	}
-	// Unexpected end while established (or a botched drain): degrade to
-	// SUSPENDED and let failure recovery re-resume (extension; fsm Fail).
-	s.failLocked(err)
+	s.local(streamEnded, err)
 }
 
-// establishLocked steps from from by ev into ESTABLISHED over a freshly
-// installed stream, and then probes that stream. Its opener did not wait for
+// establishedLocked probes the freshly installed stream of a step into
+// ESTABLISHED, if the step got there. Its opener did not wait for
 // the peer's verdict, so a refusal (or any reset) can land in CONNECT_SENT,
 // RES_SENT, CONNECT_ACKED or RES_ACKED, where readerExit's failLocked has
 // nothing to degrade — and a dead stream raises no second event. Probing under
 // the same hold of mu as the step keeps every connection from resting in
 // ESTABLISHED over a terminal stream. Reaching ESTABLISHED ends the wait for
 // the handoff. Caller holds mu.
-func (s *Socket) establishLocked(from fsm.State, ev fsm.Event) {
-	if s.m.State() == from {
-		s.step(ev)
-	}
+func (s *Socket) establishedLocked() {
 	if s.m.State() != fsm.Established {
 		return
 	}
@@ -583,14 +555,14 @@ const lowPriorityBackstop = time.Second
 // whether it did: a connection on its way to ESTABLISHED is left to the step
 // that gets it there. Caller holds mu.
 func (s *Socket) degradeLocked(cause error) bool {
-	if s.failing || s.closed {
+	if s.latches&latchFailing != 0 || s.closed {
 		return false
 	}
 	if s.m.State() != fsm.Established {
 		s.cond.Broadcast()
 		return false
 	}
-	s.failing = true
+	s.latches |= latchFailing
 	if s.failedAt.IsZero() {
 		s.failedAt = time.Now()
 	}
@@ -613,11 +585,9 @@ func (s *Socket) degradeLocked(cause error) bool {
 }
 
 // startRecovery is the one recovery path, for a data socket failure and a
-// crash restore alike: after delay, one Resume of a connection still down by
-// failure. Resume's own loop re-resolves the peer and backs off while it is
-// unreachable, up to ParkTimeout; a connection whose agent is migrating is
-// left to the resume its landing runs. The wait costs a runtime timer, not a
-// parked goroutine.
+// crash restore alike: after delay, the local table's recovery is due (one
+// Resume of a connection still down by failure, which re-resolves the peer
+// and backs off up to ParkTimeout). The wait costs a runtime timer.
 func (s *Socket) startRecovery(delay time.Duration) {
 	time.AfterFunc(delay, func() {
 		select {
@@ -626,14 +596,11 @@ func (s *Socket) startRecovery(delay time.Duration) {
 		default:
 		}
 		s.mu.Lock()
-		down := s.failing && !s.closed && s.m.State() == fsm.Suspended
-		s.mu.Unlock()
-		if !down || s.ctrl.tab.isMigrating(s.localAgent) {
+		if s.closed {
+			s.mu.Unlock()
 			return
 		}
-		if err := s.Resume(); err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrMigrated) {
-			s.olog(obs.LevelWarn, "failure resume: %v", err)
-		}
+		s.local(recoveryDue, nil)
 	})
 }
 
@@ -787,7 +754,7 @@ func (s *Socket) writeFrame(p []byte) error {
 	need := wire.FrameHeaderSize + len(p)
 	s.mu.Lock()
 	for {
-		for s.m.State() != fsm.Established || s.sock == nil || s.suspending {
+		for s.m.State() != fsm.Established || s.sock == nil || s.latches&latchSuspending != 0 {
 			if s.closed {
 				err := s.closedErrLocked()
 				s.mu.Unlock()
@@ -917,7 +884,7 @@ func (s *Socket) drainAndClose() {
 		s.mu.Unlock()
 		return
 	}
-	s.suspending = true
+	s.latches |= latchSuspending
 	sock := s.sock
 	// The drain must capture everything in flight: lift receive-side
 	// backpressure so a paused pump resumes pulling immediately.
@@ -929,7 +896,7 @@ func (s *Socket) drainAndClose() {
 	// still pending first, then the marker carrying the last sequence
 	// number written (not logged — a later generation must not replay it).
 	// flushMu is held from the cut through the marker, so the marker follows
-	// every frame; writers append nothing more once suspending is set.
+	// every frame; writers append nothing more while suspending.
 	s.flushMu.Lock()
 	s.mu.Lock()
 	var batch []byte
@@ -961,16 +928,14 @@ func (s *Socket) drainAndClose() {
 	// (or the deadline timer fires once), not on a polling interval.
 	deadline := time.Now().Add(s.ctrl.cfg.drainTimeout())
 	s.mu.Lock()
-	for !s.drained && !s.closed && s.sock != nil && flushErr == nil {
+	for s.latches&latchDrained == 0 && !s.closed && s.sock != nil && flushErr == nil {
 		if !waitCond(s.cond, time.Until(deadline)) {
 			break
 		}
 	}
-	graceful := s.drained
+	graceful := s.latches&latchDrained != 0
 	s.dropSockLocked()
-	s.suspending = false
-	s.drained = false
-	s.peerFlushSeen = false
+	s.latches &^= latchSuspending | latchDrained | latchPeerFlushSeen
 	if graceful {
 		s.ctrl.obs.drainsGraceful.Inc()
 	} else {

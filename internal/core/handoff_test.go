@@ -89,7 +89,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// assertLiveIfEstablished is the invariant establishLocked's probe exists
+// assertLiveIfEstablished is the invariant establishedLocked's probe exists
 // for: a connection that is ESTABLISHED and at rest holds a
 // stream that is not terminal.
 func assertLiveIfEstablished(t *testing.T, s *Socket) {
@@ -253,7 +253,7 @@ func testRefusedHandoff(t *testing.T, landing string, heldAway bool) {
 	if heldAway {
 		eventually(t, "the recovery's RES to be lost", func() bool { return lost.Load() > 0 })
 		client.mu.Lock()
-		st, failing, sock := client.m.State(), client.failing, client.sock
+		st, failing, sock := client.m.State(), client.latches&latchFailing != 0, client.sock
 		client.mu.Unlock()
 		if st != fsm.ResSent || !failing || sock != nil {
 			t.Fatalf("after the refusal, peer away: state %s, failing %v, stream held %v; want a failed connection resuming", st, failing, sock != nil)
@@ -661,7 +661,7 @@ func TestStreamDeathAtEstablishment(t *testing.T) {
 // watching it, but before the endpoint steps into ESTABLISHED: the pump
 // then meets the death in CONNECT_ACKED, CONNECT_SENT or RES_SENT, where
 // readerExit has nothing to degrade, and nothing raises it again. The
-// step's own probe (establishLocked) is what fails that generation. The
+// step's own probe (establishedLocked) is what fails that generation. The
 // stream dies in that window (Controller.afterInstall) on an open's
 // acceptor and opener and on a resume's requester, and the death is taken
 // in by a pump pass before the step; the peer's mux reads are held

@@ -126,7 +126,7 @@ func (s *Socket) snapshotLocked() connState {
 		PeerDataAddr:    s.peerDataAddr,
 		SendNonce:       s.sendNonce,
 		LastPeerNonce:   s.lastPeerNonce,
-		OwesSusRes:      s.owesSusRes,
+		OwesSusRes:      s.latches&latchOwesSusRes != 0,
 		Accepted:        s.accepted,
 	}
 	if len(s.recvQ) > 0 {

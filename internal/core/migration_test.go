@@ -2,12 +2,19 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"naplet/internal/fsm"
+	"naplet/internal/obs"
+	"naplet/internal/wire"
 )
 
 // ---- single migration (Section 3.1) ----
@@ -312,8 +319,44 @@ func TestNonOverlappedConcurrentMigration(t *testing.T) {
 
 // ---- multiple connections (Section 3.2) ----
 
+// The resume race of Fig 5 costs a retry, not an operation timeout: the
+// low-priority mover must not sit out the high side's RES while that RES is
+// parked at the host the mover left. So no resume times out on any host, no
+// wait runs out its deadline, and the movers send one RES (or SUS_RES) per
+// connection each, plus one for each refusal that asks them to try again: a
+// resume race, or a peer that has moved on or not landed yet.
 func TestConcurrentMigrationWithMultipleConnections(t *testing.T) {
-	env := newEnv(t, []string{"h1", "h2", "h3", "h4"})
+	var timeouts, refused atomic.Int64
+	var moverRequests sync.Map // the RUDP ids of the requests h3 and h4 send
+	env := newEnv(t, []string{"h1", "h2", "h3", "h4"}, func(c *Config) {
+		mover := c.HostName == "h3" || c.HostName == "h4"
+		c.ControlDropFn = func(pkt []byte) bool {
+			const rudpHeader, kindRequest, kindResponse = 12, 1, 2
+			if len(pkt) <= rudpHeader {
+				return false
+			}
+			switch id := binary.BigEndian.Uint64(pkt[4:rudpHeader]); {
+			case pkt[3] == kindRequest && mover:
+				moverRequests.Store(id, nil)
+			case pkt[3] == kindResponse:
+				if r, err := wire.DecodeControlReply(pkt[rudpHeader:]); err == nil && r.Verdict == wire.VerdictReject && r.Code != wire.RejectOther {
+					if _, mine := moverRequests.LoadAndDelete(id); mine {
+						refused.Add(1)
+					}
+				}
+			}
+			return false
+		}
+		c.Logger = obs.NewLogger(func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			for _, st := range []fsm.State{fsm.ResSent, fsm.ResAcked, fsm.ResumeWait} {
+				if strings.Contains(line, st.String()+" --["+fsm.Timeout.String()+"]-->") {
+					timeouts.Add(1)
+				}
+			}
+			t.Log(line)
+		}, obs.LevelDebug)
+	})
 
 	// Two connections between the same pair of agents (Fig 5's #1 and #2):
 	// one opened by each side.
@@ -347,10 +390,7 @@ func TestConcurrentMigrationWithMultipleConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The resume race of Fig 5 costs a retry, not an operation timeout: the
-	// low-priority mover must not sit out the high side's RES while that RES
-	// is parked at the host the mover left.
-	start := time.Now()
+	fired := condTimerFires.Load()
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -380,8 +420,17 @@ func TestConcurrentMigrationWithMultipleConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitEstablished(t, a1, a2, b1, b2)
-	if took, limit := time.Since(start), env.hosts["h3"].ctrl.cfg.opTimeout()/4; took > limit {
-		t.Errorf("concurrent migration took %v to re-establish both connections, want under %v", took, limit)
+	if n := timeouts.Load(); n != 0 {
+		t.Errorf("%d resumes timed out", n)
+	}
+	if n := condTimerFires.Load() - fired; n != 0 {
+		t.Errorf("%d waits ran out their deadlines", n)
+	}
+	// h3 and h4 are fresh: every request they sent is a landed mover's.
+	sent := env.hosts["h3"].ctrl.ControlStats().RequestsSent + env.hosts["h4"].ctrl.ControlStats().RequestsSent
+	t.Logf("census: the movers sent %d requests, %d refused", sent, refused.Load())
+	if want := 4 + uint64(refused.Load()); sent > want {
+		t.Errorf("the movers sent %d requests, want at most %d: one per connection each, and one per refusal", sent, want)
 	}
 
 	// Seeded data arrived across the double migration.

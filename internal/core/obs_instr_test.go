@@ -6,7 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"naplet/internal/fsm"
 	"naplet/internal/obs"
 )
 
@@ -105,7 +107,8 @@ func TestMetricsAcrossMigration(t *testing.T) {
 }
 
 // TestConnInfos checks the /connz data source: resident connections are
-// reported sorted by id with live state.
+// reported sorted by id with live state, and with the flags that say what a
+// suspended endpoint waits for.
 func TestConnInfos(t *testing.T) {
 	env := newEnv(t, []string{"h1", "h2"})
 	env.pair("a", "h1", "b", "h2")
@@ -118,9 +121,24 @@ func TestConnInfos(t *testing.T) {
 		t.Error("ConnInfos not sorted by id")
 	}
 	for _, in := range infos {
-		if in.State != "ESTABLISHED" {
-			t.Errorf("conn %s state = %s, want ESTABLISHED", in.ID, in.State)
+		if in.State != "ESTABLISHED" || in.Latches != "" {
+			t.Errorf("conn %s state = %s, flags %q, want ESTABLISHED with none", in.ID, in.State, in.Latches)
 		}
+	}
+	// The suspended side shows that its peer suspended it: a suspend of its
+	// own would park in SUSPEND_WAIT on the low-priority side (Section 3.2).
+	client, server := env.pair("e", "h1", "f", "h2")
+	if err := client.Suspend(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.waitState(5*time.Second, fsm.Suspended); err != nil {
+		t.Fatal(err)
+	}
+	if got := server.Info().Latches; got != "remoteSuspended" {
+		t.Errorf("remotely suspended endpoint shows flags %q, want remoteSuspended", got)
+	}
+	if got := client.Info().Latches; got != "" {
+		t.Errorf("suspender shows flags %q, want none", got)
 	}
 }
 

@@ -15,12 +15,11 @@ import (
 )
 
 // This file implements the connection migration operations of Sections
-// 2.2–3.2 of the paper. Suspend, Resume and Close classify the local call
-// against the connection's state (the local/remote-suspend priority rules
-// for multiple connections included); what the SUS, RES, CLS or SUS_RES they
-// send then gets is carried out by ask, the interpreter of the request table
-// (onReply, proto.go), and what such a message from the peer gets by serve,
-// the interpreter of the reply table (onPeer).
+// 2.2–3.2 of the paper as the interpreters of the three tables in proto.go:
+// serve carries out the reply table (onPeer), what a peer's SUS, SUS_RES, RES
+// or CLS gets; ask the request table (onReply), what becomes of the same four
+// sent by us; and local the local table (onLocal), what the endpoint's own
+// calls (Suspend, Resume, Close) and events do.
 
 // request sends one authenticated control message to the peer controller
 // and returns its verified reply: encoded once and signed in place, the reply
@@ -159,6 +158,25 @@ func (s *Socket) send(msg wire.MsgType) (outcome, *wire.ControlReply) {
 	return outcomeOf(reply.Verdict, reply.Code), reply
 }
 
+// relookupPeer refreshes the peer's addresses from the location service, a
+// cost of the resume's management phase. A resume only re-resolves after
+// failing to reach the peer at its last known addresses, so the cached entry
+// is evicted first: serving it back would pin the chase to the address that
+// just failed.
+func (s *Socket) relookupPeer() {
+	defer func(start time.Time) { s.ctrl.obs.resumeBD.Add(metrics.PhaseManagement, time.Since(start)) }(time.Now())
+	ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
+	defer cancel()
+	s.ctrl.loc.Invalidate(s.remoteAgent)
+	rec, err := s.ctrl.loc.Lookup(ctx, s.remoteAgent)
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	s.setPeerAddrsLocked(rec.Loc.ControlAddr, rec.Loc.DataAddr)
+	s.mu.Unlock()
+}
+
 // carryOut carries out onReply(msg, out), reply being the peer's if any. It
 // returns the rule it ended up carrying out, whose retry says whether to ask
 // again, and otherwise how the operation ended.
@@ -194,21 +212,16 @@ func (s *Socket) carryOut(msg wire.MsgType, out outcome, reply *wire.ControlRepl
 	settleDeadline := time.Now().Add(s.ctrl.cfg.drainTimeout())
 	for !s.closed && s.m.State() == fsm.SusAcked && waitCond(s.cond, time.Until(settleDeadline)) {
 	}
-	for i, flag := range s.latchFields() {
-		if r.early&(1<<i) != 0 && *flag {
-			*flag = false
-			r = onReply(msg, ack) // the peer's release beat this reply here
-		}
-		if r.clear&(1<<i) != 0 {
-			*flag = false
-		}
+	if s.latches&r.early != 0 {
+		s.latches &^= r.early
+		r = onReply(msg, ack) // the peer's release beat this reply here
 	}
+	s.latches &^= r.clear
 	st := s.m.State()
 	if r.step != noStep && slices.Contains(r.from, st) {
+		s.step(r.step)
 		if r.handoff {
-			s.establishLocked(st, r.step) // and probe the stream just installed
-		} else {
-			s.step(r.step)
+			s.establishedLocked() // and probe the stream just installed
 		}
 	}
 	if r.fail {
@@ -245,104 +258,7 @@ func (s *Socket) carryOut(msg wire.MsgType, out outcome, reply *wire.ControlRepl
 	return r, err
 }
 
-// ---- suspend ----
-
-// Suspend suspends the connection ahead of a local migration (or under
-// explicit application control, per the paper's suspend() interface). It
-// returns once the connection is safely in SUSPENDED on this side — which,
-// under concurrent migration, may mean waiting for the higher-priority
-// peer's migration to finish (SUSPEND_WAIT).
-func (s *Socket) Suspend() error {
-	s.suspendOpMu.Lock()
-	defer s.suspendOpMu.Unlock()
-	start := time.Now()
-	err := s.suspendLocked()
-	o := s.ctrl.obs
-	if err != nil {
-		o.suspendErrors.Inc()
-		s.olog(obs.LevelWarn, "suspend failed: %v", err)
-		return err
-	}
-	elapsed := time.Since(start)
-	o.suspends.Inc()
-	o.suspendMs.ObserveDuration(elapsed)
-	s.olog(obs.LevelInfo, "suspended in %v", elapsed.Round(time.Microsecond))
-	s.ctrl.checkpointConn(s)
-	return nil
-}
-
-func (s *Socket) suspendLocked() error {
-	s.mu.Lock()
-	switch st := s.m.State(); st {
-	case fsm.Established:
-		s.step(fsm.AppSuspend) // -> SUS_SENT
-		s.mu.Unlock()
-		return s.ask(wire.MsgSuspend)
-
-	case fsm.Suspended:
-		if !s.remoteSuspended {
-			// Already locally suspended (idempotent).
-			s.mu.Unlock()
-			return nil
-		}
-		if s.peerResumeParked || s.susResReceived {
-			// The peer already parked its resume behind our migration (or
-			// released us with SUS_RES): the suspend is satisfied and the
-			// peer is pinned until we land.
-			s.susResReceived = false
-			s.mu.Unlock()
-			return nil
-		}
-		// Section 3.2: local suspend on a remotely suspended connection.
-		if s.highPriority {
-			// Finish without further action; the peer's migration pinned
-			// the connection and its RESUME will find us gone — it retries
-			// through the location service.
-			s.mu.Unlock()
-			return nil
-		}
-		// Low priority: park until the peer's RESUME (answered with
-		// RESUME_WAIT) or SUS_RES releases us.
-		s.step(fsm.AppSuspendBlocked) // -> SUSPEND_WAIT
-		s.mu.Unlock()
-		if _, err := s.waitState(s.ctrl.cfg.parkTimeout(), fsm.Suspended); err != nil {
-			return fmt.Errorf("napletsocket: parked suspend on %s: %w", s.id, err)
-		}
-		return nil
-
-	case fsm.SuspendWait:
-		s.mu.Unlock()
-		_, err := s.waitState(s.ctrl.cfg.parkTimeout(), fsm.Suspended)
-		return err
-
-	case fsm.SusAcked, fsm.ResAcked, fsm.ResSent, fsm.ResumeWait:
-		// A remote suspend is mid-drain, or a resume is in flight —
-		// possibly peer-initiated (RES_ACKED does not hold the operation
-		// mutex while the handoff lands). Wait for it to settle, then
-		// reclassify; dropping the connection here would strand the peer
-		// on a live endpoint.
-		s.mu.Unlock()
-		if _, err := s.waitState(s.ctrl.cfg.parkTimeout(), fsm.Established, fsm.Suspended); err != nil {
-			return err
-		}
-		return s.suspendLocked()
-
-	case fsm.CloseAcked:
-		// The peer's close is mid-drain: let its last frames reach the
-		// buffer, so the caller sees everything the peer wrote.
-		s.mu.Unlock()
-		s.waitState(s.ctrl.cfg.drainTimeout(), fsm.Closed)
-		return ErrClosed
-
-	case fsm.Closed, fsm.CloseSent:
-		s.mu.Unlock()
-		return ErrClosed
-
-	default:
-		s.mu.Unlock()
-		return fmt.Errorf("napletsocket: cannot suspend %s in state %s", s.id, st)
-	}
-}
+// ---- the responder ----
 
 // delivered returns the receive high-water mark: every frame at or below it
 // is safely in our buffer (which migrates with us).
@@ -380,11 +296,7 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 	if r.step != noStep {
 		s.step(r.step)
 	}
-	for i, flag := range s.latchFields() {
-		if r.set&(1<<i) != 0 {
-			*flag = true
-		}
-	}
+	s.latches |= r.set
 	// The wait for the mover's handoff starts and stops under the same hold
 	// of mu as the step, so no second RES can come between them. The
 	// redirect span covers the stationary peer's half of the resume, up to
@@ -415,11 +327,6 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 			rep.LastSeq = s.delivered()
 		}
 	})
-}
-
-// latchFields lists the Socket flags the latch bits name, in bit order.
-func (s *Socket) latchFields() [5]*bool {
-	return [...]*bool{&s.remoteSuspended, &s.owesSusRes, &s.susResReceived, &s.peerResumeParked, &s.suspending}
 }
 
 // finishGranted completes a suspend or close this side granted, off the
@@ -462,80 +369,55 @@ func (s *Socket) setPeerAddrsLocked(controlAddr, dataAddr string) {
 	}
 }
 
-// ---- resume ----
+// ---- the endpoint's own calls and events ----
+
+// Suspend suspends the connection ahead of a local migration (or under
+// explicit application control, per the paper's suspend() interface). It
+// returns once the connection is safely in SUSPENDED on this side — which,
+// under concurrent migration, may mean waiting for the higher-priority
+// peer's migration to finish (SUSPEND_WAIT).
+func (s *Socket) Suspend() error { return s.call(callSuspend) }
 
 // Resume re-establishes a suspended connection, typically after the local
 // agent lands on a new host. It retries through the location service when
 // the peer has itself moved, and parks in RESUME_WAIT when the peer has a
 // pending migration of its own (Fig 4(b)).
-func (s *Socket) Resume() error {
+func (s *Socket) Resume() error { return s.call(callResume) }
+
+// call makes a Suspend or Resume, one at a time with the endpoint's other
+// calls, counts its outcome and cost, and checkpoints what it leaves.
+func (s *Socket) call(ev localEvent) error {
 	s.suspendOpMu.Lock()
 	defer s.suspendOpMu.Unlock()
 	start := time.Now()
-	err := s.resumeLocked()
+	s.mu.Lock()
+	_, err := s.local(ev, nil)
 	o := s.ctrl.obs
+	done, failed, took, verb := o.suspends, o.suspendErrors, o.suspendMs, "suspended"
+	if ev == callResume {
+		done, failed, took, verb = o.resumes, o.resumeErrors, o.resumeMs, "resumed"
+	}
 	if err != nil {
-		o.resumeErrors.Inc()
-		s.olog(obs.LevelWarn, "resume failed: %v", err)
+		failed.Inc()
+		s.olog(obs.LevelWarn, "%s failed: %v", ev, err)
 		return err
 	}
 	elapsed := time.Since(start)
-	o.resumes.Inc()
-	o.resumeMs.ObserveDuration(elapsed)
-	s.olog(obs.LevelInfo, "resumed in %v", elapsed.Round(time.Microsecond))
-	s.noteRecovered()
+	done.Inc()
+	took.ObserveDuration(elapsed)
+	s.olog(obs.LevelInfo, "%s in %v", verb, elapsed.Round(time.Microsecond))
+	if ev == callResume {
+		s.noteRecovered()
+	}
 	s.ctrl.checkpointConn(s)
 	return nil
 }
-
-func (s *Socket) resumeLocked() error {
-	s.mu.Lock()
-	switch st := s.m.State(); st {
-	case fsm.Established, fsm.ResAcked:
-		// Resumed already, or a peer-initiated resume is mid-handoff.
-		s.mu.Unlock()
-		_, err := s.waitState(s.ctrl.cfg.opTimeout(), fsm.Established)
-		return err
-	case fsm.Suspended:
-		s.step(fsm.AppResume) // -> RES_SENT
-		s.mu.Unlock()
-		return s.ask(wire.MsgResume)
-	case fsm.Closed, fsm.CloseSent, fsm.CloseAcked:
-		s.mu.Unlock()
-		return ErrClosed
-	default:
-		s.mu.Unlock()
-		return fmt.Errorf("napletsocket: cannot resume %s in state %s", s.id, st)
-	}
-}
-
-// relookupPeer refreshes the peer's addresses from the location service, a
-// cost of the resume's management phase. A resume only re-resolves after
-// failing to reach the peer at its last known addresses, so the cached entry
-// is evicted first: serving it back would pin the chase to the address that
-// just failed.
-func (s *Socket) relookupPeer() {
-	defer func(start time.Time) { s.ctrl.obs.resumeBD.Add(metrics.PhaseManagement, time.Since(start)) }(time.Now())
-	ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
-	defer cancel()
-	s.ctrl.loc.Invalidate(s.remoteAgent)
-	rec, err := s.ctrl.loc.Lookup(ctx, s.remoteAgent)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	s.setPeerAddrsLocked(rec.Loc.ControlAddr, rec.Loc.DataAddr)
-	s.mu.Unlock()
-}
-
-// ---- close ----
 
 // Close actively closes the connection from ESTABLISHED or SUSPENDED (Fig
 // 3), notifying the peer with a CLS exchange. It is idempotent.
 func (s *Socket) Close() error {
 	s.suspendOpMu.Lock()
 	defer s.suspendOpMu.Unlock()
-
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -545,30 +427,73 @@ func (s *Socket) Close() error {
 		return nil
 	}
 	s.ctrl.obs.closes.Inc()
-	switch s.m.State() {
-	case fsm.Listen:
-		s.step(fsm.AppClose) // -> CLOSED
-		s.markClosedLocked(nil)
-		s.mu.Unlock()
-		return nil
-	case fsm.ResAcked, fsm.ResSent, fsm.ResumeWait, fsm.SusAcked, fsm.SusSent, fsm.SuspendWait:
-		// Mid-operation: let the in-flight suspend/resume settle so the
-		// peer gets a proper CLS instead of a silently dead endpoint.
-		s.mu.Unlock()
-		s.waitState(s.ctrl.cfg.opTimeout(), fsm.Established, fsm.Suspended)
-		s.mu.Lock()
+	if r, _ := s.local(callClose, nil); r.ask == wire.MsgClose {
+		s.olog(obs.LevelInfo, "closed")
 	}
-	if st := s.m.State(); st != fsm.Established && st != fsm.Suspended {
-		// Closing or closed already, or the operation in flight never
-		// settled: tear down locally.
-		s.markClosedLocked(nil)
-		s.mu.Unlock()
-		s.ctrl.dropConn(s)
-		return nil
-	}
-	s.step(fsm.AppClose) // -> CLOSE_SENT
-	s.mu.Unlock()
-	s.ask(wire.MsgClose)
-	s.olog(obs.LevelInfo, "closed")
 	return nil
+}
+
+// local carries out onLocal for ev, entered with mu held and left with it
+// released: the step, the flags and the stream's end under that hold, then
+// the request, the wait and the rest of the end. cause is the error the event
+// carries, if any. It returns the last rule carried out and the call's error.
+func (s *Socket) local(ev localEvent, cause error) (localRule, error) {
+	for {
+		st := s.m.State()
+		r := onLocal(ev, st, s.latches, s.highPriority)
+		if r.step != noStep {
+			s.step(r.step)
+		}
+		if s.latches = s.latches&^r.clear | r.set; r.set != 0 {
+			s.cond.Broadcast() // a drain waits for latchDrained
+		}
+		switch r.end {
+		case endFail:
+			s.failLocked(cause)
+		case endEstablish, endResumed:
+			s.establishedLocked()
+		case endDropStream:
+			s.dropSockLocked()
+		}
+		if r.again && r.wait == nil {
+			continue // under the same hold of mu, so nothing comes between
+		}
+		s.mu.Unlock()
+		if r.ask != wire.MsgInvalid {
+			return r, s.ask(r.ask)
+		}
+		if r.wait != nil {
+			timeout := [...]time.Duration{s.ctrl.cfg.opTimeout(), s.ctrl.cfg.parkTimeout(), s.ctrl.cfg.drainTimeout()}[r.bound]
+			switch _, werr := s.waitState(timeout, r.wait...); {
+			case werr == nil && r.again:
+				s.mu.Lock()
+				continue
+			case werr == ErrClosed && r.end == endDone:
+				return r, ErrClosed
+			case werr != nil && r.end == endDone:
+				return r, fmt.Errorf("napletsocket: %s on %s: %w", ev, s.id, werr)
+			}
+		}
+		switch r.end {
+		case endResumed:
+			s.noteRecovered()
+			s.ctrl.checkpointConn(s)
+		case endCloseHere, endAbandon:
+			if r.end == endCloseHere || !s.ctrl.closing.Load() {
+				s.abandon(cause)
+			}
+		case endResume:
+			if s.ctrl.tab.isMigrating(s.localAgent) {
+				break
+			}
+			if err := s.Resume(); err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrMigrated) {
+				s.olog(obs.LevelWarn, "failure resume: %v", err)
+			}
+		case endClosed:
+			return r, ErrClosed
+		case endRefused:
+			return r, fmt.Errorf("napletsocket: cannot %s %s in state %s", ev, s.id, st)
+		}
+		return r, nil
+	}
 }

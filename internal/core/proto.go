@@ -1,33 +1,53 @@
 package core
 
 import (
+	"strings"
+
 	"naplet/internal/fsm"
 	"naplet/internal/wire"
 )
 
-// This file is the protocol's control exchange as data, both halves of it
-// (Sections 2.2–3.2, Figs 3–5), including both concurrent-migration
-// protocols — overlapped (ACK_WAIT + SUS_RES) and non-overlapped
-// (RESUME_WAIT). onPeer is the responder's half: what a peer's SUS, SUS_RES,
-// RES or CLS gets in each of the fourteen states. onReply is the requester's
-// half: what the sender of each of those four does with what became of it.
-// Both decide and touch nothing: Socket.serve and Socket.ask (ops.go) are
-// their interpreters, and the two tables in DESIGN.md "Concurrent migration"
-// are rendered from them.
+// This file is the protocol as data, all three of its tables (Sections
+// 2.2–3.2, Figs 3–5), including both concurrent-migration protocols —
+// overlapped (ACK_WAIT + SUS_RES) and non-overlapped (RESUME_WAIT). onPeer is
+// the responder's table: what a peer's SUS, SUS_RES, RES or CLS gets in each
+// of the fourteen states. onReply is the requester's: what the sender of each
+// of those four does with what became of it. onLocal is the endpoint's own:
+// what its application's calls and its own events do in each state. All three
+// decide and touch nothing: Socket.serve, Socket.ask and Socket.local (ops.go)
+// are their interpreters; DESIGN.md "Concurrent migration" prints all three.
 
-// latch is a set of the connection's concurrent-migration flags a rule
-// raises or lowers; latchFields maps the bits onto the Socket fields of the
-// same names.
+// latch is a set of the connection's flags: the tables read them as inputs,
+// and their rules raise and lower them. All but owesSusRes, which travels in
+// the blob, belong to one generation of the data stream.
 type latch uint8
 
 const (
 	latchRemoteSuspended latch = 1 << iota
 	latchOwesSusRes
-	latchSusResReceived
-	latchPeerResumeParked
-	// latchSuspending stops failure detection from misreading a closer's EOF.
-	latchSuspending
+	latchSusResReceived   // a SUS_RES came before the local suspend parked
+	latchPeerResumeParked // the peer's RES was answered RESUME_WAIT (Fig 5)
+	latchSuspending       // a drain is in progress
+	latchDrained          // the stream ended as the drain or a close expects
+	latchPeerFlushSeen    // the peer's flush marker came after all it covers
+	latchFailing          // down by failure, recovery pending
+
+	generationLatches = ^latchOwesSusRes
 )
+
+var latchNames = [...]string{"remoteSuspended", "owesSusRes", "susResReceived", "peerResumeParked",
+	"suspending", "drained", "peerFlushSeen", "failing"}
+
+// String names the flags raised, comma-separated.
+func (l latch) String() string {
+	var names []string
+	for i, name := range latchNames {
+		if l&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, ",")
+}
 
 // followUp is the work a rule leaves to be done once the reply is decided.
 type followUp uint8
@@ -324,4 +344,166 @@ func onReply(msg wire.MsgType, out outcome) replyRule {
 		return replyRule{step: fsm.Timeout, from: sent, close: true} // close unilaterally
 	}
 	return replyRule{fail: true}
+}
+
+// ---- the endpoint's own half ----
+
+// localEvent is one of the endpoint's own calls and events.
+type localEvent uint8
+
+const (
+	callSuspend localEvent = iota
+	callResume
+	callClose
+	streamEnded    // the generation's stream ended, was reset or went bad
+	handoffLanded  // the stream a standing wait awaited is installed
+	handoffLate    // one whose wait was given up or replaced in the install
+	handoffExpired // the wait ran out, or its stream failed to install
+	recoveryDue    // the recovery a failure started falls due
+	numLocalEvents
+)
+
+var localEventNames = [numLocalEvents]string{"suspend", "resume", "close", "stream ended",
+	"handoff landed", "handoff late", "handoff expired", "recovery due"}
+
+func (e localEvent) String() string { return localEventNames[e] }
+
+// localEnd is what a local rule does last. The first four end the stream's
+// generation under mu: failLocked, establishedLocked (and, for endResumed,
+// then record the recovery and checkpoint), dropSockLocked.
+type localEnd uint8
+
+const (
+	endDone localEnd = iota
+	endFail
+	endEstablish
+	endResumed
+	endDropStream
+	endCloseHere // close without a CLS, and drop the endpoint
+	endAbandon   // the same, unless the host's Close is closing them all
+	endResume    // unless the agent is migrating: its landing resumes
+	endClosed    // the call fails with ErrClosed
+	endRefused
+)
+
+// waitBound is the timeout a local wait is bounded by.
+type waitBound uint8
+
+const boundOp, boundPark, boundDrain waitBound = 0, 1, 2
+
+var settled = []fsm.State{fsm.Established, fsm.Suspended}
+
+// localRule is one cell of the local table, carried out in field order.
+type localRule struct {
+	step       fsm.Event
+	set, clear latch
+	ask        wire.MsgType // a request, carried on by the request table
+	// wait waits for one of its states: a failed one fails the call unless
+	// the rule has an end. again classifies anew after the step or the wait.
+	wait  []fsm.State
+	bound waitBound
+	again bool
+	end   localEnd
+}
+
+// onLocal is the local table: the rule for the endpoint's own event ev in
+// state st, with flags l raised, on an endpoint that does or does not hold
+// the migration priority of Section 3.1.
+func onLocal(ev localEvent, st fsm.State, l latch, highPriority bool) localRule {
+	closing := st == fsm.Closed || st == fsm.CloseSent || st == fsm.CloseAcked
+	// A remote suspend mid-drain, or a resume in flight, maybe the peer's.
+	inFlight := st == fsm.SusAcked || st == fsm.ResSent || st == fsm.ResAcked || st == fsm.ResumeWait
+	switch ev {
+	case callSuspend:
+		switch {
+		case st == fsm.Established:
+			return localRule{step: fsm.AppSuspend, ask: wire.MsgSuspend}
+		case st == fsm.Suspended && l&latchRemoteSuspended == 0:
+			return localRule{} // idempotent
+		case st == fsm.Suspended && l&(latchPeerResumeParked|latchSusResReceived) != 0:
+			// The peer parked its resume behind our migration, or released
+			// us: the suspend is satisfied, the peer pinned until we land.
+			return localRule{clear: latchSusResReceived}
+		case st == fsm.Suspended && highPriority:
+			// Section 3.2, suspending a remotely suspended connection: the
+			// peer's RES will find us gone and chase us.
+			return localRule{}
+		case st == fsm.Suspended:
+			// Low priority: park until the peer's RES or SUS_RES.
+			return localRule{step: fsm.AppSuspendBlocked, again: true}
+		case st == fsm.SuspendWait:
+			return localRule{wait: []fsm.State{fsm.Suspended}, bound: boundPark}
+		case inFlight:
+			// Dropping the connection here would strand the peer.
+			return localRule{wait: settled, bound: boundPark, again: true}
+		case st == fsm.CloseAcked:
+			// The caller sees everything the closing peer wrote.
+			return localRule{wait: []fsm.State{fsm.Closed}, bound: boundDrain, end: endClosed}
+		case closing:
+			return localRule{end: endClosed}
+		}
+
+	case callResume:
+		switch {
+		case st == fsm.Established, st == fsm.ResAcked:
+			return localRule{wait: []fsm.State{fsm.Established}} // or the peer's is mid-handoff
+		case st == fsm.Suspended:
+			return localRule{step: fsm.AppResume, ask: wire.MsgResume}
+		case closing:
+			return localRule{end: endClosed}
+		}
+
+	case callClose:
+		switch {
+		case st == fsm.Established, st == fsm.Suspended:
+			return localRule{step: fsm.AppClose, ask: wire.MsgClose} // Fig 3
+		case st == fsm.Listen:
+			return localRule{step: fsm.AppClose, end: endCloseHere}
+		case inFlight, st == fsm.SusSent, st == fsm.SuspendWait:
+			// The peer gets a CLS, not a dead endpoint, if the operation
+			// settles in time.
+			return localRule{wait: settled, again: true, end: endCloseHere}
+		}
+		return localRule{end: endCloseHere}
+
+	case streamEnded:
+		// The peer's flush marker then half-close, in a suspend or close of
+		// either side's, is a completed drain, even before ours has started
+		// (its ACK may be in flight); so is any end in a close. Any other end
+		// fails the stream: degrade to SUSPENDED and recover.
+		if closing || l&latchPeerFlushSeen != 0 && (l&latchSuspending != 0 || st != fsm.Established) {
+			return localRule{set: latchDrained}
+		}
+		return localRule{end: endFail}
+
+	case handoffLanded, handoffLate:
+		switch {
+		case ev == handoffLanded && st == fsm.ResAcked:
+			return localRule{step: fsm.ExecResumed, end: endResumed}
+		case ev == handoffLanded && st == fsm.ConnectSent:
+			return localRule{step: fsm.RecvConnectAck, end: endEstablish}
+		case st == fsm.Established:
+			// A later grant's stream established the connection under the
+			// install, and the install made this stream its own.
+			return localRule{end: endResumed}
+		}
+		return localRule{end: endDropStream}
+
+	case handoffExpired:
+		switch st {
+		case fsm.ResAcked:
+			return localRule{step: fsm.Timeout} // where the mover's retry is granted
+		case fsm.ConnectSent:
+			return localRule{end: endAbandon} // the open fails
+		}
+
+	case recoveryDue:
+		if st == fsm.Suspended && l&latchFailing != 0 {
+			return localRule{end: endResume}
+		}
+	}
+	if ev <= callResume {
+		return localRule{end: endRefused}
+	}
+	return localRule{}
 }

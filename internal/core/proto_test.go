@@ -231,9 +231,8 @@ func reachable(a, b fsm.State) bool {
 // ---- the tables as DESIGN.md prints them ----
 
 var (
-	codeNames  = map[wire.RejectCode]string{wire.RejectOther: "other", wire.RejectUnknownConn: "unknown-conn", wire.RejectRetry: "retry", wire.RejectResumeRace: "resume-race"}
-	latchNames = []string{"remoteSuspended", "owesSusRes", "susResReceived", "peerResumeParked", "suspending"}
-	thenNames  = map[followUp]string{thenNothing: "—", thenSuspended: "drain, `exec:suspended`", thenClosed: "drain, `exec:closed`",
+	codeNames = map[wire.RejectCode]string{wire.RejectOther: "other", wire.RejectUnknownConn: "unknown-conn", wire.RejectRetry: "retry", wire.RejectResumeRace: "resume-race"}
+	thenNames = map[followUp]string{thenNothing: "—", thenSuspended: "drain, `exec:suspended`", thenClosed: "drain, `exec:closed`",
 		thenGrantResume: "await handoff", thenStandDown: "drop awaited handoff"}
 )
 
@@ -252,14 +251,8 @@ func (r rule) columns() string {
 	if r.verdict == wire.VerdictReject {
 		reply += " " + codeNames[r.code]
 	}
-	var set []string
-	for i, name := range latchNames {
-		if r.set&(1<<i) != 0 {
-			set = append(set, "`"+name+"`")
-		}
-	}
-	if len(set) > 0 {
-		sets = strings.Join(set, ", ")
+	if r.set != 0 {
+		sets = latchList(r.set)
 	}
 	return fmt.Sprintf("%s | %s | %s | %s", step, reply, sets, thenNames[r.then])
 }
@@ -379,15 +372,8 @@ func (r replyRule) columns() string {
 	return fmt.Sprintf("%s | %s | %s | %s", col(before), col(step), col(wait), strings.Join(ends, ", "))
 }
 
-func latchList(l latch) string {
-	var set []string
-	for i, name := range latchNames {
-		if l&(1<<i) != 0 {
-			set = append(set, "`"+name+"`")
-		}
-	}
-	return strings.Join(set, ", ")
-}
+// latchList prints a latch set as DESIGN.md does: each flag quoted.
+func latchList(l latch) string { return "`" + strings.ReplaceAll(l.String(), ",", "`, `") + "`" }
 
 // renderRequestTable prints onReply one row per distinct cell of a message:
 // the outcomes that get it share the row.
@@ -433,5 +419,281 @@ func TestRequestTableMatchesDesignDoc(t *testing.T) {
 	}
 	if want := renderRequestTable(); doc != want {
 		t.Errorf("DESIGN.md's request table is not what onReply says; replace it with:\n%s", want)
+	}
+}
+
+// ---- the local table ----
+
+var (
+	localEnds = map[localEnd]string{endDone: "done", endFail: "fail the stream", endEstablish: "establish",
+		endResumed: "establish, record the recovery", endDropStream: "drop the stream", endCloseHere: "close here",
+		endAbandon: "abandon the open", endResume: "`Resume`", endClosed: "fail: closed", endRefused: "fail: refused"}
+	boundNames = map[waitBound]string{boundOp: "op", boundPark: "park", boundDrain: "drain"}
+)
+
+// eachLocalCell calls fn once per cell of the local table: every event in
+// every state under every set of flags, so every reachable one, on either
+// side of the priority.
+func eachLocalCell(fn func(ev localEvent, st fsm.State, l latch, high bool, r localRule)) {
+	for ev := localEvent(0); ev < numLocalEvents; ev++ {
+		for _, st := range fsm.States() {
+			for l := 0; l < 1<<len(latchNames); l++ {
+				for _, high := range []bool{false, true} {
+					fn(ev, st, latch(l), high, onLocal(ev, st, latch(l), high))
+				}
+			}
+		}
+	}
+}
+
+func TestLocalTableRequestsOnlyLegalSteps(t *testing.T) {
+	cells := 0
+	eachLocalCell(func(ev localEvent, st fsm.State, l latch, high bool, r localRule) {
+		cells++
+		cell := fmt.Sprintf("%s in %s (flags %q, high=%v)", ev, st, l, high)
+		next := st
+		if r.step != noStep {
+			var err error
+			if next, err = fsm.Next(st, r.step); err != nil {
+				t.Errorf("%s: %v", cell, err)
+				return
+			}
+			if r.wait != nil {
+				t.Errorf("%s: steps %s and waits", cell, r.step)
+			}
+		}
+		if ev > callClose && (r.ask != wire.MsgInvalid || r.wait != nil) {
+			t.Errorf("%s: only the application's calls send requests or wait", cell)
+		}
+		if (r.end == endClosed || r.end == endRefused) && ev > callResume {
+			t.Errorf("%s: %s ends what is no Suspend or Resume", cell, localEnds[r.end])
+		}
+		if r.ask != wire.MsgInvalid && (next != sentIn[r.ask] || r.again || r.end != endDone) {
+			t.Errorf("%s: sends %s from %s, not from the state the request table has it sent in, or does more", cell, r.ask, next)
+		}
+		for _, w := range r.wait {
+			if !reachable(next, w) {
+				t.Errorf("%s: waits for %s, unreachable from %s", cell, w, next)
+			}
+		}
+		if msg := againSettles(ev, st, l, high, false, 0); msg != "" {
+			t.Errorf("%s: %s", cell, msg)
+		}
+	})
+	if want := int(numLocalEvents) * len(fsm.States()) * (1 << len(latchNames)) * 2; cells != want {
+		t.Fatalf("walked %d cells, want %d", cells, want)
+	}
+}
+
+// againSettles follows the cells an event is classified in again, after a step
+// (under the same hold of mu, so with the flags the rule left) or after a
+// wait (in a state the wait ends in, with whatever flags the peer raised
+// meanwhile). It reports how the chain fails to settle: a cell that
+// classifies again in itself, or a second wait.
+func againSettles(ev localEvent, st fsm.State, l latch, high, waited bool, depth int) string {
+	r := onLocal(ev, st, l, high)
+	switch {
+	case !r.again:
+		return ""
+	case depth > 3:
+		return "does not settle"
+	case r.wait == nil && r.step == noStep:
+		return "classifies again in the same cell"
+	case r.wait == nil:
+		next, _ := fsm.Next(st, r.step)
+		return againSettles(ev, next, l&^r.clear|r.set, high, waited, depth+1)
+	case waited:
+		return fmt.Sprintf("waits again in %s", st)
+	}
+	for _, w := range r.wait {
+		for l2 := 0; l2 < 1<<len(latchNames); l2++ {
+			if msg := againSettles(ev, w, latch(l2), high, true, depth+1); msg != "" {
+				return fmt.Sprintf("waits for %s, then %s", w, msg)
+			}
+		}
+	}
+	return ""
+}
+
+func (r localRule) columns() string {
+	col := func(s string, ok bool) string {
+		if !ok {
+			return "—"
+		}
+		return s
+	}
+	var flags []string
+	if r.set != 0 {
+		flags = append(flags, "set "+latchList(r.set))
+	}
+	if r.clear != 0 {
+		flags = append(flags, "clear "+latchList(r.clear))
+	}
+	var wait []string
+	for _, w := range r.wait {
+		wait = append(wait, w.String())
+	}
+	then := localEnds[r.end]
+	if r.again && r.end != endDone {
+		then = "again; if the wait fails, " + then
+	} else if r.again {
+		then = "again"
+	}
+	return fmt.Sprintf("%s | %s | %s | %s | %s", col("`"+r.step.String()+"`", r.step != noStep), col(strings.Join(flags, ", "), len(flags) > 0),
+		col(r.ask.String(), r.ask != wire.MsgInvalid), col(strings.Join(wait, "/")+" ≤ "+boundNames[r.bound], r.wait != nil), then)
+}
+
+// conditions describes, per distinct cell of ev in st, the inputs that get
+// it: a list of cubes over the inputs the cells depend on (each flag, and
+// the priority as one more bit), each cube the literals it fixes ("" where
+// the cells depend on no input).
+func conditions(ev localEvent, st fsm.State) (order []string, conds map[string][]string) {
+	const inputs = len(latchNames) + 1
+	cols := make([]string, 1<<inputs)
+	for in := range cols {
+		cols[in] = onLocal(ev, st, latch(in), in>>len(latchNames) != 0).columns()
+	}
+	var relevant []int
+	for b := 0; b < inputs; b++ {
+		for in := range cols {
+			if cols[in] != cols[in^1<<b] {
+				relevant = append(relevant, b)
+				break
+			}
+		}
+	}
+	name := func(b int, on bool) string {
+		if b == len(latchNames) {
+			return map[bool]string{true: "high priority", false: "low priority"}[on]
+		}
+		return map[bool]string{true: "", false: "no "}[on] + "`" + latchNames[b] + "`"
+	}
+	// A cube fixes each relevant input to 0 or 1, or leaves it free (2);
+	// assignment n gives relevant input i the value n>>i&1.
+	k := len(relevant)
+	in := func(cube []int, n int) bool {
+		for i, v := range cube {
+			if v != 2 && v != n>>i&1 {
+				return false
+			}
+		}
+		return true
+	}
+	cell := func(n int) string {
+		input := 0
+		for i, b := range relevant {
+			input |= n >> i & 1 << b
+		}
+		return cols[input]
+	}
+	cubes := make([][]int, pow3(k))
+	for n := range cubes {
+		cubes[n] = make([]int, k)
+		for i, m := 0, n; i < k; i, m = i+1, m/3 {
+			cubes[n][i] = m % 3
+		}
+	}
+	// Widest cubes first: each describes as much as it can.
+	slices.SortStableFunc(cubes, func(a, b []int) int { return strings.Count(fmt.Sprint(b), "2") - strings.Count(fmt.Sprint(a), "2") })
+	conds = map[string][]string{}
+	covered := map[int]bool{}
+	for _, cube := range cubes {
+		c, uniform, fresh := "", true, false
+		for n := 0; n < 1<<k; n++ {
+			if !in(cube, n) {
+				continue
+			}
+			if c == "" {
+				c = cell(n)
+			}
+			uniform = uniform && cell(n) == c
+			fresh = fresh || !covered[n]
+		}
+		if !uniform || !fresh {
+			continue
+		}
+		var lits []string
+		for i, v := range cube {
+			if v != 2 {
+				lits = append(lits, name(relevant[i], v == 1))
+			}
+		}
+		for n := 0; n < 1<<k; n++ {
+			covered[n] = covered[n] || in(cube, n)
+		}
+		if _, seen := conds[c]; !seen {
+			order = append(order, c)
+		}
+		conds[c] = append(conds[c], strings.Join(lits, " and "))
+	}
+	return order, conds
+}
+
+func pow3(k int) int {
+	n := 1
+	for ; k > 0; k-- {
+		n *= 3
+	}
+	return n
+}
+
+// renderLocalTable prints onLocal one row per distinct cell of an event:
+// the states that get it share the row, each qualified by the flags and the
+// priority that get it there where those matter.
+func renderLocalTable() string {
+	var b strings.Builder
+	b.WriteString("| Event | Meets | Step | Flags | Request | Wait | Then |\n|---|---|---|---|---|---|---|\n")
+	for ev := localEvent(0); ev < numLocalEvents; ev++ {
+		var order []string                         // cells, in order of first state
+		groups := map[string]map[string][]string{} // cell -> condition -> states
+		conds := map[string][]string{}             // cell -> conditions, in order of first state
+		for _, st := range fsm.States() {
+			cells, byCell := conditions(ev, st)
+			for _, c := range cells {
+				if _, seen := groups[c]; !seen {
+					order = append(order, c)
+					groups[c] = map[string][]string{}
+				}
+				for _, cond := range byCell[c] {
+					if _, seen := groups[c][cond]; !seen {
+						conds[c] = append(conds[c], cond)
+					}
+					groups[c][cond] = append(groups[c][cond], st.String())
+				}
+			}
+		}
+		for _, c := range order {
+			var meets []string
+			for _, cond := range conds[c] {
+				states := strings.Join(groups[c][cond], ", ")
+				if cond != "" {
+					states += " (" + cond + ")"
+				}
+				meets = append(meets, states)
+			}
+			fmt.Fprintf(&b, "| %s | %s | %s |\n", ev, strings.Join(meets, "; "), c)
+		}
+	}
+	b.WriteString("\nA step is taken under the hold of `mu` the event is classified in, and so are the flags and an end that ends" +
+		" the stream's generation; the request and the wait come after it. *again* classifies the event anew: under the same hold" +
+		" after a step, or in the state a wait ends in. A wait that fails fails the call, unless the cell names what a failed wait" +
+		" does. `Resume` is left undone while the agent migrates, and an open is not abandoned while the host closes.\n")
+	return b.String()
+}
+
+// DESIGN.md carries the local table between two markers too.
+func TestLocalTableMatchesDesignDoc(t *testing.T) {
+	const begin, end = "<!-- local-table:begin (rendered from onLocal by internal/core/proto_test.go; do not edit) -->\n", "<!-- local-table:end -->"
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(raw), begin)
+	doc, _, ok2 := strings.Cut(rest, end)
+	if !ok || !ok2 {
+		t.Fatalf("DESIGN.md lacks the local-table markers %q ... %q", begin, end)
+	}
+	if want := renderLocalTable(); doc != want {
+		t.Errorf("DESIGN.md's local table is not what onLocal says; replace it with:\n%s", want)
 	}
 }

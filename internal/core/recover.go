@@ -179,14 +179,16 @@ func (ctrl *Controller) buildConn(st *connState, nonceSlack uint64) (*Socket, er
 	s.setPeerAddrsLocked(st.PeerControlAddr, st.PeerDataAddr) // not shared yet: no lock to hold
 	s.sendNonce = st.SendNonce + nonceSlack
 	s.lastPeerNonce = st.LastPeerNonce
-	s.owesSusRes = st.OwesSusRes
+	if st.OwesSusRes {
+		s.latches |= latchOwesSusRes
+	}
 	s.accepted = st.Accepted
 	s.closed = st.PeerClosed
 	if nonceSlack > 0 {
 		// Crash restore: the connection has been down since (at latest) the
 		// crash. It is recovered like a broken one, and the stamped episode
 		// makes the resume record a recovery latency.
-		s.failing = true
+		s.latches |= latchFailing
 		s.failedAt = time.Now()
 	}
 	return s, nil

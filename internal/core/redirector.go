@@ -54,23 +54,16 @@ func (s *Socket) endHandoffLocked(why string) {
 	}
 }
 
-// giveUpHandoff ends w unmet, if it is still the endpoint's wait: a RES_ACKED
-// endpoint steps back to SUSPENDED, where the mover's retry is granted, and a
-// CONNECT_SENT one is abandoned: its open fails.
+// giveUpHandoff ends w unmet, if it is still the endpoint's wait, and the
+// local table says what its expiry does to the endpoint.
 func (s *Socket) giveUpHandoff(w *handoffWait, cause error) {
 	s.mu.Lock()
-	abandon := false
-	if s.handoff == w {
-		s.endHandoffLocked(cause.Error())
-		if s.m.State() == fsm.ResAcked {
-			s.step(fsm.Timeout)
-		}
-		abandon = s.m.State() == fsm.ConnectSent && !s.ctrl.closing.Load()
+	if s.handoff != w {
+		s.mu.Unlock()
+		return
 	}
-	s.mu.Unlock()
-	if abandon {
-		s.abandon(cause)
-	}
+	s.endHandoffLocked(cause.Error())
+	s.local(handoffExpired, cause)
 }
 
 // takeHandoff gives st to the endpoint if it awaits the handoff hdr
@@ -102,20 +95,14 @@ func (s *Socket) takeHandoff(hdr *wire.HandoffHeader, st *transport.Stream) bool
 		return true
 	}
 	s.mu.Lock()
-	resumed := false
 	switch {
-	case s.closed || s.handoff != w && s.m.State() != fsm.Established:
-		s.dropSockLocked() // the wait was given up during the install
-	case w.state == fsm.ResAcked:
-		s.establishLocked(fsm.ResAcked, fsm.ExecResumed)
-		resumed = true
+	case s.closed:
+		s.dropSockLocked()
+		s.mu.Unlock()
+	case s.handoff != w:
+		s.local(handoffLate, nil)
 	default:
-		s.establishLocked(fsm.ConnectSent, fsm.RecvConnectAck)
-	}
-	s.mu.Unlock()
-	if resumed {
-		s.noteRecovered()
-		s.ctrl.checkpointConn(s)
+		s.local(handoffLanded, nil)
 	}
 	return true
 }
