@@ -126,8 +126,10 @@ crash-soak:
 # it is (the tables checked cell by cell and against each other, with the
 # flags the data plane and the control plane share under mu; every
 # concurrent migration of Figs 4 and 5 — the two-connection one with no
-# resume timed out and one request per connection and refusal from each
-# mover, so the resume race costs a retry, not a timeout — a SUS granted in RESUME_WAIT, a
+# resume timed out, no wait run out, and one request per connection from
+# each mover plus one per refusal, of which at most one per endpoint for a
+# peer not there yet, so the resume race costs a retry, not a timeout — a
+# SUS granted in RESUME_WAIT, a
 # CLS that waits out a resume's completion, and a parked resume that expires
 # closed), and the endpoint's one wait for its handoff (a stale handoff,
 # signed below the granted RES's nonce, is refused; an opener whose stream

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -396,21 +397,23 @@ func (s *Socket) setTraceSpan(sp *obs.Span) {
 // waitState blocks until the machine is in one of the wanted states, the
 // connection closes, or the timeout passes. It reports the final state.
 func (s *Socket) waitState(timeout time.Duration, wanted ...fsm.State) (fsm.State, error) {
-	deadline := time.Now().Add(timeout)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		cur := s.m.State()
-		for _, w := range wanted {
-			if cur == w {
-				return cur, nil
-			}
-		}
+	err := s.waitStateLocked(timeout, wanted...)
+	return s.m.State(), err
+}
+
+// waitStateLocked is waitState for a caller that holds mu, and returns with
+// it held: what the caller then reads of the state is what the wait ended on.
+func (s *Socket) waitStateLocked(timeout time.Duration, wanted ...fsm.State) error {
+	deadline := time.Now().Add(timeout)
+	for !slices.Contains(wanted, s.m.State()) {
 		if s.closed {
-			return cur, ErrClosed
+			return ErrClosed
 		}
 		if !waitCond(s.cond, time.Until(deadline)) {
-			return cur, fmt.Errorf("napletsocket: timeout waiting for state %v (at %s)", wanted, cur)
+			return fmt.Errorf("napletsocket: timeout waiting for state %v (at %s)", wanted, s.m.State())
 		}
 	}
+	return nil
 }

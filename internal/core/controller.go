@@ -116,16 +116,25 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-func (c Config) opTimeout() time.Duration    { return orDefault(c.OpTimeout, 5*time.Second) }
-func (c Config) parkTimeout() time.Duration  { return orDefault(c.ParkTimeout, 60*time.Second) }
-func (c Config) drainTimeout() time.Duration { return orDefault(c.DrainTimeout, 5*time.Second) }
-
-// orDefault is d, or def where d is unset.
-func orDefault(d, def time.Duration) time.Duration {
-	if d > 0 {
-		return d
+func (c Config) opTimeout() time.Duration {
+	if c.OpTimeout > 0 {
+		return c.OpTimeout
 	}
-	return def
+	return 5 * time.Second
+}
+
+func (c Config) parkTimeout() time.Duration {
+	if c.ParkTimeout > 0 {
+		return c.ParkTimeout
+	}
+	return 60 * time.Second
+}
+
+func (c Config) drainTimeout() time.Duration {
+	if c.DrainTimeout > 0 {
+		return c.DrainTimeout
+	}
+	return 5 * time.Second
 }
 
 // Controller is the per-host NapletSocket manager of Section 2.1: it owns

@@ -322,27 +322,39 @@ func TestNonOverlappedConcurrentMigration(t *testing.T) {
 // The resume race of Fig 5 costs a retry, not an operation timeout: the
 // low-priority mover must not sit out the high side's RES while that RES is
 // parked at the host the mover left. So no resume times out on any host, no
-// wait runs out its deadline, and the movers send one RES (or SUS_RES) per
-// connection each, plus one for each refusal that asks them to try again: a
-// resume race, or a peer that has moved on or not landed yet.
+// wait runs out its deadline, and each mover's endpoint sends one RES (or
+// SUS_RES), plus one for each refusal that asks it to try again: any number
+// of resume races, and at most one refusal because its peer has moved on or
+// not landed yet (its first RES can meet the host the peer has just left).
 func TestConcurrentMigrationWithMultipleConnections(t *testing.T) {
-	var timeouts, refused atomic.Int64
-	var moverRequests sync.Map // the RUDP ids of the requests h3 and h4 send
+	var timeouts, races atomic.Int64
+	var moverRequests sync.Map // RUDP id of a request h3 or h4 sent -> the host
+	var mu sync.Mutex
+	chased := map[string]int{} // refusals other than a race, per mover endpoint
 	env := newEnv(t, []string{"h1", "h2", "h3", "h4"}, func(c *Config) {
-		mover := c.HostName == "h3" || c.HostName == "h4"
+		host := c.HostName
 		c.ControlDropFn = func(pkt []byte) bool {
 			const rudpHeader, kindRequest, kindResponse = 12, 1, 2
 			if len(pkt) <= rudpHeader {
 				return false
 			}
 			switch id := binary.BigEndian.Uint64(pkt[4:rudpHeader]); {
-			case pkt[3] == kindRequest && mover:
-				moverRequests.Store(id, nil)
+			case pkt[3] == kindRequest && (host == "h3" || host == "h4"):
+				moverRequests.Store(id, host)
 			case pkt[3] == kindResponse:
-				if r, err := wire.DecodeControlReply(pkt[rudpHeader:]); err == nil && r.Verdict == wire.VerdictReject && r.Code != wire.RejectOther {
-					if _, mine := moverRequests.LoadAndDelete(id); mine {
-						refused.Add(1)
-					}
+				r, err := wire.DecodeControlReply(pkt[rudpHeader:])
+				if err != nil || r.Verdict != wire.VerdictReject || r.Code == wire.RejectOther {
+					return false
+				}
+				mover, mine := moverRequests.LoadAndDelete(id)
+				switch {
+				case !mine:
+				case r.Code == wire.RejectResumeRace:
+					races.Add(1)
+				default:
+					mu.Lock()
+					chased[fmt.Sprintf("%s %s", mover, r.ConnID)]++
+					mu.Unlock()
 				}
 			}
 			return false
@@ -426,10 +438,18 @@ func TestConcurrentMigrationWithMultipleConnections(t *testing.T) {
 	if n := condTimerFires.Load() - fired; n != 0 {
 		t.Errorf("%d waits ran out their deadlines", n)
 	}
+	chases := 0
+	mu.Lock()
+	for ep, n := range chased {
+		if chases += n; n > 1 {
+			t.Errorf("%s was refused %d times for a peer that moved on or had not landed, want at most once", ep, n)
+		}
+	}
+	mu.Unlock()
 	// h3 and h4 are fresh: every request they sent is a landed mover's.
 	sent := env.hosts["h3"].ctrl.ControlStats().RequestsSent + env.hosts["h4"].ctrl.ControlStats().RequestsSent
-	t.Logf("census: the movers sent %d requests, %d refused", sent, refused.Load())
-	if want := 4 + uint64(refused.Load()); sent > want {
+	t.Logf("census: the movers sent %d requests; %d resume races, %d chases refused", sent, races.Load(), chases)
+	if want := 4 + uint64(races.Load()) + uint64(chases); sent > want {
 		t.Errorf("the movers sent %d requests, want at most %d: one per connection each, and one per refusal", sent, want)
 	}
 

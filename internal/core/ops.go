@@ -376,39 +376,45 @@ func (s *Socket) setPeerAddrsLocked(controlAddr, dataAddr string) {
 // returns once the connection is safely in SUSPENDED on this side — which,
 // under concurrent migration, may mean waiting for the higher-priority
 // peer's migration to finish (SUSPEND_WAIT).
-func (s *Socket) Suspend() error { return s.call(callSuspend) }
+func (s *Socket) Suspend() error {
+	s.suspendOpMu.Lock()
+	defer s.suspendOpMu.Unlock()
+	start := time.Now()
+	s.mu.Lock()
+	_, err := s.local(callSuspend, nil)
+	o := s.ctrl.obs
+	return s.called(err, start, "suspend", "suspended", o.suspends, o.suspendErrors, o.suspendMs)
+}
 
 // Resume re-establishes a suspended connection, typically after the local
 // agent lands on a new host. It retries through the location service when
 // the peer has itself moved, and parks in RESUME_WAIT when the peer has a
 // pending migration of its own (Fig 4(b)).
-func (s *Socket) Resume() error { return s.call(callResume) }
-
-// call makes a Suspend or Resume, one at a time with the endpoint's other
-// calls, counts its outcome and cost, and checkpoints what it leaves.
-func (s *Socket) call(ev localEvent) error {
+func (s *Socket) Resume() error {
 	s.suspendOpMu.Lock()
 	defer s.suspendOpMu.Unlock()
 	start := time.Now()
 	s.mu.Lock()
-	_, err := s.local(ev, nil)
-	o := s.ctrl.obs
-	done, failed, took, verb := o.suspends, o.suspendErrors, o.suspendMs, "suspended"
-	if ev == callResume {
-		done, failed, took, verb = o.resumes, o.resumeErrors, o.resumeMs, "resumed"
+	_, err := s.local(callResume, nil)
+	if err == nil {
+		s.noteRecovered()
 	}
+	o := s.ctrl.obs
+	return s.called(err, start, "resume", "resumed", o.resumes, o.resumeErrors, o.resumeMs)
+}
+
+// called counts the outcome and cost of a Suspend or Resume begun at start,
+// and checkpoints what one that succeeded leaves.
+func (s *Socket) called(err error, start time.Time, verb, done string, ok, failed *obs.Counter, took *obs.Histogram) error {
 	if err != nil {
 		failed.Inc()
-		s.olog(obs.LevelWarn, "%s failed: %v", ev, err)
+		s.olog(obs.LevelWarn, "%s failed: %v", verb, err)
 		return err
 	}
 	elapsed := time.Since(start)
-	done.Inc()
+	ok.Inc()
 	took.ObserveDuration(elapsed)
-	s.olog(obs.LevelInfo, "%s in %v", verb, elapsed.Round(time.Microsecond))
-	if ev == callResume {
-		s.noteRecovered()
-	}
+	s.olog(obs.LevelInfo, "%s in %v", done, elapsed.Round(time.Microsecond))
 	s.ctrl.checkpointConn(s)
 	return nil
 }
@@ -434,66 +440,67 @@ func (s *Socket) Close() error {
 }
 
 // local carries out onLocal for ev, entered with mu held and left with it
-// released: the step, the flags and the stream's end under that hold, then
-// the request, the wait and the rest of the end. cause is the error the event
-// carries, if any. It returns the last rule carried out and the call's error.
+// released. Under that hold go the step, the flags, the wait (which returns
+// with mu held, so the cell it classifies anew is the state the wait ended
+// on) and the end's work on the stream and the endpoint; after it, the
+// request and the rest of the end. cause is the error the event carries, if
+// any. It returns the last rule carried out and the call's error.
 func (s *Socket) local(ev localEvent, cause error) (localRule, error) {
-	for {
-		st := s.m.State()
-		r := onLocal(ev, st, s.latches, s.highPriority)
+	var (
+		st   fsm.State
+		r    localRule
+		werr error
+	)
+	for again := true; again; again = r.again && werr == nil {
+		st = s.m.State()
+		r = onLocal(ev, st, s.latches, s.highPriority)
 		if r.step != noStep {
 			s.step(r.step)
 		}
 		if s.latches = s.latches&^r.clear | r.set; r.set != 0 {
 			s.cond.Broadcast() // a drain waits for latchDrained
 		}
-		switch r.end {
-		case endFail:
-			s.failLocked(cause)
-		case endEstablish, endResumed:
-			s.establishedLocked()
-		case endDropStream:
-			s.dropSockLocked()
-		}
-		if r.again && r.wait == nil {
-			continue // under the same hold of mu, so nothing comes between
-		}
-		s.mu.Unlock()
-		if r.ask != wire.MsgInvalid {
-			return r, s.ask(r.ask)
-		}
 		if r.wait != nil {
 			timeout := [...]time.Duration{s.ctrl.cfg.opTimeout(), s.ctrl.cfg.parkTimeout(), s.ctrl.cfg.drainTimeout()}[r.bound]
-			switch _, werr := s.waitState(timeout, r.wait...); {
-			case werr == nil && r.again:
-				s.mu.Lock()
-				continue
-			case werr == ErrClosed && r.end == endDone:
-				return r, ErrClosed
-			case werr != nil && r.end == endDone:
-				return r, fmt.Errorf("napletsocket: %s on %s: %w", ev, s.id, werr)
-			}
+			werr = s.waitStateLocked(timeout, r.wait...)
 		}
-		switch r.end {
-		case endResumed:
-			s.noteRecovered()
-			s.ctrl.checkpointConn(s)
-		case endCloseHere, endAbandon:
-			if r.end == endCloseHere || !s.ctrl.closing.Load() {
-				s.abandon(cause)
-			}
-		case endResume:
-			if s.ctrl.tab.isMigrating(s.localAgent) {
-				break
-			}
-			if err := s.Resume(); err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrMigrated) {
-				s.olog(obs.LevelWarn, "failure resume: %v", err)
-			}
-		case endClosed:
-			return r, ErrClosed
-		case endRefused:
-			return r, fmt.Errorf("napletsocket: cannot %s %s in state %s", ev, s.id, st)
-		}
-		return r, nil
 	}
+	if werr != nil && r.end == endDone {
+		s.mu.Unlock()
+		if werr == ErrClosed {
+			return r, ErrClosed
+		}
+		return r, fmt.Errorf("napletsocket: %s on %s: %w", ev, s.id, werr)
+	}
+	closeHere := r.end == endCloseHere || r.end == endAbandon && !s.ctrl.closing.Load()
+	switch {
+	case r.end == endFail:
+		s.failLocked(cause)
+	case r.end == endEstablish, r.end == endResumed:
+		s.establishedLocked()
+	case r.end == endDropStream:
+		s.dropSockLocked()
+	case closeHere:
+		s.markClosedLocked(cause)
+	}
+	s.mu.Unlock()
+	if r.ask != wire.MsgInvalid {
+		return r, s.ask(r.ask)
+	}
+	switch {
+	case closeHere:
+		s.ctrl.dropConn(s)
+	case r.end == endResumed:
+		s.noteRecovered()
+		s.ctrl.checkpointConn(s)
+	case r.end == endResume && !s.ctrl.tab.isMigrating(s.localAgent):
+		if err := s.Resume(); err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrMigrated) {
+			s.olog(obs.LevelWarn, "failure resume: %v", err)
+		}
+	case r.end == endClosed:
+		return r, ErrClosed
+	case r.end == endRefused:
+		return r, fmt.Errorf("napletsocket: cannot %s %s in state %s", ev, s.id, st)
+	}
+	return r, nil
 }

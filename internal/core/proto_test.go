@@ -674,10 +674,11 @@ func renderLocalTable() string {
 			fmt.Fprintf(&b, "| %s | %s | %s |\n", ev, strings.Join(meets, "; "), c)
 		}
 	}
-	b.WriteString("\nA step is taken under the hold of `mu` the event is classified in, and so are the flags and an end that ends" +
-		" the stream's generation; the request and the wait come after it. *again* classifies the event anew: under the same hold" +
-		" after a step, or in the state a wait ends in. A wait that fails fails the call, unless the cell names what a failed wait" +
-		" does. `Resume` is left undone while the agent migrates, and an open is not abandoned while the host closes.\n")
+	b.WriteString("\nThe event is classified, and its step, flags and wait taken, under one hold of `mu`: a wait lets go of it only" +
+		" while it blocks, so *again* classifies the event anew in the state the step or the wait ended in. An end's work on the" +
+		" stream and on the endpoint (closing it here) is done under that hold too; the request, and the rest of the end, after" +
+		" it. A wait that fails fails the call, unless the cell names what a failed wait does. `Resume` is left undone while the" +
+		" agent migrates, and an open is not abandoned while the host closes.\n")
 	return b.String()
 }
 

@@ -56,15 +56,40 @@ const (
 	numStates = iota
 )
 
-var stateNames = [numStates]string{"CLOSED", "LISTEN", "CONNECT_SENT", "CONNECT_ACKED", "ESTABLISHED", "SUS_SENT",
-	"SUS_ACKED", "SUSPEND_WAIT", "SUSPENDED", "RES_SENT", "RES_ACKED", "RESUME_WAIT", "CLOSE_SENT", "CLOSE_ACKED"}
-
 // String returns the paper's name for the state.
 func (s State) String() string {
-	if s < numStates {
-		return stateNames[s]
+	switch s {
+	case Closed:
+		return "CLOSED"
+	case Listen:
+		return "LISTEN"
+	case ConnectSent:
+		return "CONNECT_SENT"
+	case ConnectAcked:
+		return "CONNECT_ACKED"
+	case Established:
+		return "ESTABLISHED"
+	case SusSent:
+		return "SUS_SENT"
+	case SusAcked:
+		return "SUS_ACKED"
+	case SuspendWait:
+		return "SUSPEND_WAIT"
+	case Suspended:
+		return "SUSPENDED"
+	case ResSent:
+		return "RES_SENT"
+	case ResAcked:
+		return "RES_ACKED"
+	case ResumeWait:
+		return "RESUME_WAIT"
+	case CloseSent:
+		return "CLOSE_SENT"
+	case CloseAcked:
+		return "CLOSE_ACKED"
+	default:
+		return fmt.Sprintf("State(%d)", uint8(s))
 	}
-	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
 // Event is a stimulus driving the machine: an application call (App*), a

@@ -41,11 +41,20 @@ const (
 
 // String returns the paper's name for the message type.
 func (t MsgType) String() string {
-	names := [...]string{MsgConnect: "CONNECT", MsgSuspend: "SUS", MsgSusRes: "SUS_RES", MsgResume: "RES", MsgClose: "CLS"}
-	if int(t) < len(names) && names[t] != "" {
-		return names[t]
+	switch t {
+	case MsgConnect:
+		return "CONNECT"
+	case MsgSuspend:
+		return "SUS"
+	case MsgSusRes:
+		return "SUS_RES"
+	case MsgResume:
+		return "RES"
+	case MsgClose:
+		return "CLS"
+	default:
+		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
-	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
 // Verdict is the peer controller's reply to a control request.
@@ -71,11 +80,18 @@ const (
 
 // String returns the paper's name for the verdict.
 func (v Verdict) String() string {
-	names := [...]string{VerdictAck: "ACK", VerdictAckWait: "ACK_WAIT", VerdictResumeWait: "RESUME_WAIT", VerdictReject: "REJECT"}
-	if int(v) < len(names) && names[v] != "" {
-		return names[v]
+	switch v {
+	case VerdictAck:
+		return "ACK"
+	case VerdictAckWait:
+		return "ACK_WAIT"
+	case VerdictResumeWait:
+		return "RESUME_WAIT"
+	case VerdictReject:
+		return "REJECT"
+	default:
+		return fmt.Sprintf("Verdict(%d)", uint8(v))
 	}
-	return fmt.Sprintf("Verdict(%d)", uint8(v))
 }
 
 // RejectCode says what a VerdictReject means for the requester's next step.

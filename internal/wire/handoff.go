@@ -26,11 +26,16 @@ const (
 
 // String names the purpose.
 func (p HandoffPurpose) String() string {
-	names := [...]string{HandoffConnect: "connect", HandoffResume: "resume", HandoffAgent: "agent"}
-	if int(p) < len(names) && names[p] != "" {
-		return names[p]
+	switch p {
+	case HandoffConnect:
+		return "connect"
+	case HandoffResume:
+		return "resume"
+	case HandoffAgent:
+		return "agent"
+	default:
+		return fmt.Sprintf("HandoffPurpose(%d)", uint8(p))
 	}
-	return fmt.Sprintf("HandoffPurpose(%d)", uint8(p))
 }
 
 // HandoffHeader is the payload of the MuxOpen that opens a data stream,
