@@ -131,14 +131,16 @@ crash-soak:
 # peer not there yet, so the resume race costs a retry, not a timeout — a
 # SUS granted in RESUME_WAIT, a
 # CLS that waits out a resume's completion, and a parked resume that expires
-# closed), and the endpoint's one wait for its handoff (a stale handoff,
+# closed; a refused RES that steps its sender back to SUSPENDED, and a
+# handle whose endpoint travelled, which asks nothing), and the endpoint's one
+# wait for its handoff (a stale handoff,
 # signed below the granted RES's nonce, is refused; an opener whose stream
 # never lands gives up at the operation timeout),
 # repeated under the race detector. Last, the control cycle the benchmark
 # shields with 1 KiB bursts, with 64 KiB ones: 6 to 10 messages left unread
 # on each connection across every migration, 10,000 cycles (200 a run).
 handoff-soak:
-	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathAtEstablishment|TestStreamDeathBetweenInstallAndStep|TestOpenStreamAndACKInEitherOrder|TestConnectACKLostOnce|TestOpenerGivesUp|TestColdOpenUsesTheNamedTransport|TestForgedConnectOpensNothing|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestConcurrentWritersKeepWireOrder|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable|TestLocalTable|TestSuspenderGivesUpItsDrain|TestResponderGivesUpItsDrain|TestGapToEmptyLogUnrecoverable|TestAdmitRefusesSeqGap' -race -count=20
+	$(GO) test ./internal/core -run 'TestRoundTripCensus|TestBreakCensus|TestBreakWhileCreditStalled|TestRefusedHandoffRace|TestStreamDeathAtEstablishment|TestStreamDeathBetweenInstallAndStep|TestOpenStreamAndACKInEitherOrder|TestConnectACKLostOnce|TestOpenerGivesUp|TestColdOpenUsesTheNamedTransport|TestForgedConnectOpensNothing|TestStaleHandoffRefused|TestHandoff|TestCarry|TestResumeMeets|TestExactlyOnceOverSegmentBoundaries|TestConcurrentWritersKeepWireOrder|TestSlowPeerDoesNotStallOtherPeers|TestConcurrentMigration|TestRepeatedConcurrentMigrations|TestNonOverlappedConcurrentMigration|TestSuspendGrantedInResumeWait|TestCloseWaitsOutResumeCompletion|TestParkedResumeExpiresClosed|TestReplyTable|TestRequestTable|TestLocalTable|TestRefusedResumeStepsBackToSuspended|TestTravelledEndpointAsksNothing|TestSuspenderGivesUpItsDrain|TestResponderGivesUpItsDrain|TestGapToEmptyLogUnrecoverable|TestAdmitRefusesSeqGap' -race -count=20
 	$(GO) test ./internal/core -run 'TestBulkSiblingsNeverParkThePump|TestNoPassOutlivesItsWork' -race -count=20
 	$(GO) test ./internal/transport -run 'TestAuthorizeRefusalResetsOpen|TestUnclaimedStreamReset|TestOpenStreamWaitsForNothing|TestRedialBackoffConfigHonored|TestNothingWaitsOnAStuckKernelSend|TestRecordsInterleave|TestSealedDataRecordHeaderIsAuthenticated' -race -count=20
 	$(GO) test ./internal/core -run 'TestBurstsUnreadAcrossMigrations$$' -count=50

@@ -184,9 +184,10 @@ type Socket struct {
 
 	// Establishment bookkeeping. handoff is the wait for the data stream a
 	// sent CONNECT or a granted RES has the peer open, nil when none is
-	// pending (redirector.go).
-	accepted bool
-	handoff  *handoffWait
+	// pending (redirector.go); connectVia is the transport a CONNECT names.
+	accepted   bool
+	handoff    *handoffWait
+	connectVia wire.ConnID
 
 	closed   bool
 	closeErr error
@@ -394,17 +395,10 @@ func (s *Socket) setTraceSpan(sp *obs.Span) {
 	s.mu.Unlock()
 }
 
-// waitState blocks until the machine is in one of the wanted states, the
-// connection closes, or the timeout passes. It reports the final state.
-func (s *Socket) waitState(timeout time.Duration, wanted ...fsm.State) (fsm.State, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.waitStateLocked(timeout, wanted...)
-	return s.m.State(), err
-}
-
-// waitStateLocked is waitState for a caller that holds mu, and returns with
-// it held: what the caller then reads of the state is what the wait ended on.
+// waitStateLocked blocks until the machine is in one of the wanted states,
+// the connection closes (ErrClosed), or the timeout passes. The caller holds
+// mu, and it returns with mu held: what the caller then reads of the state is
+// what the wait ended on.
 func (s *Socket) waitStateLocked(timeout time.Duration, wanted ...fsm.State) error {
 	deadline := time.Now().Add(timeout)
 	for !slices.Contains(wanted, s.m.State()) {

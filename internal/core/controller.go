@@ -167,13 +167,13 @@ type Controller struct {
 	// flags).
 	tab *connTable
 
-	// mu guards the listener map and the closed flag — control-plane
-	// state touched at listen/accept/shutdown rate, not per connection.
+	// mu guards the listener map — control-plane state touched at
+	// listen/accept/shutdown rate, not per connection.
 	mu        sync.Mutex
 	listeners map[string]*ServerSocket
-	closed    bool
 
-	// closing silences diagnostics once Close begins (the logger may be a
+	// closing is set once Close begins: the host refuses CONNECTs, the
+	// local table knows it, and diagnostics go silent (the logger may be a
 	// testing.T that must not be used after the test ends). Close sets it
 	// under logMu, which every line is written under: no line starts after
 	// Close begins, and none is still being written when it returns.
@@ -282,16 +282,12 @@ func (ctrl *Controller) Tracer() *obs.Tracer { return ctrl.obs.tr }
 
 // Close shuts the controller down; open connections are torn down locally.
 func (ctrl *Controller) Close() error {
-	ctrl.mu.Lock()
-	if ctrl.closed {
-		ctrl.mu.Unlock()
+	ctrl.logMu.Lock()
+	already := ctrl.closing.Swap(true)
+	ctrl.logMu.Unlock()
+	if already {
 		return nil
 	}
-	ctrl.closed = true
-	ctrl.mu.Unlock()
-	ctrl.logMu.Lock()
-	ctrl.closing.Store(true)
-	ctrl.logMu.Unlock()
 	conns := ctrl.tab.all()
 	close(ctrl.done)
 	if ctrl.relayCli != nil {
@@ -556,8 +552,7 @@ func (ctrl *Controller) OpenAs(agentID string, cred [security.CredentialSize]byt
 
 func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byte, target string) (*Socket, error) {
 	bd := ctrl.obs.openBD
-	deadline := time.Now().Add(ctrl.cfg.opTimeout())
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	ctx, cancel := context.WithTimeout(context.Background(), ctrl.cfg.opTimeout())
 	defer cancel()
 
 	// Each open is its own trace; the CONNECT stamp carries it to the
@@ -631,51 +626,30 @@ func (ctrl *Controller) openAs(agentID string, cred [security.CredentialSize]byt
 	s.mu.Lock()
 	s.step(fsm.AppOpen) // -> CONNECT_SENT
 	s.setPeerAddrsLocked(rec.Loc.ControlAddr, rec.Loc.DataAddr)
+	s.connectVia, s.traceSpan = tr.ID(), sp
 	s.awaitHandoffLocked(&handoffWait{state: fsm.ConnectSent})
 	s.mu.Unlock()
 	ctrl.tab.register(s)
 
-	// Handshake: CONNECT names the transport whose secret keys the
-	// connection and on which the target opens the data stream, so neither
-	// a public value nor a socket id crosses the control channel. It is
-	// signed with the key just derived, so only this transport's peer host
-	// can open a connection over it.
-	start = time.Now()
-	reply, err := s.request(ctx, wire.MsgConnect, func(m *wire.ControlMsg) {
-		m.DataAddr, m.ControlAddr = ctrl.DataAddr(), ctrl.ControlAddr()
-		m.TransportID = tr.ID()
-		m.TraceID, m.SpanID = sp.Context().Trace, sp.Context().Span
-	})
-	bd.Add(metrics.PhaseHandshaking, time.Since(start))
+	// Handshake and open socket: CONNECT names the transport whose secret
+	// keys the connection and on which the target opens the data stream, so
+	// neither a public value nor a socket id crosses the control channel. It
+	// is signed with the key just derived, so only this transport's peer
+	// host can open a connection over it. The request table says what its
+	// answer does.
+	s.suspendOpMu.Lock()
+	err = s.ask(wire.MsgConnect)
+	s.suspendOpMu.Unlock()
+	s.setTraceSpan(nil)
 	if err != nil {
-		ctrl.loc.Invalidate(target)
-		return nil, s.giveUpOpen(fmt.Errorf("napletsocket: CONNECT to %q: %w", target, err))
-	}
-	if reply.Verdict != wire.VerdictAck {
 		// "Not listening here" usually means the target migrated (or has not
 		// landed); either way the cached record must not pin the retry loop
-		// to this host until the TTL saves it.
+		// to this host until the TTL saves it. Close lets go of an open the
+		// target refused, and gives up one it may have granted.
 		ctrl.loc.Invalidate(target)
-		err := fmt.Errorf("napletsocket: connection to %q refused: %s", target, reply.Reason)
-		if reply.Code == wire.RejectRetry {
-			err = fmt.Errorf("%w (%w)", err, errTargetNotReady)
-		}
-		return nil, s.abandon(err)
+		s.Close()
+		return nil, err
 	}
-
-	// Open socket: the target's stream travelled beside the ACK; takeHandoff
-	// installs it and steps the endpoint out of CONNECT_SENT.
-	start = time.Now()
-	s.mu.Lock()
-	for !s.closed && s.m.State() == fsm.ConnectSent && waitCond(s.cond, time.Until(deadline)) {
-	}
-	opened := s.m.State() != fsm.ConnectSent
-	s.mu.Unlock()
-	bd.Add(metrics.PhaseOpenSocket, time.Since(start))
-	if !opened {
-		return nil, s.giveUpOpen(fmt.Errorf("napletsocket: open to %q: %w", target, errNoHandoff))
-	}
-	ctrl.checkpointConn(s)
 	return s, nil
 }
 
@@ -731,9 +705,8 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg, req []byte) []byte {
 	target := m.To
 	ctrl.mu.Lock()
 	ss := ctrl.listeners[target]
-	closed := ctrl.closed
 	ctrl.mu.Unlock()
-	if closed {
+	if ctrl.closing.Load() {
 		return rejectReply(m.ConnID, wire.RejectOther, "host closing")
 	}
 	if ss == nil || ss.isClosed() {
@@ -793,7 +766,8 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg, req []byte) []byte {
 		err = s.installSocket(st, 0)
 	}
 	if err != nil {
-		s.abandon(err)
+		s.mu.Lock()
+		s.local(callClose, err)
 		return rejectReply(m.ConnID, wire.RejectRetry, "transport lost")
 	}
 	// CONNECT carried the client's socket id (the transport): the ID
@@ -809,33 +783,6 @@ func (ctrl *Controller) handleConnect(m *wire.ControlMsg, req []byte) []byte {
 	ctrl.checkpointConn(s)
 	ss.push(s)
 	return s.reply(wire.VerdictAck, nil)
-}
-
-// giveUpOpen abandons an open that failed after its CONNECT may have been
-// granted (its ACK lost, or its stream not landed), and closes the endpoint
-// the target may hold for it, queued for Accept, rather than leave that to
-// fail and chase this one for the park window. The CLS goes in the
-// background, so a failed open still returns at its deadline; its goroutine
-// ends at a deadline of its own or when the controller closes. A CLS that
-// does not arrive changes nothing here.
-func (s *Socket) giveUpOpen(err error) error {
-	err = s.abandon(err)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
-		defer cancel()
-		_, _ = s.request(ctx, wire.MsgClose, nil)
-	}()
-	return err
-}
-
-// abandon gives the endpoint up for good: out of the table and the journal,
-// and closed with err, which it returns.
-func (s *Socket) abandon(err error) error {
-	s.ctrl.dropConn(s)
-	s.mu.Lock()
-	s.markClosedLocked(err)
-	s.mu.Unlock()
-	return err
 }
 
 // ---- server sockets ----
@@ -968,8 +915,8 @@ func (ss *ServerSocket) Close() error {
 
 // errTargetNotReady marks an open the target's host refused with
 // wire.RejectRetry: the agent is not listening there yet (launching, or
-// mid-migration), and Dial tries again.
-var errTargetNotReady = errors.New("target not ready")
+// mid-migration), and Dial tries again, as it does an unanswered CONNECT.
+var errTargetNotReady error = rejectRetry
 
 // Dial opens a connection to target, retrying while the target agent is
 // launching or migrating, up to the park timeout.
@@ -986,7 +933,7 @@ func (ctrl *Controller) DialAs(agentID string, cred [security.CredentialSize]byt
 	if ctrl.retry(time.Now().Add(ctrl.cfg.parkTimeout()), func() bool {
 		s, err = ctrl.OpenAs(agentID, cred, target)
 		return err == nil || !(errors.Is(err, naming.ErrNotFound) ||
-			errors.Is(err, errTargetNotReady) ||
+			errors.Is(err, errTargetNotReady) || errors.Is(err, unreachable) ||
 			errors.Is(err, rudp.ErrTimeout))
 	}) == ErrClosed {
 		return nil, ErrClosed

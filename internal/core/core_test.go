@@ -149,6 +149,15 @@ func (e *testEnv) migrate(agentID, from, to string, epoch uint64) {
 	}
 }
 
+// waitState blocks until s is in one of the wanted states, closes, or the
+// timeout passes, and reports the state it ended in.
+func (s *Socket) waitState(timeout time.Duration, wanted ...fsm.State) (fsm.State, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := s.waitStateLocked(timeout, wanted...)
+	return s.m.State(), err
+}
+
 func waitEstablished(t *testing.T, sockets ...*Socket) {
 	t.Helper()
 	for _, s := range sockets {

@@ -501,7 +501,7 @@ func (s *Socket) cutForWriteLocked() (*transport.Stream, uint64, []byte) {
 // drain or a close from a failure.
 func (s *Socket) readerExit(gen int, err error) {
 	s.mu.Lock()
-	if gen != s.gen || s.closed {
+	if gen != s.gen {
 		s.mu.Unlock()
 		return
 	}
@@ -515,7 +515,7 @@ func (s *Socket) readerExit(gen int, err error) {
 // nothing to degrade — and a dead stream raises no second event. Probing under
 // the same hold of mu as the step keeps every connection from resting in
 // ESTABLISHED over a terminal stream. Reaching ESTABLISHED ends the wait for
-// the handoff. Caller holds mu.
+// the handoff, and over a live stream any failure episode. Caller holds mu.
 func (s *Socket) establishedLocked() {
 	if s.m.State() != fsm.Established {
 		return
@@ -526,7 +526,9 @@ func (s *Socket) establishedLocked() {
 	}
 	if err, terminal := s.sock.TermStatus(); terminal {
 		s.failLocked(err)
+		return
 	}
+	s.noteRecoveredLocked()
 }
 
 // failLocked moves an established connection to SUSPENDED after a data
@@ -590,16 +592,7 @@ func (s *Socket) degradeLocked(cause error) bool {
 // and backs off up to ParkTimeout). The wait costs a runtime timer.
 func (s *Socket) startRecovery(delay time.Duration) {
 	time.AfterFunc(delay, func() {
-		select {
-		case <-s.ctrl.done:
-			return
-		default:
-		}
 		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
 		s.local(recoveryDue, nil)
 	})
 }

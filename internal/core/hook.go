@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -57,32 +58,28 @@ func (ctrl *Controller) PreDepart(agentID string) ([]byte, error) {
 		susSp := depart.Child("suspend")
 		susSp.Annotate("conn=" + s.id.String())
 		s.setTraceSpan(susSp)
-		if err := s.Suspend(); err != nil {
+		err := s.Suspend()
+		if err != nil {
 			susSp.Annotate("failed: " + err.Error())
-			susSp.End()
-			if err == ErrClosed {
-				// What the peer wrote before closing still moves with the
-				// agent (Section 3.1's guarantee covers a close, too).
-				if rec, peerClosed := s.serialize(blob); peerClosed {
-					blob = rec
-					shipped++
-					o.connsShipped.Inc()
-				}
-				ctrl.dropConn(s)
-				continue
-			}
+		}
+		susSp.End()
+		if err != nil && !errors.Is(err, ErrClosed) {
 			s.olog(obs.LevelError, "suspend for migration of %s failed (%v); dropping connection", agentID, err)
 			s.Close()
 			continue
 		}
-		susSp.End()
 		ckSp := depart.Child("checkpoint")
 		szStart := time.Now()
-		blob, _ = s.serialize(blob)
+		rec, peerClosed := s.serialize(blob)
 		o.suspendBD.Add(metrics.PhaseSerialize, time.Since(szStart))
 		ckSp.End()
-		shipped++
-		o.connsShipped.Inc()
+		// What a peer that closed wrote still moves with the agent (Section
+		// 3.1's guarantee covers a close, too).
+		if err == nil || peerClosed {
+			blob = rec
+			shipped++
+			o.connsShipped.Inc()
+		}
 		ctrl.dropConn(s)
 	}
 
@@ -174,9 +171,10 @@ func (s *Socket) serialize(dst []byte) ([]byte, bool) {
 }
 
 // PostArrive reconstructs the arriving agent's connections and kicks off
-// their resumption: a normal RESUME for most, a SUS_RES release for
+// their resumption with Resume: a RES for most, a SUS_RES release for
 // connections whose low-priority peer is parked behind our migration
-// (overlapped concurrent migration, Fig 4(a)).
+// (overlapped concurrent migration, Fig 4(a); the local table tells them
+// apart by owesSusRes).
 func (ctrl *Controller) PostArrive(agentID string, blob []byte) error {
 	if len(blob) == 0 {
 		return nil
@@ -242,22 +240,13 @@ func (ctrl *Controller) PostArrive(agentID string, blob []byte) error {
 		resSp := arrive.Child("resume")
 		resSp.Annotate("conn=" + s.id.String())
 		s.setTraceSpan(resSp)
-		go func(s *Socket, owes bool, sp *obs.Span) {
+		go func(s *Socket, sp *obs.Span) {
 			defer sp.End()
 			defer s.setTraceSpan(nil)
-			if owes {
-				// Release the parked peer; it migrates next and will
-				// resume toward us (Fig 4(a)).
-				if err := s.ask(wire.MsgSusRes); err != nil {
-					s.olog(obs.LevelWarn, "SUS_RES after migration: %v", err)
-				}
-				return
-			}
-			if err := s.Resume(); err != nil && err != ErrClosed {
+			if err := s.Resume(); err != nil {
 				sp.Annotate("failed: " + err.Error())
-				s.olog(obs.LevelWarn, "resume after migration: %v", err)
 			}
-		}(s, st.OwesSusRes, resSp)
+		}(s, resSp)
 	}
 	return nil
 }

@@ -18,49 +18,8 @@ import (
 // 2.2–3.2 of the paper as the interpreters of the three tables in proto.go:
 // serve carries out the reply table (onPeer), what a peer's SUS, SUS_RES, RES
 // or CLS gets; ask the request table (onReply), what becomes of the same four
-// sent by us; and local the local table (onLocal), what the endpoint's own
-// calls (Suspend, Resume, Close) and events do.
-
-// request sends one authenticated control message to the peer controller
-// and returns its verified reply: encoded once and signed in place, the reply
-// verified over the bytes it came in.
-func (s *Socket) request(ctx context.Context, typ wire.MsgType, build func(m *wire.ControlMsg)) (*wire.ControlReply, error) {
-	s.mu.Lock()
-	s.sendNonce++
-	m := &wire.ControlMsg{
-		Type:    typ,
-		ConnID:  s.id,
-		From:    s.localAgent,
-		To:      s.remoteAgent,
-		Nonce:   s.sendNonce,
-		TraceID: s.traceSpan.Context().Trace,
-		SpanID:  s.traceSpan.Context().Span,
-	}
-	addr := s.peerControl
-	s.mu.Unlock()
-	if build != nil {
-		build(m)
-	}
-	raw, err := s.ctrl.ep.RequestTo(ctx, addr, wire.SignEncoded(m.Encode(), s.auth))
-	if err != nil {
-		return nil, err
-	}
-	reply, err := wire.DecodeControlReply(raw)
-	if err != nil {
-		return nil, err
-	}
-	if !wire.VerifyEncoded(raw, s.auth) {
-		// A controller that does not know the connection (the peer agent
-		// moved on, or its endpoint is travelling in a bundle) cannot sign:
-		// let unsigned rejections through as advisory — the worst a forger
-		// achieves is a retry, never a state change.
-		if reply.Verdict == wire.VerdictReject && reply.Tag == [wire.TagSize]byte{} {
-			return reply, nil
-		}
-		return nil, fmt.Errorf("napletsocket: unauthenticated %s reply on %s", typ, s.id)
-	}
-	return reply, nil
-}
+// sent by us, and of an open's CONNECT; and local the local table (onLocal),
+// what the endpoint's own calls (Suspend, Resume, Close) and events do.
 
 // reply builds a signed control reply.
 func (s *Socket) reply(v wire.Verdict, mutate func(r *wire.ControlReply)) []byte {
@@ -125,6 +84,8 @@ func (s *Socket) ask(msg wire.MsgType) error {
 // breakdown is the phase breakdown a request's costs are charged to.
 func (s *Socket) breakdown(msg wire.MsgType) *metrics.Breakdown {
 	switch msg {
+	case wire.MsgConnect:
+		return s.ctrl.obs.openBD
 	case wire.MsgSuspend:
 		return s.ctrl.obs.suspendBD
 	case wire.MsgResume:
@@ -133,24 +94,48 @@ func (s *Socket) breakdown(msg wire.MsgType) *metrics.Breakdown {
 	return nil
 }
 
-// send makes one request and reports its outcome. A message carries what
-// serve acts on: LastSeq trims the peer's send log (SUS) or starts its
-// retransmission (RES); our addresses and location epoch tell it where we
-// now are (SUS_RES, RES).
+// send makes one request and reports its outcome: the message encoded once
+// and signed in place, the reply verified over the bytes it came in. A
+// message carries what serve (or handleConnect) acts on: LastSeq trims the
+// peer's send log (SUS) or starts its retransmission (RES); our addresses
+// tell it where we now are (CONNECT, SUS_RES, RES), with our location epoch
+// (SUS_RES, RES); CONNECT names the transport whose secret keys the
+// connection and which the target opens the data stream on.
 func (s *Socket) send(msg wire.MsgType) (outcome, *wire.ControlReply) {
+	m := &wire.ControlMsg{Type: msg, ConnID: s.id, From: s.localAgent, To: s.remoteAgent}
+	if msg == wire.MsgSuspend || msg == wire.MsgResume {
+		m.LastSeq = s.delivered()
+	}
+	if msg == wire.MsgConnect || msg == wire.MsgSusRes || msg == wire.MsgResume {
+		m.ControlAddr, m.DataAddr = s.ctrl.ControlAddr(), s.ctrl.DataAddr()
+	}
+	if msg == wire.MsgSusRes || msg == wire.MsgResume {
+		m.LocEpoch = s.ctrl.locationEpoch(s.localAgent)
+	}
+	s.mu.Lock()
+	s.sendNonce++
+	m.Nonce, m.TraceID, m.SpanID = s.sendNonce, s.traceSpan.Context().Trace, s.traceSpan.Context().Span
+	if msg == wire.MsgConnect {
+		m.TransportID = s.connectVia
+	}
+	addr := s.peerControl
+	s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), s.ctrl.cfg.opTimeout())
 	defer cancel()
 	start := time.Now()
-	reply, err := s.request(ctx, msg, func(m *wire.ControlMsg) {
-		if msg == wire.MsgSuspend || msg == wire.MsgResume {
-			m.LastSeq = s.delivered()
-		}
-		if msg == wire.MsgSusRes || msg == wire.MsgResume {
-			m.ControlAddr, m.DataAddr = s.ctrl.ControlAddr(), s.ctrl.DataAddr()
-			m.LocEpoch = s.ctrl.locationEpoch(s.localAgent)
-		}
-	})
+	raw, err := s.ctrl.ep.RequestTo(ctx, addr, wire.SignEncoded(m.Encode(), s.auth))
 	s.breakdown(msg).Add(metrics.PhaseHandshaking, time.Since(start))
+	var reply *wire.ControlReply
+	if err == nil {
+		reply, err = wire.DecodeControlReply(raw)
+	}
+	// A controller that does not know the connection (the peer agent moved
+	// on, or its endpoint is travelling in a bundle) cannot sign: unsigned
+	// rejections pass as advisory — a forger achieves no more than a refusal
+	// from the peer would.
+	if err == nil && !wire.VerifyEncoded(raw, s.auth) && (reply.Verdict != wire.VerdictReject || reply.Tag != [wire.TagSize]byte{}) {
+		err = fmt.Errorf("napletsocket: unauthenticated %s reply on %s", msg, s.id)
+	}
 	if err != nil {
 		s.olog(obs.LevelDebug, "%s undeliverable: %v", msg, err)
 		return unreachable, nil
@@ -225,35 +210,45 @@ func (s *Socket) carryOut(msg wire.MsgType, out outcome, reply *wire.ControlRepl
 		}
 	}
 	if r.fail {
-		detail := fmt.Sprintf("%s on %s: %s in %s", msg, s.id, out, st)
+		var reason string
 		if reply != nil {
-			detail += ": " + reply.Reason
+			reason = ": " + reply.Reason
 		}
-		err = fmt.Errorf("napletsocket: %s", detail)
+		err = fmt.Errorf("napletsocket: %s on %s: %w in %s%s", msg, s.id, out, st, reason)
 		if r.close {
-			err = fmt.Errorf("%w: %s", ErrClosed, detail)
+			err = fmt.Errorf("%w (%w)", err, ErrClosed)
 		}
 	}
 	if r.close {
 		s.markClosedLocked(err)
 	}
-	s.mu.Unlock()
-	if r.close {
-		s.ctrl.dropConn(s)
-	}
-	if r.wait != noWait {
+	// The wait, under the hold that classified the reply: a wait for
+	// ESTABLISHED is for the peer's stream, the open-socket phase.
+	parkedOut := false
+	if r.wait != nil {
 		timeout := s.ctrl.cfg.opTimeout()
 		if r.park {
 			timeout = s.ctrl.cfg.parkTimeout()
 		}
-		switch _, werr := s.waitState(timeout, r.wait); {
+		start := time.Now()
+		switch werr := s.waitStateLocked(timeout, r.wait...); {
 		case werr == ErrClosed:
-			return r, ErrClosed
+			err = s.closedErrLocked()
 		case werr != nil && r.park:
-			return s.carryOut(msg, expired, nil)
+			parkedOut = true
 		case werr != nil:
-			return r, fmt.Errorf("napletsocket: %s on %s: %w", msg, s.id, werr)
+			err = fmt.Errorf("napletsocket: %s on %s: %w", msg, s.id, werr)
 		}
+		if slices.Contains(r.wait, fsm.Established) && !r.park {
+			bd.Add(metrics.PhaseOpenSocket, time.Since(start))
+		}
+	}
+	s.mu.Unlock()
+	if r.close {
+		s.ctrl.dropConn(s)
+	}
+	if parkedOut {
+		return s.carryOut(msg, expired, nil)
 	}
 	return r, err
 }
@@ -289,7 +284,7 @@ func (s *Socket) serve(m *wire.ControlMsg) []byte {
 	for !s.closed && settles(m.Type, s.m.State()) && waitCond(s.cond, time.Until(settleDeadline)) {
 	}
 	st := s.m.State()
-	r := onPeer(m.Type, st, s.highPriority, s.ctrl.tab.isMigrating(s.localAgent))
+	r := onPeer(m.Type, st, s.highPriority, s.guardsLocked()&guardMigrating != 0)
 	if r.degrade {
 		s.degradeLocked(errPeerResumed)
 	}
@@ -377,13 +372,8 @@ func (s *Socket) setPeerAddrsLocked(controlAddr, dataAddr string) {
 // under concurrent migration, may mean waiting for the higher-priority
 // peer's migration to finish (SUSPEND_WAIT).
 func (s *Socket) Suspend() error {
-	s.suspendOpMu.Lock()
-	defer s.suspendOpMu.Unlock()
-	start := time.Now()
-	s.mu.Lock()
-	_, err := s.local(callSuspend, nil)
 	o := s.ctrl.obs
-	return s.called(err, start, "suspend", "suspended", o.suspends, o.suspendErrors, o.suspendMs)
+	return s.call(callSuspend, "suspended", o.suspends, o.suspendErrors, o.suspendMs)
 }
 
 // Resume re-establishes a suspended connection, typically after the local
@@ -391,24 +381,20 @@ func (s *Socket) Suspend() error {
 // the peer has itself moved, and parks in RESUME_WAIT when the peer has a
 // pending migration of its own (Fig 4(b)).
 func (s *Socket) Resume() error {
+	o := s.ctrl.obs
+	return s.call(callResume, "resumed", o.resumes, o.resumeErrors, o.resumeMs)
+}
+
+// call makes a Suspend or Resume, counts its outcome and cost, and
+// checkpoints what one that succeeded leaves.
+func (s *Socket) call(ev localEvent, done string, ok, failed *obs.Counter, took *obs.Histogram) error {
 	s.suspendOpMu.Lock()
 	defer s.suspendOpMu.Unlock()
 	start := time.Now()
 	s.mu.Lock()
-	_, err := s.local(callResume, nil)
-	if err == nil {
-		s.noteRecovered()
-	}
-	o := s.ctrl.obs
-	return s.called(err, start, "resume", "resumed", o.resumes, o.resumeErrors, o.resumeMs)
-}
-
-// called counts the outcome and cost of a Suspend or Resume begun at start,
-// and checkpoints what one that succeeded leaves.
-func (s *Socket) called(err error, start time.Time, verb, done string, ok, failed *obs.Counter, took *obs.Histogram) error {
-	if err != nil {
+	if _, err := s.local(ev, nil); err != nil {
 		failed.Inc()
-		s.olog(obs.LevelWarn, "%s failed: %v", verb, err)
+		s.olog(obs.LevelWarn, "%s failed: %v", ev, err)
 		return err
 	}
 	elapsed := time.Since(start)
@@ -420,21 +406,18 @@ func (s *Socket) called(err error, start time.Time, verb, done string, ok, faile
 }
 
 // Close actively closes the connection from ESTABLISHED or SUSPENDED (Fig
-// 3), notifying the peer with a CLS exchange. It is idempotent.
+// 3), notifying the peer with a CLS exchange. It is idempotent: on an
+// endpoint already closed, it lets go of what the peer wrote and the
+// application has not read.
 func (s *Socket) Close() error {
 	s.suspendOpMu.Lock()
 	defer s.suspendOpMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		// A peer-closed endpoint stays resident while it holds unread data;
-		// closing it abandons that data.
-		s.ctrl.tab.drop(s)
-		return nil
-	}
-	s.ctrl.obs.closes.Inc()
-	if r, _ := s.local(callClose, nil); r.ask == wire.MsgClose {
-		s.olog(obs.LevelInfo, "closed")
+	if r, _ := s.local(callClose, nil); r.end != endForget {
+		s.ctrl.obs.closes.Inc()
+		if r.ask == wire.MsgClose {
+			s.olog(obs.LevelInfo, "closed")
+		}
 	}
 	return nil
 }
@@ -451,56 +434,71 @@ func (s *Socket) local(ev localEvent, cause error) (localRule, error) {
 		r    localRule
 		werr error
 	)
-	for again := true; again; again = r.again && werr == nil {
+	for again := true; again; {
 		st = s.m.State()
-		r = onLocal(ev, st, s.latches, s.highPriority)
+		r = onLocal(ev, st, s.latches, s.highPriority, s.guardsLocked())
 		if r.step != noStep {
 			s.step(r.step)
 		}
 		if s.latches = s.latches&^r.clear | r.set; r.set != 0 {
 			s.cond.Broadcast() // a drain waits for latchDrained
 		}
+		again, werr = r.again, nil
 		if r.wait != nil {
 			timeout := [...]time.Duration{s.ctrl.cfg.opTimeout(), s.ctrl.cfg.parkTimeout(), s.ctrl.cfg.drainTimeout()}[r.bound]
 			werr = s.waitStateLocked(timeout, r.wait...)
+			again = again && werr == nil || werr == ErrClosed
 		}
 	}
 	if werr != nil && r.end == endDone {
 		s.mu.Unlock()
-		if werr == ErrClosed {
-			return r, ErrClosed
-		}
 		return r, fmt.Errorf("napletsocket: %s on %s: %w", ev, s.id, werr)
 	}
-	closeHere := r.end == endCloseHere || r.end == endAbandon && !s.ctrl.closing.Load()
-	switch {
-	case r.end == endFail:
+	var err error
+	switch r.end {
+	case endFail:
 		s.failLocked(cause)
-	case r.end == endEstablish, r.end == endResumed:
+	case endEstablish:
 		s.establishedLocked()
-	case r.end == endDropStream:
+	case endDropStream:
 		s.dropSockLocked()
-	case closeHere:
+	case endCloseHere, endGiveUp:
 		s.markClosedLocked(cause)
+	case endClosed:
+		err = s.closedErrLocked()
+	case endRefused:
+		err = fmt.Errorf("napletsocket: cannot %s %s in state %s", ev, s.id, st)
 	}
 	s.mu.Unlock()
 	if r.ask != wire.MsgInvalid {
 		return r, s.ask(r.ask)
 	}
-	switch {
-	case closeHere:
+	switch r.end {
+	case endCloseHere:
 		s.ctrl.dropConn(s)
-	case r.end == endResumed:
-		s.noteRecovered()
+	case endGiveUp:
+		s.ctrl.dropConn(s)
+		// Its outcome changes nothing here; it ends within the operation
+		// timeout, or when the controller closes.
+		go s.ask(wire.MsgClose)
+	case endForget:
+		s.ctrl.tab.drop(s)
+	case endEstablish:
 		s.ctrl.checkpointConn(s)
-	case r.end == endResume && !s.ctrl.tab.isMigrating(s.localAgent):
-		if err := s.Resume(); err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrMigrated) {
-			s.olog(obs.LevelWarn, "failure resume: %v", err)
-		}
-	case r.end == endClosed:
-		return r, ErrClosed
-	case r.end == endRefused:
-		return r, fmt.Errorf("napletsocket: cannot %s %s in state %s", ev, s.id, st)
+	case endResume:
+		_ = s.Resume() // it logs its own failure
 	}
-	return r, nil
+	return r, err
+}
+
+// guardsLocked reads the guards, in their bit order: the one place that asks
+// whether the endpoint is closed, the host closing or the agent migrating.
+// Caller holds mu.
+func (s *Socket) guardsLocked() (g guard) {
+	for i, holds := range [...]bool{s.closed, s.ctrl.closing.Load(), s.ctrl.tab.isMigrating(s.localAgent)} {
+		if holds {
+			g |= 1 << i
+		}
+	}
+	return g
 }

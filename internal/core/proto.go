@@ -12,10 +12,11 @@ import (
 // overlapped (ACK_WAIT + SUS_RES) and non-overlapped (RESUME_WAIT). onPeer is
 // the responder's table: what a peer's SUS, SUS_RES, RES or CLS gets in each
 // of the fourteen states. onReply is the requester's: what the sender of each
-// of those four does with what became of it. onLocal is the endpoint's own:
-// what its application's calls and its own events do in each state. All three
-// decide and touch nothing: Socket.serve, Socket.ask and Socket.local (ops.go)
-// are their interpreters; DESIGN.md "Concurrent migration" prints all three.
+// of those four, and of an open's CONNECT, does with what became of it.
+// onLocal is the endpoint's own: what its application's calls and its own
+// events do in each state. All three decide and touch nothing: Socket.serve,
+// Socket.ask and Socket.local (ops.go) are their interpreters; DESIGN.md
+// "Concurrent migration" prints all three.
 
 // latch is a set of the connection's flags: the tables read them as inputs,
 // and their rules raise and lower them. All but owesSusRes, which travels in
@@ -210,7 +211,8 @@ func settles(msg wire.MsgType, st fsm.State) bool {
 
 // outcome is what became of a request: a reply's verdict, by its code if a
 // rejection, or one of three things no reply says. Replies are numbered as
-// the wire numbers verdicts and codes.
+// the wire numbers verdicts and codes. An outcome is an error too: a failed
+// operation's error wraps the one that failed it.
 type outcome uint8
 
 const (
@@ -236,6 +238,7 @@ var outcomeNames = [numOutcomes]string{"no reply", "ACK", "ACK_WAIT", "RESUME_WA
 	"REJECT unknown-conn", "REJECT retry", "REJECT resume-race", "park window out", "overtaken"}
 
 func (o outcome) String() string { return outcomeNames[o] }
+func (o outcome) Error() string  { return outcomeNames[o] }
 
 // outcomeOf is the outcome of a decoded reply: codes but RejectOther come
 // only beside VerdictReject.
@@ -243,11 +246,8 @@ func outcomeOf(v wire.Verdict, c wire.RejectCode) outcome { return outcome(v) + 
 
 // sentIn is the state a request is sent in; SUS_RES moves no state of its
 // sender's.
-var sentIn = map[wire.MsgType]fsm.State{wire.MsgSuspend: fsm.SusSent, wire.MsgResume: fsm.ResSent, wire.MsgClose: fsm.CloseSent}
-
-// noWait marks a rule that waits for nothing, as the zero rule does: no
-// request waits for CLOSED.
-const noWait = fsm.Closed
+var sentIn = map[wire.MsgType]fsm.State{wire.MsgConnect: fsm.ConnectSent, wire.MsgSuspend: fsm.SusSent,
+	wire.MsgResume: fsm.ResSent, wire.MsgClose: fsm.CloseSent}
 
 // replyRule is one cell of the request table, carried out in field order.
 type replyRule struct {
@@ -262,13 +262,15 @@ type replyRule struct {
 	step  fsm.Event
 	from  []fsm.State
 	close bool // marks the connection closed and drops it
-	// wait waits for a state, up to the park window if park is set (running
-	// out is then the expired outcome), else up to the operation timeout.
-	wait fsm.State
+	// wait waits for one of its states, up to the park window if park is set
+	// (running out is then the expired outcome), else up to the operation
+	// timeout.
+	wait []fsm.State
 	park bool
 	// retry asks again after a backoff, re-resolving the peer through the
 	// location service first if relookup is set. A rule that neither
-	// retries nor fails ends the operation successfully.
+	// retries nor fails ends the operation successfully; the error of one
+	// that fails wraps its outcome.
 	retry, relookup, fail bool
 }
 
@@ -278,6 +280,21 @@ type replyRule struct {
 func onReply(msg wire.MsgType, out outcome) replyRule {
 	sent := []fsm.State{sentIn[msg]}
 	switch msg {
+	case wire.MsgConnect:
+		switch out {
+		case ack:
+			// The target opened the data stream before it answered: its
+			// landing, maybe already past, establishes (onLocal), and a stream
+			// that died at once has the endpoint recovering in SUSPENDED.
+			return replyRule{wait: settled}
+		case unreachable:
+			// The target may have granted, the ACK lost and the stream on its
+			// way: the opener's Close gives the open up and tells it (openAs).
+			return replyRule{step: fsm.Timeout, from: sent, fail: true}
+		}
+		// Refused: the target holds nothing for the open.
+		return replyRule{step: fsm.Timeout, from: sent, close: true, fail: true}
+
 	case wire.MsgSuspend:
 		switch out {
 		case ack:
@@ -292,12 +309,14 @@ func onReply(msg wire.MsgType, out outcome) replyRule {
 			// drain now, then park until the peer's SUS_RES or RES releases
 			// us. We may have granted the peer's own SUS meanwhile.
 			return replyRule{drain: true, early: latchSusResReceived, step: fsm.RecvAckWait,
-				from: []fsm.State{fsm.SusSent, fsm.Suspended}, wait: fsm.Suspended, park: true}
+				from: []fsm.State{fsm.SusSent, fsm.Suspended}, wait: []fsm.State{fsm.Suspended}, park: true}
 		case rejectRetry:
 			return replyRule{retry: true} // the peer is mid-resume or mid-open
 		case overtaken:
-			return replyRule{wait: fsm.Suspended} // the drain of the peer's SUS we granted
+			return replyRule{wait: []fsm.State{fsm.Suspended}} // the drain of the peer's SUS we granted
 		}
+		// Refused or out of the window: suspend ungracefully, and fail.
+		return replyRule{drain: true, step: fsm.Timeout, from: sent, fail: true}
 
 	case wire.MsgSusRes:
 		// Our migration is done and the parked low-priority peer may go
@@ -308,6 +327,8 @@ func onReply(msg wire.MsgType, out outcome) replyRule {
 		if out < expired {
 			return replyRule{retry: true}
 		}
+		// The peer's park window, ours too, ran out: it awaits no release.
+		return replyRule{clear: latchOwesSusRes, fail: true}
 
 	case wire.MsgResume:
 		switch out {
@@ -317,7 +338,7 @@ func onReply(msg wire.MsgType, out outcome) replyRule {
 			// Non-overlapped concurrent migration (Fig 4(b), side A): the peer
 			// has a parked suspend to finish, and our resume parks until its
 			// RES reaches us.
-			return replyRule{step: fsm.RecvResumeWait, from: sent, wait: fsm.Established, park: true}
+			return replyRule{step: fsm.RecvResumeWait, from: sent, wait: []fsm.State{fsm.Established}, park: true}
 		case unreachable, rejectUnknownConn, rejectRetry:
 			// Chase a peer agent that moved on or has not landed.
 			return replyRule{retry: true, relookup: true}
@@ -328,12 +349,15 @@ func onReply(msg wire.MsgType, out outcome) replyRule {
 			// next try overtaken.
 			return replyRule{retry: true}
 		case overtaken:
-			return replyRule{wait: fsm.Established} // the handoff of the peer's RES we granted
+			return replyRule{wait: []fsm.State{fsm.Established}} // the handoff of the peer's RES we granted
 		case expired:
 			// Unreachable, unwilling or parked for the whole window: the
 			// connection is dead, and blocked readers and writers fail.
 			return replyRule{step: fsm.Timeout, from: []fsm.State{fsm.ResSent, fsm.ResumeWait}, close: true, fail: true}
 		}
+		// Refused (a replayed nonce, say): back to SUSPENDED, where the next
+		// Suspend finishes at once and the next Resume asks again.
+		return replyRule{step: fsm.Timeout, from: []fsm.State{fsm.ResSent, fsm.ResumeWait}, fail: true}
 
 	case wire.MsgClose:
 		if out == ack {
@@ -368,21 +392,33 @@ var localEventNames = [numLocalEvents]string{"suspend", "resume", "close", "stre
 
 func (e localEvent) String() string { return localEventNames[e] }
 
-// localEnd is what a local rule does last. The first four end the stream's
-// generation under mu: failLocked, establishedLocked (and, for endResumed,
-// then record the recovery and checkpoint), dropSockLocked.
+// guard is a set of the facts the local table reads beside the state and
+// the flags: not the protocol's, and no rule changes them.
+type guard uint8
+
+const (
+	// guardClosed: the endpoint is finished here — closed by either side,
+	// given up, or gone with its agent.
+	guardClosed      guard = 1 << iota
+	guardHostClosing       // the host's Close is closing every endpoint
+	guardMigrating         // the agent is in its suspend phase
+)
+
+// localEnd is what a local rule does last. The first three end the stream's
+// generation under mu: failLocked, establishedLocked (then checkpoint),
+// dropSockLocked.
 type localEnd uint8
 
 const (
 	endDone localEnd = iota
 	endFail
 	endEstablish
-	endResumed
 	endDropStream
 	endCloseHere // close without a CLS, and drop the endpoint
-	endAbandon   // the same, unless the host's Close is closing them all
-	endResume    // unless the agent is migrating: its landing resumes
-	endClosed    // the call fails with ErrClosed
+	endGiveUp    // the same, then CLS the peer, which may hold it, in the background
+	endForget    // drop a finished endpoint and its unread data
+	endResume
+	endClosed // the call fails with the reason the endpoint closed
 	endRefused
 )
 
@@ -399,17 +435,28 @@ type localRule struct {
 	set, clear latch
 	ask        wire.MsgType // a request, carried on by the request table
 	// wait waits for one of its states: a failed one fails the call unless
-	// the rule has an end. again classifies anew after the step or the wait.
+	// the rule has an end. again classifies anew after the step or the wait;
+	// a wait the endpoint's close ends is always classified anew.
 	wait  []fsm.State
 	bound waitBound
 	again bool
 	end   localEnd
 }
 
+// closedEnds is what each event does on an endpoint closed here, where
+// nothing is asked of the peer or waited for: a call fails with the reason,
+// a Close lets go of what is left unread, a stream that lands anyway is
+// dropped.
+var closedEnds = [numLocalEvents]localEnd{callSuspend: endClosed, callResume: endClosed, callClose: endForget,
+	handoffLanded: endDropStream, handoffLate: endDropStream}
+
 // onLocal is the local table: the rule for the endpoint's own event ev in
-// state st, with flags l raised, on an endpoint that does or does not hold
-// the migration priority of Section 3.1.
-func onLocal(ev localEvent, st fsm.State, l latch, highPriority bool) localRule {
+// state st, with flags l raised and guards g holding, on an endpoint that
+// does or does not hold the migration priority of Section 3.1.
+func onLocal(ev localEvent, st fsm.State, l latch, highPriority bool, g guard) localRule {
+	if g&guardClosed != 0 {
+		return localRule{end: closedEnds[ev]}
+	}
 	closing := st == fsm.Closed || st == fsm.CloseSent || st == fsm.CloseAcked
 	// A remote suspend mid-drain, or a resume in flight, maybe the peer's.
 	inFlight := st == fsm.SusAcked || st == fsm.ResSent || st == fsm.ResAcked || st == fsm.ResumeWait
@@ -447,6 +494,10 @@ func onLocal(ev localEvent, st fsm.State, l latch, highPriority bool) localRule 
 		switch {
 		case st == fsm.Established, st == fsm.ResAcked:
 			return localRule{wait: []fsm.State{fsm.Established}} // or the peer's is mid-handoff
+		case st == fsm.Suspended && l&latchOwesSusRes != 0:
+			// Landed after a migration that parked the low-priority peer
+			// (Fig 4(a)): release it; it migrates next and resumes toward us.
+			return localRule{ask: wire.MsgSusRes}
 		case st == fsm.Suspended:
 			return localRule{step: fsm.AppResume, ask: wire.MsgResume}
 		case closing:
@@ -459,6 +510,12 @@ func onLocal(ev localEvent, st fsm.State, l latch, highPriority bool) localRule 
 			return localRule{step: fsm.AppClose, ask: wire.MsgClose} // Fig 3
 		case st == fsm.Listen:
 			return localRule{step: fsm.AppClose, end: endCloseHere}
+		case st == fsm.ConnectSent:
+			return localRule{step: fsm.Timeout, end: endGiveUp}
+		case st == fsm.Closed:
+			// Only an open whose CONNECT went unanswered is here unclosed: the
+			// target may have granted it.
+			return localRule{end: endGiveUp}
 		case inFlight, st == fsm.SusSent, st == fsm.SuspendWait:
 			// The peer gets a CLS, not a dead endpoint, if the operation
 			// settles in time.
@@ -478,27 +535,31 @@ func onLocal(ev localEvent, st fsm.State, l latch, highPriority bool) localRule 
 
 	case handoffLanded, handoffLate:
 		switch {
+		case g&guardHostClosing != 0:
+			return localRule{end: endDropStream} // the host is tearing every endpoint down
 		case ev == handoffLanded && st == fsm.ResAcked:
-			return localRule{step: fsm.ExecResumed, end: endResumed}
+			return localRule{step: fsm.ExecResumed, end: endEstablish}
 		case ev == handoffLanded && st == fsm.ConnectSent:
 			return localRule{step: fsm.RecvConnectAck, end: endEstablish}
 		case st == fsm.Established:
 			// A later grant's stream established the connection under the
 			// install, and the install made this stream its own.
-			return localRule{end: endResumed}
+			return localRule{end: endEstablish}
 		}
 		return localRule{end: endDropStream}
 
 	case handoffExpired:
-		switch st {
-		case fsm.ResAcked:
+		switch {
+		case st == fsm.ResAcked:
 			return localRule{step: fsm.Timeout} // where the mover's retry is granted
-		case fsm.ConnectSent:
-			return localRule{end: endAbandon} // the open fails
+		case st == fsm.ConnectSent && g&guardHostClosing == 0:
+			return localRule{step: fsm.Timeout, end: endGiveUp} // the open fails
 		}
 
 	case recoveryDue:
-		if st == fsm.Suspended && l&latchFailing != 0 {
+		// Left undone while the agent migrates (its landing resumes) or the
+		// host closes.
+		if st == fsm.Suspended && l&latchFailing != 0 && g&(guardHostClosing|guardMigrating) == 0 {
 			return localRule{end: endResume}
 		}
 	}

@@ -150,9 +150,13 @@ func TestReplyTableIsClosedOverRequesterBranches(t *testing.T) {
 	})
 }
 
+// requestMsgs are the requests of the request table: an open's CONNECT, and
+// the four a peer's reply table answers.
+var requestMsgs = append([]wire.MsgType{wire.MsgConnect}, peerMsgs...)
+
 // eachRequestCell calls fn once per cell of the request table.
 func eachRequestCell(fn func(msg wire.MsgType, out outcome, r replyRule)) {
-	for _, msg := range peerMsgs {
+	for _, msg := range requestMsgs {
 		for out := outcome(0); out < numOutcomes; out++ {
 			fn(msg, out, onReply(msg, out))
 		}
@@ -191,23 +195,29 @@ func TestRequestTableRequestsOnlyLegalSteps(t *testing.T) {
 		if r.relookup && !r.retry {
 			t.Errorf("%s: re-resolves the peer for no retry", cell)
 		}
-		if r.retry && (r.fail || r.close || r.wait != noWait || r.step != noStep) {
+		if sends && r.fail && !r.close && (r.step == noStep || !slices.Contains(r.from, sent)) {
+			// Nothing else steps the sender out of the state it asked in.
+			t.Errorf("%s: fails the operation and leaves its sender in %s", cell, sent)
+		}
+		if r.retry && (r.fail || r.close || r.wait != nil || r.step != noStep) {
 			t.Errorf("%s: a retry also steps, waits or ends the operation: %+v", cell, r)
 		}
 		if (out == expired || out == overtaken) && r.retry {
 			t.Errorf("%s: retries past the window or a settled machine", cell)
 		}
-		if r.wait != noWait && r.step != noStep {
+		if r.step != noStep {
 			// What the requester waits for is reachable from where the step
 			// leaves it.
 			next, _ := fsm.Next(sent, r.step)
-			if !reachable(next, r.wait) {
-				t.Errorf("%s: waits for %s, unreachable from %s", cell, r.wait, next)
+			for _, w := range r.wait {
+				if !reachable(next, w) {
+					t.Errorf("%s: waits for %s, unreachable from %s", cell, w, next)
+				}
 			}
 		}
 	})
-	if cells != len(peerMsgs)*int(numOutcomes) {
-		t.Fatalf("walked %d cells, want %d", cells, len(peerMsgs)*int(numOutcomes))
+	if cells != len(requestMsgs)*int(numOutcomes) {
+		t.Fatalf("walked %d cells, want %d", cells, len(requestMsgs)*int(numOutcomes))
 	}
 }
 
@@ -344,8 +354,11 @@ func (r replyRule) columns() string {
 		}
 		step = append(step, "`"+r.step.String()+"` in "+strings.Join(from, "/"))
 	}
-	if r.wait != noWait {
-		wait = append(wait, r.wait.String()+map[bool]string{false: " ≤ op", true: " ≤ park"}[r.park])
+	for _, w := range r.wait {
+		wait = append(wait, w.String())
+	}
+	if r.wait != nil {
+		wait = []string{strings.Join(wait, "/") + map[bool]string{false: " ≤ op", true: " ≤ park"}[r.park]}
 	}
 	if r.clear != 0 {
 		ends = append(ends, "clear "+latchList(r.clear))
@@ -380,7 +393,7 @@ func latchList(l latch) string { return "`" + strings.ReplaceAll(l.String(), ","
 func renderRequestTable() string {
 	var b strings.Builder
 	b.WriteString("| Request | Outcome | First | Step | Wait | Then |\n|---|---|---|---|---|---|\n")
-	for _, msg := range peerMsgs {
+	for _, msg := range requestMsgs {
 		var order []string // cells, in order of first outcome
 		outs := map[string][]string{}
 		for out := outcome(0); out < numOutcomes; out++ {
@@ -426,20 +439,24 @@ func TestRequestTableMatchesDesignDoc(t *testing.T) {
 
 var (
 	localEnds = map[localEnd]string{endDone: "done", endFail: "fail the stream", endEstablish: "establish",
-		endResumed: "establish, record the recovery", endDropStream: "drop the stream", endCloseHere: "close here",
-		endAbandon: "abandon the open", endResume: "`Resume`", endClosed: "fail: closed", endRefused: "fail: refused"}
+		endDropStream: "drop the stream", endCloseHere: "close here",
+		endGiveUp: "close here, CLS in the background", endForget: "drop the endpoint", endResume: "`Resume`",
+		endClosed: "fail: closed", endRefused: "fail: refused"}
 	boundNames = map[waitBound]string{boundOp: "op", boundPark: "park", boundDrain: "drain"}
+	guardNames = [...]string{"closed", "hostClosing", "migrating"} // in bit order
 )
 
 // eachLocalCell calls fn once per cell of the local table: every event in
-// every state under every set of flags, so every reachable one, on either
-// side of the priority.
-func eachLocalCell(fn func(ev localEvent, st fsm.State, l latch, high bool, r localRule)) {
+// every state under every set of flags and guards, so every reachable one,
+// on either side of the priority.
+func eachLocalCell(fn func(ev localEvent, st fsm.State, l latch, high bool, g guard, r localRule)) {
 	for ev := localEvent(0); ev < numLocalEvents; ev++ {
 		for _, st := range fsm.States() {
 			for l := 0; l < 1<<len(latchNames); l++ {
 				for _, high := range []bool{false, true} {
-					fn(ev, st, latch(l), high, onLocal(ev, st, latch(l), high))
+					for g := guard(0); g < 1<<len(guardNames); g++ {
+						fn(ev, st, latch(l), high, g, onLocal(ev, st, latch(l), high, g))
+					}
 				}
 			}
 		}
@@ -448,9 +465,18 @@ func eachLocalCell(fn func(ev localEvent, st fsm.State, l latch, high bool, r lo
 
 func TestLocalTableRequestsOnlyLegalSteps(t *testing.T) {
 	cells := 0
-	eachLocalCell(func(ev localEvent, st fsm.State, l latch, high bool, r localRule) {
+	eachLocalCell(func(ev localEvent, st fsm.State, l latch, high bool, g guard, r localRule) {
 		cells++
-		cell := fmt.Sprintf("%s in %s (flags %q, high=%v)", ev, st, l, high)
+		cell := fmt.Sprintf("%s in %s (flags %q, high=%v, guards %03b)", ev, st, l, high, g)
+		if g&guardClosed != 0 && (r.step != noStep || r.ask != wire.MsgInvalid || r.wait != nil || r.again || r.end == endGiveUp) {
+			t.Errorf("%s: a closed endpoint steps, asks or waits: %+v", cell, r)
+		}
+		if ev == recoveryDue && g&guardMigrating != 0 && r.end == endResume {
+			t.Errorf("%s: resumes while the agent migrates, ahead of its landing", cell)
+		}
+		if ev == handoffExpired && st == fsm.ConnectSent && g&guardHostClosing != 0 && (r.step != noStep || r.end != endDone) {
+			t.Errorf("%s: gives an open up while the host closes", cell)
+		}
 		next := st
 		if r.step != noStep {
 			var err error
@@ -468,7 +494,7 @@ func TestLocalTableRequestsOnlyLegalSteps(t *testing.T) {
 		if (r.end == endClosed || r.end == endRefused) && ev > callResume {
 			t.Errorf("%s: %s ends what is no Suspend or Resume", cell, localEnds[r.end])
 		}
-		if r.ask != wire.MsgInvalid && (next != sentIn[r.ask] || r.again || r.end != endDone) {
+		if sent, ok := sentIn[r.ask]; r.ask != wire.MsgInvalid && (ok && next != sent || !ok && next != st || r.again || r.end != endDone) {
 			t.Errorf("%s: sends %s from %s, not from the state the request table has it sent in, or does more", cell, r.ask, next)
 		}
 		for _, w := range r.wait {
@@ -476,22 +502,24 @@ func TestLocalTableRequestsOnlyLegalSteps(t *testing.T) {
 				t.Errorf("%s: waits for %s, unreachable from %s", cell, w, next)
 			}
 		}
-		if msg := againSettles(ev, st, l, high, false, 0); msg != "" {
+		if msg := againSettles(ev, st, l, high, g, false, 0); msg != "" {
 			t.Errorf("%s: %s", cell, msg)
 		}
 	})
-	if want := int(numLocalEvents) * len(fsm.States()) * (1 << len(latchNames)) * 2; cells != want {
+	if want := int(numLocalEvents) * len(fsm.States()) * (1 << len(latchNames)) * 2 * (1 << len(guardNames)); cells != want {
 		t.Fatalf("walked %d cells, want %d", cells, want)
 	}
 }
 
 // againSettles follows the cells an event is classified in again, after a step
-// (under the same hold of mu, so with the flags the rule left) or after a
-// wait (in a state the wait ends in, with whatever flags the peer raised
-// meanwhile). It reports how the chain fails to settle: a cell that
-// classifies again in itself, or a second wait.
-func againSettles(ev localEvent, st fsm.State, l latch, high, waited bool, depth int) string {
-	r := onLocal(ev, st, l, high)
+// (under the same hold of mu, so with the flags and guards the rule left) or
+// after a wait (in a state the wait ends in, with whatever flags the peer
+// raised and guards came to hold meanwhile; a wait the close ends is
+// classified again as closed, whose cells ask nothing and wait for nothing).
+// It reports how the chain fails to settle: a cell that classifies again in
+// itself, or a second wait.
+func againSettles(ev localEvent, st fsm.State, l latch, high bool, g guard, waited bool, depth int) string {
+	r := onLocal(ev, st, l, high, g)
 	switch {
 	case !r.again:
 		return ""
@@ -501,14 +529,16 @@ func againSettles(ev localEvent, st fsm.State, l latch, high, waited bool, depth
 		return "classifies again in the same cell"
 	case r.wait == nil:
 		next, _ := fsm.Next(st, r.step)
-		return againSettles(ev, next, l&^r.clear|r.set, high, waited, depth+1)
+		return againSettles(ev, next, l&^r.clear|r.set, high, g, waited, depth+1)
 	case waited:
 		return fmt.Sprintf("waits again in %s", st)
 	}
 	for _, w := range r.wait {
 		for l2 := 0; l2 < 1<<len(latchNames); l2++ {
-			if msg := againSettles(ev, w, latch(l2), high, true, depth+1); msg != "" {
-				return fmt.Sprintf("waits for %s, then %s", w, msg)
+			for g2 := guard(0); g2 < 1<<len(guardNames); g2 += 2 * guardClosed { // closed is the lowest bit
+				if msg := againSettles(ev, w, latch(l2), high, g2, true, depth+1); msg != "" {
+					return fmt.Sprintf("waits for %s, then %s", w, msg)
+				}
 			}
 		}
 	}
@@ -543,15 +573,16 @@ func (r localRule) columns() string {
 		col(r.ask.String(), r.ask != wire.MsgInvalid), col(strings.Join(wait, "/")+" ≤ "+boundNames[r.bound], r.wait != nil), then)
 }
 
-// conditions describes, per distinct cell of ev in st, the inputs that get
-// it: a list of cubes over the inputs the cells depend on (each flag, and
-// the priority as one more bit), each cube the literals it fixes ("" where
-// the cells depend on no input).
+// conditions describes, per distinct cell of ev in st on an endpoint not
+// closed, the inputs that get it: a list of cubes over the inputs the cells
+// depend on (each flag, the priority as one more bit, then the guards but
+// closed), each cube the literals it fixes ("" where the cells depend on no
+// input).
 func conditions(ev localEvent, st fsm.State) (order []string, conds map[string][]string) {
-	const inputs = len(latchNames) + 1
+	const inputs = len(latchNames) + len(guardNames)
 	cols := make([]string, 1<<inputs)
 	for in := range cols {
-		cols[in] = onLocal(ev, st, latch(in), in>>len(latchNames) != 0).columns()
+		cols[in] = onLocal(ev, st, latch(in), in>>len(latchNames)&1 != 0, guard(in>>(len(latchNames)+1))<<1).columns()
 	}
 	var relevant []int
 	for b := 0; b < inputs; b++ {
@@ -563,8 +594,11 @@ func conditions(ev localEvent, st fsm.State) (order []string, conds map[string][
 		}
 	}
 	name := func(b int, on bool) string {
-		if b == len(latchNames) {
+		switch {
+		case b == len(latchNames):
 			return map[bool]string{true: "high priority", false: "low priority"}[on]
+		case b > len(latchNames):
+			return map[bool]string{true: "", false: "no "}[on] + "`" + guardNames[b-len(latchNames)] + "`"
 		}
 		return map[bool]string{true: "", false: "no "}[on] + "`" + latchNames[b] + "`"
 	}
@@ -638,12 +672,23 @@ func pow3(k int) int {
 }
 
 // renderLocalTable prints onLocal one row per distinct cell of an event:
-// the states that get it share the row, each qualified by the flags and the
-// priority that get it there where those matter.
+// first the one a closed endpoint gets in every state, then the others, the
+// states that get one sharing its row, each qualified by the flags, the
+// priority and the guards that get it there where those matter.
 func renderLocalTable() string {
 	var b strings.Builder
 	b.WriteString("| Event | Meets | Step | Flags | Request | Wait | Then |\n|---|---|---|---|---|---|---|\n")
 	for ev := localEvent(0); ev < numLocalEvents; ev++ {
+		closed := onLocal(ev, fsm.Closed, 0, false, guardClosed).columns()
+		for _, st := range fsm.States() {
+			for in := 0; in < 1<<(len(latchNames)+len(guardNames)); in++ {
+				g := guard(in>>(len(latchNames)+1))<<1 | guardClosed
+				if onLocal(ev, st, latch(in), in>>len(latchNames)&1 != 0, g).columns() != closed {
+					panic("a closed endpoint's cell depends on more than the event: teach the renderer")
+				}
+			}
+		}
+		fmt.Fprintf(&b, "| %s | any state (`closed`) | %s |\n", ev, closed)
 		var order []string                         // cells, in order of first state
 		groups := map[string]map[string][]string{} // cell -> condition -> states
 		conds := map[string][]string{}             // cell -> conditions, in order of first state
@@ -675,10 +720,10 @@ func renderLocalTable() string {
 		}
 	}
 	b.WriteString("\nThe event is classified, and its step, flags and wait taken, under one hold of `mu`: a wait lets go of it only" +
-		" while it blocks, so *again* classifies the event anew in the state the step or the wait ended in. An end's work on the" +
-		" stream and on the endpoint (closing it here) is done under that hold too; the request, and the rest of the end, after" +
-		" it. A wait that fails fails the call, unless the cell names what a failed wait does. `Resume` is left undone while the" +
-		" agent migrates, and an open is not abandoned while the host closes.\n")
+		" while it blocks, so *again* classifies the event anew in the state the step or the wait ended in, and so does a wait" +
+		" the endpoint's close ends. An end's work on the stream and on the endpoint (closing it here) is done under that hold" +
+		" too; the request, and the rest of the end, after it. A wait that fails fails the call, unless the cell names what a" +
+		" failed wait does.\n")
 	return b.String()
 }
 

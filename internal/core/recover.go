@@ -38,14 +38,12 @@ func connJournalKey(localAgent string, id wire.ConnID) string {
 	return localAgent + "|" + id.String()
 }
 
-// noteRecovered closes a failure episode: if the connection carries a
+// noteRecoveredLocked closes a failure episode: if the connection carries a
 // failure timestamp (set by failLocked or by a crash restore), the elapsed
-// time is recorded as the recovery latency.
-func (s *Socket) noteRecovered() {
-	s.mu.Lock()
+// time is recorded as the recovery latency. Caller holds mu.
+func (s *Socket) noteRecoveredLocked() {
 	at := s.failedAt
 	s.failedAt = time.Time{}
-	s.mu.Unlock()
 	if at.IsZero() {
 		return
 	}

@@ -68,8 +68,9 @@ func (s *Socket) giveUpHandoff(w *handoffWait, cause error) {
 
 // takeHandoff gives st to the endpoint if it awaits the handoff hdr
 // announces — in the granted state, for the matching purpose, at a later
-// nonce, and no stream taken yet — and reports whether it did. The caller is
-// the transport's per-stream goroutine, which may block.
+// nonce, and no stream taken yet — and reports whether it did; the local
+// table says what the installed stream does. The caller is the transport's
+// per-stream goroutine, which may block.
 func (s *Socket) takeHandoff(hdr *wire.HandoffHeader, st *transport.Stream) bool {
 	s.mu.Lock()
 	w := s.handoff
@@ -77,7 +78,7 @@ func (s *Socket) takeHandoff(hdr *wire.HandoffHeader, st *transport.Stream) bool
 	if w != nil && w.state == fsm.ResAcked {
 		purpose = wire.HandoffResume
 	}
-	ok := w != nil && !w.taken && !s.closed && s.m.State() == w.state && hdr.Purpose == purpose && hdr.Nonce > w.nonce
+	ok := w != nil && !w.taken && s.m.State() == w.state && hdr.Purpose == purpose && hdr.Nonce > w.nonce
 	if ok {
 		w.taken = true
 	}
@@ -85,25 +86,17 @@ func (s *Socket) takeHandoff(hdr *wire.HandoffHeader, st *transport.Stream) bool
 	if !ok {
 		return false
 	}
-	if s.ctrl.closing.Load() {
-		st.Close()
-		return true
-	}
 	if err := s.installSocket(st, w.lastSeq); err != nil {
 		s.olog(obs.LevelWarn, "installing handed-off stream: %v", err)
 		s.giveUpHandoff(w, err)
 		return true
 	}
 	s.mu.Lock()
-	switch {
-	case s.closed:
-		s.dropSockLocked()
-		s.mu.Unlock()
-	case s.handoff != w:
-		s.local(handoffLate, nil)
-	default:
-		s.local(handoffLanded, nil)
+	ev := handoffLanded
+	if s.handoff != w {
+		ev = handoffLate
 	}
+	s.local(ev, nil)
 	return true
 }
 
